@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +30,6 @@ from .rkhs import wiener_amalgam_norm
 class Context:
     workspace: Path
     seed: int | None = None
-    threads: int | None = None
     tolerance_profile: str = "default"
     input_hashes: dict[str, str] = field(default_factory=dict)
 
@@ -263,15 +263,26 @@ def handle_run(ctx: Context, config: str) -> None:
 
 # ------------------------------------------------------------------ arg parse
 
+class _Parser(argparse.ArgumentParser):
+    """Reads negative numbers in exponent notation (``--box -1e6 1e6``) as values, not flags.
+
+    argparse's own pattern only knows ``-12`` and ``-1.5``; subparsers are
+    built from the same class and inherit the wider pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aperio",
         description="Point-set densities, covolumes and reproducing-kernel frame diagnostics.",
     )
     parser.add_argument("--version", action="version", version=f"aperio {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in report provenance")
     parser.add_argument("--workspace", default=".", help="root for relative file paths")
-    parser.add_argument("--threads", type=int, default=None, help="reserved; BLAS threading applies")
     parser.add_argument(
         "--tolerance-profile",
         choices=("strict", "default"),
@@ -353,13 +364,12 @@ def main(argv=None) -> int:
     ctx = Context(
         workspace=Path(args.workspace),
         seed=args.seed,
-        threads=args.threads,
         tolerance_profile=args.tolerance_profile,
     )
     kwargs = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "seed", "workspace", "threads", "tolerance_profile")
+        if k not in ("command", "seed", "workspace", "tolerance_profile")
     }
     if "folner" in kwargs:
         kwargs["folner"] = _csv_floats(kwargs["folner"])

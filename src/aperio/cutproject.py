@@ -12,6 +12,13 @@ window membership is tested with an exactness epsilon of 0, so users wanting
 robustness against borderline windows should place window faces away from
 internal lattice coordinates (``regularity_diagnostics`` reports how close a
 finite sample gets).
+
+Every lattice-point search (generation, both diagnostics, and the translates
+of the lattice periodization check) goes through one enumerator,
+``_lattice_points``, whose work follows the output: about ``L`` integer
+candidates, not ``L^2``, for a Fibonacci box of length ``L``.  One cap,
+``_ENUM_LIMIT``, bounds the integer prefixes and the candidates; a request
+past it raises ``ValueError`` before the array it bounds is built.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from scipy.spatial import cKDTree
 from .errors import DegenerateBasisError, EmptyWindowError
 from .pointset import Box, PointPatch, as_box
 
-_ENUM_LIMIT = 200_000_000  # hard cap on integer candidates per generate call
+_ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +161,6 @@ class CutProjectScheme:
     def abs_det(self) -> float:
         return float(abs(np.linalg.det(self.basis)))
 
-    def physical_part(self, gamma: np.ndarray) -> np.ndarray:
-        return gamma[..., : self.d]
-
-    def internal_part(self, gamma: np.ndarray) -> np.ndarray:
-        return gamma[..., self.d :]
-
 
 def lattice_scheme(basis, d: int | None = None) -> CutProjectScheme:
     """Scheme with m = 0: the generated set is the lattice spanned by ``basis``."""
@@ -171,27 +172,59 @@ def lattice_scheme(basis, d: int | None = None) -> CutProjectScheme:
     return CutProjectScheme(d=d, m=0, basis=basis, window=None)
 
 
-def _integer_bounds(scheme: CutProjectScheme, region: Box) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinate bounds covering all lattice points in the region.
+def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
+    """Every lattice vector ``basis @ z`` in the closed box ``region``, lexicographic in ``z``.
 
-    The region corners are mapped through the inverse basis; the enclosing
-    integer box is inflated by 1 per coordinate to guard against rounding at
-    the region faces.
+    The interval step of Fincke & Pohst (1985): the integer prefixes
+    ``z[:-1]`` range over the inverse-basis bounding box of ``region``
+    (inflated by 1 against rounding).  For each prefix the admissible interval
+    of the last coordinate is solved in closed form against the region faces
+    moved out by a rounding bound on ``basis @ z``, widened by 1, and only
+    those candidates get the exact closed-box test.  The rounding bound keeps
+    face points when a basis entry is tiny next to the others (``cos(pi/2)``).
+    ``_ENUM_LIMIT`` caps the prefix count and the candidate count, each before
+    the array it sizes is built.
     """
-    inv = np.linalg.inv(scheme.basis)
-    corners = np.array(list(itertools.product(*region)))
-    pre = corners @ inv.T
-    lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
-    hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
-    return lo, hi
+    region_lo, region_hi = np.array(region, dtype=np.float64).T
+    pre = np.array(list(itertools.product(*region))) @ np.linalg.inv(basis).T
+    z_lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
+    z_hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
+    shape = tuple(int(k) for k in z_hi[:-1] - z_lo[:-1] + 1)
+    n_prefixes = math.prod(shape)
+    if n_prefixes > _ENUM_LIMIT:
+        raise ValueError(f"enumeration of {n_prefixes} integer prefixes exceeds the limit")
+    prefixes = np.indices(shape).reshape(len(shape), n_prefixes).T + z_lo[:-1]
+    # last coordinate t: region_lo <= prefixes @ basis[:, :-1].T + t * basis[:, -1] <= region_hi,
+    # up to the rounding of the dot products (a generous multiple of n * eps * sum |basis z|)
+    slack = 4 * len(basis) * np.finfo(np.float64).eps * (np.abs(basis) @ np.maximum(-z_lo, z_hi))
+    offset = prefixes @ basis[:, :-1].T
+    col = basis[:, -1]
+    free = col == 0
+    step = np.where(free, 1.0, col)
+    with np.errstate(over="ignore"):  # a tiny entry of the last column overflows to +-inf, then clips
+        t_a = (region_lo - slack - offset) / step
+        t_b = (region_hi + slack - offset) / step
+    t_lo = np.where(free, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
+    t_hi = np.where(free, np.inf, np.maximum(t_a, t_b)).min(axis=1)
+    first = np.clip(np.ceil(t_lo) - 1, z_lo[-1], z_hi[-1] + 1).astype(np.int64)
+    last = np.clip(np.floor(t_hi) + 1, z_lo[-1] - 1, z_hi[-1]).astype(np.int64)
+    counts = np.maximum(last - first + 1, 0)
+    total = int(counts.sum())
+    if total > _ENUM_LIMIT:
+        raise ValueError(f"enumeration of {total} integer candidates exceeds the limit")
+    starts = np.cumsum(counts) - counts
+    t = np.arange(total) - np.repeat(starts - first, counts)
+    ints = np.concatenate([np.repeat(prefixes, counts, axis=0), t[:, None]], axis=1)
+    gamma = ints @ basis.T
+    return gamma[np.all((gamma >= region_lo) & (gamma <= region_hi), axis=1)]
 
 
 def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
     """All points ``p_G(gamma)`` with ``p_H(gamma)`` in the window and ``p_G(gamma)`` in ``box``.
 
-    Enumeration is complete: integer coordinates are bounded through the
-    inverse basis applied to ``box x bbox(window)``, so no qualifying lattice
-    point is missed.  An empty window yields an empty patch.
+    Enumeration is complete: every lattice point in ``box x bbox(window)`` is
+    visited, so no qualifying point is missed.  An empty window yields an
+    empty patch.
     """
     box = as_box(box)
     if len(box) != scheme.d:
@@ -199,39 +232,10 @@ def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
     if scheme.m > 0 and scheme.window.is_empty:
         return PointPatch(dim=scheme.d, box=box, points=np.empty((0, scheme.d)))
     region = box if scheme.m == 0 else box + scheme.window.bounding_box()
-    lo, hi = _integer_bounds(scheme, region)
-    counts = (hi - lo + 1).astype(np.int64)
-    total = int(np.prod(counts))
-    if total > _ENUM_LIMIT:
-        raise ValueError(f"enumeration of {total} integer candidates exceeds the limit")
-    box_lo = np.array([b[0] for b in box])
-    box_hi = np.array([b[1] for b in box])
-    rest_axes = [np.arange(lo[k], hi[k] + 1) for k in range(1, scheme.d + scheme.m)]
-    rest = (
-        np.stack(np.meshgrid(*rest_axes, indexing="ij"), axis=-1).reshape(-1, len(rest_axes))
-        if rest_axes
-        else np.zeros((1, 0), dtype=np.int64)
-    )
-    chunk = max(1, int(2_000_000 // max(1, len(rest))))
-    found = []
-    for start in range(int(lo[0]), int(hi[0]) + 1, chunk):
-        firsts = np.arange(start, min(start + chunk, int(hi[0]) + 1))
-        ints = np.concatenate(
-            [
-                np.repeat(firsts, len(rest))[:, None],
-                np.tile(rest, (len(firsts), 1)),
-            ],
-            axis=1,
-        )
-        gamma = ints @ scheme.basis.T
-        phys = gamma[:, : scheme.d]
-        mask = np.all((phys >= box_lo) & (phys <= box_hi), axis=1)
-        if scheme.m > 0:
-            mask &= scheme.window.contains(gamma[:, scheme.d :])
-        if mask.any():
-            found.append(phys[mask])
-    pts = np.concatenate(found) if found else np.empty((0, scheme.d))
-    return PointPatch(dim=scheme.d, box=box, points=pts)
+    gamma = _lattice_points(scheme.basis, region)
+    if scheme.m > 0:
+        gamma = gamma[scheme.window.contains(gamma[:, scheme.d :])]
+    return PointPatch(dim=scheme.d, box=box, points=gamma[:, : scheme.d])
 
 
 def model_set_covolume(scheme: CutProjectScheme) -> float:
@@ -263,14 +267,7 @@ def internal_density_diagnostic(
         raise ValueError("radius and resolution must be positive")
     bbox = scheme.window.bounding_box()
     region = tuple((-radius, radius) for _ in range(scheme.d)) + bbox
-    lo, hi = _integer_bounds(scheme, region)
-    axes = [np.arange(lo[k], hi[k] + 1) for k in range(scheme.d + scheme.m)]
-    if int(np.prod([len(a) for a in axes])) > _ENUM_LIMIT:
-        raise ValueError("diagnostic enumeration too large; reduce radius")
-    ints = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, scheme.d + scheme.m)
-    gamma = ints @ scheme.basis.T
-    keep = np.abs(gamma[:, : scheme.d]).max(axis=1) <= radius
-    internal = gamma[keep, scheme.d :]
+    internal = _lattice_points(scheme.basis, region)[:, scheme.d :]
     internal = internal[scheme.window.contains(internal)]
     if len(internal) == 0:
         return False, math.inf
@@ -319,18 +316,7 @@ def regularity_diagnostics(
     region = tuple((-radius, radius) for _ in range(scheme.d)) + tuple(
         (lo - internal_margin, hi + internal_margin) for lo, hi in bbox
     )
-    lo, hi = _integer_bounds(scheme, region)
-    axes = [np.arange(lo[k], hi[k] + 1) for k in range(scheme.d + scheme.m)]
-    total = int(np.prod([len(a) for a in axes]))
-    if total > _ENUM_LIMIT:
-        raise ValueError("diagnostic enumeration too large; reduce radius")
-    ints = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, scheme.d + scheme.m)
-    gamma = ints @ scheme.basis.T
-    phys_ok = np.abs(gamma[:, : scheme.d]).max(axis=1) <= radius
-    internal = gamma[phys_ok, scheme.d :]
-    lo_r = np.array([iv[0] for iv in region[scheme.d :]])
-    hi_r = np.array([iv[1] for iv in region[scheme.d :]])
-    internal = internal[np.all((internal >= lo_r) & (internal <= hi_r), axis=1)]
+    internal = _lattice_points(scheme.basis, region)[:, scheme.d :]
     if len(internal) == 0:
         return RegularityReport(None, 0, False, "insufficient sample")
     dist = float(scheme.window.boundary_distance(internal).min())

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutproject import CutProjectScheme
+from .cutproject import CutProjectScheme, _lattice_points
 from .errors import CoverageError, PatchSizeError
 from .pointset import (
     Box,
@@ -378,18 +378,10 @@ def weil_check(scheme: CutProjectScheme, f: TestFunction, quadrature_n: int) -> 
     mesh = np.meshgrid(*axes, indexing="ij")
     unit_nodes = np.stack([m.ravel() for m in mesh], axis=1)
     nodes = unit_nodes @ scheme.basis.T
-    # integer translate range covering the support of f around the domain
-    inv = np.linalg.inv(scheme.basis)
+    # translates g with nodes + g meeting the support [-r, r]^d of f; all others add exactly 0
     r = f.support_radius
-    corners = []
-    for signs in np.ndindex(*([2] * d)):
-        corner = np.array([r if s else -r for s in signs])
-        corners.append(corner)
-    pre = (np.array(corners) - 0.0) @ inv.T
-    margin = int(np.ceil(np.abs(pre).max())) + 2
-    shift_axes = [np.arange(-margin, margin + 1)] * d
-    shifts = np.stack(np.meshgrid(*shift_axes, indexing="ij"), axis=-1).reshape(-1, d)
-    gammas = shifts @ scheme.basis.T
+    region = tuple((-r - hi, r - lo) for lo, hi in zip(nodes.min(axis=0), nodes.max(axis=0)))
+    gammas = _lattice_points(scheme.basis, region)
     total = np.zeros(len(nodes))
     for g in gammas:
         total += f(nodes + g)

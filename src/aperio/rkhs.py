@@ -160,15 +160,7 @@ def kernel_value(spec: KernelSpec, x, y) -> complex:
 
 def kernel_at_identity(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
     """The generating function ``k_e`` evaluated at rows of ``u`` (complex)."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1, spec.space_dim)
-    if spec.kind == "paley_wiener":
-        out = np.ones(len(u), dtype=np.complex128)
-        for k, (lo, hi) in enumerate(spec.band):
-            out *= _sinc_factor(u[:, k], lo, hi)
-        return out
-    n = spec.n
-    expo = -np.sum(u[:, :n] * u[:, n:], axis=1)
-    return np.exp(1j * np.pi * expo - np.pi * np.sum(u**2, axis=1) / 2.0)
+    return kernel_matrix(spec, u, np.zeros((1, spec.space_dim)))[:, 0]
 
 
 def critical_density(spec: KernelSpec) -> float:

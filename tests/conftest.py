@@ -118,3 +118,33 @@ def fibonacci_enumeration_oracle(half_width: float, window_halfwidth: float = 0.
             if -half_width <= x <= half_width and -window_halfwidth <= y < window_halfwidth:
                 out.append(x)
     return np.sort(np.array(out))
+
+
+def make_product_fibonacci_scheme(angle: float = 0.5) -> CutProjectScheme:
+    """The product of two Fibonacci chains, rotated by ``angle`` in physical space (d = m = 2)."""
+    c, s = math.cos(angle), math.sin(angle)
+    phys = np.array([[1.0, TAU, 0.0, 0.0], [0.0, 0.0, 1.0, TAU]])
+    rot = np.array([[c, -s], [s, c]]) @ phys
+    internal = [[1.0, TAU_CONJ, 0.0, 0.0], [0.0, 0.0, 1.0, TAU_CONJ]]
+    window = Window(m=2, boxes=(((-0.5, 0.5), (-0.5, 0.5)),))
+    return CutProjectScheme(d=2, m=2, basis=np.vstack([rot, internal]), window=window)
+
+
+def product_fibonacci_oracle(box, angle: float = 0.5) -> np.ndarray:
+    """Independent brute force for ``make_product_fibonacci_scheme``: rotate pairs of chain points.
+
+    Every pair of points of the 1-d chain within the box's circumradius is
+    rotated and kept when it lands in the closed box; rows are sorted
+    lexicographically.
+    """
+    reach = math.hypot(*(max(abs(lo), abs(hi)) for lo, hi in box))
+    chain = fibonacci_enumeration_oracle(reach + 1.0)
+    c, s = math.cos(angle), math.sin(angle)
+    out = []
+    for u in chain:
+        for v in chain:
+            x, y = c * u - s * v, s * u + c * v
+            if box[0][0] <= x <= box[0][1] and box[1][0] <= y <= box[1][1]:
+                out.append((x, y))
+    pts = np.array(out).reshape(-1, 2)
+    return pts[np.lexsort(pts.T[::-1])]

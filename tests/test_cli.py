@@ -81,6 +81,11 @@ class TestPipeline:
         csv_bytes = (workspace / "density.csv").read_bytes()
         assert csv_bytes.startswith(b"n,inf,sup\r\n")
 
+    def test_negative_exponent_box_parses(self, workspace):
+        assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-1e3", "1e3", "--out", "e.json") == 0
+        assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-1000", "1000", "--out", "d.json") == 0
+        assert (workspace / "e.json").read_bytes() == (workspace / "d.json").read_bytes()
+
     def test_hull_sample_outputs_contain_origin(self, workspace):
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-80", "80", "--out", "p.json")
         assert run(

@@ -1,14 +1,26 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from aperio import generate_model_set, model_set_covolume, regularity_diagnostics, rel_separation
-from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
+from aperio.cutproject import CutProjectScheme, Window, _lattice_points, lattice_scheme
 from aperio.errors import DegenerateBasisError, EmptyWindowError
 from aperio.pointset import restrict, translate
 
-from conftest import SQRT5, TAU, TAU_CONJ, fibonacci_enumeration_oracle, make_fibonacci_scheme
+from conftest import (
+    SQRT5,
+    TAU,
+    TAU_CONJ,
+    fibonacci_enumeration_oracle,
+    make_fibonacci_scheme,
+    make_product_fibonacci_scheme,
+    product_fibonacci_oracle,
+)
 
 
 class TestWindow:
@@ -114,6 +126,72 @@ class TestGeneratorConsistency:
     def test_lattice_box_faces_included(self):
         patch = generate_model_set(lattice_scheme([[1.0]]), [(-3, 3)])
         assert patch.points.ravel().tolist() == [-3, -2, -1, 0, 1, 2, 3]
+
+    def test_2d_model_set_matches_product_oracle(self):
+        box = [(-13.3, 11.8), (-10.1, 14.6)]
+        patch = generate_model_set(make_product_fibonacci_scheme(), box)
+        oracle = product_fibonacci_oracle(box)
+        assert patch.n_points == len(oracle) > 100
+        assert np.allclose(patch.points, oracle, atol=1e-9)
+
+    def test_large_fibonacci_box(self, fibonacci_scheme):
+        half = 3e5
+        big = generate_model_set(fibonacci_scheme, [(-half, half)])
+        # window length 1 lies in Z[tau]: bounded discrepancy around 2L/sqrt(5)
+        assert abs(big.n_points - 2 * half / SQRT5) <= 2
+        small = generate_model_set(fibonacci_scheme, [(-200, 200)])
+        assert restrict(big, [(-200, 200)]) == small
+
+
+def _integer_cube(radius: int, n: int) -> np.ndarray:
+    side = 2 * radius + 1
+    return np.indices((side,) * n).reshape(n, -1).T - radius
+
+
+class TestLatticePoints:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_brute_force_cube(self, n, data):
+        entries = st.floats(-0.6, 0.6, allow_nan=False)
+        basis = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        basis += np.diag(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        sigma_min = np.linalg.svd(basis, compute_uv=False).min()
+        assume(sigma_min > 0.5)
+        if data.draw(st.booleans()):
+            # faces through two lattice points
+            zs = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=2 * n, max_size=2 * n))).reshape(2, n)
+            corners = zs @ basis.T
+            lo, hi = corners.min(axis=0), corners.max(axis=0)
+        else:
+            lo = np.array(data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n)))
+            hi = lo + np.array(data.draw(st.lists(st.floats(0, 3), min_size=n, max_size=n)))
+        region = tuple(zip(lo.tolist(), hi.tolist()))
+        # |z| <= |basis @ z| / sigma_min bounds every lattice point in the region
+        reach = np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))
+        gamma = _integer_cube(int(math.ceil(reach / sigma_min)) + 1, n) @ basis.T
+        expected = gamma[np.all((gamma >= lo) & (gamma <= hi), axis=1)]
+        assert np.array_equal(_lattice_points(basis, region), expected)
+
+    def test_quarter_turn_keeps_face_points(self):
+        # cos(pi/2) ~ 6e-17 shifts face points by less than an ulp of the face
+        c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
+        basis = np.array([[c, -s], [s, c]])
+        gamma = _integer_cube(5, 2) @ basis.T
+        expected = gamma[np.all((gamma >= -3) & (gamma <= 3), axis=1)]
+        assert len(expected) == 49
+        assert np.array_equal(_lattice_points(basis, ((-3.0, 3.0), (-3.0, 3.0))), expected)
+
+    def test_cap_refuses_before_allocating(self, fibonacci_scheme):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="prefixes exceeds the limit"):
+                generate_model_set(fibonacci_scheme, [(-1e9, 1e9)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
 
 
 class TestInternalDensityDiagnostic:
