@@ -76,6 +76,13 @@ def _parse_box(values: list[float], dim_hint: int | None = None):
     return box
 
 
+def _folner_spec(folner, step, where: str = "") -> FolnerSpec:
+    try:
+        return FolnerSpec(sizes=tuple(folner), translate_grid_step=step)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}bad Folner spec: {exc}") from exc
+
+
 # ------------------------------------------------------------------- handlers
 
 def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = None) -> None:
@@ -94,8 +101,8 @@ def handle_density(
     out: str | None = None,
     csv: str | None = None,
 ) -> None:
+    spec = _folner_spec(folner, step)
     base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
-    spec = FolnerSpec(sizes=tuple(folner), translate_grid_step=step)
     if extras:
         limits = [io_json.patch_from_jsonable(ctx.read_json(e, "extra")) for e in extras]
         report = hull_beurling_density(base, spec, limits)
@@ -245,6 +252,8 @@ def handle_run(ctx: Context, config: str) -> None:
         args = step.get("args", {})
         if not isinstance(args, dict):
             raise ConfigError(f"step {i}: args must be an object")
+        if cmd == "density":
+            _folner_spec(args.get("folner", ()), args.get("step"), where=f"step {i}: ")
         for key, value in args.items():
             if key not in _INPUT_ARGS:
                 continue

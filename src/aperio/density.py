@@ -3,8 +3,13 @@
 Folner windows are centered boxes ``[-n, n]^d``.  In d = 1 the inf/sup over
 window positions is computed by an exact event sweep (extrema occur when a
 window face touches a point); in d >= 2 a translate grid is used and the
-estimates are grid-certified only.  Extrapolation to the density limit is
-last-value-with-spread; no rate model is fitted.
+estimates are grid-certified only.  Grid counts are separable: per axis, a
+0/1 matrix records which points lie within ``n`` of each grid coordinate,
+and the product of these matrices counts every grid window at once
+(``pointset._grid_count_extrema``).  A grid with more than
+``pointset.GRID_LIMIT`` centres is refused before any array is built.
+Extrapolation to the density limit is last-value-with-spread; no rate model
+is fitted.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from .pointset import (
     box_edge_lengths,
     box_volume,
     shrink_box,
+    _check_grid_size,
+    _grid_count_extrema,
     _pairwise_min_gap,
+    _row_blocks,
 )
 
 DEFAULT_GRID_STEP = 0.1
@@ -42,10 +50,13 @@ class FolnerSpec:
             raise ValueError("need at least one Folner size")
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ValueError("Folner sizes must be strictly increasing")
+        if not all(math.isfinite(n) for n in sizes):
+            raise ValueError("Folner sizes must be finite")
         if any(n <= 0 for n in sizes):
             raise ValueError("Folner sizes must be positive")
-        if self.translate_grid_step is not None and self.translate_grid_step <= 0:
-            raise ValueError("translate_grid_step must be positive")
+        step = self.translate_grid_step
+        if step is not None and not (math.isfinite(step) and step > 0):
+            raise ValueError("translate_grid_step must be positive and finite")
         object.__setattr__(self, "sizes", sizes)
 
 
@@ -108,30 +119,19 @@ def _extrema_1d(x: np.ndarray, n: float, region: tuple[float, float]) -> tuple[f
 
 
 def _grid_centers(region: Box, step: float) -> list[np.ndarray]:
-    axes = []
-    for lo, hi in region:
-        count = max(1, int(math.floor((hi - lo) / step + 1e-9)) + 1)
-        axes.append(lo + step * np.arange(count))
-    return axes
+    spans = [(hi - lo) / step for lo, hi in region]
+    _check_grid_size([s + 1.0 for s in spans])
+    counts = [max(1, int(math.floor(s + 1e-9)) + 1) for s in spans]
+    return [lo + step * np.arange(count) for (lo, _), count in zip(region, counts)]
 
 
 def _extrema_grid(pts: np.ndarray, n: float, region: Box, step: float) -> tuple[float, float]:
     """Grid inf/sup of normalized window counts; overcounts inf, undercounts sup."""
     axes = _grid_centers(region, step)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    members = [np.abs(pts[None, :, k] - c[:, None]) <= n for k, c in enumerate(axes)]
+    lo, hi = _grid_count_extrema(members)
     vol = (2.0 * n) ** pts.shape[1]
-    best_min, best_max = np.inf, -np.inf
-    chunk = max(1, int(20_000_000 // max(1, len(pts))))
-    for start in range(0, len(centers), chunk):
-        c = centers[start : start + chunk]
-        inside = np.ones((len(c), len(pts)), dtype=bool)
-        for k in range(pts.shape[1]):
-            inside &= np.abs(pts[None, :, k] - c[:, k, None]) <= n
-        counts = inside.sum(axis=1)
-        best_min = min(best_min, counts.min())
-        best_max = max(best_max, counts.max())
-    return float(best_min / vol), float(best_max / vol)
+    return float(lo / vol), float(hi / vol)
 
 
 def _patch_extrema(patch: PointPatch, n: float, step: float | None) -> tuple[float, float, str]:
@@ -308,14 +308,13 @@ def covolume_ergodic_estimate(patch: PointPatch, s_box, translates) -> ErgodicEs
         ).astype(np.float64)
     else:
         counts = np.zeros(len(vecs))
-        chunk = max(1, int(20_000_000 // max(1, patch.n_points)))
-        for start in range(0, len(vecs), chunk):
-            v = vecs[start : start + chunk]
+        for blk in _row_blocks(len(vecs), patch.n_points):
+            v = vecs[blk]
             inside = np.ones((len(v), patch.n_points), dtype=bool)
             for k in range(patch.dim):
                 shifted = patch.points[None, :, k] - v[:, k, None]
                 inside &= (shifted >= lo[k]) & (shifted < hi[k])
-            counts[start : start + len(v)] = inside.sum(axis=1)
+            counts[blk] = inside.sum(axis=1)
     vol = box_volume(s_box)
     mean_density = float(np.sort(counts).sum() / len(counts) / vol)
     if mean_density <= 0:

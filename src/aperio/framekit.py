@@ -290,7 +290,8 @@ def frame_trend_report(
 
     ``truncations`` are increasing half-widths ``t``; each stage restricts the
     patch to ``[-t, t]^d``.  At least three stages are required for a
-    non-inconclusive verdict.
+    non-inconclusive verdict.  The Gram of the largest stage is built once;
+    every smaller stage's Gram is its principal submatrix.
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs:
@@ -299,9 +300,11 @@ def frame_trend_report(
         raise ValueError("truncations must be strictly increasing")
     r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
     margin = margin_frac * truncs[-1]
+    top = build_gram(kernel, restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim))
     for t in truncs:
-        sub = restrict(patch, tuple((-t, t) for _ in range(patch.dim)))
-        gram = build_gram(kernel, sub)
+        sub = restrict(patch, [(-t, t)] * patch.dim)
+        keep = points_in_box(top.patch.points, sub.box)
+        gram = top if keep.all() else gram_from_entries(top.entries[np.ix_(keep, keep)])
         a, b = riesz_bounds(gram)
         r_lo.append(a)
         r_lo_raw.append(gram.lambda_min)

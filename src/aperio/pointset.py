@@ -9,6 +9,8 @@ certified sub-box.
 Windows are axis-aligned sup-norm boxes throughout: counting windows are
 *open* boxes described by their side length ``u_radius``, denseness windows
 are *closed* boxes ``[-k, k]^d`` described by their half-width ``k_radius``.
+Window counts over a product grid of positions are separable
+(``_grid_count_extrema``); ``GRID_LIMIT`` caps a grid before any array is built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from scipy.spatial import cKDTree
 from .errors import EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
+
+BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
+GRID_LIMIT = 100_000_000  # hard cap on window positions in one count grid
 
 
 def as_box(box) -> Box:
@@ -176,25 +181,45 @@ def _max_window_count_1d(x: np.ndarray, width: float) -> int:
 def _max_window_count_nd(pts: np.ndarray, width: float) -> int:
     # anchor grid = product of per-dimension coordinate values; the minimal
     # corner of an extremal window is a point coordinate in every dimension
-    dim = pts.shape[1]
-    masks = []
-    for k in range(dim):
-        vals = np.unique(pts[:, k])
-        col = pts[:, k]
-        masks.append((vals[:, None] <= col[None, :]) & (col[None, :] < vals[:, None] + width))
-    if dim == 2:
-        counts = masks[0].astype(np.float64) @ masks[1].astype(np.float64).T
-        return int(round(counts.max()))
-    if dim == 3:
-        counts = np.einsum("ip,jp,kp->ijk", *[m.astype(np.float64) for m in masks])
-        return int(round(counts.max()))
-    best = 0
-    for idx in np.ndindex(*[m.shape[0] for m in masks]):
-        joint = masks[0][idx[0]]
-        for k in range(1, dim):
-            joint = joint & masks[k][idx[k]]
-        best = max(best, int(joint.sum()))
-    return best
+    anchors = [np.unique(pts[:, k]) for k in range(pts.shape[1])]
+    _check_grid_size([len(a) for a in anchors])
+    members = [
+        (a[:, None] <= pts[None, :, k]) & (pts[None, :, k] < a[:, None] + width)
+        for k, a in enumerate(anchors)
+    ]
+    return _grid_count_extrema(members)[1]
+
+
+def _row_blocks(n_rows: int, row_elements: int):
+    """Consecutive row slices of at most ``BLOCK_ELEMENTS`` elements each (one row at least)."""
+    step = max(1, BLOCK_ELEMENTS // max(1, row_elements))
+    return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
+
+
+def _check_grid_size(sizes) -> None:
+    """Refuse a count grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
+    total = math.prod(sizes)
+    if total > GRID_LIMIT:
+        raise ValueError(f"count grid of {total:.6g} window positions exceeds the limit")
+
+
+def _grid_count_extrema(members: list[np.ndarray]) -> tuple[int, int]:
+    """Min and max point count over the product grid of per-axis window positions.
+
+    ``members[k][i, p]``: point ``p`` lies in the axis-``k`` slab of position
+    ``i``.  Leading axes are flattened and contracted against the last in row
+    blocks; float64 counts are integers below 2^53, exact in any sum order.
+    """
+    *lead, last = members
+    last_t = last.T.astype(np.float64)
+    shape = [len(m) for m in lead]
+    lo, hi = math.inf, -math.inf
+    for blk in _row_blocks(math.prod(shape), max(last_t.shape)):
+        idx = np.unravel_index(np.arange(blk.start, blk.stop), shape)
+        joint = np.logical_and.reduce([m[i] for m, i in zip(lead, idx)])
+        counts = joint.astype(np.float64) @ last_t
+        lo, hi = min(lo, counts.min()), max(hi, counts.max())
+    return int(lo), int(hi)
 
 
 def _pairwise_min_gap(pts: np.ndarray) -> float:

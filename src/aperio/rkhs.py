@@ -24,6 +24,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 
 from .errors import DimensionMismatchError, GridTooCoarseError
+from .pointset import _row_blocks
 
 Band = tuple[tuple[float, float], ...]
 
@@ -121,21 +122,29 @@ def _sinc_factor(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - Y[None, :, :]
-    out = np.ones(diff.shape[:2], dtype=np.complex128)
-    for k, (lo, hi) in enumerate(spec.band):
-        out *= _sinc_factor(diff[..., k], lo, hi)
+    out = np.ones((len(X), len(Y)), dtype=np.complex128)
+    for blk in _row_blocks(len(X), Y.size):
+        diff = X[blk, None, :] - Y[None, :, :]
+        for k, (lo, hi) in enumerate(spec.band):
+            out[blk] *= _sinc_factor(diff[..., k], lo, hi)
     return out
 
 
 def _gabor_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     n = spec.n
-    xp, wp = P[:, None, :n], P[:, None, n:]
+    out = np.empty((len(P), len(Q)), dtype=np.complex128)
     xq, wq = Q[None, :, :n], Q[None, :, n:]
-    # phase exponent (x_q - x_p).(w_p + w_q), in units of pi*i
-    expo = np.sum((xq - xp) * (wp + wq), axis=-1)
-    dist_sq = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
-    return np.exp(1j * np.pi * expo - np.pi * dist_sq / 2.0)
+    for blk in _row_blocks(len(P), Q.size):
+        p = P[blk]
+        xp, wp = p[:, None, :n], p[:, None, n:]
+        # phase exponent (x_q - x_p).(w_p + w_q), in units of pi*i
+        expo = np.sum((xq - xp) * (wp + wq), axis=-1)
+        dist_sq = np.sum((p[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
+        rows = out[blk]
+        rows.real = -(np.pi * dist_sq / 2.0)
+        rows.imag = np.pi * expo
+        np.exp(rows, out=rows)
+    return out
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

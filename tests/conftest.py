@@ -2,6 +2,7 @@
 non-separated integers-with-satellites set used across the suite.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -148,3 +149,36 @@ def product_fibonacci_oracle(box, angle: float = 0.5) -> np.ndarray:
                 out.append((x, y))
     pts = np.array(out).reshape(-1, 2)
     return pts[np.lexsort(pts.T[::-1])]
+
+
+def extrema_grid_oracle(pts: np.ndarray, n: float, region, step: float) -> tuple[float, float]:
+    """Brute-force translate-grid inf/sup: one boolean window mask per grid centre.
+
+    Materializes every centre of the grid and its ``|p - c| <= n`` mask over
+    all points, independently of the separable counting in ``density``.
+    """
+    axes = []
+    for lo, hi in region:
+        count = max(1, int(math.floor((hi - lo) / step + 1e-9)) + 1)
+        axes.append(lo + step * np.arange(count))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    inside = np.ones((len(centers), len(pts)), dtype=bool)
+    for k in range(pts.shape[1]):
+        inside &= np.abs(pts[None, :, k] - centers[:, k, None]) <= n
+    counts = inside.sum(axis=1)
+    vol = (2.0 * n) ** pts.shape[1]
+    return float(counts.min() / vol), float(counts.max() / vol)
+
+
+def max_window_count_oracle(pts: np.ndarray, width: float) -> int:
+    """Brute-force maximum count of a half-open window ``[a, a + width)^d``.
+
+    Tries every corner ``a`` whose coordinates are point coordinates, one
+    window at a time.
+    """
+    best = 0
+    for corner in itertools.product(*(np.unique(pts[:, k]) for k in range(pts.shape[1]))):
+        a = np.array(corner)
+        best = max(best, int(np.all((a <= pts) & (pts < a + width), axis=1).sum()))
+    return best

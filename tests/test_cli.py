@@ -20,6 +20,7 @@ def workspace(tmp_path):
     }
     (tmp_path / "fib.json").write_text(json.dumps(scheme))
     (tmp_path / "z.json").write_text(json.dumps({"d": 1, "m": 0, "basis": [[1.0]]}))
+    (tmp_path / "z2.json").write_text(json.dumps({"d": 2, "m": 0, "basis": [[1.0, 0.0], [0.0, 1.0]]}))
     (tmp_path / "pw.json").write_text(
         json.dumps({"kind": "paley_wiener", "band": [[-0.5, 0.5]]})
     )
@@ -182,6 +183,37 @@ class TestErrorHandling:
         run(workspace, "gen", "--scheme", "z.json", "--box", "-10", "10", "--out", "p.json")
         # Folner size beyond the patch: operation error, not a config error
         assert run(workspace, "density", "--patch", "p.json", "--folner", "5,50") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--step", "inf"), ("--step", "nan"), ("--folner", "5,nan")],
+        ids=["step-inf", "step-nan", "folner-nan"],
+    )
+    def test_non_finite_folner_input_is_config_error(self, workspace, capsys, flags):
+        run(workspace, "gen", "--scheme", "z2.json", "--box", "-10", "10", "-10", "10", "--out", "p.json")
+        capsys.readouterr()
+        args = {"--folner": "2,4", "--step": "0.5", **dict([flags])}
+        argv = [item for pair in args.items() for item in pair]
+        assert run(workspace, "density", "--patch", "p.json", *argv, "--out", "d.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "finite" in err[0]
+        assert not (workspace / "d.json").exists()
+
+    def test_run_step_infinity_no_partial_outputs(self, workspace):
+        cfg = (
+            '{"steps": ['
+            '{"command": "gen", "args": {"scheme": "z2.json", "box": [-10, 10, -10, 10], "out": "p.json"}},'
+            '{"command": "density", "args": {"patch": "p.json", "folner": [2, 4], "step": Infinity, "out": "d.json"}}'
+            "]}"
+        )
+        (workspace / "cfg.json").write_text(cfg)
+        assert run(workspace, "run", "--config", "cfg.json") == 2
+        assert not (workspace / "p.json").exists()
+        assert not (workspace / "d.json").exists()
+
+    def test_grid_past_cap_is_operation_error(self, workspace):
+        run(workspace, "gen", "--scheme", "z2.json", "--box", "-10", "10", "-10", "10", "--out", "p.json")
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "2,4", "--step", "1e-9") == 1
 
     def test_run_config_missing_file_no_partial_outputs(self, workspace):
         cfg = {

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import PatchSizeError
 from aperio.hull import grid_translates, transversal_translates
-from aperio.pointset import restrict
+from aperio.pointset import restrict, shrink_box
 
-from conftest import SQRT5, make_lattice_patch, make_satellites_patch
+from conftest import SQRT5, extrema_grid_oracle, make_lattice_patch, make_satellites_patch
 
 SPEC_40 = FolnerSpec(sizes=(5, 10, 20, 40))
 
@@ -212,10 +214,53 @@ class TestLatticePeriodizationCheck:
             weil_check(fibonacci_scheme, density_mod.TestFunction("triangle"), 100)
 
 
+class TestSeparableGridCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_mask_oracle(self, dim, data):
+        half = data.draw(st.integers(2, 4))
+        step = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+        n = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+        # quarter-integer coordinates include the faces c - n and c + n of
+        # grid windows (centres are -half + n + k * step); a few free floats
+        pool = st.one_of(
+            st.integers(-4 * half, 4 * half).map(lambda k: k / 4),
+            st.floats(-half, half, allow_nan=False),
+        )
+        coords = [data.draw(st.lists(pool, min_size=1, max_size=6, unique=True)) for _ in range(dim)]
+        rows = st.tuples(*(st.sampled_from(c) for c in coords))
+        pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=30, unique=True)))
+        region = shrink_box(((-half, half),) * dim, n)
+        assert density_mod._extrema_grid(pts, n, region, step) == extrema_grid_oracle(pts, n, region, step)
+
+    def test_grid_cap_refuses_before_allocating(self):
+        patch = make_lattice_patch(1.0, 6.0, dim=2)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                beurling_density(patch, FolnerSpec(sizes=(2,), translate_grid_step=1e-9))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 1_000_000
+
+
 class TestFolnerSpecValidation:
     def test_sizes_must_increase(self):
         with pytest.raises(ValueError, match="increasing"):
             FolnerSpec(sizes=(5, 5))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_sizes_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            FolnerSpec(sizes=(5, bad))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
+    def test_bad_grid_step_rejected(self, bad):
+        with pytest.raises(ValueError, match="translate_grid_step"):
+            FolnerSpec(sizes=(5,), translate_grid_step=bad)
 
     @given(st.lists(st.floats(1, 50), min_size=1, max_size=4, unique=True))
     @settings(max_examples=25, deadline=None)

@@ -9,17 +9,20 @@ from aperio import (
     build_gram,
     canonical_parseval,
     frame_trend_report,
+    generate_model_set,
     riesz_bounds,
     sampling_bounds,
     translation_spectrum_invariance,
     verdict,
 )
+from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio.errors import NotAFrameError
 from aperio.framekit import gram_from_entries
+from aperio.pointset import restrict
 from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
 
-from conftest import make_lattice_patch
+from conftest import make_fibonacci_scheme, make_lattice_patch
 
 
 PW = paley_wiener([(-0.5, 0.5)])
@@ -236,6 +239,38 @@ class TestFrameTrend:
         assert report.frame_status == "refuted"
         assert report.riesz_status == "supported"
         assert report.verdict == "riesz_evidence"
+
+    @pytest.mark.parametrize(
+        "kernel, patch, truncations",
+        [
+            (
+                GG,
+                generate_model_set(lattice_scheme(np.diag([math.sqrt(0.8)] * 2)), [(-8, 8), (-8, 8)]),
+                (4.0, 6.0, 8.0),
+            ),
+            (PW, generate_model_set(make_fibonacci_scheme(), [(-330, 330)]), (80.0, 160.0, 330.0)),
+        ],
+        ids=["gabor-lattice", "pw-fibonacci"],
+    )
+    def test_sliced_gram_matches_per_truncation_builds(self, kernel, patch, truncations):
+        report = frame_trend_report(kernel, patch, truncations)
+        r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
+        for t in truncations:
+            sub = restrict(patch, tuple((-t, t) for _ in range(patch.dim)))
+            gram = build_gram(kernel, sub)
+            a, b = riesz_bounds(gram)
+            r_lo.append(a)
+            r_lo_raw.append(gram.lambda_min)
+            r_hi.append(b)
+            sa, sb = sampling_bounds(kernel, sub, margin=0.25 * t)
+            s_lo.append(sa)
+            s_hi.append(sb)
+        assert report.riesz_lower == tuple(r_lo)
+        assert report.riesz_lower_raw == tuple(r_lo_raw)
+        assert report.riesz_upper == tuple(r_hi)
+        assert report.sampling_lower == tuple(s_lo)
+        assert report.sampling_upper == tuple(s_hi)
+        assert np.array_equal(report.final_eigenvalues, gram.eigenvalues)
 
     def test_two_truncations_are_inconclusive(self):
         report = frame_trend_report(PW, pw_patch(1.0, 80.0), [40, 80])

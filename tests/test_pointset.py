@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from aperio import PointPatch, is_relatively_dense, rel_separation, translate
 from aperio.errors import EmptyPatchError, WindowTooLargeError
 from aperio.pointset import (
+    _max_window_count_nd,
     box_volume,
     inflate_box,
     points_in_box,
@@ -17,7 +18,12 @@ from aperio.pointset import (
     window_count_bound,
 )
 
-from conftest import brute_force_window_max, make_lattice_patch, make_satellites_patch
+from conftest import (
+    brute_force_window_max,
+    make_lattice_patch,
+    make_satellites_patch,
+    max_window_count_oracle,
+)
 
 
 def grid_patch(spacing, half_width):
@@ -108,6 +114,28 @@ class TestRelSeparation:
         stats = rel_separation_sweep(p, [1.0, 0.5, 0.25])
         assert [s.u_radius for s in stats] == [0.25, 0.5, 1.0]
         assert [s.ell for s in stats] == [2, 2, 3]
+
+
+class TestSeparableWindowCount:
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3, 4]), data=st.data())
+    def test_matches_brute_force(self, dim, data):
+        # quarter-integer coordinates from a small pool: shared coordinates,
+        # and points on the far face a + width of some windows
+        width = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+        pool = st.integers(-8, 8).map(lambda k: k / 4)
+        coords = [data.draw(st.lists(pool, min_size=1, max_size=5, unique=True)) for _ in range(dim)]
+        rows = st.tuples(*(st.sampled_from(c) for c in coords))
+        pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=25, unique=True)))
+        assert _max_window_count_nd(pts, width) == max_window_count_oracle(pts, width)
+
+    def test_anchor_grid_cap(self, monkeypatch):
+        import aperio.pointset as pointset_mod
+
+        monkeypatch.setattr(pointset_mod, "GRID_LIMIT", 99)
+        pts = np.stack([np.arange(10.0), np.arange(10.0)], axis=1)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            _max_window_count_nd(pts, 1.0)
 
 
 class TestRelativeDenseness:

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from aperio import kernel_matrix, kernel_value, wiener_amalgam_norm
 from aperio.errors import DimensionMismatchError, GridTooCoarseError
-from aperio.rkhs import CocycleSpec, critical_density, gabor_gaussian, kernel_at_identity, paley_wiener
+from aperio.rkhs import (
+    CocycleSpec,
+    _sinc_factor,
+    critical_density,
+    gabor_gaussian,
+    kernel_at_identity,
+    paley_wiener,
+)
 
 
 def gaussian_window(t):
@@ -230,3 +237,47 @@ class TestKernelAtIdentity:
         pw = paley_wiener([(-0.5, 0.5)])
         vals = kernel_at_identity(pw, np.linspace(-3, 3, 11)[:, None])
         assert np.abs(vals.imag).max() < 1e-12
+
+
+def broadcast_pw_matrix(spec, X, Y):
+    """Paley-Wiener matrix from one full-size (n, m, d) difference array."""
+    diff = X[:, None, :] - Y[None, :, :]
+    out = np.ones(diff.shape[:2], dtype=np.complex128)
+    for k, (lo, hi) in enumerate(spec.band):
+        out *= _sinc_factor(diff[..., k], lo, hi)
+    return out
+
+
+def broadcast_gabor_matrix(spec, P, Q):
+    """Gaussian time-frequency matrix from full-size (n, m, d) pair arrays."""
+    n = spec.n
+    xp, wp = P[:, None, :n], P[:, None, n:]
+    xq, wq = Q[None, :, :n], Q[None, :, n:]
+    expo = np.sum((xq - xp) * (wp + wq), axis=-1)
+    dist_sq = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
+    return np.exp(1j * np.pi * expo - np.pi * dist_sq / 2.0)
+
+
+class TestBlockedAssembly:
+    @pytest.mark.parametrize(
+        "spec, oracle",
+        [
+            (gabor_gaussian(1), broadcast_gabor_matrix),
+            (gabor_gaussian(2), broadcast_gabor_matrix),
+            (paley_wiener([(-0.5, 0.5)]), broadcast_pw_matrix),
+            (paley_wiener([(-0.5, 0.5), (-1.0, 0.25)]), broadcast_pw_matrix),
+        ],
+        ids=["gabor-1", "gabor-2", "pw-1d", "pw-2d"],
+    )
+    def test_bit_identical_to_broadcast(self, spec, oracle):
+        import aperio.pointset as pointset_mod
+
+        rng = np.random.default_rng(5)
+        d = spec.space_dim
+        # quarter-grid rows repeat coordinates (zero differences, diagonal
+        # limits); the rows span more than one row block at any d
+        X = np.round(rng.uniform(-6, 6, size=(1200, d)) * 4) / 4
+        Y = np.vstack([X[:600], rng.uniform(-6, 6, size=(600, d))])
+        assert len(X) * Y.size > pointset_mod.BLOCK_ELEMENTS
+        got = kernel_matrix(spec, X, Y)
+        assert np.array_equal(got.view(np.uint64), oracle(spec, X, Y).view(np.uint64))
