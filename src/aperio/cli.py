@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import re
 import sys
@@ -141,7 +142,7 @@ def handle_hull_sample(
     if limit is not None:
         vecs = vecs[:limit]
     samples = orbit_sample(base, vecs, kb)
-    ctx.write_json(out, io_json.patch_list_to_jsonable(samples))
+    ctx.write_json(out, [io_json.patch_to_jsonable(p) for p in samples])
 
 
 def handle_frame(
@@ -252,6 +253,10 @@ def handle_run(ctx: Context, config: str) -> None:
         args = step.get("args", {})
         if not isinstance(args, dict):
             raise ConfigError(f"step {i}: args must be an object")
+        try:
+            inspect.signature(HANDLERS[cmd]).bind(ctx, **args)
+        except TypeError as exc:
+            raise ConfigError(f"step {i}: {cmd}: {exc}") from exc
         if cmd == "density":
             _folner_spec(args.get("folner", ()), args.get("step"), where=f"step {i}: ")
         for key, value in args.items():

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__
 from .cutproject import CutProjectScheme, Window
 from .density import DensityReport, ErgodicEstimate
+from .errors import ConfigError
 from .framekit import FrameReport, VerdictReport
 from .pointset import PointPatch
 from .rkhs import KernelSpec, gabor_gaussian, paley_wiener
@@ -33,6 +34,13 @@ def fparse(v) -> float:
     if isinstance(v, (int, float)):
         return float(v)
     raise ValueError(f"expected a number or decimal string, got {type(v).__name__}")
+
+
+def _key(obj, key: str, what: str):
+    """``obj[key]``; a missing key is a config error that names it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ConfigError(f"{what} JSON has no {key!r} key")
+    return obj[key]
 
 
 def tagged(x: float, provenance: str) -> dict:
@@ -67,9 +75,9 @@ def patch_to_jsonable(patch: PointPatch) -> dict:
 
 
 def patch_from_jsonable(obj: dict) -> PointPatch:
-    dim = int(obj["dim"])
-    box = tuple((fparse(lo), fparse(hi)) for lo, hi in obj["box"])
-    pts = np.array([[fparse(c) for c in row] for row in obj["points"]], dtype=np.float64)
+    dim = int(_key(obj, "dim", "patch"))
+    box = tuple((fparse(lo), fparse(hi)) for lo, hi in _key(obj, "box", "patch"))
+    pts = np.array([[fparse(c) for c in row] for row in _key(obj, "points", "patch")], dtype=np.float64)
     pts = pts.reshape(-1, dim)
     return PointPatch(dim=dim, box=box, points=pts)
 
@@ -91,13 +99,16 @@ def scheme_to_jsonable(scheme: CutProjectScheme) -> dict:
 
 
 def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
-    d = int(obj["d"])
-    m = int(obj["m"])
-    basis = np.array([[fparse(v) for v in row] for row in obj["basis"]], dtype=np.float64)
+    d = int(_key(obj, "d", "scheme"))
+    m = int(_key(obj, "m", "scheme"))
+    basis = np.array([[fparse(v) for v in row] for row in _key(obj, "basis", "scheme")], dtype=np.float64)
     window = None
     if m > 0:
         boxes = tuple(
-            tuple((fparse(lo), fparse(hi)) for lo, hi in zip(b["lo"], b["hi"]))
+            tuple(
+                (fparse(lo), fparse(hi))
+                for lo, hi in zip(_key(b, "lo", "window"), _key(b, "hi", "window"))
+            )
             for b in obj.get("window", [])
         )
         window = Window(m=m, boxes=boxes)
@@ -113,11 +124,12 @@ def kernel_to_jsonable(spec: KernelSpec) -> dict:
 
 
 def kernel_from_jsonable(obj: dict) -> KernelSpec:
-    if obj["kind"] == "paley_wiener":
-        return paley_wiener([(fparse(lo), fparse(hi)) for lo, hi in obj["band"]])
-    if obj["kind"] == "gabor_gaussian":
-        return gabor_gaussian(int(obj["n"]))
-    raise ValueError(f"unknown kernel kind {obj['kind']!r}")
+    kind = _key(obj, "kind", "kernel")
+    if kind == "paley_wiener":
+        return paley_wiener([(fparse(lo), fparse(hi)) for lo, hi in _key(obj, "band", "kernel")])
+    if kind == "gabor_gaussian":
+        return gabor_gaussian(int(_key(obj, "n", "kernel")))
+    raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 # -------------------------------------------------------------------- reports
@@ -290,10 +302,6 @@ def ergodic_report_to_jsonable(
         "s_box": [[fstr(lo), fstr(hi)] for lo, hi in est.s_box],
         "provenance": provenance_block(seed, inputs or {}),
     }
-
-
-def patch_list_to_jsonable(patches: list[PointPatch]) -> list:
-    return [patch_to_jsonable(p) for p in patches]
 
 
 # ------------------------------------------------------------------------ CSV

@@ -228,6 +228,36 @@ class TestErrorHandling:
         assert not (workspace / "out1.json").exists()
         assert not (workspace / "out2.json").exists()
 
+    def test_run_step_unknown_key_no_partial_outputs(self, workspace, capsys):
+        cfg = {
+            "steps": [
+                {"command": "gen", "args": {"scheme": "z.json", "box": [-50, 50], "out": "p.json"}},
+                {"command": "density", "args": {"patch": "p.json", "folner": [5], "bogus": 3, "out": "d.json"}},
+            ],
+        }
+        (workspace / "cfg.json").write_text(json.dumps(cfg))
+        assert run(workspace, "run", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "bogus" in err[0]
+        assert not (workspace / "p.json").exists()
+        assert not (workspace / "d.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, content, argv, key",
+        [
+            ("p.json", {"dim": 1, "box": [[-1, 1]]}, ["density", "--patch", "p.json", "--folner", "1"], "points"),
+            ("s.json", {"d": 1, "m": 0}, ["gen", "--scheme", "s.json", "--box", "-5", "5"], "basis"),
+            ("k.json", {"kind": "gabor_gaussian"}, ["amalgam", "--kernel", "k.json", "--q", "1", "--trunc", "3", "--step", "0.5"], "n"),
+        ],
+        ids=["patch", "scheme", "kernel"],
+    )
+    def test_decoder_missing_key_is_config_error(self, workspace, capsys, name, content, argv, key):
+        (workspace / name).write_text(json.dumps(content))
+        assert run(workspace, *argv, "--out", "o.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and repr(key) in err[0]
+        assert not (workspace / "o.json").exists()
+
 
 class TestDeterminism:
     def test_same_config_twice_is_byte_identical(self, workspace):

@@ -18,11 +18,17 @@ from aperio import (
 from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio.errors import NotAFrameError
-from aperio.framekit import gram_from_entries
+from aperio.framekit import UNDERFLOW_FLOOR, gram_from_entries
 from aperio.pointset import restrict
 from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
 
-from conftest import make_fibonacci_scheme, make_lattice_patch
+from conftest import (
+    anchor_kernel_block,
+    make_fibonacci_scheme,
+    make_lattice_patch,
+    make_product_fibonacci_scheme,
+    sampling_bounds_oracle,
+)
 
 
 PW = paley_wiener([(-0.5, 0.5)])
@@ -144,6 +150,26 @@ class TestSamplingBounds:
     def test_margin_too_large(self):
         with pytest.raises(ValueError, match="margin"):
             sampling_bounds(PW, pw_patch(1.0, 10.0), margin=11.0)
+
+
+class TestUnderflowFloor:
+    @pytest.mark.parametrize(
+        "kernel, patch",
+        [
+            (GG, generate_model_set(lattice_scheme(np.diag([math.sqrt(0.8)] * 2)), [(-12, 12)] * 2)),
+            (GG, generate_model_set(make_product_fibonacci_scheme(), [(-25, 25)] * 2)),
+            (gabor_gaussian(2), generate_model_set(lattice_scheme(np.eye(4)), [(-10, 10)] + [(-1.5, 1.5)] * 3)),
+            (PW, generate_model_set(make_fibonacci_scheme(), [(-100, 100)])),
+        ],
+        ids=["gabor-lattice", "gabor-product-fibonacci", "gabor2-4d-lattice", "pw-fibonacci"],
+    )
+    def test_bounds_match_unfloored_oracle_bit_for_bit(self, kernel, patch):
+        if kernel.kind == "gabor_gaussian":
+            mag = np.abs(anchor_kernel_block(kernel, patch)[1])
+            assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
+        got = sampling_bounds(kernel, patch)
+        want = sampling_bounds_oracle(kernel, patch)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestCanonicalParseval:
