@@ -13,8 +13,10 @@ import argparse
 import dataclasses
 import inspect
 import json
+import math
 import re
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,7 +49,7 @@ class Context:
         self.input_hashes[f"{role}:{rel}"] = io_json.sha256_bytes(data)
         try:
             return json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
     def write_json(self, rel: str | None, obj: dict) -> None:
@@ -238,29 +240,59 @@ HANDLERS = {
 _INPUT_ARGS = {"scheme", "patch", "kernel", "density", "report", "extras"}
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value from a run config has a handler parameter's type."""
+    if hint is type(None):
+        return value is None
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as ``float | None``
+        return any(_fits(value, h) for h in args)
+    if hint is float:
+        try:
+            return not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):
+            return False
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+
+
 def handle_run(ctx: Context, config: str) -> None:
     cfg = ctx.read_json(config, "config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
     steps = cfg.get("steps")
     if not isinstance(steps, list) or not steps:
         raise ConfigError("config needs a non-empty 'steps' list")
-    if ctx.seed is None and "seed" in cfg:
-        ctx.seed = int(cfg["seed"])
+    seed = cfg.get("seed")
+    if seed is not None and not _fits(seed, int):
+        raise ConfigError(f"config 'seed' must be an integer, got {seed!r:.40}")
+    if ctx.seed is None:
+        ctx.seed = seed
     produced: set[str] = set()
     for i, step in enumerate(steps):
+        if not isinstance(step, dict):
+            raise ConfigError(f"step {i}: must be an object, got {type(step).__name__}")
         cmd = step.get("command")
-        if cmd not in HANDLERS or cmd == "run":
-            raise ConfigError(f"step {i}: unknown command {cmd!r}")
+        if not isinstance(cmd, str) or cmd not in HANDLERS:
+            raise ConfigError(f"step {i}: unknown command {cmd!r:.40}")
         args = step.get("args", {})
         if not isinstance(args, dict):
             raise ConfigError(f"step {i}: args must be an object")
+        sig = inspect.signature(HANDLERS[cmd])
         try:
-            inspect.signature(HANDLERS[cmd]).bind(ctx, **args)
+            sig.bind(ctx, **args)
         except TypeError as exc:
             raise ConfigError(f"step {i}: {cmd}: {exc}") from exc
+        hints = typing.get_type_hints(HANDLERS[cmd])
+        for key, value in args.items():
+            if not _fits(value, hints[key]):
+                annotation = sig.parameters[key].annotation
+                raise ConfigError(f"step {i}: {cmd}: {key!r} must be {annotation}, got {value!r:.40}")
         if cmd == "density":
             _folner_spec(args.get("folner", ()), args.get("step"), where=f"step {i}: ")
         for key, value in args.items():
-            if key not in _INPUT_ARGS:
+            if key not in _INPUT_ARGS or value is None:
                 continue
             names = value if isinstance(value, list) else [value]
             for name in names:

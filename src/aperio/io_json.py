@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .cutproject import CutProjectScheme, Window
 from .density import DensityReport, ErgodicEstimate
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateBasisError
 from .framekit import FrameReport, VerdictReport
 from .pointset import PointPatch
 from .rkhs import KernelSpec, gabor_gaussian, paley_wiener
@@ -29,18 +29,55 @@ def fstr(x: float) -> str:
 
 
 def fparse(v) -> float:
-    if isinstance(v, str):
-        return float(v)
-    if isinstance(v, (int, float)):
-        return float(v)
-    raise ValueError(f"expected a number or decimal string, got {type(v).__name__}")
+    """A JSON number or decimal string as a float; anything else is a config error."""
+    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except (ValueError, OverflowError):
+            pass
+    raise ConfigError(f"expected a number or decimal string, got {v!r:.40}")
 
 
 def _key(obj, key: str, what: str):
     """``obj[key]``; a missing key is a config error that names it."""
-    if not isinstance(obj, dict) or key not in obj:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} JSON must be an object, got {type(obj).__name__}")
+    if key not in obj:
         raise ConfigError(f"{what} JSON has no {key!r} key")
     return obj[key]
+
+
+def _int(v, what: str, least: int) -> int:
+    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+        raise ConfigError(f"{what} must be an integer >= {least}, got {v!r:.40}")
+    return v
+
+
+def _list(v, what: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _rows(v, width: int, what: str) -> np.ndarray:
+    """A list of ``width``-long rows of finite numbers as an ``(n, width)`` array."""
+    out = []
+    for i, row in enumerate(_list(v, what)):
+        if not isinstance(row, list) or len(row) != width:
+            raise ConfigError(f"{what} row {i} is not a list of {width} numbers")
+        try:
+            out.append([fparse(c) for c in row])
+        except ConfigError as exc:
+            raise ConfigError(f"{what} row {i}: {exc}") from None
+    arr = np.array(out, dtype=np.float64).reshape(-1, width)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{what} rows must be finite")
+    return arr
+
+
+def _pairs(v, what: str) -> tuple[tuple[float, float], ...]:
+    """A list of ``[lo, hi]`` pairs of finite numbers."""
+    return tuple((lo, hi) for lo, hi in _rows(v, 2, what).tolist())
 
 
 def tagged(x: float, provenance: str) -> dict:
@@ -75,11 +112,15 @@ def patch_to_jsonable(patch: PointPatch) -> dict:
 
 
 def patch_from_jsonable(obj: dict) -> PointPatch:
-    dim = int(_key(obj, "dim", "patch"))
-    box = tuple((fparse(lo), fparse(hi)) for lo, hi in _key(obj, "box", "patch"))
-    pts = np.array([[fparse(c) for c in row] for row in _key(obj, "points", "patch")], dtype=np.float64)
-    pts = pts.reshape(-1, dim)
-    return PointPatch(dim=dim, box=box, points=pts)
+    dim = _int(_key(obj, "dim", "patch"), "patch 'dim'", 1)
+    box = _pairs(_key(obj, "box", "patch"), "patch box")
+    if len(box) != dim:
+        raise ConfigError(f"patch box has {len(box)} interval(s), expected dim = {dim}")
+    pts = _rows(_key(obj, "points", "patch"), dim, "patch point")
+    try:
+        return PointPatch(dim=dim, box=box, points=pts)
+    except ValueError as exc:
+        raise ConfigError(f"patch JSON: {exc}") from exc
 
 
 # --------------------------------------------------------------------- scheme
@@ -99,20 +140,22 @@ def scheme_to_jsonable(scheme: CutProjectScheme) -> dict:
 
 
 def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
-    d = int(_key(obj, "d", "scheme"))
-    m = int(_key(obj, "m", "scheme"))
-    basis = np.array([[fparse(v) for v in row] for row in _key(obj, "basis", "scheme")], dtype=np.float64)
-    window = None
-    if m > 0:
-        boxes = tuple(
-            tuple(
-                (fparse(lo), fparse(hi))
-                for lo, hi in zip(_key(b, "lo", "window"), _key(b, "hi", "window"))
-            )
-            for b in obj.get("window", [])
-        )
-        window = Window(m=m, boxes=boxes)
-    return CutProjectScheme(d=d, m=m, basis=basis, window=window)
+    d = _int(_key(obj, "d", "scheme"), "scheme 'd'", 1)
+    m = _int(_key(obj, "m", "scheme"), "scheme 'm'", 0)
+    basis = _rows(_key(obj, "basis", "scheme"), d + m, "scheme basis")
+    if len(basis) != d + m:
+        raise ConfigError(f"scheme basis has {len(basis)} row(s), expected d + m = {d + m}")
+    try:
+        window = None
+        if m > 0:
+            boxes = []
+            for b in _list(obj.get("window", []), "scheme window"):
+                lo, hi = _rows([_key(b, "lo", "window"), _key(b, "hi", "window")], m, "window lo/hi")
+                boxes.append(tuple(zip(lo.tolist(), hi.tolist())))
+            window = Window(m=m, boxes=tuple(boxes))
+        return CutProjectScheme(d=d, m=m, basis=basis, window=window)
+    except (ValueError, DegenerateBasisError) as exc:
+        raise ConfigError(f"scheme JSON: {exc}") from exc
 
 
 # --------------------------------------------------------------------- kernel
@@ -125,11 +168,14 @@ def kernel_to_jsonable(spec: KernelSpec) -> dict:
 
 def kernel_from_jsonable(obj: dict) -> KernelSpec:
     kind = _key(obj, "kind", "kernel")
-    if kind == "paley_wiener":
-        return paley_wiener([(fparse(lo), fparse(hi)) for lo, hi in _key(obj, "band", "kernel")])
-    if kind == "gabor_gaussian":
-        return gabor_gaussian(int(_key(obj, "n", "kernel")))
-    raise ValueError(f"unknown kernel kind {kind!r}")
+    try:
+        if kind == "paley_wiener":
+            return paley_wiener(_pairs(_key(obj, "band", "kernel"), "kernel band"))
+        if kind == "gabor_gaussian":
+            return gabor_gaussian(_int(_key(obj, "n", "kernel"), "kernel 'n'", 1))
+    except ValueError as exc:
+        raise ConfigError(f"kernel JSON: {exc}") from exc
+    raise ConfigError(f"unknown kernel kind {kind!r:.40}")
 
 
 # -------------------------------------------------------------------- reports
@@ -172,26 +218,33 @@ def density_report_to_jsonable(
 
 
 def density_report_from_jsonable(obj: dict) -> DensityReport:
-    lower = tuple((fparse(r["n"]), fparse(r["inf"]["value"])) for r in obj["rows"])
-    upper = tuple((fparse(r["n"]), fparse(r["sup"]["value"])) for r in obj["rows"])
-    methods = tuple(r["inf"]["provenance"] for r in obj["rows"])
+    what = "density report"
+
+    def value(field: dict, key: str) -> float:
+        return fparse(_key(_key(field, key, what), "value", what))
+
+    rows = _list(_key(obj, "rows", what), "density report 'rows'")
+    lower = tuple((fparse(_key(r, "n", what)), value(r, "inf")) for r in rows)
+    upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
+    methods = tuple(_key(r["inf"], "provenance", what) for r in rows)
     cb = obj.get("covolume_bounds")
-    return DensityReport(
+    report = DensityReport(
         lower=lower,
         upper=upper,
-        extrapolated_lower=fparse(obj["extrapolated_lower"]["value"]),
-        extrapolated_upper=fparse(obj["extrapolated_upper"]["value"]),
-        uncertainty=fparse(obj["uncertainty"]["value"]),
-        certified_region_note=obj["certified_region_note"],
+        extrapolated_lower=value(obj, "extrapolated_lower"),
+        extrapolated_upper=value(obj, "extrapolated_upper"),
+        uncertainty=value(obj, "uncertainty"),
+        certified_region_note=_key(obj, "certified_region_note", what),
         method=methods,
         extras_used_lower=bool(obj.get("extras_used_lower", False)),
         extras_used_upper=bool(obj.get("extras_used_upper", False)),
         covolume_bounds=(
-            None
-            if cb is None
-            else (fparse(cb["covol_minus_lower"]["value"]), fparse(cb["covol_plus_upper"]["value"]))
+            None if cb is None else (value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper"))
         ),
     )
+    if not all(map(math.isfinite, (report.extrapolated_lower, report.extrapolated_upper, report.uncertainty))):
+        raise ConfigError("density report estimates must be finite")
+    return report
 
 
 def frame_report_to_jsonable(

@@ -21,7 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter
+
+# scipy.ndimage is imported inside wiener_amalgam_norm: it costs about 0.4 s to
+# import, and the Gram paths never need it.
 
 from .errors import DimensionMismatchError, GridTooCoarseError
 from .pointset import _row_blocks
@@ -204,6 +206,8 @@ def wiener_amalgam_norm(
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     mag = np.abs(kernel_at_identity(spec, pts)).reshape([count] * dim)
     win = 2 * int(round(q_radius / step)) + 1
+    from scipy.ndimage import maximum_filter
+
     local_max = maximum_filter(mag, size=win, mode="nearest")
     inner = np.abs(axis) <= trunc_radius + 1e-12
     sl = tuple(np.ix_(*([np.where(inner)[0]] * dim)))

@@ -1,11 +1,23 @@
+import contextlib
+import copy
+import inspect
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperio import PointPatch, io_json
-from aperio.cli import main
+from aperio.cli import HANDLERS, main
+from aperio.errors import ConfigError
 
 from conftest import TAU, TAU_CONJ, make_lattice_patch
 
@@ -29,6 +41,9 @@ def workspace(tmp_path):
 
 def run(workspace, *args):
     return main(["--workspace", str(workspace), *args])
+
+
+_GEN_STEP = {"command": "gen", "args": {"scheme": "z.json", "box": [-50, 50], "out": "p.json"}}
 
 
 class TestJsonRoundTrip:
@@ -275,3 +290,235 @@ class TestDeterminism:
         assert run(workspace, "run", "--config", "cfg.json") == 0
         second = {name: (workspace / name).read_bytes() for name in ("p.json", "d.json", "v.json")}
         assert first == second
+
+
+class TestInputBoundary:
+    def test_density_report_without_rows_is_config_error(self, workspace, capsys):
+        (workspace / "d.json").write_text(json.dumps({"kind": "density_report"}))
+        assert run(workspace, "verdict", "--kernel", "pw.json", "--density", "d.json", "--out", "v.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "'rows'" in err[0]
+        assert not (workspace / "v.json").exists()
+
+    @pytest.mark.parametrize(
+        "cfg, said",
+        [
+            ([{"steps": []}], "object"),
+            ({"steps": [_GEN_STEP, 1]}, "step 1"),
+            (
+                {"steps": [_GEN_STEP, {"command": "density", "args": {"patch": "p.json", "folner": [5], "ell": "1"}}]},
+                "'ell'",
+            ),
+        ],
+        ids=["config-not-object", "step-not-object", "arg-wrong-type"],
+    )
+    def test_malformed_run_config_writes_nothing(self, workspace, capsys, cfg, said):
+        (workspace / "cfg.json").write_text(json.dumps(cfg))
+        before = set(workspace.iterdir())
+        assert run(workspace, "run", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and said in err[0]
+        assert set(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "points, said",
+        [([[0.0, 0.0], ["abc", 1.0]], "patch point row 1"), ([[0.0, 0.0], [1.0]], "patch point row 1")],
+        ids=["not-a-number", "wrong-length"],
+    )
+    def test_malformed_patch_values_are_config_errors(self, workspace, capsys, points, said):
+        patch = {"dim": 2, "box": [[-5, 5], [-5, 5]], "points": points}
+        (workspace / "p.json").write_text(json.dumps(patch))
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "1", "--out", "d.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and said in err[0]
+        assert not (workspace / "d.json").exists()
+
+
+# calls that import scipy on first use; run in the fresh process and in this one
+_SCIPY_CALLS = """
+from aperio import generate_model_set, rel_separation
+from aperio.cutproject import lattice_scheme
+from aperio.rkhs import paley_wiener, wiener_amalgam_norm
+patch = generate_model_set(lattice_scheme([[1.0, 0.0], [0.0, 1.0]]), [(-3, 3), (-3, 3)])
+values = [repr(rel_separation(patch, 1.5)), repr(wiener_amalgam_norm(paley_wiener([(-0.5, 0.5)]), 0.5, 6.0, 0.1))]
+"""
+
+_STARTUP_SCRIPT = """
+import json, sys
+import aperio.cli
+after_import = "scipy" in sys.modules
+runs = [aperio.cli.main(["--workspace", sys.argv[1], "run", "--config", c]) for c in ("fib1d.json", "gabor2d.json")]
+after_runs = "scipy" in sys.modules
+exec(sys.argv[2])
+print(json.dumps({"after_import": after_import, "after_runs": after_runs, "runs": runs, "values": values}))
+"""
+
+
+class TestStartup:
+    def test_cli_runs_pipelines_without_scipy(self, workspace):
+        """scipy loads on first use: importing the CLI and running 1-d and Gram pipelines never needs it."""
+        (workspace / "gabor.json").write_text(json.dumps({"kind": "gabor_gaussian", "n": 1}))
+        fib1d = [
+            {"command": "gen", "args": {"scheme": "fib.json", "box": [-200, 200], "out": "f.json"}},
+            {"command": "density", "args": {"patch": "f.json", "folner": [10, 20, 40], "ell": 1, "out": "fd.json"}},
+            {"command": "verdict", "args": {"kernel": "pw.json", "density": "fd.json", "out": "fv.json"}},
+            {"command": "frame", "args": {"kernel": "pw.json", "patch": "f.json", "truncations": [20, 40, 80], "out": "ff.json"}},
+            {"command": "hull-sample", "args": {"patch": "f.json", "k_box": [-5, 5], "limit": 20, "out": "fs.json"}},
+        ]
+        gabor2d = [
+            {"command": "gen", "args": {"scheme": "z2.json", "box": [-8, 8, -8, 8], "out": "g.json"}},
+            {"command": "density", "args": {"patch": "g.json", "folner": [2, 4], "step": 0.5, "out": "gd.json"}},
+            {"command": "verdict", "args": {"kernel": "gabor.json", "density": "gd.json", "out": "gv.json"}},
+            {"command": "frame", "args": {"kernel": "gabor.json", "patch": "g.json", "truncations": [4, 6, 8], "out": "gf.json"}},
+        ]
+        (workspace / "fib1d.json").write_text(json.dumps({"steps": fib1d}))
+        (workspace / "gabor2d.json").write_text(json.dumps({"steps": gabor2d}))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(workspace), _SCIPY_CALLS],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        assert got["after_import"] is False
+        assert got["runs"] == [0, 0]
+        assert got["after_runs"] is False
+        expected = {}
+        exec(_SCIPY_CALLS, expected)
+        assert got["values"] == expected["values"]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+_VALID = {
+    "patch": {"dim": 2, "box": [[-1, 1], [-1, 1]], "points": [[0, 0], ["0.5", "-0.5"]]},
+    "scheme": {
+        "d": 1,
+        "m": 1,
+        "basis": [[1.0, TAU], [1.0, TAU_CONJ]],
+        "window": [{"lo": [-0.5], "hi": [0.5]}],
+    },
+    "kernel": {"kind": "paley_wiener", "band": [[-0.5, 0.5]]},
+    "density": {
+        "kind": "density_report",
+        "rows": [
+            {"n": "5.0", "inf": {"value": "0.9", "provenance": "exact"}, "sup": {"value": "1.1", "provenance": "exact"}}
+        ],
+        "extrapolated_lower": {"value": "0.9", "provenance": "trend"},
+        "extrapolated_upper": {"value": "1.1", "provenance": "trend"},
+        "uncertainty": {"value": "0.2", "provenance": "trend"},
+        "certified_region_note": "",
+        "covolume_bounds": {"covol_minus_lower": {"value": "0.9"}, "covol_plus_upper": {"value": "1.1"}},
+    },
+}
+
+_DECODERS = {
+    "patch": io_json.patch_from_jsonable,
+    "scheme": io_json.scheme_from_jsonable,
+    "kernel": io_json.kernel_from_jsonable,
+    "density": io_json.density_report_from_jsonable,
+}
+
+_DECODER_ARGV = {
+    "patch": ["density", "--patch", "in.json", "--folner", "0.5"],
+    "scheme": ["gen", "--scheme", "in.json", "--box", "-3", "3"],
+    "kernel": ["amalgam", "--kernel", "in.json", "--q", "1", "--trunc", "2", "--step", "0.5"],
+    "density": ["verdict", "--kernel", "pw.json", "--density", "in.json"],
+}
+
+
+_ARG_NAMES = sorted({name for h in HANDLERS.values() for name in inspect.signature(h).parameters})
+_ARG_VALUES = (
+    _JSON | st.floats(-10, 10) | st.lists(st.floats(-10, 10), max_size=4) | st.sampled_from(["in.json", "out.json"])
+)
+
+
+def _run_step(data):
+    """A step shaped like a real one: a known command with all its required args, of any values."""
+    if data.draw(st.integers(0, 3)) == 0:
+        return data.draw(_JSON)
+    cmd = data.draw(st.sampled_from(sorted(HANDLERS)))
+    args = {}
+    for name, param in inspect.signature(HANDLERS[cmd]).parameters.items():
+        if name != "ctx" and (param.default is param.empty or data.draw(st.booleans())):
+            args[name] = data.draw(_ARG_VALUES)
+    if data.draw(st.integers(0, 4)) == 0:
+        args[data.draw(st.sampled_from(_ARG_NAMES) | st.text(max_size=6))] = data.draw(_ARG_VALUES)
+    return {"command": cmd, "args": args}
+
+
+def _mutated(data, obj):
+    """``obj`` with one nested value replaced by an arbitrary JSON value, or one key dropped."""
+    obj = copy.deepcopy(obj)
+    node = obj
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans()):
+            node = node[key]
+        elif isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+            return obj
+        else:
+            node[key] = data.draw(_JSON)
+            return obj
+
+
+def _malformed(data, kind):
+    return data.draw(_JSON) if data.draw(st.booleans()) else _mutated(data, _VALID[kind])
+
+
+def _main_quiet(*argv) -> tuple[int, list[str]]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue().strip().splitlines()
+
+
+class TestBoundaryFuzz:
+    """Arbitrary JSON at the input boundary: a config error (exit 2) or a decoded value, never a traceback."""
+
+    @pytest.mark.parametrize("kind", sorted(_DECODERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_decoders_raise_only_config_errors(self, kind, data):
+        try:
+            _DECODERS[kind](_malformed(data, kind))
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize("kind", sorted(_DECODERS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_cli_exits_two_on_undecodable_input(self, kind, data):
+        obj = _malformed(data, kind)
+        try:
+            _DECODERS[kind](obj)
+        except ConfigError:
+            pass
+        else:
+            return  # decodable: the subcommand would run on it
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Path(tmp)
+            (ws / "in.json").write_text(json.dumps(obj))
+            (ws / "pw.json").write_text(json.dumps(_VALID["kernel"]))
+            code, err = _main_quiet("--workspace", tmp, *_DECODER_ARGV[kind], "--out", "out.json")
+            assert code == 2 and len(err) == 1
+            assert not (ws / "out.json").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_run_config_exits_two_and_writes_nothing(self, data):
+        if data.draw(st.booleans()):
+            cfg = {"steps": [_run_step(data) for _ in range(data.draw(st.integers(1, 3)))]}
+        else:
+            cfg = data.draw(_JSON | st.fixed_dictionaries({}, optional={"seed": _JSON, "steps": _JSON}))
+        with tempfile.TemporaryDirectory() as tmp:
+            ws = Path(tmp)
+            (ws / "cfg.json").write_text(json.dumps(cfg))
+            code, err = _main_quiet("--workspace", tmp, "run", "--config", "cfg.json")
+            assert code == 2 and len(err) == 1
+            assert [p.name for p in ws.iterdir()] == ["cfg.json"]
