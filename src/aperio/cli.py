@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import inspect
 import json
-import math
 import re
 import sys
 import typing
@@ -31,19 +30,23 @@ from .rkhs import wiener_amalgam_norm
 
 @dataclass
 class Context:
+    """One command's paths and provenance.  Outputs wait in ``staged`` (resolved
+    path, or ``None`` for stdout) until :meth:`commit`, so a failed command writes nothing."""
+
     workspace: Path
     seed: int | None = None
     tolerance_profile: str = "default"
     input_hashes: dict[str, str] = field(default_factory=dict)
+    staged: dict[Path | None, str] = field(default_factory=dict)
 
     def resolve(self, rel: str) -> Path:
-        p = Path(rel)
-        return p if p.is_absolute() else self.workspace / p
+        """The absolute path of ``rel`` (relative to the workspace), one per file however spelled."""
+        return (self.workspace / rel).resolve()
 
     def read_json(self, rel: str, role: str) -> dict:
         path = self.resolve(rel)
-        try:
-            data = path.read_bytes()
+        try:  # a staged output is read as the bytes commit() will write
+            data = self.staged[path].encode() if path in self.staged else path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
         self.input_hashes[f"{role}:{rel}"] = io_json.sha256_bytes(data)
@@ -52,22 +55,29 @@ class Context:
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
-    def write_json(self, rel: str | None, obj: dict) -> None:
-        text = io_json.canonical_dumps(obj)
+    def _stage(self, rel: str | None, text: str) -> None:
         if rel is None:
-            sys.stdout.write(text)
-            return
-        path = self.resolve(rel)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+            self.staged[None] = self.staged.get(None, "") + text
+        else:
+            self.staged[self.resolve(rel)] = text
+
+    # not routed through write_text, so a wrapper around either sees each output once
+    def write_json(self, rel: str | None, obj: dict) -> None:
+        self._stage(rel, io_json.canonical_dumps(obj))
 
     def write_text(self, rel: str | None, text: str) -> None:
-        if rel is None:
-            sys.stdout.write(text)
-            return
-        path = self.resolve(rel)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, newline="")
+        self._stage(rel, text)
+
+    def commit(self) -> None:
+        """Write every staged file, then the staged stdout."""
+        out = self.staged.pop(None, "")
+        for path, text in self.staged.items():
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(text.encode())
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc}") from exc
+        sys.stdout.write(out)
 
 
 def _parse_box(values: list[float], dim_hint: int | None = None):
@@ -79,11 +89,11 @@ def _parse_box(values: list[float], dim_hint: int | None = None):
     return box
 
 
-def _folner_spec(folner, step, where: str = "") -> FolnerSpec:
+def _folner_spec(folner, step) -> FolnerSpec:
     try:
         return FolnerSpec(sizes=tuple(folner), translate_grid_step=step)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}bad Folner spec: {exc}") from exc
+        raise ConfigError(f"bad Folner spec: {exc}") from exc
 
 
 # ------------------------------------------------------------------- handlers
@@ -131,6 +141,8 @@ def handle_hull_sample(
     limit: int | None = None,
     out: str | None = None,
 ) -> None:
+    if limit is not None and limit < 0:
+        raise ConfigError(f"limit must be >= 0, got {limit}")
     base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
     kb = _parse_box(k_box, base.dim)
     if translates == "own":
@@ -190,8 +202,11 @@ def handle_weil_check(
     trunc: float = 8.0,
     out: str | None = None,
 ) -> None:
+    try:
+        f = TestFunction(kind=function, trunc=trunc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     sch = io_json.scheme_from_jsonable(ctx.read_json(scheme, "scheme"))
-    f = TestFunction(kind=function, trunc=trunc)
     residual = weil_check(sch, f, quadrature_n)
     ctx.write_json(
         out,
@@ -236,26 +251,6 @@ HANDLERS = {
     "csv": handle_csv,
 }
 
-# step args that name input files, for run-config validation
-_INPUT_ARGS = {"scheme", "patch", "kernel", "density", "report", "extras"}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value from a run config has a handler parameter's type."""
-    if hint is type(None):
-        return value is None
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is list:
-        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-    if args:  # a union such as ``float | None``
-        return any(_fits(value, h) for h in args)
-    if hint is float:
-        try:
-            return not isinstance(value, bool) and math.isfinite(value)
-        except (TypeError, OverflowError):
-            return False
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
-
 
 def handle_run(ctx: Context, config: str) -> None:
     cfg = ctx.read_json(config, "config")
@@ -265,11 +260,10 @@ def handle_run(ctx: Context, config: str) -> None:
     if not isinstance(steps, list) or not steps:
         raise ConfigError("config needs a non-empty 'steps' list")
     seed = cfg.get("seed")
-    if seed is not None and not _fits(seed, int):
+    if seed is not None and not io_json.fits(seed, int):
         raise ConfigError(f"config 'seed' must be an integer, got {seed!r:.40}")
     if ctx.seed is None:
         ctx.seed = seed
-    produced: set[str] = set()
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
             raise ConfigError(f"step {i}: must be an object, got {type(step).__name__}")
@@ -286,23 +280,9 @@ def handle_run(ctx: Context, config: str) -> None:
             raise ConfigError(f"step {i}: {cmd}: {exc}") from exc
         hints = typing.get_type_hints(HANDLERS[cmd])
         for key, value in args.items():
-            if not _fits(value, hints[key]):
+            if not io_json.fits(value, hints[key]):
                 annotation = sig.parameters[key].annotation
                 raise ConfigError(f"step {i}: {cmd}: {key!r} must be {annotation}, got {value!r:.40}")
-        if cmd == "density":
-            _folner_spec(args.get("folner", ()), args.get("step"), where=f"step {i}: ")
-        for key, value in args.items():
-            if key not in _INPUT_ARGS or value is None:
-                continue
-            names = value if isinstance(value, list) else [value]
-            for name in names:
-                if name in produced:
-                    continue
-                if not ctx.resolve(name).is_file():
-                    raise ConfigError(f"step {i}: input file {name!r} does not exist")
-        for key in ("out", "csv"):
-            if args.get(key):
-                produced.add(args[key])
     for step in steps:
         HANDLERS[step["command"]](ctx, **step.get("args", {}))
 
@@ -423,6 +403,7 @@ def main(argv=None) -> int:
         kwargs["truncations"] = _csv_floats(kwargs["truncations"])
     try:
         HANDLERS.get(args.command, handle_run)(ctx, **kwargs)
+        ctx.commit()
     except ConfigError as exc:
         print(f"aperio: config error: {exc}", file=sys.stderr)
         return 2

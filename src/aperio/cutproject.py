@@ -36,6 +36,8 @@ from .errors import DegenerateBasisError, EmptyWindowError
 from .pointset import Box, PointPatch, as_box
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
+INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
+INJECTIVITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +117,7 @@ class CutProjectScheme:
 
     The basis columns generate the lattice.  Construction runs a finite
     injectivity check: no nonzero integer combination with coordinates up to
-    ``injectivity_radius`` may have (numerically) vanishing physical part.
+    ``INJECTIVITY_RADIUS`` may have (numerically) vanishing physical part.
     This is a necessary-condition check, not a proof.
     """
 
@@ -123,8 +125,6 @@ class CutProjectScheme:
     m: int
     basis: np.ndarray
     window: Window | None = None
-    injectivity_radius: int = 3
-    injectivity_tol: float = 1e-9
 
     def __post_init__(self):
         if self.d < 1 or self.m < 0:
@@ -143,20 +143,20 @@ class CutProjectScheme:
         else:
             if self.window is None or self.window.m != self.m:
                 raise ValueError("window dimension must equal m")
-        if self.m > 0 and self.injectivity_radius > 0:
+        if self.m > 0:
             self._check_injectivity()
 
     def _check_injectivity(self):
-        r = self.injectivity_radius
+        r = INJECTIVITY_RADIUS
         axes = [np.arange(-r, r + 1)] * (self.d + self.m)
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d + self.m)
         grid = grid[np.any(grid != 0, axis=1)]
         phys = grid @ self.basis.T[:, : self.d]
-        bad = np.abs(phys).max(axis=1) < self.injectivity_tol
+        bad = np.abs(phys).max(axis=1) < INJECTIVITY_TOL
         if bad.any():
             raise ValueError(
                 "projection to physical space is not injective on the lattice "
-                f"(nonzero vector with |p_G| < {self.injectivity_tol})"
+                f"(nonzero vector with |p_G| < {INJECTIVITY_TOL})"
             )
 
     @property

@@ -240,10 +240,6 @@ class CovolumeBounds:
     covol_plus_hi: float
     covol_plus_exact: bool
 
-    def as_interval(self) -> tuple[float, float]:
-        """Interval containing every invariant-measure covolume."""
-        return (self.covol_minus_lo, self.covol_plus_hi)
-
 
 def covolume_bounds_from_density(
     report: DensityReport,

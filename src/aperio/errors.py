@@ -50,7 +50,7 @@ class PatchSizeError(AperioError):
 
 
 class GramSizeError(AperioError):
-    """Gram matrix would exceed the configured dense-solver size limit."""
+    """Gram matrix would exceed the dense-solver size limit (``framekit.MAX_GRAM_POINTS``)."""
 
 
 class ConfigError(AperioError):

@@ -40,7 +40,6 @@ class GramMatrix:
 
     entries: np.ndarray
     eigenvalues: np.ndarray
-    rank_tol: float
     kernel: KernelSpec | None = None
     patch: PointPatch | None = None
 
@@ -59,39 +58,34 @@ class GramMatrix:
 
     @property
     def rank(self) -> int:
-        return int((self.eigenvalues > self.rank_tol * self.lambda_max).sum())
+        return int((self.eigenvalues > RANK_TOL * self.lambda_max).sum())
 
     @property
     def nonzero_min(self) -> float:
         """Smallest eigenvalue of the nonzero spectrum (above the rank tolerance)."""
-        above = self.eigenvalues[self.eigenvalues > self.rank_tol * self.lambda_max]
+        above = self.eigenvalues[self.eigenvalues > RANK_TOL * self.lambda_max]
         return float(above[0]) if len(above) else 0.0
 
 
-def gram_from_entries(entries: np.ndarray, rank_tol: float = RANK_TOL, **refs) -> GramMatrix:
+def gram_from_entries(entries: np.ndarray, **refs) -> GramMatrix:
     entries = np.asarray(entries)
     herm_defect = np.abs(entries - entries.conj().T).max() if entries.size else 0.0
     if herm_defect > 1e-10:
         raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
     eigs = np.linalg.eigvalsh(entries) if entries.size else np.empty(0)
-    return GramMatrix(entries=entries, eigenvalues=eigs, rank_tol=rank_tol, **refs)
+    return GramMatrix(entries=entries, eigenvalues=eigs, **refs)
 
 
-def build_gram(
-    kernel: KernelSpec,
-    patch: PointPatch,
-    max_points: int = MAX_GRAM_POINTS,
-    rank_tol: float = RANK_TOL,
-) -> GramMatrix:
+def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
     """Assemble the Hermitian Gram of the kernel family over the patch points."""
     if patch.dim != kernel.space_dim:
         raise ValueError(
             f"patch dimension {patch.dim} does not match kernel space dimension {kernel.space_dim}"
         )
-    if patch.n_points > max_points:
-        raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {max_points}")
+    if patch.n_points > MAX_GRAM_POINTS:
+        raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     km = kernel_matrix(kernel, patch.points, patch.points)
-    return gram_from_entries(km.T, rank_tol=rank_tol, kernel=kernel, patch=patch)
+    return gram_from_entries(km.T, kernel=kernel, patch=patch)
 
 
 def riesz_bounds(gram: GramMatrix) -> tuple[float, float]:
@@ -104,10 +98,10 @@ def riesz_bounds(gram: GramMatrix) -> tuple[float, float]:
     return gram.nonzero_min, gram.lambda_max
 
 
-def _projected_inverse_sqrt(mat: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigen data of a Hermitian PSD matrix restricted to its nonzero spectrum."""
     eigs, vecs = np.linalg.eigh(mat)
-    keep = eigs > rank_tol * max(eigs[-1], 0.0) if len(eigs) else np.zeros(0, bool)
+    keep = eigs > RANK_TOL * max(eigs[-1], 0.0) if len(eigs) else np.zeros(0, bool)
     if not keep.any():
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
     return eigs[keep], vecs[:, keep], vecs[:, ~keep]
@@ -159,21 +153,15 @@ def sampling_bounds(
     kernel: KernelSpec,
     patch: PointPatch,
     margin: float | None = None,
-    test_class: str = "interior-grid",
-    rank_tol: float = RANK_TOL,
 ) -> tuple[float, float]:
     """Extreme Rayleigh quotients ``sum_patch |f(p)|^2 / ||f||^2`` over interior test functions.
 
     Test functions are finite combinations of kernel functions (for the
     time-frequency kernel: coherent states) anchored inside the box shrunk by
     ``margin``; the quotients reduce to generalized eigenvalues of the
-    anchor-vs-full Gram blocks.  ``test_class`` picks the anchors:
-
-    * ``"interior-grid"`` (default): a uniform grid whose density follows the
-      adaptive rule documented above; this class exposes undersampling as a
-      collapsing lower bound while staying numerically well conditioned.
-    * ``"interior-points"``: the interior patch points themselves; for an
-      orthonormal sampling basis this reproduces the Riesz bounds exactly.
+    anchor-vs-full Gram blocks.  The anchors form a uniform grid whose density
+    follows the adaptive rule documented above; this exposes undersampling as
+    a collapsing lower bound while staying numerically well conditioned.
 
     Default margin is 25% of the smallest box half-width.
 
@@ -197,16 +185,11 @@ def sampling_bounds(
         raise ValueError("margin too large: no interior points")
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
-    if test_class == "interior-points":
-        anchors = interior_pts
-    elif test_class == "interior-grid":
-        anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
-    else:
-        raise ValueError(f"unknown test class {test_class!r}")
+    anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
     M = kernel_matrix(kernel, anchors, anchors)
     K = kernel_matrix(kernel, patch.points, anchors)
     K[np.abs(K) < UNDERFLOW_FLOOR] = 0.0
-    s, vecs, _ = _projected_inverse_sqrt(M, rank_tol)
+    s, vecs, _ = _projected_inverse_sqrt(M)
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
@@ -224,11 +207,11 @@ def canonical_parseval(
     which is an orthogonal projection (spectrum in {0, 1}), together with the
     coefficient-space transform matrix.  The output Gram is assembled from
     the spectral projector directly; forming T G T explicitly would amplify
-    discarded-eigenvalue noise by 1 / rank_tol past the 1e-8 contract.
+    discarded-eigenvalue noise by 1 / RANK_TOL past the 1e-8 contract.
     """
     if gram.n == 0:
         raise NotAFrameError("not a frame at this truncation: empty system")
-    s, vecs, null_vecs = _projected_inverse_sqrt(np.asarray(gram.entries), gram.rank_tol)
+    s, vecs, null_vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
     if min_nonzero is not None and s[0] < min_nonzero:
         raise NotAFrameError(
             f"not a frame at this truncation: lower bound {s[0]:.3e} < {min_nonzero:.3e}"
@@ -236,7 +219,7 @@ def canonical_parseval(
     transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
     projector = vecs @ vecs.conj().T
     projector = (projector + projector.conj().T) / 2.0
-    out = gram_from_entries(projector, rank_tol=gram.rank_tol, kernel=gram.kernel, patch=gram.patch)
+    out = gram_from_entries(projector, kernel=gram.kernel, patch=gram.patch)
     return out, transform
 
 
@@ -279,13 +262,13 @@ class FrameReport:
     notes: str
 
 
-def _trend_status(values, floor=STABILITY_FLOOR) -> str:
+def _trend_status(values) -> str:
     vals = [max(v, 0.0) for v in values]
     last = vals[-1]
     if last < COLLAPSE:
         return "refuted"
     ratios = [b / a if a > 0 else math.inf for a, b in zip(vals, vals[1:])]
-    if last >= floor and all(r >= STABLE_RATIO for r in ratios):
+    if last >= STABILITY_FLOOR and all(r >= STABLE_RATIO for r in ratios):
         return "supported"
     if all(r <= DECAY_RATIO for r in ratios):
         return "refuted"
@@ -297,7 +280,6 @@ def frame_trend_report(
     patch: PointPatch,
     truncations,
     margin_frac: float = 0.25,
-    stability_floor: float = STABILITY_FLOOR,
 ) -> FrameReport:
     """Riesz and sampling bounds across nested centered truncations of a patch.
 
@@ -327,8 +309,8 @@ def frame_trend_report(
         s_hi.append(sb)
         final_eigs = gram.eigenvalues
     if len(truncs) >= 3:
-        frame_status = _trend_status(s_lo, stability_floor)
-        riesz_status = _trend_status(r_lo_raw, stability_floor)
+        frame_status = _trend_status(s_lo)
+        riesz_status = _trend_status(r_lo_raw)
     else:
         frame_status = riesz_status = "inconclusive"
     if frame_status == "supported":

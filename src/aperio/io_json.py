@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import typing
 from typing import Any
 
 import numpy as np
 
 from . import __version__
 from .cutproject import CutProjectScheme, Window
-from .density import DensityReport, ErgodicEstimate
+from .density import DensityReport
 from .errors import ConfigError, DegenerateBasisError
 from .framekit import FrameReport, VerdictReport
 from .pointset import PointPatch
@@ -28,9 +29,28 @@ def fstr(x: float) -> str:
     return repr(float(x))
 
 
+def fits(value, hint) -> bool:
+    """Whether a JSON value has type ``hint``: a bool is not a number, and a float must be finite."""
+    if hint is type(None):
+        return value is None
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    if args:  # a union such as ``float | None``
+        return any(fits(value, h) for h in args)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
+    return isinstance(value, hint)
+
+
 def fparse(v) -> float:
     """A JSON number or decimal string as a float; anything else is a config error."""
-    if isinstance(v, (str, int, float)) and not isinstance(v, bool):
+    if isinstance(v, (str, float)) or fits(v, int):
         try:
             return float(v)
         except (ValueError, OverflowError):
@@ -48,7 +68,7 @@ def _key(obj, key: str, what: str):
 
 
 def _int(v, what: str, least: int) -> int:
-    if not isinstance(v, int) or isinstance(v, bool) or v < least:
+    if not fits(v, int) or v < least:
         raise ConfigError(f"{what} must be an integer >= {least}, got {v!r:.40}")
     return v
 
@@ -125,20 +145,6 @@ def patch_from_jsonable(obj: dict) -> PointPatch:
 
 # --------------------------------------------------------------------- scheme
 
-def scheme_to_jsonable(scheme: CutProjectScheme) -> dict:
-    out = {
-        "d": scheme.d,
-        "m": scheme.m,
-        "basis": [[fstr(v) for v in row] for row in scheme.basis],
-    }
-    if scheme.m > 0:
-        out["window"] = [
-            {"lo": [fstr(v) for v, _ in b], "hi": [fstr(v) for _, v in b]}
-            for b in scheme.window.boxes
-        ]
-    return out
-
-
 def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
     d = _int(_key(obj, "d", "scheme"), "scheme 'd'", 1)
     m = _int(_key(obj, "m", "scheme"), "scheme 'm'", 0)
@@ -159,12 +165,6 @@ def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
 
 
 # --------------------------------------------------------------------- kernel
-
-def kernel_to_jsonable(spec: KernelSpec) -> dict:
-    if spec.kind == "paley_wiener":
-        return {"kind": "paley_wiener", "band": [[fstr(lo), fstr(hi)] for lo, hi in spec.band]}
-    return {"kind": "gabor_gaussian", "n": spec.n}
-
 
 def kernel_from_jsonable(obj: dict) -> KernelSpec:
     kind = _key(obj, "kind", "kernel")
@@ -339,20 +339,6 @@ def amalgam_report_to_jsonable(
         "norm": tagged(norm, f"grid(step={grid_step})"),
         "q_radius": tagged(q_radius, "exact"),
         "trunc_radius": tagged(trunc_radius, "exact"),
-        "provenance": provenance_block(seed, inputs or {}),
-    }
-
-
-def ergodic_report_to_jsonable(
-    est: ErgodicEstimate,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
-    return {
-        "kind": "ergodic_report",
-        "covolume": tagged(est.covolume, est.provenance),
-        "n_translates": est.n_translates,
-        "s_box": [[fstr(lo), fstr(hi)] for lo, hi in est.s_box],
         "provenance": provenance_block(seed, inputs or {}),
     }
 

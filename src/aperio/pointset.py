@@ -329,17 +329,6 @@ def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:
     )
 
 
-def rel_separation_sweep(patch: PointPatch, u_radii) -> list[SeparationStats]:
-    """Window counts for shrinking windows.
-
-    The infimum of ``ell`` over all window sizes is not computable from a
-    finite patch; the sweep reports ``ell`` per window so callers can read off
-    the small-window trend without any infimum claim.
-    """
-    radii = sorted(float(u) for u in u_radii)
-    return [rel_separation(patch, u) for u in radii]
-
-
 def window_count_bound(ell: int, u_radius: float, k_box: Box) -> float:
     """Counting bound ``ell * vol(K + U) / vol(U)`` for sub-boxes of the certified region.
 

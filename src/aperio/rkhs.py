@@ -169,11 +169,6 @@ def kernel_value(spec: KernelSpec, x, y) -> complex:
     return complex(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
 
 
-def kernel_at_identity(spec: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """The generating function ``k_e`` evaluated at rows of ``u`` (complex)."""
-    return kernel_matrix(spec, u, np.zeros((1, spec.space_dim)))[:, 0]
-
-
 def critical_density(spec: KernelSpec) -> float:
     """The critical sampling/interpolation density ``norm_sq_ke``."""
     return spec.norm_sq_ke
@@ -204,7 +199,7 @@ def wiener_amalgam_norm(
     step = axis[1] - axis[0]
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    mag = np.abs(kernel_at_identity(spec, pts)).reshape([count] * dim)
+    mag = np.abs(kernel_matrix(spec, pts, np.zeros((1, dim)))[:, 0]).reshape([count] * dim)
     win = 2 * int(round(q_radius / step)) + 1
     from scipy.ndimage import maximum_filter
 

@@ -10,7 +10,7 @@ import pytest
 
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
-from aperio.framekit import RANK_TOL, _anchor_grid, _projected_inverse_sqrt
+from aperio.framekit import _anchor_grid, _projected_inverse_sqrt
 from aperio.pointset import points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
 
@@ -186,25 +186,32 @@ def max_window_count_oracle(pts: np.ndarray, width: float) -> int:
     return best
 
 
-def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None):
-    """Anchor Gram ``M`` and full patch-by-anchor block ``K`` of the interior-grid test class."""
+def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
+    """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
+
+    With ``at_points`` the anchors are the interior patch points themselves;
+    for an orthonormal sampling basis the quotient then reproduces the Riesz
+    bounds exactly.
+    """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
     interior_box = shrink_box(patch.box, margin)
     interior_pts = patch.points[points_in_box(patch.points, interior_box)]
-    anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
+    anchors = interior_pts if at_points else _anchor_grid(kernel, interior_box, len(interior_pts))
     return kernel_matrix(kernel, anchors, anchors), kernel_matrix(kernel, patch.points, anchors)
 
 
-def sampling_bounds_oracle(kernel, patch: PointPatch, margin: float | None = None) -> tuple[float, float]:
-    """``framekit.sampling_bounds`` on the interior grid, with the full kernel block.
+def sampling_bounds_oracle(
+    kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False
+) -> tuple[float, float]:
+    """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
 
     Forms ``K^H K`` from every patch-by-anchor kernel entry, however small, so
     it checks that zeroing the entries below the underflow floor changes no
     bit of either bound.
     """
-    M, K = anchor_kernel_block(kernel, patch, margin)
-    s, vecs, _ = _projected_inverse_sqrt(M, RANK_TOL)
+    M, K = anchor_kernel_block(kernel, patch, margin, at_points)
+    s, vecs, _ = _projected_inverse_sqrt(M)
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)

@@ -273,6 +273,82 @@ class TestErrorHandling:
         assert len(err) == 1 and "config error" in err[0] and repr(key) in err[0]
         assert not (workspace / "o.json").exists()
 
+    def test_negative_hull_limit_is_config_error(self, workspace, capsys):
+        run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
+        capsys.readouterr()
+        argv = ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--limit", "-5", "--out", "s.json"]
+        assert run(workspace, *argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "limit" in err[0]
+        assert not (workspace / "s.json").exists()
+
+    def test_gram_past_dense_limit_is_operation_error(self, workspace, capsys):
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-2000", "2000", "--out", "p.json")  # 4,001 points
+        capsys.readouterr()
+        argv = ["frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "500,1000,2000", "--out", "f.json"]
+        assert run(workspace, *argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "dense limit is 4000" in err[0]
+        assert not (workspace / "f.json").exists()
+
+
+def _snapshot(workspace) -> dict[str, bytes | None]:
+    return {p.name: p.read_bytes() if p.is_file() else None for p in workspace.iterdir()}
+
+
+class TestAllOrNothing:
+    """``aperio run`` writes no file and no stdout unless every step succeeds."""
+
+    @staticmethod
+    def run_steps(workspace, capsys, steps):
+        (workspace / "cfg.json").write_text(json.dumps({"steps": steps}))
+        capsys.readouterr()
+        before = _snapshot(workspace)
+        code = run(workspace, "run", "--config", "cfg.json")
+        out, err = capsys.readouterr()
+        return code, out, err.strip().splitlines(), before
+
+    def test_bad_box_in_later_step_writes_nothing(self, workspace, capsys):
+        bad_gen = {"command": "gen", "args": {"scheme": "z.json", "box": [5, -5], "out": "q.json"}}
+        code, out, err, before = self.run_steps(workspace, capsys, [_GEN_STEP, bad_gen])
+        assert code == 1 and out == "" and len(err) == 1
+        assert _snapshot(workspace) == before
+
+    def test_operation_error_in_later_step_writes_nothing(self, workspace, capsys):
+        steps = [
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-10, 10], "out": "p.json"}},
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-3, 3]}},  # to stdout
+            # Folner size beyond the patch: operation error, as in test_operation_error_exit_one
+            {"command": "density", "args": {"patch": "p.json", "folner": [5, 50], "out": "d.json"}},
+        ]
+        code, out, err, before = self.run_steps(workspace, capsys, steps)
+        assert code == 1 and out == "" and len(err) == 1
+        assert _snapshot(workspace) == before
+
+    def test_unknown_weil_function_is_config_error(self, workspace, capsys):
+        weil = {"command": "weil-check", "args": {"scheme": "z.json", "function": "bogus", "out": "w.json"}}
+        code, out, err, before = self.run_steps(workspace, capsys, [_GEN_STEP, weil])
+        assert code == 2 and out == ""
+        assert len(err) == 1 and "config error" in err[0] and "bogus" in err[0]
+        assert _snapshot(workspace) == before
+
+    def test_later_step_reads_staged_output_as_written(self, workspace, capsys):
+        (workspace / "sub").mkdir()
+        steps = [
+            _GEN_STEP,
+            {"command": "density", "args": {"patch": "sub/../p.json", "folner": [5, 10], "out": "d.json"}},
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-2, 2]}},
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-1, 1]}},
+        ]
+        code, out, err, _ = self.run_steps(workspace, capsys, steps)
+        assert code == 0 and err == []
+        density = json.loads((workspace / "d.json").read_bytes())
+        patch_hash = io_json.sha256_bytes((workspace / "p.json").read_bytes())
+        assert density["provenance"]["inputs"]["patch:sub/../p.json"] == patch_hash
+        # both stdout outputs, in step order
+        halves = out.split("}\n{")
+        assert len(halves) == 2 and "-2.0" in halves[0] and "-1.0" in halves[1]
+
 
 class TestDeterminism:
     def test_same_config_twice_is_byte_identical(self, workspace):

@@ -17,8 +17,9 @@ from aperio import (
 )
 from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
-from aperio.errors import NotAFrameError
-from aperio.framekit import UNDERFLOW_FLOOR, gram_from_entries
+from aperio import framekit
+from aperio.errors import GramSizeError, NotAFrameError
+from aperio.framekit import MAX_GRAM_POINTS, UNDERFLOW_FLOOR, gram_from_entries
 from aperio.pointset import restrict
 from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
 
@@ -72,6 +73,19 @@ class TestBuildGram:
     def test_eigenvalues_cached_ascending(self):
         gram = build_gram(PW, pw_patch(0.5, 10.0))
         assert np.all(np.diff(gram.eigenvalues) >= -1e-14)
+
+    def test_patch_past_dense_limit_raises_before_any_kernel_entry(self, monkeypatch):
+        patch = pw_patch(1.0, 2000.0)
+        assert patch.n_points == MAX_GRAM_POINTS + 1
+
+        def no_kernel_entries(*args):
+            raise AssertionError("kernel entries built for a patch past the dense limit")
+
+        monkeypatch.setattr(framekit, "kernel_matrix", no_kernel_entries)
+        with pytest.raises(GramSizeError, match="dense limit is 4000"):
+            build_gram(PW, patch)
+        with pytest.raises(GramSizeError, match="dense limit is 4000"):
+            sampling_bounds(PW, patch)
 
 
 class TestRieszBounds:
@@ -131,7 +145,7 @@ class TestSamplingBounds:
         # with kernels anchored at the interior patch points the quotient is
         # exactly the Riesz spectrum of an orthonormal basis
         patch = pw_patch(1.0, 40.0)
-        a, b = sampling_bounds(PW, patch, margin=10, test_class="interior-points")
+        a, b = sampling_bounds_oracle(PW, patch, margin=10, at_points=True)
         ra, rb = riesz_bounds(build_gram(PW, patch))
         assert a == pytest.approx(1.0, abs=1e-6)
         assert b == pytest.approx(1.0, abs=1e-6)

@@ -12,7 +12,6 @@ from aperio.pointset import (
     box_volume,
     inflate_box,
     points_in_box,
-    rel_separation_sweep,
     restrict,
     shrink_box,
     window_count_bound,
@@ -111,7 +110,7 @@ class TestRelSeparation:
 
     def test_sweep_reports_per_window_counts(self):
         p = make_satellites_patch(50.0)
-        stats = rel_separation_sweep(p, [1.0, 0.5, 0.25])
+        stats = [rel_separation(p, u) for u in (0.25, 0.5, 1.0)]
         assert [s.u_radius for s in stats] == [0.25, 0.5, 1.0]
         assert [s.ell for s in stats] == [2, 2, 3]
 

@@ -12,7 +12,6 @@ from aperio.rkhs import (
     _sinc_factor,
     critical_density,
     gabor_gaussian,
-    kernel_at_identity,
     paley_wiener,
 )
 
@@ -229,13 +228,13 @@ class TestKernelAtIdentity:
         u = np.array([[0.7, -0.3]])
         # with the trivial relation k(u, 0) = sigma-dependent phase * k_e(u),
         # magnitudes must agree
-        assert abs(kernel_at_identity(gg, u)[0]) == pytest.approx(
+        assert abs(kernel_matrix(gg, u, np.zeros((1, 2)))[0, 0]) == pytest.approx(
             abs(kernel_value(gg, u[0], np.zeros(2))), abs=1e-12
         )
 
     def test_pw_identity_kernel_is_real_for_symmetric_band(self):
         pw = paley_wiener([(-0.5, 0.5)])
-        vals = kernel_at_identity(pw, np.linspace(-3, 3, 11)[:, None])
+        vals = kernel_matrix(pw, np.linspace(-3, 3, 11)[:, None], np.zeros((1, 1)))[:, 0]
         assert np.abs(vals.imag).max() < 1e-12
 
 
