@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import inspect
 import json
+import os
 import re
 import sys
 import typing
@@ -25,6 +26,7 @@ from .errors import AperioError, ConfigError
 from .framekit import frame_trend_report, verdict
 from .hull import grid_translates, orbit_sample, transversal_translates
 from .cutproject import generate_model_set
+from .pointset import as_box
 from .rkhs import wiener_amalgam_norm
 
 
@@ -69,24 +71,34 @@ class Context:
         self._stage(rel, text)
 
     def commit(self) -> None:
-        """Write every staged file, then the staged stdout."""
+        """Write every staged file to a temporary sibling, rename them all into place, then
+        write the staged stdout; a file that cannot be written leaves the workspace as it was."""
         out = self.staged.pop(None, "")
-        for path, text in self.staged.items():
-            try:
+        if dirs := [path for path in self.staged if path.is_dir()]:
+            raise ConfigError(f"cannot write {dirs[0]}: it is a directory")
+        temps = []
+        try:
+            for path, text in self.staged.items():
                 path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(text.encode())
-            except OSError as exc:
-                raise ConfigError(f"cannot write {path}: {exc}") from exc
+                with open(path.with_name(f".{path.name}.aperio-tmp"), "xb") as tmp:
+                    temps.append((tmp.name, path))
+                    tmp.write(text.encode())
+            for name, path in temps:
+                os.replace(name, path)
+        except OSError as exc:
+            for name, _ in temps:
+                Path(name).unlink(missing_ok=True)
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         sys.stdout.write(out)
 
 
 def _parse_box(values: list[float], dim_hint: int | None = None):
     if len(values) % 2 != 0 or not values:
         raise ConfigError("box must be given as lo hi pairs, one pair per dimension")
-    box = tuple((float(values[i]), float(values[i + 1])) for i in range(0, len(values), 2))
+    box = list(zip(values[::2], values[1::2]))
     if dim_hint is not None and len(box) != dim_hint:
         raise ConfigError(f"box has {len(box)} dimension(s), expected {dim_hint}")
-    return box
+    return as_box(box)  # a degenerate interval is an operation error here, before any handler's own checks
 
 
 def _folner_spec(folner, step) -> FolnerSpec:
@@ -150,7 +162,10 @@ def handle_hull_sample(
     elif translates == "grid":
         if grid_step is None:
             raise ConfigError("grid translates need --grid-step")
-        vecs = grid_translates(base, kb, grid_step)
+        try:
+            vecs = grid_translates(base, kb, grid_step)
+        except ValueError as exc:  # a step that is not positive
+            raise ConfigError(str(exc)) from exc
     else:
         raise ConfigError(f"unknown translate mode {translates!r}")
     if limit is not None:
@@ -223,7 +238,10 @@ def handle_amalgam(
     out: str | None = None,
 ) -> None:
     kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
-    norm = wiener_amalgam_norm(kern, q, trunc, step)
+    try:
+        norm = wiener_amalgam_norm(kern, q, trunc, step)
+    except ValueError as exc:  # a step that is not positive, or trunc <= q
+        raise ConfigError(str(exc)) from exc
     ctx.write_json(
         out,
         io_json.amalgam_report_to_jsonable(norm, q, trunc, step, ctx.seed, ctx.input_hashes),
@@ -273,18 +291,24 @@ def handle_run(ctx: Context, config: str) -> None:
         args = step.get("args", {})
         if not isinstance(args, dict):
             raise ConfigError(f"step {i}: args must be an object")
-        sig = inspect.signature(HANDLERS[cmd])
-        try:
-            sig.bind(ctx, **args)
-        except TypeError as exc:
-            raise ConfigError(f"step {i}: {cmd}: {exc}") from exc
-        hints = typing.get_type_hints(HANDLERS[cmd])
-        for key, value in args.items():
-            if not io_json.fits(value, hints[key]):
-                annotation = sig.parameters[key].annotation
-                raise ConfigError(f"step {i}: {cmd}: {key!r} must be {annotation}, got {value!r:.40}")
+        _check_args(cmd, args, where=f"step {i}: ")
     for step in steps:
         HANDLERS[step["command"]](ctx, **step.get("args", {}))
+
+
+def _check_args(cmd: str, args: dict, where: str = "") -> None:
+    """Refuse arguments the handler of ``cmd`` does not take, or values that do not fit its annotations."""
+    handler = HANDLERS.get(cmd, handle_run)
+    sig = inspect.signature(handler)
+    try:
+        sig.bind(None, **args)
+    except TypeError as exc:
+        raise ConfigError(f"{where}{cmd}: {exc}") from exc
+    hints = typing.get_type_hints(handler)
+    for key, value in args.items():
+        if not io_json.fits(value, hints[key]):
+            annotation = sig.parameters[key].annotation
+            raise ConfigError(f"{where}{cmd}: {key!r} must be {annotation} with finite numbers, got {value!r:.40}")
 
 
 # ------------------------------------------------------------------ arg parse
@@ -402,15 +426,13 @@ def main(argv=None) -> int:
     if "truncations" in kwargs:
         kwargs["truncations"] = _csv_floats(kwargs["truncations"])
     try:
+        _check_args(args.command, kwargs)
         HANDLERS.get(args.command, handle_run)(ctx, **kwargs)
         ctx.commit()
     except ConfigError as exc:
         print(f"aperio: config error: {exc}", file=sys.stderr)
         return 2
-    except AperioError as exc:
-        print(f"aperio: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (AperioError, ValueError) as exc:
         print(f"aperio: error: {exc}", file=sys.stderr)
         return 1
     return 0

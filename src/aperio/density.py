@@ -6,8 +6,8 @@ window face touches a point); in d >= 2 a translate grid is used and the
 estimates are grid-certified only.  Grid counts are separable: per axis, a
 0/1 matrix records which points lie within ``n`` of each grid coordinate,
 and the product of these matrices counts every grid window at once
-(``pointset._grid_count_extrema``).  A grid with more than
-``pointset.GRID_LIMIT`` centres is refused before any array is built.
+(``_grid_count_extrema``).  A grid with more than ``GRID_LIMIT`` centres is
+refused before any array is built.
 Extrapolation to the density limit is last-value-with-spread; no rate model
 is fitted.
 """
@@ -28,13 +28,12 @@ from .pointset import (
     box_edge_lengths,
     box_volume,
     shrink_box,
-    _check_grid_size,
-    _grid_count_extrema,
     _pairwise_min_gap,
     _row_blocks,
 )
 
 DEFAULT_GRID_STEP = 0.1
+GRID_LIMIT = 100_000_000  # hard cap on window positions in one count grid
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,32 @@ def _extrema_1d(x: np.ndarray, n: float, region: tuple[float, float]) -> tuple[f
     inf_counts = _count_interval(x, inf_cands - n, inf_cands + n)
     vol = 2.0 * n
     return float(inf_counts.min() / vol), float(sup_counts.max() / vol)
+
+
+def _check_grid_size(sizes) -> None:
+    """Refuse a count grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
+    total = math.prod(sizes)
+    if total > GRID_LIMIT:
+        raise ValueError(f"count grid of {total:.6g} window positions exceeds the limit")
+
+
+def _grid_count_extrema(members: list[np.ndarray]) -> tuple[int, int]:
+    """Min and max point count over the product grid of per-axis window positions.
+
+    ``members[k][i, p]``: point ``p`` lies in the axis-``k`` slab of position
+    ``i``.  Leading axes are flattened and contracted against the last in row
+    blocks; float64 counts are integers below 2^53, exact in any sum order.
+    """
+    *lead, last = members
+    last_t = last.T.astype(np.float64)
+    shape = [len(m) for m in lead]
+    lo, hi = math.inf, -math.inf
+    for blk in _row_blocks(math.prod(shape), max(last_t.shape)):
+        idx = np.unravel_index(np.arange(blk.start, blk.stop), shape)
+        joint = np.logical_and.reduce([m[i] for m, i in zip(lead, idx)])
+        counts = joint.astype(np.float64) @ last_t
+        lo, hi = min(lo, counts.min()), max(hi, counts.max())
+    return int(lo), int(hi)
 
 
 def _grid_centers(region: Box, step: float) -> list[np.ndarray]:

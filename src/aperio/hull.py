@@ -161,6 +161,8 @@ def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:
 
 def grid_translates(patch: PointPatch, k_box, step: float) -> np.ndarray:
     """Uniform grid of admissible translates at the given spacing."""
+    if not step > 0:
+        raise ValueError(f"grid step must be positive, got {step}")
     k_box = as_box(k_box)
     axes = []
     for (plo, phi), (klo, khi) in zip(patch.box, k_box):

@@ -9,8 +9,9 @@ certified sub-box.
 Windows are axis-aligned sup-norm boxes throughout: counting windows are
 *open* boxes described by their side length ``u_radius``, denseness windows
 are *closed* boxes ``[-k, k]^d`` described by their half-width ``k_radius``.
-Window counts over a product grid of positions are separable
-(``_grid_count_extrema``); ``GRID_LIMIT`` caps a grid before any array is built.
+Both window statistics are exact in every dimension: the patch is cut into
+slabs along its first axis (``searchsorted`` on the sorted coordinate), each
+slab is solved on the remaining axes, and a 1-d sweep finishes the recursion.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 # scipy.spatial is imported inside the functions that query a k-d tree: it costs
-# about 0.45 s and 35 MB to import, and the 1-d paths never need it.
+# about 0.45 s and 35 MB to import, and the window statistics never need it.
 
 from .errors import EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
 
 BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
-GRID_LIMIT = 100_000_000  # hard cap on window positions in one count grid
 
 
 def as_box(box) -> Box:
@@ -153,9 +153,10 @@ class SeparationStats:
     ``|patch  ^ (x + U)|`` over window positions, realized by sweeping windows
     anchored at point coordinates.  ``min_gap`` is the smallest pairwise
     sup-norm distance (``inf`` for a single point).  ``max_gap_radius`` is the
-    smallest half-width ``r`` making the patch ``[-r, r]^d``-dense inside the
-    shrunk box (``inf`` if no feasible radius works).  Counts are certified
-    only on ``certified_box``.
+    smallest double ``r`` for which :func:`is_relatively_dense` holds, i.e.
+    the patch is ``[-r, r]^d``-dense inside the box shrunk by ``r`` (``inf``
+    if no feasible radius works).  Counts are certified only on
+    ``certified_box``.
     """
 
     ell: int
@@ -183,47 +184,27 @@ def _max_window_count_1d(x: np.ndarray, width: float) -> int:
 
 
 def _max_window_count_nd(pts: np.ndarray, width: float) -> int:
-    # anchor grid = product of per-dimension coordinate values; the minimal
-    # corner of an extremal window is a point coordinate in every dimension
-    anchors = [np.unique(pts[:, k]) for k in range(pts.shape[1])]
-    _check_grid_size([len(a) for a in anchors])
-    members = [
-        (a[:, None] <= pts[None, :, k]) & (pts[None, :, k] < a[:, None] + width)
-        for k, a in enumerate(anchors)
-    ]
-    return _grid_count_extrema(members)[1]
+    # slabs a <= x < a + width along the first axis, anchored at point
+    # coordinates; the best window inside a slab is a window in the other axes
+    if pts.shape[1] == 1:
+        return _max_window_count_1d(np.sort(pts[:, 0]), width)
+    pts = pts[np.argsort(pts[:, 0])]
+    x = pts[:, 0]
+    anchors = np.unique(x)
+    lo = np.searchsorted(x, anchors, side="left")
+    hi = np.searchsorted(x, anchors + width, side="left")
+    best = 0
+    for i in np.argsort(lo - hi):  # largest slab first
+        if hi[i] - lo[i] <= best:
+            break
+        best = max(best, _max_window_count_nd(pts[lo[i] : hi[i], 1:], width))
+    return best
 
 
 def _row_blocks(n_rows: int, row_elements: int):
     """Consecutive row slices of at most ``BLOCK_ELEMENTS`` elements each (one row at least)."""
     step = max(1, BLOCK_ELEMENTS // max(1, row_elements))
     return (slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step))
-
-
-def _check_grid_size(sizes) -> None:
-    """Refuse a count grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
-    total = math.prod(sizes)
-    if total > GRID_LIMIT:
-        raise ValueError(f"count grid of {total:.6g} window positions exceeds the limit")
-
-
-def _grid_count_extrema(members: list[np.ndarray]) -> tuple[int, int]:
-    """Min and max point count over the product grid of per-axis window positions.
-
-    ``members[k][i, p]``: point ``p`` lies in the axis-``k`` slab of position
-    ``i``.  Leading axes are flattened and contracted against the last in row
-    blocks; float64 counts are integers below 2^53, exact in any sum order.
-    """
-    *lead, last = members
-    last_t = last.T.astype(np.float64)
-    shape = [len(m) for m in lead]
-    lo, hi = math.inf, -math.inf
-    for blk in _row_blocks(math.prod(shape), max(last_t.shape)):
-        idx = np.unravel_index(np.arange(blk.start, blk.stop), shape)
-        joint = np.logical_and.reduce([m[i] for m, i in zip(lead, idx)])
-        counts = joint.astype(np.float64) @ last_t
-        lo, hi = min(lo, counts.min()), max(hi, counts.max())
-    return int(lo), int(hi)
 
 
 def _pairwise_min_gap(pts: np.ndarray) -> float:
@@ -243,66 +224,56 @@ def _dense_1d(x: np.ndarray, box: Box, k: float) -> bool:
     a, b = lo + k, hi - k
     if a > b:
         return True  # empty certified region: vacuously dense
-    cands = [a, b]
-    if len(x) > 1:
-        mids = (x[1:] + x[:-1]) / 2.0
-        cands.extend(np.clip(mids, a, b))
-    cands = np.asarray(cands)
-    idx = np.searchsorted(x, cands)
-    dist = np.full(len(cands), np.inf)
-    left_ok = idx > 0
-    dist[left_ok] = cands[left_ok] - x[idx[left_ok] - 1]
-    right_ok = idx < len(x)
-    dist[right_ok] = np.minimum(dist[right_ok], x[idx[right_ok]] - cands[right_ok])
-    return bool((dist <= k).all())
+    cands = np.concatenate([[a, b], np.clip((x[1:] + x[:-1]) / 2.0, a, b)])
+    idx = np.searchsorted(x, cands)  # the nearest point is x[idx - 1] or x[idx], clamped to the ends
+    left, right = x[np.maximum(idx - 1, 0)], x[np.minimum(idx, len(x) - 1)]
+    return bool((np.minimum(np.abs(cands - left), np.abs(right - cands)) <= k).all())
 
 
-def _dense_nd(pts: np.ndarray, box: Box, k: float, grid_div: int = 8) -> bool:
-    axes = []
-    step = k / grid_div
-    for lo, hi in box:
-        a, b = lo + k, hi - k
-        if a > b:
-            return True
-        n = max(2, int(math.ceil((b - a) / step)) + 1)
-        axes.append(np.linspace(a, b, n))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    from scipy.spatial import cKDTree
+def _dense(pts: np.ndarray, box: Box, k: float) -> bool:
+    """Every closed window ``c + [-k, k]^d`` with ``c`` in ``box`` shrunk by ``k`` holds a point.
 
-    dist, _ = cKDTree(pts).query(centers, k=1, p=np.inf)
-    return bool((dist <= k).all())
+    Along the first axis the slab ``|x - c| <= k`` is constant on the open
+    cells of ``{x +- k}`` and at a cell end holds both neighbours' points, so
+    the cell midpoints and the region ends decide; a slab is a hole when it is
+    empty or not dense in the remaining axes.
+    """
+    if pts.shape[1] == 1:
+        return _dense_1d(np.sort(pts[:, 0]), box, k)
+    lo, hi = box[0]
+    a, b = lo + k, hi - k
+    if a > b:
+        return True  # empty certified region: vacuously dense
+    pts = pts[np.argsort(pts[:, 0])]
+    x = pts[:, 0]
+    events = np.concatenate([x - k, x + k, [a, b]])
+    events = np.unique(events[(events >= a) & (events <= b)])
+    cands = np.concatenate([(events[1:] + events[:-1]) / 2.0, [a, b]])
+    slabs = np.unique(np.stack([np.searchsorted(x, cands - k), np.searchsorted(x, cands + k, "right")], 1), axis=0)
+    slabs = slabs[np.argsort(slabs[:, 1] - slabs[:, 0])]  # smallest first
+    return all(j > i and _dense(pts[i:j, 1:], box[1:], k) for i, j in slabs)
 
 
 def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
     """True iff every window ``x + [-k, k]^d`` with ``x`` in the shrunk box holds a point.
 
-    Exact in d = 1 via gap analysis; for d >= 2 the empty-window search runs
-    on a candidate grid at resolution ``k_radius / 8`` and is approximate.
+    Exact in every dimension: slabs along the first axis at the cells of
+    ``{x +- k}``, recursing on the remaining axes down to a 1-d gap check.
     """
     _require_nonempty(patch)
     if k_radius <= 0:
         raise ValueError("k_radius must be positive")
     _require_window_fits(patch, float(k_radius))
-    return _dense_check(patch, float(k_radius))
-
-
-def _dense_check(patch: PointPatch, k: float) -> bool:
-    if patch.dim == 1:
-        return _dense_1d(patch.points[:, 0], patch.box, k)
-    return _dense_nd(patch.points, patch.box, k)
+    return _dense(patch.points, patch.box, float(k_radius))
 
 
 def _max_gap_radius(patch: PointPatch) -> float:
-    r_hi = min(box_edge_lengths(patch.box)) / 2.0
-    if not _dense_check(patch, r_hi):
+    # bisect until the midpoint rounds to an end: hi is the smallest passing double
+    lo, hi = 0.0, min(box_edge_lengths(patch.box)) / 2.0
+    if not _dense(patch.points, patch.box, hi):
         return math.inf
-    lo, hi = 0.0, r_hi
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if mid <= 0:
-            break
-        if _dense_check(patch, mid):
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if _dense(patch.points, patch.box, mid):
             hi = mid
         else:
             lo = mid
@@ -316,12 +287,8 @@ def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:
         raise ValueError("u_radius must be positive")
     w = float(u_radius)
     _require_window_fits(patch, w)
-    if patch.dim == 1:
-        ell = _max_window_count_1d(patch.points[:, 0], w)
-    else:
-        ell = _max_window_count_nd(patch.points, w)
     return SeparationStats(
-        ell=ell,
+        ell=_max_window_count_nd(patch.points, w),
         u_radius=w,
         min_gap=_pairwise_min_gap(patch.points),
         max_gap_radius=_max_gap_radius(patch),

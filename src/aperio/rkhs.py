@@ -188,6 +188,8 @@ def wiener_amalgam_norm(
     grid sup (maximum filter) plus a Riemann sum over
     ``[-trunc_radius, trunc_radius]^dim``.
     """
+    if not grid_step > 0:
+        raise ValueError(f"grid_step must be positive, got {grid_step}")
     if grid_step >= q_radius:
         raise GridTooCoarseError("grid too coarse: need grid_step < q_radius")
     if trunc_radius <= q_radius:

@@ -186,6 +186,27 @@ def max_window_count_oracle(pts: np.ndarray, width: float) -> int:
     return best
 
 
+def dense_oracle(pts: np.ndarray, box, k: float) -> bool:
+    """Brute-force relative denseness: mark the centres each point covers on a 1/16 grid.
+
+    The grid runs over ``box`` shrunk by ``k``; each point marks the centres
+    within sup-distance ``k`` of it.  The search is exhaustive when
+    coordinates and box ends are quarter-integers and ``k`` is a multiple of
+    1/8: every cell of the arrangement ``{p +- k}`` then has its ends and
+    midpoint on the grid.
+    """
+    a = np.array([lo + k for lo, _ in box])
+    b = np.array([hi - k for _, hi in box])
+    if np.any(a > b):
+        return True
+    covered = np.zeros(tuple(np.rint((b - a) * 16).astype(int) + 1), dtype=bool)
+    for p in pts:
+        first = np.maximum(np.ceil((p - k - a) * 16), 0).astype(int)
+        stop = np.maximum(np.floor((p + k - a) * 16) + 1, 0).astype(int)
+        covered[tuple(slice(i, j) for i, j in zip(first, stop))] = True
+    return bool(covered.all())
+
+
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
     """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
 

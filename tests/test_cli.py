@@ -293,7 +293,8 @@ class TestErrorHandling:
 
 
 def _snapshot(workspace) -> dict[str, bytes | None]:
-    return {p.name: p.read_bytes() if p.is_file() else None for p in workspace.iterdir()}
+    """Every file and directory under the workspace, with the bytes of each file."""
+    return {str(p.relative_to(workspace)): p.read_bytes() if p.is_file() else None for p in workspace.rglob("*")}
 
 
 class TestAllOrNothing:
@@ -332,6 +333,19 @@ class TestAllOrNothing:
         assert len(err) == 1 and "config error" in err[0] and "bogus" in err[0]
         assert _snapshot(workspace) == before
 
+    @pytest.mark.parametrize("blocker", ["outdir", "afile/b.json"], ids=["directory", "parent-is-file"])
+    def test_unwritable_output_writes_nothing(self, workspace, capsys, blocker):
+        # staged in step order: a.json comes first and must not reach the disk
+        (workspace / "outdir").mkdir()
+        (workspace / "afile").write_text("x")
+        steps = [
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-5, 5], "out": "a.json"}},
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-3, 3], "out": blocker}},
+        ]
+        code, out, err, before = self.run_steps(workspace, capsys, steps)
+        assert code == 2 and out == "" and len(err) == 1 and "cannot write" in err[0]
+        assert _snapshot(workspace) == before  # no output and no temporary file
+
     def test_later_step_reads_staged_output_as_written(self, workspace, capsys):
         (workspace / "sub").mkdir()
         steps = [
@@ -348,6 +362,59 @@ class TestAllOrNothing:
         # both stdout outputs, in step order
         halves = out.split("}\n{")
         assert len(halves) == 2 and "-2.0" in halves[0] and "-1.0" in halves[1]
+
+
+class TestArgumentValues:
+    """Every command line and every ``run`` step passes one argument check; bad values exit 2 before any output."""
+
+    @staticmethod
+    def refused(workspace, capsys, argv, *needles):
+        run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
+        capsys.readouterr()
+        before = _snapshot(workspace)
+        assert run(workspace, *argv) == 2
+        out, err = capsys.readouterr()
+        err = err.strip().splitlines()
+        assert out == "" and len(err) == 1 and "config error" in err[0]
+        assert all(needle in err[0] for needle in needles)
+        assert _snapshot(workspace) == before
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["amalgam", "--kernel", "pw.json", "--q", "nan", "--trunc", "20", "--step", "0.02"], "'q'"),
+            (["frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "10,20", "--margin-frac", "nan"], "'margin_frac'"),
+        ],
+        ids=["amalgam-q", "frame-margin-frac"],
+    )
+    def test_nan_argument_is_config_error(self, workspace, capsys, argv, key):
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], key, "finite")
+        step = {"command": argv[0], "args": {"kernel": "pw.json", "out": "o.json"}}
+        if argv[0] == "amalgam":
+            step["args"].update(q=math.nan, trunc=20, step=0.02)
+        else:
+            step["args"].update(patch="p.json", truncations=[10, 20], margin_frac=math.nan)
+        (workspace / "cfg.json").write_text(json.dumps({"steps": [step]}))
+        self.refused(workspace, capsys, ["run", "--config", "cfg.json"], "step 0", key, "finite")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--translates", "grid", "--grid-step", "0"],
+            ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--translates", "grid", "--grid-step", "-1"],
+            ["amalgam", "--kernel", "pw.json", "--q", "0.5", "--trunc", "20", "--step", "0"],
+        ],
+        ids=["grid-step-zero", "grid-step-negative", "amalgam-step-zero"],
+    )
+    def test_step_not_positive_is_config_error(self, workspace, capsys, argv):
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], "must be positive")
+
+    @pytest.mark.parametrize("mode", [[], ["--translates", "grid", "--grid-step", "1"]], ids=["own", "grid"])
+    def test_degenerate_k_box_is_operation_error_in_either_mode(self, workspace, mode):
+        # the grid handler turns the step's ValueError into a config error; the box is checked before it
+        run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
+        assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "5", "-5", *mode, "--out", "s.json") == 1
+        assert not (workspace / "s.json").exists()
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperio import PointPatch, is_relatively_dense, rel_separation, translate
+from aperio import PointPatch, generate_model_set, is_relatively_dense, rel_separation, translate
 from aperio.errors import EmptyPatchError, WindowTooLargeError
 from aperio.pointset import (
     _max_window_count_nd,
@@ -19,7 +19,9 @@ from aperio.pointset import (
 
 from conftest import (
     brute_force_window_max,
+    dense_oracle,
     make_lattice_patch,
+    make_product_fibonacci_scheme,
     make_satellites_patch,
     max_window_count_oracle,
 )
@@ -128,13 +130,11 @@ class TestSeparableWindowCount:
         pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=25, unique=True)))
         assert _max_window_count_nd(pts, width) == max_window_count_oracle(pts, width)
 
-    def test_anchor_grid_cap(self, monkeypatch):
-        import aperio.pointset as pointset_mod
-
-        monkeypatch.setattr(pointset_mod, "GRID_LIMIT", 99)
-        pts = np.stack([np.arange(10.0), np.arange(10.0)], axis=1)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            _max_window_count_nd(pts, 1.0)
+    def test_large_fib2d_patch_needs_no_anchor_grid(self):
+        # 11,521 points: the old anchor grid had 1.3e8 positions, past its cap
+        patch = generate_model_set(make_product_fibonacci_scheme(), [(-120, 120)] * 2)
+        assert patch.n_points > 11_000
+        assert _max_window_count_nd(patch.points, 0.5) == 1
 
 
 class TestRelativeDenseness:
@@ -149,6 +149,52 @@ class TestRelativeDenseness:
         p = make_lattice_patch(1.0, 6.0, dim=2)
         assert is_relatively_dense(p, 0.5) is True
         assert is_relatively_dense(p, 0.45) is False
+
+    def test_2d_lattice_near_covering_radius(self):
+        # the window centred at (0.5, 0.5) holds a point only from k = 0.5 on
+        p = make_lattice_patch(1.0, 3.0, dim=2)
+        assert [is_relatively_dense(p, k) for k in (0.48, 0.485, 0.49, 0.5)] == [False, False, False, True]
+        r = rel_separation(p, 0.5).max_gap_radius
+        assert r in (0.5, math.nextafter(0.5, 1.0))
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            make_lattice_patch(1.0, 3.0, dim=2),
+            generate_model_set(make_product_fibonacci_scheme(), [(-10, 10)] * 2),
+            make_satellites_patch(40.0),
+        ],
+        ids=["lattice2d", "fib2d", "satellites1d"],
+    )
+    def test_max_gap_radius_is_smallest_passing_double(self, patch):
+        r = rel_separation(patch, 0.5).max_gap_radius
+        assert is_relatively_dense(patch, r) is True
+        assert is_relatively_dense(patch, math.nextafter(r, 0.0)) is False
+
+    @settings(max_examples=80, deadline=None)
+    @given(dim=st.sampled_from([2, 3]), data=st.data())
+    def test_matches_hole_search_and_is_monotone_in_k(self, dim, data):
+        # quarter-integer coordinates lie on the faces c +- k of many windows
+        # for k a multiple of 1/8; either a few points from a small pool of
+        # shared coordinates, or a full grid with some points removed, which
+        # is dense in each axis alone and leaves holes between columns
+        if data.draw(st.booleans()):
+            pool = st.integers(-8, 8).map(lambda j: j / 4)
+            coords = [data.draw(st.lists(pool, min_size=1, max_size=6, unique=True)) for _ in range(dim)]
+            rows = st.tuples(*(st.sampled_from(c) for c in coords))
+            pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=30, unique=True)))
+        else:
+            spacing = data.draw(st.sampled_from([1, 2, 3])) / 4
+            grid = np.arange(-2, 2 + spacing / 2, spacing)
+            pts = np.stack([m.ravel() for m in np.meshgrid(*[grid] * dim, indexing="ij")], axis=1)
+            gone = data.draw(st.sets(st.integers(0, len(pts) - 1), max_size=3))
+            pts = np.delete(pts, sorted(gone), axis=0)
+        patch = PointPatch(dim=dim, box=[(-2, 2)] * dim, points=pts)
+        k_small, k_large = sorted(data.draw(st.lists(st.integers(1, 16), min_size=2, max_size=2)))
+        small, large = (is_relatively_dense(patch, k / 8) for k in (k_small, k_large))
+        assert small == dense_oracle(patch.points, patch.box, k_small / 8)
+        assert large == dense_oracle(patch.points, patch.box, k_large / 8)
+        assert large or not small
 
 
 class TestTranslate:
