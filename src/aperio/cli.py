@@ -37,7 +37,6 @@ class Context:
 
     workspace: Path
     seed: int | None = None
-    tolerance_profile: str = "default"
     input_hashes: dict[str, str] = field(default_factory=dict)
     staged: dict[Path | None, str] = field(default_factory=dict)
 
@@ -185,7 +184,10 @@ def handle_frame(
 ) -> None:
     kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
     base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
-    report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
+    try:
+        report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
+    except ValueError as exc:  # truncations or margin_frac out of range, or a kernel of another dimension
+        raise ConfigError(str(exc)) from exc
     obj = io_json.frame_report_to_jsonable(report, ctx.seed, ctx.input_hashes)
     ctx.write_json(out, obj)
     if csv:
@@ -203,8 +205,6 @@ def handle_verdict(
 ) -> None:
     kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
     report = io_json.density_report_from_jsonable(ctx.read_json(density, "density"))
-    if ctx.tolerance_profile == "strict" and tol is None:
-        tol = 0.0
     v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
     ctx.write_json(out, io_json.verdict_report_to_jsonable(v, ctx.seed, ctx.input_hashes))
 
@@ -222,7 +222,10 @@ def handle_weil_check(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     sch = io_json.scheme_from_jsonable(ctx.read_json(scheme, "scheme"))
-    residual = weil_check(sch, f, quadrature_n)
+    try:
+        residual = weil_check(sch, f, quadrature_n)
+    except ValueError as exc:  # quadrature_n not positive, or a scheme that is not a lattice
+        raise ConfigError(str(exc)) from exc
     ctx.write_json(
         out,
         io_json.weil_report_to_jsonable(residual, quadrature_n, function, ctx.seed, ctx.input_hashes),
@@ -333,12 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"aperio {__version__}")
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in report provenance")
     parser.add_argument("--workspace", default=".", help="root for relative file paths")
-    parser.add_argument(
-        "--tolerance-profile",
-        choices=("strict", "default"),
-        default="default",
-        help="strict sets verdict tolerance to 0 unless given explicitly",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a model-set patch from a scheme")
@@ -349,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="Beurling density report along Folner boxes")
     p.add_argument("--patch", required=True)
     p.add_argument("--folner", required=True, help="comma-separated sizes, e.g. 5,10,20,40")
-    p.add_argument("--step", type=float, default=None, help="translate grid step (d >= 2)")
+    p.add_argument("--step", type=float, default=None, help="translate grid step (d >= 3)")
     p.add_argument("--extras", nargs="*", default=None, help="injected limit patches (hull estimate)")
     p.add_argument("--ell", type=int, default=None, help="attach covolume bounds for this ell")
     p.add_argument("--out")
@@ -411,16 +408,8 @@ def _csv_floats(text: str) -> list[float]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    ctx = Context(
-        workspace=Path(args.workspace),
-        seed=args.seed,
-        tolerance_profile=args.tolerance_profile,
-    )
-    kwargs = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "seed", "workspace", "tolerance_profile")
-    }
+    ctx = Context(workspace=Path(args.workspace), seed=args.seed)
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "seed", "workspace")}
     if "folner" in kwargs:
         kwargs["folner"] = _csv_floats(kwargs["folner"])
     if "truncations" in kwargs:

@@ -1,8 +1,10 @@
 """Beurling and hull Beurling densities along Folner boxes, covolume estimators.
 
-Folner windows are centered boxes ``[-n, n]^d``.  In d = 1 the inf/sup over
-window positions is computed by an exact event sweep (extrema occur when a
-window face touches a point); in d >= 2 a translate grid is used and the
+Folner windows are centered boxes ``[-n, n]^d``.  The inf/sup over window
+positions is exact in d <= 2: in d = 1 an event sweep (extrema occur when a
+window face touches a point), in d = 2 ``pointset._closed_window_extremum``,
+which cuts the patch into slabs where a window face meets a point and solves
+each slab on the other axis.  In d >= 3 a translate grid is used and the
 estimates are grid-certified only.  Grid counts are separable: per axis, a
 0/1 matrix records which points lie within ``n`` of each grid coordinate,
 and the product of these matrices counts every grid window at once
@@ -28,6 +30,7 @@ from .pointset import (
     box_edge_lengths,
     box_volume,
     shrink_box,
+    _closed_window_extremum,
     _pairwise_min_gap,
     _row_blocks,
 )
@@ -38,7 +41,7 @@ GRID_LIMIT = 100_000_000  # hard cap on window positions in one count grid
 
 @dataclass(frozen=True)
 class FolnerSpec:
-    """Increasing centered-box sizes and the translate grid step for d >= 2."""
+    """Increasing centered-box sizes and the translate grid step (d >= 3)."""
 
     sizes: tuple[float, ...]
     translate_grid_step: float | None = None
@@ -164,6 +167,9 @@ def _patch_extrema(patch: PointPatch, n: float, step: float | None) -> tuple[flo
     if patch.dim == 1:
         lo, hi = _extrema_1d(patch.points[:, 0], n, region[0])
         return lo, hi, "exact"
+    if patch.dim == 2:
+        lo, hi = (_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True))
+        return lo / (2.0 * n) ** 2, hi / (2.0 * n) ** 2, "exact"
     if step is None:
         gap = _pairwise_min_gap(patch.points)
         step = min(DEFAULT_GRID_STEP, gap / 2.0) if np.isfinite(gap) else DEFAULT_GRID_STEP
@@ -361,6 +367,8 @@ class TestFunction:
     def __post_init__(self):
         if self.kind not in ("triangle", "gaussian"):
             raise ValueError(f"unknown test function kind {self.kind!r}")
+        if not self.trunc > 0:
+            raise ValueError(f"trunc must be positive, got {self.trunc}")
 
     @property
     def support_radius(self) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
-from .errors import GramSizeError, NotAFrameError
+from .errors import CoverageError, GramSizeError, NotAFrameError
 from .pointset import PointPatch, points_in_box, restrict, shrink_box, translate
 from .rkhs import KernelSpec, kernel_matrix
 
@@ -98,13 +98,13 @@ def riesz_bounds(gram: GramMatrix) -> tuple[float, float]:
     return gram.nonzero_min, gram.lambda_max
 
 
-def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen data of a Hermitian PSD matrix restricted to its nonzero spectrum."""
     eigs, vecs = np.linalg.eigh(mat)
     keep = eigs > RANK_TOL * max(eigs[-1], 0.0) if len(eigs) else np.zeros(0, bool)
     if not keep.any():
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
-    return eigs[keep], vecs[:, keep], vecs[:, ~keep]
+    return eigs[keep], vecs[:, keep]
 
 
 # anchor grid design for the sampling test class: the grid density is the
@@ -189,7 +189,7 @@ def sampling_bounds(
     M = kernel_matrix(kernel, anchors, anchors)
     K = kernel_matrix(kernel, patch.points, anchors)
     K[np.abs(K) < UNDERFLOW_FLOOR] = 0.0
-    s, vecs, _ = _projected_inverse_sqrt(M)
+    s, vecs = _projected_inverse_sqrt(M)
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
@@ -211,7 +211,7 @@ def canonical_parseval(
     """
     if gram.n == 0:
         raise NotAFrameError("not a frame at this truncation: empty system")
-    s, vecs, null_vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
+    s, vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
     if min_nonzero is not None and s[0] < min_nonzero:
         raise NotAFrameError(
             f"not a frame at this truncation: lower bound {s[0]:.3e} < {min_nonzero:.3e}"
@@ -283,16 +283,20 @@ def frame_trend_report(
 ) -> FrameReport:
     """Riesz and sampling bounds across nested centered truncations of a patch.
 
-    ``truncations`` are increasing half-widths ``t``; each stage restricts the
-    patch to ``[-t, t]^d``.  At least three stages are required for a
+    ``truncations`` are positive increasing half-widths ``t``; each stage
+    restricts the patch to ``[-t, t]^d`` and takes the sampling bounds with
+    margin ``margin_frac * t``, ``0 < margin_frac < 1``.  Both are checked
+    before any Gram work.  At least three stages are required for a
     non-inconclusive verdict.  The Gram of the largest stage is built once;
     every smaller stage's Gram is its principal submatrix.
     """
     truncs = tuple(float(t) for t in truncations)
-    if not truncs:
-        raise ValueError("need at least one truncation")
+    if not truncs or not truncs[0] > 0:
+        raise ValueError(f"truncations must be non-empty and positive, got {truncs}")
     if any(b <= a for a, b in zip(truncs, truncs[1:])):
-        raise ValueError("truncations must be strictly increasing")
+        raise ValueError(f"truncations must be strictly increasing, got {truncs}")
+    if not 0 < margin_frac < 1:
+        raise ValueError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
     r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
     margin = margin_frac * truncs[-1]
     top = build_gram(kernel, restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim))
@@ -304,7 +308,10 @@ def frame_trend_report(
         r_lo.append(a)
         r_lo_raw.append(gram.lambda_min)
         r_hi.append(b)
-        sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
+        try:
+            sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
+        except ValueError as exc:  # the arguments are valid, so the patch is too small or sparse
+            raise CoverageError(str(exc)) from exc
         s_lo.append(sa)
         s_hi.append(sb)
         final_eigs = gram.eigenvalues

@@ -12,6 +12,8 @@ are *closed* boxes ``[-k, k]^d`` described by their half-width ``k_radius``.
 Both window statistics are exact in every dimension: the patch is cut into
 slabs along its first axis (``searchsorted`` on the sorted coordinate), each
 slab is solved on the remaining axes, and a 1-d sweep finishes the recursion.
+The closed-window counter behind denseness also gives ``density`` its exact
+2-d extrema.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 # scipy.spatial is imported inside the functions that query a k-d tree: it costs
 # about 0.45 s and 35 MB to import, and the window statistics never need it.
 
-from .errors import EmptyPatchError, WindowTooLargeError
+from .errors import CoverageError, EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
 
@@ -219,61 +221,88 @@ def _pairwise_min_gap(pts: np.ndarray) -> float:
     return float(dist[:, 1].min())
 
 
-def _dense_1d(x: np.ndarray, box: Box, k: float) -> bool:
-    lo, hi = box[0]
-    a, b = lo + k, hi - k
-    if a > b:
-        return True  # empty certified region: vacuously dense
-    cands = np.concatenate([[a, b], np.clip((x[1:] + x[:-1]) / 2.0, a, b)])
-    idx = np.searchsorted(x, cands)  # the nearest point is x[idx - 1] or x[idx], clamped to the ends
-    left, right = x[np.maximum(idx - 1, 0)], x[np.minimum(idx, len(x) - 1)]
-    return bool((np.minimum(np.abs(cands - left), np.abs(right - cands)) <= k).all())
+def _sum_down(v, t):
+    """The largest double at or below the exact sum ``v + t``; ``-_sum_down(-v, -t)`` is the smallest at or above.
 
-
-def _dense(pts: np.ndarray, box: Box, k: float) -> bool:
-    """Every closed window ``c + [-k, k]^d`` with ``c`` in ``box`` shrunk by ``k`` holds a point.
-
-    Along the first axis the slab ``|x - c| <= k`` is constant on the open
-    cells of ``{x +- k}`` and at a cell end holds both neighbours' points, so
-    the cell midpoints and the region ends decide; a slab is a hole when it is
-    empty or not dense in the remaining axes.
+    Knuth's TwoSum gives the rounding error of ``s = v + t`` exactly, so a
+    coordinate compares with either bound as it would with the exact sum.
     """
-    if pts.shape[1] == 1:
-        return _dense_1d(np.sort(pts[:, 0]), box, k)
-    lo, hi = box[0]
-    a, b = lo + k, hi - k
-    if a > b:
-        return True  # empty certified region: vacuously dense
-    pts = pts[np.argsort(pts[:, 0])]
+    s = v + t
+    r = s - v
+    err = (v - (s - r)) + (t - r)
+    return np.nextafter(s, np.where(err < 0, -np.inf, s))
+
+
+def _closed_window_extremum(pts: np.ndarray, region: Box, n: float, largest: bool) -> int:
+    """Max (``largest``) or min over centres ``c`` in ``region`` of ``|{p : |p - c| <= n}|``, sup-norm.
+
+    ``pts`` is sorted by its first coordinate.  Along that axis the slab
+    ``|x - c| <= n`` is largest where the upper face meets a point
+    (``c = x_j - n``) and smallest on the open cell just after a point
+    leaves (``c`` just past ``x_i + n``); the closed window at the region
+    start is a candidate of both.  Each distinct ``x`` gives one slab.  A
+    slab is solved on the remaining axes: largest first for the max, stopping
+    once no slab can beat the best, and smallest first for the min, stopping
+    at 0.  Slab bounds are exact: a face is a point itself or an exact sum
+    rounded inward by ``_sum_down``.
+    """
+    a, b = np.array(region, dtype=np.float64).T
+    # per axis: ceil(a - n), floor(a + n), ceil(a + n), floor(b + n), ceil(b - n) of the exact sums
+    faces = np.stack([-_sum_down(-a, n), _sum_down(a, n), -_sum_down(-a, -n), _sum_down(b, n), -_sum_down(-b, n)], 1)
+    return _window_extremum(pts, faces.tolist(), 2.0 * n, largest)
+
+
+def _window_extremum(pts: np.ndarray, faces: list, width: float, largest: bool) -> int:
     x = pts[:, 0]
-    events = np.concatenate([x - k, x + k, [a, b]])
-    events = np.unique(events[(events >= a) & (events <= b)])
-    cands = np.concatenate([(events[1:] + events[:-1]) / 2.0, [a, b]])
-    slabs = np.unique(np.stack([np.searchsorted(x, cands - k), np.searchsorted(x, cands + k, "right")], 1), axis=0)
-    slabs = slabs[np.argsort(slabs[:, 1] - slabs[:, 0])]  # smallest first
-    return all(j > i and _dense(pts[i:j, 1:], box[1:], k) for i, j in slabs)
+    if len(x) == 0:
+        return 0
+    ends = np.append(np.flatnonzero(x[1:] != x[:-1]) + 1, len(x))  # one past each run of equal x
+    u = x[ends - 1]
+    start_lo, start_hi, upper_lo, upper_hi, leave_hi = faces[0]  # the window at a comes first
+    if largest:  # upper face on u_j, for a <= u_j - n <= b
+        j = slice(u.searchsorted(upper_lo, "left"), u.searchsorted(upper_hi, "right"))
+        lo = x.searchsorted(np.append(start_lo, -_sum_down(-u[j], width)), "left")
+        hi = np.append(x.searchsorted(start_hi, "right"), ends[j])
+    else:  # u_i has just left, for a <= u_i + n < b
+        j = slice(u.searchsorted(start_lo, "left"), u.searchsorted(leave_hi, "left"))
+        lo = np.append(x.searchsorted(start_lo, "left"), ends[j])
+        hi = x.searchsorted(np.append(start_hi, _sum_down(u[j], width)), "right")
+    sizes = hi - lo
+    if pts.shape[1] == 1:
+        return int(sizes.max() if largest else sizes.min())
+    best = 0 if largest else len(x)
+    for i in np.argsort(-sizes if largest else sizes):
+        if (sizes[i] <= best) if largest else (best == 0):
+            break
+        slab = pts[lo[i] : hi[i], 1:]
+        count = _window_extremum(slab[np.argsort(slab[:, 0])], faces[1:], width, largest)
+        best = max(best, count) if largest else min(best, count)
+    return best
 
 
 def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
     """True iff every window ``x + [-k, k]^d`` with ``x`` in the shrunk box holds a point.
 
-    Exact in every dimension: slabs along the first axis at the cells of
-    ``{x +- k}``, recursing on the remaining axes down to a 1-d gap check.
+    Exact in every dimension: the least count of such a window is at least 1.
     """
     _require_nonempty(patch)
     if k_radius <= 0:
         raise ValueError("k_radius must be positive")
-    _require_window_fits(patch, float(k_radius))
-    return _dense(patch.points, patch.box, float(k_radius))
+    k = float(k_radius)
+    _require_window_fits(patch, k)
+    return _closed_window_extremum(patch.points, shrink_box(patch.box, k), k, largest=False) >= 1
 
 
 def _max_gap_radius(patch: PointPatch) -> float:
+    def dense(k: float) -> bool:
+        return _closed_window_extremum(patch.points, shrink_box(patch.box, k), k, largest=False) >= 1
+
     # bisect until the midpoint rounds to an end: hi is the smallest passing double
     lo, hi = 0.0, min(box_edge_lengths(patch.box)) / 2.0
-    if not _dense(patch.points, patch.box, hi):
+    if not dense(hi):
         return math.inf
     while lo < (mid := (lo + hi) / 2.0) < hi:
-        if _dense(patch.points, patch.box, mid):
+        if dense(mid):
             hi = mid
         else:
             lo = mid
@@ -322,7 +351,7 @@ def restrict(patch: PointPatch, box) -> PointPatch:
     )
     for lo, hi in new_box:
         if not lo < hi:
-            raise ValueError("restriction box does not overlap the patch box")
+            raise CoverageError("restriction box does not overlap the patch box")
     if patch.is_empty:
         return PointPatch(dim=patch.dim, box=new_box, points=patch.points)
     mask = points_in_box(patch.points, new_box)

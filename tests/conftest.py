@@ -4,6 +4,7 @@ non-separated integers-with-satellites set used across the suite.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +208,29 @@ def dense_oracle(pts: np.ndarray, box, k: float) -> bool:
     return bool(covered.all())
 
 
+def dense_rational(pts, box, k) -> bool:
+    """Exact relative denseness in rational arithmetic, for any coordinates.
+
+    Every centre of ``box`` shrunk by ``k`` must have a point within
+    sup-distance ``k``.  Along the first axis the slab ``|x - c| <= k`` is
+    constant on the open cells of ``{x +- k}``, so the cell ends and
+    midpoints inside the region decide; each slab recurses on the remaining
+    axes.
+    """
+    k = Fraction(k)
+    pts = [tuple(map(Fraction, p)) for p in pts]
+    (lo, hi), rest = box[0], box[1:]
+    a, b = Fraction(lo) + k, Fraction(hi) - k
+    if a > b:
+        return True
+    ends = sorted({e for p in pts for e in (p[0] - k, p[0] + k) if a <= e <= b} | {a, b})
+    for c in ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]:
+        slab = [p[1:] for p in pts if abs(p[0] - c) <= k]
+        if not slab or (rest and not dense_rational(slab, rest, k)):
+            return False
+    return True
+
+
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
     """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
 
@@ -232,7 +256,7 @@ def sampling_bounds_oracle(
     bit of either bound.
     """
     M, K = anchor_kernel_block(kernel, patch, margin, at_points)
-    s, vecs, _ = _projected_inverse_sqrt(M)
+    s, vecs = _projected_inverse_sqrt(M)
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)

@@ -227,7 +227,9 @@ class TestErrorHandling:
         assert not (workspace / "d.json").exists()
 
     def test_grid_past_cap_is_operation_error(self, workspace):
-        run(workspace, "gen", "--scheme", "z2.json", "--box", "-10", "10", "-10", "10", "--out", "p.json")
+        # density counts on a translate grid only in d >= 3
+        (workspace / "z3.json").write_text(json.dumps({"d": 3, "m": 0, "basis": np.eye(3).tolist()}))
+        run(workspace, "gen", "--scheme", "z3.json", "--box", *["-10", "10"] * 3, "--out", "p.json")
         assert run(workspace, "density", "--patch", "p.json", "--folner", "2,4", "--step", "1e-9") == 1
 
     def test_run_config_missing_file_no_partial_outputs(self, workspace):
@@ -408,6 +410,36 @@ class TestArgumentValues:
     )
     def test_step_not_positive_is_config_error(self, workspace, capsys, argv):
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], "must be positive")
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            ({"kernel": "pw.json", "patch": "p.json", "truncations": [0, 10, 20]}, "truncations"),
+            ({"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": -1.0}, "margin_frac"),
+            ({"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": 3.0}, "margin_frac"),
+            ({"scheme": "z.json", "quadrature_n": 0}, "quadrature_n"),
+            ({"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
+        ],
+        ids=["truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative"],
+    )
+    def test_argument_out_of_range_is_config_error(self, workspace, capsys, args, key):
+        command = "frame" if "kernel" in args else "weil-check"
+        argv = [command]
+        for name, value in args.items():
+            argv += ["--" + name.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], key)
+        (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": command, "args": {**args, "out": "o.json"}}]}))
+        self.refused(workspace, capsys, ["run", "--config", "cfg.json"], key)
+
+    def test_frame_failure_from_the_patch_is_operation_error(self, workspace, capsys):
+        # valid arguments, but a 7-point patch leaves no interior region at t = 10
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-3", "3", "--out", "small.json")
+        capsys.readouterr()
+        before = _snapshot(workspace)
+        assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "small.json", "--truncations", "10,20,40", "--out", "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "no interior region" in err[0]
+        assert _snapshot(workspace) == before
 
     @pytest.mark.parametrize("mode", [[], ["--translates", "grid", "--grid-step", "1"]], ids=["own", "grid"])
     def test_degenerate_k_box_is_operation_error_in_either_mode(self, workspace, mode):

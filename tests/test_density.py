@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from aperio import (
     FolnerSpec,
+    PointPatch,
     beurling_density,
     covolume_bounds_from_density,
     covolume_ergodic_estimate,
+    generate_model_set,
     hull_beurling_density,
     translate,
     weil_check,
@@ -20,9 +22,15 @@ from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import PatchSizeError
 from aperio.hull import grid_translates, transversal_translates
-from aperio.pointset import restrict, shrink_box
+from aperio.pointset import _closed_window_extremum, restrict, shrink_box
 
-from conftest import SQRT5, extrema_grid_oracle, make_lattice_patch, make_satellites_patch
+from conftest import (
+    SQRT5,
+    extrema_grid_oracle,
+    make_lattice_patch,
+    make_product_fibonacci_scheme,
+    make_satellites_patch,
+)
 
 SPEC_40 = FolnerSpec(sizes=(5, 10, 20, 40))
 
@@ -49,6 +57,17 @@ class TestLatticeCalibration:
         report = beurling_density(patch, FolnerSpec(sizes=(5, 10), translate_grid_step=0.25))
         assert report.extrapolated_lower == pytest.approx(1.0, abs=0.01)
         assert report.extrapolated_upper == pytest.approx(1.0, abs=0.11)
+
+    def test_2d_fibonacci_extrema_are_exact(self):
+        # the benchmark's fib2d patch at seed 1; a translate grid of step 0.25
+        # misses both extrema (it finds sup 0.2125 and inf 0.1975)
+        box = [(-29.930514065136148, 30.069485934863852), (-29.802675764436163, 30.197324235563837)]
+        patch = generate_model_set(make_product_fibonacci_scheme(), box)
+        assert patch.n_points == 718
+        report = beurling_density(patch, FolnerSpec(sizes=(10, 20)))
+        assert report.method == ("exact", "exact")
+        assert report.upper[0] == (10.0, 0.215)
+        assert report.lower[1] == (20.0, 0.196875)
 
     def test_translation_invariance(self):
         patch = make_lattice_patch(1.0, 60.0)
@@ -215,26 +234,42 @@ class TestLatticePeriodizationCheck:
 
 
 class TestSeparableGridCounts:
-    @settings(max_examples=60, deadline=None)
-    @given(dim=st.sampled_from([2, 3]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.sampled_from([1, 2, 3]), data=st.data())
     def test_matches_mask_oracle(self, dim, data):
         half = data.draw(st.integers(2, 4))
-        step = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
-        n = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
-        # quarter-integer coordinates include the faces c - n and c + n of
-        # grid windows (centres are -half + n + k * step); a few free floats
-        pool = st.one_of(
-            st.integers(-4 * half, 4 * half).map(lambda k: k / 4),
-            st.floats(-half, half, allow_nan=False),
-        )
+        quarter = st.integers(-4 * half, 4 * half).map(lambda k: k / 4)
+        # exact extrema: quarter-integer points and n a multiple of 1/8 put
+        # every face p +- n, and every cell midpoint between them, on the
+        # oracle's 1/16 grid, so the grid sees the true inf and sup
+        exact = dim == 1 or data.draw(st.booleans())
+        if exact:
+            step, n, pool = 1 / 16, data.draw(st.integers(1, 8 * half)) / 8, quarter
+        else:
+            # quarter-integer coordinates include the faces c - n and c + n of
+            # grid windows (centres are -half + n + k * step); a few free floats
+            step = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
+            n = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
+            pool = st.one_of(quarter, st.floats(-half, half, allow_nan=False))
         coords = [data.draw(st.lists(pool, min_size=1, max_size=6, unique=True)) for _ in range(dim)]
         rows = st.tuples(*(st.sampled_from(c) for c in coords))
         pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=30, unique=True)))
-        region = shrink_box(((-half, half),) * dim, n)
-        assert density_mod._extrema_grid(pts, n, region, step) == extrema_grid_oracle(pts, n, region, step)
+        box = ((-half, half),) * dim
+        region = shrink_box(box, n)
+        expected = extrema_grid_oracle(pts, n, region, step)
+        if not exact:
+            assert density_mod._extrema_grid(pts, n, region, step) == expected
+        elif dim <= 2:
+            report = beurling_density(PointPatch(dim=dim, box=box, points=pts), FolnerSpec(sizes=(n,)))
+            assert report.method == ("exact",)
+            assert (report.lower[0][1], report.upper[0][1]) == expected
+        else:
+            patch = PointPatch(dim=dim, box=box, points=pts)
+            counts = [_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True)]
+            assert tuple(c / (2 * n) ** dim for c in counts) == expected
 
     def test_grid_cap_refuses_before_allocating(self):
-        patch = make_lattice_patch(1.0, 6.0, dim=2)
+        patch = make_lattice_patch(1.0, 6.0, dim=3)
         tracemalloc.start()
         start = time.perf_counter()
         try:

@@ -20,6 +20,8 @@ from aperio.pointset import (
 from conftest import (
     brute_force_window_max,
     dense_oracle,
+    dense_rational,
+    make_fibonacci_scheme,
     make_lattice_patch,
     make_product_fibonacci_scheme,
     make_satellites_patch,
@@ -163,13 +165,22 @@ class TestRelativeDenseness:
             make_lattice_patch(1.0, 3.0, dim=2),
             generate_model_set(make_product_fibonacci_scheme(), [(-10, 10)] * 2),
             make_satellites_patch(40.0),
+            # ends of the benchmark's fib1d boxes for seeds 1-3, where |x| is near 10^4
+            *(generate_model_set(make_fibonacci_scheme(), [(hi - 150.0, hi)]) for hi in (10000.235495884748, 10000.135893566794, 10000.36013064722)),
+            generate_model_set(make_fibonacci_scheme(), [(-9999.764504115252, -9849.764504115252)]),
+            make_lattice_patch(0.7, 20.0),
         ],
-        ids=["lattice2d", "fib2d", "satellites1d"],
+        ids=["lattice2d", "fib2d", "satellites1d", "fib1d-hi-1", "fib1d-hi-2", "fib1d-hi-3", "fib1d-lo-1", "lattice0.7"],
     )
     def test_max_gap_radius_is_smallest_passing_double(self, patch):
+        # r is also the smallest double passing the exact rational check: a
+        # slab bound from a sum rounded at |x| ~ 10^4 moves by up to 1e-12,
+        # far more than one step of r (2e-16)
         r = rel_separation(patch, 0.5).max_gap_radius
         assert is_relatively_dense(patch, r) is True
         assert is_relatively_dense(patch, math.nextafter(r, 0.0)) is False
+        assert dense_rational(patch.points, patch.box, r)
+        assert not dense_rational(patch.points, patch.box, math.nextafter(r, 0.0))
 
     @settings(max_examples=80, deadline=None)
     @given(dim=st.sampled_from([2, 3]), data=st.data())
