@@ -254,11 +254,7 @@ def handle_amalgam(
 def handle_csv(ctx: Context, report: str, columns: str, out: str | None = None) -> None:
     obj = ctx.read_json(report, "report")
     cols = [c.strip() for c in columns.split(",") if c.strip()]
-    try:
-        text = io_json.emit_csv(obj, cols)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    ctx.write_text(out, text)
+    ctx.write_text(out, io_json.emit_csv(obj, cols))
 
 
 HANDLERS = {
@@ -345,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="Beurling density report along Folner boxes")
     p.add_argument("--patch", required=True)
-    p.add_argument("--folner", required=True, help="comma-separated sizes, e.g. 5,10,20,40")
+    p.add_argument("--folner", type=_csv_floats, required=True, help="comma-separated sizes, e.g. 5,10,20,40")
     p.add_argument("--step", type=float, default=None, help="translate grid step (d >= 3)")
     p.add_argument("--extras", nargs="*", default=None, help="injected limit patches (hull estimate)")
     p.add_argument("--ell", type=int, default=None, help="attach covolume bounds for this ell")
@@ -363,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("frame", help="Riesz/sampling bound trends over nested truncations")
     p.add_argument("--kernel", required=True)
     p.add_argument("--patch", required=True)
-    p.add_argument("--truncations", required=True, help="comma-separated half-widths, e.g. 20,40,80")
+    p.add_argument("--truncations", type=_csv_floats, required=True, help="comma-separated half-widths, e.g. 20,40,80")
     p.add_argument("--margin-frac", dest="margin_frac", type=float, default=0.25)
     p.add_argument("--out")
     p.add_argument("--csv")
@@ -410,10 +406,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     ctx = Context(workspace=Path(args.workspace), seed=args.seed)
     kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "seed", "workspace")}
-    if "folner" in kwargs:
-        kwargs["folner"] = _csv_floats(kwargs["folner"])
-    if "truncations" in kwargs:
-        kwargs["truncations"] = _csv_floats(kwargs["truncations"])
     try:
         _check_args(args.command, kwargs)
         HANDLERS.get(args.command, handle_run)(ctx, **kwargs)

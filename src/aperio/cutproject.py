@@ -33,7 +33,7 @@ import numpy as np
 # about 0.45 s and 35 MB to import, and the generation paths never need it.
 
 from .errors import DegenerateBasisError, EmptyWindowError
-from .pointset import Box, PointPatch, as_box
+from .pointset import Box, PointPatch, as_box, box_volume
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
@@ -61,13 +61,7 @@ class Window:
 
     @property
     def volume(self) -> float:
-        vol = 0.0
-        for b in self.boxes:
-            part = 1.0
-            for lo, hi in b:
-                part *= hi - lo
-            vol += part
-        return vol
+        return sum(map(box_volume, self.boxes), 0.0)
 
     @property
     def is_empty(self) -> bool:

@@ -1,10 +1,10 @@
 """Beurling and hull Beurling densities along Folner boxes, covolume estimators.
 
 Folner windows are centered boxes ``[-n, n]^d``.  The inf/sup over window
-positions is exact in d <= 2: in d = 1 an event sweep (extrema occur when a
-window face touches a point), in d = 2 ``pointset._closed_window_extremum``,
-which cuts the patch into slabs where a window face meets a point and solves
-each slab on the other axis.  In d >= 3 a translate grid is used and the
+positions is exact in d <= 2 for the points as stored, from one counter,
+``pointset._closed_window_extremum``: it cuts the patch into slabs where a
+window face meets a point, with exact slab bounds, and solves each slab on
+the next axis.  In d >= 3 a translate grid is used and the
 estimates are grid-certified only.  Grid counts are separable: per axis, a
 0/1 matrix records which points lie within ``n`` of each grid coordinate,
 and the product of these matrices counts every grid window at once
@@ -100,26 +100,6 @@ def _check_sizes(patch: PointPatch, sizes):
         )
 
 
-def _count_interval(x: np.ndarray, lo, hi) -> np.ndarray:
-    """Closed-interval counts |{p : lo <= p <= hi}| for sorted x, vectorized."""
-    return np.searchsorted(x, hi, side="right") - np.searchsorted(x, lo, side="left")
-
-
-def _extrema_1d(x: np.ndarray, n: float, region: tuple[float, float]) -> tuple[float, float]:
-    """Exact inf/sup of |patch ^ [c-n, c+n]| / (2n) over centers c in region."""
-    a, b = region
-    events = np.concatenate([x - n, x + n, [a, b]])
-    events = np.unique(events[(events >= a) & (events <= b)])
-    if len(events) == 0:
-        events = np.array([(a + b) / 2.0])
-    sup_counts = _count_interval(x, events - n, events + n)
-    mids = (events[1:] + events[:-1]) / 2.0
-    inf_cands = np.concatenate([mids, [a, b]])
-    inf_counts = _count_interval(x, inf_cands - n, inf_cands + n)
-    vol = 2.0 * n
-    return float(inf_counts.min() / vol), float(sup_counts.max() / vol)
-
-
 def _check_grid_size(sizes) -> None:
     """Refuse a count grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
     total = math.prod(sizes)
@@ -164,12 +144,10 @@ def _extrema_grid(pts: np.ndarray, n: float, region: Box, step: float) -> tuple[
 
 def _patch_extrema(patch: PointPatch, n: float, step: float | None) -> tuple[float, float, str]:
     region = shrink_box(patch.box, n)
-    if patch.dim == 1:
-        lo, hi = _extrema_1d(patch.points[:, 0], n, region[0])
-        return lo, hi, "exact"
-    if patch.dim == 2:
+    if patch.dim <= 2:
         lo, hi = (_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True))
-        return lo / (2.0 * n) ** 2, hi / (2.0 * n) ** 2, "exact"
+        vol = (2.0 * n) ** patch.dim
+        return lo / vol, hi / vol, "exact"
     if step is None:
         gap = _pairwise_min_gap(patch.points)
         step = min(DEFAULT_GRID_STEP, gap / 2.0) if np.isfinite(gap) else DEFAULT_GRID_STEP

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, points_in_box, restrict, shrink_box, translate
+from .pointset import PointPatch, box_volume, points_in_box, restrict, shrink_box, translate
 from .rkhs import KernelSpec, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -40,8 +40,6 @@ class GramMatrix:
 
     entries: np.ndarray
     eigenvalues: np.ndarray
-    kernel: KernelSpec | None = None
-    patch: PointPatch | None = None
 
     @property
     def n(self) -> int:
@@ -67,13 +65,13 @@ class GramMatrix:
         return float(above[0]) if len(above) else 0.0
 
 
-def gram_from_entries(entries: np.ndarray, **refs) -> GramMatrix:
+def gram_from_entries(entries: np.ndarray) -> GramMatrix:
     entries = np.asarray(entries)
     herm_defect = np.abs(entries - entries.conj().T).max() if entries.size else 0.0
     if herm_defect > 1e-10:
         raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
     eigs = np.linalg.eigvalsh(entries) if entries.size else np.empty(0)
-    return GramMatrix(entries=entries, eigenvalues=eigs, **refs)
+    return GramMatrix(entries=entries, eigenvalues=eigs)
 
 
 def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
@@ -85,7 +83,7 @@ def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     km = kernel_matrix(kernel, patch.points, patch.points)
-    return gram_from_entries(km.T, kernel=kernel, patch=patch)
+    return gram_from_entries(km.T)
 
 
 def riesz_bounds(gram: GramMatrix) -> tuple[float, float]:
@@ -131,11 +129,8 @@ def _nyquist_profile(kernel: KernelSpec) -> np.ndarray:
 
 def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> np.ndarray:
     dim = kernel.space_dim
-    vol = 1.0
-    for lo, hi in interior_box:
-        vol *= hi - lo
     crit = kernel.norm_sq_ke
-    patch_density = n_interior_points / vol
+    patch_density = n_interior_points / box_volume(interior_box)
     rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * patch_density)
     scale = (crit / rho) ** (1.0 / dim)
     widths = _nyquist_profile(kernel)
@@ -219,7 +214,7 @@ def canonical_parseval(
     transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
     projector = vecs @ vecs.conj().T
     projector = (projector + projector.conj().T) / 2.0
-    out = gram_from_entries(projector, kernel=gram.kernel, patch=gram.patch)
+    out = gram_from_entries(projector)
     return out, transform
 
 
@@ -299,10 +294,11 @@ def frame_trend_report(
         raise ValueError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
     r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
     margin = margin_frac * truncs[-1]
-    top = build_gram(kernel, restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim))
+    top_patch = restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim)
+    top = build_gram(kernel, top_patch)
     for t in truncs:
         sub = restrict(patch, [(-t, t)] * patch.dim)
-        keep = points_in_box(top.patch.points, sub.box)
+        keep = points_in_box(top_patch.points, sub.box)
         gram = top if keep.all() else gram_from_entries(top.entries[np.ix_(keep, keep)])
         a, b = riesz_bounds(gram)
         r_lo.append(a)

@@ -352,25 +352,28 @@ CSV_COLUMNS = {
 
 
 def emit_csv(report: dict, columns: list[str]) -> str:
-    """Render report fields as RFC-4180 CSV (CRLF, header row, 12 significant digits)."""
-    kind = report.get("kind")
-    valid = CSV_COLUMNS.get(kind)
+    """Render report fields as RFC-4180 CSV (CRLF, header row, 12 significant digits).
+
+    A report that is not shaped as its kind says is a config error.
+    """
+    kind = _key(report, "kind", "report")
+    valid = CSV_COLUMNS.get(kind) if isinstance(kind, str) else None
     if valid is None:
-        raise ValueError(f"report kind {kind!r} has no CSV view")
+        raise ConfigError(f"report kind {kind!r:.40} has no CSV view")
     bad = [c for c in columns if c not in valid]
     if bad:
-        raise ValueError(f"unknown column(s) {bad}; valid columns for {kind}: {list(valid)}")
+        raise ConfigError(f"unknown column(s) {bad}; valid columns for {kind}: {list(valid)}")
     if "eigenvalue" in columns:
         if columns != ["eigenvalue"]:
-            raise ValueError("the eigenvalue column cannot be combined with trend columns")
-        rows = [[float(v)] for v in report["eigenvalues"]]
+            raise ConfigError("the eigenvalue column cannot be combined with trend columns")
+        rows = [[fparse(v)] for v in _list(_key(report, "eigenvalues", kind), f"{kind} 'eigenvalues'")]
     else:
         rows = []
-        for r in report["rows"]:
+        for r in _list(_key(report, "rows", kind), f"{kind} 'rows'"):
             row = []
             for c in columns:
-                cell = r[c]
-                row.append(fparse(cell["value"] if isinstance(cell, dict) else cell))
+                cell = _key(r, c, f"{kind} row")
+                row.append(fparse(_key(cell, "value", f"{kind} {c!r}") if isinstance(cell, dict) else cell))
             rows.append(row)
     lines = [",".join(columns)]
     for row in rows:

@@ -13,7 +13,7 @@ Both window statistics are exact in every dimension: the patch is cut into
 slabs along its first axis (``searchsorted`` on the sorted coordinate), each
 slab is solved on the remaining axes, and a 1-d sweep finishes the recursion.
 The closed-window counter behind denseness also gives ``density`` its exact
-2-d extrema.
+extrema in d <= 2.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import numpy as np
 # import, and the Gram paths never need it.
 
 from .errors import DimensionMismatchError, GridTooCoarseError
-from .pointset import _row_blocks
+from .pointset import _row_blocks, box_volume
 
 Band = tuple[tuple[float, float], ...]
 
@@ -67,12 +67,7 @@ class KernelSpec:
 
     @property
     def norm_sq_ke(self) -> float:
-        if self.kind == "paley_wiener":
-            vol = 1.0
-            for lo, hi in self.band:
-                vol *= hi - lo
-            return vol
-        return 1.0
+        return box_volume(self.band) if self.kind == "paley_wiener" else 1.0
 
 
 def paley_wiener(band) -> KernelSpec:

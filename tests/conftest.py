@@ -231,6 +231,34 @@ def dense_rational(pts, box, k) -> bool:
     return True
 
 
+def extrema_rational(pts, n, region) -> tuple[int, int]:
+    """Exact least and greatest count of a closed window ``c + [-n, n]^d``, ``c`` in ``region``.
+
+    Along axis ``k`` the test ``|p_k - c_k| <= n`` is constant on the open
+    cells of ``{p_k +- n}``, so in rational arithmetic the cell ends and
+    midpoints inside the region, with the region ends, decide that axis.  The
+    count is constant on products of cells, so the product of the per-axis
+    candidates visits every case.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    n = Fraction(n)
+    inside = []  # per axis: candidate centre x point
+    for k, (lo, hi) in enumerate(region):
+        coords, idx = np.unique(pts[:, k], return_inverse=True)
+        xs = [Fraction(x) for x in coords.tolist()]
+        a, b = Fraction(lo), Fraction(hi)
+        ends = sorted({e for x in xs for e in (x - n, x + n) if a <= e <= b} | {a, b})
+        cands = ends + [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+        near = np.array([[abs(x - c) <= n for x in xs] for c in cands], dtype=bool)
+        inside.append(near[:, idx])
+    *lead, last = inside
+    joint = np.ones((1, len(pts)), dtype=bool)
+    for near in lead:
+        joint = (joint[:, None, :] & near[None, :, :]).reshape(-1, len(pts))
+    counts = joint.astype(np.int64) @ last.T.astype(np.int64)
+    return int(counts.min()), int(counts.max())
+
+
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
     """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
 

@@ -194,6 +194,25 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "bogus" in err and "valid columns" in err
 
+    @pytest.mark.parametrize(
+        "report, columns",
+        [
+            ([1, 2], "n,inf,sup"),
+            ({"kind": "density_report"}, "n,inf,sup"),
+            ({"kind": "density_report", "rows": [{"n": "5.0", "sup": {"value": "1.1"}}]}, "n,inf,sup"),
+            ({"kind": "density_report", "rows": "zz"}, "n,inf,sup"),
+            ({"kind": "frame_report", "eigenvalues": [None]}, "eigenvalue"),
+        ],
+        ids=["list", "no-rows", "row-without-inf", "rows-not-a-list", "null-eigenvalue"],
+    )
+    def test_malformed_report_csv_is_config_error(self, workspace, capsys, report, columns):
+        (workspace / "r.json").write_text(json.dumps(report))
+        before = _snapshot(workspace)
+        assert run(workspace, "csv", "--report", "r.json", "--columns", columns, "--out", "o.csv") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0]
+        assert _snapshot(workspace) == before
+
     def test_operation_error_exit_one(self, workspace):
         run(workspace, "gen", "--scheme", "z.json", "--box", "-10", "10", "--out", "p.json")
         # Folner size beyond the patch: operation error, not a config error
@@ -431,6 +450,24 @@ class TestArgumentValues:
         (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": command, "args": {**args, "out": "o.json"}}]}))
         self.refused(workspace, capsys, ["run", "--config", "cfg.json"], key)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "--patch", "p.json", "--folner", "5,abc"],
+            ["frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "1,x"],
+        ],
+        ids=["folner", "truncations"],
+    )
+    def test_non_number_in_a_list_is_a_usage_error(self, workspace, capsys, argv):
+        run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
+        capsys.readouterr()
+        before = _snapshot(workspace)
+        with pytest.raises(SystemExit) as exc:  # as argparse refuses --box abc
+            run(workspace, *argv, "--out", "o.json")
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        assert _snapshot(workspace) == before
+
     def test_frame_failure_from_the_patch_is_operation_error(self, workspace, capsys):
         # valid arguments, but a 7-point patch leaves no interior region at t = 10
         run(workspace, "gen", "--scheme", "z.json", "--box", "-3", "3", "--out", "small.json")
@@ -589,6 +626,11 @@ _VALID = {
         "certified_region_note": "",
         "covolume_bounds": {"covol_minus_lower": {"value": "0.9"}, "covol_plus_upper": {"value": "1.1"}},
     },
+    "frame": {
+        "kind": "frame_report",
+        "rows": [{"truncation": "10.0", "A": {"value": "0.5", "provenance": "trend"}, "B": {"value": "1.5"}}],
+        "eigenvalues": ["0.5", "1.5"],
+    },
 }
 
 _DECODERS = {
@@ -683,6 +725,17 @@ class TestBoundaryFuzz:
             code, err = _main_quiet("--workspace", tmp, *_DECODER_ARGV[kind], "--out", "out.json")
             assert code == 2 and len(err) == 1
             assert not (ws / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, columns", [("density", "n,inf,sup"), ("frame", "truncation,A,B"), ("frame", "eigenvalue")]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_csv_exits_zero_or_two(self, kind, columns, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "in.json").write_text(json.dumps(_malformed(data, kind)))
+            code, err = _main_quiet("--workspace", tmp, "csv", "--report", "in.json", "--columns", columns, "--out", "out.csv")
+            assert code == 0 or (code == 2 and len(err) == 1)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

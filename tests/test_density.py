@@ -22,11 +22,12 @@ from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import PatchSizeError
 from aperio.hull import grid_translates, transversal_translates
-from aperio.pointset import _closed_window_extremum, restrict, shrink_box
+from aperio.pointset import _closed_window_extremum, as_box, restrict, shrink_box
 
 from conftest import (
     SQRT5,
     extrema_grid_oracle,
+    extrema_rational,
     make_lattice_patch,
     make_product_fibonacci_scheme,
     make_satellites_patch,
@@ -73,7 +74,7 @@ class TestLatticeCalibration:
         patch = make_lattice_patch(1.0, 60.0)
         spec = FolnerSpec(sizes=(5, 10))
         base = beurling_density(patch, spec)
-        moved = beurling_density(translate(patch, [0.37]), spec)
+        moved = beurling_density(translate(patch, [0.375]), spec)  # k + 0.375 is exact in binary
         assert base.lower == moved.lower
         assert base.upper == moved.upper
 
@@ -81,6 +82,49 @@ class TestLatticeCalibration:
         patch = make_lattice_patch(1.0, 30.0)
         with pytest.raises(PatchSizeError, match="max feasible n is 30"):
             beurling_density(patch, FolnerSpec(sizes=(10, 31)))
+
+
+class TestExactExtrema:
+    """In d <= 2 a density report states the extrema of the points as stored, whatever their rounding."""
+
+    @pytest.mark.parametrize(
+        "dim, half_width, lower",
+        [(1, 60.0, ((5.0, 0.9), (10.0, 0.95))), (2, 30.0, ((5.0, 0.81), (10.0, 0.9025)))],
+    )
+    def test_float_translated_lattice(self, dim, half_width, lower):
+        # points fl(k + 0.37): two of them 2n apart can differ by 2n plus an ulp,
+        # so a closed window of side 2n fits between them; the untranslated lattice gives 1.0
+        patch = translate(make_lattice_patch(1.0, half_width, dim=dim), [0.37] * dim)
+        report = beurling_density(patch, FolnerSpec(sizes=(5, 10)))
+        assert report.method == ("exact", "exact")
+        assert report.lower == lower
+        for (n, lo), (_, hi) in zip(report.lower, report.upper):
+            least, most = extrema_rational(patch.points, n, shrink_box(patch.box, n))
+            assert (lo, hi) == (least / (2 * n) ** dim, most / (2 * n) ** dim)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_rational_oracle(self, data):
+        dim = data.draw(st.sampled_from([1, 2]))
+        offset = data.draw(st.sampled_from([0.0, 1e4, -1e4 + 0.37]) | st.floats(-1e4, 1e4))
+        if data.draw(st.booleans()):  # a translated lattice, with window sides that are multiples of its spacing
+            spacing = data.draw(st.sampled_from([0.1, 0.7, 1.0, 1.5]))
+            axis = offset + data.draw(st.floats(-1, 1)) + spacing * np.arange(data.draw(st.integers(2, 30 // dim**2)))
+            pts = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+            sides = [spacing * k for k in range(1, 8)]
+        else:
+            coords = st.lists(st.floats(-5, 5), min_size=dim, max_size=dim)
+            pts = offset + np.array(data.draw(st.lists(coords, min_size=1, max_size=40 // dim)))
+            sides = [data.draw(st.floats(0.01, 10))]
+        pts = np.unique(pts, axis=0)
+        pad = data.draw(st.floats(0.25, 2))
+        box = list(zip(pts.min(axis=0) - pad, pts.max(axis=0) + pad))
+        half = min(hi - lo for lo, hi in box) / 2
+        n = min(data.draw(st.sampled_from(sides)) / 2, 0.9 * half)
+        report = beurling_density(PointPatch(dim=dim, box=box, points=pts), FolnerSpec(sizes=(n,)))
+        least, most = extrema_rational(pts, n, shrink_box(as_box(box), n))
+        assert report.lower[0][1] == least / (2 * n) ** dim
+        assert report.upper[0][1] == most / (2 * n) ** dim
 
 
 class TestSatellitesDensities:
