@@ -33,28 +33,43 @@ from .rkhs import wiener_amalgam_norm
 @dataclass
 class Context:
     """One command's paths and provenance.  Outputs wait in ``staged`` (resolved
-    path, or ``None`` for stdout) until :meth:`commit`, so a failed command writes nothing."""
+    path, or ``None`` for stdout) until :meth:`commit`, so a failed command writes nothing.
+    ``decoded`` keeps each decoded input by content hash and decoder, so a ``run`` whose
+    steps read one file decodes it once."""
 
     workspace: Path
     seed: int | None = None
     input_hashes: dict[str, str] = field(default_factory=dict)
     staged: dict[Path | None, str] = field(default_factory=dict)
+    decoded: dict[tuple, object] = field(default_factory=dict)
 
     def resolve(self, rel: str) -> Path:
         """The absolute path of ``rel`` (relative to the workspace), one per file however spelled."""
         return (self.workspace / rel).resolve()
 
-    def read_json(self, rel: str, role: str) -> dict:
+    def read_json(self, rel: str, role: str, decode=None):
+        """The JSON value of ``rel``, passed through ``decode`` if one is given.
+
+        Every call records the file's hash under ``role``; a decoded value is
+        reused for the same bytes and decoder.
+        """
         path = self.resolve(rel)
         try:  # a staged output is read as the bytes commit() will write
             data = self.staged[path].encode() if path in self.staged else path.read_bytes()
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}") from exc
-        self.input_hashes[f"{role}:{rel}"] = io_json.sha256_bytes(data)
+        key = (io_json.sha256_bytes(data), decode)
+        self.input_hashes[f"{role}:{rel}"] = key[0]
+        if key in self.decoded:
+            return self.decoded[key]
         try:
-            return json.loads(data)
+            obj = json.loads(data)
         except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        if decode is None:
+            return obj
+        self.decoded[key] = value = decode(obj)
+        return value
 
     def _stage(self, rel: str | None, text: str) -> None:
         if rel is None:
@@ -110,7 +125,7 @@ def _folner_spec(folner, step) -> FolnerSpec:
 # ------------------------------------------------------------------- handlers
 
 def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = None) -> None:
-    sch = io_json.scheme_from_jsonable(ctx.read_json(scheme, "scheme"))
+    sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     patch = generate_model_set(sch, _parse_box(box, sch.d))
     ctx.write_json(out, io_json.patch_to_jsonable(patch))
 
@@ -126,9 +141,9 @@ def handle_density(
     csv: str | None = None,
 ) -> None:
     spec = _folner_spec(folner, step)
-    base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
+    base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     if extras:
-        limits = [io_json.patch_from_jsonable(ctx.read_json(e, "extra")) for e in extras]
+        limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras]
         report = hull_beurling_density(base, spec, limits)
     else:
         report = beurling_density(base, spec)
@@ -154,7 +169,7 @@ def handle_hull_sample(
 ) -> None:
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
-    base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
+    base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     kb = _parse_box(k_box, base.dim)
     if translates == "own":
         vecs = transversal_translates(base, kb)
@@ -182,8 +197,8 @@ def handle_frame(
     out: str | None = None,
     csv: str | None = None,
 ) -> None:
-    kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
-    base = io_json.patch_from_jsonable(ctx.read_json(patch, "patch"))
+    kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
+    base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     try:
         report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
     except ValueError as exc:  # truncations or margin_frac out of range, or a kernel of another dimension
@@ -203,8 +218,8 @@ def handle_verdict(
     relatively_dense: bool = False,
     out: str | None = None,
 ) -> None:
-    kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
-    report = io_json.density_report_from_jsonable(ctx.read_json(density, "density"))
+    kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
+    report = ctx.read_json(density, "density", io_json.density_report_from_jsonable)
     v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
     ctx.write_json(out, io_json.verdict_report_to_jsonable(v, ctx.seed, ctx.input_hashes))
 
@@ -221,7 +236,7 @@ def handle_weil_check(
         f = TestFunction(kind=function, trunc=trunc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    sch = io_json.scheme_from_jsonable(ctx.read_json(scheme, "scheme"))
+    sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     try:
         residual = weil_check(sch, f, quadrature_n)
     except ValueError as exc:  # quadrature_n not positive, or a scheme that is not a lattice
@@ -240,7 +255,7 @@ def handle_amalgam(
     step: float,
     out: str | None = None,
 ) -> None:
-    kern = io_json.kernel_from_jsonable(ctx.read_json(kernel, "kernel"))
+    kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     try:
         norm = wiener_amalgam_norm(kern, q, trunc, step)
     except ValueError as exc:  # a step that is not positive, or trunc <= q
@@ -398,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 # about 0.45 s and 35 MB to import, and the orbit-sampling paths never need it.
 
 from .errors import ClusterError, CoverageError
-from .pointset import Box, PointPatch, as_box, box_contains_box, inflate_box, points_in_box
+from .pointset import BOX_TOL, Box, PointPatch, _row_blocks, as_box, box_contains_box, inflate_box, points_in_box
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,40 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     """Windows ``(-x + patch) ^ k_box`` for each translate ``x``.
 
     With translates equal to the patch's own points this samples the
-    transversal: every returned patch contains the origin.
+    transversal: every returned patch contains the origin.  Each window's
+    candidate rows are cut from the sorted patch by a binary search on the
+    first coordinate, so the cost follows the samples returned (in d >= 2,
+    the first-axis slabs they are cut from), not the patch size.  A
+    translate whose window leaves the patch box raises ``CoverageError``
+    after the windows of the translates before it are built.
     """
     k_box = as_box(k_box)
-    out = []
-    for x in np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim):
+    xs = np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim)
+    k_lo, k_hi = (np.array(side) for side in zip(*k_box))
+    p_lo, p_hi = (np.array(side) for side in zip(*patch.box))
+    covered = np.all((p_lo <= k_lo + xs + BOX_TOL) & (k_hi + xs <= p_hi + BOX_TOL), axis=1)
+    n_ok = len(xs) if covered.all() else int(np.argmin(covered))
+    x0, first = xs[:n_ok, 0], patch.points[:, 0]
+    # fl(p - x) rounds by at most 2^-53 of its size, and so does each sum below:
+    # a slack of 2^-50 of |x| + |k| keeps every row the predicate accepts inside the cut
+    slack = (np.abs(x0) + np.abs(k_box[0]).max()) * 2.0**-50
+    start = np.searchsorted(first, k_lo[0] + x0 - slack, side="left")
+    counts = np.searchsorted(first, k_hi[0] + x0 + slack, side="right") - start
+    samples = []
+    for blk in _row_blocks(n_ok, int(counts.max(initial=0)) * patch.dim):
+        c = counts[blk]
+        owner = np.repeat(np.arange(len(c)), c)  # rows start[i] .. start[i] + c[i] - 1 belong to translate i
+        rows = np.arange(c.sum()) + np.repeat(start[blk] - (np.cumsum(c) - c), c)
+        shifted = patch.points[rows] - xs[blk][owner]
+        keep = points_in_box(shifted, k_box)
+        sizes = np.bincount(owner[keep], minlength=len(c))
+        for sel in np.split(shifted[keep], np.cumsum(sizes)[:-1]):
+            samples.append(PointPatch(dim=patch.dim, box=k_box, points=sel))
+    if n_ok < len(xs):
+        x = xs[n_ok]
         needed = tuple((lo + v, hi + v) for (lo, hi), v in zip(k_box, x))
         _require_coverage(patch, needed, f"translate {x.tolist()}")
-        shifted = patch.points - x
-        sel = shifted[points_in_box(shifted, k_box)]
-        out.append(PointPatch(dim=patch.dim, box=k_box, points=sel))
-    return out
+    return samples
 
 
 def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:

@@ -127,7 +127,7 @@ def patch_to_jsonable(patch: PointPatch) -> dict:
     return {
         "dim": patch.dim,
         "box": [[fstr(lo), fstr(hi)] for lo, hi in patch.box],
-        "points": [[fstr(c) for c in row] for row in patch.points],
+        "points": [[repr(c) for c in row] for row in patch.points.tolist()],  # fstr per cell, without its float()
     }
 
 

@@ -31,6 +31,7 @@ from .errors import CoverageError, EmptyPatchError, WindowTooLargeError
 Box = tuple[tuple[float, float], ...]
 
 BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
+BOX_TOL = 1e-12  # slack of box containment, for boxes built from rounded sums
 
 
 def as_box(box) -> Box:
@@ -57,7 +58,7 @@ def box_volume(box: Box) -> float:
     return vol
 
 
-def box_contains_box(outer: Box, inner: Box, tol: float = 1e-12) -> bool:
+def box_contains_box(outer: Box, inner: Box, tol: float = BOX_TOL) -> bool:
     return all(ol <= il + tol and ih <= oh + tol for (ol, oh), (il, ih) in zip(outer, inner))
 
 
@@ -92,14 +93,15 @@ class PointPatch:
         if len(box) != self.dim:
             raise ValueError("box dimension mismatch")
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
-        if pts.size:
-            order = np.lexsort(pts.T[::-1])
-            pts = pts[order]
-            if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
+        if pts.size:  # array methods, not np.all/np.any: this runs once per orbit sample
+            pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)  # a sorted copy
+            if (pts[1:] == pts[:-1]).all(axis=1).any():
                 raise ValueError("points must be pairwise distinct")
-            if not bool(points_in_box(pts, box).all()):
+            low, high = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            if not all(lo <= a and b <= hi for (lo, hi), a, b in zip(box, low, high)):
                 raise ValueError("all points must lie inside the patch box")
-        pts = pts.copy()
+        else:
+            pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "points", pts)

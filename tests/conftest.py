@@ -11,8 +11,9 @@ import pytest
 
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
+from aperio.errors import CoverageError
 from aperio.framekit import _anchor_grid, _projected_inverse_sqrt
-from aperio.pointset import points_in_box, shrink_box
+from aperio.pointset import as_box, box_contains_box, points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -257,6 +258,24 @@ def extrema_rational(pts, n, region) -> tuple[int, int]:
         joint = (joint[:, None, :] & near[None, :, :]).reshape(-1, len(pts))
     counts = joint.astype(np.int64) @ last.T.astype(np.int64)
     return int(counts.min()), int(counts.max())
+
+
+def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch]:
+    """``hull.orbit_sample`` one translate at a time: shift every point, then test the window.
+
+    Checks each translate's coverage just before its window, so the first
+    translate that fails (coverage, or a patch that cannot be built) raises.
+    """
+    k_box = as_box(k_box)
+    out = []
+    for x in np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim):
+        needed = tuple((lo + v, hi + v) for (lo, hi), v in zip(k_box, x))
+        if not box_contains_box(patch.box, needed):
+            raise CoverageError(f"box too small: translate {x.tolist()} needs {needed}")
+        shifted = patch.points - x
+        sel = shifted[points_in_box(shifted, k_box)]
+        out.append(PointPatch(dim=patch.dim, box=k_box, points=sel))
+    return out
 
 
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):

@@ -46,6 +46,20 @@ def run(workspace, *args):
 _GEN_STEP = {"command": "gen", "args": {"scheme": "z.json", "box": [-50, 50], "out": "p.json"}}
 
 
+_MAX = 1.7976931348623157e308
+# signed zeros, subnormals, the extremes, and both sides of repr's switch to exponent notation
+_HOSTILE = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308, _MAX, -_MAX,
+         1e16, 9999999999999998.0, -1e16, 1e-4, 9.999999999999999e-05, 1e-5, 1.0000000000000003e-05]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e15, 1e17),
+    st.floats(1e-5, 1e-4),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+)
+
+
 class TestJsonRoundTrip:
     def test_patch_exact_round_trip(self):
         patch = make_lattice_patch(1.0, 5.0)
@@ -61,6 +75,21 @@ class TestJsonRoundTrip:
             json.loads(io_json.canonical_dumps(io_json.patch_to_jsonable(patch)))
         )
         assert np.array_equal(back.points, patch.points)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.lists(st.lists(_HOSTILE, min_size=dim, max_size=dim), min_size=1, max_size=20, unique_by=tuple)
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_patch_encoding_matches_fstr_per_cell(self, rows):
+        patch = PointPatch(dim=len(rows[0]), box=[(-_MAX, _MAX)] * len(rows[0]), points=rows)
+        fstr = io_json.fstr
+        assert io_json.patch_to_jsonable(patch) == {
+            "dim": patch.dim,
+            "box": [[fstr(lo), fstr(hi)] for lo, hi in patch.box],
+            "points": [[fstr(c) for c in row] for row in patch.points],
+        }
 
     def test_scheme_accepts_numbers_and_strings(self):
         obj = {"d": 1, "m": 0, "basis": [["2.0"]]}
@@ -465,7 +494,9 @@ class TestArgumentValues:
         with pytest.raises(SystemExit) as exc:  # as argparse refuses --box abc
             run(workspace, *argv, "--out", "o.json")
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: expected comma-separated numbers, got '{argv[-1]}'" in err
+        assert "_csv_floats" not in err
         assert _snapshot(workspace) == before
 
     def test_frame_failure_from_the_patch_is_operation_error(self, workspace, capsys):
@@ -502,6 +533,61 @@ class TestDeterminism:
         assert run(workspace, "run", "--config", "cfg.json") == 0
         second = {name: (workspace / name).read_bytes() for name in ("p.json", "d.json", "v.json")}
         assert first == second
+
+
+class TestDecodeOnce:
+    """``run`` decodes each input once per content: a file rewritten between steps is decoded again."""
+
+    @staticmethod
+    def run_config(workspace, steps):
+        (workspace / "cfg.json").write_text(json.dumps({"steps": steps}))
+        assert run(workspace, "run", "--config", "cfg.json") == 0
+
+    def test_rewritten_patch_is_decoded_again(self, workspace):
+        density = {"patch": "p.json", "folner": [5, 10], "ell": 1}
+        self.run_config(
+            workspace,
+            [
+                {"command": "gen", "args": {"scheme": "fib.json", "box": [-50, 50], "out": "p.json"}},
+                {"command": "density", "args": {**density, "out": "d1.json"}},
+                {"command": "gen", "args": {"scheme": "fib.json", "box": [-30, 40], "out": "p.json"}},
+                {"command": "density", "args": {**density, "out": "d2.json"}},
+            ],
+        )
+        assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "first.json") == 0
+        reports = []
+        for out, patch in (("d1.json", "first.json"), ("d2.json", "p.json")):
+            report = json.loads((workspace / out).read_bytes())
+            patch_hash = io_json.sha256_bytes((workspace / patch).read_bytes())
+            assert report.pop("provenance")["inputs"]["patch:p.json"] == patch_hash
+            assert run(workspace, "density", "--patch", patch, "--folner", "5,10", "--ell", "1", "--out", "alone.json") == 0
+            alone = json.loads((workspace / "alone.json").read_bytes())
+            del alone["provenance"]
+            assert report == alone
+            reports.append(report)
+        assert reports[0] != reports[1]
+
+    def test_one_patch_in_three_steps_matches_single_commands(self, workspace, monkeypatch):
+        assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-60", "60", "--out", "p.json") == 0
+        steps = [
+            {"command": "density", "args": {"patch": "p.json", "folner": [5, 10], "out": "d.json"}},
+            {"command": "frame", "args": {"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "out": "f.json"}},
+            {"command": "hull-sample", "args": {"patch": "p.json", "k_box": [-5, 5], "limit": 20, "out": "s.json"}},
+        ]
+        decode, calls = io_json.patch_from_jsonable, []
+        monkeypatch.setattr(io_json, "patch_from_jsonable", lambda obj: calls.append(obj) or decode(obj))
+        self.run_config(workspace, steps)
+        assert len(calls) == 1
+        in_run = {}
+        for name in ("d.json", "f.json", "s.json"):
+            obj = json.loads((workspace / name).read_bytes())
+            if isinstance(obj, dict):  # a run's reports also record the config they came from
+                del obj["provenance"]["inputs"]["config:cfg.json"]
+            in_run[name] = io_json.canonical_dumps(obj).encode()
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "5,10", "--out", "d.json") == 0
+        assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "10,20", "--out", "f.json") == 0
+        assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--limit", "20", "--out", "s.json") == 0
+        assert {name: (workspace / name).read_bytes() for name in in_run} == in_run
 
 
 class TestInputBoundary:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from aperio.errors import ClusterError, CoverageError
 from aperio.hull import CFNeighborhoodSpec, grid_translates, transversal_translates
 from aperio.pointset import restrict
 
-from conftest import make_lattice_patch, make_satellites_patch
+from conftest import make_lattice_patch, make_satellites_patch, orbit_sample_oracle
 
 
 def z_like(shift=0.0, half_width=20.0):
@@ -145,8 +147,8 @@ class TestOrbitSample:
 
     def test_coverage_error(self):
         base = make_lattice_patch(1.0, 6.0)
-        with pytest.raises(CoverageError):
-            orbit_sample(base, [[4.0]], K5)
+        with pytest.raises(CoverageError, match=r"translate \[4\.0\]"):  # the first uncovered one
+            orbit_sample(base, [[0.0], [4.0], [-4.0]], K5)
 
     def test_grid_translates_spacing(self):
         base = make_lattice_patch(1.0, 10.0)
@@ -154,3 +156,63 @@ class TestOrbitSample:
         assert vecs.shape[1] == 1
         diffs = np.diff(np.sort(vecs.ravel()))
         assert np.allclose(diffs, 0.5)
+
+
+def _outcome(sample, patch, translates, k_box):
+    try:
+        return sample(patch, translates, k_box)
+    except (CoverageError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def orbit_cases(draw, dim):
+    """A grid patch near 0 or +-1e4, a window whose faces fall on grid steps, and its translates.
+
+    The points are a product of grid values, so in d = 2 whole columns share
+    a first coordinate.  A grid value, and so every coordinate on it, may sit
+    one ulp off, on either side of a window face; translates may too, and an
+    uncovered one may be inserted anywhere.
+    """
+    center = draw(st.sampled_from([0.0, 0.0, 1.0e4, -1.0e4]))  # p - x rounds where signs differ
+    step = draw(st.sampled_from([0.25, 0.1, 1.0 / 3.0, 0.7]))
+    half = draw(st.integers(3, 8))
+    grid = center + step * np.arange(-half, half + 1)
+    nudge = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=len(grid), max_size=len(grid))
+    axes = [np.nextafter(grid, grid + draw(nudge)) for _ in range(dim)]  # one ulp down, none, or up
+    used = st.lists(st.integers(0, len(grid) - 1), min_size=1, unique=True)
+    pts = np.array(list(itertools.product(*(axis[draw(used)] for axis in axes))))
+    box = [(grid[0] - step / 2, grid[-1] + step / 2)] * dim
+    below, above = draw(st.integers(0, half - 1)), draw(st.integers(1, half - 1))
+    k_box = [(-below * step, above * step)] * dim
+    patch = PointPatch(dim=dim, box=box, points=pts)
+    if draw(st.booleans()):
+        vecs = transversal_translates(patch, k_box)
+    else:
+        vecs = grid_translates(patch, k_box, draw(st.sampled_from([step, step / 2, 0.3])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = np.nextafter(vecs, vecs + rng.integers(-1, 2, vecs.shape))  # each one ulp down, none, or up
+    if draw(st.booleans()):  # a translate whose window leaves the box
+        at = draw(st.integers(0, len(vecs)))
+        vecs = np.insert(vecs, at, grid[-1] + step, axis=0)
+    return patch, vecs, k_box
+
+
+class TestOrbitSampleOracle:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_translate_loop(self, dim, data):
+        patch, vecs, k_box = data.draw(orbit_cases(dim))
+        assert _outcome(orbit_sample, patch, vecs, k_box) == _outcome(orbit_sample_oracle, patch, vecs, k_box)
+
+    def test_rounded_face_keeps_a_whole_column(self):
+        # fl(-0.75 - x) = -1.25 lies on the window face, although -0.75 < fl(-1.25 + x):
+        # a cut at fl(k_lo + x), or one row below it, would drop part of the column at -0.75
+        x = np.nextafter(0.5, 1.0)
+        pts = [[-0.75, 0.0], [-0.75, 0.25], [-0.75, 0.5], [0.0, 0.0], [x, 0.0]]
+        patch = PointPatch(dim=2, box=[(-2.0, 2.0)] * 2, points=pts)
+        k_box = [(-1.25, 0.5), (-1.0, 1.0)]
+        (sample,) = orbit_sample(patch, [[x, 0.0]], k_box)
+        assert sample == orbit_sample_oracle(patch, [[x, 0.0]], k_box)[0]
+        assert np.count_nonzero(sample.points[:, 0] == -1.25) == 3
