@@ -8,7 +8,7 @@ workspace under a temporary directory, and prints one line
 on two checkouts and diff the outputs to see whether a change moved any
 report byte.
 
-Usage: python scripts/report_digests.py [--root CHECKOUT] [--seeds 1,2,3]
+Usage: python scripts/report_digests.py [--root CHECKOUT]
 
 ``--root`` names the checkout whose ``src/`` and ``perfbench/`` are used
 (default: the one holding this script), so the script also measures a
@@ -21,11 +21,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEEDS = (1, 2, 3)
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--seeds", default="1,2,3")
     args = parser.parse_args()
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -37,7 +38,7 @@ def main() -> int:
         raise SystemExit(f"aperio imported from {aperio.cli.__file__}, not from {root / 'src'}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in WORKLOADS.items():
-            for seed in (int(s) for s in args.seeds.split(",")):
+            for seed in SEEDS:
                 ws = Path(tmp) / f"{name}-{seed}"
                 workload.write_inputs(ws, seed)
                 if aperio.cli.main(["--workspace", str(ws), "run", "--config", CONFIG]) != 0:
