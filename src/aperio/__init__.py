@@ -10,8 +10,8 @@ for sampling and interpolation.
 __version__ = "0.1.0"
 
 from .pointset import PointPatch, SeparationStats, is_relatively_dense, rel_separation, restrict, translate
-from .cutproject import CutProjectScheme, Window, generate_model_set, model_set_covolume, regularity_diagnostics
-from .hull import CFNeighborhoodSpec, ClusterPartition, cf_within, cluster_partition, orbit_sample
+from .cutproject import CutProjectScheme, Window, generate_model_set, model_set_covolume
+from .hull import orbit_sample
 from .density import (
     CovolumeBounds,
     DensityReport,

@@ -10,15 +10,14 @@ Windows are finite unions of disjoint half-open boxes ``[lo, hi)``.  Half-open
 faces make covolumes exact under tilings and dodge boundary double-counting;
 window membership is tested with an exactness epsilon of 0, so users wanting
 robustness against borderline windows should place window faces away from
-internal lattice coordinates (``regularity_diagnostics`` reports how close a
-finite sample gets).
+internal lattice coordinates.
 
-Every lattice-point search (generation, both diagnostics, and the translates
-of the lattice periodization check) goes through one enumerator,
-``_lattice_points``, whose work follows the output: about ``L`` integer
-candidates, not ``L^2``, for a Fibonacci box of length ``L``.  One cap,
-``_ENUM_LIMIT``, bounds the integer prefixes and the candidates; a request
-past it raises ``ValueError`` before the array it bounds is built.
+Every lattice-point search (generation and the translates of the lattice
+periodization check) goes through one enumerator, ``_lattice_points``, whose
+work follows the output: about ``L`` integer candidates, not ``L^2``, for a
+Fibonacci box of length ``L``.  One cap, ``_ENUM_LIMIT``, bounds the integer
+prefixes and the candidates; a request past it raises ``ValueError`` before
+the array it bounds is built.
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.spatial is imported inside the functions that query a k-d tree: it costs
-# about 0.45 s and 35 MB to import, and the generation paths never need it.
 
 from .errors import DegenerateBasisError, EmptyWindowError
 from .pointset import Box, PointPatch, as_box, box_volume
@@ -83,21 +79,6 @@ class Window:
             hi = np.array([iv[1] for iv in b])
             mask |= np.all((y >= lo) & (y < hi), axis=1)
         return mask
-
-    def boundary_distance(self, y: np.ndarray) -> np.ndarray:
-        """Sup-norm distance from each sample to the nearest box face (diagnostic)."""
-        y = np.asarray(y, dtype=np.float64).reshape(-1, self.m)
-        dist = np.full(len(y), np.inf)
-        for b in self.boxes:
-            lo = np.array([iv[0] for iv in b])
-            hi = np.array([iv[1] for iv in b])
-            below = lo - y
-            above = y - hi
-            outside = np.maximum(below, above).max(axis=1)
-            inside = np.minimum(y - lo, hi - y).min(axis=1)
-            d = np.where(outside > 0, outside, inside)
-            dist = np.minimum(dist, np.abs(d))
-        return dist
 
     def __eq__(self, other):
         if not isinstance(other, Window):
@@ -242,82 +223,3 @@ def model_set_covolume(scheme: CutProjectScheme) -> float:
     if vol <= 0:
         raise EmptyWindowError("empty window")
     return scheme.abs_det / vol
-
-
-def internal_density_diagnostic(
-    scheme: CutProjectScheme,
-    radius: float,
-    resolution: float,
-) -> tuple[bool, float]:
-    """Check that sampled internal projections fill the window to ``resolution``.
-
-    Enumerates lattice points with physical part in ``[-radius, radius]^d``
-    and reports the largest distance from a point of the window to the sample
-    set, together with whether it stays below ``resolution``.  The internal
-    projections of a genuine cut-and-project lattice are dense, so failures at
-    generous radii point at a degenerate scheme.  Diagnostic only.
-    """
-    if scheme.m == 0:
-        return True, 0.0
-    if radius <= 0 or resolution <= 0:
-        raise ValueError("radius and resolution must be positive")
-    bbox = scheme.window.bounding_box()
-    region = tuple((-radius, radius) for _ in range(scheme.d)) + bbox
-    internal = _lattice_points(scheme.basis, region)[:, scheme.d :]
-    internal = internal[scheme.window.contains(internal)]
-    if len(internal) == 0:
-        return False, math.inf
-    probe_axes = []
-    for wlo, whi in bbox:
-        count = max(2, int(math.ceil((whi - wlo) / (resolution / 2.0))) + 1)
-        probe_axes.append(np.linspace(wlo, whi, count))
-    mesh = np.meshgrid(*probe_axes, indexing="ij")
-    probes = np.stack([m.ravel() for m in mesh], axis=1)
-    probes = probes[scheme.window.contains(probes)]
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(internal).query(probes, k=1, p=np.inf)
-    worst = float(dist.max())
-    return worst <= resolution, worst
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """Finite-radius window-regularity diagnostic; never a proof."""
-
-    min_boundary_distance: float | None
-    n_inspected: int
-    suspect: bool
-    note: str
-
-
-def regularity_diagnostics(
-    scheme: CutProjectScheme,
-    radius: float,
-    internal_margin: float | None = None,
-    tol: float = 1e-9,
-) -> RegularityReport:
-    """Minimum distance from sampled internal projections to the window faces.
-
-    Inspects lattice points with physical part in ``[-radius, radius]^d`` and
-    internal part within the window bounding box inflated by
-    ``internal_margin``.  Flags "suspect non-regular" when any sampled
-    internal projection sits within ``tol`` of a window face.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if scheme.m == 0:
-        return RegularityReport(None, 0, False, "lattice scheme has no window; nothing to check")
-    bbox = scheme.window.bounding_box()
-    if internal_margin is None:
-        internal_margin = max(hi - lo for lo, hi in bbox) / 2.0
-    region = tuple((-radius, radius) for _ in range(scheme.d)) + tuple(
-        (lo - internal_margin, hi + internal_margin) for lo, hi in bbox
-    )
-    internal = _lattice_points(scheme.basis, region)[:, scheme.d :]
-    if len(internal) == 0:
-        return RegularityReport(None, 0, False, "insufficient sample")
-    dist = float(scheme.window.boundary_distance(internal).min())
-    suspect = dist < tol
-    note = "suspect non-regular" if suspect else f"finite-window evidence at radius {radius}"
-    return RegularityReport(dist, int(len(internal)), suspect, note)

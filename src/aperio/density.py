@@ -8,8 +8,8 @@ the next axis.  In d >= 3 a translate grid is used and the
 estimates are grid-certified only.  Grid counts are separable: per axis, a
 0/1 matrix records which points lie within ``n`` of each grid coordinate,
 and the product of these matrices counts every grid window at once
-(``_grid_count_extrema``).  A grid with more than ``GRID_LIMIT`` centres is
-refused before any array is built.
+(``_grid_count_extrema``).  A grid with more than ``pointset.GRID_LIMIT``
+centres is refused before any array is built.
 Extrapolation to the density limit is last-value-with-spread; no rate model
 is fitted.
 """
@@ -30,13 +30,13 @@ from .pointset import (
     box_edge_lengths,
     box_volume,
     shrink_box,
+    _check_grid_size,
     _closed_window_extremum,
     _pairwise_min_gap,
     _row_blocks,
 )
 
 DEFAULT_GRID_STEP = 0.1
-GRID_LIMIT = 100_000_000  # hard cap on window positions in one count grid
 
 
 @dataclass(frozen=True)
@@ -98,13 +98,6 @@ def _check_sizes(patch: PointPatch, sizes):
         raise PatchSizeError(
             f"patch too small for Folner size {max(bad)}; max feasible n is {feasible}"
         )
-
-
-def _check_grid_size(sizes) -> None:
-    """Refuse a count grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
-    total = math.prod(sizes)
-    if total > GRID_LIMIT:
-        raise ValueError(f"count grid of {total:.6g} window positions exceeds the limit")
 
 
 def _grid_count_extrema(members: list[np.ndarray]) -> tuple[int, int]:

@@ -21,10 +21,6 @@ class CoverageError(AperioError):
     """A patch box is too small to cover the requested compact window."""
 
 
-class ClusterError(AperioError):
-    """Cluster partition of an approximating patch failed."""
-
-
 class DegenerateBasisError(AperioError):
     """Lattice basis matrix is singular (or numerically so)."""
 

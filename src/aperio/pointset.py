@@ -23,15 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy.spatial is imported inside the functions that query a k-d tree: it costs
-# about 0.45 s and 35 MB to import, and the window statistics never need it.
-
 from .errors import CoverageError, EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
 
 BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
 BOX_TOL = 1e-12  # slack of box containment, for boxes built from rounded sums
+GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid
 
 
 def as_box(box) -> Box:
@@ -56,10 +54,6 @@ def box_volume(box: Box) -> float:
     for lo, hi in box:
         vol *= hi - lo
     return vol
-
-
-def box_contains_box(outer: Box, inner: Box, tol: float = BOX_TOL) -> bool:
-    return all(ol <= il + tol and ih <= oh + tol for (ol, oh), (il, ih) in zip(outer, inner))
 
 
 def box_edge_lengths(box: Box) -> tuple[float, ...]:
@@ -115,15 +109,19 @@ class PointPatch:
         """
         pts = np.asarray(points, dtype=np.float64).reshape(-1, dim)
         if merge_eps > 0 and len(pts) > 1:
-            order = np.lexsort(pts.T[::-1])
-            pts = pts[order]
+            pts = pts[np.lexsort(pts.T[::-1])]
+            # the pairs (i, i + k) within merge_eps, swept as in _pairwise_min_gap: once
+            # every first-axis gap at shift k exceeds merge_eps, no later pair is close
+            pairs = []
+            for k in range(1, len(pts)):
+                if (pts[k:, 0] - pts[:-k, 0]).min() > merge_eps:
+                    break
+                i = np.flatnonzero(np.abs(pts[k:] - pts[:-k]).max(axis=1) <= merge_eps)
+                pairs += zip(i.tolist(), (i + k).tolist())
             keep = np.ones(len(pts), dtype=bool)
-            from scipy.spatial import cKDTree
-
-            pairs = cKDTree(pts).query_pairs(merge_eps, p=np.inf, output_type="ndarray")
-            for i, j in pairs[np.lexsort(pairs.T[::-1])]:
+            for i, j in sorted(pairs):
                 if keep[i] and keep[j]:
-                    keep[max(i, j)] = False
+                    keep[j] = False
             pts = pts[keep]
         return cls(dim=dim, box=as_box(box), points=pts)
 
@@ -212,15 +210,26 @@ def _row_blocks(n_rows: int, row_elements: int):
 
 
 def _pairwise_min_gap(pts: np.ndarray) -> float:
-    if len(pts) < 2:
-        return math.inf
-    if pts.shape[1] == 1:
-        x = pts[:, 0]
-        return float(np.diff(x).min())
-    from scipy.spatial import cKDTree
+    """Smallest sup-norm distance between two rows of ``pts``, which is sorted by its first coordinate.
 
-    dist, _ = cKDTree(pts).query(pts, k=2, p=np.inf)
-    return float(dist[:, 1].min())
+    A sort-and-sweep closest pair (Hinrichs, Nievergelt & Schorn 1988): the
+    pairs ``(i, i + k)`` for k = 1, 2, ...  The first-axis gaps at shift k
+    only grow with k, so once the smallest of them reaches the best distance
+    no later pair can be closer.
+    """
+    best = math.inf
+    for k in range(1, len(pts)):
+        if (pts[k:, 0] - pts[:-k, 0]).min() >= best:
+            break
+        best = min(best, float(np.abs(pts[k:] - pts[:-k]).max(axis=1).min()))
+    return best
+
+
+def _check_grid_size(sizes) -> None:
+    """Refuse a grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
+    total = math.prod(sizes)
+    if total > GRID_LIMIT:
+        raise ValueError(f"grid of {total:.6g} positions exceeds the limit")
 
 
 def _sum_down(v, t):

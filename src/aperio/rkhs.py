@@ -21,12 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# scipy.ndimage is imported inside wiener_amalgam_norm: it costs about 0.4 s to
-# import, and the Gram paths never need it.
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, GridTooCoarseError
-from .pointset import _row_blocks, box_volume
+from .pointset import _check_grid_size, _row_blocks, box_volume
 
 Band = tuple[tuple[float, float], ...]
 
@@ -169,6 +167,19 @@ def critical_density(spec: KernelSpec) -> float:
     return spec.norm_sq_ke
 
 
+def _local_max(values: np.ndarray, reach: int) -> np.ndarray:
+    """Max over the cells within ``reach`` of each cell on every axis, the array clamped at its ends.
+
+    One running max per axis; a max is exact in any order, so the separable
+    form gives the same doubles as the full box.
+    """
+    out = values
+    for ax in range(values.ndim):
+        edges = [(reach, reach) if k == ax else (0, 0) for k in range(values.ndim)]
+        out = sliding_window_view(np.pad(out, edges, mode="edge"), 2 * reach + 1, axis=ax).max(axis=-1)
+    return out
+
+
 def wiener_amalgam_norm(
     spec: KernelSpec,
     q_radius: float,
@@ -180,27 +191,29 @@ def wiener_amalgam_norm(
     The local maximum function takes the sup of ``|k_e|`` over sliding boxes
     of half-width ``q_radius``; a finite value is evidence that the kernel
     satisfies the localization (Wiener-amalgam) assumption.  Evaluation is a
-    grid sup (maximum filter) plus a Riemann sum over
-    ``[-trunc_radius, trunc_radius]^dim``.
+    grid sup (a running max per axis, clamped at the grid ends) plus a
+    Riemann sum over ``[-trunc_radius, trunc_radius]^dim``.  A grid of more
+    than ``pointset.GRID_LIMIT`` positions is refused before it is built.
     """
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
+    if not q_radius > 0:
+        raise ValueError(f"q_radius must be positive, got {q_radius}")
     if grid_step >= q_radius:
         raise GridTooCoarseError("grid too coarse: need grid_step < q_radius")
     if trunc_radius <= q_radius:
         raise ValueError("trunc_radius must exceed q_radius")
     dim = spec.space_dim
     half = trunc_radius + q_radius
-    count = int(math.ceil(2 * half / grid_step)) + 1
+    span = np.ceil(2 * half / grid_step)  # inf for a tiny step, refused before int() sees it
+    _check_grid_size([span + 1.0] * dim)
+    count = int(span) + 1
     axis = np.linspace(-half, half, count)
     step = axis[1] - axis[0]
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     mag = np.abs(kernel_matrix(spec, pts, np.zeros((1, dim)))[:, 0]).reshape([count] * dim)
-    win = 2 * int(round(q_radius / step)) + 1
-    from scipy.ndimage import maximum_filter
-
-    local_max = maximum_filter(mag, size=win, mode="nearest")
+    local_max = _local_max(mag, int(round(q_radius / step)))
     inner = np.abs(axis) <= trunc_radius + 1e-12
     sl = tuple(np.ix_(*([np.where(inner)[0]] * dim)))
     norm_sq = float((local_max[sl] ** 2).sum() * step**dim)

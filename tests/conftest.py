@@ -13,7 +13,7 @@ from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
 from aperio.errors import CoverageError
 from aperio.framekit import _anchor_grid, _projected_inverse_sqrt
-from aperio.pointset import as_box, box_contains_box, points_in_box, shrink_box
+from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -260,6 +260,40 @@ def extrema_rational(pts, n, region) -> tuple[int, int]:
     return int(counts.min()), int(counts.max())
 
 
+def closest_pair_oracle(pts: np.ndarray) -> float:
+    """Smallest sup-norm distance between two rows, one pair at a time (``inf`` below two rows)."""
+    best = math.inf
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        best = min(best, float(np.abs(pts[i] - pts[j]).max()))
+    return best
+
+
+def merge_oracle(pts: np.ndarray, eps: float) -> np.ndarray:
+    """``PointPatch.from_points(merge_eps=eps)``'s points, comparing every pair.
+
+    Rows are taken in lexicographic order; each row still kept drops every
+    later row within sup-distance ``eps`` of it.
+    """
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = [True] * len(pts)
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if keep[i] and keep[j] and np.abs(pts[i] - pts[j]).max() <= eps:
+            keep[j] = False
+    return pts[keep]
+
+
+def local_max_oracle(values: np.ndarray, reach: int) -> np.ndarray:
+    """Max over the box of cells within ``reach`` of each cell, one cell at a time, cut at the array ends.
+
+    Cutting the box at the ends takes the same max as repeating the end cells
+    (``scipy.ndimage.maximum_filter(..., mode="nearest")``).
+    """
+    out = np.empty_like(values)
+    for idx in np.ndindex(values.shape):
+        out[idx] = values[tuple(slice(max(0, i - reach), i + reach + 1) for i in idx)].max()
+    return out
+
+
 def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     """``hull.orbit_sample`` one translate at a time: shift every point, then test the window.
 
@@ -268,10 +302,10 @@ def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch
     """
     k_box = as_box(k_box)
     out = []
-    for x in np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim):
+    for x in np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim).tolist():
         needed = tuple((lo + v, hi + v) for (lo, hi), v in zip(k_box, x))
-        if not box_contains_box(patch.box, needed):
-            raise CoverageError(f"box too small: translate {x.tolist()} needs {needed}")
+        if not all(pl <= nl + BOX_TOL and nh <= ph + BOX_TOL for (pl, ph), (nl, nh) in zip(patch.box, needed)):
+            raise CoverageError(f"box too small: translate {x} needs {needed}")
         shifted = patch.points - x
         sel = shifted[points_in_box(shifted, k_box)]
         out.append(PointPatch(dim=patch.dim, box=k_box, points=sel))

@@ -460,18 +460,22 @@ class TestArgumentValues:
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], "must be positive")
 
     @pytest.mark.parametrize(
-        "args, key",
+        "command, args, key",
         [
-            ({"kernel": "pw.json", "patch": "p.json", "truncations": [0, 10, 20]}, "truncations"),
-            ({"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": -1.0}, "margin_frac"),
-            ({"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": 3.0}, "margin_frac"),
-            ({"scheme": "z.json", "quadrature_n": 0}, "quadrature_n"),
-            ({"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
+            ("frame", {"kernel": "pw.json", "patch": "p.json", "truncations": [0, 10, 20]}, "truncations"),
+            ("frame", {"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": -1.0}, "margin_frac"),
+            ("frame", {"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "margin_frac": 3.0}, "margin_frac"),
+            ("weil-check", {"scheme": "z.json", "quadrature_n": 0}, "quadrature_n"),
+            ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
+            ("amalgam", {"kernel": "pw.json", "q": -1.0, "trunc": 20.0, "step": 0.02}, "q_radius must be positive"),
+            ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 1e-9}, "exceeds the limit"),
         ],
-        ids=["truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative"],
+        ids=[
+            "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
+            "amalgam-q-negative", "amalgam-grid-past-limit",
+        ],
     )
-    def test_argument_out_of_range_is_config_error(self, workspace, capsys, args, key):
-        command = "frame" if "kernel" in args else "weil-check"
+    def test_argument_out_of_range_is_config_error(self, workspace, capsys, command, args, key):
         argv = [command]
         for name, value in args.items():
             argv += ["--" + name.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
@@ -632,29 +636,37 @@ class TestInputBoundary:
         assert not (workspace / "d.json").exists()
 
 
-# calls that import scipy on first use; run in the fresh process and in this one
-_SCIPY_CALLS = """
-from aperio import generate_model_set, rel_separation
+# library calls that used scipy before aperio ported them to numpy; run in the fresh process and in this one
+_LIBRARY_CALLS = """
+import numpy as np
+from aperio import FolnerSpec, PointPatch, beurling_density, generate_model_set, rel_separation
 from aperio.cutproject import lattice_scheme
 from aperio.rkhs import paley_wiener, wiener_amalgam_norm
-patch = generate_model_set(lattice_scheme([[1.0, 0.0], [0.0, 1.0]]), [(-3, 3), (-3, 3)])
-values = [repr(rel_separation(patch, 1.5)), repr(wiener_amalgam_norm(paley_wiener([(-0.5, 0.5)]), 0.5, 6.0, 0.1))]
+square = generate_model_set(lattice_scheme([[1.0, 0.0], [0.0, 1.0]]), [(-3, 3), (-3, 3)])
+cube = generate_model_set(lattice_scheme(np.eye(3)), [(-3, 3)] * 3)
+rows = np.random.default_rng(5).uniform(-2, 2, size=(40, 2))
+merged = PointPatch.from_points(2, [(-2, 2)] * 2, np.vstack([rows, rows + 1e-12]), merge_eps=1e-9)
+values = [
+    repr(rel_separation(square, 1.5)),
+    repr(beurling_density(cube, FolnerSpec(sizes=(1.0,)))),
+    repr(merged.points.tolist()),
+    repr(wiener_amalgam_norm(paley_wiener([(-0.5, 0.5)]), 0.5, 6.0, 0.1)),
+]
 """
 
 _STARTUP_SCRIPT = """
 import json, sys
+sys.modules["scipy"] = None  # importing scipy, or any scipy submodule, now raises ImportError
 import aperio.cli
-after_import = "scipy" in sys.modules
 runs = [aperio.cli.main(["--workspace", sys.argv[1], "run", "--config", c]) for c in ("fib1d.json", "gabor2d.json")]
-after_runs = "scipy" in sys.modules
 exec(sys.argv[2])
-print(json.dumps({"after_import": after_import, "after_runs": after_runs, "runs": runs, "values": values}))
+print(json.dumps({"runs": runs, "values": values}))
 """
 
 
 class TestStartup:
     def test_cli_runs_pipelines_without_scipy(self, workspace):
-        """scipy loads on first use: importing the CLI and running 1-d and Gram pipelines never needs it."""
+        """With scipy blocked, both pipelines and every former scipy call run and give the same values."""
         (workspace / "gabor.json").write_text(json.dumps({"kind": "gabor_gaussian", "n": 1}))
         fib1d = [
             {"command": "gen", "args": {"scheme": "fib.json", "box": [-200, 200], "out": "f.json"}},
@@ -673,16 +685,14 @@ class TestStartup:
         (workspace / "gabor2d.json").write_text(json.dumps({"steps": gabor2d}))
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_SCRIPT, str(workspace), _SCIPY_CALLS],
+            [sys.executable, "-c", _STARTUP_SCRIPT, str(workspace), _LIBRARY_CALLS],
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         got = json.loads(proc.stdout)
-        assert got["after_import"] is False
         assert got["runs"] == [0, 0]
-        assert got["after_runs"] is False
         expected = {}
-        exec(_SCIPY_CALLS, expected)
+        exec(_LIBRARY_CALLS, expected)
         assert got["values"] == expected["values"]
 
 

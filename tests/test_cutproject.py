@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aperio import generate_model_set, model_set_covolume, regularity_diagnostics, rel_separation
+from aperio import generate_model_set, model_set_covolume, rel_separation
 from aperio.cutproject import CutProjectScheme, Window, _lattice_points, lattice_scheme
 from aperio.errors import DegenerateBasisError, EmptyWindowError
 from aperio.pointset import restrict, translate
@@ -192,52 +192,3 @@ class TestLatticePoints:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
         assert peak < 1_000_000
-
-
-class TestInternalDensityDiagnostic:
-    def test_fibonacci_projections_fill_the_window(self, fibonacci_scheme):
-        from aperio.cutproject import internal_density_diagnostic
-
-        ok, worst = internal_density_diagnostic(fibonacci_scheme, radius=200, resolution=0.05)
-        assert ok
-        assert worst < 0.05
-
-    def test_small_radius_does_not_fill(self, fibonacci_scheme):
-        from aperio.cutproject import internal_density_diagnostic
-
-        ok, worst = internal_density_diagnostic(fibonacci_scheme, radius=5, resolution=0.05)
-        assert not ok
-        assert worst > 0.05
-
-
-class TestRegularityDiagnostics:
-    def test_fibonacci_window_faces_clear(self, fibonacci_scheme):
-        report = regularity_diagnostics(fibonacci_scheme, radius=50)
-        assert report.min_boundary_distance > 0
-        assert not report.suspect
-        assert report.n_inspected > 0
-
-    def test_constructed_face_collision_flagged(self):
-        # place the window face exactly on the internal coordinate of a
-        # selected lattice point: gamma = (1, 1) has internal part 1.0
-        scheme = CutProjectScheme(
-            d=1, m=1, basis=[[1.0, TAU], [1.0, TAU_CONJ]],
-            window=Window(m=1, boxes=(((TAU_CONJ + 1.0, 1.0),),)),
-        )
-        report = regularity_diagnostics(scheme, radius=10)
-        assert report.suspect
-        assert report.min_boundary_distance == pytest.approx(0.0, abs=1e-12)
-
-    def test_insufficient_sample_reported(self):
-        scheme = CutProjectScheme(
-            d=1, m=1, basis=[[1.0, TAU], [1.0, TAU_CONJ]],
-            window=Window(m=1, boxes=(((40.0, 40.5),),)),
-        )
-        report = regularity_diagnostics(scheme, radius=0.1, internal_margin=0.01)
-        assert report.note == "insufficient sample"
-        assert report.min_boundary_distance is None
-
-    def test_lattice_scheme_has_nothing_to_check(self):
-        report = regularity_diagnostics(lattice_scheme([[1.0]]), radius=5)
-        assert not report.suspect
-        assert "no window" in report.note

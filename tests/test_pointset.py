@@ -9,6 +9,7 @@ from aperio import PointPatch, generate_model_set, is_relatively_dense, rel_sepa
 from aperio.errors import EmptyPatchError, WindowTooLargeError
 from aperio.pointset import (
     _max_window_count_nd,
+    _pairwise_min_gap,
     box_volume,
     inflate_box,
     points_in_box,
@@ -19,6 +20,7 @@ from aperio.pointset import (
 
 from conftest import (
     brute_force_window_max,
+    closest_pair_oracle,
     dense_oracle,
     dense_rational,
     make_fibonacci_scheme,
@@ -26,6 +28,7 @@ from conftest import (
     make_product_fibonacci_scheme,
     make_satellites_patch,
     max_window_count_oracle,
+    merge_oracle,
 )
 
 
@@ -117,6 +120,60 @@ class TestRelSeparation:
         stats = [rel_separation(p, u) for u in (0.25, 0.5, 1.0)]
         assert [s.u_radius for s in stats] == [0.25, 0.5, 1.0]
         assert [s.ell for s in stats] == [2, 2, 3]
+
+
+@st.composite
+def near_rows(draw, dim):
+    """Rows near 0 or +-1e4: grid cells (so columns share a first coordinate) and a few free rows.
+
+    Each axis has its own grid step, so the closest pair may sit a whole
+    column apart in sort order.  A prefix of the rows is copied with each
+    coordinate one ulp down, kept or one ulp up, so exact duplicates and
+    ulp-level near-duplicates both occur.
+    """
+    center = draw(st.sampled_from([0.0, 1.0e4, -1.0e4]))
+    steps = draw(st.lists(st.sampled_from([0.01, 0.25, 0.1, 1.0 / 3.0, 0.7]), min_size=dim, max_size=dim))
+    grid = center + np.outer(np.arange(-3, 4), steps)  # grid[i, k]: value i on axis k
+    cells = draw(st.lists(st.lists(st.integers(0, 6), min_size=dim, max_size=dim), min_size=1, max_size=30))
+    free = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim), max_size=5))
+    rows = np.vstack([grid[np.array(cells), np.arange(dim)], center + np.array(free).reshape(-1, dim)])
+    copies = rows[: draw(st.integers(0, len(rows)))]
+    signs = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=copies.size, max_size=copies.size))
+    return np.vstack([rows, np.nextafter(copies, copies + np.reshape(signs, copies.shape))])
+
+
+class TestSweepOracles:
+    """The sort-and-sweep closest pair and merge pairs against every pair."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_min_gap_matches_all_pairs(self, dim, data):
+        pts = np.unique(data.draw(near_rows(dim)), axis=0)  # distinct rows in lexicographic order
+        assert _pairwise_min_gap(pts) == closest_pair_oracle(pts)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_merge_matches_all_pairs(self, dim, data):
+        pts = data.draw(near_rows(dim))
+        i, j = data.draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2))
+        exact = float(np.abs(pts[i] - pts[j]).max())  # a pair at exactly merge_eps is merged
+        eps = data.draw(st.sampled_from([exact, 1e-9, 0.1, 0.3]))
+        eps = eps if eps > 0 else 1e-9
+        box = list(zip(pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0))
+        got = PointPatch.from_points(dim, box, pts, merge_eps=eps)
+        assert np.array_equal(got.points, merge_oracle(pts, eps))
+
+    def test_lattice_columns(self):
+        # 49 points share each first coordinate: the sweep can stop only at shift 49
+        pts = make_lattice_patch(0.5, 1.5, dim=3).points
+        assert _pairwise_min_gap(pts) == closest_pair_oracle(pts) == 0.5
+
+    def test_closest_pair_a_column_apart(self):
+        # sorted rows: the column x = 0 (y = 0, 10, ..., 90), then (0.1, 0.05), 10 rows after its partner (0, 0)
+        pts = np.array([[0.0, 10.0 * i] for i in range(10)] + [[0.1, 0.05]])
+        assert _pairwise_min_gap(pts) == closest_pair_oracle(pts) == 0.1
 
 
 class TestSeparableWindowCount:

@@ -9,11 +9,14 @@ from aperio import kernel_matrix, kernel_value, wiener_amalgam_norm
 from aperio.errors import DimensionMismatchError, GridTooCoarseError
 from aperio.rkhs import (
     CocycleSpec,
+    _local_max,
     _sinc_factor,
     critical_density,
     gabor_gaussian,
     paley_wiener,
 )
+
+from conftest import local_max_oracle
 
 
 def gaussian_window(t):
@@ -216,6 +219,29 @@ class TestAmalgamNorm:
         envelope = np.minimum(1.0, 1.0 / (np.pi * np.maximum(xs - 0.5, 1e-9)))
         bound = math.sqrt(2 * np.trapezoid(envelope**2, xs))
         assert value <= bound + 0.05
+
+    @pytest.mark.parametrize(
+        "kernel, args, expected",
+        [
+            (paley_wiener([(-0.5, 0.5)]), (0.5, 20.0, 0.02), "1.4364665375470835"),
+            (gabor_gaussian(1), (0.3, 3.0, 0.04), "1.5592967252096732"),
+        ],
+        ids=["pw-criterion-10", "gabor-2d"],
+    )
+    def test_value_pinned(self, kernel, args, expected):
+        # the doubles scipy.ndimage.maximum_filter(mode="nearest") gave before the running max replaced it
+        assert repr(wiener_amalgam_norm(kernel, *args)) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_local_max_matches_looped_filter(self, dim, data):
+        shape = data.draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+        size = math.prod(shape)
+        cells = st.floats(0.0, 1e3) | st.sampled_from([0.0, 0.5, 1.0])  # ties too
+        values = np.array(data.draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+        reach = data.draw(st.integers(0, 9))  # windows of 1 to 19 cells, wider than the array too
+        assert np.array_equal(_local_max(values, reach), local_max_oracle(values, reach))
 
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(GridTooCoarseError, match="grid too coarse"):
