@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, box_volume, points_in_box, restrict, shrink_box, translate
+from .pointset import PointPatch, _row_blocks, box_volume, points_in_box, restrict, shrink_box, translate
 from .rkhs import KernelSpec, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -66,10 +66,20 @@ class GramMatrix:
 
 
 def gram_from_entries(entries: np.ndarray) -> GramMatrix:
+    """Wrap a square Hermitian matrix with its ascending eigenvalues.
+
+    The Hermitian defect ``|e[i, j] - conj(e[j, i])|`` is checked one row
+    block at a time, so the check needs no n x n temporary; the first block
+    whose defect is not ``<= 1e-10`` (NaN and inf included) is refused.
+    """
     entries = np.asarray(entries)
-    herm_defect = np.abs(entries - entries.conj().T).max() if entries.size else 0.0
-    if herm_defect > 1e-10:
-        raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"Gram entries must form a square matrix, got shape {entries.shape}")
+    for blk in _row_blocks(len(entries), len(entries)):
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
+            herm_defect = np.abs(entries[blk] - entries[:, blk].conj().T).max()
+        if not herm_defect <= 1e-10:
+            raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
     eigs = np.linalg.eigvalsh(entries) if entries.size else np.empty(0)
     return GramMatrix(entries=entries, eigenvalues=eigs)
 
@@ -282,8 +292,14 @@ def frame_trend_report(
     restricts the patch to ``[-t, t]^d`` and takes the sampling bounds with
     margin ``margin_frac * t``, ``0 < margin_frac < 1``.  Both are checked
     before any Gram work.  At least three stages are required for a
-    non-inconclusive verdict.  The Gram of the largest stage is built once;
-    every smaller stage's Gram is its principal submatrix.
+    non-inconclusive verdict.
+
+    The stages run in two phases, so at most one n x n Gram (n the points of
+    the largest stage) is alive at any time.  First the Gram stage of every
+    truncation: the Gram of the largest stage is built once, every smaller
+    stage's Gram is its principal submatrix, and each gives its Riesz
+    bounds.  Then the Grams are released and the sampling bounds of every
+    truncation are taken, with no Gram alive.
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs or not truncs[0] > 0:
@@ -296,6 +312,7 @@ def frame_trend_report(
     margin = margin_frac * truncs[-1]
     top_patch = restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim)
     top = build_gram(kernel, top_patch)
+    subs = []
     for t in truncs:
         sub = restrict(patch, [(-t, t)] * patch.dim)
         keep = points_in_box(top_patch.points, sub.box)
@@ -304,13 +321,16 @@ def frame_trend_report(
         r_lo.append(a)
         r_lo_raw.append(gram.lambda_min)
         r_hi.append(b)
+        subs.append(sub)
+    final_eigs = gram.eigenvalues
+    del top, gram  # release the Grams before the sampling stages build their own blocks
+    for t, sub in zip(truncs, subs):
         try:
             sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
         except ValueError as exc:  # the arguments are valid, so the patch is too small or sparse
             raise CoverageError(str(exc)) from exc
         s_lo.append(sa)
         s_hi.append(sb)
-        final_eigs = gram.eigenvalues
     if len(truncs) >= 3:
         frame_status = _trend_status(s_lo)
         riesz_status = _trend_status(r_lo_raw)

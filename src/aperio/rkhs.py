@@ -193,7 +193,9 @@ def wiener_amalgam_norm(
     satisfies the localization (Wiener-amalgam) assumption.  Evaluation is a
     grid sup (a running max per axis, clamped at the grid ends) plus a
     Riemann sum over ``[-trunc_radius, trunc_radius]^dim``.  A grid of more
-    than ``pointset.GRID_LIMIT`` positions is refused before it is built.
+    than ``pointset.GRID_LIMIT`` positions is refused before it is built;
+    the kernel magnitudes are filled in row blocks of the flattened grid, so
+    no array of all its points is ever built.
     """
     if not grid_step > 0:
         raise ValueError(f"grid_step must be positive, got {grid_step}")
@@ -210,9 +212,16 @@ def wiener_amalgam_norm(
     count = int(span) + 1
     axis = np.linspace(-half, half, count)
     step = axis[1] - axis[0]
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    mag = np.abs(kernel_matrix(spec, pts, np.zeros((1, dim)))[:, 0]).reshape([count] * dim)
+    shape = (count,) * dim
+    origin = np.zeros((1, dim))
+    mag = np.empty(count**dim)
+    # the kernel assembly holds about four values per coordinate of a position
+    # at once, so a block of BLOCK_ELEMENTS / (4 dim) positions stays within the budget
+    for blk in _row_blocks(len(mag), 4 * dim):
+        pts = np.stack([axis[c] for c in np.unravel_index(np.arange(blk.start, blk.stop), shape)], axis=1)
+        mag[blk] = np.abs(kernel_matrix(spec, pts, origin)[:, 0])
+    del pts
+    mag = mag.reshape(shape)
     local_max = _local_max(mag, int(round(q_radius / step)))
     inner = np.abs(axis) <= trunc_radius + 1e-12
     sl = tuple(np.ix_(*([np.where(inner)[0]] * dim)))

@@ -294,6 +294,12 @@ def local_max_oracle(values: np.ndarray, reach: int) -> np.ndarray:
     return out
 
 
+def hermitian_defect_oracle(e: np.ndarray) -> float:
+    """Largest ``|e[i, j] - conj(e[j, i])|`` over the whole matrix at once (NaN if any is NaN)."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(e - e.conj().T).max()
+
+
 def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     """``hull.orbit_sample`` one translate at a time: shift every point, then test the window.
 

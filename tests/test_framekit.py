@@ -1,7 +1,12 @@
 import math
+import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aperio import (
     PointPatch,
@@ -17,7 +22,7 @@ from aperio import (
 )
 from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
-from aperio import framekit
+from aperio import framekit, pointset
 from aperio.errors import GramSizeError, NotAFrameError
 from aperio.framekit import MAX_GRAM_POINTS, UNDERFLOW_FLOOR, gram_from_entries
 from aperio.pointset import restrict
@@ -25,6 +30,7 @@ from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiene
 
 from conftest import (
     anchor_kernel_block,
+    hermitian_defect_oracle,
     make_fibonacci_scheme,
     make_lattice_patch,
     make_product_fibonacci_scheme,
@@ -86,6 +92,69 @@ class TestBuildGram:
             build_gram(PW, patch)
         with pytest.raises(GramSizeError, match="dense limit is 4000"):
             sampling_bounds(PW, patch)
+
+
+class TestGramFromEntries:
+    @pytest.mark.parametrize(
+        "where, value",
+        [((0, 1), math.nan), ((2, 0), math.nan), ((1, 2), math.inf), ((1, 1), math.inf), ((0, 0), 1 + 1j)],
+        ids=["nan-upper", "nan-lower", "inf-upper", "inf-diagonal", "non-real-diagonal"],
+    )
+    def test_non_finite_or_non_hermitian_entry_refused(self, where, value):
+        # eigvalsh reads only the lower triangle, so an upper NaN alone would pass unseen
+        e = np.eye(3, dtype=complex)
+        e[where] = value
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gram_from_entries(e)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_non_square_input_names_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
+            gram_from_entries(np.zeros(shape))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_blockwise_defect_matches_whole_matrix_oracle(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        block_rows = data.draw(st.integers(1, n), label="block_rows")  # one block to n blocks
+        spare = data.draw(st.integers(0, n - 1), label="spare")  # budgets between whole rows too
+        is_complex = data.draw(st.booleans(), label="complex")
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = rng.standard_normal((n, n)) * scale
+        if is_complex:
+            a = a + 1j * rng.standard_normal((n, n)) * scale
+        e = (a + a.conj().T) / 2  # exactly Hermitian
+        i, j = data.draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), label="entry")
+        delta = data.draw(
+            st.sampled_from([0.0, 1e-11, 1e-10, 1.0000001e-10, 1e-9, 1.0, math.nan, math.inf, -math.inf])
+            | st.floats(-1e-8, 1e-8),
+            label="delta",
+        )
+        if is_complex and data.draw(st.booleans(), label="imaginary"):
+            delta = delta * 1j
+        e[i, j] += delta
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pointset, "BLOCK_ELEMENTS", block_rows * n + spare)
+            if hermitian_defect_oracle(e) <= 1e-10:
+                gram = gram_from_entries(e)
+                assert np.array_equal(gram.eigenvalues, np.linalg.eigvalsh(e))
+            else:
+                with pytest.raises(ValueError, match="not Hermitian"):
+                    gram_from_entries(e)
+
+    def test_defect_check_allocates_a_fraction_of_the_matrix(self, monkeypatch):
+        # a whole-matrix check allocates two n x n complex temporaries (2.05x the matrix)
+        monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", 1 << 14)
+        a = np.random.default_rng(3).standard_normal((400, 800)).view(complex)
+        e = (a + a.conj().T) / 2
+        tracemalloc.start()
+        try:
+            gram_from_entries(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * e.nbytes
 
 
 class TestRieszBounds:
@@ -311,6 +380,28 @@ class TestFrameTrend:
         assert report.sampling_lower == tuple(s_lo)
         assert report.sampling_upper == tuple(s_hi)
         assert np.array_equal(report.final_eigenvalues, gram.eigenvalues)
+
+    def test_top_gram_released_before_sampling(self, monkeypatch):
+        refs = []
+
+        def keep_ref(fn):
+            def wrapped(*args, **kwargs):
+                gram = fn(*args, **kwargs)
+                refs.append(weakref.ref(gram.entries))
+                return gram
+
+            return wrapped
+
+        def checked_sampling_bounds(*args, **kwargs):
+            assert all(r() is None for r in refs), "a Gram is alive during a sampling stage"
+            return sampling_bounds(*args, **kwargs)
+
+        monkeypatch.setattr(framekit, "build_gram", keep_ref(framekit.build_gram))
+        monkeypatch.setattr(framekit, "gram_from_entries", keep_ref(framekit.gram_from_entries))
+        monkeypatch.setattr(framekit, "sampling_bounds", checked_sampling_bounds)
+        report = frame_trend_report(PW, pw_patch(0.5, 160.0), [40, 80, 160])
+        assert len(refs) == 4  # the top Gram, recorded twice, and two principal submatrices
+        assert len(report.sampling_lower) == 3
 
     def test_two_truncations_are_inconclusive(self):
         report = frame_trend_report(PW, pw_patch(1.0, 80.0), [40, 80])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,17 @@ class TestAmalgamNorm:
     def test_value_pinned(self, kernel, args, expected):
         # the doubles scipy.ndimage.maximum_filter(mode="nearest") gave before the running max replaced it
         assert repr(wiener_amalgam_norm(kernel, *args)) == expected
+
+    def test_million_position_grid_is_filled_in_blocks(self):
+        # 1,001^2 positions: all point rows at once peaked at 67.6 MB
+        tracemalloc.start()
+        try:
+            value = wiener_amalgam_norm(gabor_gaussian(1), q_radius=0.5, trunc_radius=4.5, grid_step=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert repr(value) == "1.9999999999999574"
+        assert peak < 40e6
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
