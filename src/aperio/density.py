@@ -24,16 +24,18 @@ import numpy as np
 from .cutproject import CutProjectScheme, _lattice_points
 from .errors import CoverageError, PatchSizeError
 from .pointset import (
+    BOX_TOL,
     Box,
     PointPatch,
     as_box,
-    box_edge_lengths,
     box_volume,
     shrink_box,
     _check_grid_size,
     _closed_window_extremum,
+    _max_window_size,
     _pairwise_min_gap,
     _row_blocks,
+    _sum_down,
 )
 
 DEFAULT_GRID_STEP = 0.1
@@ -87,12 +89,8 @@ class DensityReport:
         return tuple(n for n, _ in self.lower)
 
 
-def _max_feasible_size(patch: PointPatch) -> float:
-    return min(box_edge_lengths(patch.box)) / 2.0
-
-
 def _check_sizes(patch: PointPatch, sizes):
-    feasible = _max_feasible_size(patch)
+    feasible = _max_window_size(patch)
     bad = [n for n in sizes if n > feasible]
     if bad:
         raise PatchSizeError(
@@ -203,7 +201,7 @@ def beurling_density(patch: PointPatch, spec: FolnerSpec) -> DensityReport:
     """
     note = (
         f"centers certified on the box shrunk by each Folner size; "
-        f"max feasible n = {_max_feasible_size(patch)}"
+        f"max feasible n = {_max_window_size(patch)}"
     )
     return _assemble_report([patch], spec, note)
 
@@ -283,10 +281,12 @@ class ErgodicEstimate:
 def covolume_ergodic_estimate(patch: PointPatch, s_box, translates) -> ErgodicEstimate:
     """Reciprocal of the average windowed density over the supplied translates.
 
-    Counts use half-open windows ``[lo, hi)`` so lattice estimates are exact
-    whenever the window side is a multiple of the lattice spacing.  The
-    average over an orbit sample estimates the covolume only when the hull
-    carries a unique invariant measure; the result is tagged accordingly.
+    Counts use half-open windows: a point ``p`` counts at translate ``v`` iff
+    ``v + lo <= p < v + hi`` per axis for the exact sums, in every dimension,
+    so lattice estimates are exact whenever the window side is a multiple of
+    the lattice spacing.  The average over an orbit sample estimates the
+    covolume only when the hull carries a unique invariant measure; the
+    result is tagged accordingly.
     """
     s_box = as_box(s_box)
     vecs = np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim)
@@ -296,22 +296,20 @@ def covolume_ergodic_estimate(patch: PointPatch, s_box, translates) -> ErgodicEs
     hi = np.array([b[1] for b in s_box])
     plo = np.array([b[0] for b in patch.box])
     phi = np.array([b[1] for b in patch.box])
-    if np.any(lo + vecs.min(axis=0) < plo - 1e-12) or np.any(hi + vecs.max(axis=0) > phi + 1e-12):
+    if np.any(lo + vecs.min(axis=0) < plo - BOX_TOL) or np.any(hi + vecs.max(axis=0) > phi + BOX_TOL):
         raise CoverageError("box too small: some translate window exceeds the patch box")
+    # ceil(v + lo) <= p < ceil(v + hi) holds iff v + lo <= p < v + hi exactly
+    face_lo, face_hi = -_sum_down(-vecs, -lo), -_sum_down(-vecs, -hi)
     if patch.dim == 1:
         x = patch.points[:, 0]
-        counts = (
-            np.searchsorted(x, vecs[:, 0] + hi[0], side="left")
-            - np.searchsorted(x, vecs[:, 0] + lo[0], side="left")
-        ).astype(np.float64)
+        counts = (x.searchsorted(face_hi[:, 0], "left") - x.searchsorted(face_lo[:, 0], "left")).astype(np.float64)
     else:
         counts = np.zeros(len(vecs))
         for blk in _row_blocks(len(vecs), patch.n_points):
-            v = vecs[blk]
-            inside = np.ones((len(v), patch.n_points), dtype=bool)
+            inside = np.ones((blk.stop - blk.start, patch.n_points), dtype=bool)
             for k in range(patch.dim):
-                shifted = patch.points[None, :, k] - v[:, k, None]
-                inside &= (shifted >= lo[k]) & (shifted < hi[k])
+                p = patch.points[None, :, k]
+                inside &= (face_lo[blk, k, None] <= p) & (p < face_hi[blk, k, None])
             counts[blk] = inside.sum(axis=1)
     vol = box_volume(s_box)
     mean_density = float(np.sort(counts).sum() / len(counts) / vol)

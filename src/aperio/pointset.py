@@ -9,11 +9,12 @@ certified sub-box.
 Windows are axis-aligned sup-norm boxes throughout: counting windows are
 *open* boxes described by their side length ``u_radius``, denseness windows
 are *closed* boxes ``[-k, k]^d`` described by their half-width ``k_radius``.
-Both window statistics are exact in every dimension: the patch is cut into
-slabs along its first axis (``searchsorted`` on the sorted coordinate), each
-slab is solved on the remaining axes, and a 1-d sweep finishes the recursion.
-The closed-window counter behind denseness also gives ``density`` its exact
-extrema in d <= 2.
+One slab counter, ``_window_extremum``, gives every window statistic exactly
+in every dimension: the patch is cut into slabs along its first axis
+(``searchsorted`` on the sorted coordinate), each slab is solved on the
+remaining axes, and a 1-d sweep finishes the recursion.  It gives ``ell``
+(windows anywhere, with an open lower face), denseness and the covering
+radius, and ``density`` its exact extrema in d <= 2.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ Box = tuple[tuple[float, float], ...]
 BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
 BOX_TOL = 1e-12  # slack of box containment, for boxes built from rounded sums
 GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid
+# the faces _window_extremum takes for the region (-inf, inf) on one axis, written out since inf - inf is nan
+UNBOUNDED_FACES = (-math.inf, -math.inf, -math.inf, math.inf, math.inf)
 
 
 def as_box(box) -> Box:
@@ -152,8 +155,9 @@ class SeparationStats:
 
     ``u_radius`` is the side length of the open counting window
     ``U = (-u/2, u/2)^d``; ``ell`` is the exact maximum of
-    ``|patch  ^ (x + U)|`` over window positions, realized by sweeping windows
-    anchored at point coordinates.  ``min_gap`` is the smallest pairwise
+    ``|patch  ^ (x + U)|`` over window positions, from the slab counter with
+    windows ``u - w < x <= u`` per axis whose upper faces lie on point
+    coordinates.  ``min_gap`` is the smallest pairwise
     sup-norm distance (``inf`` for a single point).  ``max_gap_radius`` is the
     smallest double ``r`` for which :func:`is_relatively_dense` holds, i.e.
     the patch is ``[-r, r]^d``-dense inside the box shrunk by ``r`` (``inf``
@@ -173,34 +177,14 @@ def _require_nonempty(patch: PointPatch):
         raise EmptyPatchError("empty")
 
 
+def _max_window_size(patch: PointPatch) -> float:
+    """Half the shortest edge of the patch box: the largest window size the patch can certify."""
+    return min(box_edge_lengths(patch.box)) / 2.0
+
+
 def _require_window_fits(patch: PointPatch, size: float):
-    half_edge = min(box_edge_lengths(patch.box)) / 2.0
-    if size > half_edge:
+    if size > _max_window_size(patch):
         raise WindowTooLargeError("window exceeds patch")
-
-
-def _max_window_count_1d(x: np.ndarray, width: float) -> int:
-    # anchors at each point: window [x_i, x_i + width) realizes every local max
-    hi = np.searchsorted(x, x + width, side="left")
-    return int((hi - np.arange(len(x))).max())
-
-
-def _max_window_count_nd(pts: np.ndarray, width: float) -> int:
-    # slabs a <= x < a + width along the first axis, anchored at point
-    # coordinates; the best window inside a slab is a window in the other axes
-    if pts.shape[1] == 1:
-        return _max_window_count_1d(np.sort(pts[:, 0]), width)
-    pts = pts[np.argsort(pts[:, 0])]
-    x = pts[:, 0]
-    anchors = np.unique(x)
-    lo = np.searchsorted(x, anchors, side="left")
-    hi = np.searchsorted(x, anchors + width, side="left")
-    best = 0
-    for i in np.argsort(lo - hi):  # largest slab first
-        if hi[i] - lo[i] <= best:
-            break
-        best = max(best, _max_window_count_nd(pts[lo[i] : hi[i], 1:], width))
-    return best
 
 
 def _row_blocks(n_rows: int, row_elements: int):
@@ -263,7 +247,8 @@ def _closed_window_extremum(pts: np.ndarray, region: Box, n: float, largest: boo
     return _window_extremum(pts, faces.tolist(), 2.0 * n, largest)
 
 
-def _window_extremum(pts: np.ndarray, faces: list, width: float, largest: bool) -> int:
+def _window_extremum(pts: np.ndarray, faces: list, width: float, largest: bool, open_lower: bool = False) -> int:
+    # open_lower: the windows anchored at an upper face u hold u - width < x <= u, not u - width <= x <= u
     x = pts[:, 0]
     if len(x) == 0:
         return 0
@@ -272,7 +257,11 @@ def _window_extremum(pts: np.ndarray, faces: list, width: float, largest: bool) 
     start_lo, start_hi, upper_lo, upper_hi, leave_hi = faces[0]  # the window at a comes first
     if largest:  # upper face on u_j, for a <= u_j - n <= b
         j = slice(u.searchsorted(upper_lo, "left"), u.searchsorted(upper_hi, "right"))
-        lo = x.searchsorted(np.append(start_lo, -_sum_down(-u[j], width)), "left")
+        if open_lower:  # first x > u_j - width
+            below = x.searchsorted(_sum_down(u[j], -width), "right")
+        else:  # first x >= u_j - width
+            below = x.searchsorted(-_sum_down(-u[j], width), "left")
+        lo = np.append(x.searchsorted(start_lo, "left"), below)
         hi = np.append(x.searchsorted(start_hi, "right"), ends[j])
     else:  # u_i has just left, for a <= u_i + n < b
         j = slice(u.searchsorted(start_lo, "left"), u.searchsorted(leave_hi, "left"))
@@ -286,9 +275,14 @@ def _window_extremum(pts: np.ndarray, faces: list, width: float, largest: bool) 
         if (sizes[i] <= best) if largest else (best == 0):
             break
         slab = pts[lo[i] : hi[i], 1:]
-        count = _window_extremum(slab[np.argsort(slab[:, 0])], faces[1:], width, largest)
+        count = _window_extremum(slab[np.argsort(slab[:, 0])], faces[1:], width, largest, open_lower)
         best = max(best, count) if largest else min(best, count)
     return best
+
+
+def _dense(patch: PointPatch, k: float) -> bool:
+    """Every closed window ``x + [-k, k]^d`` with ``x`` in the box shrunk by ``k`` holds a point."""
+    return _closed_window_extremum(patch.points, shrink_box(patch.box, k), k, largest=False) >= 1
 
 
 def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
@@ -301,19 +295,16 @@ def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
         raise ValueError("k_radius must be positive")
     k = float(k_radius)
     _require_window_fits(patch, k)
-    return _closed_window_extremum(patch.points, shrink_box(patch.box, k), k, largest=False) >= 1
+    return _dense(patch, k)
 
 
 def _max_gap_radius(patch: PointPatch) -> float:
-    def dense(k: float) -> bool:
-        return _closed_window_extremum(patch.points, shrink_box(patch.box, k), k, largest=False) >= 1
-
     # bisect until the midpoint rounds to an end: hi is the smallest passing double
-    lo, hi = 0.0, min(box_edge_lengths(patch.box)) / 2.0
-    if not dense(hi):
+    lo, hi = 0.0, _max_window_size(patch)
+    if not _dense(patch, hi):
         return math.inf
     while lo < (mid := (lo + hi) / 2.0) < hi:
-        if dense(mid):
+        if _dense(patch, mid):
             hi = mid
         else:
             lo = mid
@@ -328,7 +319,7 @@ def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:
     w = float(u_radius)
     _require_window_fits(patch, w)
     return SeparationStats(
-        ell=_max_window_count_nd(patch.points, w),
+        ell=_window_extremum(patch.points, [UNBOUNDED_FACES] * patch.dim, w, largest=True, open_lower=True),
         u_radius=w,
         min_gap=_pairwise_min_gap(patch.points),
         max_gap_radius=_max_gap_radius(patch),

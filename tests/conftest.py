@@ -176,16 +176,30 @@ def extrema_grid_oracle(pts: np.ndarray, n: float, region, step: float) -> tuple
 
 
 def max_window_count_oracle(pts: np.ndarray, width: float) -> int:
-    """Brute-force maximum count of a half-open window ``[a, a + width)^d``.
+    """Brute-force maximum count of a half-open window ``[a, a + width)^d``, in exact arithmetic.
 
     Tries every corner ``a`` whose coordinates are point coordinates, one
-    window at a time.
+    window at a time, comparing each point with the exact rational
+    ``a + width``.  The best such window holds as many points as the best
+    open window of side ``width``.
     """
+    rows = [[Fraction(float(v)) for v in row] for row in pts]
+    w = Fraction(width)
     best = 0
-    for corner in itertools.product(*(np.unique(pts[:, k]) for k in range(pts.shape[1]))):
-        a = np.array(corner)
-        best = max(best, int(np.all((a <= pts) & (pts < a + width), axis=1).sum()))
+    for a in itertools.product(*({row[k] for row in rows} for k in range(pts.shape[1]))):
+        best = max(best, sum(all(ak <= p < ak + w for ak, p in zip(a, row)) for row in rows))
     return best
+
+
+def ergodic_counts_oracle(pts: np.ndarray, s_box, translates) -> list[int]:
+    """Per translate ``v``, the number of points with ``v + lo <= p < v + hi`` on every axis, exactly."""
+    rows = [[Fraction(float(v)) for v in row] for row in pts]
+    box = [(Fraction(lo), Fraction(hi)) for lo, hi in s_box]
+    counts = []
+    for vec in translates:
+        v = [Fraction(float(t)) for t in vec]
+        counts.append(sum(all(vk + lo <= p < vk + hi for vk, (lo, hi), p in zip(v, box, row)) for row in rows))
+    return counts
 
 
 def dense_oracle(pts: np.ndarray, box, k: float) -> bool:

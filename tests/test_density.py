@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperio import (
@@ -26,6 +26,7 @@ from aperio.pointset import _closed_window_extremum, as_box, restrict, shrink_bo
 
 from conftest import (
     SQRT5,
+    ergodic_counts_oracle,
     extrema_grid_oracle,
     extrema_rational,
     make_lattice_patch,
@@ -237,6 +238,26 @@ class TestCovolumeBounds:
         assert math.isinf(bounds.covol_plus_hi)
 
 
+def near_tenths(lo: int, hi: int, min_size: int, max_size: int):
+    """Distinct multiples of 0.1 in ``[lo/10, hi/10]``, each kept or moved one ulp."""
+    tenth = st.tuples(st.integers(lo, hi), st.sampled_from([-1.0, 0.0, 1.0]))
+    near = tenth.map(lambda t: float(np.nextafter(t[0] / 10, t[0] / 10 + t[1])))
+    return st.lists(near, min_size=min_size, max_size=max_size, unique=True)
+
+
+def ergodic_1d_and_embedded(points, s_side, translates):
+    """The estimate on a 1-d patch, and on its embedding in the plane at second coordinate 0."""
+    x = np.array(points)
+    vecs = np.array(translates)
+    box = (min(x.min(), s_side[0] + vecs.min()) - 1.0, max(x.max(), s_side[1] + vecs.max()) + 1.0)
+    flat = PointPatch(dim=1, box=[box], points=x[:, None])
+    plane = PointPatch(dim=2, box=[box, (-1.0, 1.0)], points=np.stack([x, np.zeros_like(x)], axis=1))
+    return (
+        covolume_ergodic_estimate(flat, [s_side], vecs[:, None]),
+        covolume_ergodic_estimate(plane, [s_side, (-1.0, 1.0)], np.stack([vecs, np.zeros_like(vecs)], axis=1)),
+    )
+
+
 class TestErgodicEstimate:
     def test_lattice_exact_for_commensurate_window(self):
         patch = make_lattice_patch(2.0, 100.0)
@@ -259,6 +280,26 @@ class TestErgodicEstimate:
         est_z = covolume_ergodic_estimate(z_limit, [(-10, 10)], own_z)
         assert est_self.covolume == pytest.approx(0.5, abs=0.02)
         assert est_z.covolume == pytest.approx(1.0, abs=0.02)
+
+    def test_point_just_below_a_rounded_face(self):
+        # 0.7 + 0.1 rounds to 0.7999999999999999, but the exact sum lies above it
+        flat, plane = ergodic_1d_and_embedded([-2.0, 0.7999999999999999], (0.0, 0.1), [0.7, -2.0])
+        assert flat.covolume == 0.1
+        assert plane.covolume == 0.2  # the same count of 1 per window, in a window of area 0.2
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        points=near_tenths(0, 20, 1, 15),
+        translates=near_tenths(0, 12, 1, 6),
+        s_side=st.sampled_from([(0.0, 0.1), (0.1, 0.4), (0.2, 0.7), (0.3, 0.8)]),
+    )
+    def test_1d_and_embedding_match_exact_counts(self, points, translates, s_side):
+        counts = ergodic_counts_oracle(np.array(points)[:, None], [s_side], np.array(translates)[:, None])
+        assume(sum(counts) > 0)
+        expected = 1.0 / (sum(counts) / len(counts) / (s_side[1] - s_side[0]))
+        flat, plane = ergodic_1d_and_embedded(points, s_side, translates)
+        assert flat.covolume == expected
+        assert plane.covolume == 2 * expected
 
 
 class TestLatticePeriodizationCheck:

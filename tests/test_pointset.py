@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from aperio import PointPatch, generate_model_set, is_relatively_dense, rel_separation, translate
 from aperio.errors import EmptyPatchError, WindowTooLargeError
 from aperio.pointset import (
-    _max_window_count_nd,
+    UNBOUNDED_FACES,
     _pairwise_min_gap,
+    _window_extremum,
     box_volume,
     inflate_box,
     points_in_box,
@@ -176,24 +177,59 @@ class TestSweepOracles:
         assert _pairwise_min_gap(pts) == closest_pair_oracle(pts) == 0.1
 
 
+@st.composite
+def decimal_rows(draw, dim, span):
+    """Distinct rows whose coordinates are multiples of 0.1, each kept or moved one ulp.
+
+    Each axis holds some tenths ``t`` and ``t + span``, so pairs of
+    coordinates lie about the window side ``span / 10`` apart, where the
+    rounded sum ``a + span / 10`` and the exact one can put a point on
+    different sides of a window face.
+    """
+    coords = []
+    for _ in range(dim):
+        base = draw(st.lists(st.integers(0, 8), min_size=1, max_size=3, unique=True))
+        tenths = sorted(set(base) | {t + span for t in base})
+        ulps = draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=len(tenths), max_size=len(tenths)))
+        coords.append(sorted({float(np.nextafter(t / 10, t / 10 + u)) for t, u in zip(tenths, ulps)}))
+    rows = st.tuples(*(st.sampled_from(c) for c in coords))
+    return np.array(draw(st.lists(rows, min_size=1, max_size=25, unique=True)))
+
+
+def wide_box_patch(pts: np.ndarray, width: float) -> PointPatch:
+    """The points in a box with room for a window of side ``width`` on every axis."""
+    box = list(zip(pts.min(axis=0) - width - 1.0, pts.max(axis=0) + width + 1.0))
+    return PointPatch(dim=pts.shape[1], box=box, points=pts)
+
+
 class TestSeparableWindowCount:
     @settings(max_examples=60, deadline=None)
-    @given(dim=st.sampled_from([2, 3, 4]), data=st.data())
-    def test_matches_brute_force(self, dim, data):
-        # quarter-integer coordinates from a small pool: shared coordinates,
-        # and points on the far face a + width of some windows
-        width = data.draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
-        pool = st.integers(-8, 8).map(lambda k: k / 4)
-        coords = [data.draw(st.lists(pool, min_size=1, max_size=5, unique=True)) for _ in range(dim)]
-        rows = st.tuples(*(st.sampled_from(c) for c in coords))
-        pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=25, unique=True)))
-        assert _max_window_count_nd(pts, width) == max_window_count_oracle(pts, width)
+    @given(dim=st.sampled_from([1, 2, 3, 4]), span=st.sampled_from([1, 3, 7, 11]), data=st.data())
+    def test_matches_brute_force(self, dim, span, data):
+        # decimal coordinates and widths: faces a + width that round across a point
+        pts, width = data.draw(decimal_rows(dim, span)), span / 10
+        assert rel_separation(wide_box_patch(pts, width), width).ell == max_window_count_oracle(pts, width)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize(
+        "a, b, width",
+        [
+            (0.1, 0.7999999999999999, 0.7),  # b - a < 0.7 exactly, though 0.1 + 0.7 rounds to b
+            (0.7000000000000001, 0.8, 0.1),  # b - a < 0.1 exactly, though 0.8 - 0.1 rounds to a
+        ],
+        ids=["sum-rounds-down", "difference-rounds-up"],
+    )
+    def test_points_a_rounded_width_apart_share_a_window(self, dim, a, b, width):
+        pts = np.hstack([[[a], [b]], np.zeros((2, dim - 1))])
+        assert max_window_count_oracle(pts, width) == 2
+        assert rel_separation(wide_box_patch(pts, width), width).ell == 2
 
     def test_large_fib2d_patch_needs_no_anchor_grid(self):
         # 11,521 points: the old anchor grid had 1.3e8 positions, past its cap
         patch = generate_model_set(make_product_fibonacci_scheme(), [(-120, 120)] * 2)
         assert patch.n_points > 11_000
-        assert _max_window_count_nd(patch.points, 0.5) == 1
+        # the ell of rel_separation, without its covering-radius bisection
+        assert _window_extremum(patch.points, [UNBOUNDED_FACES] * 2, 0.5, largest=True, open_lower=True) == 1
 
 
 class TestRelativeDenseness:
