@@ -176,6 +176,15 @@ def sampling_bounds(
     underflow, which is slow.  The terms this drops vanish in the rounding of
     the quotient matrix and its eigenvalues: in every case checked, the
     bounds equal those of the unfloored product bit for bit.
+
+    Each matrix is released as soon as the next product has used it.  The
+    anchor Gram ``M`` dies in its eigensolve, and the kept eigenvectors are
+    scaled in place into ``W``.  The kernel block ``K`` dies once ``K^H K``
+    exists, ``K^H K`` once ``W^H K^H K`` exists, and ``W`` once that is
+    multiplied by ``W``; the result is symmetrized in place.  So one
+    anchor-sized product is alive at a time besides its operands.  The
+    products and their association are those of ``W^H (K^H K) W``, so no
+    bit moves.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
@@ -191,13 +200,19 @@ def sampling_bounds(
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
-    M = kernel_matrix(kernel, anchors, anchors)
+    s, W = _projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
+    W *= (1.0 / np.sqrt(s))[None, :]
     K = kernel_matrix(kernel, patch.points, anchors)
     K[np.abs(K) < UNDERFLOW_FLOOR] = 0.0
-    s, vecs = _projected_inverse_sqrt(M)
-    W = vecs * (1.0 / np.sqrt(s))[None, :]
-    B = W.conj().T @ (K.conj().T @ K) @ W
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
+    KK = K.conj().T @ K
+    del K
+    B = W.conj().T @ KK
+    del KK
+    B = B @ W
+    del W
+    B += B.conj().T
+    B /= 2.0
+    eigs = np.linalg.eigvalsh(B)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -213,6 +228,8 @@ def canonical_parseval(
     coefficient-space transform matrix.  The output Gram is assembled from
     the spectral projector directly; forming T G T explicitly would amplify
     discarded-eigenvalue noise by 1 / RANK_TOL past the 1e-8 contract.
+    At most four n x n arrays are alive at once: the two outputs, the kept
+    eigenvectors and their conjugate transpose.
     """
     if gram.n == 0:
         raise NotAFrameError("not a frame at this truncation: empty system")
@@ -221,11 +238,14 @@ def canonical_parseval(
         raise NotAFrameError(
             f"not a frame at this truncation: lower bound {s[0]:.3e} < {min_nonzero:.3e}"
         )
-    transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
-    projector = vecs @ vecs.conj().T
-    projector = (projector + projector.conj().T) / 2.0
-    out = gram_from_entries(projector)
-    return out, transform
+    vecs_h = np.conjugate(vecs).T  # a copy even when real, as vecs is scaled in place below
+    projector = vecs @ vecs_h
+    vecs *= (1.0 / np.sqrt(s))[None, :]
+    transform = vecs @ vecs_h
+    del vecs, vecs_h
+    projector += projector.conj().T
+    projector /= 2.0
+    return gram_from_entries(projector), transform
 
 
 def translation_spectrum_invariance(kernel: KernelSpec, patch: PointPatch, shifts) -> float:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatchError, GridTooCoarseError
 from .pointset import _check_grid_size, _row_blocks, box_volume
@@ -118,7 +117,7 @@ def _sinc_factor(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     out = np.ones((len(X), len(Y)), dtype=np.complex128)
-    for blk in _row_blocks(len(X), Y.size):
+    for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]
         for k, (lo, hi) in enumerate(spec.band):
             out[blk] *= _sinc_factor(diff[..., k], lo, hi)
@@ -129,7 +128,7 @@ def _gabor_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     n = spec.n
     out = np.empty((len(P), len(Q)), dtype=np.complex128)
     xq, wq = Q[None, :, :n], Q[None, :, n:]
-    for blk in _row_blocks(len(P), Q.size):
+    for blk in _row_blocks(len(P), 16 * len(Q)):
         p = P[blk]
         xp, wp = p[:, None, :n], p[:, None, n:]
         # phase exponent (x_q - x_p).(w_p + w_q), in units of pi*i
@@ -143,7 +142,15 @@ def _gabor_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """Matrix ``K[i, j] = kernel_value(xs[i], ys[j])`` evaluated in bulk."""
+    """Matrix ``K[i, j] = kernel_value(xs[i], ys[j])`` evaluated in bulk.
+
+    Rows are filled in blocks of ``pointset.BLOCK_ELEMENTS / (16 len(ys))``
+    rows.  In space dimensions up to 8 an entry holds fewer than 16 doubles
+    of temporaries at once (its coordinate differences and complex factors),
+    so a block's temporaries stay under ``BLOCK_ELEMENTS`` doubles and the
+    call allocates little beyond its output.  Every entry is computed on its
+    own, so the block size moves no bit.
+    """
     X = np.asarray(xs, dtype=np.float64).reshape(-1, spec.space_dim)
     Y = np.asarray(ys, dtype=np.float64).reshape(-1, spec.space_dim)
     if spec.kind == "paley_wiener":
@@ -170,13 +177,35 @@ def critical_density(spec: KernelSpec) -> float:
 def _local_max(values: np.ndarray, reach: int) -> np.ndarray:
     """Max over the cells within ``reach`` of each cell on every axis, the array clamped at its ends.
 
-    One running max per axis; a max is exact in any order, so the separable
-    form gives the same doubles as the full box.
+    A running max per axis, written into one output array with one scratch
+    copy.  A step takes the max of the previous result ``b`` and of ``b``
+    shifted by ``s`` cells either way, its end cells repeated: if ``b`` holds
+    the maxima within ``w`` cells and ``s <= 2 w + 1``, the three windows join
+    into the one within ``w + s`` cells, so the reach roughly triples per
+    step.  A max is exact in any order, so this gives the same doubles as the
+    full box.
     """
-    out = values
+    out = values.copy()
+    scratch = np.empty_like(values)
     for ax in range(values.ndim):
-        edges = [(reach, reach) if k == ax else (0, 0) for k in range(values.ndim)]
-        out = sliding_window_view(np.pad(out, edges, mode="edge"), 2 * reach + 1, axis=ax).max(axis=-1)
+        n = values.shape[ax]
+
+        def cut(start, stop):
+            return (slice(None),) * ax + (slice(start, stop),)
+
+        w = 0
+        while w < reach:
+            s = min(2 * w + 1, reach - w)
+            m = min(s, n)  # a shift past the far end reads only the end cell
+            np.copyto(scratch, out)
+            for dst, src in (
+                (cut(m, None), cut(None, n - m)),  # b[i - s]
+                (cut(None, n - m), cut(m, None)),  # b[i + s]
+                (cut(None, m), cut(None, 1)),  # b[0] where i - s < 0
+                (cut(n - m, None), cut(n - 1, None)),  # b[n - 1] where i + s >= n
+            ):
+                np.maximum(out[dst], scratch[src], out=out[dst])
+            w += s
     return out
 
 
@@ -215,8 +244,9 @@ def wiener_amalgam_norm(
     shape = (count,) * dim
     origin = np.zeros((1, dim))
     mag = np.empty(count**dim)
-    # the kernel assembly holds about four values per coordinate of a position
-    # at once, so a block of BLOCK_ELEMENTS / (4 dim) positions stays within the budget
+    # a block's grid indices, coordinates and point rows hold about four values
+    # per coordinate of a position, so a block of BLOCK_ELEMENTS / (4 dim)
+    # positions stays within the budget; kernel_matrix bounds its own temporaries
     for blk in _row_blocks(len(mag), 4 * dim):
         pts = np.stack([axis[c] for c in np.unravel_index(np.arange(blk.start, blk.stop), shape)], axis=1)
         mag[blk] = np.abs(kernel_matrix(spec, pts, origin)[:, 0])

@@ -12,7 +12,7 @@ import pytest
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
 from aperio.errors import CoverageError
-from aperio.framekit import _anchor_grid, _projected_inverse_sqrt
+from aperio.framekit import _anchor_grid, _projected_inverse_sqrt, gram_from_entries
 from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
 
@@ -362,3 +362,12 @@ def sampling_bounds_oracle(
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1])
+
+
+def canonical_parseval_oracle(gram):
+    """``framekit.canonical_parseval`` with every n x n temporary kept: a fresh array per product and sum."""
+    s, vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
+    transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
+    projector = vecs @ vecs.conj().T
+    projector = (projector + projector.conj().T) / 2.0
+    return gram_from_entries(projector), transform

@@ -30,6 +30,7 @@ from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiene
 
 from conftest import (
     anchor_kernel_block,
+    canonical_parseval_oracle,
     hermitian_defect_oracle,
     make_fibonacci_scheme,
     make_lattice_patch,
@@ -234,6 +235,18 @@ class TestSamplingBounds:
         with pytest.raises(ValueError, match="margin"):
             sampling_bounds(PW, pw_patch(1.0, 10.0), margin=11.0)
 
+    def test_one_anchor_sized_product_alive_at_a_time(self):
+        # 403 points, 319 anchors; keeping M, K and every product alive to the end peaked at 5.96x K
+        patch = generate_model_set(make_fibonacci_scheme(), [(-450, 450)])
+        k_bytes = anchor_kernel_block(PW, patch)[1].nbytes
+        tracemalloc.start()
+        try:
+            sampling_bounds(PW, patch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * k_bytes
+
 
 class TestUnderflowFloor:
     @pytest.mark.parametrize(
@@ -255,7 +268,46 @@ class TestUnderflowFloor:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def random_psd(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, 2 * n)).view(complex)
+    return a @ a.conj().T / n
+
+
+NEARLY_COLLINEAR = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-14]])
+
+
 class TestCanonicalParseval:
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda: build_gram(GG, generate_model_set(lattice_scheme(np.eye(2)), [(-4, 4)] * 2)).entries,
+            lambda: build_gram(PW, pw_patch(0.7, 12.0)).entries,
+            lambda: random_psd(40, 1),
+            lambda: NEARLY_COLLINEAR @ NEARLY_COLLINEAR.T,
+            lambda: np.array([[1.0, 0.5], [0.5, 1.0]]),
+        ],
+        ids=["gabor-lattice", "pw-lattice", "random-complex", "rank-deficient-real", "real-2x2"],
+    )
+    def test_matches_whole_array_oracle_bit_for_bit(self, entries):
+        gram = gram_from_entries(entries())
+        out, transform = canonical_parseval(gram)
+        want, want_transform = canonical_parseval_oracle(gram)
+        assert np.array_equal(transform, want_transform)
+        assert np.array_equal(out.entries, want.entries)
+        assert np.array_equal(out.eigenvalues, want.eigenvalues)
+
+    def test_allocates_about_four_grams(self):
+        # a fresh array per product and sum peaked at 5.05x; the two outputs,
+        # the eigenvectors and their conjugate transpose are the floor
+        gram = gram_from_entries(random_psd(400, 2))
+        tracemalloc.start()
+        try:
+            canonical_parseval(gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * gram.entries.nbytes
+
     def test_identity_is_fixed_point(self):
         gram = build_gram(PW, pw_patch(1.0, 15.0))
         out, transform = canonical_parseval(gram)
