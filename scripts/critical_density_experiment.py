@@ -56,7 +56,7 @@ def run_time_frequency(ws: Path) -> None:
         write(ws / f"grid_{tag}.json", {"d": 2, "m": 0, "basis": [[a, 0.0], [0.0, a]]})
         steps = [
             {"command": "gen", "args": {"scheme": f"grid_{tag}.json", "box": [-40, 40, -40, 40], "out": f"gpatch_{tag}.json"}},
-            {"command": "density", "args": {"patch": f"gpatch_{tag}.json", "folner": [10, 20], "step": 0.25, "ell": 1, "out": f"gdensity_{tag}.json"}},
+            {"command": "density", "args": {"patch": f"gpatch_{tag}.json", "folner": [10, 20], "ell": 1, "out": f"gdensity_{tag}.json"}},
             {"command": "verdict", "args": {"kernel": "kernel_gg.json", "density": f"gdensity_{tag}.json", "ell": 1, "out": f"gverdict_{tag}.json"}},
         ]
         write(ws / f"gconfig_{tag}.json", {"seed": 1, "steps": steps})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import os
@@ -19,6 +20,7 @@ import sys
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from . import __version__, io_json
 from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, hull_beurling_density, weil_check
@@ -84,6 +86,10 @@ class Context:
     def write_text(self, rel: str | None, text: str) -> None:
         self._stage(rel, text)
 
+    def write_report(self, rel: str | None, obj: dict) -> None:
+        """Write ``obj`` with the provenance block of this command's seed and inputs."""
+        self.write_json(rel, {**obj, "provenance": io_json.provenance_block(self.seed, self.input_hashes)})
+
     def commit(self) -> None:
         """Write every staged file to a temporary sibling, rename them all into place, then
         write the staged stdout; a file that cannot be written leaves the workspace as it was."""
@@ -125,6 +131,7 @@ def _folner_spec(folner, step) -> FolnerSpec:
 # ------------------------------------------------------------------- handlers
 
 def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = None) -> None:
+    """Generate a model-set patch from a scheme."""
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     patch = generate_model_set(sch, _parse_box(box, sch.d))
     ctx.write_json(out, io_json.patch_to_jsonable(patch))
@@ -140,6 +147,7 @@ def handle_density(
     out: str | None = None,
     csv: str | None = None,
 ) -> None:
+    """Beurling density report along Folner boxes."""
     spec = _folner_spec(folner, step)
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     if extras:
@@ -152,8 +160,8 @@ def handle_density(
         report = dataclasses.replace(
             report, covolume_bounds=(b.covol_minus_lo, b.covol_plus_hi)
         )
-    obj = io_json.density_report_to_jsonable(report, ctx.seed, ctx.input_hashes)
-    ctx.write_json(out, obj)
+    obj = io_json.density_report_to_jsonable(report)
+    ctx.write_report(out, obj)
     if csv:
         ctx.write_text(csv, io_json.emit_csv(obj, ["n", "inf", "sup"]))
 
@@ -162,26 +170,25 @@ def handle_hull_sample(
     ctx: Context,
     patch: str,
     k_box: list[float],
-    translates: str = "own",
+    translates: Literal["own", "grid"] = "own",
     grid_step: float | None = None,
     limit: int | None = None,
     out: str | None = None,
 ) -> None:
+    """Translate-orbit samples on a compact window."""
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     kb = _parse_box(k_box, base.dim)
-    if translates == "own":
-        vecs = transversal_translates(base, kb)
-    elif translates == "grid":
+    if translates == "grid":
         if grid_step is None:
             raise ConfigError("grid translates need --grid-step")
         try:
             vecs = grid_translates(base, kb, grid_step)
-        except ValueError as exc:  # a step that is not positive
+        except ValueError as exc:  # a step that is not positive, or a grid past the cap
             raise ConfigError(str(exc)) from exc
     else:
-        raise ConfigError(f"unknown translate mode {translates!r}")
+        vecs = transversal_translates(base, kb)
     if limit is not None:
         vecs = vecs[:limit]
     samples = orbit_sample(base, vecs, kb)
@@ -197,14 +204,15 @@ def handle_frame(
     out: str | None = None,
     csv: str | None = None,
 ) -> None:
+    """Riesz/sampling bound trends over nested truncations."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     try:
         report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
     except ValueError as exc:  # truncations or margin_frac out of range, or a kernel of another dimension
         raise ConfigError(str(exc)) from exc
-    obj = io_json.frame_report_to_jsonable(report, ctx.seed, ctx.input_hashes)
-    ctx.write_json(out, obj)
+    obj = io_json.frame_report_to_jsonable(report)
+    ctx.write_report(out, obj)
     if csv:
         ctx.write_text(csv, io_json.emit_csv(obj, ["truncation", "A", "B"]))
 
@@ -218,20 +226,22 @@ def handle_verdict(
     relatively_dense: bool = False,
     out: str | None = None,
 ) -> None:
+    """Necessary-density verdicts from a density report."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     report = ctx.read_json(density, "density", io_json.density_report_from_jsonable)
     v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
-    ctx.write_json(out, io_json.verdict_report_to_jsonable(v, ctx.seed, ctx.input_hashes))
+    ctx.write_report(out, io_json.verdict_report_to_jsonable(v))
 
 
 def handle_weil_check(
     ctx: Context,
     scheme: str,
-    function: str = "triangle",
+    function: Literal["triangle", "gaussian"] = "triangle",
     quadrature_n: int = 10_000,
     trunc: float = 8.0,
     out: str | None = None,
 ) -> None:
+    """Lattice periodization identity residual."""
     try:
         f = TestFunction(kind=function, trunc=trunc)
     except ValueError as exc:
@@ -239,12 +249,9 @@ def handle_weil_check(
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     try:
         residual = weil_check(sch, f, quadrature_n)
-    except ValueError as exc:  # quadrature_n not positive, or a scheme that is not a lattice
+    except ValueError as exc:  # quadrature_n not positive or past the grid cap, or a scheme that is not a lattice
         raise ConfigError(str(exc)) from exc
-    ctx.write_json(
-        out,
-        io_json.weil_report_to_jsonable(residual, quadrature_n, function, ctx.seed, ctx.input_hashes),
-    )
+    ctx.write_report(out, io_json.weil_report_to_jsonable(residual, quadrature_n, function))
 
 
 def handle_amalgam(
@@ -255,18 +262,17 @@ def handle_amalgam(
     step: float,
     out: str | None = None,
 ) -> None:
+    """Local-maximum-function norm of the kernel."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     try:
         norm = wiener_amalgam_norm(kern, q, trunc, step)
     except ValueError as exc:  # a step that is not positive, or trunc <= q
         raise ConfigError(str(exc)) from exc
-    ctx.write_json(
-        out,
-        io_json.amalgam_report_to_jsonable(norm, q, trunc, step, ctx.seed, ctx.input_hashes),
-    )
+    ctx.write_report(out, io_json.amalgam_report_to_jsonable(norm, q, trunc, step))
 
 
 def handle_csv(ctx: Context, report: str, columns: str, out: str | None = None) -> None:
+    """Render a report JSON as CSV."""
     obj = ctx.read_json(report, "report")
     cols = [c.strip() for c in columns.split(",") if c.strip()]
     ctx.write_text(out, io_json.emit_csv(obj, cols))
@@ -285,6 +291,7 @@ HANDLERS = {
 
 
 def handle_run(ctx: Context, config: str) -> None:
+    """Execute an experiment config."""
     cfg = ctx.read_json(config, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {type(cfg).__name__}")
@@ -310,15 +317,19 @@ def handle_run(ctx: Context, config: str) -> None:
         HANDLERS[step["command"]](ctx, **step.get("args", {}))
 
 
+@functools.cache  # main builds the parser on every call
+def _signature(handler):
+    """A command's one declaration: ``handler``'s signature and its evaluated type hints."""
+    return inspect.signature(handler), typing.get_type_hints(handler)
+
+
 def _check_args(cmd: str, args: dict, where: str = "") -> None:
     """Refuse arguments the handler of ``cmd`` does not take, or values that do not fit its annotations."""
-    handler = HANDLERS.get(cmd, handle_run)
-    sig = inspect.signature(handler)
+    sig, hints = _signature(HANDLERS.get(cmd, handle_run))
     try:
         sig.bind(None, **args)
     except TypeError as exc:
         raise ConfigError(f"{where}{cmd}: {exc}") from exc
-    hints = typing.get_type_hints(handler)
     for key, value in args.items():
         if not io_json.fits(value, hints[key]):
             annotation = sig.parameters[key].annotation
@@ -339,7 +350,34 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+_HELP = {
+    ("density", "folner"): "comma-separated sizes, e.g. 5,10,20,40",
+    ("density", "step"): "translate grid step (d >= 3; ignored in d <= 2)",
+    ("density", "extras"): "injected limit patches (hull estimate)",
+    ("density", "ell"): "attach covolume bounds for this ell",
+    ("frame", "truncations"): "comma-separated half-widths, e.g. 20,40,80",
+}
+
+
+def _flag(name: str, hint, default) -> dict:
+    """The ``add_argument`` keywords of a handler argument: required iff it has no default."""
+    kw = {"required": True} if default is inspect.Parameter.empty else {"default": default}
+    optional = type(None) in typing.get_args(hint)
+    if optional:  # ``X | None`` takes an X
+        (hint,) = [h for h in typing.get_args(hint) if h is not type(None)]
+    if hint is bool:
+        return {**kw, "action": "store_true"}
+    if typing.get_origin(hint) is Literal:
+        return {**kw, "choices": typing.get_args(hint)}
+    if typing.get_origin(hint) is list:
+        if name in ("folner", "truncations"):  # one comma-separated token
+            return {**kw, "type": _csv_floats}
+        return {**kw, "type": typing.get_args(hint)[0], "nargs": "*" if optional else "+"}
+    return {**kw, "type": hint}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per handler, one flag per handler argument (``_`` -> ``-``), typed by its annotation."""
     parser = _Parser(
         prog="aperio",
         description="Point-set densities, covolumes and reproducing-kernel frame diagnostics.",
@@ -348,67 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="seed recorded in report provenance")
     parser.add_argument("--workspace", default=".", help="root for relative file paths")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a model-set patch from a scheme")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--box", type=float, nargs="+", required=True, metavar="LO HI")
-    p.add_argument("--out")
-
-    p = sub.add_parser("density", help="Beurling density report along Folner boxes")
-    p.add_argument("--patch", required=True)
-    p.add_argument("--folner", type=_csv_floats, required=True, help="comma-separated sizes, e.g. 5,10,20,40")
-    p.add_argument("--step", type=float, default=None, help="translate grid step (d >= 3)")
-    p.add_argument("--extras", nargs="*", default=None, help="injected limit patches (hull estimate)")
-    p.add_argument("--ell", type=int, default=None, help="attach covolume bounds for this ell")
-    p.add_argument("--out")
-    p.add_argument("--csv")
-
-    p = sub.add_parser("hull-sample", help="translate-orbit samples on a compact window")
-    p.add_argument("--patch", required=True)
-    p.add_argument("--k-box", dest="k_box", type=float, nargs="+", required=True)
-    p.add_argument("--translates", choices=("own", "grid"), default="own")
-    p.add_argument("--grid-step", dest="grid_step", type=float, default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--out")
-
-    p = sub.add_parser("frame", help="Riesz/sampling bound trends over nested truncations")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--patch", required=True)
-    p.add_argument("--truncations", type=_csv_floats, required=True, help="comma-separated half-widths, e.g. 20,40,80")
-    p.add_argument("--margin-frac", dest="margin_frac", type=float, default=0.25)
-    p.add_argument("--out")
-    p.add_argument("--csv")
-
-    p = sub.add_parser("verdict", help="necessary-density verdicts from a density report")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--density", required=True)
-    p.add_argument("--ell", type=int, default=1)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--relatively-dense", dest="relatively_dense", action="store_true")
-    p.add_argument("--out")
-
-    p = sub.add_parser("weil-check", help="lattice periodization identity residual")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--function", choices=("triangle", "gaussian"), default="triangle")
-    p.add_argument("--quadrature-n", dest="quadrature_n", type=int, default=10_000)
-    p.add_argument("--trunc", type=float, default=8.0)
-    p.add_argument("--out")
-
-    p = sub.add_parser("amalgam", help="local-maximum-function norm of the kernel")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--trunc", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("csv", help="render a report JSON as CSV")
-    p.add_argument("--report", required=True)
-    p.add_argument("--columns", required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("run", help="execute an experiment config")
-    p.add_argument("--config", required=True)
-
+    for cmd, handler in {**HANDLERS, "run": handle_run}.items():
+        doc = inspect.getdoc(handler)
+        p = sub.add_parser(cmd, help=doc.splitlines()[0], description=doc)
+        sig, hints = _signature(handler)
+        for name, param in list(sig.parameters.items())[1:]:
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, help=_HELP.get((cmd, name)), **_flag(name, hints[name], param.default))
     return parser
 
 

@@ -369,6 +369,7 @@ def weil_check(scheme: CutProjectScheme, f: TestFunction, quadrature_n: int) -> 
         raise ValueError("Weil check requires lattice (m = 0 scheme)")
     if quadrature_n < 1:
         raise ValueError("quadrature_n must be positive")
+    _check_grid_size([quadrature_n])
     d = scheme.d
     per_dim = max(1, int(round(quadrature_n ** (1.0 / d))))
     axes = [(np.arange(per_dim) + 0.5) / per_dim] * d

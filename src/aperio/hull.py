@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoverageError
-from .pointset import BOX_TOL, PointPatch, _row_blocks, as_box, points_in_box
+from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, as_box, points_in_box
 
 
 def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
@@ -64,16 +64,14 @@ def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:
 
 
 def grid_translates(patch: PointPatch, k_box, step: float) -> np.ndarray:
-    """Uniform grid of admissible translates at the given spacing."""
+    """Uniform grid of admissible translates at the given spacing; a grid past
+    ``pointset.GRID_LIMIT`` positions is refused before it is built."""
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    k_box = as_box(k_box)
-    axes = []
-    for (plo, phi), (klo, khi) in zip(patch.box, k_box):
-        lo, hi = plo - klo, phi - khi
-        if lo > hi:
-            return np.empty((0, patch.dim))
-        n = max(1, int(np.floor((hi - lo) / step)) + 1)
-        axes.append(lo + step * np.arange(n))
+    spans = [(plo - klo, phi - khi) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box))]
+    if any(lo > hi for lo, hi in spans):
+        return np.empty((0, patch.dim))
+    _check_grid_size([(hi - lo) / step + 1.0 for lo, hi in spans])
+    axes = [lo + step * np.arange(max(1, int(np.floor((hi - lo) / step)) + 1)) for lo, hi in spans]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)

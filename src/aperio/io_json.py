@@ -30,10 +30,13 @@ def fstr(x: float) -> str:
 
 
 def fits(value, hint) -> bool:
-    """Whether a JSON value has type ``hint``: a bool is not a number, and a float must be finite."""
+    """Whether a JSON value has type ``hint``: a bool is not a number, a float must be finite,
+    and a ``Literal`` takes only a string among its values."""
     if hint is type(None):
         return value is None
     args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Literal:
+        return isinstance(value, str) and value in args
     if typing.get_origin(hint) is list:
         return isinstance(value, list) and all(fits(v, args[0]) for v in value)
     if args:  # a union such as ``float | None``
@@ -180,11 +183,7 @@ def kernel_from_jsonable(obj: dict) -> KernelSpec:
 
 # -------------------------------------------------------------------- reports
 
-def density_report_to_jsonable(
-    report: DensityReport,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
+def density_report_to_jsonable(report: DensityReport) -> dict:
     rows = []
     for (n, lo), (_, hi), tag in zip(report.lower, report.upper, report.method):
         rows.append(
@@ -195,7 +194,7 @@ def density_report_to_jsonable(
             }
         )
     trend_tag = f"trend(truncations={[n for n, _ in report.lower]})"
-    out = {
+    return {
         "kind": "density_report",
         "rows": rows,
         "extrapolated_lower": tagged(report.extrapolated_lower, trend_tag),
@@ -212,9 +211,7 @@ def density_report_to_jsonable(
                 "covol_plus_upper": tagged(report.covolume_bounds[1], trend_tag),
             }
         ),
-        "provenance": provenance_block(seed, inputs or {}),
     }
-    return out
 
 
 def density_report_from_jsonable(obj: dict) -> DensityReport:
@@ -247,11 +244,7 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     return report
 
 
-def frame_report_to_jsonable(
-    report: FrameReport,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
+def frame_report_to_jsonable(report: FrameReport) -> dict:
     tag = f"trend(truncations={list(report.truncations)})"
     rows = []
     for i, t in enumerate(report.truncations):
@@ -274,15 +267,10 @@ def frame_report_to_jsonable(
         "verdict": report.verdict,
         "eigenvalues": [fstr(v) for v in report.final_eigenvalues],
         "notes": report.notes,
-        "provenance": provenance_block(seed, inputs or {}),
     }
 
 
-def verdict_report_to_jsonable(
-    report: VerdictReport,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
+def verdict_report_to_jsonable(report: VerdictReport) -> dict:
     b = report.covol_bounds
 
     def vb(x: float, prov: str) -> dict | None:
@@ -307,39 +295,23 @@ def verdict_report_to_jsonable(
         "interpolation_covol_ok": report.interpolation_covol_ok,
         "ruled_out": list(report.ruled_out),
         "notes": report.notes,
-        "provenance": provenance_block(seed, inputs or {}),
     }
 
 
-def weil_report_to_jsonable(
-    residual: float,
-    quadrature_n: int,
-    function_kind: str,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
+def weil_report_to_jsonable(residual: float, quadrature_n: int, function_kind: str) -> dict:
     return {
         "kind": "weil_report",
         "function": function_kind,
         "residual": tagged(residual, f"quadrature(n={quadrature_n})"),
-        "provenance": provenance_block(seed, inputs or {}),
     }
 
 
-def amalgam_report_to_jsonable(
-    norm: float,
-    q_radius: float,
-    trunc_radius: float,
-    grid_step: float,
-    seed: int | None = None,
-    inputs: dict[str, str] | None = None,
-) -> dict:
+def amalgam_report_to_jsonable(norm: float, q_radius: float, trunc_radius: float, grid_step: float) -> dict:
     return {
         "kind": "amalgam_report",
         "norm": tagged(norm, f"grid(step={grid_step})"),
         "q_radius": tagged(q_radius, "exact"),
         "trunc_radius": tagged(trunc_radius, "exact"),
-        "provenance": provenance_block(seed, inputs or {}),
     }
 
 

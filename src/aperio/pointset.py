@@ -20,6 +20,7 @@ radius, and ``density`` its exact extrema in d <= 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +214,8 @@ def _check_grid_size(sizes) -> None:
     """Refuse a grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
     total = math.prod(sizes)
     if total > GRID_LIMIT:
-        raise ValueError(f"grid of {total:.6g} positions exceeds the limit")
+        shown = float(total) if total <= sys.float_info.max else math.inf  # an int past every double
+        raise ValueError(f"grid of {shown:.6g} positions exceeds the limit")
 
 
 def _sum_down(v, t):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperio import PointPatch, io_json
-from aperio.cli import HANDLERS, main
+from aperio.cli import HANDLERS, handle_run, main
 from aperio.errors import ConfigError
 
 from conftest import TAU, TAU_CONJ, make_lattice_patch
@@ -383,6 +384,22 @@ class TestAllOrNothing:
         assert len(err) == 1 and "config error" in err[0] and "bogus" in err[0]
         assert _snapshot(workspace) == before
 
+    @pytest.mark.parametrize(
+        "command, args, key",
+        [
+            ("hull-sample", {"patch": "p.json", "k_box": [-5, 5], "translates": "bogus"}, "translates"),
+            ("weil-check", {"scheme": "z.json", "function": "bogus"}, "function"),
+        ],
+        ids=["translates", "function"],
+    )
+    def test_value_outside_a_literal_is_refused_up_front(self, workspace, capsys, command, args, key):
+        # the message comes from the argument check of step 1, not from the handler
+        step = {"command": command, "args": {**args, "out": "o.json"}}
+        code, out, err, before = self.run_steps(workspace, capsys, [_GEN_STEP, step])
+        assert code == 2 and out == ""
+        assert len(err) == 1 and "config error" in err[0] and f"step 1: {command}: {key!r}" in err[0]
+        assert _snapshot(workspace) == before
+
     @pytest.mark.parametrize("blocker", ["outdir", "afile/b.json"], ids=["directory", "parent-is-file"])
     def test_unwritable_output_writes_nothing(self, workspace, capsys, blocker):
         # staged in step order: a.json comes first and must not reach the disk
@@ -469,16 +486,23 @@ class TestArgumentValues:
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
             ("amalgam", {"kernel": "pw.json", "q": -1.0, "trunc": 20.0, "step": 0.02}, "q_radius must be positive"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 1e-9}, "exceeds the limit"),
+            # 9e10 translates, refused before the grid is built: --limit applies only after it
+            ("hull-sample", {"patch": "p.json", "k_box": [-5, 5], "translates": "grid", "grid_step": 1e-9, "limit": 1}, "exceeds the limit"),
+            ("weil-check", {"scheme": "z.json", "quadrature_n": 10**12}, "exceeds the limit"),
+            ("weil-check", {"scheme": "z.json", "quadrature_n": 10**400}, "grid of inf positions exceeds the limit"),
         ],
         ids=[
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
-            "amalgam-q-negative", "amalgam-grid-past-limit",
+            "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
+            "quadrature-past-every-double",
         ],
     )
     def test_argument_out_of_range_is_config_error(self, workspace, capsys, command, args, key):
         argv = [command]
         for name, value in args.items():
-            argv += ["--" + name.replace("_", "-"), ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+            if name in ("folner", "truncations"):  # one comma-separated token
+                value = ",".join(map(str, value))
+            argv += ["--" + name.replace("_", "-"), *map(str, value if isinstance(value, list) else [value])]
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], key)
         (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": command, "args": {**args, "out": "o.json"}}]}))
         self.refused(workspace, capsys, ["run", "--config", "cfg.json"], key)
@@ -519,6 +543,36 @@ class TestArgumentValues:
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
         assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "5", "-5", *mode, "--out", "s.json") == 1
         assert not (workspace / "s.json").exists()
+
+
+class TestHelp:
+    """``--help`` lists one flag per handler argument and requires exactly the arguments without a default."""
+
+    COMMANDS = {**HANDLERS, "run": handle_run}
+
+    @staticmethod
+    def help_text(capsys, *argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_top_level_help_names_every_command(self, capsys):
+        out = self.help_text(capsys)
+        assert all(re.search(rf"^ +{cmd} ", out, re.M) for cmd in self.COMMANDS)
+
+    @pytest.mark.parametrize("cmd", sorted(COMMANDS))
+    def test_command_help_flags_are_the_handler_arguments(self, capsys, cmd):
+        out = self.help_text(capsys, cmd)
+        params = list(inspect.signature(self.COMMANDS[cmd]).parameters.values())[1:]
+        flags = {p.name: "--" + p.name.replace("_", "-") for p in params}
+        listed = re.findall(r"(?<![\w-])--[a-z][a-z-]*", out.split("\noptions:\n")[1])
+        assert sorted(listed) == sorted([*flags.values(), "--help"])
+        usage = out.split("\n\n")[0]
+        while re.search(r"\[[^][]*\]", usage):  # drop optional groups, innermost first
+            usage = re.sub(r"\[[^][]*\]", "", usage)
+        required = [flags[p.name] for p in params if p.default is p.empty]
+        assert sorted(re.findall(r"--[a-z][a-z-]*", usage)) == sorted(required)
 
 
 class TestDeterminism:

@@ -366,6 +366,23 @@ class TestSeparableGridCounts:
         assert time.perf_counter() - start < 1.0
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("grid", ["translates", "quadrature-nodes"])
+    def test_translate_and_quadrature_grids_refuse_before_allocating(self, grid):
+        # 9e10 translates and 1e12 nodes: 671 GiB and 7.3 TiB of int64 positions if built
+        patch, scheme = make_lattice_patch(1.0, 50.0), lattice_scheme([[1.0]])
+        triangle = density_mod.TestFunction(kind="triangle")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                if grid == "translates":
+                    grid_translates(patch, ((-5.0, 5.0),), 1e-9)
+                else:
+                    weil_check(scheme, triangle, 10**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestFolnerSpecValidation:
     def test_sizes_must_increase(self):
