@@ -121,9 +121,9 @@ def _parse_box(values: list[float], dim_hint: int | None = None):
     return as_box(box)  # a degenerate interval is an operation error here, before any handler's own checks
 
 
-def _folner_spec(folner, step) -> FolnerSpec:
+def _folner_spec(folner) -> FolnerSpec:
     try:
-        return FolnerSpec(sizes=tuple(folner), translate_grid_step=step)
+        return FolnerSpec(sizes=tuple(folner))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad Folner spec: {exc}") from exc
 
@@ -148,7 +148,7 @@ def handle_density(
     csv: str | None = None,
 ) -> None:
     """Beurling density report along Folner boxes."""
-    spec = _folner_spec(folner, step)
+    spec = _folner_spec(folner)
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     if extras:
         limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras]
@@ -352,7 +352,7 @@ class _Parser(argparse.ArgumentParser):
 
 _HELP = {
     ("density", "folner"): "comma-separated sizes, e.g. 5,10,20,40",
-    ("density", "step"): "translate grid step (d >= 3; ignored in d <= 2)",
+    ("density", "step"): "ignored; accepted so that existing configs run",
     ("density", "extras"): "injected limit patches (hull estimate)",
     ("density", "ell"): "attach covolume bounds for this ell",
     ("frame", "truncations"): "comma-separated half-widths, e.g. 20,40,80",

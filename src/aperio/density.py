@@ -1,15 +1,10 @@
 """Beurling and hull Beurling densities along Folner boxes, covolume estimators.
 
 Folner windows are centered boxes ``[-n, n]^d``.  The inf/sup over window
-positions is exact in d <= 2 for the points as stored, from one counter,
-``pointset._closed_window_extremum``: it cuts the patch into slabs where a
-window face meets a point, with exact slab bounds, and solves each slab on
-the next axis.  In d >= 3 a translate grid is used and the
-estimates are grid-certified only.  Grid counts are separable: per axis, a
-0/1 matrix records which points lie within ``n`` of each grid coordinate,
-and the product of these matrices counts every grid window at once
-(``_grid_count_extrema``).  A grid with more than ``pointset.GRID_LIMIT``
-centres is refused before any array is built.
+positions is exact in every dimension for the points as stored, from one
+counter, ``pointset._closed_window_extremum``: it cuts the patch into slabs
+where a window face meets a point, with exact slab bounds, and solves each
+slab on the next axis.
 Extrapolation to the density limit is last-value-with-spread; no rate model
 is fitted.
 """
@@ -33,20 +28,16 @@ from .pointset import (
     _check_grid_size,
     _closed_window_extremum,
     _max_window_size,
-    _pairwise_min_gap,
     _row_blocks,
     _sum_down,
 )
 
-DEFAULT_GRID_STEP = 0.1
-
 
 @dataclass(frozen=True)
 class FolnerSpec:
-    """Increasing centered-box sizes and the translate grid step (d >= 3)."""
+    """Increasing centered-box sizes."""
 
     sizes: tuple[float, ...]
-    translate_grid_step: float | None = None
 
     def __post_init__(self):
         sizes = tuple(float(n) for n in self.sizes)
@@ -58,9 +49,6 @@ class FolnerSpec:
             raise ValueError("Folner sizes must be finite")
         if any(n <= 0 for n in sizes):
             raise ValueError("Folner sizes must be positive")
-        step = self.translate_grid_step
-        if step is not None and not (math.isfinite(step) and step > 0):
-            raise ValueError("translate_grid_step must be positive and finite")
         object.__setattr__(self, "sizes", sizes)
 
 
@@ -98,52 +86,11 @@ def _check_sizes(patch: PointPatch, sizes):
         )
 
 
-def _grid_count_extrema(members: list[np.ndarray]) -> tuple[int, int]:
-    """Min and max point count over the product grid of per-axis window positions.
-
-    ``members[k][i, p]``: point ``p`` lies in the axis-``k`` slab of position
-    ``i``.  Leading axes are flattened and contracted against the last in row
-    blocks; float64 counts are integers below 2^53, exact in any sum order.
-    """
-    *lead, last = members
-    last_t = last.T.astype(np.float64)
-    shape = [len(m) for m in lead]
-    lo, hi = math.inf, -math.inf
-    for blk in _row_blocks(math.prod(shape), max(last_t.shape)):
-        idx = np.unravel_index(np.arange(blk.start, blk.stop), shape)
-        joint = np.logical_and.reduce([m[i] for m, i in zip(lead, idx)])
-        counts = joint.astype(np.float64) @ last_t
-        lo, hi = min(lo, counts.min()), max(hi, counts.max())
-    return int(lo), int(hi)
-
-
-def _grid_centers(region: Box, step: float) -> list[np.ndarray]:
-    spans = [(hi - lo) / step for lo, hi in region]
-    _check_grid_size([s + 1.0 for s in spans])
-    counts = [max(1, int(math.floor(s + 1e-9)) + 1) for s in spans]
-    return [lo + step * np.arange(count) for (lo, _), count in zip(region, counts)]
-
-
-def _extrema_grid(pts: np.ndarray, n: float, region: Box, step: float) -> tuple[float, float]:
-    """Grid inf/sup of normalized window counts; overcounts inf, undercounts sup."""
-    axes = _grid_centers(region, step)
-    members = [np.abs(pts[None, :, k] - c[:, None]) <= n for k, c in enumerate(axes)]
-    lo, hi = _grid_count_extrema(members)
-    vol = (2.0 * n) ** pts.shape[1]
-    return float(lo / vol), float(hi / vol)
-
-
-def _patch_extrema(patch: PointPatch, n: float, step: float | None) -> tuple[float, float, str]:
+def _patch_extrema(patch: PointPatch, n: float) -> tuple[float, float]:
     region = shrink_box(patch.box, n)
-    if patch.dim <= 2:
-        lo, hi = (_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True))
-        vol = (2.0 * n) ** patch.dim
-        return lo / vol, hi / vol, "exact"
-    if step is None:
-        gap = _pairwise_min_gap(patch.points)
-        step = min(DEFAULT_GRID_STEP, gap / 2.0) if np.isfinite(gap) else DEFAULT_GRID_STEP
-    lo, hi = _extrema_grid(patch.points, n, region, step)
-    return lo, hi, f"grid(step={step})"
+    lo, hi = (_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True))
+    vol = (2.0 * n) ** patch.dim
+    return lo / vol, hi / vol
 
 
 def _assemble_report(
@@ -156,23 +103,16 @@ def _assemble_report(
         if p.is_empty:
             raise PatchSizeError("cannot estimate density of an empty patch")
         _check_sizes(p, spec.sizes)
-    lower, upper, methods = [], [], []
+    lower, upper = [], []
     extras_lo = extras_hi = False
     for n in spec.sizes:
-        infs, sups = [], []
-        tags = []
-        for p in patches:
-            lo, hi, tag = _patch_extrema(p, n, spec.translate_grid_step)
-            infs.append(lo)
-            sups.append(hi)
-            tags.append(tag)
+        infs, sups = zip(*(_patch_extrema(p, n) for p in patches))
         j_lo = int(np.argmin(infs))
         j_hi = int(np.argmax(sups))
         extras_lo |= j_lo > 0
         extras_hi |= j_hi > 0
         lower.append((n, infs[j_lo]))
         upper.append((n, sups[j_hi]))
-        methods.append(tags[0])
     if len(spec.sizes) >= 2:
         unc = max(
             abs(lower[-1][1] - lower[-2][1]),
@@ -187,7 +127,7 @@ def _assemble_report(
         extrapolated_upper=upper[-1][1],
         uncertainty=float(unc),
         certified_region_note=note,
-        method=tuple(methods),
+        method=("exact",) * len(spec.sizes),
         extras_used_lower=extras_lo,
         extras_used_upper=extras_hi,
     )

@@ -14,7 +14,7 @@ in every dimension: the patch is cut into slabs along its first axis
 (``searchsorted`` on the sorted coordinate), each slab is solved on the
 remaining axes, and a 1-d sweep finishes the recursion.  It gives ``ell``
 (windows anywhere, with an open lower face), denseness and the covering
-radius, and ``density`` its exact extrema in d <= 2.
+radius, and ``density`` its exact extrema, in every dimension.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ def extrema_grid_oracle(pts: np.ndarray, n: float, region, step: float) -> tuple
     """Brute-force translate-grid inf/sup: one boolean window mask per grid centre.
 
     Materializes every centre of the grid and its ``|p - c| <= n`` mask over
-    all points, independently of the separable counting in ``density``.
+    all points, independently of the slab counter in ``pointset``.
     """
     axes = []
     for lo, hi in region:

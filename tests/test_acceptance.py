@@ -165,7 +165,7 @@ def test_criterion_6_gabor_trends():
 
     # density-form verdict: density 0.8 < 1 rules out sampling
     big = generate_model_set(lattice_scheme(np.diag([a, b])), [(-40, 40), (-40, 40)])
-    report = beurling_density(big, FolnerSpec(sizes=(10, 20), translate_grid_step=0.25))
+    report = beurling_density(big, FolnerSpec(sizes=(10, 20)))
     v = verdict(GG, report, ell=1)
     assert not v.necessary_sampling_ok
     assert v.necessary_interpolation_ok

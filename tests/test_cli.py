@@ -275,11 +275,13 @@ class TestErrorHandling:
         assert not (workspace / "p.json").exists()
         assert not (workspace / "d.json").exists()
 
-    def test_grid_past_cap_is_operation_error(self, workspace):
-        # density counts on a translate grid only in d >= 3
+    def test_density_step_past_grid_cap_is_ignored(self, workspace):
+        # density builds no translate grid in any dimension, so a step past the 10^8 grid cap changes nothing
         (workspace / "z3.json").write_text(json.dumps({"d": 3, "m": 0, "basis": np.eye(3).tolist()}))
         run(workspace, "gen", "--scheme", "z3.json", "--box", *["-10", "10"] * 3, "--out", "p.json")
-        assert run(workspace, "density", "--patch", "p.json", "--folner", "2,4", "--step", "1e-9") == 1
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "2,4", "--step", "1e-9", "--out", "d.json") == 0
+        rows = json.loads((workspace / "d.json").read_text())["rows"]
+        assert [(r["inf"]["provenance"], r["sup"]["provenance"]) for r in rows] == [("exact", "exact")] * 2
 
     def test_run_config_missing_file_no_partial_outputs(self, workspace):
         cfg = {
@@ -591,6 +593,28 @@ class TestDeterminism:
         assert run(workspace, "run", "--config", "cfg.json") == 0
         second = {name: (workspace / name).read_bytes() for name in ("p.json", "d.json", "v.json")}
         assert first == second
+
+    def test_density_step_changes_no_report(self, workspace):
+        # the benchmark configs pass "step": 0.25 to density; it is accepted and ignored
+        (workspace / "z3.json").write_text(json.dumps({"d": 3, "m": 0, "basis": np.eye(3).tolist()}))
+        gens = [
+            {"command": "gen", "args": {"scheme": "z2.json", "box": [-8, 8, -8, 8], "out": "p2.json"}},
+            {"command": "gen", "args": {"scheme": "z3.json", "box": [-4, 4] * 3, "out": "p3.json"}},
+        ]
+        reports = []
+        for extra in ({}, {"step": 0.25}):
+            steps = gens + [
+                {"command": "density", "args": {"patch": f"p{d}.json", "folner": [1, 2], "ell": 1, **extra, "out": f"d{d}.json"}}
+                for d in (2, 3)
+            ]
+            (workspace / "cfg.json").write_text(json.dumps({"steps": steps}))
+            assert run(workspace, "run", "--config", "cfg.json") == 0
+            reports.append([json.loads((workspace / f"d{d}.json").read_bytes()) for d in (2, 3)])
+        plain, stepped = reports
+        for a, b in zip(plain, stepped):
+            assert a.pop("provenance") != b.pop("provenance")  # it hashes the config
+            assert {r["inf"]["provenance"] for r in a["rows"]} == {"exact"}
+        assert plain == stepped
 
 
 class TestDecodeOnce:

@@ -1,5 +1,4 @@
 import math
-import time
 import tracemalloc
 
 import numpy as np
@@ -22,7 +21,7 @@ from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import PatchSizeError
 from aperio.hull import grid_translates, transversal_translates
-from aperio.pointset import _closed_window_extremum, as_box, restrict, shrink_box
+from aperio.pointset import as_box, restrict, shrink_box
 
 from conftest import (
     SQRT5,
@@ -54,11 +53,12 @@ class TestLatticeCalibration:
         for n, hi in report.upper:
             assert hi == pytest.approx(1.0 + 1.0 / (2 * n))
 
-    def test_2d_lattice_grid_estimate(self):
+    def test_2d_lattice_exact_values(self):
+        # a window [-n, n]^2 holds between (2n)^2 and (2n + 1)^2 points of Z^2
         patch = make_lattice_patch(1.0, 30.0, dim=2)
-        report = beurling_density(patch, FolnerSpec(sizes=(5, 10), translate_grid_step=0.25))
-        assert report.extrapolated_lower == pytest.approx(1.0, abs=0.01)
-        assert report.extrapolated_upper == pytest.approx(1.0, abs=0.11)
+        report = beurling_density(patch, FolnerSpec(sizes=(5, 10)))
+        assert report.lower == ((5.0, 1.0), (10.0, 1.0))
+        assert report.upper == ((5.0, 1.21), (10.0, 1.1025))
 
     def test_2d_fibonacci_extrema_are_exact(self):
         # the benchmark's fib2d patch at seed 1; a translate grid of step 0.25
@@ -86,7 +86,7 @@ class TestLatticeCalibration:
 
 
 class TestExactExtrema:
-    """In d <= 2 a density report states the extrema of the points as stored, whatever their rounding."""
+    """A density report states the extrema of the points as stored, whatever their rounding, in every dimension."""
 
     @pytest.mark.parametrize(
         "dim, half_width, lower",
@@ -103,10 +103,18 @@ class TestExactExtrema:
             least, most = extrema_rational(patch.points, n, shrink_box(patch.box, n))
             assert (lo, hi) == (least / (2 * n) ** dim, most / (2 * n) ** dim)
 
+    def test_3d_translated_lattice(self):
+        # fl(k + 0.37) and fl(k + 2.37) can lie 2 plus an ulp apart, so a closed window of side 2
+        # can hold one point per axis: inf 1 / 2^3
+        patch = translate(make_lattice_patch(1.0, 6.0, dim=3), [0.37] * 3)
+        report = beurling_density(patch, FolnerSpec(sizes=(1,)))
+        assert report.method == ("exact",)
+        assert (report.lower, report.upper) == (((1.0, 0.125),), ((1.0, 3.375),))
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_counts_match_rational_oracle(self, data):
-        dim = data.draw(st.sampled_from([1, 2]))
+        dim = data.draw(st.sampled_from([1, 2, 3]))
         offset = data.draw(st.sampled_from([0.0, 1e4, -1e4 + 0.37]) | st.floats(-1e4, 1e4))
         if data.draw(st.booleans()):  # a translated lattice, with window sides that are multiples of its spacing
             spacing = data.draw(st.sampled_from([0.1, 0.7, 1.0, 1.5]))
@@ -324,47 +332,18 @@ class TestSeparableGridCounts:
     def test_matches_mask_oracle(self, dim, data):
         half = data.draw(st.integers(2, 4))
         quarter = st.integers(-4 * half, 4 * half).map(lambda k: k / 4)
-        # exact extrema: quarter-integer points and n a multiple of 1/8 put
-        # every face p +- n, and every cell midpoint between them, on the
-        # oracle's 1/16 grid, so the grid sees the true inf and sup
-        exact = dim == 1 or data.draw(st.booleans())
-        if exact:
-            step, n, pool = 1 / 16, data.draw(st.integers(1, 8 * half)) / 8, quarter
-        else:
-            # quarter-integer coordinates include the faces c - n and c + n of
-            # grid windows (centres are -half + n + k * step); a few free floats
-            step = data.draw(st.sampled_from([0.25, 0.5, 1.0]))
-            n = data.draw(st.sampled_from([0.5, 1.0, 1.5]))
-            pool = st.one_of(quarter, st.floats(-half, half, allow_nan=False))
-        coords = [data.draw(st.lists(pool, min_size=1, max_size=6, unique=True)) for _ in range(dim)]
+        # quarter-integer points and n a multiple of 1/8 put every face p +- n,
+        # and every cell midpoint between them, on the oracle's 1/16 grid, so
+        # the grid sees the true inf and sup
+        n = data.draw(st.integers(1, 8 * half)) / 8
+        coords = [data.draw(st.lists(quarter, min_size=1, max_size=6, unique=True)) for _ in range(dim)]
         rows = st.tuples(*(st.sampled_from(c) for c in coords))
         pts = np.array(data.draw(st.lists(rows, min_size=1, max_size=30, unique=True)))
         box = ((-half, half),) * dim
-        region = shrink_box(box, n)
-        expected = extrema_grid_oracle(pts, n, region, step)
-        if not exact:
-            assert density_mod._extrema_grid(pts, n, region, step) == expected
-        elif dim <= 2:
-            report = beurling_density(PointPatch(dim=dim, box=box, points=pts), FolnerSpec(sizes=(n,)))
-            assert report.method == ("exact",)
-            assert (report.lower[0][1], report.upper[0][1]) == expected
-        else:
-            patch = PointPatch(dim=dim, box=box, points=pts)
-            counts = [_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True)]
-            assert tuple(c / (2 * n) ** dim for c in counts) == expected
-
-    def test_grid_cap_refuses_before_allocating(self):
-        patch = make_lattice_patch(1.0, 6.0, dim=3)
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            with pytest.raises(ValueError, match="exceeds the limit"):
-                beurling_density(patch, FolnerSpec(sizes=(2,), translate_grid_step=1e-9))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1.0
-        assert peak < 1_000_000
+        expected = extrema_grid_oracle(pts, n, shrink_box(box, n), 1 / 16)
+        report = beurling_density(PointPatch(dim=dim, box=box, points=pts), FolnerSpec(sizes=(n,)))
+        assert report.method == ("exact",)
+        assert (report.lower[0][1], report.upper[0][1]) == expected
 
     @pytest.mark.parametrize("grid", ["translates", "quadrature-nodes"])
     def test_translate_and_quadrature_grids_refuse_before_allocating(self, grid):
@@ -393,11 +372,6 @@ class TestFolnerSpecValidation:
     def test_non_finite_sizes_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             FolnerSpec(sizes=(5, bad))
-
-    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.25])
-    def test_bad_grid_step_rejected(self, bad):
-        with pytest.raises(ValueError, match="translate_grid_step"):
-            FolnerSpec(sizes=(5,), translate_grid_step=bad)
 
     @given(st.lists(st.floats(1, 50), min_size=1, max_size=4, unique=True))
     @settings(max_examples=25, deadline=None)

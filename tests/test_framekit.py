@@ -488,7 +488,7 @@ class TestVerdict:
 
     def test_gabor_unit_lattice_inconclusive(self):
         patch = make_lattice_patch(1.0, 30.0, dim=2)
-        report = beurling_density(patch, FolnerSpec(sizes=(5, 10), translate_grid_step=0.25))
+        report = beurling_density(patch, FolnerSpec(sizes=(5, 10)))
         v = verdict(GG, report, ell=1)
         assert v.necessary_sampling_ok
         assert v.necessary_interpolation_ok
