@@ -24,11 +24,11 @@ from typing import Literal
 
 from . import __version__, io_json
 from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, hull_beurling_density, weil_check
-from .errors import AperioError, ConfigError
+from .errors import AperioError, ConfigError, DimensionMismatchError
 from .framekit import frame_trend_report, verdict
 from .hull import grid_translates, orbit_sample, transversal_translates
 from .cutproject import generate_model_set
-from .pointset import as_box
+from .pointset import as_box, as_rows
 from .rkhs import wiener_amalgam_norm
 
 
@@ -112,15 +112,6 @@ class Context:
         sys.stdout.write(out)
 
 
-def _parse_box(values: list[float], dim_hint: int | None = None):
-    if len(values) % 2 != 0 or not values:
-        raise ConfigError("box must be given as lo hi pairs, one pair per dimension")
-    box = list(zip(values[::2], values[1::2]))
-    if dim_hint is not None and len(box) != dim_hint:
-        raise ConfigError(f"box has {len(box)} dimension(s), expected {dim_hint}")
-    return as_box(box)  # a degenerate interval is an operation error here, before any handler's own checks
-
-
 def _folner_spec(folner) -> FolnerSpec:
     try:
         return FolnerSpec(sizes=tuple(folner))
@@ -133,7 +124,7 @@ def _folner_spec(folner) -> FolnerSpec:
 def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = None) -> None:
     """Generate a model-set patch from a scheme."""
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
-    patch = generate_model_set(sch, _parse_box(box, sch.d))
+    patch = generate_model_set(sch, as_rows(box, 2))  # lo hi pairs
     ctx.write_json(out, io_json.patch_to_jsonable(patch))
 
 
@@ -156,7 +147,10 @@ def handle_density(
     else:
         report = beurling_density(base, spec)
     if ell is not None:
-        b = covolume_bounds_from_density(report, ell)
+        try:
+            b = covolume_bounds_from_density(report, ell)
+        except ValueError as exc:  # ell below 1
+            raise ConfigError(str(exc)) from exc
         report = dataclasses.replace(
             report, covolume_bounds=(b.covol_minus_lo, b.covol_plus_hi)
         )
@@ -179,18 +173,16 @@ def handle_hull_sample(
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
-    kb = _parse_box(k_box, base.dim)
+    kb = as_box(as_rows(k_box, 2), base.dim)  # a degenerate interval is an operation error, before the grid's checks
     if translates == "grid":
         if grid_step is None:
             raise ConfigError("grid translates need --grid-step")
         try:
-            vecs = grid_translates(base, kb, grid_step)
+            vecs = grid_translates(base, kb, grid_step, limit)
         except ValueError as exc:  # a step that is not positive, or a grid past the cap
             raise ConfigError(str(exc)) from exc
     else:
-        vecs = transversal_translates(base, kb)
-    if limit is not None:
-        vecs = vecs[:limit]
+        vecs = transversal_translates(base, kb)[:limit]
     samples = orbit_sample(base, vecs, kb)
     ctx.write_json(out, [io_json.patch_to_jsonable(p) for p in samples])
 
@@ -229,7 +221,10 @@ def handle_verdict(
     """Necessary-density verdicts from a density report."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     report = ctx.read_json(density, "density", io_json.density_report_from_jsonable)
-    v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
+    try:
+        v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
+    except ValueError as exc:  # ell below 1 or a negative tol
+        raise ConfigError(str(exc)) from exc
     ctx.write_report(out, io_json.verdict_report_to_jsonable(v))
 
 
@@ -412,7 +407,7 @@ def main(argv=None) -> int:
         _check_args(args.command, kwargs)
         HANDLERS.get(args.command, handle_run)(ctx, **kwargs)
         ctx.commit()
-    except ConfigError as exc:
+    except (ConfigError, DimensionMismatchError) as exc:
         print(f"aperio: config error: {exc}", file=sys.stderr)
         return 2
     except (AperioError, ValueError) as exc:

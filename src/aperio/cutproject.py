@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, EmptyWindowError
-from .pointset import Box, PointPatch, as_box, box_volume
+from .pointset import Box, PointPatch, as_box, as_rows, box_volume
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
@@ -46,10 +46,7 @@ class Window:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("window dimension must be >= 1")
-        boxes = tuple(as_box(b) for b in self.boxes)
-        for b in boxes:
-            if len(b) != self.m:
-                raise ValueError("window box dimension mismatch")
+        boxes = tuple(as_box(b, self.m) for b in self.boxes)
         for b1, b2 in itertools.combinations(boxes, 2):
             if all(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2) in zip(b1, b2)):
                 raise ValueError("window boxes must be pairwise disjoint")
@@ -72,7 +69,7 @@ class Window:
 
     def contains(self, y: np.ndarray) -> np.ndarray:
         """Half-open membership mask for sample rows ``y`` of shape (n, m)."""
-        y = np.asarray(y, dtype=np.float64).reshape(-1, self.m)
+        y = as_rows(y, self.m)
         mask = np.zeros(len(y), dtype=bool)
         for b in self.boxes:
             lo = np.array([iv[0] for iv in b])
@@ -203,9 +200,7 @@ def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
     visited, so no qualifying point is missed.  An empty window yields an
     empty patch.
     """
-    box = as_box(box)
-    if len(box) != scheme.d:
-        raise ValueError("box dimension must equal the physical dimension d")
+    box = as_box(box, scheme.d)
     if scheme.m > 0 and scheme.window.is_empty:
         return PointPatch(dim=scheme.d, box=box, points=np.empty((0, scheme.d)))
     region = box if scheme.m == 0 else box + scheme.window.bounding_box()

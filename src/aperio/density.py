@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutproject import CutProjectScheme, _lattice_points
-from .errors import CoverageError, PatchSizeError
+from .errors import CoverageError, DimensionMismatchError, PatchSizeError
 from .pointset import (
     BOX_TOL,
     Box,
     PointPatch,
     as_box,
+    as_rows,
     box_volume,
     shrink_box,
     _check_grid_size,
@@ -98,8 +99,10 @@ def _assemble_report(
     spec: FolnerSpec,
     note: str,
 ) -> DensityReport:
-    """inf/sup per size over every supplied patch (first = base, rest = extras)."""
+    """inf/sup per size over every supplied patch (first = base, rest = extras), all of one dimension."""
     for p in patches:
+        if p.dim != patches[0].dim:
+            raise DimensionMismatchError(f"limit patch has dimension {p.dim}, the base patch {patches[0].dim}")
         if p.is_empty:
             raise PatchSizeError("cannot estimate density of an empty patch")
         _check_sizes(p, spec.sizes)
@@ -228,8 +231,8 @@ def covolume_ergodic_estimate(patch: PointPatch, s_box, translates) -> ErgodicEs
     covolume only when the hull carries a unique invariant measure; the
     result is tagged accordingly.
     """
-    s_box = as_box(s_box)
-    vecs = np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim)
+    s_box = as_box(s_box, patch.dim)
+    vecs = as_rows(translates, patch.dim)
     if len(vecs) == 0:
         raise ValueError("need at least one translate")
     lo = np.array([b[0] for b in s_box])

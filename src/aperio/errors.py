@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Operation-contract failures raise ``AperioError`` subclasses; violations of
-constructor invariants raise plain ``ValueError``.
+constructor invariants raise plain ``ValueError``.  ``DimensionMismatchError``
+is both; ``pointset.as_box`` and ``pointset.as_rows`` raise it, and
+``density`` for a limit patch of another dimension than the base patch.
 """
 
 
@@ -33,8 +35,8 @@ class GridTooCoarseError(AperioError):
     """Evaluation grid step is too coarse for the requested window."""
 
 
-class DimensionMismatchError(AperioError):
-    """Points do not live in the space a kernel expects."""
+class DimensionMismatchError(AperioError, ValueError):
+    """A box, point rows, limit patch or kernel is not of the dimension it meets; the command line exits 2."""
 
 
 class NotAFrameError(AperioError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, _row_blocks, box_volume, points_in_box, restrict, shrink_box, translate
+from .pointset import PointPatch, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box, translate
 from .rkhs import KernelSpec, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -86,10 +86,6 @@ def gram_from_entries(entries: np.ndarray) -> GramMatrix:
 
 def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
     """Assemble the Hermitian Gram of the kernel family over the patch points."""
-    if patch.dim != kernel.space_dim:
-        raise ValueError(
-            f"patch dimension {patch.dim} does not match kernel space dimension {kernel.space_dim}"
-        )
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     km = kernel_matrix(kernel, patch.points, patch.points)
@@ -256,7 +252,7 @@ def translation_spectrum_invariance(kernel: KernelSpec, patch: PointPatch, shift
     """
     base = build_gram(kernel, patch).eigenvalues
     worst = 0.0
-    for s in np.asarray(shifts, dtype=np.float64).reshape(-1, patch.dim):
+    for s in as_rows(shifts, patch.dim):
         eigs = build_gram(kernel, translate(patch, s)).eigenvalues
         worst = max(worst, float(np.abs(eigs - base).max()))
     return worst
@@ -418,13 +414,15 @@ def verdict(
     """Rule out sampling/interpolation from density estimates where the theory permits.
 
     Sampling demands lower density at least the critical density; interpolation
-    demands upper density at most the critical density.  ``tol`` defaults to
-    twice the report's extrapolation uncertainty.  Inconclusive (both pass) is
-    a valid outcome; necessity can never certify a property, only rule it out.
+    demands upper density at most the critical density.  ``tol`` (at least 0) defaults
+    to twice the report's extrapolation uncertainty; ``ell`` is at least 1.  Inconclusive
+    (both pass) is a valid outcome; necessity can never certify a property, only rule it out.
     """
     crit = kernel.norm_sq_ke
     if tol is None:
         tol = 2.0 * density.uncertainty
+    elif not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     d_minus = density.extrapolated_lower
     d_plus = density.extrapolated_upper
     bounds = covolume_bounds_from_density(density, ell, relatively_dense=relatively_dense)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoverageError
-from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, as_box, points_in_box
+from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, as_box, as_rows, points_in_box
 
 
 def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
@@ -25,8 +25,8 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     translate whose window leaves the patch box raises ``CoverageError``
     after the windows of the translates before it are built.
     """
-    k_box = as_box(k_box)
-    xs = np.asarray(translates, dtype=np.float64).reshape(-1, patch.dim)
+    k_box = as_box(k_box, patch.dim)
+    xs = as_rows(translates, patch.dim)
     k_lo, k_hi = (np.array(side) for side in zip(*k_box))
     p_lo, p_hi = (np.array(side) for side in zip(*patch.box))
     covered = np.all((p_lo <= k_lo + xs + BOX_TOL) & (k_hi + xs <= p_hi + BOX_TOL), axis=1)
@@ -54,24 +54,29 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     return samples
 
 
+def _spans(patch: PointPatch, k_box) -> list:
+    """Per axis, the interval of translates ``x`` with ``x + k_box`` inside the patch box."""
+    return [(plo - klo, phi - khi) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box, patch.dim))]
+
+
 def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:
     """The patch's own points usable as orbit translates for the given window."""
-    k_box = as_box(k_box)
-    lo = np.array([b[0] for b in patch.box]) - np.array([b[0] for b in k_box])
-    hi = np.array([b[1] for b in patch.box]) - np.array([b[1] for b in k_box])
-    ok = np.all((patch.points >= lo) & (patch.points <= hi), axis=1)
-    return patch.points[ok]
+    return patch.points[points_in_box(patch.points, _spans(patch, k_box))]
 
 
-def grid_translates(patch: PointPatch, k_box, step: float) -> np.ndarray:
-    """Uniform grid of admissible translates at the given spacing; a grid past
-    ``pointset.GRID_LIMIT`` positions is refused before it is built."""
+def grid_translates(patch: PointPatch, k_box, step: float, limit: int | None = None) -> np.ndarray:
+    """Uniform grid of admissible translates at the given spacing, the first axis slowest.
+
+    Only the first ``limit`` translates are built, if given; a grid past
+    ``pointset.GRID_LIMIT`` positions is refused before any is built.
+    """
     if not step > 0:
         raise ValueError(f"grid step must be positive, got {step}")
-    spans = [(plo - klo, phi - khi) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box))]
+    spans = _spans(patch, k_box)
     if any(lo > hi for lo, hi in spans):
         return np.empty((0, patch.dim))
     _check_grid_size([(hi - lo) / step + 1.0 for lo, hi in spans])
-    axes = [lo + step * np.arange(max(1, int(np.floor((hi - lo) / step)) + 1)) for lo, hi in spans]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    shape = [max(1, int(np.floor((hi - lo) / step)) + 1) for lo, hi in spans]
+    total = int(np.prod(shape))
+    index = np.unravel_index(np.arange(total if limit is None else min(limit, total)), shape)
+    return np.stack([lo + step * i for (lo, _), i in zip(spans, index)], axis=1)

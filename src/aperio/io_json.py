@@ -137,8 +137,6 @@ def patch_to_jsonable(patch: PointPatch) -> dict:
 def patch_from_jsonable(obj: dict) -> PointPatch:
     dim = _int(_key(obj, "dim", "patch"), "patch 'dim'", 1)
     box = _pairs(_key(obj, "box", "patch"), "patch box")
-    if len(box) != dim:
-        raise ConfigError(f"patch box has {len(box)} interval(s), expected dim = {dim}")
     pts = _rows(_key(obj, "points", "patch"), dim, "patch point")
     try:
         return PointPatch(dim=dim, box=box, points=pts)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, EmptyPatchError, WindowTooLargeError
+from .errors import CoverageError, DimensionMismatchError, EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
 
@@ -36,13 +36,27 @@ GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid
 UNBOUNDED_FACES = (-math.inf, -math.inf, -math.inf, math.inf, math.inf)
 
 
-def as_box(box) -> Box:
-    """Normalize a box given as an iterable of (lo, hi) pairs."""
+def as_box(box, dim: int | None = None) -> Box:
+    """Normalize a box given as an iterable of (lo, hi) pairs, one per axis of ``dim`` if given.
+
+    With :func:`as_rows`, the one check of an input's dimension.
+    """
     out = tuple((float(lo), float(hi)) for lo, hi in box)
+    if dim is not None and len(out) != dim:
+        raise DimensionMismatchError(f"box has {len(out)} interval(s), expected {dim}")
     for lo, hi in out:
         if not lo < hi:
             raise ValueError(f"degenerate box interval [{lo}, {hi}]")
     return out
+
+
+def as_rows(x, dim: int) -> np.ndarray:
+    """``x`` as a float ``(n, dim)`` array, not copied if it is one: a 2-d ``x`` must have ``dim``
+    columns, a flat one is cut into rows of ``dim``, and more axes are refused."""
+    rows = np.asarray(x, dtype=np.float64)
+    if dim < 1 or rows.ndim > 2 or rows.shape[1:] not in ((), (dim,)) or rows.size % dim:
+        raise DimensionMismatchError(f"values of shape {rows.shape} do not form rows of {dim} coordinates")
+    return rows.reshape(-1, dim)
 
 
 def shrink_box(box: Box, margin: float) -> Box:
@@ -87,10 +101,8 @@ class PointPatch:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
-        box = as_box(self.box)
-        if len(box) != self.dim:
-            raise ValueError("box dimension mismatch")
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dim)
+        box = as_box(self.box, self.dim)
+        pts = as_rows(self.points, self.dim)
         if pts.size:  # array methods, not np.all/np.any: this runs once per orbit sample
             pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)  # a sorted copy
             if (pts[1:] == pts[:-1]).all(axis=1).any():
@@ -111,7 +123,7 @@ class PointPatch:
         ``merge_eps`` (sup-norm) is meant for imported data with rounding
         noise; the default 0 requires exactly distinct coordinates.
         """
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, dim)
+        pts = as_rows(points, dim)
         if merge_eps > 0 and len(pts) > 1:
             pts = pts[np.lexsort(pts.T[::-1])]
             # the pairs (i, i + k) within merge_eps, swept as in _pairwise_min_gap: once
@@ -127,7 +139,7 @@ class PointPatch:
                 if keep[i] and keep[j]:
                     keep[j] = False
             pts = pts[keep]
-        return cls(dim=dim, box=as_box(box), points=pts)
+        return cls(dim=dim, box=box, points=pts)
 
     @property
     def n_points(self) -> int:
@@ -349,7 +361,7 @@ def translate(patch: PointPatch, shift) -> PointPatch:
 
 def restrict(patch: PointPatch, box) -> PointPatch:
     """Intersect a patch with a closed sub-box (the result's box is the intersection)."""
-    sub = as_box(box)
+    sub = as_box(box, patch.dim)
     new_box = tuple(
         (max(lo, slo), min(hi, shi)) for (lo, hi), (slo, shi) in zip(patch.box, sub)
     )

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridTooCoarseError
-from .pointset import _check_grid_size, _row_blocks, box_volume
+from .errors import GridTooCoarseError
+from .pointset import _check_grid_size, _row_blocks, as_box, as_rows, box_volume
 
 Band = tuple[tuple[float, float], ...]
 
@@ -44,11 +44,7 @@ class KernelSpec:
         if self.kind == "paley_wiener":
             if not self.band:
                 raise ValueError("paley_wiener kernel needs a band box")
-            band = tuple((float(lo), float(hi)) for lo, hi in self.band)
-            for lo, hi in band:
-                if not lo < hi:
-                    raise ValueError("band intervals must be nondegenerate")
-            object.__setattr__(self, "band", band)
+            object.__setattr__(self, "band", as_box(self.band))
         elif self.kind == "gabor_gaussian":
             if not self.n or self.n < 1:
                 raise ValueError("gabor_gaussian kernel needs n >= 1")
@@ -151,22 +147,15 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     call allocates little beyond its output.  Every entry is computed on its
     own, so the block size moves no bit.
     """
-    X = np.asarray(xs, dtype=np.float64).reshape(-1, spec.space_dim)
-    Y = np.asarray(ys, dtype=np.float64).reshape(-1, spec.space_dim)
+    X, Y = as_rows(xs, spec.space_dim), as_rows(ys, spec.space_dim)
     if spec.kind == "paley_wiener":
         return _pw_matrix(spec, X, Y)
     return _gabor_matrix(spec, X, Y)
 
 
 def kernel_value(spec: KernelSpec, x, y) -> complex:
-    """Kernel value k(x, y); Hermitian and translation-covariant in magnitude."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if len(x) != spec.space_dim or len(y) != spec.space_dim:
-        raise DimensionMismatchError(
-            f"points must have dimension {spec.space_dim}, got {len(x)} and {len(y)}"
-        )
-    return complex(kernel_matrix(spec, x[None, :], y[None, :])[0, 0])
+    """Kernel value k(x, y) of one point each; Hermitian and translation-covariant in magnitude."""
+    return complex(kernel_matrix(spec, [x], [y])[0, 0])  # one row each, or refused
 
 
 def critical_density(spec: KernelSpec) -> float:

@@ -379,6 +379,17 @@ class TestAllOrNothing:
         assert code == 1 and out == "" and len(err) == 1
         assert _snapshot(workspace) == before
 
+    def test_extra_patch_of_another_dimension_writes_nothing(self, workspace, capsys):
+        steps = [
+            {"command": "gen", "args": {"scheme": "z.json", "box": [-20.5, 20.5], "out": "p1.json"}},
+            {"command": "gen", "args": {"scheme": "z2.json", "box": [-10, 10, -10, 10], "out": "p2.json"}},
+            {"command": "density", "args": {"patch": "p1.json", "folner": [2, 4, 8], "extras": ["p2.json"], "ell": 1, "out": "d.json"}},
+        ]
+        code, out, err, before = self.run_steps(workspace, capsys, steps)
+        assert code == 2 and out == "" and len(err) == 1
+        assert "config error" in err[0] and "dimension 2, the base patch 1" in err[0]
+        assert _snapshot(workspace) == before
+
     def test_unknown_weil_function_is_config_error(self, workspace, capsys):
         weil = {"command": "weil-check", "args": {"scheme": "z.json", "function": "bogus", "out": "w.json"}}
         code, out, err, before = self.run_steps(workspace, capsys, [_GEN_STEP, weil])
@@ -439,6 +450,7 @@ class TestArgumentValues:
     @staticmethod
     def refused(workspace, capsys, argv, *needles):
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
+        run(workspace, "density", "--patch", "p.json", "--folner", "5,10", "--out", "d.json")
         capsys.readouterr()
         before = _snapshot(workspace)
         assert run(workspace, *argv) == 2
@@ -488,15 +500,18 @@ class TestArgumentValues:
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
             ("amalgam", {"kernel": "pw.json", "q": -1.0, "trunc": 20.0, "step": 0.02}, "q_radius must be positive"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 1e-9}, "exceeds the limit"),
-            # 9e10 translates, refused before the grid is built: --limit applies only after it
+            # 9e10 translates, refused before any is built, whatever --limit says
             ("hull-sample", {"patch": "p.json", "k_box": [-5, 5], "translates": "grid", "grid_step": 1e-9, "limit": 1}, "exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "quadrature_n": 10**12}, "exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "quadrature_n": 10**400}, "grid of inf positions exceeds the limit"),
+            ("density", {"patch": "p.json", "folner": [5, 10], "ell": 0}, "ell must be >= 1"),
+            ("verdict", {"kernel": "pw.json", "density": "d.json", "ell": 0}, "ell must be >= 1"),
+            ("verdict", {"kernel": "pw.json", "density": "d.json", "tol": -0.5}, "tol must be >= 0"),
         ],
         ids=[
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
             "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
-            "quadrature-past-every-double",
+            "quadrature-past-every-double", "density-ell-zero", "verdict-ell-zero", "verdict-tol-negative",
         ],
     )
     def test_argument_out_of_range_is_config_error(self, workspace, capsys, command, args, key):
@@ -508,6 +523,21 @@ class TestArgumentValues:
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], key)
         (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": command, "args": {**args, "out": "o.json"}}]}))
         self.refused(workspace, capsys, ["run", "--config", "cfg.json"], key)
+
+    @pytest.mark.parametrize(
+        "argv, said",
+        [
+            (["gen", "--scheme", "z.json", "--box", "-5", "5", "-5", "5"], "box has 2 interval(s), expected 1"),
+            (["gen", "--scheme", "z.json", "--box", "-5", "5", "7"], "shape (3,) do not form rows of 2"),
+            (["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "-5", "5"], "box has 2 interval(s), expected 1"),
+            (["frame", "--kernel", "pw2.json", "--patch", "p.json", "--truncations", "10,20,40"], "do not form rows of 2"),
+        ],
+        ids=["gen-box", "gen-box-odd", "hull-k-box", "frame-kernel"],
+    )
+    def test_input_of_another_dimension_is_config_error(self, workspace, capsys, argv, said):
+        # a degenerate interval stays an operation error (exit 1): test_bad_box_in_later_step_writes_nothing
+        (workspace / "pw2.json").write_text(json.dumps({"kind": "paley_wiener", "band": [[-0.5, 0.5]] * 2}))
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], said)
 
     @pytest.mark.parametrize(
         "argv",

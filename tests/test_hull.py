@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ class TestOrbitSample:
         assert vecs.shape[1] == 1
         diffs = np.diff(np.sort(vecs.ravel()))
         assert np.allclose(diffs, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_limit_builds_the_first_translates(self, dim):
+        patch, k_box, step = make_lattice_patch(1.0, 10.0, dim), [(-5.0, 5.0)] * dim, 0.7
+        full = grid_translates(patch, k_box, step)
+        axes = [-5.0 + step * np.arange(15)] * dim  # the grid as a meshgrid, the first axis slowest
+        assert full.tobytes() == np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1).tobytes()
+        for n in (0, 1, len(full) - 1, len(full), len(full) + 5):
+            part = grid_translates(patch, k_box, step, limit=n)
+            assert part.shape == full[:n].shape and part.tobytes() == full[:n].tobytes()
+
+    def test_grid_limit_allocates_only_its_translates(self):
+        # a grid of 10^6 translates, 8 MB of coordinates if it were built whole
+        patch = make_lattice_patch(1.0, 50.0)
+        tracemalloc.start()
+        try:
+            vecs = grid_translates(patch, K5, 9e-5, limit=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert vecs.tolist() == [[-45.0]] and peak < 1 << 20
 
 
 def _outcome(sample, patch, translates, k_box):

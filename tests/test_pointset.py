@@ -5,12 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperio import PointPatch, generate_model_set, is_relatively_dense, rel_separation, translate
-from aperio.errors import EmptyPatchError, WindowTooLargeError
+from aperio import (
+    FolnerSpec,
+    PointPatch,
+    covolume_ergodic_estimate,
+    generate_model_set,
+    hull_beurling_density,
+    is_relatively_dense,
+    kernel_matrix,
+    orbit_sample,
+    paley_wiener,
+    rel_separation,
+    sampling_bounds,
+    translate,
+)
+from aperio.errors import DimensionMismatchError, EmptyPatchError, WindowTooLargeError
+from aperio.hull import grid_translates, transversal_translates
 from aperio.pointset import (
     UNBOUNDED_FACES,
     _pairwise_min_gap,
     _window_extremum,
+    as_box,
+    as_rows,
     box_volume,
     inflate_box,
     points_in_box,
@@ -363,3 +379,52 @@ class TestRestrict:
     def test_box_helpers(self):
         assert box_volume(((0, 2), (0, 3))) == 6
         assert inflate_box(((0, 2),), 0.5) == ((-0.5, 2.5),)
+
+
+# each input mixes two dimensions, and each call returned a value before the one dimension check
+DIMENSION_MISMATCHES = {
+    # the 2-d extra's density won the sup: 5.0625 against 1.25 at n = 2, tagged exact
+    "density-extra": lambda: hull_beurling_density(
+        make_lattice_patch(1.0, 20.5), FolnerSpec(sizes=(2, 4, 8)), [make_lattice_patch(0.5, 10.0, dim=2)]
+    ),
+    "ergodic-window": lambda: covolume_ergodic_estimate(make_lattice_patch(1.0, 10.0, dim=2), [(-2, 2)], [[0.0, 0.0]]),
+    "sampling-kernel": lambda: sampling_bounds(paley_wiener([(-0.5, 0.5)]), make_lattice_patch(1.0, 6.0, dim=2)),
+    "kernel-rows": lambda: kernel_matrix(paley_wiener([(-0.5, 0.5)]), *[make_lattice_patch(1.0, 10.0, dim=2).points] * 2),
+    "transversal-k-box": lambda: transversal_translates(make_lattice_patch(1.0, 8.0, dim=2), [(-2, 2)]),
+    "grid-k-box": lambda: grid_translates(make_lattice_patch(1.0, 8.0, dim=2), [(-2, 2)], 1.0),
+    "patch-rows": lambda: PointPatch(dim=2, box=[(-5, 5)] * 2, points=[[0], [1], [2], [3]]),
+    "orbit-translate": lambda: orbit_sample(make_lattice_patch(1.0, 10.0), [[0.0, 1.0]], [(-2, 2)]),
+}
+
+
+class TestDimensionCheck:
+    @pytest.mark.parametrize("call", DIMENSION_MISMATCHES.values(), ids=DIMENSION_MISMATCHES.keys())
+    def test_mixed_dimensions_are_refused(self, call):
+        with pytest.raises(DimensionMismatchError):
+            call()
+
+    def test_box_count_is_checked_before_its_intervals(self):
+        with pytest.raises(DimensionMismatchError, match="1 interval"):
+            as_box([(1.0, 0.0)], 2)
+        with pytest.raises(ValueError, match="degenerate"):
+            as_box([(1.0, 0.0)], 1)
+
+    @pytest.mark.parametrize("x", [np.zeros((2, 3)), np.zeros((1, 2, 2)), [0.0, 1.0, 2.0], np.zeros((0, 3))])
+    def test_rows_of_another_width_are_refused(self, x):
+        with pytest.raises(DimensionMismatchError, match="rows of 2"):
+            as_rows(x, 2)
+
+    @given(dim=st.integers(1, 4), n=st.integers(0, 5), form=st.sampled_from(["flat", "nested", "array"]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_the_right_width_are_reshaped(self, dim, n, form, data):
+        values = data.draw(st.lists(st.floats(allow_nan=False), min_size=n * dim, max_size=n * dim))
+        x = {
+            "flat": values,
+            "nested": [values[i * dim : (i + 1) * dim] for i in range(n)],
+            "array": np.array(np.reshape(values, (n, dim)), dtype=np.float64),  # owns its data
+        }[form]
+        got = as_rows(x, dim)
+        expected = np.asarray(x, dtype=np.float64).reshape(-1, dim)
+        assert got.dtype == np.float64 and got.shape == expected.shape and np.array_equal(got, expected)
+        if form == "array":  # an (n, dim) float array is used as it is
+            assert got.base is x
