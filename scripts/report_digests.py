@@ -8,7 +8,10 @@ workspace under a temporary directory, and prints one line
 For each workload with separation calls it also prints
 ``sha256  workload-seed/separation``, the hash of
 ``repr((rel_separation(patch, SEPARATION_U), is_relatively_dense(patch, DENSE_K)))``,
-which is the value the benchmark worker hashes.  Run it on two checkouts and
+which is the value the benchmark worker hashes.  For each ``fib2d`` seed it
+also prints ``sha256  fib2d-seed/grid-samples.json``, the output of
+``hull-sample`` with the arguments ``GRID_SAMPLES`` on that seed's patch:
+patch lists in d = 2, empty windows among them.  Run it on two checkouts and
 diff the outputs to see whether a change moved any report byte or statistic.
 
 Usage: python scripts/report_digests.py [--root CHECKOUT]
@@ -26,6 +29,10 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2, 3)
+# hull-sample on a grid of translates, per workload: 300 windows of fib2d seed 1, 89 of them empty
+GRID_SAMPLES = {
+    "fib2d": ["--translates", "grid", "--grid-step", "0.7", "--k-box", "-1", "1", "-1", "1", "--limit", "300"],
+}
 
 
 def main() -> int:
@@ -56,6 +63,12 @@ def main() -> int:
                     stats = aperio.pointset.rel_separation(patch, SEPARATION_U)
                     dense = aperio.pointset.is_relatively_dense(patch, DENSE_K)
                     print(f"{hashlib.sha256(repr((stats, dense)).encode()).hexdigest()}  {ws.name}/separation")
+                if name in GRID_SAMPLES:
+                    argv = ["--workspace", str(ws), "hull-sample", "--patch", "patch.json", *GRID_SAMPLES[name]]
+                    if aperio.cli.main([*argv, "--out", "grid-samples.json"]) != 0:
+                        raise SystemExit(f"{name} seed {seed}: hull-sample on a grid failed")
+                    path = ws / "grid-samples.json"
+                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {ws.name}/{path.name}")
     return 0
 
 

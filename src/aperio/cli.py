@@ -125,7 +125,7 @@ def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = No
     """Generate a model-set patch from a scheme."""
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     patch = generate_model_set(sch, as_rows(box, 2))  # lo hi pairs
-    ctx.write_json(out, io_json.patch_to_jsonable(patch))
+    ctx.write_text(out, io_json.patch_dumps(patch))
 
 
 def handle_density(
@@ -184,7 +184,7 @@ def handle_hull_sample(
     else:
         vecs = transversal_translates(base, kb)[:limit]
     samples = orbit_sample(base, vecs, kb)
-    ctx.write_json(out, [io_json.patch_to_jsonable(p) for p in samples])
+    ctx.write_text(out, io_json.patch_dumps(samples))
 
 
 def handle_frame(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CoverageError
-from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, as_box, as_rows, points_in_box
+from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, _sorted_checked, as_box, as_rows, points_in_box
 
 
 def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
@@ -21,7 +21,11 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     transversal: every returned patch contains the origin.  Each window's
     candidate rows are cut from the sorted patch by a binary search on the
     first coordinate, so the cost follows the samples returned (in d >= 2,
-    the first-axis slabs they are cut from), not the patch size.  A
+    the first-axis slabs they are cut from), not the patch size.  The
+    windows of a block of translates are checked as patches in one batch (one
+    sort of their rows keyed by translate, one test of adjacent rows), so a
+    window that rounding leaves with two equal points raises the
+    ``ValueError`` of ``PointPatch``, for the first such translate.  A
     translate whose window leaves the patch box raises ``CoverageError``
     after the windows of the translates before it are built.
     """
@@ -44,9 +48,10 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
         rows = np.arange(c.sum()) + np.repeat(start[blk] - (np.cumsum(c) - c), c)
         shifted = patch.points[rows] - xs[blk][owner]
         keep = points_in_box(shifted, k_box)
-        sizes = np.bincount(owner[keep], minlength=len(c))
-        for sel in np.split(shifted[keep], np.cumsum(sizes)[:-1]):
-            samples.append(PointPatch(dim=patch.dim, box=k_box, points=sel))
+        owner = owner[keep]
+        pts = _sorted_checked(shifted[keep], owner, k_box)
+        ends = np.cumsum(np.bincount(owner, minlength=len(c))).tolist()
+        samples += [PointPatch._of_checked(k_box, pts[a:b]) for a, b in zip([0, *ends], ends)]
     if n_ok < len(xs):
         x = xs[n_ok].tolist()
         needed = tuple((lo + v, hi + v) for (lo, hi), v in zip(k_box, x))

@@ -126,12 +126,37 @@ def provenance_block(seed: int | None, inputs: dict[str, str]) -> dict:
 
 # ---------------------------------------------------------------- point patch
 
-def patch_to_jsonable(patch: PointPatch) -> dict:
-    return {
-        "dim": patch.dim,
-        "box": [[fstr(lo), fstr(hi)] for lo, hi in patch.box],
-        "points": [[repr(c) for c in row] for row in patch.points.tolist()],  # fstr per cell, without its float()
-    }
+def _patch_layout(box, level: int) -> tuple[str, ...]:
+    """The text of a patch object at nesting ``level`` around its cells: before the first cell,
+    between cells of a row, between rows, after the last cell, and the whole empty patch."""
+    i0, i1, i2, i3 = ("\n" + "  " * (level + k) for k in range(4))
+    pairs = ",".join(f'{i2}[{i3}"{fstr(lo)}",{i3}"{fstr(hi)}"{i2}]' for lo, hi in box)
+    head = f'{{{i1}"box": [{pairs}{i1}],{i1}"dim": {len(box)},{i1}"points": '
+    return head + f'[{i2}[{i3}"', f'",{i3}"', f'"{i2}],{i2}[{i3}"', f'"{i2}]{i1}]{i0}}}', f"{head}[]{i0}}}"
+
+
+def patch_dumps(patches: PointPatch | list[PointPatch]) -> str:
+    """``canonical_dumps`` of a patch, or of a list of patches, as objects of decimal strings.
+
+    Written straight from ``points.tolist()``: ``repr`` per cell (``fstr``
+    without its ``float()``), one join per patch, and the text around the
+    cells built once per box.
+    """
+    level = 0 if isinstance(patches, PointPatch) else 1
+    layouts = {}
+    out = []
+    for p in [patches] if level == 0 else patches:
+        key = repr(p.box)  # not p.box, which would give -0.0 the layout of 0.0
+        if key not in layouts:
+            layouts[key] = _patch_layout(p.box, level)
+        first, cell, row, last, empty = layouts[key]
+        cells = map(repr, p.points.ravel().tolist())
+        if p.dim > 1:
+            cells = map(cell.join, zip(*[cells] * p.dim))
+        out.append(first + row.join(cells) + last if p.n_points else empty)
+    if level == 0:
+        return out[0] + "\n"
+    return "[\n  " + ",\n  ".join(out) + "\n]\n" if out else "[]\n"
 
 
 def patch_from_jsonable(obj: dict) -> PointPatch:

@@ -85,6 +85,27 @@ def points_in_box(points: np.ndarray, box: Box) -> np.ndarray:
     return np.all((points >= lo) & (points <= hi), axis=1)
 
 
+def _sorted_checked(pts: np.ndarray, owner: np.ndarray, box: Box) -> np.ndarray:
+    """``pts`` sorted by ``owner``, then lexicographically: a read-only copy.
+
+    The invariant check of :class:`PointPatch` for the patches whose rows are
+    tagged by ``owner``, all in one box: each patch's rows are pairwise
+    distinct and inside ``box``.  The first failing owner raises the
+    ``ValueError`` its patch alone would raise.
+    """
+    order = np.lexsort((*pts.T[::-1], owner))
+    pts, owner = pts.take(order, axis=0), owner[order]
+    none = np.iinfo(owner.dtype).max  # past every owner
+    repeated = owner[1:][(owner[1:] == owner[:-1]) & (pts[1:] == pts[:-1]).all(axis=1)].min(initial=none)
+    outside = owner[~points_in_box(pts, box)].min(initial=none)
+    if repeated < none and repeated <= outside:
+        raise ValueError("points must be pairwise distinct")
+    if outside < none:
+        raise ValueError("all points must lie inside the patch box")
+    pts.setflags(write=False)
+    return pts
+
+
 @dataclass(frozen=True, eq=False)
 class PointPatch:
     """Finite point list known to be the full intersection of a set with ``box``.
@@ -103,18 +124,17 @@ class PointPatch:
             raise ValueError("dim must be a positive integer")
         box = as_box(self.box, self.dim)
         pts = as_rows(self.points, self.dim)
-        if pts.size:  # array methods, not np.all/np.any: this runs once per orbit sample
-            pts = pts.take(np.lexsort(pts.T[::-1]), axis=0)  # a sorted copy
-            if (pts[1:] == pts[:-1]).all(axis=1).any():
-                raise ValueError("points must be pairwise distinct")
-            low, high = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-            if not all(lo <= a and b <= hi for (lo, hi), a, b in zip(box, low, high)):
-                raise ValueError("all points must lie inside the patch box")
-        else:
-            pts = pts.copy()
-        pts.setflags(write=False)
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _sorted_checked(pts, np.zeros(len(pts), dtype=np.intp), box))
+
+    @classmethod
+    def _of_checked(cls, box: Box, points: np.ndarray) -> "PointPatch":
+        """A patch of rows that :func:`_sorted_checked` returned for ``box``, not checked again."""
+        patch = object.__new__(cls)
+        object.__setattr__(patch, "dim", len(box))
+        object.__setattr__(patch, "box", box)
+        object.__setattr__(patch, "points", points)
+        return patch
 
     @classmethod
     def from_points(cls, dim: int, box, points, merge_eps: float = 0.0) -> "PointPatch":
@@ -353,8 +373,11 @@ def window_count_bound(ell: int, u_radius: float, k_box: Box) -> float:
 
 
 def translate(patch: PointPatch, shift) -> PointPatch:
-    """Shift every point and the box by ``shift``; canonical order is restored."""
-    vec = np.asarray(shift, dtype=np.float64).reshape(patch.dim)
+    """Shift every point and the box by ``shift``, one row of ``patch.dim`` coordinates; canonical order is restored."""
+    rows = as_rows(shift, patch.dim)
+    if len(rows) != 1:
+        raise DimensionMismatchError(f"shift of shape {np.shape(shift)} is not one row of {patch.dim} coordinates")
+    vec = rows[0]
     new_box = tuple((lo + v, hi + v) for (lo, hi), v in zip(patch.box, vec))
     return PointPatch(dim=patch.dim, box=new_box, points=patch.points + vec)
 

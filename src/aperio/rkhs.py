@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarseError
+from .errors import DimensionMismatchError, GridTooCoarseError
 from .pointset import _check_grid_size, _row_blocks, as_box, as_rows, box_volume
 
 Band = tuple[tuple[float, float], ...]
@@ -78,7 +78,8 @@ class CocycleSpec:
     """A continuous 2-cocycle phase on pairs of points.
 
     ``trivial`` is identically 1; ``heisenberg`` is the time-frequency phase
-    ``sigma((x, w), (x', w')) = exp(-2 pi i x' . w)`` on R^(2n).
+    ``sigma((x, w), (x', w')) = exp(-2 pi i x' . w)`` on R^(2n); its points
+    must end in ``2n`` coordinates (``DimensionMismatchError`` otherwise).
     """
 
     kind: str
@@ -96,6 +97,8 @@ class CocycleSpec:
         if self.kind == "trivial":
             return np.ones(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]), dtype=np.complex128)
         n = self.n
+        if p.shape[-1:] != (2 * n,) or q.shape[-1:] != (2 * n,):
+            raise DimensionMismatchError(f"points of shapes {p.shape} and {q.shape} do not end in {2 * n} coordinates")
         x_q = q[..., :n]
         w_p = p[..., n:]
         return np.exp(-2j * np.pi * np.sum(x_q * w_p, axis=-1))

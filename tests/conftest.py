@@ -13,6 +13,7 @@ from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
 from aperio.errors import CoverageError
 from aperio.framekit import _anchor_grid, _projected_inverse_sqrt, gram_from_entries
+from aperio.io_json import fstr
 from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
 
@@ -312,6 +313,15 @@ def hermitian_defect_oracle(e: np.ndarray) -> float:
     """Largest ``|e[i, j] - conj(e[j, i])|`` over the whole matrix at once (NaN if any is NaN)."""
     with np.errstate(invalid="ignore"):
         return np.abs(e - e.conj().T).max()
+
+
+def patch_to_jsonable(patch: PointPatch) -> dict:
+    """A patch as the JSON object ``io_json.patch_dumps`` writes, built with ``fstr`` per cell and box end."""
+    return {
+        "dim": patch.dim,
+        "box": [[fstr(lo), fstr(hi)] for lo, hi in patch.box],
+        "points": [[fstr(c) for c in row] for row in patch.points.tolist()],
+    }
 
 
 def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch]:

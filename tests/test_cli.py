@@ -20,7 +20,7 @@ from aperio import PointPatch, io_json
 from aperio.cli import HANDLERS, handle_run, main
 from aperio.errors import ConfigError
 
-from conftest import TAU, TAU_CONJ, make_lattice_patch
+from conftest import TAU, TAU_CONJ, make_lattice_patch, patch_to_jsonable
 
 
 @pytest.fixture()
@@ -61,36 +61,42 @@ _HOSTILE = st.one_of(
 )
 
 
+@st.composite
+def _hostile_patch(draw, dim):
+    """A patch in d = ``dim`` whose box ends and points are hostile floats: drawn rows clipped to a drawn box."""
+    ends = st.lists(_HOSTILE, min_size=2, max_size=2, unique_by=float).map(sorted)
+    box = [tuple(draw(ends)) for _ in range(dim)]
+    rows = draw(st.lists(st.lists(_HOSTILE, min_size=dim, max_size=dim), max_size=12))
+    lo, hi = np.array(box).T
+    return PointPatch(dim=dim, box=box, points=np.unique(np.clip(np.reshape(rows, (-1, dim)), lo, hi), axis=0))
+
+
 class TestJsonRoundTrip:
     def test_patch_exact_round_trip(self):
         patch = make_lattice_patch(1.0, 5.0)
-        obj = io_json.patch_to_jsonable(patch)
-        text = io_json.canonical_dumps(obj)
-        back = io_json.patch_from_jsonable(json.loads(text))
+        back = io_json.patch_from_jsonable(json.loads(io_json.patch_dumps(patch)))
         assert back == patch
 
     def test_irrational_coordinates_round_trip_exactly(self):
         pts = np.array([[math.sqrt(2)], [math.pi], [1.0 / 3.0]])
         patch = PointPatch(dim=1, box=[(0, 4)], points=pts)
-        back = io_json.patch_from_jsonable(
-            json.loads(io_json.canonical_dumps(io_json.patch_to_jsonable(patch)))
-        )
+        back = io_json.patch_from_jsonable(json.loads(io_json.patch_dumps(patch)))
         assert np.array_equal(back.points, patch.points)
 
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda dim: st.lists(st.lists(_HOSTILE, min_size=dim, max_size=dim), min_size=1, max_size=20, unique_by=tuple)
-        )
-    )
+    @given(st.integers(1, 3).flatmap(lambda dim: st.lists(_hostile_patch(dim), min_size=1, max_size=4)))
     @settings(max_examples=200, deadline=None)
-    def test_patch_encoding_matches_fstr_per_cell(self, rows):
-        patch = PointPatch(dim=len(rows[0]), box=[(-_MAX, _MAX)] * len(rows[0]), points=rows)
-        fstr = io_json.fstr
-        assert io_json.patch_to_jsonable(patch) == {
-            "dim": patch.dim,
-            "box": [[fstr(lo), fstr(hi)] for lo, hi in patch.box],
-            "points": [[fstr(c) for c in row] for row in patch.points],
-        }
+    def test_patch_encoding_matches_fstr_per_cell(self, patches):
+        # the oracle builds the object with fstr per cell and box end; canonical_dumps lays it out
+        empty = PointPatch(dim=patches[0].dim, box=patches[0].box, points=[])
+        for p in (*patches, empty):
+            assert io_json.patch_dumps(p) == io_json.canonical_dumps(patch_to_jsonable(p))
+        for group in (patches, [*patches, empty], []):
+            assert io_json.patch_dumps(group) == io_json.canonical_dumps([patch_to_jsonable(p) for p in group])
+
+    def test_patch_text_tells_signed_zero_boxes_apart(self):
+        patches = [PointPatch(dim=1, box=[(lo, 1.0)], points=[[0.5]]) for lo in (0.0, -0.0, 0.0)]
+        assert io_json.patch_dumps(patches) == io_json.canonical_dumps([patch_to_jsonable(p) for p in patches])
+        assert io_json.patch_dumps(patches).count('"-0.0"') == 1
 
     def test_scheme_accepts_numbers_and_strings(self):
         obj = {"d": 1, "m": 0, "basis": [["2.0"]]}

@@ -137,3 +137,17 @@ class TestOrbitSampleOracle:
         (sample,) = orbit_sample(patch, [[x, 0.0]], k_box)
         assert sample == orbit_sample_oracle(patch, [[x, 0.0]], k_box)[0]
         assert np.count_nonzero(sample.points[:, 0] == -1.25) == 3
+
+    def test_later_sample_with_collapsed_points_raises_as_the_oracle(self):
+        # 0.5 and the next double both shift to fl(0.5 + 4) = 4.5, so the second window holds two equal points
+        patch = PointPatch(dim=1, box=[(-20.0, 20.0)], points=[[0.0], [0.5], [np.nextafter(0.5, 1.0)]])
+        vecs = [[0.0], [-4.0], [30.0]]  # the uncovered third translate comes after the failure
+        expected = (ValueError, "points must be pairwise distinct")
+        assert _outcome(orbit_sample, patch, vecs, K5) == _outcome(orbit_sample_oracle, patch, vecs, K5) == expected
+
+    def test_collapsed_first_coordinates_are_sorted_on_the_next(self):
+        patch = PointPatch(dim=2, box=[(-20.0, 20.0)] * 2, points=[[0.5, 1.0], [np.nextafter(0.5, 1.0), 0.0]])
+        k_box = [(-5.0, 5.0)] * 2
+        (sample,) = orbit_sample(patch, [[-4.0, 0.0]], k_box)
+        assert sample.points.tolist() == [[4.5, 0.0], [4.5, 1.0]]
+        assert sample == orbit_sample_oracle(patch, [[-4.0, 0.0]], k_box)[0]

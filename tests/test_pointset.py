@@ -327,6 +327,12 @@ class TestTranslate:
         assert q.points.ravel().tolist() == [-1.75, -0.75, 0.25, 1.25, 2.25]
         assert q.box == ((-1.75, 2.25),)
 
+    @pytest.mark.parametrize("shift", [[[1.0], [2.0]], [1.0], [1.0, 2.0, 3.0, 4.0]], ids=["column", "short", "two-rows"])
+    def test_shift_that_is_not_one_row_is_refused(self, shift):
+        patch = make_lattice_patch(1.0, 3.0, dim=2)
+        with pytest.raises(DimensionMismatchError):
+            translate(patch, shift)
+
     @given(st.floats(-7, 7).map(lambda s: round(s, 4)))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, shift):

@@ -185,6 +185,12 @@ class TestCocycle:
         assert np.abs(c.phase(zero, pts) - 1.0).max() < 1e-15
         assert np.abs(c.phase(pts, zero) - 1.0).max() < 1e-15
 
+    def test_points_of_another_width_are_refused(self):
+        with pytest.raises(DimensionMismatchError, match="do not end in 2 coordinates"):
+            CocycleSpec("heisenberg", n=1).phase([0.0, 1.0, 2.0], [3.0, 4.0, 5.0])
+        with pytest.raises(DimensionMismatchError):
+            CocycleSpec("heisenberg", n=1).phase(np.zeros((4, 2)), np.zeros((4, 3)))
+
     def test_trivial_cocycle(self):
         c = CocycleSpec(kind="trivial")
         assert c.phase(np.zeros(1), np.ones(1)) == 1.0
