@@ -2,7 +2,10 @@
 verdict runs emitting canonical JSON reports.
 
 Exit codes: 0 success, 1 operation error, 2 configuration/parse error
-(including missing input files).  With a fixed seed, outputs are
+(including missing input files).  The library decides which: a check that
+reads only a call's own arguments and no data raises ``ArgumentError``
+(exit 2), a failure that depends on the data is an operation error (exit 1),
+and no handler translates one into the other.  With a fixed seed, outputs are
 byte-identical across runs: reports carry no timestamps, inputs are
 referenced by content hash, and every numeric field is a decimal string.
 """
@@ -24,7 +27,7 @@ from typing import Literal
 
 from . import __version__, io_json
 from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, hull_beurling_density, weil_check
-from .errors import AperioError, ConfigError, DimensionMismatchError
+from .errors import AperioError, ArgumentError, ConfigError
 from .framekit import frame_trend_report, verdict
 from .hull import grid_translates, orbit_sample, transversal_translates
 from .cutproject import generate_model_set
@@ -112,13 +115,6 @@ class Context:
         sys.stdout.write(out)
 
 
-def _folner_spec(folner) -> FolnerSpec:
-    try:
-        return FolnerSpec(sizes=tuple(folner))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad Folner spec: {exc}") from exc
-
-
 # ------------------------------------------------------------------- handlers
 
 def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = None) -> None:
@@ -139,7 +135,7 @@ def handle_density(
     csv: str | None = None,
 ) -> None:
     """Beurling density report along Folner boxes."""
-    spec = _folner_spec(folner)
+    spec = FolnerSpec(sizes=tuple(folner))
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     if extras:
         limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras]
@@ -147,10 +143,7 @@ def handle_density(
     else:
         report = beurling_density(base, spec)
     if ell is not None:
-        try:
-            b = covolume_bounds_from_density(report, ell)
-        except ValueError as exc:  # ell below 1
-            raise ConfigError(str(exc)) from exc
+        b = covolume_bounds_from_density(report, ell)
         report = dataclasses.replace(
             report, covolume_bounds=(b.covol_minus_lo, b.covol_plus_hi)
         )
@@ -177,10 +170,7 @@ def handle_hull_sample(
     if translates == "grid":
         if grid_step is None:
             raise ConfigError("grid translates need --grid-step")
-        try:
-            vecs = grid_translates(base, kb, grid_step, limit)
-        except ValueError as exc:  # a step that is not positive, or a grid past the cap
-            raise ConfigError(str(exc)) from exc
+        vecs = grid_translates(base, kb, grid_step, limit)
     else:
         vecs = transversal_translates(base, kb)[:limit]
     samples = orbit_sample(base, vecs, kb)
@@ -199,10 +189,7 @@ def handle_frame(
     """Riesz/sampling bound trends over nested truncations."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
-    try:
-        report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
-    except ValueError as exc:  # truncations or margin_frac out of range, or a kernel of another dimension
-        raise ConfigError(str(exc)) from exc
+    report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
     obj = io_json.frame_report_to_jsonable(report)
     ctx.write_report(out, obj)
     if csv:
@@ -221,10 +208,7 @@ def handle_verdict(
     """Necessary-density verdicts from a density report."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     report = ctx.read_json(density, "density", io_json.density_report_from_jsonable)
-    try:
-        v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
-    except ValueError as exc:  # ell below 1 or a negative tol
-        raise ConfigError(str(exc)) from exc
+    v = verdict(kern, report, ell=ell, tol=tol, relatively_dense=relatively_dense)
     ctx.write_report(out, io_json.verdict_report_to_jsonable(v))
 
 
@@ -237,15 +221,9 @@ def handle_weil_check(
     out: str | None = None,
 ) -> None:
     """Lattice periodization identity residual."""
-    try:
-        f = TestFunction(kind=function, trunc=trunc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    f = TestFunction(kind=function, trunc=trunc)
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
-    try:
-        residual = weil_check(sch, f, quadrature_n)
-    except ValueError as exc:  # quadrature_n not positive or past the grid cap, or a scheme that is not a lattice
-        raise ConfigError(str(exc)) from exc
+    residual = weil_check(sch, f, quadrature_n)
     ctx.write_report(out, io_json.weil_report_to_jsonable(residual, quadrature_n, function))
 
 
@@ -259,10 +237,7 @@ def handle_amalgam(
 ) -> None:
     """Local-maximum-function norm of the kernel."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
-    try:
-        norm = wiener_amalgam_norm(kern, q, trunc, step)
-    except ValueError as exc:  # a step that is not positive, or trunc <= q
-        raise ConfigError(str(exc)) from exc
+    norm = wiener_amalgam_norm(kern, q, trunc, step)
     ctx.write_report(out, io_json.amalgam_report_to_jsonable(norm, q, trunc, step))
 
 
@@ -407,7 +382,7 @@ def main(argv=None) -> int:
         _check_args(args.command, kwargs)
         HANDLERS.get(args.command, handle_run)(ctx, **kwargs)
         ctx.commit()
-    except (ConfigError, DimensionMismatchError) as exc:
+    except (ConfigError, ArgumentError) as exc:
         print(f"aperio: config error: {exc}", file=sys.stderr)
         return 2
     except (AperioError, ValueError) as exc:

@@ -16,7 +16,7 @@ Every lattice-point search (generation and the translates of the lattice
 periodization check) goes through one enumerator, ``_lattice_points``, whose
 work follows the output: about ``L`` integer candidates, not ``L^2``, for a
 Fibonacci box of length ``L``.  One cap, ``_ENUM_LIMIT``, bounds the integer
-prefixes and the candidates; a request past it raises ``ValueError`` before
+prefixes and the candidates; a request past it raises ``ArgumentError`` before
 the array it bounds is built.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, EmptyWindowError
+from .errors import ArgumentError, DegenerateBasisError, EmptyWindowError
 from .pointset import Box, PointPatch, as_box, as_rows, box_volume
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
@@ -161,13 +161,14 @@ def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
     """
     region_lo, region_hi = np.array(region, dtype=np.float64).T
     pre = np.array(list(itertools.product(*region))) @ np.linalg.inv(basis).T
-    z_lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
-    z_hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
+    # integer bounds stay doubles until both caps pass: a region past 2^63 would wrap in int64
+    z_lo = np.floor(pre.min(axis=0)) - 1
+    z_hi = np.ceil(pre.max(axis=0)) + 1
+    n_prefixes = math.prod((z_hi[:-1] - z_lo[:-1] + 1).tolist())
+    if not n_prefixes <= _ENUM_LIMIT:
+        raise ArgumentError(f"enumeration of {n_prefixes:.17g} integer prefixes exceeds the limit")
     shape = tuple(int(k) for k in z_hi[:-1] - z_lo[:-1] + 1)
-    n_prefixes = math.prod(shape)
-    if n_prefixes > _ENUM_LIMIT:
-        raise ValueError(f"enumeration of {n_prefixes} integer prefixes exceeds the limit")
-    prefixes = np.indices(shape).reshape(len(shape), n_prefixes).T + z_lo[:-1]
+    prefixes = np.indices(shape).reshape(len(shape), int(n_prefixes)).T + z_lo[:-1]
     # last coordinate t: region_lo <= prefixes @ basis[:, :-1].T + t * basis[:, -1] <= region_hi,
     # up to the rounding of the dot products (a generous multiple of n * eps * sum |basis z|)
     slack = 4 * len(basis) * np.finfo(np.float64).eps * (np.abs(basis) @ np.maximum(-z_lo, z_hi))
@@ -180,14 +181,15 @@ def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
         t_b = (region_hi + slack - offset) / step
     t_lo = np.where(free, -np.inf, np.minimum(t_a, t_b)).max(axis=1)
     t_hi = np.where(free, np.inf, np.maximum(t_a, t_b)).min(axis=1)
-    first = np.clip(np.ceil(t_lo) - 1, z_lo[-1], z_hi[-1] + 1).astype(np.int64)
-    last = np.clip(np.floor(t_hi) + 1, z_lo[-1] - 1, z_hi[-1]).astype(np.int64)
+    first = np.clip(np.ceil(t_lo) - 1, z_lo[-1], z_hi[-1] + 1)
+    last = np.clip(np.floor(t_hi) + 1, z_lo[-1] - 1, z_hi[-1])
     counts = np.maximum(last - first + 1, 0)
-    total = int(counts.sum())
-    if total > _ENUM_LIMIT:
-        raise ValueError(f"enumeration of {total} integer candidates exceeds the limit")
+    total = counts.sum()
+    if not total <= _ENUM_LIMIT:
+        raise ArgumentError(f"enumeration of {total:.17g} integer candidates exceeds the limit")
+    counts = counts.astype(np.int64)
     starts = np.cumsum(counts) - counts
-    t = np.arange(total) - np.repeat(starts - first, counts)
+    t = np.arange(int(total)) - np.repeat(starts - first, counts)
     ints = np.concatenate([np.repeat(prefixes, counts, axis=0), t[:, None]], axis=1)
     gamma = ints @ basis.T
     return gamma[np.all((gamma >= region_lo) & (gamma <= region_hi), axis=1)]

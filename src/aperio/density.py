@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutproject import CutProjectScheme, _lattice_points
-from .errors import CoverageError, DimensionMismatchError, PatchSizeError
+from .errors import ArgumentError, CoverageError, DimensionMismatchError, PatchSizeError
 from .pointset import (
     BOX_TOL,
     Box,
@@ -43,13 +43,13 @@ class FolnerSpec:
     def __post_init__(self):
         sizes = tuple(float(n) for n in self.sizes)
         if not sizes:
-            raise ValueError("need at least one Folner size")
-        if any(b <= a for a, b in zip(sizes, sizes[1:])):
-            raise ValueError("Folner sizes must be strictly increasing")
+            raise ArgumentError("need at least one Folner size")
         if not all(math.isfinite(n) for n in sizes):
-            raise ValueError("Folner sizes must be finite")
-        if any(n <= 0 for n in sizes):
-            raise ValueError("Folner sizes must be positive")
+            raise ArgumentError("Folner sizes must be finite")
+        if any(not b > a for a, b in zip(sizes, sizes[1:])):
+            raise ArgumentError("Folner sizes must be strictly increasing")
+        if any(not n > 0 for n in sizes):
+            raise ArgumentError("Folner sizes must be positive")
         object.__setattr__(self, "sizes", sizes)
 
 
@@ -196,8 +196,8 @@ def covolume_bounds_from_density(
     verified), and the lower covolume lies in ``[1/D++, ell/D++]``.  Zero
     densities yield unbounded covolumes (``inf``).
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    if not ell >= 1:
+        raise ArgumentError("ell must be >= 1")
     d_minus = report.extrapolated_lower
     d_plus = report.extrapolated_upper
     plus_hi = (1.0 / d_minus) if d_minus > 0 else math.inf
@@ -278,9 +278,9 @@ class TestFunction:
 
     def __post_init__(self):
         if self.kind not in ("triangle", "gaussian"):
-            raise ValueError(f"unknown test function kind {self.kind!r}")
+            raise ArgumentError(f"unknown test function kind {self.kind!r}")
         if not self.trunc > 0:
-            raise ValueError(f"trunc must be positive, got {self.trunc}")
+            raise ArgumentError(f"trunc must be positive, got {self.trunc}")
 
     @property
     def support_radius(self) -> float:
@@ -309,9 +309,9 @@ def weil_check(scheme: CutProjectScheme, f: TestFunction, quadrature_n: int) -> 
     quadrature error.  Requires an ``m = 0`` scheme.
     """
     if scheme.m != 0:
-        raise ValueError("Weil check requires lattice (m = 0 scheme)")
-    if quadrature_n < 1:
-        raise ValueError("quadrature_n must be positive")
+        raise ArgumentError("Weil check requires lattice (m = 0 scheme)")
+    if not quadrature_n >= 1:
+        raise ArgumentError("quadrature_n must be positive")
     _check_grid_size([quadrature_n])
     d = scheme.d
     per_dim = max(1, int(round(quadrature_n ** (1.0 / d))))

@@ -1,14 +1,18 @@
 """Exception hierarchy shared across the package.
 
-Operation-contract failures raise ``AperioError`` subclasses; violations of
-constructor invariants raise plain ``ValueError``.  ``DimensionMismatchError``
-is both; ``pointset.as_box`` and ``pointset.as_rows`` raise it, and
-``density`` for a limit patch of another dimension than the base patch.
+One rule decides whose fault a failure is.  A check that reads only the
+call's own arguments and no patch data raises ``ArgumentError`` where it is
+made; the command line exits 2 on it, as on a ``ConfigError`` from parsing.
+A failure that depends on the data is an operation error (another
+``AperioError``, or a plain ``ValueError`` for a constructor invariant such as
+a degenerate box or duplicate points); the command line exits 1 on it.
+``ArgumentError`` is also a ``ValueError``, so library callers catch both
+kinds alike.
 """
 
 
 class AperioError(Exception):
-    """Base class for all operation errors raised by this package."""
+    """Base class for all errors raised by this package."""
 
 
 class EmptyPatchError(AperioError):
@@ -31,11 +35,15 @@ class EmptyWindowError(AperioError):
     """An internal-space window with zero volume where positive volume is required."""
 
 
-class GridTooCoarseError(AperioError):
+class ArgumentError(AperioError, ValueError):
+    """An argument is out of its range, or out of relation to another argument; the command line exits 2."""
+
+
+class GridTooCoarseError(ArgumentError):
     """Evaluation grid step is too coarse for the requested window."""
 
 
-class DimensionMismatchError(AperioError, ValueError):
+class DimensionMismatchError(ArgumentError):
     """A box, point rows, limit patch or kernel is not of the dimension it meets; the command line exits 2."""
 
 

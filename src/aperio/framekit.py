@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
-from .errors import CoverageError, GramSizeError, NotAFrameError
+from .errors import ArgumentError, CoverageError, GramSizeError, NotAFrameError
 from .pointset import PointPatch, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box, translate
 from .rkhs import KernelSpec, kernel_matrix
 
@@ -184,8 +184,8 @@ def sampling_bounds(
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
-    if margin <= 0:
-        raise ValueError("margin must be positive")
+    if not margin > 0:
+        raise ArgumentError("margin must be positive")
     interior_box = shrink_box(patch.box, margin)
     for lo, hi in interior_box:
         if lo >= hi:
@@ -319,11 +319,11 @@ def frame_trend_report(
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs or not truncs[0] > 0:
-        raise ValueError(f"truncations must be non-empty and positive, got {truncs}")
-    if any(b <= a for a, b in zip(truncs, truncs[1:])):
-        raise ValueError(f"truncations must be strictly increasing, got {truncs}")
+        raise ArgumentError(f"truncations must be non-empty and positive, got {truncs}")
+    if any(not b > a for a, b in zip(truncs, truncs[1:])):
+        raise ArgumentError(f"truncations must be strictly increasing, got {truncs}")
     if not 0 < margin_frac < 1:
-        raise ValueError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
+        raise ArgumentError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
     r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
     margin = margin_frac * truncs[-1]
     top_patch = restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim)
@@ -422,7 +422,7 @@ def verdict(
     if tol is None:
         tol = 2.0 * density.uncertainty
     elif not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+        raise ArgumentError(f"tol must be >= 0, got {tol}")
     d_minus = density.extrapolated_lower
     d_plus = density.extrapolated_upper
     bounds = covolume_bounds_from_density(density, ell, relatively_dense=relatively_dense)

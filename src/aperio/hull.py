@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import ArgumentError, CoverageError
 from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, _sorted_checked, as_box, as_rows, points_in_box
 
 
@@ -76,7 +76,7 @@ def grid_translates(patch: PointPatch, k_box, step: float, limit: int | None = N
     ``pointset.GRID_LIMIT`` positions is refused before any is built.
     """
     if not step > 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+        raise ArgumentError(f"grid step must be positive, got {step}")
     spans = _spans(patch, k_box)
     if any(lo > hi for lo, hi in spans):
         return np.empty((0, patch.dim))

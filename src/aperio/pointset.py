@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoverageError, DimensionMismatchError, EmptyPatchError, WindowTooLargeError
+from .errors import ArgumentError, CoverageError, DimensionMismatchError, EmptyPatchError, WindowTooLargeError
 
 Box = tuple[tuple[float, float], ...]
 
@@ -245,9 +245,9 @@ def _pairwise_min_gap(pts: np.ndarray) -> float:
 def _check_grid_size(sizes) -> None:
     """Refuse a grid with more than ``GRID_LIMIT`` positions; ``sizes`` are per axis."""
     total = math.prod(sizes)
-    if total > GRID_LIMIT:
-        shown = float(total) if total <= sys.float_info.max else math.inf  # an int past every double
-        raise ValueError(f"grid of {shown:.6g} positions exceeds the limit")
+    if not total <= GRID_LIMIT:
+        shown = math.inf if total > sys.float_info.max else float(total)  # an int past every double
+        raise ArgumentError(f"grid of {shown:.6g} positions exceeds the limit")
 
 
 def _sum_down(v, t):
@@ -325,8 +325,8 @@ def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
     Exact in every dimension: the least count of such a window is at least 1.
     """
     _require_nonempty(patch)
-    if k_radius <= 0:
-        raise ValueError("k_radius must be positive")
+    if not k_radius > 0:
+        raise ArgumentError("k_radius must be positive")
     k = float(k_radius)
     _require_window_fits(patch, k)
     return _dense(patch, k)
@@ -348,8 +348,8 @@ def _max_gap_radius(patch: PointPatch) -> float:
 def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:
     """Exact maximum window count and gap statistics for the open window of side ``u_radius``."""
     _require_nonempty(patch)
-    if u_radius <= 0:
-        raise ValueError("u_radius must be positive")
+    if not u_radius > 0:
+        raise ArgumentError("u_radius must be positive")
     w = float(u_radius)
     _require_window_fits(patch, w)
     return SeparationStats(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridTooCoarseError
+from .errors import ArgumentError, DimensionMismatchError, GridTooCoarseError
 from .pointset import _check_grid_size, _row_blocks, as_box, as_rows, box_volume
 
 Band = tuple[tuple[float, float], ...]
@@ -219,13 +219,13 @@ def wiener_amalgam_norm(
     no array of all its points is ever built.
     """
     if not grid_step > 0:
-        raise ValueError(f"grid_step must be positive, got {grid_step}")
+        raise ArgumentError(f"grid_step must be positive, got {grid_step}")
     if not q_radius > 0:
-        raise ValueError(f"q_radius must be positive, got {q_radius}")
-    if grid_step >= q_radius:
+        raise ArgumentError(f"q_radius must be positive, got {q_radius}")
+    if not grid_step < q_radius:
         raise GridTooCoarseError("grid too coarse: need grid_step < q_radius")
-    if trunc_radius <= q_radius:
-        raise ValueError("trunc_radius must exceed q_radius")
+    if not trunc_radius > q_radius:
+        raise ArgumentError("trunc_radius must exceed q_radius")
     dim = spec.space_dim
     half = trunc_radius + q_radius
     span = np.ceil(2 * half / grid_step)  # inf for a tiny step, refused before int() sees it

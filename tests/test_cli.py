@@ -513,11 +513,16 @@ class TestArgumentValues:
             ("density", {"patch": "p.json", "folner": [5, 10], "ell": 0}, "ell must be >= 1"),
             ("verdict", {"kernel": "pw.json", "density": "d.json", "ell": 0}, "ell must be >= 1"),
             ("verdict", {"kernel": "pw.json", "density": "d.json", "tol": -0.5}, "tol must be >= 0"),
+            ("gen", {"scheme": "z.json", "box": [-1e9, 1e9]}, "integer candidates exceeds the limit"),
+            ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e20}, "integer candidates exceeds the limit"),
+            ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 0.6}, "grid too coarse"),
+            ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 0.4, "step": 0.02}, "trunc_radius must exceed q_radius"),
         ],
         ids=[
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
             "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
             "quadrature-past-every-double", "density-ell-zero", "verdict-ell-zero", "verdict-tol-negative",
+            "gen-enumeration-past-limit", "weil-enumeration-past-int64", "amalgam-step-past-q", "amalgam-trunc-below-q",
         ],
     )
     def test_argument_out_of_range_is_config_error(self, workspace, capsys, command, args, key):
@@ -577,7 +582,7 @@ class TestArgumentValues:
 
     @pytest.mark.parametrize("mode", [[], ["--translates", "grid", "--grid-step", "1"]], ids=["own", "grid"])
     def test_degenerate_k_box_is_operation_error_in_either_mode(self, workspace, mode):
-        # the grid handler turns the step's ValueError into a config error; the box is checked before it
+        # as_box refuses the degenerate box (a plain ValueError, exit 1) before grid_translates checks the step (exit 2)
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
         assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "5", "-5", *mode, "--out", "s.json") == 1
         assert not (workspace / "s.json").exists()
