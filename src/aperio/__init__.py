@@ -2,8 +2,8 @@
 
 Generate relatively separated point sets (lattices, cut-and-project model
 sets), estimate Beurling and hull densities along Folner boxes, assemble
-reproducing-kernel Gram systems (Paley-Wiener, Gaussian time-frequency),
-canonicalize frames to Parseval form, and check necessary density conditions
+reproducing-kernel Gram systems (Paley-Wiener, Gaussian time-frequency) with
+their frame and Riesz bound trends, and check necessary density conditions
 for sampling and interpolation.
 """
 
@@ -15,26 +15,21 @@ from .hull import orbit_sample
 from .density import (
     CovolumeBounds,
     DensityReport,
-    ErgodicEstimate,
     FolnerSpec,
     TestFunction,
     beurling_density,
     covolume_bounds_from_density,
-    covolume_ergodic_estimate,
     hull_beurling_density,
     weil_check,
 )
-from .rkhs import CocycleSpec, KernelSpec, critical_density, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener, wiener_amalgam_norm
+from .rkhs import KernelSpec, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener, wiener_amalgam_norm
 from .framekit import (
     FrameReport,
     GramMatrix,
     VerdictReport,
     build_gram,
-    canonical_parseval,
     frame_trend_report,
-    riesz_bounds,
     sampling_bounds,
-    translation_spectrum_invariance,
     verdict,
 )
 

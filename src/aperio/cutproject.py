@@ -209,7 +209,18 @@ def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
     gamma = _lattice_points(scheme.basis, region)
     if scheme.m > 0:
         gamma = gamma[scheme.window.contains(gamma[:, scheme.d :])]
-    return PointPatch(dim=scheme.d, box=box, points=gamma[:, : scheme.d])
+    try:
+        return PointPatch(dim=scheme.d, box=box, points=gamma[:, : scheme.d])
+    except ValueError as exc:  # every point lies in the box, so two distinct lattice points coincide
+        mag = max(abs(v) for side in box for v in side)
+        # for m = 0 only rounding can merge two lattice points; for m > 0 a non-injective projection can too
+        if scheme.m == 0:
+            cause = ", too coarse to resolve the lattice"
+        else:
+            cause = "; if that resolves the lattice, the scheme's projection is not injective"
+        raise ValueError(
+            f"{exc}: at the box's coordinates (magnitude {mag:.3g}) adjacent doubles are {np.spacing(mag):.3g} apart{cause}"
+        ) from exc
 
 
 def model_set_covolume(scheme: CutProjectScheme) -> float:

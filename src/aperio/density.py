@@ -1,4 +1,4 @@
-"""Beurling and hull Beurling densities along Folner boxes, covolume estimators.
+"""Beurling and hull Beurling densities along Folner boxes, covolume bounds, the lattice Weil check.
 
 Folner windows are centered boxes ``[-n, n]^d``.  The inf/sup over window
 positions is exact in every dimension for the points as stored, from one
@@ -17,21 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutproject import CutProjectScheme, _lattice_points
-from .errors import ArgumentError, CoverageError, DimensionMismatchError, PatchSizeError
-from .pointset import (
-    BOX_TOL,
-    Box,
-    PointPatch,
-    as_box,
-    as_rows,
-    box_volume,
-    shrink_box,
-    _check_grid_size,
-    _closed_window_extremum,
-    _max_window_size,
-    _row_blocks,
-    _sum_down,
-)
+from .errors import ArgumentError, DimensionMismatchError, PatchSizeError
+from .pointset import PointPatch, shrink_box, _check_grid_size, _closed_window_extremum, _max_window_size
 
 
 @dataclass(frozen=True)
@@ -171,11 +158,13 @@ def hull_beurling_density(
 
 @dataclass(frozen=True)
 class CovolumeBounds:
-    """Certified covolume bounds derived from a density report.
+    """Covolume bounds derived from a density report's extrapolated densities.
 
-    ``covol_minus`` lies in ``[covol_minus_lo, covol_minus_hi]`` and
-    ``covol_plus <= covol_plus_hi``; the latter holds with equality when the
-    set was verified relatively dense (``covol_plus_exact``).
+    If those densities are the limits, ``covol_minus`` lies in
+    ``[covol_minus_lo, covol_minus_hi]`` and ``covol_plus <= covol_plus_hi``,
+    with equality when the set was verified relatively dense
+    (``covol_plus_exact``).  The densities are finite-window trends, so the
+    bounds are trend evidence, not certificates.
     """
 
     covol_minus_lo: float
@@ -189,12 +178,13 @@ def covolume_bounds_from_density(
     ell: int,
     relatively_dense: bool = False,
 ) -> CovolumeBounds:
-    """Covolume bounds certified by the density-covolume comparison.
+    """Covolume bounds from the density-covolume comparison.
 
     Uses the extrapolated hull densities ``D--``/``D++``: the upper covolume
     is at most ``1 / D--`` (equality recorded when relative denseness was
     verified), and the lower covolume lies in ``[1/D++, ell/D++]``.  Zero
-    densities yield unbounded covolumes (``inf``).
+    densities yield unbounded covolumes (``inf``).  The densities are
+    finite-window trends, and every report tags the bounds as trends.
     """
     if not ell >= 1:
         raise ArgumentError("ell must be >= 1")
@@ -208,60 +198,6 @@ def covolume_bounds_from_density(
         covol_minus_hi=minus_hi,
         covol_plus_hi=plus_hi,
         covol_plus_exact=bool(relatively_dense),
-    )
-
-
-@dataclass(frozen=True)
-class ErgodicEstimate:
-    """Covolume estimate from orbit averages; valid only under unique ergodicity."""
-
-    covolume: float
-    n_translates: int
-    s_box: Box
-    provenance: str = "assumes-unique-ergodicity"
-
-
-def covolume_ergodic_estimate(patch: PointPatch, s_box, translates) -> ErgodicEstimate:
-    """Reciprocal of the average windowed density over the supplied translates.
-
-    Counts use half-open windows: a point ``p`` counts at translate ``v`` iff
-    ``v + lo <= p < v + hi`` per axis for the exact sums, in every dimension,
-    so lattice estimates are exact whenever the window side is a multiple of
-    the lattice spacing.  The average over an orbit sample estimates the
-    covolume only when the hull carries a unique invariant measure; the
-    result is tagged accordingly.
-    """
-    s_box = as_box(s_box, patch.dim)
-    vecs = as_rows(translates, patch.dim)
-    if len(vecs) == 0:
-        raise ValueError("need at least one translate")
-    lo = np.array([b[0] for b in s_box])
-    hi = np.array([b[1] for b in s_box])
-    plo = np.array([b[0] for b in patch.box])
-    phi = np.array([b[1] for b in patch.box])
-    if np.any(lo + vecs.min(axis=0) < plo - BOX_TOL) or np.any(hi + vecs.max(axis=0) > phi + BOX_TOL):
-        raise CoverageError("box too small: some translate window exceeds the patch box")
-    # ceil(v + lo) <= p < ceil(v + hi) holds iff v + lo <= p < v + hi exactly
-    face_lo, face_hi = -_sum_down(-vecs, -lo), -_sum_down(-vecs, -hi)
-    if patch.dim == 1:
-        x = patch.points[:, 0]
-        counts = (x.searchsorted(face_hi[:, 0], "left") - x.searchsorted(face_lo[:, 0], "left")).astype(np.float64)
-    else:
-        counts = np.zeros(len(vecs))
-        for blk in _row_blocks(len(vecs), patch.n_points):
-            inside = np.ones((blk.stop - blk.start, patch.n_points), dtype=bool)
-            for k in range(patch.dim):
-                p = patch.points[None, :, k]
-                inside &= (face_lo[blk, k, None] <= p) & (p < face_hi[blk, k, None])
-            counts[blk] = inside.sum(axis=1)
-    vol = box_volume(s_box)
-    mean_density = float(np.sort(counts).sum() / len(counts) / vol)
-    if mean_density <= 0:
-        raise ValueError("orbit average density is zero; covolume estimate unbounded")
-    return ErgodicEstimate(
-        covolume=1.0 / mean_density,
-        n_translates=len(vecs),
-        s_box=s_box,
     )
 
 

@@ -48,7 +48,7 @@ class DimensionMismatchError(ArgumentError):
 
 
 class NotAFrameError(AperioError):
-    """A Gram system is too ill-conditioned to canonicalize at this truncation."""
+    """A kernel system's spectrum is numerically zero at this truncation."""
 
 
 class PatchSizeError(AperioError):

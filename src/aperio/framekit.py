@@ -1,5 +1,5 @@
-"""Gram systems over patches: spectral frame/Riesz bounds, Parseval
-canonicalization, truncation trends and necessary-density verdicts.
+"""Gram systems over patches: spectral frame/Riesz bounds, truncation trends
+and necessary-density verdicts.
 
 Finite truncations can only give *evidence* about infinite systems, so every
 trend report covers at least three nested truncations and the verdict enum
@@ -16,7 +16,7 @@ import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import ArgumentError, CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box, translate
+from .pointset import PointPatch, _row_blocks, box_volume, points_in_box, restrict, shrink_box
 from .rkhs import KernelSpec, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -55,10 +55,6 @@ class GramMatrix:
         return float(self.eigenvalues[0]) if self.n else 0.0
 
     @property
-    def rank(self) -> int:
-        return int((self.eigenvalues > RANK_TOL * self.lambda_max).sum())
-
-    @property
     def nonzero_min(self) -> float:
         """Smallest eigenvalue of the nonzero spectrum (above the rank tolerance)."""
         above = self.eigenvalues[self.eigenvalues > RANK_TOL * self.lambda_max]
@@ -90,16 +86,6 @@ def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     km = kernel_matrix(kernel, patch.points, patch.points)
     return gram_from_entries(km.T)
-
-
-def riesz_bounds(gram: GramMatrix) -> tuple[float, float]:
-    """Riesz bounds (min nonzero-spectrum eigenvalue, max eigenvalue) of the finite system.
-
-    Exact for the finite system; evidence about the infinite one comes from
-    the trend mechanism.  The raw smallest eigenvalue is available as
-    ``gram.lambda_min``.
-    """
-    return gram.nonzero_min, gram.lambda_max
 
 
 def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +175,10 @@ def sampling_bounds(
     interior_box = shrink_box(patch.box, margin)
     for lo, hi in interior_box:
         if lo >= hi:
-            raise ValueError("margin too large: no interior region remains")
+            raise CoverageError("margin too large: no interior region remains")
     interior_pts = patch.points[points_in_box(patch.points, interior_box)]
     if len(interior_pts) == 0:
-        raise ValueError("margin too large: no interior points")
+        raise CoverageError("margin too large: no interior points")
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
@@ -210,52 +196,6 @@ def sampling_bounds(
     B /= 2.0
     eigs = np.linalg.eigvalsh(B)
     return float(eigs[0]), float(eigs[-1])
-
-
-def canonical_parseval(
-    gram: GramMatrix,
-    min_nonzero: float | None = None,
-) -> tuple[GramMatrix, np.ndarray]:
-    """Canonical Parseval transformation of a Gram system.
-
-    Computes the inverse square root of the frame operator on the span
-    (eigenvalues above the rank tolerance) and returns the transformed Gram,
-    which is an orthogonal projection (spectrum in {0, 1}), together with the
-    coefficient-space transform matrix.  The output Gram is assembled from
-    the spectral projector directly; forming T G T explicitly would amplify
-    discarded-eigenvalue noise by 1 / RANK_TOL past the 1e-8 contract.
-    At most four n x n arrays are alive at once: the two outputs, the kept
-    eigenvectors and their conjugate transpose.
-    """
-    if gram.n == 0:
-        raise NotAFrameError("not a frame at this truncation: empty system")
-    s, vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
-    if min_nonzero is not None and s[0] < min_nonzero:
-        raise NotAFrameError(
-            f"not a frame at this truncation: lower bound {s[0]:.3e} < {min_nonzero:.3e}"
-        )
-    vecs_h = np.conjugate(vecs).T  # a copy even when real, as vecs is scaled in place below
-    projector = vecs @ vecs_h
-    vecs *= (1.0 / np.sqrt(s))[None, :]
-    transform = vecs @ vecs_h
-    del vecs, vecs_h
-    projector += projector.conj().T
-    projector /= 2.0
-    return gram_from_entries(projector), transform
-
-
-def translation_spectrum_invariance(kernel: KernelSpec, patch: PointPatch, shifts) -> float:
-    """Max sup-distance between the base Gram spectrum and translated-patch spectra.
-
-    Kernel magnitudes are translation invariant and phases act as diagonal
-    unitaries, so the deviation is eigensolver noise.
-    """
-    base = build_gram(kernel, patch).eigenvalues
-    worst = 0.0
-    for s in as_rows(shifts, patch.dim):
-        eigs = build_gram(kernel, translate(patch, s)).eigenvalues
-        worst = max(worst, float(np.abs(eigs - base).max()))
-    return worst
 
 
 @dataclass(frozen=True)
@@ -333,18 +273,14 @@ def frame_trend_report(
         sub = restrict(patch, [(-t, t)] * patch.dim)
         keep = points_in_box(top_patch.points, sub.box)
         gram = top if keep.all() else gram_from_entries(top.entries[np.ix_(keep, keep)])
-        a, b = riesz_bounds(gram)
-        r_lo.append(a)
+        r_lo.append(gram.nonzero_min)
         r_lo_raw.append(gram.lambda_min)
-        r_hi.append(b)
+        r_hi.append(gram.lambda_max)
         subs.append(sub)
     final_eigs = gram.eigenvalues
     del top, gram  # release the Grams before the sampling stages build their own blocks
     for t, sub in zip(truncs, subs):
-        try:
-            sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
-        except ValueError as exc:  # the arguments are valid, so the patch is too small or sparse
-            raise CoverageError(str(exc)) from exc
+        sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
         s_lo.append(sa)
         s_hi.append(sb)
     if len(truncs) >= 3:
@@ -387,7 +323,8 @@ class VerdictReport:
     ``necessary_sampling_ok`` / ``necessary_interpolation_ok`` report whether
     the density-form inequalities are satisfiable; ``False`` means the
     corresponding property is ruled out.  The covolume-form booleans use the
-    certified covolume bounds and only rule out when certain.
+    covolume bounds of the same extrapolated densities, so every verdict is
+    trend evidence, as the reports tag it; none is certified.
     """
 
     critical_density: float
@@ -428,9 +365,9 @@ def verdict(
     bounds = covolume_bounds_from_density(density, ell, relatively_dense=relatively_dense)
     sampling_ok = d_minus >= crit - tol
     interpolation_ok = d_plus <= crit + tol
-    # covolume form: crit * covol_+ <= 1 must hold for sampling, certified via
+    # covolume form: crit * covol_+ <= 1 must hold for sampling, checked via
     # covol_+ <= 1/D--; crit * covol_- >= 1 must hold for interpolation,
-    # certified via covol_- <= ell/D++.
+    # checked via covol_- <= ell/D++.
     samp_covol = (
         crit * bounds.covol_plus_hi <= 1.0 + tol if math.isfinite(bounds.covol_plus_hi) else False
     )

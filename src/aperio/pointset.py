@@ -63,10 +63,6 @@ def shrink_box(box: Box, margin: float) -> Box:
     return tuple((lo + margin, hi - margin) for lo, hi in box)
 
 
-def inflate_box(box: Box, margin: float) -> Box:
-    return tuple((lo - margin, hi + margin) for lo, hi in box)
-
-
 def box_volume(box: Box) -> float:
     vol = 1.0
     for lo, hi in box:
@@ -135,31 +131,6 @@ class PointPatch:
         object.__setattr__(patch, "box", box)
         object.__setattr__(patch, "points", points)
         return patch
-
-    @classmethod
-    def from_points(cls, dim: int, box, points, merge_eps: float = 0.0) -> "PointPatch":
-        """Build a patch, optionally merging points closer than ``merge_eps``.
-
-        ``merge_eps`` (sup-norm) is meant for imported data with rounding
-        noise; the default 0 requires exactly distinct coordinates.
-        """
-        pts = as_rows(points, dim)
-        if merge_eps > 0 and len(pts) > 1:
-            pts = pts[np.lexsort(pts.T[::-1])]
-            # the pairs (i, i + k) within merge_eps, swept as in _pairwise_min_gap: once
-            # every first-axis gap at shift k exceeds merge_eps, no later pair is close
-            pairs = []
-            for k in range(1, len(pts)):
-                if (pts[k:, 0] - pts[:-k, 0]).min() > merge_eps:
-                    break
-                i = np.flatnonzero(np.abs(pts[k:] - pts[:-k]).max(axis=1) <= merge_eps)
-                pairs += zip(i.tolist(), (i + k).tolist())
-            keep = np.ones(len(pts), dtype=bool)
-            for i, j in sorted(pairs):
-                if keep[i] and keep[j]:
-                    keep[j] = False
-            pts = pts[keep]
-        return cls(dim=dim, box=box, points=pts)
 
     @property
     def n_points(self) -> int:
@@ -359,17 +330,6 @@ def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:
         max_gap_radius=_max_gap_radius(patch),
         certified_box=shrink_box(patch.box, w),
     )
-
-
-def window_count_bound(ell: int, u_radius: float, k_box: Box) -> float:
-    """Counting bound ``ell * vol(K + U) / vol(U)`` for sub-boxes of the certified region.
-
-    ``K + U`` is the Minkowski sum, i.e. ``k_box`` inflated by ``u_radius/2``
-    per side; ``U`` is the open box of side ``u_radius``.
-    """
-    dim = len(k_box)
-    num = box_volume(inflate_box(k_box, u_radius / 2.0))
-    return ell * num / (u_radius**dim)
 
 
 def translate(patch: PointPatch, shift) -> PointPatch:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DimensionMismatchError, GridTooCoarseError
+from .errors import ArgumentError, GridTooCoarseError
 from .pointset import _check_grid_size, _row_blocks, as_box, as_rows, box_volume
 
 Band = tuple[tuple[float, float], ...]
@@ -71,37 +71,6 @@ def paley_wiener(band) -> KernelSpec:
 def gabor_gaussian(n: int) -> KernelSpec:
     """Gaussian time-frequency kernel on R^(2n)."""
     return KernelSpec(kind="gabor_gaussian", n=n)
-
-
-@dataclass(frozen=True)
-class CocycleSpec:
-    """A continuous 2-cocycle phase on pairs of points.
-
-    ``trivial`` is identically 1; ``heisenberg`` is the time-frequency phase
-    ``sigma((x, w), (x', w')) = exp(-2 pi i x' . w)`` on R^(2n); its points
-    must end in ``2n`` coordinates (``DimensionMismatchError`` otherwise).
-    """
-
-    kind: str
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("trivial", "heisenberg"):
-            raise ValueError(f"unknown cocycle kind {self.kind!r}")
-        if self.kind == "heisenberg" and (not self.n or self.n < 1):
-            raise ValueError("heisenberg cocycle needs n >= 1")
-
-    def phase(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        if self.kind == "trivial":
-            return np.ones(np.broadcast_shapes(p.shape[:-1], q.shape[:-1]), dtype=np.complex128)
-        n = self.n
-        if p.shape[-1:] != (2 * n,) or q.shape[-1:] != (2 * n,):
-            raise DimensionMismatchError(f"points of shapes {p.shape} and {q.shape} do not end in {2 * n} coordinates")
-        x_q = q[..., :n]
-        w_p = p[..., n:]
-        return np.exp(-2j * np.pi * np.sum(x_q * w_p, axis=-1))
 
 
 def _sinc_factor(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -159,11 +128,6 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 def kernel_value(spec: KernelSpec, x, y) -> complex:
     """Kernel value k(x, y) of one point each; Hermitian and translation-covariant in magnitude."""
     return complex(kernel_matrix(spec, [x], [y])[0, 0])  # one row each, or refused
-
-
-def critical_density(spec: KernelSpec) -> float:
-    """The critical sampling/interpolation density ``norm_sq_ke``."""
-    return spec.norm_sq_ke
 
 
 def _local_max(values: np.ndarray, reach: int) -> np.ndarray:

@@ -192,15 +192,10 @@ def max_window_count_oracle(pts: np.ndarray, width: float) -> int:
     return best
 
 
-def ergodic_counts_oracle(pts: np.ndarray, s_box, translates) -> list[int]:
-    """Per translate ``v``, the number of points with ``v + lo <= p < v + hi`` on every axis, exactly."""
-    rows = [[Fraction(float(v)) for v in row] for row in pts]
-    box = [(Fraction(lo), Fraction(hi)) for lo, hi in s_box]
-    counts = []
-    for vec in translates:
-        v = [Fraction(float(t)) for t in vec]
-        counts.append(sum(all(vk + lo <= p < vk + hi for vk, (lo, hi), p in zip(v, box, row)) for row in rows))
-    return counts
+def orbit_average_covolume(patch: PointPatch, half: float, translates) -> float:
+    """``2 half`` over the mean count of the windows ``v - half <= x < v + half`` of a 1-d patch, one per translate."""
+    x, v = patch.points[:, 0], np.asarray(translates, dtype=np.float64).reshape(-1)
+    return 2 * half / (x.searchsorted(v + half, "left") - x.searchsorted(v - half, "left")).mean()
 
 
 def dense_oracle(pts: np.ndarray, box, k: float) -> bool:
@@ -283,18 +278,10 @@ def closest_pair_oracle(pts: np.ndarray) -> float:
     return best
 
 
-def merge_oracle(pts: np.ndarray, eps: float) -> np.ndarray:
-    """``PointPatch.from_points(merge_eps=eps)``'s points, comparing every pair.
-
-    Rows are taken in lexicographic order; each row still kept drops every
-    later row within sup-distance ``eps`` of it.
-    """
-    pts = pts[np.lexsort(pts.T[::-1])]
-    keep = [True] * len(pts)
-    for i, j in itertools.combinations(range(len(pts)), 2):
-        if keep[i] and keep[j] and np.abs(pts[i] - pts[j]).max() <= eps:
-            keep[j] = False
-    return pts[keep]
+def heisenberg_phase(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The cocycle ``sigma((x, w), (x', w')) = exp(-2 pi i x' . w)`` of ``rkhs``'s convention, on rows of R^(2n)."""
+    n = p.shape[-1] // 2
+    return np.exp(-2j * np.pi * np.sum(q[..., :n] * p[..., n:], axis=-1))
 
 
 def local_max_oracle(values: np.ndarray, reach: int) -> np.ndarray:
@@ -375,7 +362,12 @@ def sampling_bounds_oracle(
 
 
 def canonical_parseval_oracle(gram):
-    """``framekit.canonical_parseval`` with every n x n temporary kept: a fresh array per product and sum."""
+    """Canonical Parseval form of a Gram system: the projector onto its nonzero spectrum, and the transform.
+
+    The transform is the inverse square root of the Gram on that span.  The
+    projector is formed directly: ``T G T`` would carry the discarded
+    eigenvalues' noise, amplified by up to ``1 / RANK_TOL``.
+    """
     s, vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
     transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
     projector = vecs @ vecs.conj().T

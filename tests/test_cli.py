@@ -214,7 +214,7 @@ class TestProvenanceTags:
             assert found
             for tag in found:
                 assert (
-                    tag in ("exact", "trend", "assumes-unique-ergodicity")
+                    tag in ("exact", "trend")
                     or tag.startswith(("quadrature(n=", "grid(step=", "trend(truncations="))
                 ), tag
 
@@ -517,12 +517,15 @@ class TestArgumentValues:
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e20}, "integer candidates exceeds the limit"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 0.6}, "grid too coarse"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 0.4, "step": 0.02}, "trunc_radius must exceed q_radius"),
+            # every truncation is valid, but margin_frac * t underflows to 0
+            ("frame", {"kernel": "pw.json", "patch": "p.json", "truncations": [1e-300, 2e-300, 4e-300], "margin_frac": 1e-100}, "margin must be positive"),
         ],
         ids=[
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
             "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
             "quadrature-past-every-double", "density-ell-zero", "verdict-ell-zero", "verdict-tol-negative",
             "gen-enumeration-past-limit", "weil-enumeration-past-int64", "amalgam-step-past-q", "amalgam-trunc-below-q",
+            "frame-margin-underflows",
         ],
     )
     def test_argument_out_of_range_is_config_error(self, workspace, capsys, command, args, key):
@@ -579,6 +582,13 @@ class TestArgumentValues:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "no interior region" in err[0]
         assert _snapshot(workspace) == before
+
+    def test_gen_past_double_resolution_names_the_precision(self, workspace, capsys):
+        # adjacent doubles near 1e17 are 16 apart, so the integers in the box round onto each other
+        assert run(workspace, "gen", "--scheme", "z.json", "--box", "1e17", "1.000000000000001e17", "--out", "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "(magnitude 1e+17) adjacent doubles are 16 apart" in err[0]
+        assert not (workspace / "o.json").exists()
 
     @pytest.mark.parametrize("mode", [[], ["--translates", "grid", "--grid-step", "1"]], ids=["own", "grid"])
     def test_degenerate_k_box_is_operation_error_in_either_mode(self, workspace, mode):
@@ -758,17 +768,14 @@ class TestInputBoundary:
 # library calls that used scipy before aperio ported them to numpy; run in the fresh process and in this one
 _LIBRARY_CALLS = """
 import numpy as np
-from aperio import FolnerSpec, PointPatch, beurling_density, generate_model_set, rel_separation
+from aperio import FolnerSpec, beurling_density, generate_model_set, rel_separation
 from aperio.cutproject import lattice_scheme
 from aperio.rkhs import paley_wiener, wiener_amalgam_norm
 square = generate_model_set(lattice_scheme([[1.0, 0.0], [0.0, 1.0]]), [(-3, 3), (-3, 3)])
 cube = generate_model_set(lattice_scheme(np.eye(3)), [(-3, 3)] * 3)
-rows = np.random.default_rng(5).uniform(-2, 2, size=(40, 2))
-merged = PointPatch.from_points(2, [(-2, 2)] * 2, np.vstack([rows, rows + 1e-12]), merge_eps=1e-9)
 values = [
     repr(rel_separation(square, 1.5)),
     repr(beurling_density(cube, FolnerSpec(sizes=(1.0,)))),
-    repr(merged.points.tolist()),
     repr(wiener_amalgam_norm(paley_wiener([(-0.5, 0.5)]), 0.5, 6.0, 0.1)),
 ]
 """

@@ -55,6 +55,14 @@ class TestSchemeInvariants:
                 window=Window(m=1, boxes=(((-0.5, 0.5),),)),
             )
 
+    def test_kernel_vector_past_the_check_radius_is_named_at_generation(self):
+        # (-4, 1) projects to 0, beyond the radius-3 check; a window of width 10 holds both ends
+        scheme = CutProjectScheme(
+            d=1, m=1, basis=[[1.0, 4.0], [1.0, TAU_CONJ]], window=Window(m=1, boxes=(((-5.0, 5.0),),))
+        )
+        with pytest.raises(ValueError, match="pairwise distinct.*1.78e-15 apart; .* projection is not injective"):
+            generate_model_set(scheme, [(-10, 10)])
+
     def test_m0_takes_no_window(self):
         with pytest.raises(ValueError, match="window"):
             CutProjectScheme(d=1, m=0, basis=[[1.0]], window=Window(m=1, boxes=()))

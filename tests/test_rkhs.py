@@ -8,16 +8,9 @@ from hypothesis import strategies as st
 
 from aperio import kernel_matrix, kernel_value, wiener_amalgam_norm
 from aperio.errors import DimensionMismatchError, GridTooCoarseError
-from aperio.rkhs import (
-    CocycleSpec,
-    _local_max,
-    _sinc_factor,
-    critical_density,
-    gabor_gaussian,
-    paley_wiener,
-)
+from aperio.rkhs import _local_max, _sinc_factor, gabor_gaussian, paley_wiener
 
-from conftest import local_max_oracle
+from conftest import heisenberg_phase, local_max_oracle
 
 
 def gaussian_window(t):
@@ -114,8 +107,8 @@ class TestGaborKernel:
 
 class TestCriticalDensity:
     def test_band_volume(self):
-        assert critical_density(paley_wiener([(-0.5, 0.5)])) == 1.0
-        assert critical_density(paley_wiener([(-1.0, 1.0)])) == 2.0
+        assert paley_wiener([(-0.5, 0.5)]).norm_sq_ke == 1.0
+        assert paley_wiener([(-1.0, 1.0)]).norm_sq_ke == 2.0
 
     def test_gabor_formal_dimension_by_quadrature(self):
         # orthogonality-relation integral of |<eta, pi(z) eta>|^2 over the
@@ -134,7 +127,7 @@ class TestCriticalDensity:
             sq_mass += np.trapezoid(np.abs(coeffs) ** 2, ws)
         integral = sq_mass * (xs[1] - xs[0])
         assert integral == pytest.approx(1.0, abs=1e-3)
-        assert critical_density(gabor_gaussian(1)) == pytest.approx(integral, abs=1e-3)
+        assert gabor_gaussian(1).norm_sq_ke == pytest.approx(integral, abs=1e-3)
 
 
 class TestKernelProperties:
@@ -172,28 +165,25 @@ class TestKernelProperties:
 class TestCocycle:
     def test_identity_on_10k_random_triples(self):
         rng = np.random.default_rng(42)
-        c = CocycleSpec(kind="heisenberg", n=1)
         p, q, r = rng.uniform(-3, 3, size=(3, 10_000, 2))
-        lhs = c.phase(p, q) * c.phase(p + q, r)
-        rhs = c.phase(p, q + r) * c.phase(q, r)
+        lhs = heisenberg_phase(p, q) * heisenberg_phase(p + q, r)
+        rhs = heisenberg_phase(p, q + r) * heisenberg_phase(q, r)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_unit_at_the_identity(self):
-        c = CocycleSpec(kind="heisenberg", n=1)
         zero = np.zeros(2)
         pts = np.random.default_rng(1).uniform(-3, 3, size=(50, 2))
-        assert np.abs(c.phase(zero, pts) - 1.0).max() < 1e-15
-        assert np.abs(c.phase(pts, zero) - 1.0).max() < 1e-15
+        assert np.abs(heisenberg_phase(zero, pts) - 1.0).max() < 1e-15
+        assert np.abs(heisenberg_phase(pts, zero) - 1.0).max() < 1e-15
 
-    def test_points_of_another_width_are_refused(self):
-        with pytest.raises(DimensionMismatchError, match="do not end in 2 coordinates"):
-            CocycleSpec("heisenberg", n=1).phase([0.0, 1.0, 2.0], [3.0, 4.0, 5.0])
-        with pytest.raises(DimensionMismatchError):
-            CocycleSpec("heisenberg", n=1).phase(np.zeros((4, 2)), np.zeros((4, 3)))
-
-    def test_trivial_cocycle(self):
-        c = CocycleSpec(kind="trivial")
-        assert c.phase(np.zeros(1), np.ones(1)) == 1.0
+    def test_kernel_translates_by_the_cocycle(self):
+        # k(p + t, q + t) = sigma(t, p) conj(sigma(t, q)) k(p, q): the cocycle is the kernel's own convention
+        rng = np.random.default_rng(43)
+        p, q = rng.uniform(-3, 3, size=(2, 50, 2))
+        t = rng.uniform(-3, 3, size=2)
+        moved = kernel_matrix(gabor_gaussian(1), p + t, q + t)
+        phases = heisenberg_phase(t, p)[:, None] * np.conj(heisenberg_phase(t, q))[None, :]
+        assert np.abs(moved - phases * kernel_matrix(gabor_gaussian(1), p, q)).max() < 1e-12
 
 
 class TestAmalgamNorm:
