@@ -14,8 +14,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from aperio import FolnerSpec, beurling_density, generate_model_set, model_set_covolume
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
 

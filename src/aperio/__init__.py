@@ -19,7 +19,6 @@ from .density import (
     TestFunction,
     beurling_density,
     covolume_bounds_from_density,
-    hull_beurling_density,
     weil_check,
 )
 from .rkhs import KernelSpec, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener, wiener_amalgam_norm

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Literal
 
 from . import __version__, io_json
-from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, hull_beurling_density, weil_check
+from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, weil_check
 from .errors import AperioError, ArgumentError, ConfigError
 from .framekit import frame_trend_report, verdict
 from .hull import grid_translates, orbit_sample, transversal_translates
@@ -137,11 +137,8 @@ def handle_density(
     """Beurling density report along Folner boxes."""
     spec = FolnerSpec(sizes=tuple(folner))
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
-    if extras:
-        limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras]
-        report = hull_beurling_density(base, spec, limits)
-    else:
-        report = beurling_density(base, spec)
+    limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras or ()]
+    report = beurling_density(base, spec, limits)
     if ell is not None:
         b = covolume_bounds_from_density(report, ell)
         report = dataclasses.replace(

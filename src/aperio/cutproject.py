@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateBasisError, EmptyWindowError
-from .pointset import Box, PointPatch, as_box, as_rows, box_volume
+from .pointset import Box, PointPatch, as_box, as_rows, box_volume, points_in_box
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
@@ -192,7 +192,7 @@ def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
     t = np.arange(int(total)) - np.repeat(starts - first, counts)
     ints = np.concatenate([np.repeat(prefixes, counts, axis=0), t[:, None]], axis=1)
     gamma = ints @ basis.T
-    return gamma[np.all((gamma >= region_lo) & (gamma <= region_hi), axis=1)]
+    return gamma[points_in_box(gamma, region)]
 
 
 def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:

@@ -1,5 +1,9 @@
 """Beurling and hull Beurling densities along Folner boxes, covolume bounds, the lattice Weil check.
 
+One function, ``beurling_density``, gives both densities: the hull density
+is the inf/sup over the base patch and any supplied limit patches, and the
+plain density is that over the base patch alone.  Its patches pass
+pointset's checks (non-empty, the largest window fits).
 Folner windows are centered boxes ``[-n, n]^d``.  The inf/sup over window
 positions is exact in every dimension for the points as stored, from one
 counter, ``pointset._closed_window_extremum``: it cuts the patch into slabs
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutproject import CutProjectScheme, _lattice_points
-from .errors import ArgumentError, DimensionMismatchError, PatchSizeError
+from .errors import ArgumentError, DimensionMismatchError
 from .pointset import PointPatch, shrink_box, _check_grid_size, _closed_window_extremum, _max_window_size
+from .pointset import _require_nonempty, _require_window_fits
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class DensityReport:
 
     ``lower``/``upper`` hold ``(n, estimate)`` pairs; ``uncertainty`` is the
     spread between the last two sizes, and the extrapolated values are the
-    last-size estimates.  ``method`` records per-size provenance tags.
+    last-size estimates.
     """
 
     lower: tuple[tuple[float, float], ...]
@@ -55,7 +60,6 @@ class DensityReport:
     extrapolated_upper: float
     uncertainty: float
     certified_region_note: str
-    method: tuple[str, ...]
     extras_used_lower: bool = False
     extras_used_upper: bool = False
     covolume_bounds: tuple[float, float] | None = None
@@ -65,15 +69,6 @@ class DensityReport:
         return tuple(n for n, _ in self.lower)
 
 
-def _check_sizes(patch: PointPatch, sizes):
-    feasible = _max_window_size(patch)
-    bad = [n for n in sizes if n > feasible]
-    if bad:
-        raise PatchSizeError(
-            f"patch too small for Folner size {max(bad)}; max feasible n is {feasible}"
-        )
-
-
 def _patch_extrema(patch: PointPatch, n: float) -> tuple[float, float]:
     region = shrink_box(patch.box, n)
     lo, hi = (_closed_window_extremum(patch.points, region, n, largest) for largest in (False, True))
@@ -81,18 +76,26 @@ def _patch_extrema(patch: PointPatch, n: float) -> tuple[float, float]:
     return lo / vol, hi / vol
 
 
-def _assemble_report(
-    patches: list[PointPatch],
-    spec: FolnerSpec,
-    note: str,
-) -> DensityReport:
-    """inf/sup per size over every supplied patch (first = base, rest = extras), all of one dimension."""
+def beurling_density(patch: PointPatch, spec: FolnerSpec, extras=()) -> DensityReport:
+    """Translate inf/sup of ``|p ^ (x + [-n,n]^d)| / (2n)^d`` per Folner size, over ``patch`` and ``extras``.
+
+    Centers range over each patch box shrunk by ``n`` (the certified region);
+    the extrapolated values estimate the lower/upper Beurling densities.  The
+    extra patches, all of the base patch's dimension, are finite stand-ins
+    for orbit-closure limits that translate sampling alone cannot reach, so
+    with them the inf/sup estimate the hull densities.  For separated sets
+    the sup side needs no extras; the report records which sides used them.
+    """
+    patches = [patch, *extras]
     for p in patches:
-        if p.dim != patches[0].dim:
-            raise DimensionMismatchError(f"limit patch has dimension {p.dim}, the base patch {patches[0].dim}")
-        if p.is_empty:
-            raise PatchSizeError("cannot estimate density of an empty patch")
-        _check_sizes(p, spec.sizes)
+        if p.dim != patch.dim:
+            raise DimensionMismatchError(f"limit patch has dimension {p.dim}, the base patch {patch.dim}")
+        _require_nonempty(p)
+        _require_window_fits(p, spec.sizes[-1])  # the sizes increase
+    if n_extras := len(patches) - 1:
+        note = f"hull estimate over base patch plus {n_extras} injected limit patch(es); finite-window evidence only"
+    else:
+        note = f"centers certified on the box shrunk by each Folner size; max feasible n = {_max_window_size(patch)}"
     lower, upper = [], []
     extras_lo = extras_hi = False
     for n in spec.sizes:
@@ -117,43 +120,9 @@ def _assemble_report(
         extrapolated_upper=upper[-1][1],
         uncertainty=float(unc),
         certified_region_note=note,
-        method=("exact",) * len(spec.sizes),
         extras_used_lower=extras_lo,
         extras_used_upper=extras_hi,
     )
-
-
-def beurling_density(patch: PointPatch, spec: FolnerSpec) -> DensityReport:
-    """Translate inf/sup of ``|patch ^ (x + [-n,n]^d)| / (2n)^d`` per Folner size.
-
-    Centers range over the patch box shrunk by ``n`` (the certified region);
-    the extrapolated values estimate the lower/upper Beurling densities.
-    """
-    note = (
-        f"centers certified on the box shrunk by each Folner size; "
-        f"max feasible n = {_max_window_size(patch)}"
-    )
-    return _assemble_report([patch], spec, note)
-
-
-def hull_beurling_density(
-    patch: PointPatch,
-    spec: FolnerSpec,
-    extra_limit_patches=(),
-) -> DensityReport:
-    """Density estimates where inf/sup additionally range over supplied limit patches.
-
-    The extra patches are finite stand-ins for orbit-closure limits that
-    translate sampling alone cannot reach.  For separated sets the sup side
-    needs no extras; the report records which sides actually used them.
-    """
-    patches = [patch, *extra_limit_patches]
-    note = (
-        "hull estimate over base patch plus "
-        f"{len(patches) - 1} injected limit patch(es); "
-        "finite-window evidence only"
-    )
-    return _assemble_report(patches, spec, note)
 
 
 @dataclass(frozen=True)

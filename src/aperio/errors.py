@@ -51,10 +51,6 @@ class NotAFrameError(AperioError):
     """A kernel system's spectrum is numerically zero at this truncation."""
 
 
-class PatchSizeError(AperioError):
-    """Requested Folner size is infeasible for the given patch."""
-
-
 class GramSizeError(AperioError):
     """Gram matrix would exceed the dense-solver size limit (``framekit.MAX_GRAM_POINTS``)."""
 

@@ -208,12 +208,12 @@ def kernel_from_jsonable(obj: dict) -> KernelSpec:
 
 def density_report_to_jsonable(report: DensityReport) -> dict:
     rows = []
-    for (n, lo), (_, hi), tag in zip(report.lower, report.upper, report.method):
+    for (n, lo), (_, hi) in zip(report.lower, report.upper):
         rows.append(
             {
                 "n": fstr(n),
-                "inf": tagged(lo, tag),
-                "sup": tagged(hi, tag),
+                "inf": tagged(lo, "exact"),
+                "sup": tagged(hi, "exact"),
             }
         )
     trend_tag = f"trend(truncations={[n for n, _ in report.lower]})"
@@ -246,7 +246,8 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     rows = _list(_key(obj, "rows", what), "density report 'rows'")
     lower = tuple((fparse(_key(r, "n", what)), value(r, "inf")) for r in rows)
     upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
-    methods = tuple(_key(r["inf"], "provenance", what) for r in rows)
+    for r in rows:
+        _key(r["inf"], "provenance", what)  # required of the input, though the report stores no tag
     cb = obj.get("covolume_bounds")
     report = DensityReport(
         lower=lower,
@@ -255,7 +256,6 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
         extrapolated_upper=value(obj, "extrapolated_upper"),
         uncertainty=value(obj, "uncertainty"),
         certified_region_note=_key(obj, "certified_region_note", what),
-        method=methods,
         extras_used_lower=bool(obj.get("extras_used_lower", False)),
         extras_used_upper=bool(obj.get("extras_used_upper", False)),
         covolume_bounds=(

@@ -70,10 +70,6 @@ def box_volume(box: Box) -> float:
     return vol
 
 
-def box_edge_lengths(box: Box) -> tuple[float, ...]:
-    return tuple(hi - lo for lo, hi in box)
-
-
 def points_in_box(points: np.ndarray, box: Box) -> np.ndarray:
     """Boolean mask of rows lying in the closed box."""
     lo = np.array([b[0] for b in box])
@@ -183,12 +179,13 @@ def _require_nonempty(patch: PointPatch):
 
 def _max_window_size(patch: PointPatch) -> float:
     """Half the shortest edge of the patch box: the largest window size the patch can certify."""
-    return min(box_edge_lengths(patch.box)) / 2.0
+    return min(hi - lo for lo, hi in patch.box) / 2.0
 
 
 def _require_window_fits(patch: PointPatch, size: float):
-    if size > _max_window_size(patch):
-        raise WindowTooLargeError("window exceeds patch")
+    feasible = _max_window_size(patch)
+    if size > feasible:
+        raise WindowTooLargeError(f"window exceeds patch at size {size}; max feasible n is {feasible}")
 
 
 def _row_blocks(n_rows: int, row_elements: int):

@@ -19,7 +19,6 @@ from aperio import (
     covolume_bounds_from_density,
     frame_trend_report,
     generate_model_set,
-    hull_beurling_density,
     model_set_covolume,
     rel_separation,
     translate,
@@ -108,7 +107,7 @@ def test_criterion_3_density_gap():
     assert 1.95 <= plain.extrapolated_lower <= 2.05
     assert rel_separation(patch, 0.5).ell == 2
     z_limit = make_lattice_patch(1.0, 400.0)
-    hull = hull_beurling_density(patch, spec, [z_limit])
+    hull = beurling_density(patch, spec, [z_limit])
     assert 0.95 <= hull.extrapolated_lower <= 1.05
     assert 1.95 <= hull.extrapolated_upper <= 2.05
 

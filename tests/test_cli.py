@@ -255,6 +255,24 @@ class TestErrorHandling:
         assert run(workspace, "density", "--patch", "p.json", "--folner", "5,50") == 1
 
     @pytest.mark.parametrize(
+        "extra, said",
+        [
+            (make_lattice_patch(1.0, 3.0), "at size 5.0; max feasible n is 3.0"),
+            (PointPatch(dim=1, box=[(-50, 50)], points=np.empty((0, 1))), "empty"),
+        ],
+        ids=["extra-smaller-than-largest-size", "extra-empty"],
+    )
+    def test_extra_patch_is_checked_as_the_base_is(self, workspace, capsys, extra, said):
+        # the extra passes the base patch's checks: non-empty, and the largest Folner size fits
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-50", "50", "--out", "p.json")
+        (workspace / "e.json").write_text(io_json.patch_dumps(extra))
+        capsys.readouterr()
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "2,5", "--extras", "e.json", "--out", "d.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and said in err[0]
+        assert not (workspace / "d.json").exists()
+
+    @pytest.mark.parametrize(
         "flags",
         [("--step", "inf"), ("--step", "nan"), ("--folner", "5,nan")],
         ids=["step-inf", "step-nan", "folner-nan"],

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aperio import generate_model_set, model_set_covolume, rel_separation
 from aperio.cutproject import CutProjectScheme, Window, _lattice_points, lattice_scheme
 from aperio.errors import DegenerateBasisError, EmptyWindowError
-from aperio.pointset import restrict, translate
+from aperio.pointset import restrict
 
 from conftest import (
     SQRT5,

@@ -12,14 +12,14 @@ from aperio import (
     beurling_density,
     covolume_bounds_from_density,
     generate_model_set,
-    hull_beurling_density,
     translate,
     weil_check,
 )
 from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
-from aperio.errors import PatchSizeError
+from aperio.errors import WindowTooLargeError
 from aperio.hull import grid_translates, transversal_translates
+from aperio.io_json import density_report_to_jsonable
 from aperio.pointset import as_box, restrict, shrink_box
 
 from conftest import (
@@ -28,11 +28,16 @@ from conftest import (
     extrema_rational,
     make_lattice_patch,
     make_product_fibonacci_scheme,
-    make_satellites_patch,
     orbit_average_covolume,
 )
 
 SPEC_40 = FolnerSpec(sizes=(5, 10, 20, 40))
+
+
+def all_cells_exact(report):
+    """Every ``inf`` and ``sup`` cell of the report's rows is tagged ``exact``."""
+    rows = density_report_to_jsonable(report)["rows"]
+    return all(row[side]["provenance"] == "exact" for row in rows for side in ("inf", "sup"))
 
 
 class TestLatticeCalibration:
@@ -66,7 +71,7 @@ class TestLatticeCalibration:
         patch = generate_model_set(make_product_fibonacci_scheme(), box)
         assert patch.n_points == 718
         report = beurling_density(patch, FolnerSpec(sizes=(10, 20)))
-        assert report.method == ("exact", "exact")
+        assert all_cells_exact(report)
         assert report.upper[0] == (10.0, 0.215)
         assert report.lower[1] == (20.0, 0.196875)
 
@@ -80,7 +85,7 @@ class TestLatticeCalibration:
 
     def test_infeasible_size_names_max(self):
         patch = make_lattice_patch(1.0, 30.0)
-        with pytest.raises(PatchSizeError, match="max feasible n is 30"):
+        with pytest.raises(WindowTooLargeError, match="max feasible n is 30"):
             beurling_density(patch, FolnerSpec(sizes=(10, 31)))
 
 
@@ -96,7 +101,7 @@ class TestExactExtrema:
         # so a closed window of side 2n fits between them; the untranslated lattice gives 1.0
         patch = translate(make_lattice_patch(1.0, half_width, dim=dim), [0.37] * dim)
         report = beurling_density(patch, FolnerSpec(sizes=(5, 10)))
-        assert report.method == ("exact", "exact")
+        assert all_cells_exact(report)
         assert report.lower == lower
         for (n, lo), (_, hi) in zip(report.lower, report.upper):
             least, most = extrema_rational(patch.points, n, shrink_box(patch.box, n))
@@ -107,7 +112,7 @@ class TestExactExtrema:
         # can hold one point per axis: inf 1 / 2^3
         patch = translate(make_lattice_patch(1.0, 6.0, dim=3), [0.37] * 3)
         report = beurling_density(patch, FolnerSpec(sizes=(1,)))
-        assert report.method == ("exact",)
+        assert all_cells_exact(report)
         assert (report.lower, report.upper) == (((1.0, 0.125),), ((1.0, 3.375),))
 
     @settings(max_examples=100, deadline=None)
@@ -143,7 +148,7 @@ class TestSatellitesDensities:
 
     def test_hull_density_with_injected_lattice_limit(self, satellites_patch):
         z_limit = make_lattice_patch(1.0, 400.0)
-        report = hull_beurling_density(
+        report = beurling_density(
             satellites_patch, FolnerSpec(sizes=(10, 20, 40)), [z_limit]
         )
         assert 0.95 <= report.extrapolated_lower <= 1.05
@@ -155,7 +160,7 @@ class TestSatellitesDensities:
         patch = make_lattice_patch(2.0, 100.0)
         spec = FolnerSpec(sizes=(5, 10, 25))
         plain = beurling_density(patch, spec)
-        hull = hull_beurling_density(patch, spec, [])
+        hull = beurling_density(patch, spec, [])
         assert plain.lower == hull.lower
         assert plain.upper == hull.upper
 
@@ -172,7 +177,7 @@ class TestFibonacciDensity:
         k_box = ((-100.0, 100.0),)
         translates = transversal_translates(fibonacci_patch, k_box)[::40]
         extras = orbit_sample(fibonacci_patch, translates, k_box)
-        report = hull_beurling_density(
+        report = beurling_density(
             restrict(fibonacci_patch, [(-150, 150)]),
             FolnerSpec(sizes=(10, 20, 40)),
             extras,
@@ -221,7 +226,7 @@ class TestCovolumeBounds:
             (beurling_density(make_lattice_patch(2.0, 200.0), SPEC_40), 2.0, 2.0, None),
             (beurling_density(fibonacci_patch, FolnerSpec(sizes=(20, 40, 80))), SQRT5, SQRT5, None),
             (
-                hull_beurling_density(
+                beurling_density(
                     satellites_patch,
                     FolnerSpec(sizes=(10, 20, 40)),
                     [make_lattice_patch(1.0, 400.0)],
@@ -296,7 +301,7 @@ class TestSeparableGridCounts:
         box = ((-half, half),) * dim
         expected = extrema_grid_oracle(pts, n, shrink_box(box, n), 1 / 16)
         report = beurling_density(PointPatch(dim=dim, box=box, points=pts), FolnerSpec(sizes=(n,)))
-        assert report.method == ("exact",)
+        assert all_cells_exact(report)
         assert (report.lower[0][1], report.upper[0][1]) == expected
 
     @pytest.mark.parametrize("grid", ["translates", "quadrature-nodes"])

@@ -24,7 +24,7 @@ from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
 from aperio.framekit import MAX_GRAM_POINTS, UNDERFLOW_FLOOR, gram_from_entries
 from aperio.pointset import restrict
-from aperio.rkhs import gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
+from aperio.rkhs import gabor_gaussian, kernel_value, paley_wiener
 
 from conftest import (
     anchor_kernel_block,

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from aperio import (
     FolnerSpec,
     PointPatch,
+    beurling_density,
     generate_model_set,
-    hull_beurling_density,
     is_relatively_dense,
     kernel_matrix,
     orbit_sample,
@@ -365,7 +365,7 @@ class TestRestrict:
 # each input mixes two dimensions, and each call returned a value before the one dimension check
 DIMENSION_MISMATCHES = {
     # the 2-d extra's density won the sup: 5.0625 against 1.25 at n = 2, tagged exact
-    "density-extra": lambda: hull_beurling_density(
+    "density-extra": lambda: beurling_density(
         make_lattice_patch(1.0, 20.5), FolnerSpec(sizes=(2, 4, 8)), [make_lattice_patch(0.5, 10.0, dim=2)]
     ),
     "sampling-kernel": lambda: sampling_bounds(paley_wiener([(-0.5, 0.5)]), make_lattice_patch(1.0, 6.0, dim=2)),
