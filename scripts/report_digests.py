@@ -14,9 +14,12 @@ also prints ``sha256  fib2d-seed/grid-samples.json``, the output of
 patch lists in d = 2, empty windows among them.  Last, it runs the command
 lines of ``COMMANDS`` in order in one more workspace, on the inputs of
 ``command_inputs``, and prints ``sha256  commands/file`` for every file there;
-with the pipelines they call every command of ``aperio.cli.HANDLERS``.  Run it
-on two checkouts and diff the outputs to see whether a change moved any report
-byte or statistic.
+with the pipelines they call every command of ``aperio.cli.HANDLERS``.  Then it
+runs the sweeps of the checkout's ``scripts/critical_density_experiment.py``
+(its table suppressed) in one more workspace and prints
+``sha256  critical/file`` for each of the files they write.  Run it on two
+checkouts and diff the outputs to see whether a change moved any report byte or
+statistic.
 
 Usage: python scripts/report_digests.py [--root CHECKOUT]
 
@@ -26,8 +29,11 @@ commit that predates it.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -38,7 +44,8 @@ GRID_SAMPLES = {
     "fib2d": ["--translates", "grid", "--grid-step", "0.7", "--k-box", "-1", "1", "-1", "1", "--limit", "300"],
 }
 # the commands and cases the pipelines leave out: density in d = 3 and with extra patches,
-# both weil-check functions, amalgam of the Gabor kernel, csv of a density and a frame report
+# both weil-check functions, amalgam of the Gabor kernel, a Paley-Wiener frame in d = 2 on a
+# band of unequal widths (181 points of the fib2d scheme), csv of a density and a frame report
 COMMANDS = [
     ["gen", "--scheme", "fib-scheme.json", "--box", "-100", "100", "--out", "fib.json"],
     ["gen", "--scheme", "z-scheme.json", "--box", "-100", "100", "--out", "z.json"],
@@ -48,6 +55,8 @@ COMMANDS = [
     ["weil-check", "--scheme", "z-scheme.json", "--function", "gaussian", "--out", "weil-gaussian.json"],
     ["amalgam", "--kernel", "gabor.json", "--q", "0.5", "--trunc", "4", "--step", "0.1", "--out", "amalgam-gabor.json"],
     ["frame", "--kernel", "pw.json", "--patch", "fib.json", "--truncations", "25,50,100", "--out", "frame.json"],
+    ["gen", "--scheme", "fib2d-scheme.json", "--box", "-15", "15", "-15", "15", "--out", "fib2d.json"],
+    ["frame", "--kernel", "pw2.json", "--patch", "fib2d.json", "--truncations", "5,10,15", "--out", "frame-pw2.json"],
     ["csv", "--report", "density-z3.json", "--columns", "n,inf,sup", "--out", "density-z3.csv"],
     ["csv", "--report", "frame.json", "--columns", "truncation,A,B", "--out", "frame.csv"],
 ]
@@ -67,8 +76,16 @@ def command_inputs(workloads) -> dict:
         "z-scheme.json": {"d": 1, "m": 0, "basis": [[1.0]]},
         "pw.json": workloads.PALEY_WIENER,
         "gabor.json": workloads.GABOR,
+        "fib2d-scheme.json": workloads.FIB2D_SCHEME,
+        "pw2.json": {"kind": "paley_wiener", "band": [[-0.5, 0.5], [-0.25, 0.25]]},
         "z3.json": z3,
     }
+
+
+def print_digests(ws: Path) -> None:
+    """One line ``sha256  workspace/file`` per file of ``ws``, in name order."""
+    for path in sorted(ws.iterdir()):
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {ws.name}/{path.name}")
 
 
 def main() -> int:
@@ -93,8 +110,7 @@ def main() -> int:
                 workload.write_inputs(ws, seed)
                 if aperio.cli.main(["--workspace", str(ws), "run", "--config", CONFIG]) != 0:
                     raise SystemExit(f"{name} seed {seed}: aperio run failed")
-                for path in sorted(ws.iterdir()):
-                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {ws.name}/{path.name}")
+                print_digests(ws)
                 if workload.separation:
                     patch = aperio.io_json.patch_from_jsonable(json.loads((ws / "patch.json").read_bytes()))
                     stats = aperio.pointset.rel_separation(patch, SEPARATION_U)
@@ -113,8 +129,14 @@ def main() -> int:
         for argv in COMMANDS:
             if aperio.cli.main(["--workspace", str(ws), *argv]) != 0:
                 raise SystemExit(f"{' '.join(argv)}: failed")
-        for path in sorted(ws.iterdir()):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {ws.name}/{path.name}")
+        print_digests(ws)
+        ws = Path(tmp) / "critical"
+        ws.mkdir()
+        experiment = runpy.run_path(str(root / "scripts" / "critical_density_experiment.py"))
+        with contextlib.redirect_stdout(io.StringIO()):  # its table, not one line per file
+            experiment["run_band_limited"](ws)
+            experiment["run_time_frequency"](ws)
+        print_digests(ws)
     return 0
 
 

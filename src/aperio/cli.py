@@ -132,7 +132,6 @@ def handle_density(
     extras: list[str] | None = None,
     ell: int | None = None,
     out: str | None = None,
-    csv: str | None = None,
 ) -> None:
     """Beurling density report along Folner boxes."""
     spec = FolnerSpec(sizes=tuple(folner))
@@ -144,10 +143,7 @@ def handle_density(
         report = dataclasses.replace(
             report, covolume_bounds=(b.covol_minus_lo, b.covol_plus_hi)
         )
-    obj = io_json.density_report_to_jsonable(report)
-    ctx.write_report(out, obj)
-    if csv:
-        ctx.write_text(csv, io_json.emit_csv(obj, ["n", "inf", "sup"]))
+    ctx.write_report(out, io_json.density_report_to_jsonable(report))
 
 
 def handle_hull_sample(
@@ -181,16 +177,12 @@ def handle_frame(
     truncations: list[float],
     margin_frac: float = 0.25,
     out: str | None = None,
-    csv: str | None = None,
 ) -> None:
     """Riesz/sampling bound trends over nested truncations."""
     kern = ctx.read_json(kernel, "kernel", io_json.kernel_from_jsonable)
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     report = frame_trend_report(kern, base, truncations, margin_frac=margin_frac)
-    obj = io_json.frame_report_to_jsonable(report)
-    ctx.write_report(out, obj)
-    if csv:
-        ctx.write_text(csv, io_json.emit_csv(obj, ["truncation", "A", "B"]))
+    ctx.write_report(out, io_json.frame_report_to_jsonable(report))
 
 
 def handle_verdict(

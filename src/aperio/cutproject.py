@@ -36,7 +36,7 @@ INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vani
 INJECTIVITY_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Window:
     """Finite union of pairwise disjoint half-open boxes in R^m."""
 
@@ -76,11 +76,6 @@ class Window:
             hi = np.array([iv[1] for iv in b])
             mask |= np.all((y >= lo) & (y < hi), axis=1)
         return mask
-
-    def __eq__(self, other):
-        if not isinstance(other, Window):
-            return NotImplemented
-        return self.m == other.m and self.boxes == other.boxes
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,14 +131,10 @@ class CutProjectScheme:
         return float(abs(np.linalg.det(self.basis)))
 
 
-def lattice_scheme(basis, d: int | None = None) -> CutProjectScheme:
+def lattice_scheme(basis) -> CutProjectScheme:
     """Scheme with m = 0: the generated set is the lattice spanned by ``basis``."""
     basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim == 0:
-        basis = basis.reshape(1, 1)
-    if d is None:
-        d = basis.shape[0]
-    return CutProjectScheme(d=d, m=0, basis=basis, window=None)
+    return CutProjectScheme(d=len(basis), m=0, basis=basis, window=None)
 
 
 def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:

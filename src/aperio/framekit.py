@@ -112,22 +112,14 @@ ANCHOR_DENSITY_BOOST = 1.05
 UNDERFLOW_FLOOR = 2.0**-511
 
 
-def _nyquist_profile(kernel: KernelSpec) -> np.ndarray:
-    """Per-dimension reciprocal spacing at the kernel's critical density."""
-    if kernel.kind == "paley_wiener":
-        return np.array([hi - lo for lo, hi in kernel.band])
-    return np.ones(kernel.space_dim)
-
-
 def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> np.ndarray:
     dim = kernel.space_dim
     crit = kernel.norm_sq_ke
     patch_density = n_interior_points / box_volume(interior_box)
     rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * patch_density)
     scale = (crit / rho) ** (1.0 / dim)
-    widths = _nyquist_profile(kernel)
     axes = []
-    for (lo, hi), w in zip(interior_box, widths):
+    for (lo, hi), w in zip(interior_box, kernel.widths):
         h = scale / w
         k = max(1, int(math.floor((hi - lo) / h)) + 1)
         start = lo + ((hi - lo) - (k - 1) * h) / 2.0

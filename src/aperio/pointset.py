@@ -174,7 +174,7 @@ class SeparationStats:
 
 def _require_nonempty(patch: PointPatch):
     if patch.is_empty:
-        raise EmptyPatchError("empty")
+        raise EmptyPatchError(f"empty patch: no points in box {list(patch.box)}")
 
 
 def _max_window_size(patch: PointPatch) -> float:
@@ -348,7 +348,5 @@ def restrict(patch: PointPatch, box) -> PointPatch:
     for lo, hi in new_box:
         if not lo < hi:
             raise CoverageError("restriction box does not overlap the patch box")
-    if patch.is_empty:
-        return PointPatch(dim=patch.dim, box=new_box, points=patch.points)
     mask = points_in_box(patch.points, new_box)
     return PointPatch(dim=patch.dim, box=new_box, points=patch.points[mask])

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, GridTooCoarseError
-from .pointset import _check_grid_size, _row_blocks, as_box, as_rows, box_volume
+from .pointset import _check_grid_size, _row_blocks, as_box, as_rows
 
 Band = tuple[tuple[float, float], ...]
 
@@ -33,7 +33,8 @@ class KernelSpec:
     """A reproducing kernel: ``paley_wiener`` with a band box, or ``gabor_gaussian``.
 
     ``norm_sq_ke`` (the squared norm of the kernel at the identity) is the
-    critical density separating sampling from interpolation.
+    critical density separating sampling from interpolation: the product of
+    ``widths``.
     """
 
     kind: str
@@ -52,15 +53,20 @@ class KernelSpec:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
 
     @property
+    def widths(self) -> tuple[float, ...]:
+        """Per-axis reciprocal spacing at the critical density: the band widths, or 1 on R^(2n)."""
+        if self.kind == "paley_wiener":
+            return tuple(hi - lo for lo, hi in self.band)
+        return (1.0,) * (2 * self.n)
+
+    @property
     def space_dim(self) -> int:
         """Dimension of the space the points live in."""
-        if self.kind == "paley_wiener":
-            return len(self.band)
-        return 2 * self.n
+        return len(self.widths)
 
     @property
     def norm_sq_ke(self) -> float:
-        return box_volume(self.band) if self.kind == "paley_wiener" else 1.0
+        return math.prod(self.widths)
 
 
 def paley_wiener(band) -> KernelSpec:

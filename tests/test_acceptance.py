@@ -265,9 +265,11 @@ def test_criterion_10_determinism(tmp_path):
         "seed": 2024,
         "steps": [
             {"command": "gen", "args": {"scheme": "fib.json", "box": [-200, 200], "out": "patch.json"}},
-            {"command": "density", "args": {"patch": "patch.json", "folner": [10, 20, 40], "ell": 1, "out": "density.json", "csv": "density.csv"}},
+            {"command": "density", "args": {"patch": "patch.json", "folner": [10, 20, 40], "ell": 1, "out": "density.json"}},
+            {"command": "csv", "args": {"report": "density.json", "columns": "n,inf,sup", "out": "density.csv"}},
             {"command": "verdict", "args": {"kernel": "pw.json", "density": "density.json", "ell": 1, "out": "verdict.json"}},
-            {"command": "frame", "args": {"kernel": "pw.json", "patch": "patch.json", "truncations": [25, 50, 100], "out": "frame.json", "csv": "frame.csv"}},
+            {"command": "frame", "args": {"kernel": "pw.json", "patch": "patch.json", "truncations": [25, 50, 100], "out": "frame.json"}},
+            {"command": "csv", "args": {"report": "frame.json", "columns": "truncation,A,B", "out": "frame.csv"}},
             {"command": "weil-check", "args": {"scheme": "z.json", "out": "weil.json"}},
             {"command": "amalgam", "args": {"kernel": "pw.json", "q": 0.5, "trunc": 20, "step": 0.02, "out": "amalgam.json"}},
             {"command": "hull-sample", "args": {"patch": "patch.json", "k_box": [-5, 5], "limit": 12, "out": "samples.json"}},

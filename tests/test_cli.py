@@ -119,8 +119,9 @@ class TestPipeline:
         assert run(
             workspace,
             "density", "--patch", "patch.json", "--folner", "10,20,40",
-            "--ell", "1", "--out", "density.json", "--csv", "density.csv",
+            "--ell", "1", "--out", "density.json",
         ) == 0
+        assert run(workspace, "csv", "--report", "density.json", "--columns", "n,inf,sup", "--out", "density.csv") == 0
         assert run(
             workspace,
             "verdict", "--kernel", "pw.json", "--density", "density.json",
@@ -156,8 +157,9 @@ class TestPipeline:
         assert run(
             workspace,
             "frame", "--kernel", "pw.json", "--patch", "zp.json",
-            "--truncations", "10,20,40", "--out", "frame.json", "--csv", "frame.csv",
+            "--truncations", "10,20,40", "--out", "frame.json",
         ) == 0
+        assert run(workspace, "csv", "--report", "frame.json", "--columns", "truncation,A,B", "--out", "frame.csv") == 0
         obj = json.loads((workspace / "frame.json").read_text())
         assert obj["verdict"] == "frame_evidence"
         assert (workspace / "frame.csv").read_bytes().startswith(b"truncation,A,B\r\n")
@@ -258,7 +260,7 @@ class TestErrorHandling:
         "extra, said",
         [
             (make_lattice_patch(1.0, 3.0), "at size 5.0; max feasible n is 3.0"),
-            (PointPatch(dim=1, box=[(-50, 50)], points=np.empty((0, 1))), "empty"),
+            (PointPatch(dim=1, box=[(-50, 50)], points=np.empty((0, 1))), "empty patch: no points in box [(-50.0, 50.0)]"),
         ],
         ids=["extra-smaller-than-largest-size", "extra-empty"],
     )
@@ -333,6 +335,33 @@ class TestErrorHandling:
         assert len(err) == 1 and "config error" in err[0] and "bogus" in err[0]
         assert not (workspace / "p.json").exists()
         assert not (workspace / "d.json").exists()
+
+    @pytest.mark.parametrize(
+        "cmd, args, flags",
+        [
+            ("density", {"patch": "p.json", "folner": [5]}, ["--patch", "p.json", "--folner", "5"]),
+            (
+                "frame",
+                {"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20, 40]},
+                ["--kernel", "pw.json", "--patch", "p.json", "--truncations", "10,20,40"],
+            ),
+        ],
+        ids=["density", "frame"],
+    )
+    def test_csv_is_no_report_argument(self, workspace, capsys, cmd, args, flags):
+        # a CSV comes from the csv command only: the argument is refused as a run step and as a flag
+        steps = [_GEN_STEP, {"command": cmd, "args": {**args, "out": "r.json", "csv": "r.csv"}}]
+        (workspace / "cfg.json").write_text(json.dumps({"steps": steps}))
+        before = _snapshot(workspace)
+        assert run(workspace, "run", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "unexpected keyword argument 'csv'" in err[0]
+        assert _snapshot(workspace) == before
+        with pytest.raises(SystemExit) as exc:
+            run(workspace, cmd, *flags, "--out", "r.json", "--csv", "r.csv")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --csv r.csv" in capsys.readouterr().err
+        assert _snapshot(workspace) == before
 
     @pytest.mark.parametrize(
         "name, content, argv, key",

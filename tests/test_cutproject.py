@@ -45,7 +45,7 @@ class TestWindow:
 class TestSchemeInvariants:
     def test_singular_basis_rejected(self):
         with pytest.raises(DegenerateBasisError):
-            lattice_scheme([[1.0, 2.0], [2.0, 4.0]], d=2)
+            lattice_scheme([[1.0, 2.0], [2.0, 4.0]])
 
     def test_non_injective_projection_flagged(self):
         # second generator lies entirely in internal space
