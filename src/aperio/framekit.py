@@ -106,11 +106,6 @@ def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 ANCHOR_DENSITY_CAP = 0.95
 ANCHOR_DENSITY_BOOST = 1.05
 
-# the square root of the smallest normal double: once sampling_bounds zeroes
-# the kernel entries below it, no product of two kept entries can underflow
-# (on x86 every underflowing product takes a slow microcode assist).
-UNDERFLOW_FLOOR = 2.0**-511
-
 
 def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> np.ndarray:
     dim = kernel.space_dim
@@ -144,12 +139,12 @@ def sampling_bounds(
 
     Default margin is 25% of the smallest box half-width.
 
-    Entries of the patch-by-anchor kernel block below ``UNDERFLOW_FLOOR``
-    (2^-511) are set to 0 before its Gram ``K^H K`` is formed.  Gaussian
-    time-frequency kernels have many such entries and their pairwise products
-    underflow, which is slow.  The terms this drops vanish in the rounding of
+    The anchor Gram ``M`` and the patch-by-anchor kernel block ``K`` come
+    from ``kernel_matrix``, whose Gaussian entries below
+    ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros, so no product in
+    ``K^H K`` underflows.  The terms the floor drops vanish in the rounding of
     the quotient matrix and its eigenvalues: in every case checked, the
-    bounds equal those of the unfloored product bit for bit.
+    bounds equal those of the unfloored kernel bit for bit.
 
     Each matrix is released as soon as the next product has used it.  The
     anchor Gram ``M`` dies in its eigensolve, and the kept eigenvectors are
@@ -177,7 +172,6 @@ def sampling_bounds(
     s, W = _projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
     W *= (1.0 / np.sqrt(s))[None, :]
     K = kernel_matrix(kernel, patch.points, anchors)
-    K[np.abs(K) < UNDERFLOW_FLOOR] = 0.0
     KK = K.conj().T @ K
     del K
     B = W.conj().T @ KK

@@ -329,11 +329,32 @@ def orbit_sample_oracle(patch: PointPatch, translates, k_box) -> list[PointPatch
     return out
 
 
+def broadcast_gabor_matrix(spec, P, Q):
+    """Gaussian time-frequency matrix from full-size (n, m, d) pair arrays, ``np.sum`` over each pair.
+
+    Unfloored: every entry is the full ``exp``, however small.
+    """
+    n = spec.n
+    xp, wp = P[:, None, :n], P[:, None, n:]
+    xq, wq = Q[None, :, :n], Q[None, :, n:]
+    expo = np.sum((xq - xp) * (wp + wq), axis=-1)
+    dist_sq = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
+    return np.exp(1j * np.pi * expo - np.pi * dist_sq / 2.0)
+
+
+def unfloored_kernel_matrix(kernel, xs, ys) -> np.ndarray:
+    """``kernel_matrix`` without the underflow floor: ``broadcast_gabor_matrix`` for Gaussian kernels."""
+    if kernel.kind == "gabor_gaussian":
+        return broadcast_gabor_matrix(kernel, xs, ys)
+    return kernel_matrix(kernel, xs, ys)
+
+
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
     """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
 
-    With ``at_points`` the anchors are the interior patch points themselves;
-    for an orthonormal sampling basis the quotient then reproduces the Riesz
+    Every entry is unfloored (``unfloored_kernel_matrix``).  With
+    ``at_points`` the anchors are the interior patch points themselves; for
+    an orthonormal sampling basis the quotient then reproduces the Riesz
     bounds exactly.
     """
     if margin is None:
@@ -341,7 +362,7 @@ def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, 
     interior_box = shrink_box(patch.box, margin)
     interior_pts = patch.points[points_in_box(patch.points, interior_box)]
     anchors = interior_pts if at_points else _anchor_grid(kernel, interior_box, len(interior_pts))
-    return kernel_matrix(kernel, anchors, anchors), kernel_matrix(kernel, patch.points, anchors)
+    return unfloored_kernel_matrix(kernel, anchors, anchors), unfloored_kernel_matrix(kernel, patch.points, anchors)
 
 
 def sampling_bounds_oracle(
@@ -349,9 +370,9 @@ def sampling_bounds_oracle(
 ) -> tuple[float, float]:
     """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
 
-    Forms ``K^H K`` from every patch-by-anchor kernel entry, however small, so
-    it checks that zeroing the entries below the underflow floor changes no
-    bit of either bound.
+    Forms ``M`` and ``K^H K`` from every kernel entry, however small, so it
+    checks that the kernel's zeros below the underflow floor change no bit of
+    either bound.
     """
     M, K = anchor_kernel_block(kernel, patch, margin, at_points)
     s, vecs = _projected_inverse_sqrt(M)

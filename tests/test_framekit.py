@@ -22,9 +22,9 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
-from aperio.framekit import MAX_GRAM_POINTS, UNDERFLOW_FLOOR, gram_from_entries
+from aperio.framekit import MAX_GRAM_POINTS, gram_from_entries
 from aperio.pointset import restrict
-from aperio.rkhs import gabor_gaussian, kernel_value, paley_wiener
+from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_value, paley_wiener
 
 from conftest import (
     anchor_kernel_block,
@@ -34,6 +34,7 @@ from conftest import (
     make_lattice_patch,
     make_product_fibonacci_scheme,
     sampling_bounds_oracle,
+    unfloored_kernel_matrix,
 )
 
 
@@ -247,17 +248,32 @@ class TestSamplingBounds:
         assert peak < 4 * k_bytes
 
 
+FLOOR_PATCHES = {
+    "gabor-lattice": (GG, generate_model_set(lattice_scheme(np.diag([math.sqrt(0.8)] * 2)), [(-12, 12)] * 2)),
+    "gabor-product-fibonacci": (GG, generate_model_set(make_product_fibonacci_scheme(), [(-25, 25)] * 2)),
+    "gabor2-4d-lattice": (
+        gabor_gaussian(2),
+        generate_model_set(lattice_scheme(np.eye(4)), [(-10, 10)] + [(-1.5, 1.5)] * 3),
+    ),
+    "pw-fibonacci": (PW, generate_model_set(make_fibonacci_scheme(), [(-100, 100)])),
+}
+
+
+def floor_cases(*ids):
+    return pytest.mark.parametrize("kernel, patch", [FLOOR_PATCHES[i] for i in ids], ids=ids)
+
+
+def gram_spectra(kernel, patch):
+    """``build_gram``'s eigenvalues and those of the unfloored oracle Gram, after checking the floor bites."""
+    entries = unfloored_kernel_matrix(kernel, patch.points, patch.points).T
+    if kernel.kind == "gabor_gaussian":
+        mag = np.abs(entries)
+        assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
+    return build_gram(kernel, patch).eigenvalues, np.linalg.eigvalsh(entries)
+
+
 class TestUnderflowFloor:
-    @pytest.mark.parametrize(
-        "kernel, patch",
-        [
-            (GG, generate_model_set(lattice_scheme(np.diag([math.sqrt(0.8)] * 2)), [(-12, 12)] * 2)),
-            (GG, generate_model_set(make_product_fibonacci_scheme(), [(-25, 25)] * 2)),
-            (gabor_gaussian(2), generate_model_set(lattice_scheme(np.eye(4)), [(-10, 10)] + [(-1.5, 1.5)] * 3)),
-            (PW, generate_model_set(make_fibonacci_scheme(), [(-100, 100)])),
-        ],
-        ids=["gabor-lattice", "gabor-product-fibonacci", "gabor2-4d-lattice", "pw-fibonacci"],
-    )
+    @floor_cases(*FLOOR_PATCHES)
     def test_bounds_match_unfloored_oracle_bit_for_bit(self, kernel, patch):
         if kernel.kind == "gabor_gaussian":
             mag = np.abs(anchor_kernel_block(kernel, patch)[1])
@@ -265,6 +281,39 @@ class TestUnderflowFloor:
         got = sampling_bounds(kernel, patch)
         want = sampling_bounds_oracle(kernel, patch)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @floor_cases("gabor-lattice", "gabor2-4d-lattice", "pw-fibonacci")
+    def test_gram_spectrum_matches_unfloored_oracle_bit_for_bit(self, kernel, patch):
+        # the Riesz bounds and the printed spectrum come from these eigenvalues
+        got, want = gram_spectra(kernel, patch)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @floor_cases("gabor-product-fibonacci")
+    def test_gram_spectrum_within_eigensolver_rounding_of_unfloored_oracle(self, kernel, patch):
+        # here the floor moves 452 of 497 eigenvalues, by at most 3.7e-15 lambda_max:
+        # LAPACK's Householder steps round differently, far inside n eps ||G||
+        got, want = gram_spectra(kernel, patch)
+        assert np.abs(got - want).max() <= len(got) * np.finfo(float).eps * want[-1]
+
+    def test_no_solver_sees_an_entry_below_the_floor(self, monkeypatch):
+        # unfloored, 112,036 of the 625-point Gram's 390,625 entries lay in (0, 2^-511)
+        seen = []
+
+        def checked(solver):
+            def wrapped(a, *args, **kwargs):
+                mag = np.abs(a)
+                seen.append(int(((mag > 0) & (mag < UNDERFLOW_FLOOR)).sum()))
+                return solver(a, *args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", checked(np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", checked(np.linalg.eigh))
+        patch = make_lattice_patch(1.0, 12.0, dim=2)
+        assert patch.n_points == 625
+        frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
+        assert len(seen) == 9  # three Gram stages, then an anchor Gram and a quotient per sampling stage
+        assert seen == [0] * 9
 
 
 class TestCanonicalParseval:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from aperio import kernel_matrix, kernel_value, wiener_amalgam_norm
 from aperio.errors import DimensionMismatchError, GridTooCoarseError
-from aperio.rkhs import _local_max, _sinc_factor, gabor_gaussian, paley_wiener
+from aperio.rkhs import UNDERFLOW_FLOOR, _local_max, _sinc_factor, gabor_gaussian, paley_wiener
 
-from conftest import heisenberg_phase, local_max_oracle
+from conftest import broadcast_gabor_matrix, heisenberg_phase, local_max_oracle
 
 
 def gaussian_window(t):
@@ -229,6 +229,13 @@ class TestAmalgamNorm:
         # the doubles scipy.ndimage.maximum_filter(mode="nearest") gave before the running max replaced it
         assert repr(wiener_amalgam_norm(kernel, *args)) == expected
 
+    def test_value_pinned_where_the_floor_bites(self):
+        # the value of the unfloored kernel; 6,360 of the 17,689 grid magnitudes lie below the floor
+        axis = np.linspace(-16.5, 16.5, 133)
+        mag = np.exp(-np.pi * (axis[:, None] ** 2 + axis[None, :] ** 2) / 2)
+        assert (mag < UNDERFLOW_FLOOR).sum() == 6360
+        assert wiener_amalgam_norm(gabor_gaussian(1), 0.5, 16.0, 0.25).hex() == "0x1.0000000000000p+1"
+
     def test_million_position_grid_is_filled_in_blocks(self):
         # 1,001^2 positions: all point rows at once peaked at 67.6 MB, a padded
         # copy and a sliding-window max per axis at 32.9 MB
@@ -282,26 +289,30 @@ def broadcast_pw_matrix(spec, X, Y):
     return out
 
 
-def broadcast_gabor_matrix(spec, P, Q):
-    """Gaussian time-frequency matrix from full-size (n, m, d) pair arrays."""
-    n = spec.n
-    xp, wp = P[:, None, :n], P[:, None, n:]
-    xq, wq = Q[None, :, :n], Q[None, :, n:]
-    expo = np.sum((xq - xp) * (wp + wq), axis=-1)
-    dist_sq = np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=-1)
-    return np.exp(1j * np.pi * expo - np.pi * dist_sq / 2.0)
+# |p - q|^2 at which the Gaussian magnitude exp(-pi |p - q|^2 / 2) is 2^-511, and at which its
+# real exponent is log(2^-511) - 1, where exp starts being skipped
+FLOOR_DIST_SQ = 2 * 511 * math.log(2) / math.pi
+CUTOFF_DIST_SQ = 2 * (511 * math.log(2) + 1) / math.pi
+
+
+def floored_gabor_matrix(spec, P, Q):
+    """``broadcast_gabor_matrix`` with every entry of magnitude below ``UNDERFLOW_FLOOR`` set to 0."""
+    out = broadcast_gabor_matrix(spec, P, Q)
+    out[np.abs(out) < UNDERFLOW_FLOOR] = 0.0
+    return out
 
 
 class TestBlockedAssembly:
     @pytest.mark.parametrize(
         "spec, oracle",
         [
-            (gabor_gaussian(1), broadcast_gabor_matrix),
-            (gabor_gaussian(2), broadcast_gabor_matrix),
+            (gabor_gaussian(1), floored_gabor_matrix),
+            (gabor_gaussian(2), floored_gabor_matrix),
+            (gabor_gaussian(3), floored_gabor_matrix),
             (paley_wiener([(-0.5, 0.5)]), broadcast_pw_matrix),
             (paley_wiener([(-0.5, 0.5), (-1.0, 0.25)]), broadcast_pw_matrix),
         ],
-        ids=["gabor-1", "gabor-2", "pw-1d", "pw-2d"],
+        ids=["gabor-1", "gabor-2", "gabor-3", "pw-1d", "pw-2d"],
     )
     def test_bit_identical_to_broadcast(self, spec, oracle):
         import aperio.pointset as pointset_mod
@@ -315,6 +326,24 @@ class TestBlockedAssembly:
         assert len(X) * Y.size > pointset_mod.BLOCK_ELEMENTS
         got = kernel_matrix(spec, X, Y)
         assert np.array_equal(got.view(np.uint64), oracle(spec, X, Y).view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dist_sq=st.sampled_from([FLOOR_DIST_SQ, CUTOFF_DIST_SQ]),
+        ulps=st.integers(-8, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pairs_at_the_floor_and_the_exp_cutoff(self, n, dist_sq, ulps, seed):
+        # |p - q|^2 within a few ulps of where |k| crosses the floor, or where exp starts being skipped
+        rng = np.random.default_rng(seed)
+        q = rng.uniform(-5, 5, size=2 * n)
+        u = rng.standard_normal(2 * n)
+        p = q + math.sqrt(dist_sq * (1 + ulps * 2.0**-52)) * u / np.linalg.norm(u)
+        assert np.sum((p - q) ** 2) == pytest.approx(dist_sq, rel=1e-13)
+        X, Y = np.array([p, q]), np.array([q, p])
+        got = kernel_matrix(gabor_gaussian(n), X, Y)
+        assert np.array_equal(got.view(np.uint64), floored_gabor_matrix(gabor_gaussian(n), X, Y).view(np.uint64))
 
     @pytest.mark.parametrize(
         "spec, X",
