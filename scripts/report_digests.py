@@ -19,7 +19,10 @@ runs the sweeps of the checkout's ``scripts/critical_density_experiment.py``
 (its table suppressed) in one more workspace and prints
 ``sha256  critical/file`` for each of the files they write.  Run it on two
 checkouts and diff the outputs to see whether a change moved any report byte or
-statistic.
+statistic.  It prints the thread count of the BLAS that numpy loaded on stderr,
+so stdout stays comparable: frame reports write their spectra as brackets at the
+solver's resolution, so the same checkout prints the same stdout at any thread
+count (``OPENBLAS_NUM_THREADS=1`` against the default).
 
 Usage: python scripts/report_digests.py [--root CHECKOUT]
 
@@ -98,11 +101,13 @@ def main() -> int:
     import aperio.cli
     import aperio.io_json
     import aperio.pointset
+    import env
     import workloads
     from workloads import CONFIG, DENSE_K, SEPARATION_U, WORKLOADS
 
     if not Path(aperio.cli.__file__).resolve().is_relative_to(root / "src"):
         raise SystemExit(f"aperio imported from {aperio.cli.__file__}, not from {root / 'src'}")
+    print(f"BLAS threads: {env._blas()['threads']}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in WORKLOADS.items():
             for seed in SEEDS:

@@ -3,8 +3,10 @@ and necessary-density verdicts.
 
 Finite truncations can only give *evidence* about infinite systems, so every
 trend report covers at least three nested truncations and the verdict enum
-requires a monotone trend.  Eigenproblems use the dense Hermitian solver for
-deterministic, reproducible spectra (no iterative methods).
+requires a monotone trend.  Eigenproblems use the dense Hermitian solver (no
+iterative methods), real symmetric for a real kernel.  Its rounding depends on
+the BLAS build and thread count, so reports write spectra as brackets at the
+solver's resolution (``io_json.SolverGrid``).
 """
 
 from __future__ import annotations
@@ -127,8 +129,11 @@ def sampling_bounds(
     kernel: KernelSpec,
     patch: PointPatch,
     margin: float | None = None,
-) -> tuple[float, float]:
+) -> tuple[float, float, int]:
     """Extreme Rayleigh quotients ``sum_patch |f(p)|^2 / ||f||^2`` over interior test functions.
+
+    Returns the smallest and largest quotient and the size of the quotient
+    matrix whose eigenvalues they are (the anchors kept above the rank cut).
 
     Test functions are finite combinations of kernel functions (for the
     time-frequency kernel: coherent states) anchored inside the box shrunk by
@@ -153,7 +158,9 @@ def sampling_bounds(
     multiplied by ``W``; the result is symmetrized in place.  So one
     anchor-sized product is alive at a time besides its operands.  The
     products and their association are those of ``W^H (K^H K) W``, so no
-    bit moves.
+    bit moves.  For a real kernel (``rkhs.kernel_matrix`` of a symmetric
+    band) every matrix is real and ``conj()`` returns the matrix itself, so
+    no conjugate copy is made.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
@@ -181,7 +188,7 @@ def sampling_bounds(
     B += B.conj().T
     B /= 2.0
     eigs = np.linalg.eigvalsh(B)
-    return float(eigs[0]), float(eigs[-1])
+    return float(eigs[0]), float(eigs[-1]), len(eigs)
 
 
 @dataclass(frozen=True)
@@ -192,15 +199,19 @@ class FrameReport:
     ``riesz_evidence`` (raw Riesz lower bound stable while the frame trend is
     not), ``neither`` (both decay geometrically) or ``inconclusive``.  The
     per-property statuses record which trends supported or refuted each
-    property.
+    property.  ``riesz_n`` and ``sampling_n`` are the sizes of the matrices
+    the Riesz and the sampling bounds of each truncation are eigenvalues of:
+    the truncation's Gram and its sampling quotient matrix.
     """
 
     truncations: tuple[float, ...]
     riesz_lower: tuple[float, ...]
     riesz_lower_raw: tuple[float, ...]
     riesz_upper: tuple[float, ...]
+    riesz_n: tuple[int, ...]
     sampling_lower: tuple[float, ...]
     sampling_upper: tuple[float, ...]
+    sampling_n: tuple[int, ...]
     boundary_margin: float
     frame_status: str
     riesz_status: str
@@ -250,7 +261,7 @@ def frame_trend_report(
         raise ArgumentError(f"truncations must be strictly increasing, got {truncs}")
     if not 0 < margin_frac < 1:
         raise ArgumentError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
-    r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
+    r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
     margin = margin_frac * truncs[-1]
     top_patch = restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim)
     top = build_gram(kernel, top_patch)
@@ -262,13 +273,15 @@ def frame_trend_report(
         r_lo.append(gram.nonzero_min)
         r_lo_raw.append(gram.lambda_min)
         r_hi.append(gram.lambda_max)
+        r_n.append(gram.n)
         subs.append(sub)
     final_eigs = gram.eigenvalues
     del top, gram  # release the Grams before the sampling stages build their own blocks
     for t, sub in zip(truncs, subs):
-        sa, sb = sampling_bounds(kernel, sub, margin=margin_frac * t)
+        sa, sb, sn = sampling_bounds(kernel, sub, margin=margin_frac * t)
         s_lo.append(sa)
         s_hi.append(sb)
+        s_n.append(sn)
     if len(truncs) >= 3:
         frame_status = _trend_status(s_lo)
         riesz_status = _trend_status(r_lo_raw)
@@ -291,8 +304,10 @@ def frame_trend_report(
         riesz_lower=tuple(r_lo),
         riesz_lower_raw=tuple(r_lo_raw),
         riesz_upper=tuple(r_hi),
+        riesz_n=tuple(r_n),
         sampling_lower=tuple(s_lo),
         sampling_upper=tuple(s_hi),
+        sampling_n=tuple(s_n),
         boundary_margin=margin,
         frame_status=frame_status,
         riesz_status=riesz_status,

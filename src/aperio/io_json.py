@@ -20,7 +20,7 @@ from . import __version__
 from .cutproject import CutProjectScheme, Window
 from .density import DensityReport
 from .errors import ConfigError, DegenerateBasisError
-from .framekit import FrameReport, VerdictReport
+from .framekit import MAX_GRAM_POINTS, RANK_TOL, FrameReport, VerdictReport
 from .pointset import PointPatch
 from .rkhs import KernelSpec, gabor_gaussian, paley_wiener
 
@@ -267,20 +267,97 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     return report
 
 
+# a spectral bracket's grid is the smallest power of ten at least BRACKET_MARGIN times the
+# solver's resolution; a Riesz lower bound within NEAR_CUT times the rank cut is tagged so
+BRACKET_MARGIN = 10**4
+NEAR_CUT = 100
+
+
+class SolverGrid:
+    """Brackets at the solver's resolution for the eigenvalues of one symmetric matrix.
+
+    A backward-stable symmetric eigensolver returns each eigenvalue of an
+    n x n matrix ``G`` within about ``delta = n eps ||G||`` of the exact one
+    (LAPACK Users' Guide, 3rd ed., section 4.7), and the trailing digits
+    move with the BLAS build and thread count.  ``||G||`` is the largest
+    ``|eigenvalue|``, read from the smallest and largest.  An eigenvalue
+    ``lam`` above the rank cut ``RANK_TOL lam_max`` is written as
+    ``[floor_g(lam - delta), ceil_g(lam + delta)]`` on the grid of the
+    smallest power of ten ``g >= BRACKET_MARGIN delta``, tagged
+    ``solver_bound(n=...)``; one at or below the cut as ``[0, ceil_g(cut +
+    delta)]``, tagged ``below_rank_cut``.  Every matrix bracketed here is
+    positive semidefinite, so no lower end is below 0.  The endpoints are
+    computed exactly in integers from ``float.as_integer_ratio``.  A bracket
+    models the solver error; it does not prove it.
+    """
+
+    def __init__(self, n: int, lam_min: float, lam_max: float):
+        self.n = n
+        self.cut = RANK_TOL * lam_max
+        p, q = max(abs(lam_min), abs(lam_max)).as_integer_ratio()
+        self.num, self.den = n * p, q << 52  # delta = num / den = n eps ||G||, eps = 2^-52
+        # the smallest k with 10^k >= a / b = BRACKET_MARGIN delta, from the digit count of
+        # ceil(a / b) - 1 when a > b, and of floor(b / a) when 0 < a <= b
+        a, b = self.num * BRACKET_MARGIN, self.den
+        if a > b:
+            self.k = len(str((a - 1) // b))
+        else:
+            self.k = 1 - len(str(b // a)) if a else 0
+
+    def _end(self, x: float, sign: int) -> str:
+        """``floor_g(x - delta)`` (``sign`` -1) or ``ceil_g(x + delta)`` (``sign`` 1), at least 0."""
+        p, q = x.as_integer_ratio()
+        top, bot = p * self.den + sign * self.num * q, q * self.den  # x + sign delta = top / bot
+        if self.k >= 0:
+            bot *= 10**self.k
+        else:
+            top *= 10**-self.k
+        m = top // bot if sign < 0 else -(-top // bot)
+        return fstr(float(f"{max(m, 0)}e{self.k}"))
+
+    def below_cut(self, x: float) -> bool:
+        return x <= self.cut
+
+    def bracket(self, x: float) -> list[str]:
+        if self.below_cut(x):
+            return ["0.0", self._end(self.cut, 1)]
+        return [self._end(x, -1), self._end(x, 1)]
+
+    def tagged(self, x: float, near_cut: bool = False) -> dict:
+        """``{"value": [lo, hi], "provenance": tag}``; with ``near_cut``, a value above the cut
+        and within ``NEAR_CUT`` times it is also tagged ``near_rank_cut``."""
+        tag = "below_rank_cut" if self.below_cut(x) else f"solver_bound(n={self.n})"
+        if near_cut and self.cut < x <= NEAR_CUT * self.cut:
+            tag += "; near_rank_cut"
+        return {"value": self.bracket(x), "provenance": tag}
+
+
 def frame_report_to_jsonable(report: FrameReport) -> dict:
-    tag = f"trend(truncations={list(report.truncations)})"
+    """A frame report with every spectral value as a ``SolverGrid`` bracket.
+
+    Each row's ``A``, ``B`` and ``A_raw`` are brackets on the grid of the
+    truncation's Gram, ``A_samp`` and ``B_samp`` on that of its sampling
+    quotient matrix.  ``eigenvalues`` lists the brackets of the final Gram's
+    eigenvalues above the rank cut and the count of those below it.  The
+    statuses and the verdict come from the unrounded values.
+    """
     rows = []
     for i, t in enumerate(report.truncations):
+        gram = SolverGrid(report.riesz_n[i], report.riesz_lower_raw[i], report.riesz_upper[i])
+        quotient = SolverGrid(report.sampling_n[i], report.sampling_lower[i], report.sampling_upper[i])
         rows.append(
             {
                 "truncation": fstr(t),
-                "A": tagged(report.riesz_lower[i], tag),
-                "B": tagged(report.riesz_upper[i], tag),
-                "A_raw": tagged(report.riesz_lower_raw[i], tag),
-                "A_samp": tagged(report.sampling_lower[i], tag),
-                "B_samp": tagged(report.sampling_upper[i], tag),
+                "A": gram.tagged(report.riesz_lower[i], near_cut=True),
+                "B": gram.tagged(report.riesz_upper[i]),
+                "A_raw": gram.tagged(report.riesz_lower_raw[i]),
+                "A_samp": quotient.tagged(report.sampling_lower[i]),
+                "B_samp": quotient.tagged(report.sampling_upper[i]),
             }
         )
+    eigs = report.final_eigenvalues.tolist()  # the spectrum of the last truncation's Gram
+    below = sum(map(gram.below_cut, eigs))
+    above = [gram.bracket(v) for v in eigs[below:]]
     return {
         "kind": "frame_report",
         "rows": rows,
@@ -288,7 +365,10 @@ def frame_report_to_jsonable(report: FrameReport) -> dict:
         "frame_status": report.frame_status,
         "riesz_status": report.riesz_status,
         "verdict": report.verdict,
-        "eigenvalues": [fstr(v) for v in report.final_eigenvalues],
+        "eigenvalues": {
+            "above_rank_cut": {"value": above, "provenance": f"solver_bound(n={gram.n})"},
+            "below_rank_cut": {"count": below, "value": gram.bracket(gram.cut), "provenance": "below_rank_cut"},
+        },
         "notes": report.notes,
     }
 
@@ -344,12 +424,43 @@ CSV_COLUMNS = {
     "density_report": ("n", "inf", "sup"),
     "frame_report": ("truncation", "A", "B", "A_raw", "A_samp", "B_samp", "eigenvalue"),
 }
+# the columns that hold [lo, hi] brackets; column X is written as the two columns X_lo,X_hi
+BRACKET_COLUMNS = ("A", "B", "A_raw", "A_samp", "B_samp", "eigenvalue")
+OLD_FRAME_SHAPE = (
+    "frame report of the old shape: its spectral values are single numbers, not [lo, hi] brackets;"
+    " write it again with `aperio frame`"
+)
+
+
+def _bracket(v, what: str) -> list[float]:
+    """A ``[lo, hi]`` pair of numbers; a single number is a frame report of the old shape."""
+    if isinstance(v, (str, int, float)):
+        raise ConfigError(OLD_FRAME_SHAPE)
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigError(f"{what} must be a [lo, hi] bracket, got {v!r:.40}")
+    return [fparse(x) for x in v]
+
+
+def _eigenvalue_rows(report: dict) -> list[list[float]]:
+    """One bracket per eigenvalue of a frame report, ascending: ``[0, cut]`` for each one below the cut."""
+    what = "frame report 'eigenvalues'"
+    eigs = _key(report, "eigenvalues", "frame_report")
+    if isinstance(eigs, list):
+        raise ConfigError(OLD_FRAME_SHAPE)
+    below = _key(eigs, "below_rank_cut", what)
+    count = _int(_key(below, "count", what), "the count below the rank cut", 0)
+    if count > MAX_GRAM_POINTS:
+        raise ConfigError(f"the count below the rank cut must be at most {MAX_GRAM_POINTS}, got {count}")
+    above = _list(_key(_key(eigs, "above_rank_cut", what), "value", what), f"{what} above the rank cut")
+    return [_bracket(_key(below, "value", what), what)] * count + [_bracket(v, what) for v in above]
 
 
 def emit_csv(report: dict, columns: list[str]) -> str:
     """Render report fields as RFC-4180 CSV (CRLF, header row, 12 significant digits).
 
-    A report that is not shaped as its kind says is a config error.
+    A bracketed column ``X`` (``BRACKET_COLUMNS``) gives the two columns
+    ``X_lo,X_hi``.  A report that is not shaped as its kind says is a config
+    error, a frame report of the shape before brackets among them.
     """
     kind = _key(report, "kind", "report")
     valid = CSV_COLUMNS.get(kind) if isinstance(kind, str) else None
@@ -361,16 +472,20 @@ def emit_csv(report: dict, columns: list[str]) -> str:
     if "eigenvalue" in columns:
         if columns != ["eigenvalue"]:
             raise ConfigError("the eigenvalue column cannot be combined with trend columns")
-        rows = [[fparse(v)] for v in _list(_key(report, "eigenvalues", kind), f"{kind} 'eigenvalues'")]
+        rows = _eigenvalue_rows(report)
     else:
         rows = []
         for r in _list(_key(report, "rows", kind), f"{kind} 'rows'"):
             row = []
             for c in columns:
                 cell = _key(r, c, f"{kind} row")
-                row.append(fparse(_key(cell, "value", f"{kind} {c!r}") if isinstance(cell, dict) else cell))
+                value = _key(cell, "value", f"{kind} {c!r}") if isinstance(cell, dict) else cell
+                row.extend(_bracket(value, f"{kind} {c!r}") if c in BRACKET_COLUMNS else [fparse(value)])
             rows.append(row)
-    lines = [",".join(columns)]
+    header = []
+    for c in columns:
+        header.extend([f"{c}_lo", f"{c}_hi"] if c in BRACKET_COLUMNS else [c])
+    lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.12g}" for v in row))
     return "\r\n".join(lines) + "\r\n"

@@ -86,22 +86,38 @@ def gabor_gaussian(n: int) -> KernelSpec:
     return KernelSpec(kind="gabor_gaussian", n=n)
 
 
-def _sinc_factor(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Integral of exp(2 pi i w u) over [lo, hi]; diagonal limit hi - lo."""
+def _sinc_factor(u: np.ndarray, lo: float, hi: float, real: bool) -> np.ndarray:
+    """Integral of exp(2 pi i w u) over [lo, hi]; diagonal limit hi - lo.
+
+    Complex, ``exp(i pi (lo + hi) u) sin(pi w u) / (pi u)`` with ``w = hi -
+    lo``.  With ``real`` (for a band symmetric about 0) the modulation
+    factor is 1, and the factor is the real ``sin(pi w u) * (1 / (pi u))``,
+    computed in place in two arrays.  That is the real part of the complex
+    form bit for bit, since numpy divides a complex number by a real one as
+    the product with its reciprocal; its imaginary part is exactly 0.
+    """
     width = hi - lo
     small = np.abs(u) < 1e-308
     us = np.where(small, 1.0, u)
-    out = np.exp(1j * np.pi * (lo + hi) * u) * np.sin(np.pi * width * us) / (np.pi * us)
+    if real:
+        out = np.multiply(np.pi * width, us)
+        np.sin(out, out=out)
+        us *= np.pi
+        np.divide(1.0, us, out=us)
+        out *= us
+    else:
+        out = np.exp(1j * np.pi * (lo + hi) * u) * np.sin(np.pi * width * us) / (np.pi * us)
     out[small] = width
     return out
 
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    out = np.ones((len(X), len(Y)), dtype=np.complex128)
+    real = all(lo + hi == 0 for lo, hi in spec.band)  # every band symmetric about 0: a real kernel
+    out = np.ones((len(X), len(Y)), dtype=np.float64 if real else np.complex128)
     for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]
         for k, (lo, hi) in enumerate(spec.band):
-            out[blk] *= _sinc_factor(diff[..., k], lo, hi)
+            out[blk] *= _sinc_factor(diff[..., k], lo, hi, real)
     return out
 
 
@@ -130,12 +146,20 @@ def _gabor_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Matrix ``K[i, j] = kernel_value(xs[i], ys[j])`` evaluated in bulk.
 
+    A Paley-Wiener kernel whose every band is symmetric about 0 is real, and
+    its matrix is ``float64``: each entry equals the real part of the complex
+    form bit for bit (see ``_sinc_factor``), and the imaginary part it drops
+    is exactly 0.  So Grams, anchor Grams and quotient matrices of such a
+    kernel run the real LAPACK and BLAS routines.  Every other kernel gives a
+    ``complex128`` matrix.
+
     Rows are filled in blocks of ``pointset.BLOCK_ELEMENTS / (16 len(ys))``
     rows.  In space dimensions up to 8 an entry holds fewer than 16 doubles
-    of temporaries at once (its coordinate differences and complex factors),
-    so a block's temporaries stay under ``BLOCK_ELEMENTS`` doubles and the
-    call allocates little beyond its output.  Every entry is computed on its
-    own, so the block size moves no bit.
+    of temporaries at once (its coordinate differences and one axis'
+    factor, complex or real), so a block's temporaries stay under
+    ``BLOCK_ELEMENTS`` doubles and the call allocates little beyond its
+    output.  Every entry is computed on its own, so the block size moves no
+    bit.
 
     A Gaussian time-frequency entry with ``|k| < UNDERFLOW_FLOOR`` (2^-511)
     is an exact 0, bit for bit the floored full ``exp``; ``exp`` is skipped

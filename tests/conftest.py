@@ -5,6 +5,7 @@ non-separated integers-with-satellites set used across the suite.
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
 from aperio.errors import CoverageError
-from aperio.framekit import _anchor_grid, _projected_inverse_sqrt, gram_from_entries
+from aperio import framekit
+from aperio.framekit import FrameReport, _anchor_grid, _projected_inverse_sqrt, frame_trend_report, gram_from_entries
 from aperio.io_json import fstr
 from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
 from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
@@ -342,6 +344,24 @@ def broadcast_gabor_matrix(spec, P, Q):
     return np.exp(1j * np.pi * expo - np.pi * dist_sq / 2.0)
 
 
+def broadcast_pw_matrix(spec, X, Y):
+    """Paley-Wiener matrix in complex arithmetic from one full-size (n, m, d) difference array.
+
+    Each axis' factor is ``exp(i pi (lo + hi) u) sin(pi w u) / (pi u)``, with
+    the limit ``w`` at ``u = 0``, also for a band symmetric about 0.
+    """
+    diff = X[:, None, :] - Y[None, :, :]
+    out = np.ones(diff.shape[:2], dtype=np.complex128)
+    for k, (lo, hi) in enumerate(spec.band):
+        u = diff[..., k]
+        small = np.abs(u) < 1e-308
+        us = np.where(small, 1.0, u)
+        factor = np.exp(1j * np.pi * (lo + hi) * u) * np.sin(np.pi * (hi - lo) * us) / (np.pi * us)
+        factor[small] = hi - lo
+        out *= factor
+    return out
+
+
 def unfloored_kernel_matrix(kernel, xs, ys) -> np.ndarray:
     """``kernel_matrix`` without the underflow floor: ``broadcast_gabor_matrix`` for Gaussian kernels."""
     if kernel.kind == "gabor_gaussian":
@@ -380,6 +400,18 @@ def sampling_bounds_oracle(
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1])
+
+
+def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
+    """``frame_trend_report`` with every kernel matrix cast to ``complex128``.
+
+    For a real kernel (a Paley-Wiener band symmetric about 0) the entries are
+    the same, and every eigensolve and product runs the complex LAPACK and
+    BLAS routines, as they did before real kernels got ``float64`` matrices.
+    """
+    real_kernel_matrix = framekit.kernel_matrix
+    with mock.patch.object(framekit, "kernel_matrix", lambda *args: real_kernel_matrix(*args).astype(np.complex128)):
+        return frame_trend_report(kernel, patch, truncations)
 
 
 def canonical_parseval_oracle(gram):

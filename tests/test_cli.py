@@ -162,7 +162,12 @@ class TestPipeline:
         assert run(workspace, "csv", "--report", "frame.json", "--columns", "truncation,A,B", "--out", "frame.csv") == 0
         obj = json.loads((workspace / "frame.json").read_text())
         assert obj["verdict"] == "frame_evidence"
-        assert (workspace / "frame.csv").read_bytes().startswith(b"truncation,A,B\r\n")
+        lines = (workspace / "frame.csv").read_bytes().decode().split("\r\n")
+        assert lines[0] == "truncation,A_lo,A_hi,B_lo,B_hi"
+        for line, row in zip(lines[1:], obj["rows"]):  # the unit-spaced lattice: an orthonormal basis
+            t, a_lo, a_hi, b_lo, b_hi = map(float, line.split(","))
+            assert [a_lo, a_hi, b_lo, b_hi] == [float(v) for c in ("A", "B") for v in row[c]["value"]]
+            assert a_lo <= 1.0 <= a_hi and b_lo <= 1.0 <= b_hi
 
     def test_weil_and_amalgam(self, workspace):
         assert run(workspace, "weil-check", "--scheme", "z.json", "--out", "w.json") == 0
@@ -185,9 +190,24 @@ class TestPipeline:
             workspace, "csv", "--report", "frame.json", "--columns", "eigenvalue", "--out", "e.csv"
         ) == 0
         lines = (workspace / "e.csv").read_bytes().decode().strip().split("\r\n")
-        assert lines[0] == "eigenvalue"
-        values = [float(v) for v in lines[1:]]
-        assert values == sorted(values)
+        assert lines[0] == "eigenvalue_lo,eigenvalue_hi"
+        brackets = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(brackets) == 41  # one row per point of [-20, 20], each bracket holding 1
+        assert all(lo <= 1.0 <= hi for lo, hi in brackets)
+        assert brackets == sorted(brackets)
+
+    def test_old_frame_report_shape_is_config_error(self, workspace, capsys):
+        old = {
+            "kind": "frame_report",
+            "rows": [{"truncation": "10.0", "A": {"value": "0.5", "provenance": "trend"}}],
+            "eigenvalues": ["0.5", "1.5"],
+        }
+        (workspace / "old.json").write_text(json.dumps(old))
+        for columns in ("truncation,A", "eigenvalue"):
+            assert run(workspace, "csv", "--report", "old.json", "--columns", columns, "--out", "o.csv") == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "old shape" in err[0]
+        assert not (workspace / "o.csv").exists()
 
 
 class TestProvenanceTags:
@@ -201,7 +221,7 @@ class TestProvenanceTags:
 
         def tags(node):
             if isinstance(node, dict):
-                if set(node) == {"value", "provenance"}:
+                if "provenance" in node and "value" in node:
                     yield node["provenance"]
                 else:
                     for v in node.values():
@@ -216,7 +236,8 @@ class TestProvenanceTags:
             assert found
             for tag in found:
                 assert (
-                    tag in ("exact", "trend")
+                    tag in ("exact", "trend", "below_rank_cut")
+                    or re.fullmatch(r"solver_bound\(n=\d+\)(; near_rank_cut)?", tag)
                     or tag.startswith(("quadrature(n=", "grid(step=", "trend(truncations="))
                 ), tag
 
@@ -239,9 +260,17 @@ class TestErrorHandling:
             ({"kind": "density_report"}, "n,inf,sup"),
             ({"kind": "density_report", "rows": [{"n": "5.0", "sup": {"value": "1.1"}}]}, "n,inf,sup"),
             ({"kind": "density_report", "rows": "zz"}, "n,inf,sup"),
-            ({"kind": "frame_report", "eigenvalues": [None]}, "eigenvalue"),
+            ({"kind": "frame_report", "eigenvalues": {"above_rank_cut": {"value": [None]}}}, "eigenvalue"),
+            (
+                {
+                    "kind": "frame_report",
+                    "eigenvalues": {"below_rank_cut": {"count": 10**9, "value": ["0.0", "1e-09"]}},
+                },
+                "eigenvalue",
+            ),
+            ({"kind": "frame_report", "rows": [{"truncation": "1.0", "A": {"value": ["0.5"]}}]}, "truncation,A"),
         ],
-        ids=["list", "no-rows", "row-without-inf", "rows-not-a-list", "null-eigenvalue"],
+        ids=["list", "no-rows", "row-without-inf", "rows-not-a-list", "null-eigenvalue", "huge-count", "half-bracket"],
     )
     def test_malformed_report_csv_is_config_error(self, workspace, capsys, report, columns):
         (workspace / "r.json").write_text(json.dumps(report))
@@ -897,8 +926,17 @@ _VALID = {
     },
     "frame": {
         "kind": "frame_report",
-        "rows": [{"truncation": "10.0", "A": {"value": "0.5", "provenance": "trend"}, "B": {"value": "1.5"}}],
-        "eigenvalues": ["0.5", "1.5"],
+        "rows": [
+            {
+                "truncation": "10.0",
+                "A": {"value": ["0.5", "0.6"], "provenance": "solver_bound(n=2)"},
+                "B": {"value": ["1.5", "1.6"]},
+            }
+        ],
+        "eigenvalues": {
+            "above_rank_cut": {"value": [["0.5", "0.6"], ["1.5", "1.6"]], "provenance": "solver_bound(n=3)"},
+            "below_rank_cut": {"count": 1, "value": ["0.0", "1e-09"], "provenance": "below_rank_cut"},
+        },
     },
 }
 

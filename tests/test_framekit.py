@@ -206,7 +206,8 @@ class TestRieszBounds:
 
 class TestSamplingBounds:
     def test_oversampled_lattice_near_two(self):
-        a, b = sampling_bounds(PW, pw_patch(0.5, 40.0), margin=10)
+        a, b, n = sampling_bounds(PW, pw_patch(0.5, 40.0), margin=10)
+        assert n == 58  # every anchor of [-30, 30] at spacing 1 / 0.95 is kept
         assert 1.8 <= a <= 2.2
         assert b == pytest.approx(2.0, abs=0.05)
 
@@ -278,7 +279,7 @@ class TestUnderflowFloor:
         if kernel.kind == "gabor_gaussian":
             mag = np.abs(anchor_kernel_block(kernel, patch)[1])
             assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
-        got = sampling_bounds(kernel, patch)
+        got = sampling_bounds(kernel, patch)[:2]
         want = sampling_bounds_oracle(kernel, patch)
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -422,21 +423,25 @@ class TestFrameTrend:
     )
     def test_sliced_gram_matches_per_truncation_builds(self, kernel, patch, truncations):
         report = frame_trend_report(kernel, patch, truncations)
-        r_lo, r_lo_raw, r_hi, s_lo, s_hi = [], [], [], [], []
+        r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
         for t in truncations:
             sub = restrict(patch, tuple((-t, t) for _ in range(patch.dim)))
             gram = build_gram(kernel, sub)
             r_lo.append(gram.nonzero_min)
             r_lo_raw.append(gram.lambda_min)
             r_hi.append(gram.lambda_max)
-            sa, sb = sampling_bounds(kernel, sub, margin=0.25 * t)
+            r_n.append(gram.n)
+            sa, sb, sn = sampling_bounds(kernel, sub, margin=0.25 * t)
             s_lo.append(sa)
             s_hi.append(sb)
+            s_n.append(sn)
         assert report.riesz_lower == tuple(r_lo)
         assert report.riesz_lower_raw == tuple(r_lo_raw)
         assert report.riesz_upper == tuple(r_hi)
+        assert report.riesz_n == tuple(r_n)
         assert report.sampling_lower == tuple(s_lo)
         assert report.sampling_upper == tuple(s_hi)
+        assert report.sampling_n == tuple(s_n)
         assert np.array_equal(report.final_eigenvalues, gram.eigenvalues)
 
     def test_top_gram_released_before_sampling(self, monkeypatch):
