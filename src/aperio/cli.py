@@ -13,7 +13,6 @@ referenced by content hash, and every numeric field is a decimal string.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import inspect
 import json
@@ -138,12 +137,8 @@ def handle_density(
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
     limits = [ctx.read_json(e, "extra", io_json.patch_from_jsonable) for e in extras or ()]
     report = beurling_density(base, spec, limits)
-    if ell is not None:
-        b = covolume_bounds_from_density(report, ell)
-        report = dataclasses.replace(
-            report, covolume_bounds=(b.covol_minus_lo, b.covol_plus_hi)
-        )
-    ctx.write_report(out, io_json.density_report_to_jsonable(report))
+    bounds = None if ell is None else covolume_bounds_from_density(report, ell)
+    ctx.write_report(out, io_json.density_report_to_jsonable(report, bounds))
 
 
 def handle_hull_sample(

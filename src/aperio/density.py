@@ -51,7 +51,8 @@ class DensityReport:
 
     ``lower``/``upper`` hold ``(n, estimate)`` pairs; ``uncertainty`` is the
     spread between the last two sizes, and the extrapolated values are the
-    last-size estimates.
+    last-size estimates.  No covolume is stored: a written report's covolume
+    block is computed at write time by ``covolume_bounds_from_density``.
     """
 
     lower: tuple[tuple[float, float], ...]
@@ -62,11 +63,6 @@ class DensityReport:
     certified_region_note: str
     extras_used_lower: bool = False
     extras_used_upper: bool = False
-    covolume_bounds: tuple[float, float] | None = None
-
-    @property
-    def sizes(self) -> tuple[float, ...]:
-        return tuple(n for n, _ in self.lower)
 
 
 def _patch_extrema(patch: PointPatch, n: float) -> tuple[float, float]:

@@ -93,7 +93,7 @@ def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
 def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigen data of a Hermitian PSD matrix restricted to its nonzero spectrum."""
     eigs, vecs = np.linalg.eigh(mat)
-    keep = eigs > RANK_TOL * max(eigs[-1], 0.0) if len(eigs) else np.zeros(0, bool)
+    keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
     if not keep.any():
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
     return eigs[keep], vecs[:, keep]
@@ -263,18 +263,16 @@ def frame_trend_report(
         raise ArgumentError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
     r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
     margin = margin_frac * truncs[-1]
-    top_patch = restrict(patch, [(-truncs[-1], truncs[-1])] * patch.dim)
+    subs = [restrict(patch, [(-t, t)] * patch.dim) for t in truncs]
+    top_patch = subs[-1]
     top = build_gram(kernel, top_patch)
-    subs = []
-    for t in truncs:
-        sub = restrict(patch, [(-t, t)] * patch.dim)
+    for sub in subs:
         keep = points_in_box(top_patch.points, sub.box)
         gram = top if keep.all() else gram_from_entries(top.entries[np.ix_(keep, keep)])
         r_lo.append(gram.nonzero_min)
         r_lo_raw.append(gram.lambda_min)
         r_hi.append(gram.lambda_max)
         r_n.append(gram.n)
-        subs.append(sub)
     final_eigs = gram.eigenvalues
     del top, gram  # release the Grams before the sampling stages build their own blocks
     for t, sub in zip(truncs, subs):

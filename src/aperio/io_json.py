@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .cutproject import CutProjectScheme, Window
-from .density import DensityReport
+from .density import CovolumeBounds, DensityReport
 from .errors import ConfigError, DegenerateBasisError
 from .framekit import MAX_GRAM_POINTS, RANK_TOL, FrameReport, VerdictReport
 from .pointset import PointPatch
@@ -206,7 +206,8 @@ def kernel_from_jsonable(obj: dict) -> KernelSpec:
 
 # -------------------------------------------------------------------- reports
 
-def density_report_to_jsonable(report: DensityReport) -> dict:
+def density_report_to_jsonable(report: DensityReport, bounds: CovolumeBounds | None = None) -> dict:
+    """The report's JSON, whose ``covolume_bounds`` is null or ``bounds`` from ``covolume_bounds_from_density``."""
     rows = []
     for (n, lo), (_, hi) in zip(report.lower, report.upper):
         rows.append(
@@ -228,10 +229,10 @@ def density_report_to_jsonable(report: DensityReport) -> dict:
         "extras_used_upper": report.extras_used_upper,
         "covolume_bounds": (
             None
-            if report.covolume_bounds is None
+            if bounds is None
             else {
-                "covol_minus_lower": tagged(report.covolume_bounds[0], trend_tag),
-                "covol_plus_upper": tagged(report.covolume_bounds[1], trend_tag),
+                "covol_minus_lower": tagged(bounds.covol_minus_lo, trend_tag),
+                "covol_plus_upper": tagged(bounds.covol_plus_hi, trend_tag),
             }
         ),
     }
@@ -248,7 +249,6 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
     for r in rows:
         _key(r["inf"], "provenance", what)  # required of the input, though the report stores no tag
-    cb = obj.get("covolume_bounds")
     report = DensityReport(
         lower=lower,
         upper=upper,
@@ -258,10 +258,9 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
         certified_region_note=_key(obj, "certified_region_note", what),
         extras_used_lower=bool(obj.get("extras_used_lower", False)),
         extras_used_upper=bool(obj.get("extras_used_upper", False)),
-        covolume_bounds=(
-            None if cb is None else (value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper"))
-        ),
     )
+    if (cb := obj.get("covolume_bounds")) is not None:  # checked as input, though the report stores no bounds
+        value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper")
     if not all(map(math.isfinite, (report.extrapolated_lower, report.extrapolated_upper, report.uncertainty))):
         raise ConfigError("density report estimates must be finite")
     return report

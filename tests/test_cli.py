@@ -134,6 +134,18 @@ class TestPipeline:
         csv_bytes = (workspace / "density.csv").read_bytes()
         assert csv_bytes.startswith(b"n,inf,sup\r\n")
 
+    @pytest.mark.parametrize("ell", ["1", "2"])
+    @pytest.mark.parametrize("scheme", ["fib.json", "z.json"])
+    def test_density_covolume_block_is_the_verdicts(self, workspace, scheme, ell):
+        # density --ell writes the covolume bounds that verdict derives from the same report
+        run(workspace, "gen", "--scheme", scheme, "--box", "-100", "100", "--out", "p.json")
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "10,20,40", "--ell", ell, "--out", "d.json") == 0
+        assert run(workspace, "verdict", "--kernel", "pw.json", "--density", "d.json", "--ell", ell, "--out", "v.json") == 0
+        block = json.loads((workspace / "d.json").read_text())["covolume_bounds"]
+        v = json.loads((workspace / "v.json").read_text())
+        assert block["covol_minus_lower"]["value"] == v["covol_minus_interval"][0]["value"]
+        assert block["covol_plus_upper"]["value"] == v["covol_plus_upper"]["value"]
+
     def test_negative_exponent_box_parses(self, workspace):
         assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-1e3", "1e3", "--out", "e.json") == 0
         assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-1000", "1000", "--out", "d.json") == 0
@@ -398,8 +410,19 @@ class TestErrorHandling:
             ("p.json", {"dim": 1, "box": [[-1, 1]]}, ["density", "--patch", "p.json", "--folner", "1"], "points"),
             ("s.json", {"d": 1, "m": 0}, ["gen", "--scheme", "s.json", "--box", "-5", "5"], "basis"),
             ("k.json", {"kind": "gabor_gaussian"}, ["amalgam", "--kernel", "k.json", "--q", "1", "--trunc", "3", "--step", "0.5"], "n"),
+            (
+                "d.json",
+                {
+                    "rows": [{"n": "5.0", "inf": {"value": "0.9", "provenance": "exact"}, "sup": {"value": "1.1"}}],
+                    **{k: {"value": "0.9"} for k in ("extrapolated_lower", "extrapolated_upper", "uncertainty")},
+                    "certified_region_note": "",
+                    "covolume_bounds": {"covol_minus_lower": {"value": "5"}},
+                },
+                ["verdict", "--kernel", "pw.json", "--density", "d.json"],
+                "covol_plus_upper",
+            ),
         ],
-        ids=["patch", "scheme", "kernel"],
+        ids=["patch", "scheme", "kernel", "density-covolume-bounds"],
     )
     def test_decoder_missing_key_is_config_error(self, workspace, capsys, name, content, argv, key):
         (workspace / name).write_text(json.dumps(content))

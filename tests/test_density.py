@@ -45,7 +45,7 @@ class TestLatticeCalibration:
     def test_density_is_reciprocal_spacing(self, spacing):
         patch = make_lattice_patch(spacing, 200.0)
         report = beurling_density(patch, SPEC_40)
-        n_max = report.sizes[-1]
+        n_max = report.lower[-1][0]
         tol = 1 / (2 * n_max) + 1e-9
         assert report.extrapolated_lower == pytest.approx(1 / spacing, abs=tol)
         assert report.extrapolated_upper == pytest.approx(1 / spacing, abs=tol)
