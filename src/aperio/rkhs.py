@@ -75,6 +75,13 @@ class KernelSpec:
     def norm_sq_ke(self) -> float:
         return math.prod(self.widths)
 
+    @property
+    def reflection_symmetric(self) -> bool:
+        """Whether ``k(-x, -y) == k(x, y)`` bit for bit: the Gaussian kernel, and a Paley-Wiener
+        kernel whose every band is symmetric about 0, which is also real.  Any other band gives
+        ``k(-x, -y) = conj k(x, y)``."""
+        return self.kind == "gabor_gaussian" or all(lo + hi == 0 for lo, hi in self.band)
+
 
 def paley_wiener(band) -> KernelSpec:
     """Band-limited kernel; ``band`` is a list of (lo, hi) frequency intervals."""
@@ -112,7 +119,7 @@ def _sinc_factor(u: np.ndarray, lo: float, hi: float, real: bool) -> np.ndarray:
 
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    real = all(lo + hi == 0 for lo, hi in spec.band)  # every band symmetric about 0: a real kernel
+    real = spec.reflection_symmetric  # every band symmetric about 0: a real kernel
     out = np.ones((len(X), len(Y)), dtype=np.float64 if real else np.complex128)
     for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]
@@ -139,8 +146,13 @@ def _gabor_matrix(spec: KernelSpec, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         small = rows.real < _EXP_CUTOFF
         np.exp(rows, out=rows, where=~small)
         np.copyto(rows, 0.0, where=small)
-        np.copyto(rows, 0.0, where=np.abs(rows) < UNDERFLOW_FLOOR)
+        _floor_underflow(rows)
     return out
+
+
+def _floor_underflow(mat: np.ndarray) -> None:
+    """Set every entry of magnitude below ``UNDERFLOW_FLOOR`` to an exact 0, in place."""
+    np.copyto(mat, 0.0, where=np.abs(mat) < UNDERFLOW_FLOOR)
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:

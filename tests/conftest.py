@@ -414,6 +414,12 @@ def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameRe
         return frame_trend_report(kernel, patch, truncations)
 
 
+def full_solve_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
+    """``frame_trend_report`` with every Gram solved whole by one ``eigvalsh``, never as two half-size blocks."""
+    with mock.patch.object(framekit, "_reflection_pairing", lambda *args: None):
+        return frame_trend_report(kernel, patch, truncations)
+
+
 def canonical_parseval_oracle(gram):
     """Canonical Parseval form of a Gram system: the projector onto its nonzero spectrum, and the transform.
 

@@ -22,13 +22,15 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
-from aperio.framekit import MAX_GRAM_POINTS, gram_from_entries
+from aperio.framekit import MAX_GRAM_POINTS, _reflection_pairing, gram_from_entries
+from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import restrict
-from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_value, paley_wiener
+from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
 
 from conftest import (
     anchor_kernel_block,
     canonical_parseval_oracle,
+    full_solve_frame_report,
     hermitian_defect_oracle,
     make_fibonacci_scheme,
     make_lattice_patch,
@@ -265,12 +267,17 @@ def floor_cases(*ids):
 
 
 def gram_spectra(kernel, patch):
-    """``build_gram``'s eigenvalues and those of the unfloored oracle Gram, after checking the floor bites."""
+    """``build_gram``'s eigenvalues and those of the unfloored oracle Gram, after checking the floor bites.
+
+    The oracle Gram goes through the same solve: two half-size blocks for a
+    point-symmetric patch, one ``eigvalsh`` otherwise.
+    """
     entries = unfloored_kernel_matrix(kernel, patch.points, patch.points).T
     if kernel.kind == "gabor_gaussian":
         mag = np.abs(entries)
         assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
-    return build_gram(kernel, patch).eigenvalues, np.linalg.eigvalsh(entries)
+    oracle = gram_from_entries(entries, _reflection_pairing(kernel, patch.points))
+    return build_gram(kernel, patch).eigenvalues, oracle.eigenvalues
 
 
 class TestUnderflowFloor:
@@ -291,8 +298,9 @@ class TestUnderflowFloor:
 
     @floor_cases("gabor-product-fibonacci")
     def test_gram_spectrum_within_eigensolver_rounding_of_unfloored_oracle(self, kernel, patch):
-        # here the floor moves 452 of 497 eigenvalues, by at most 3.7e-15 lambda_max:
-        # LAPACK's Householder steps round differently, far inside n eps ||G||
+        # solved whole, the floor moved 452 of 497 eigenvalues, by at most 3.7e-15 lambda_max:
+        # LAPACK's Householder steps round differently, far inside n eps ||G||.  The patch is
+        # point-symmetric, and its half-size blocks happen to give the same bits
         got, want = gram_spectra(kernel, patch)
         assert np.abs(got - want).max() <= len(got) * np.finfo(float).eps * want[-1]
 
@@ -313,8 +321,82 @@ class TestUnderflowFloor:
         patch = make_lattice_patch(1.0, 12.0, dim=2)
         assert patch.n_points == 625
         frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
-        assert len(seen) == 9  # three Gram stages, then an anchor Gram and a quotient per sampling stage
-        assert seen == [0] * 9
+        # an even and an odd block per Gram stage, then an anchor Gram and a quotient per sampling stage
+        assert len(seen) == 12
+        assert seen == [0] * 12
+
+
+def symmetric_patch(dim: int, spacing: float, jitter: float, cells: int, origin: bool, seed: int) -> PointPatch:
+    """Jittered lattice points in the half-space before the origin (lexicographically), their negations, and
+    the origin if ``origin``; each point moves by up to ``jitter spacing`` on every axis."""
+    axis = spacing * np.arange(-cells, cells + 1)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+    half = grid[: len(grid) // 2]  # the rows before the origin, which is the middle row
+    half = half + np.random.default_rng(seed).uniform(-jitter, jitter, half.shape) * spacing
+    pts = np.concatenate([half, -half] + ([np.zeros((1, dim))] if origin else []))
+    edge = (cells + 0.5) * spacing
+    return PointPatch(dim=dim, box=[(-edge, edge)] * dim, points=pts)
+
+
+SPLIT_KERNELS = {
+    "pw-symmetric-1d": (paley_wiener([(-0.5, 0.5)]), 40),
+    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), 6),
+    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), 40),
+    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), 6),
+    "gabor": (GG, 6),
+}
+
+
+class TestReflectionSplit:
+    @pytest.mark.parametrize("case", list(SPLIT_KERNELS))
+    # fixed examples: the report comparison flips an endpoint when the two solves straddle a grid
+    # point, with odds of about 1e-4 per report
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        origin=st.booleans(),
+        density=st.floats(0.6, 1.6),
+        jitter=st.floats(0.0, 0.45),
+        seed=st.integers(0, 2**32 - 1),
+        drop=st.integers(0, 2**32 - 1),
+    )
+    def test_split_matches_the_full_solve(self, case, origin, density, jitter, seed, drop):
+        kernel, cells = SPLIT_KERNELS[case]
+        dim = kernel.space_dim
+        spacing = (1.0 / density) / kernel.norm_sq_ke ** (1.0 / dim)
+        patch = symmetric_patch(dim, spacing, jitter, cells, origin, seed)
+        pairing = _reflection_pairing(kernel, patch.points)
+        # an asymmetric band gives k(-x, -y) = conj k(x, y): its Gram does not commute with the reflection
+        assert (pairing is None) == ("asymmetric" in case)
+        full = np.linalg.eigvalsh(kernel_matrix(kernel, patch.points, patch.points).T)
+        got = build_gram(kernel, patch).eigenvalues
+        assert np.abs(got - full).max() <= len(full) * np.finfo(float).eps * np.abs(full).max()
+        edge = patch.box[0][1]
+        truncations = (edge / 3, 2 * edge / 3, edge)
+        report = frame_report_to_jsonable(frame_trend_report(kernel, patch, truncations))
+        assert report == frame_report_to_jsonable(full_solve_frame_report(kernel, patch, truncations))
+        # without one point (not the origin) the patch is not symmetric, and the solve is the plain one
+        off_origin = np.flatnonzero(np.any(patch.points != 0.0, axis=1))
+        keep = np.ones(patch.n_points, dtype=bool)
+        keep[off_origin[drop % len(off_origin)]] = False
+        lopsided = PointPatch(dim=dim, box=patch.box, points=patch.points[keep])
+        want = np.linalg.eigvalsh(kernel_matrix(kernel, lopsided.points, lopsided.points).T)
+        assert np.array_equal(build_gram(kernel, lopsided).eigenvalues, want)
+
+    def test_symmetric_truncations_are_solved_as_half_size_blocks(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        patch = make_lattice_patch(1.0, 12.0, dim=2)
+        assert patch.n_points == 625
+        report = frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
+        assert report.riesz_n == (169, 361, 625)  # the tags keep the full Gram's n
+        # the top Gram (its even block holds the origin), then the two smaller truncations
+        assert sizes[:6] == [313, 312, 85, 84, 181, 180]
 
 
 class TestCanonicalParseval:
