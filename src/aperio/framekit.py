@@ -8,12 +8,16 @@ iterative methods), real symmetric for a real kernel.  Its rounding depends on
 the BLAS build and thread count, so reports write spectra as brackets at the
 solver's resolution (``io_json.SolverGrid``).
 
-A Gram over a point-symmetric patch (every point's negation in it) of a
-kernel with ``k(-x, -y) = k(x, y)`` commutes with the point reflection, and
-its eigenvalues are taken from an even and an odd block of half the size
-(Cantoni & Butler 1976): ``build_gram`` and every truncation of
-``frame_trend_report`` do so.  Lattices and model sets with symmetric
-windows, truncated to centred boxes, are such patches.
+A kernel names two reflections (``KernelSpec.fixing_axes`` and
+``conjugating_axes``): ``P`` with ``k(Px, Py) = k(x, y)``, and ``R`` with
+``k(Rx, Ry) = conj k(x, y)``.  For the Gaussian kernel ``P`` negates every
+axis and ``R`` the time axes.  A Gram over a patch that either maps onto
+itself has its eigenvalues taken from smaller blocks: the point reflection
+splits it into an even and an odd block (Cantoni & Butler 1976), and the
+conjugating one makes each of them real symmetric (A. Lee 1980).
+``build_gram`` and every truncation of ``frame_trend_report`` do so.
+Lattices and model sets with symmetric windows, truncated to centred boxes,
+are such patches.
 """
 
 from __future__ import annotations
@@ -70,72 +74,146 @@ class GramMatrix:
         return float(above[0]) if len(above) else 0.0
 
 
-def _reflection_pairing(kernel: KernelSpec, points: np.ndarray) -> np.ndarray | None:
-    """The index of each point's negation, or ``None`` if the Gram may not commute with ``x -> -x``.
+def _axis_pairing(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray | None:
+    """The index of each point's image with ``axes`` negated, or ``None`` if an image is not a point.
 
-    The kernel must be ``reflection_symmetric``, and every negation must be
-    among the points under exact comparison of doubles; one ``lexsort`` of
-    the points and one of their negations pair them.
+    Images are compared with the points as exact doubles: one ``lexsort`` of
+    the points and one of their images pair them.
     """
-    if not kernel.reflection_symmetric:
-        return None
+    images = points.copy()
+    images[:, list(axes)] *= -1.0
     order = np.lexsort(points.T[::-1])
-    neg_order = np.lexsort(-points.T[::-1])
-    if not np.array_equal(points[order], -points[neg_order]):
+    image_order = np.lexsort(images.T[::-1])
+    if not np.array_equal(points[order], images[image_order]):
         return None
     pairing = np.empty(len(points), dtype=np.intp)
-    pairing[order] = neg_order
+    pairing[order] = image_order
     return pairing
 
 
-def _split_eigvalsh(entries: np.ndarray, pairing: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix that commutes with the exchange ``i <-> pairing[i]``.
+def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:
+    """The point maps ``(P, R)`` of the kernel's reflections that hold exactly on the points, or ``None``.
 
-    One representative per pair: the self-paired index first, if any, then
-    the smaller index of each pair.  With ``A = G[P, P]`` and ``B = G[P, N]``
-    (``N`` the representatives' partners) the even block is ``A + B``, its
-    self-paired row and column scaled by ``1 / sqrt 2``, and the odd block is
-    ``A - B`` without the self-paired index.  Each block's entries below the
-    floor are set to 0, as the Gaussian kernel's are, and only one block is
-    alive at a time.
+    ``P`` negates ``kernel.fixing_axes`` and ``R`` negates
+    ``kernel.conjugating_axes``; a reflection with no axes, or whose image of
+    some point is not a point, is ``None``.
     """
-    idx = np.arange(len(pairing))
-    centre = idx[pairing == idx]
-    reps = np.concatenate([centre, idx[pairing > idx]])
+    maps = tuple(
+        _axis_pairing(points, axes) if axes else None for axes in (kernel.fixing_axes, kernel.conjugating_axes)
+    )
+    return None if maps[0] is None and maps[1] is None else maps
+
+
+def _gather(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray, p_map, p: int) -> np.ndarray:
+    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, in one new array."""
+    out = entries[np.ix_(rows, cols)]
+    if p_map is not None:
+        (np.add if p > 0 else np.subtract)(out, entries[np.ix_(rows, p_map[cols])], out=out)
+    return out
+
+
+def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
+
+    ``pairing`` is ``(P, R)``, commuting involutions of the indices, either
+    of them ``None``.  Each orbit of ``{1, P, R, PR}`` is represented by its
+    smallest index.  Over representatives ``a`` and ``b`` let ``X1 .. X4 =
+    G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term of a missing map left
+    out, and for each ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4``
+    and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R`` the block of parity
+    ``p`` is ``X1 + p X2``, complex as ``G`` is (Cantoni & Butler 1976).
+    With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]``:
+    a Hermitian matrix with a conjugating symmetry is unitarily similar to a
+    real one (A. Lee 1980).  A representative's row and column count in a
+    half only where its orbit vector is nonzero, and are scaled by
+    ``1 / sqrt s`` for a stabiliser of ``s`` maps: ``sqrt 1/2`` on an axis or
+    at the origin of one reflection, ``1/2`` at the origin of both.  ``P``
+    fixes no index but the origin's (it negates every axis), so with the
+    representatives ordered as the origin, those fixed by ``R`` alone, those
+    fixed by nothing and those fixed by ``PR`` alone, every half is a slice.
+
+    Each parity gathers its own ``X`` from ``entries``, adds the ``P`` terms
+    at once, and builds its block; the block's entries below the floor are
+    set to 0, as the Gaussian kernel's are, and it is released before the
+    next parity is gathered.  So besides ``entries`` only one parity's
+    gathered arrays and block, or the block and the solver's copy of it, are
+    alive.  Without ``R`` the blocks are those of the point reflection's even
+    and odd split, bit for bit.
+    """
+    p_map, r_map = pairing
+    maps = [m for m in (p_map, r_map) if m is not None]
+    if len(maps) == 2:
+        maps.append(p_map[r_map])
+    idx = np.arange(len(entries))
+    reps = idx[np.logical_and.reduce([idx <= m for m in maps])]
+    fixed = np.array([m[reps] == reps for m in maps])
+    rank = np.full(len(reps), 2)
+    if len(maps) == 3:
+        rank[fixed[1]] = 1  # fixed by R
+        rank[fixed[2]] = 3  # fixed by PR
+    rank[fixed.all(axis=0)] = 0  # the origin, fixed by every map
+    order = np.argsort(rank, kind="stable")
+    reps, rank = reps[order], rank[order]
+    weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
+    b = np.searchsorted(rank, range(5))
+    # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
+    halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
     spectra = []
-    for rows, combine in ((reps, np.add), (reps[len(centre) :], np.subtract)):
+    for p in (1, -1) if p_map is not None else (1,):
+        plus, minus = halves[p]
+        span = plus if r_map is None else slice(plus.start, max(plus.stop, minus.stop))
+        rows = reps[span]
         if not len(rows):
             continue
-        block = entries[np.ix_(rows, rows)]
-        combine(block, entries[np.ix_(rows, pairing[rows])], out=block)
-        if combine is np.add and len(centre):
-            block[0] *= math.sqrt(0.5)
-            block[:, 0] *= math.sqrt(0.5)
+        y = _gather(entries, rows, rows, p_map, p)
+        if r_map is None:
+            block, wts = y, weight[plus]
+        else:
+            w = _gather(entries, rows, r_map[rows], p_map, p)
+            u = slice(plus.start - span.start, plus.stop - span.start)
+            v = slice(minus.start - span.start, minus.stop - span.start)
+            k = u.stop - u.start
+            block = np.empty((k + v.stop - v.start,) * 2)
+            np.add(y.real[u, u], w.real[u, u], out=block[:k, :k])
+            np.subtract(w.imag[u, v], y.imag[u, v], out=block[:k, k:])
+            np.add(y.imag[v, u], w.imag[v, u], out=block[k:, :k])
+            np.subtract(y.real[v, v], w.real[v, v], out=block[k:, k:])
+            wts = np.concatenate([weight[plus], weight[minus]])
+            del y, w
+        scaled = np.flatnonzero(wts != 1.0)
+        block[scaled] *= wts[scaled, None]
+        block[:, scaled] *= wts[scaled]
         _floor_underflow(block)  # its temporaries are no larger than the solver's copy of the block
         spectra.append(np.linalg.eigvalsh(block))
         del block  # before the next block is gathered
     return np.sort(np.concatenate(spectra))
 
 
-def gram_from_entries(entries: np.ndarray, pairing: np.ndarray | None = None) -> GramMatrix:
+def gram_from_entries(entries: np.ndarray, pairing: tuple | None = None) -> GramMatrix:
     """Wrap a square Hermitian matrix with its ascending eigenvalues.
 
     The Hermitian defect ``|e[i, j] - conj(e[j, i])|`` is checked one row
-    block at a time, so the check needs no n x n temporary; the first block
-    whose defect is not ``<= 1e-10`` (NaN and inf included) is refused.
+    block of ``pointset.BLOCK_ELEMENTS / 4`` entries at a time, so its three
+    temporaries (the conjugate, the difference and its modulus) stay under
+    ``BLOCK_ELEMENTS`` complex numbers; the first block whose defect is not
+    ``<= 1e-10`` (NaN and inf included) is refused.
 
-    ``pairing`` (from ``_reflection_pairing``) states that the entries commute
-    with the exchange of each index with its partner.  Then the eigenvalues
-    are the sorted union of those of an even and an odd block of half the
-    size, which takes about a quarter of the full solve's work; any
-    eigenvalue moves from the full solve's by rounding only, within the
-    solver's resolution.  Without it, one ``eigvalsh`` of the whole matrix.
-    ``entries`` stays the full matrix either way.
+    ``pairing`` (from ``_reflections``) is a pair ``(P, R)`` of index maps,
+    either ``None``: the entries are unchanged by ``P`` on rows and columns
+    and conjugated by ``R``.  Then the eigenvalues are the sorted union of
+    those of smaller blocks (``_reflected_eigvalsh``): with ``P`` alone an
+    even and an odd block of half the size, about a quarter of the full
+    solve's work; with ``R`` as well, two real symmetric blocks of half the
+    size, which take about a quarter of that again; with ``R`` alone one real
+    symmetric matrix of the full size.  Any eigenvalue moves from the full
+    solve's by rounding only, within the solver's resolution.  Without it,
+    one ``eigvalsh`` of the whole matrix.  ``entries`` stays the full matrix
+    either way.
     """
     entries = np.asarray(entries)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValueError(f"Gram entries must form a square matrix, got shape {entries.shape}")
-    for blk in _row_blocks(len(entries), len(entries)):
+    for blk in _row_blocks(len(entries), 4 * len(entries)):
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
             herm_defect = np.abs(entries[blk] - entries[:, blk].conj().T).max()
         if not herm_defect <= 1e-10:
@@ -145,20 +223,20 @@ def gram_from_entries(entries: np.ndarray, pairing: np.ndarray | None = None) ->
     elif pairing is None:
         eigs = np.linalg.eigvalsh(entries)
     else:
-        eigs = _split_eigvalsh(entries, pairing)
+        eigs = _reflected_eigvalsh(entries, pairing)
     return GramMatrix(entries=entries, eigenvalues=eigs)
 
 
 def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
     """Assemble the Hermitian Gram of the kernel family over the patch points.
 
-    A point-symmetric patch of a reflection-symmetric kernel has its
-    eigenvalues from two half-size blocks (``_reflection_pairing``).
+    A patch symmetric under the kernel's reflections (``_reflections``) has
+    its eigenvalues from the smaller blocks of ``gram_from_entries``.
     """
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     km = kernel_matrix(kernel, patch.points, patch.points)
-    return gram_from_entries(km.T, _reflection_pairing(kernel, patch.points))
+    return gram_from_entries(km.T, _reflections(kernel, patch.points))
 
 
 def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,9 +400,10 @@ def frame_trend_report(
     the largest stage) is alive at any time.  First the Gram stage of every
     truncation: the Gram of the largest stage is built once, every smaller
     stage's Gram is its principal submatrix, and each gives its Riesz
-    bounds.  A stage whose points are point-symmetric is solved as two
-    half-size blocks (``gram_from_entries`` with the stage's own
-    ``_reflection_pairing``); its tags and brackets keep the full Gram's n.
+    bounds.  A stage whose points are symmetric under the kernel's
+    reflections is solved as smaller blocks (``gram_from_entries`` with the
+    stage's own ``_reflections``); its tags and brackets keep the full Gram's
+    n.
     Then the Grams are released and the sampling bounds of every truncation
     are taken, with no Gram alive.
     """
@@ -345,7 +424,7 @@ def frame_trend_report(
         if keep.all():
             gram = top
         else:
-            pairing = _reflection_pairing(kernel, top_patch.points[keep])
+            pairing = _reflections(kernel, top_patch.points[keep])
             gram = gram_from_entries(top.entries[np.ix_(keep, keep)], pairing)
         r_lo.append(gram.nonzero_min)
         r_lo_raw.append(gram.lambda_min)

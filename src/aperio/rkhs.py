@@ -76,11 +76,28 @@ class KernelSpec:
         return math.prod(self.widths)
 
     @property
-    def reflection_symmetric(self) -> bool:
-        """Whether ``k(-x, -y) == k(x, y)`` bit for bit: the Gaussian kernel, and a Paley-Wiener
-        kernel whose every band is symmetric about 0, which is also real.  Any other band gives
-        ``k(-x, -y) = conj k(x, y)``."""
-        return self.kind == "gabor_gaussian" or all(lo + hi == 0 for lo, hi in self.band)
+    def fixing_axes(self) -> tuple[int, ...]:
+        """The axes of a reflection ``P`` with ``k(Px, Py) == k(x, y)`` bit for bit: every axis, or none.
+
+        Negating every axis keeps ``x - y`` up to sign, the Gaussian kernel's phase and distance,
+        and each factor of a band symmetric about 0.  A band with ``lo + hi != 0`` has
+        ``k(-x, -y) = conj k(x, y)``, so its kernel gets no such reflection (``()``).
+        """
+        if self.kind == "paley_wiener" and any(lo + hi != 0 for lo, hi in self.band):
+            return ()
+        return tuple(range(self.space_dim))
+
+    @property
+    def conjugating_axes(self) -> tuple[int, ...]:
+        """The axes of a reflection ``R`` with ``k(Rx, Ry) == conj k(x, y)`` bit for bit.
+
+        For the Gaussian kernel the n time axes: the phase ``(x_q - x_p) . (w_p + w_q)`` changes
+        sign and ``|p - q|`` does not.  For a Paley-Wiener kernel with a band not symmetric about 0,
+        every axis.  Empty for a band symmetric about 0 on every axis, whose kernel is real.
+        """
+        if self.kind == "gabor_gaussian":
+            return tuple(range(self.n))
+        return () if self.fixing_axes else tuple(range(self.space_dim))
 
 
 def paley_wiener(band) -> KernelSpec:
@@ -119,7 +136,7 @@ def _sinc_factor(u: np.ndarray, lo: float, hi: float, real: bool) -> np.ndarray:
 
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    real = spec.reflection_symmetric  # every band symmetric about 0: a real kernel
+    real = not spec.conjugating_axes  # every band symmetric about 0: a real kernel
     out = np.ones((len(X), len(Y)), dtype=np.float64 if real else np.complex128)
     for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]

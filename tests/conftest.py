@@ -17,7 +17,7 @@ from aperio import framekit
 from aperio.framekit import FrameReport, _anchor_grid, _projected_inverse_sqrt, frame_trend_report, gram_from_entries
 from aperio.io_json import fstr
 from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
-from aperio.rkhs import gabor_gaussian, kernel_matrix, paley_wiener
+from aperio.rkhs import _floor_underflow, gabor_gaussian, kernel_matrix, paley_wiener
 
 TAU = (1 + math.sqrt(5)) / 2
 TAU_CONJ = (1 - math.sqrt(5)) / 2
@@ -415,9 +415,67 @@ def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameRe
 
 
 def full_solve_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
-    """``frame_trend_report`` with every Gram solved whole by one ``eigvalsh``, never as two half-size blocks."""
-    with mock.patch.object(framekit, "_reflection_pairing", lambda *args: None):
+    """``frame_trend_report`` with every Gram solved whole by one ``eigvalsh``, never as smaller blocks."""
+    with mock.patch.object(framekit, "_reflections", lambda *args: None):
         return frame_trend_report(kernel, patch, truncations)
+
+
+def split_eigvalsh(entries: np.ndarray, pairing: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix that commutes with the exchange ``i <-> pairing[i]``.
+
+    The even and odd split of the point reflection alone (Cantoni & Butler
+    1976), written out on its own.  One representative per pair: the
+    self-paired index first, if any, then the smaller index of each pair.
+    With ``A = G[P, P]`` and ``B = G[P, N]`` (``N`` the representatives'
+    partners) the even block is ``A + B``, its self-paired row and column
+    scaled by ``1 / sqrt 2``, and the odd block is ``A - B`` without the
+    self-paired index.  Each block's entries below the floor are set to 0.
+    """
+    idx = np.arange(len(pairing))
+    centre = idx[pairing == idx]
+    reps = np.concatenate([centre, idx[pairing > idx]])
+    spectra = []
+    for rows, combine in ((reps, np.add), (reps[len(centre) :], np.subtract)):
+        if not len(rows):
+            continue
+        block = entries[np.ix_(rows, rows)]
+        combine(block, entries[np.ix_(rows, pairing[rows])], out=block)
+        if combine is np.add and len(centre):
+            block[0] *= math.sqrt(0.5)
+            block[:, 0] *= math.sqrt(0.5)
+        _floor_underflow(block)
+        spectra.append(np.linalg.eigvalsh(block))
+    return np.sort(np.concatenate(spectra))
+
+
+def point_split_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
+    """``frame_trend_report`` with every point-symmetric Gram solved by ``split_eigvalsh``.
+
+    Only for a kernel without a conjugating reflection: each Gram's
+    ``(P, R)`` maps must have ``R`` missing.
+    """
+
+    def solve(entries, pairing):
+        p_map, r_map = pairing
+        assert r_map is None
+        return split_eigvalsh(entries, p_map)
+
+    with mock.patch.object(framekit, "_reflected_eigvalsh", solve):
+        return frame_trend_report(kernel, patch, truncations)
+
+
+def solver_inputs(fn, *args) -> list[np.ndarray]:
+    """Every matrix ``np.linalg.eigvalsh`` receives while ``fn(*args)`` runs, copied, in call order."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *rest, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *rest, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigvalsh", recorded):
+        fn(*args)
+    return seen
 
 
 def canonical_parseval_oracle(gram):

@@ -22,7 +22,7 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
-from aperio.framekit import MAX_GRAM_POINTS, _reflection_pairing, gram_from_entries
+from aperio.framekit import MAX_GRAM_POINTS, _reflections, gram_from_entries
 from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import restrict
 from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
@@ -35,7 +35,9 @@ from conftest import (
     make_fibonacci_scheme,
     make_lattice_patch,
     make_product_fibonacci_scheme,
+    point_split_frame_report,
     sampling_bounds_oracle,
+    solver_inputs,
     unfloored_kernel_matrix,
 )
 
@@ -269,14 +271,14 @@ def floor_cases(*ids):
 def gram_spectra(kernel, patch):
     """``build_gram``'s eigenvalues and those of the unfloored oracle Gram, after checking the floor bites.
 
-    The oracle Gram goes through the same solve: two half-size blocks for a
-    point-symmetric patch, one ``eigvalsh`` otherwise.
+    The oracle Gram goes through the same solve: the smaller blocks of the
+    patch's reflections, one ``eigvalsh`` for a patch without them.
     """
     entries = unfloored_kernel_matrix(kernel, patch.points, patch.points).T
     if kernel.kind == "gabor_gaussian":
         mag = np.abs(entries)
         assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
-    oracle = gram_from_entries(entries, _reflection_pairing(kernel, patch.points))
+    oracle = gram_from_entries(entries, _reflections(kernel, patch.points))
     return build_gram(kernel, patch).eigenvalues, oracle.eigenvalues
 
 
@@ -338,13 +340,46 @@ def symmetric_patch(dim: int, spacing: float, jitter: float, cells: int, origin:
     return PointPatch(dim=dim, box=[(-edge, edge)] * dim, points=pts)
 
 
+def reflected_patch(
+    dim: int, reflections, spacing: float, jitter: float, cells: int, origin: bool, seed: int
+) -> PointPatch:
+    """A patch that each reflection (a tuple of axes to negate) maps onto itself.
+
+    One lattice point per orbit of the group the reflections generate is
+    jittered by up to ``jitter spacing`` on each axis where it is not 0, so
+    points on an axis stay on it, and is reflected into every copy of its
+    orbit.  The origin is in the patch if ``origin``.
+    """
+    group = {(1.0,) * dim}
+    for axes in reflections:
+        flip = tuple(-1.0 if k in axes else 1.0 for k in range(dim))
+        group |= {tuple(a * b for a, b in zip(g, flip)) for g in group}
+    signs = np.array(sorted(group))
+    axis = np.arange(-cells, cells + 1)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+    reps = np.array([z for z in grid if tuple(z) == min(tuple(s * z) for s in signs)])
+    if not origin:
+        reps = reps[np.any(reps != 0, axis=1)]
+    moved = reps + np.random.default_rng(seed).uniform(-jitter, jitter, reps.shape) * (reps != 0)
+    # a point on an axis is its own image under some reflections; + 0.0 turns -0.0 into 0.0
+    pts = np.unique(np.concatenate([spacing * moved * s for s in signs]) + 0.0, axis=0)
+    edge = (cells + 0.5) * spacing
+    return PointPatch(dim=dim, box=[(-edge, edge)] * dim, points=pts)
+
+
 SPLIT_KERNELS = {
-    "pw-symmetric-1d": (paley_wiener([(-0.5, 0.5)]), 40),
-    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), 6),
-    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), 40),
-    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), 6),
-    "gabor": (GG, 6),
+    "pw-symmetric-1d": (paley_wiener([(-0.5, 0.5)]), 40, None),
+    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), 6, None),
+    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), 40, None),
+    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), 6, None),
+    "gabor": (GG, 6, None),
+    # symmetric under the point reflection and the time reflection, with points on both axes
+    "gabor-time-symmetric": (GG, 6, ((0, 1), (0,))),
 }
+
+
+def lattice_spacing(kernel, density: float) -> float:
+    return (1.0 / density) / kernel.norm_sq_ke ** (1.0 / kernel.space_dim)
 
 
 class TestReflectionSplit:
@@ -360,13 +395,18 @@ class TestReflectionSplit:
         drop=st.integers(0, 2**32 - 1),
     )
     def test_split_matches_the_full_solve(self, case, origin, density, jitter, seed, drop):
-        kernel, cells = SPLIT_KERNELS[case]
-        dim = kernel.space_dim
-        spacing = (1.0 / density) / kernel.norm_sq_ke ** (1.0 / dim)
-        patch = symmetric_patch(dim, spacing, jitter, cells, origin, seed)
-        pairing = _reflection_pairing(kernel, patch.points)
-        # an asymmetric band gives k(-x, -y) = conj k(x, y): its Gram does not commute with the reflection
-        assert (pairing is None) == ("asymmetric" in case)
+        kernel, cells, reflections = SPLIT_KERNELS[case]
+        dim, spacing = kernel.space_dim, lattice_spacing(kernel, density)
+        if reflections is None:
+            patch = symmetric_patch(dim, spacing, jitter, cells, origin, seed)
+        else:
+            patch = reflected_patch(dim, reflections, spacing, jitter, cells, origin, seed)
+            assert (patch.points == 0.0).any(axis=1).sum() > origin  # degenerate orbits on the axes
+        p_map, r_map = _reflections(kernel, patch.points)
+        # an asymmetric band gives k(-x, -y) = conj k(x, y): the point reflection is its conjugating one
+        assert (p_map is None) == ("asymmetric" in case)
+        if case != "gabor":  # a jittered point-symmetric patch is time-symmetric only without jitter
+            assert (r_map is None) == case.startswith("pw-symmetric")
         full = np.linalg.eigvalsh(kernel_matrix(kernel, patch.points, patch.points).T)
         got = build_gram(kernel, patch).eigenvalues
         assert np.abs(got - full).max() <= len(full) * np.finfo(float).eps * np.abs(full).max()
@@ -374,29 +414,50 @@ class TestReflectionSplit:
         truncations = (edge / 3, 2 * edge / 3, edge)
         report = frame_report_to_jsonable(frame_trend_report(kernel, patch, truncations))
         assert report == frame_report_to_jsonable(full_solve_frame_report(kernel, patch, truncations))
-        # without one point (not the origin) the patch is not symmetric, and the solve is the plain one
-        off_origin = np.flatnonzero(np.any(patch.points != 0.0, axis=1))
+        # without one point off every axis the patch has no reflection, and the solve is the plain one
+        off_axes = np.flatnonzero(np.all(patch.points != 0.0, axis=1))
         keep = np.ones(patch.n_points, dtype=bool)
-        keep[off_origin[drop % len(off_origin)]] = False
+        keep[off_axes[drop % len(off_axes)]] = False
         lopsided = PointPatch(dim=dim, box=patch.box, points=patch.points[keep])
+        assert _reflections(kernel, lopsided.points) is None
         want = np.linalg.eigvalsh(kernel_matrix(kernel, lopsided.points, lopsided.points).T)
         assert np.array_equal(build_gram(kernel, lopsided).eigenvalues, want)
 
-    def test_symmetric_truncations_are_solved_as_half_size_blocks(self, monkeypatch):
-        sizes = []
-        eigvalsh = np.linalg.eigvalsh
+    @pytest.mark.parametrize("case", ["pw-symmetric-1d", "pw-symmetric-2d"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        origin=st.booleans(),
+        density=st.floats(0.6, 1.6),
+        jitter=st.floats(0.0, 0.45),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_kernel_solver_inputs_are_the_point_split_blocks(self, case, origin, density, jitter, seed):
+        # a band symmetric about 0 has no conjugating reflection, so every Gram is solved as the even and
+        # odd blocks of the point reflection alone, bit for bit: its reports cannot move
+        kernel, cells, _ = SPLIT_KERNELS[case]
+        patch = symmetric_patch(kernel.space_dim, lattice_spacing(kernel, density), jitter, cells, origin, seed)
+        edge = patch.box[0][1]
+        truncations = (edge / 3, 2 * edge / 3, edge)
+        got = solver_inputs(frame_trend_report, kernel, patch, truncations)
+        want = solver_inputs(point_split_frame_report, kernel, patch, truncations)
+        assert len(got) == len(want) >= 9  # an even and an odd block per truncation, then the sampling
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
 
-        def recorded(a, *args, **kwargs):
-            sizes.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    def test_symmetric_truncations_are_solved_as_half_size_blocks(self):
         patch = make_lattice_patch(1.0, 12.0, dim=2)
         assert patch.n_points == 625
-        report = frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
-        assert report.riesz_n == (169, 361, 625)  # the tags keep the full Gram's n
-        # the top Gram (its even block holds the origin), then the two smaller truncations
-        assert sizes[:6] == [313, 312, 85, 84, 181, 180]
+        truncations = (6.0, 9.0, 12.0)
+        assert frame_trend_report(GG, patch, truncations).riesz_n == (169, 361, 625)  # the full Gram's n
+        blocks = solver_inputs(frame_trend_report, GG, patch, truncations)[:6]
+        # the top Gram (its even block holds the origin), then the two smaller truncations; the
+        # lattice is time-symmetric too, so each block is real
+        assert [len(a) for a in blocks] == [313, 312, 85, 84, 181, 180]
+        for a in blocks:
+            assert a.dtype == np.float64
+            # eigvalsh reads one triangle; the Gram is exactly Hermitian, so the block is exactly symmetric
+            assert np.array_equal(a, a.T)
 
 
 class TestCanonicalParseval:

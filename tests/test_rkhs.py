@@ -162,6 +162,35 @@ class TestKernelProperties:
                 assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
 
+# each kernel with the axes its two reflections negate: P fixes every entry, R conjugates every entry
+REFLECTION_AXES = {
+    "gabor-1": (gabor_gaussian(1), (0, 1), (0,)),
+    "gabor-2": (gabor_gaussian(2), (0, 1, 2, 3), (0, 1)),
+    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), (0, 1), ()),
+    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), (), (0,)),
+    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), (), (0, 1)),
+}
+
+
+class TestReflections:
+    @pytest.mark.parametrize("case", list(REFLECTION_AXES))
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_declared_axes_fix_or_conjugate_every_entry(self, case, seed, scale):
+        # the Gram solver's real blocks rest on these identities holding exactly, which needs the
+        # build's exp, sin and cos to be odd or even to the bit
+        kernel, fixing, conjugating = REFLECTION_AXES[case]
+        assert (kernel.fixing_axes, kernel.conjugating_axes) == (fixing, conjugating)
+        pts = np.random.default_rng(seed).uniform(-scale, scale, (24, kernel.space_dim))
+        gram = kernel_matrix(kernel, pts, pts)
+        for axes, want in ((fixing, gram), (conjugating, gram.conj())):
+            images = pts.copy()
+            images[:, list(axes)] *= -1.0
+            got = kernel_matrix(kernel, images, images)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 class TestCocycle:
     def test_identity_on_10k_random_triples(self):
         rng = np.random.default_rng(42)
