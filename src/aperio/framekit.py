@@ -17,7 +17,10 @@ splits it into an even and an odd block (Cantoni & Butler 1976), and the
 conjugating one makes each of them real symmetric (A. Lee 1980).
 ``build_gram`` and every truncation of ``frame_trend_report`` do so.
 Lattices and model sets with symmetric windows, truncated to centred boxes,
-are such patches.
+are such patches.  ``sampling_bounds`` solves its anchor Gram the same way,
+eigenvectors included: its anchor grid is centred at 0, where both
+reflections map it onto itself, and the patch is moved by minus the centre
+of its interior box, which the kernels' translation covariance allows.
 """
 
 from __future__ import annotations
@@ -70,8 +73,13 @@ class GramMatrix:
     @property
     def nonzero_min(self) -> float:
         """Smallest eigenvalue of the nonzero spectrum (above the rank tolerance)."""
-        above = self.eigenvalues[self.eigenvalues > RANK_TOL * self.lambda_max]
-        return float(above[0]) if len(above) else 0.0
+        return _nonzero_min(self.eigenvalues)
+
+
+def _nonzero_min(eigs: np.ndarray) -> float:
+    """Smallest of ascending eigenvalues above ``RANK_TOL`` times the largest, or 0 if there is none."""
+    above = eigs[eigs > RANK_TOL * (eigs[-1] if len(eigs) else 0.0)]
+    return float(above[0]) if len(above) else 0.0
 
 
 def _axis_pairing(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray | None:
@@ -104,47 +112,66 @@ def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:
     return None if maps[0] is None and maps[1] is None else maps
 
 
-def _gather(entries: np.ndarray, rows: np.ndarray, cols: np.ndarray, p_map, p: int) -> np.ndarray:
-    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, in one new array."""
-    out = entries[np.ix_(rows, cols)]
+def _gather(entries: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np.ndarray, p_map, p: int) -> np.ndarray:
+    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, in one new array.
+
+    ``G`` is ``entries[index, index]``; only the gathered entries are read.
+    """
+    out = entries[np.ix_(index[rows], index[cols])]
     if p_map is not None:
-        (np.add if p > 0 else np.subtract)(out, entries[np.ix_(rows, p_map[cols])], out=out)
+        (np.add if p > 0 else np.subtract)(out, entries[np.ix_(index[rows], index[p_map[cols]])], out=out)
     return out
 
 
-def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
+def _reflected_blocks(entries: np.ndarray, pairing: tuple, index: np.ndarray):
+    """Yield the blocks of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
 
-    ``pairing`` is ``(P, R)``, commuting involutions of the indices, either
-    of them ``None``.  Each orbit of ``{1, P, R, PR}`` is represented by its
-    smallest index.  Over representatives ``a`` and ``b`` let ``X1 .. X4 =
-    G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term of a missing map left
-    out, and for each ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4``
-    and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R`` the block of parity
-    ``p`` is ``X1 + p X2``, complex as ``G`` is (Cantoni & Butler 1976).
-    With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]``:
-    a Hermitian matrix with a conjugating symmetry is unitarily similar to a
-    real one (A. Lee 1980).  A representative's row and column count in a
-    half only where its orbit vector is nonzero, and are scaled by
-    ``1 / sqrt s`` for a stabiliser of ``s`` maps: ``sqrt 1/2`` on an axis or
-    at the origin of one reflection, ``1/2`` at the origin of both.  ``P``
-    fixes no index but the origin's (it negates every axis), so with the
-    representatives ordered as the origin, those fixed by ``R`` alone, those
-    fixed by nothing and those fixed by ``PR`` alone, every half is a slice.
+    ``G`` is the principal submatrix ``entries[index, index]``, never built
+    whole.  ``pairing`` is ``(P, R)``, commuting involutions of
+    ``range(len(index))``, either of them ``None``.  Each orbit of
+    ``{1, P, R, PR}`` is represented by its smallest index.  Over
+    representatives ``a`` and ``b`` let ``X1 .. X4 = G[a, b], G[a, Pb],
+    G[a, Rb], G[a, PRb]``, a term of a missing map left out, and for each
+    ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4`` and ``Z- = X1 + p X2
+    - X3 - p X4``.  Without ``R`` the block of parity ``p`` is ``X1 + p X2``,
+    complex as ``G`` is (Cantoni & Butler 1976).  With ``R`` it is the real
+    symmetric ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]``: a Hermitian matrix with
+    a conjugating symmetry is unitarily similar to a real one (A. Lee 1980).
+    A representative's row and column count in a half only where its orbit
+    vector is nonzero, and are scaled by ``1 / sqrt s`` for a stabiliser of
+    ``s`` maps: ``sqrt 1/2`` on an axis or at the origin of one reflection,
+    ``1/2`` at the origin of both.  ``P`` fixes no index but the origin's (it
+    negates every axis), so with the representatives ordered as the origin,
+    those fixed by ``R`` alone, those fixed by nothing and those fixed by
+    ``PR`` alone, every half is a slice.
 
     Each parity gathers its own ``X`` from ``entries``, adds the ``P`` terms
     at once, and builds its block; the block's entries below the floor are
-    set to 0, as the Gaussian kernel's are, and it is released before the
-    next parity is gathered.  So besides ``entries`` only one parity's
-    gathered arrays and block, or the block and the solver's copy of it, are
-    alive.  Without ``R`` the blocks are those of the point reflection's even
-    and odd split, bit for bit.
+    set to 0, as the Gaussian kernel's are.  The generator drops the block
+    before it gathers the next parity, so a caller that also drops it keeps
+    one parity's gathered arrays and block, or the block and the solver's
+    copy of it, alive besides ``entries``.  Without ``R`` the blocks are
+    those of the point reflection's even and odd split, bit for bit.
+
+    With each block comes its ``basis`` for ``_expand``: the block's row of
+    a representative ``a`` stands for the unit orbit vector whose entry at
+    ``g a`` (``g`` in the group) is ``chi(g) / sqrt(orbit size)``, where the
+    character ``chi`` is ``p`` per ``P`` in ``g`` for the ``Re Z+`` half and
+    ``i`` times that, and ``-1`` per ``R`` in ``g``, for the ``Re Z-`` half.
+    So each index of ``G`` takes its entry of a vector from at most one row
+    of each half: ``basis`` holds that row and its coefficient per index.
     """
     p_map, r_map = pairing
-    maps = [m for m in (p_map, r_map) if m is not None]
-    if len(maps) == 2:
-        maps.append(p_map[r_map])
-    idx = np.arange(len(entries))
+    idx = np.arange(len(index))
+    # the group {1, P, R, PR} as index maps, each with its numbers of P and of R
+    group = [(idx, 0, 0)]
+    if p_map is not None:
+        group.append((p_map, 1, 0))
+    if r_map is not None:
+        group.append((r_map, 0, 1))
+    if len(group) == 3:
+        group.append((p_map[r_map], 1, 1))
+    maps = [m for m, _, _ in group[1:]]
     reps = idx[np.logical_and.reduce([idx <= m for m in maps])]
     fixed = np.array([m[reps] == reps for m in maps])
     rank = np.full(len(reps), 2)
@@ -158,21 +185,29 @@ def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple) -> np.ndarray:
     b = np.searchsorted(rank, range(5))
     # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
     halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
-    spectra = []
+    # each index's representative (its place in reps) and the numbers of P and R in a map carrying it there
+    home, p_count, r_count = (np.empty(len(idx), dtype=np.intp) for _ in range(3))
+    for m, n_p, n_r in reversed(group):
+        home[m[reps]], p_count[m[reps]], r_count[m[reps]] = np.arange(len(reps)), n_p, n_r
+    # 1 / sqrt(orbit size), with the orbit size |group| / s for a stabiliser of s = 1 / weight^2 maps
+    modulus = 1.0 / (weight[home] * math.sqrt(len(group)))
     for p in (1, -1) if p_map is not None else (1,):
         plus, minus = halves[p]
         span = plus if r_map is None else slice(plus.start, max(plus.stop, minus.stop))
         rows = reps[span]
         if not len(rows):
             continue
-        y = _gather(entries, rows, rows, p_map, p)
+        y = _gather(entries, index, rows, rows, p_map, p)
+        chi = modulus * float(p) ** p_count
+        k = plus.stop - plus.start
+        in_u = (home >= plus.start) & (home < plus.stop)
+        basis = (np.where(in_u, home - plus.start, 0), np.where(in_u, chi, 0.0), None, None)
         if r_map is None:
             block, wts = y, weight[plus]
         else:
-            w = _gather(entries, rows, r_map[rows], p_map, p)
+            w = _gather(entries, index, rows, r_map[rows], p_map, p)
             u = slice(plus.start - span.start, plus.stop - span.start)
             v = slice(minus.start - span.start, minus.stop - span.start)
-            k = u.stop - u.start
             block = np.empty((k + v.stop - v.start,) * 2)
             np.add(y.real[u, u], w.real[u, u], out=block[:k, :k])
             np.subtract(w.imag[u, v], y.imag[u, v], out=block[:k, k:])
@@ -180,12 +215,43 @@ def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple) -> np.ndarray:
             np.subtract(y.real[v, v], w.real[v, v], out=block[k:, k:])
             wts = np.concatenate([weight[plus], weight[minus]])
             del y, w
+            in_v = (home >= minus.start) & (home < minus.stop)
+            v_coef = np.where(in_v, chi * (-1.0) ** r_count, 0.0)
+            basis = basis[:2] + (np.where(in_v, k + home - minus.start, 0), v_coef)
         scaled = np.flatnonzero(wts != 1.0)
         block[scaled] *= wts[scaled, None]
         block[:, scaled] *= wts[scaled]
         _floor_underflow(block)  # its temporaries are no larger than the solver's copy of the block
-        spectra.append(np.linalg.eigvalsh(block))
+        yield block, basis
         del block  # before the next block is gathered
+
+
+def _expand(basis: tuple, x: np.ndarray, out: np.ndarray) -> None:
+    """Write into ``out`` the vectors of ``G``'s index space whose coordinates in a block's basis are ``x``'s columns.
+
+    ``basis`` comes with the block from ``_reflected_blocks``.  Each half
+    is one gather of rows of ``x`` times a coefficient per index; with
+    ``R`` the ``Re Z+`` half gives the real part of ``out`` and the
+    ``Re Z-`` half the imaginary part.  No basis matrix is built.
+    """
+    u_row, u_coef, v_row, v_coef = basis
+    if v_row is None:
+        np.multiply(x[u_row], u_coef[:, None], out=out)
+    else:
+        np.multiply(x[u_row], u_coef[:, None], out=out.real)
+        np.multiply(x[v_row], v_coef[:, None], out=out.imag)
+
+
+def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple, index: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian ``G = entries[index, index]`` with the reflections ``pairing``.
+
+    The sorted union of the spectra of ``_reflected_blocks``, each block
+    released before the next is gathered.
+    """
+    spectra = [np.empty(0)]  # an empty G has no blocks
+    for block, _ in _reflected_blocks(entries, pairing, index):
+        spectra.append(np.linalg.eigvalsh(block))
+        del block
     return np.sort(np.concatenate(spectra))
 
 
@@ -223,7 +289,7 @@ def gram_from_entries(entries: np.ndarray, pairing: tuple | None = None) -> Gram
     elif pairing is None:
         eigs = np.linalg.eigvalsh(entries)
     else:
-        eigs = _reflected_eigvalsh(entries, pairing)
+        eigs = _reflected_eigvalsh(entries, pairing, np.arange(len(entries)))
     return GramMatrix(entries=entries, eigenvalues=eigs)
 
 
@@ -239,13 +305,32 @@ def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
     return gram_from_entries(km.T, _reflections(kernel, patch.points))
 
 
-def _projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen data of a Hermitian PSD matrix restricted to its nonzero spectrum."""
-    eigs, vecs = np.linalg.eigh(mat)
-    keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
-    if not keep.any():
+def _projected_eigh(entries: np.ndarray, pairing: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian PSD matrix with the reflections ``pairing``, restricted to its nonzero spectrum.
+
+    Each block of ``_reflected_blocks`` is solved by ``eigh`` and released
+    before the next is gathered.  An eigenpair is kept when its eigenvalue
+    exceeds ``RANK_TOL`` times the largest over all blocks; the kept
+    eigenvectors, block by block, are mapped to the matrix's index space by
+    ``_expand`` (complex with ``R``, else of the matrix's type), so they are
+    orthonormal eigenvectors of the whole matrix.  No kept eigenvalue raises
+    ``NotAFrameError``.
+    """
+    solved = []
+    for block, basis in _reflected_blocks(entries, pairing, np.arange(len(entries))):
+        solved.append((*np.linalg.eigh(block), basis))
+        del block
+    cut = RANK_TOL * max(max(s[-1] for s, _, _ in solved), 0.0)
+    solved = [(s[s > cut], x[:, s > cut], basis) for s, x, basis in solved]
+    eigs = np.concatenate([s for s, _, _ in solved])
+    if not len(eigs):
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
-    return eigs[keep], vecs[:, keep]
+    vecs = np.empty((len(entries), len(eigs)), dtype=entries.dtype if pairing[1] is None else np.complex128)
+    col = 0
+    for s, x, basis in solved:
+        _expand(basis, x, vecs[:, col : col + len(s)])
+        col += len(s)
+    return eigs, vecs
 
 
 # anchor grid design for the sampling test class: the grid density is the
@@ -258,7 +343,14 @@ ANCHOR_DENSITY_CAP = 0.95
 ANCHOR_DENSITY_BOOST = 1.05
 
 
-def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> np.ndarray:
+def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The anchor grid of ``sampling_bounds`` for a box, centred at 0, and the box's centre.
+
+    Each axis is ``h (j - (k - 1) / 2)`` for ``j < k``: the ``k`` points of
+    spacing ``h`` that fit the box, centred on it, moved by minus its centre.
+    Its coordinates are exact negatives of each other, so negating any axes
+    maps the grid onto itself bit for bit.
+    """
     dim = kernel.space_dim
     crit = kernel.norm_sq_ke
     patch_density = n_interior_points / box_volume(interior_box)
@@ -268,10 +360,10 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> np
     for (lo, hi), w in zip(interior_box, kernel.widths):
         h = scale / w
         k = max(1, int(math.floor((hi - lo) / h)) + 1)
-        start = lo + ((hi - lo) - (k - 1) * h) / 2.0
-        axes.append(start + h * np.arange(k))
+        axes.append(h * (np.arange(k) - (k - 1) / 2.0))
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    centre = np.array([(lo + hi) / 2.0 for lo, hi in interior_box])
+    return np.stack([m.ravel() for m in mesh], axis=1), centre
 
 
 def sampling_bounds(
@@ -293,23 +385,37 @@ def sampling_bounds(
 
     Default margin is 25% of the smallest box half-width.
 
+    The grid is built centred at 0 (``_anchor_grid``) and the patch is moved
+    by minus the interior box's centre ``c`` instead.  Both kernels are
+    translation covariant: moving every point by ``c`` multiplies a Gaussian
+    entry ``k(x, y)`` by a unimodular factor of ``x`` times the conjugate
+    factor of ``y``, and leaves a Paley-Wiener entry as it is.  So the
+    quotient matrix is that of the grid centred on the box up to a diagonal
+    unitary similarity, and its eigenvalues move by rounding only; with
+    ``c = 0`` (every box centred on 0) no point moves.  The centred grid maps
+    onto itself under both of the kernel's reflections, so its anchor Gram
+    ``M`` is solved as the smaller blocks of ``_reflected_blocks`` by
+    ``_projected_eigh``: for the Gaussian kernel two real blocks of half the
+    size where a complex ``eigh`` of the full size ran before.
+
     The anchor Gram ``M`` and the patch-by-anchor kernel block ``K`` come
     from ``kernel_matrix``, whose Gaussian entries below
     ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros, so no product in
-    ``K^H K`` underflows.  The terms the floor drops vanish in the rounding of
-    the quotient matrix and its eigenvalues: in every case checked, the
-    bounds equal those of the unfloored kernel bit for bit.
+    ``K^H K`` underflows, and each block of ``M`` is floored again after its
+    sums.  The terms the floor drops vanish in the rounding of the quotient
+    matrix and its eigenvalues: in every case checked, the bounds equal those
+    of the unfloored kernel bit for bit.
 
     Each matrix is released as soon as the next product has used it.  The
-    anchor Gram ``M`` dies in its eigensolve, and the kept eigenvectors are
-    scaled in place into ``W``.  The kernel block ``K`` dies once ``K^H K``
-    exists, ``K^H K`` once ``W^H K^H K`` exists, and ``W`` once that is
-    multiplied by ``W``; the result is symmetrized in place.  So one
-    anchor-sized product is alive at a time besides its operands.  The
-    products and their association are those of ``W^H (K^H K) W``, so no
-    bit moves.  For a real kernel (``rkhs.kernel_matrix`` of a symmetric
-    band) every matrix is real and ``conj()`` returns the matrix itself, so
-    no conjugate copy is made.
+    anchor Gram ``M`` dies once its blocks are solved; besides it, one
+    block and the solver's copy, then the blocks' half-size eigenvectors,
+    are alive, and the kept eigenvectors are mapped and scaled in place
+    into ``W``.  The kernel block ``K`` dies once ``K^H K`` exists, ``K^H K``
+    once ``W^H K^H K`` exists, and ``W`` once that is multiplied by ``W``;
+    the result is symmetrized in place.  So one anchor-sized product is
+    alive at a time besides its operands.  For a real kernel
+    (``rkhs.kernel_matrix`` of a symmetric band) every matrix is real and
+    ``conj()`` returns the matrix itself, so no conjugate copy is made.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
@@ -324,10 +430,10 @@ def sampling_bounds(
         raise CoverageError("margin too large: no interior points")
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
-    anchors = _anchor_grid(kernel, interior_box, len(interior_pts))
-    s, W = _projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
+    grid, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
+    s, W = _projected_eigh(kernel_matrix(kernel, grid, grid), _reflections(kernel, grid))
     W *= (1.0 / np.sqrt(s))[None, :]
-    K = kernel_matrix(kernel, patch.points, anchors)
+    K = kernel_matrix(kernel, patch.points - centre, grid)
     KK = K.conj().T @ K
     del K
     B = W.conj().T @ KK
@@ -398,13 +504,15 @@ def frame_trend_report(
 
     The stages run in two phases, so at most one n x n Gram (n the points of
     the largest stage) is alive at any time.  First the Gram stage of every
-    truncation: the Gram of the largest stage is built once, every smaller
-    stage's Gram is its principal submatrix, and each gives its Riesz
-    bounds.  A stage whose points are symmetric under the kernel's
-    reflections is solved as smaller blocks (``gram_from_entries`` with the
-    stage's own ``_reflections``); its tags and brackets keep the full Gram's
-    n.
-    Then the Grams are released and the sampling bounds of every truncation
+    truncation: the Gram of the largest stage is built and checked once
+    (``build_gram``), every smaller stage's Gram is its principal submatrix,
+    and each gives its Riesz bounds.  A smaller stage whose points are
+    symmetric under the kernel's reflections is solved as smaller blocks
+    gathered straight from the top Gram (``_reflected_eigvalsh`` with the
+    stage's own ``_reflections`` and its indices in the top Gram); only a
+    stage without a reflection copies its submatrix, for one ``eigvalsh``.
+    Tags and brackets keep the full Gram's n.
+    Then the Gram is released and the sampling bounds of every truncation
     are taken, with no Gram alive.
     """
     truncs = tuple(float(t) for t in truncations)
@@ -420,18 +528,19 @@ def frame_trend_report(
     top_patch = subs[-1]
     top = build_gram(kernel, top_patch)
     for sub in subs:
-        keep = points_in_box(top_patch.points, sub.box)
-        if keep.all():
-            gram = top
+        keep = np.flatnonzero(points_in_box(top_patch.points, sub.box))
+        if len(keep) == top.n:
+            eigs = top.eigenvalues
+        elif (pairing := _reflections(kernel, top_patch.points[keep])) is None:
+            eigs = np.linalg.eigvalsh(top.entries[np.ix_(keep, keep)])
         else:
-            pairing = _reflections(kernel, top_patch.points[keep])
-            gram = gram_from_entries(top.entries[np.ix_(keep, keep)], pairing)
-        r_lo.append(gram.nonzero_min)
-        r_lo_raw.append(gram.lambda_min)
-        r_hi.append(gram.lambda_max)
-        r_n.append(gram.n)
-    final_eigs = gram.eigenvalues
-    del top, gram  # release the Grams before the sampling stages build their own blocks
+            eigs = _reflected_eigvalsh(top.entries, pairing, keep)
+        r_lo.append(_nonzero_min(eigs))
+        r_lo_raw.append(float(eigs[0]) if len(eigs) else 0.0)
+        r_hi.append(float(eigs[-1]) if len(eigs) else 0.0)
+        r_n.append(len(eigs))
+    final_eigs = eigs
+    del top  # release the Gram before the sampling stages build their own blocks
     for t, sub in zip(truncs, subs):
         sa, sb, sn = sampling_bounds(kernel, sub, margin=margin_frac * t)
         s_lo.append(sa)

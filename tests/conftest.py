@@ -12,11 +12,21 @@ import pytest
 
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
-from aperio.errors import CoverageError
+from aperio.errors import CoverageError, NotAFrameError
 from aperio import framekit
-from aperio.framekit import FrameReport, _anchor_grid, _projected_inverse_sqrt, frame_trend_report, gram_from_entries
+from aperio.framekit import (
+    ANCHOR_DENSITY_BOOST,
+    ANCHOR_DENSITY_CAP,
+    RANK_TOL,
+    FrameReport,
+    _anchor_grid,
+    _projected_eigh,
+    _reflections,
+    frame_trend_report,
+    gram_from_entries,
+)
 from aperio.io_json import fstr
-from aperio.pointset import BOX_TOL, as_box, points_in_box, shrink_box
+from aperio.pointset import BOX_TOL, as_box, box_volume, points_in_box, shrink_box
 from aperio.rkhs import _floor_underflow, gabor_gaussian, kernel_matrix, paley_wiener
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -370,19 +380,24 @@ def unfloored_kernel_matrix(kernel, xs, ys) -> np.ndarray:
 
 
 def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
-    """Anchor Gram ``M`` and full patch-by-anchor block ``K``, anchored on ``sampling_bounds``' interior grid.
+    """Anchor Gram ``M``, full patch-by-anchor block ``K`` and the anchors' reflections, as in ``sampling_bounds``.
 
-    Every entry is unfloored (``unfloored_kernel_matrix``).  With
-    ``at_points`` the anchors are the interior patch points themselves; for
-    an orthonormal sampling basis the quotient then reproduces the Riesz
-    bounds exactly.
+    The anchors are ``sampling_bounds``' interior grid centred at 0, and the
+    patch is moved by minus the interior box's centre.  Every entry is
+    unfloored (``unfloored_kernel_matrix``).  With ``at_points`` the anchors
+    are the interior patch points themselves, moved the same way; for an
+    orthonormal sampling basis the quotient then reproduces the Riesz bounds
+    exactly.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
     interior_box = shrink_box(patch.box, margin)
     interior_pts = patch.points[points_in_box(patch.points, interior_box)]
-    anchors = interior_pts if at_points else _anchor_grid(kernel, interior_box, len(interior_pts))
-    return unfloored_kernel_matrix(kernel, anchors, anchors), unfloored_kernel_matrix(kernel, patch.points, anchors)
+    anchors, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
+    if at_points:
+        anchors = interior_pts - centre
+    M = unfloored_kernel_matrix(kernel, anchors, anchors)
+    return M, unfloored_kernel_matrix(kernel, patch.points - centre, anchors), _reflections(kernel, anchors)
 
 
 def sampling_bounds_oracle(
@@ -390,16 +405,73 @@ def sampling_bounds_oracle(
 ) -> tuple[float, float]:
     """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
 
-    Forms ``M`` and ``K^H K`` from every kernel entry, however small, so it
-    checks that the kernel's zeros below the underflow floor change no bit of
-    either bound.
+    Forms ``M`` and ``K^H K`` from every kernel entry, however small, and
+    solves ``M`` by the same reflected blocks (one full ``eigh`` for anchors
+    without a reflection), so it checks that the kernel's zeros below the
+    underflow floor change no bit of either bound.
     """
-    M, K = anchor_kernel_block(kernel, patch, margin, at_points)
-    s, vecs = _projected_inverse_sqrt(M)
+    M, K, pairing = anchor_kernel_block(kernel, patch, margin, at_points)
+    s, vecs = projected_inverse_sqrt(M) if pairing is None else _projected_eigh(M, pairing)
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1])
+
+
+def projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen data of a Hermitian PSD matrix restricted to its nonzero spectrum, from one full ``eigh``."""
+    eigs, vecs = np.linalg.eigh(mat)
+    keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
+    if not keep.any():
+        raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
+    return eigs[keep], vecs[:, keep]
+
+
+def box_anchor_grid(kernel, interior_box, n_interior_points: int) -> np.ndarray:
+    """The anchor grid of ``sampling_bounds`` on the interior box itself: ``start + h j`` per axis, centred on it.
+
+    The same points as ``framekit._anchor_grid``'s grid moved by the box's
+    centre, in exact arithmetic; in doubles they differ by rounding.
+    """
+    crit = kernel.norm_sq_ke
+    rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * n_interior_points / box_volume(interior_box))
+    scale = (crit / rho) ** (1.0 / kernel.space_dim)
+    axes = []
+    for (lo, hi), w in zip(interior_box, kernel.widths):
+        h = scale / w
+        k = max(1, int(math.floor((hi - lo) / h)) + 1)
+        start = lo + ((hi - lo) - (k - 1) * h) / 2.0
+        axes.append(start + h * np.arange(k))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def full_eigh_sampling_bounds(kernel, patch: PointPatch, margin: float | None = None) -> tuple[float, float, int]:
+    """``framekit.sampling_bounds`` on the anchors of ``box_anchor_grid`` with one full ``eigh`` of the anchor Gram.
+
+    Nothing is moved and nothing is reflected: ``M`` and ``K`` are the
+    (floored) ``kernel_matrix`` of the grid on the box and of the patch as
+    it is, and ``M``'s nonzero spectrum comes from ``projected_inverse_sqrt``.
+    The covariance of the kernel and the reflected solve of
+    ``sampling_bounds`` change its bounds by rounding only.
+    """
+    if margin is None:
+        margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
+    interior_box = shrink_box(patch.box, margin)
+    interior_pts = patch.points[points_in_box(patch.points, interior_box)]
+    anchors = box_anchor_grid(kernel, interior_box, len(interior_pts))
+    s, vecs = projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
+    W = vecs * (1.0 / np.sqrt(s))[None, :]
+    K = kernel_matrix(kernel, patch.points, anchors)
+    B = W.conj().T @ (K.conj().T @ K) @ W
+    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
+    return float(eigs[0]), float(eigs[-1]), len(eigs)
+
+
+def full_eigh_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
+    """``frame_trend_report`` with every sampling stage taken by ``full_eigh_sampling_bounds``."""
+    with mock.patch.object(framekit, "sampling_bounds", full_eigh_sampling_bounds):
+        return frame_trend_report(kernel, patch, truncations)
 
 
 def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
@@ -415,8 +487,15 @@ def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameRe
 
 
 def full_solve_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
-    """``frame_trend_report`` with every Gram solved whole by one ``eigvalsh``, never as smaller blocks."""
-    with mock.patch.object(framekit, "_reflections", lambda *args: None):
+    """``frame_trend_report`` with every Gram-stage Gram solved whole by one ``eigvalsh``, never as smaller blocks.
+
+    The sampling stages are left as they are.
+    """
+
+    def solve(entries, pairing, index):
+        return np.linalg.eigvalsh(entries[np.ix_(index, index)])
+
+    with mock.patch.object(framekit, "_reflected_eigvalsh", solve):
         return frame_trend_report(kernel, patch, truncations)
 
 
@@ -455,10 +534,10 @@ def point_split_frame_report(kernel, patch: PointPatch, truncations) -> FrameRep
     ``(P, R)`` maps must have ``R`` missing.
     """
 
-    def solve(entries, pairing):
+    def solve(entries, pairing, index):
         p_map, r_map = pairing
         assert r_map is None
-        return split_eigvalsh(entries, p_map)
+        return split_eigvalsh(entries[np.ix_(index, index)], p_map)
 
     with mock.patch.object(framekit, "_reflected_eigvalsh", solve):
         return frame_trend_report(kernel, patch, truncations)
@@ -485,7 +564,7 @@ def canonical_parseval_oracle(gram):
     projector is formed directly: ``T G T`` would carry the discarded
     eigenvalues' noise, amplified by up to ``1 / RANK_TOL``.
     """
-    s, vecs = _projected_inverse_sqrt(np.asarray(gram.entries))
+    s, vecs = projected_inverse_sqrt(np.asarray(gram.entries))
     transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
     projector = vecs @ vecs.conj().T
     projector = (projector + projector.conj().T) / 2.0

@@ -24,12 +24,14 @@ from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
 from aperio.framekit import MAX_GRAM_POINTS, _reflections, gram_from_entries
 from aperio.io_json import frame_report_to_jsonable
-from aperio.pointset import restrict
+from aperio.pointset import points_in_box, restrict
 from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
 
 from conftest import (
     anchor_kernel_block,
     canonical_parseval_oracle,
+    full_eigh_frame_report,
+    full_eigh_sampling_bounds,
     full_solve_frame_report,
     hermitian_defect_oracle,
     make_fibonacci_scheme,
@@ -208,6 +210,31 @@ class TestRieszBounds:
             previous = b
 
 
+SAMPLING_KERNELS = {
+    "gabor": (GG, 7),
+    "gabor2": (gabor_gaussian(2), 2),
+    "pw-symmetric-1d": (PW, 30),
+    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), 6),
+    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), 30),
+    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), 6),
+}
+
+
+def lattice_spacing(kernel, density: float) -> float:
+    return (1.0 / density) / kernel.norm_sq_ke ** (1.0 / kernel.space_dim)
+
+
+def offset_patch(kernel, spacing: float, jitter: float, cells: int, shift: float, seed: int) -> PointPatch:
+    """Lattice points of ``[-cells, cells]^d`` moved by up to ``jitter spacing`` on each axis, in a box not
+    centred on 0: its ends are ``(-cells - 0.5) spacing`` and ``(cells + 0.5 - shift (2 cells + 1)) spacing``."""
+    dim = kernel.space_dim
+    axis = spacing * np.arange(-cells, cells + 1)
+    grid = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+    pts = grid + np.random.default_rng(seed).uniform(-jitter, jitter, grid.shape) * spacing
+    box = [(-(cells + 0.5) * spacing, (cells + 0.5 - shift * (2 * cells + 1)) * spacing)] * dim
+    return PointPatch(dim=dim, box=box, points=pts[points_in_box(pts, box)])
+
+
 class TestSamplingBounds:
     def test_oversampled_lattice_near_two(self):
         a, b, n = sampling_bounds(PW, pw_patch(0.5, 40.0), margin=10)
@@ -251,6 +278,46 @@ class TestSamplingBounds:
         finally:
             tracemalloc.stop()
         assert peak < 4 * k_bytes
+
+    @pytest.mark.parametrize("case", list(SAMPLING_KERNELS))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        density=st.floats(0.6, 1.6),
+        jitter=st.floats(0.0, 0.45),
+        shift=st.floats(0.1, 0.4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_off_centre_patch_within_solver_resolution_of_full_eigh(self, case, density, jitter, shift, seed):
+        # the anchor grid is centred at 0 and the patch moved instead, then M is solved as reflected blocks;
+        # the full eigh of M on the box's own grid gives the same bounds up to rounding
+        kernel, cells = SAMPLING_KERNELS[case]
+        patch = offset_patch(kernel, lattice_spacing(kernel, density), jitter, cells, shift, seed)
+        a, b, n = sampling_bounds(kernel, patch)
+        want_a, want_b, want_n = full_eigh_sampling_bounds(kernel, patch)
+        assert n == want_n
+        delta = n * np.finfo(float).eps * want_b
+        assert abs(a - want_a) <= delta
+        assert abs(b - want_b) <= delta
+
+    @pytest.mark.parametrize(
+        "kernel, patch, truncations",
+        [
+            (GG, generate_model_set(lattice_scheme(np.diag([math.sqrt(0.8)] * 2)), [(-8, 7.1), (-7.4, 8)]), (4, 6, 8)),
+            (
+                gabor_gaussian(2),
+                generate_model_set(lattice_scheme(np.eye(4)), [(-5, 4.5)] + [(-1.5, 1.7)] * 3),
+                (1.5, 3.0, 5.0),
+            ),
+            (PW, generate_model_set(make_fibonacci_scheme(), [(-330, 290)]), (80, 160, 330)),
+            (paley_wiener([(-0.25, 0.75)]), generate_model_set(make_fibonacci_scheme(), [(-90, 120)]), (30, 60, 120)),
+        ],
+        ids=["gabor-lattice", "gabor2-4d-lattice", "pw-fibonacci", "pw-asymmetric-fibonacci"],
+    )
+    def test_reports_equal_full_eigh_oracle(self, kernel, patch, truncations):
+        # the top truncation keeps the patch box, which is not centred on 0
+        assert all(lo + hi != 0 for lo, hi in restrict(patch, [(-truncations[-1], truncations[-1])] * patch.dim).box)
+        got = frame_report_to_jsonable(frame_trend_report(kernel, patch, truncations))
+        assert got == frame_report_to_jsonable(full_eigh_frame_report(kernel, patch, truncations))
 
 
 FLOOR_PATCHES = {
@@ -323,9 +390,10 @@ class TestUnderflowFloor:
         patch = make_lattice_patch(1.0, 12.0, dim=2)
         assert patch.n_points == 625
         frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
-        # an even and an odd block per Gram stage, then an anchor Gram and a quotient per sampling stage
-        assert len(seen) == 12
-        assert seen == [0] * 12
+        # an even and an odd block per Gram stage, then per sampling stage the anchor Gram's two real
+        # blocks and the quotient
+        assert len(seen) == 15
+        assert seen == [0] * 15
 
 
 def symmetric_patch(dim: int, spacing: float, jitter: float, cells: int, origin: bool, seed: int) -> PointPatch:
@@ -376,10 +444,6 @@ SPLIT_KERNELS = {
     # symmetric under the point reflection and the time reflection, with points on both axes
     "gabor-time-symmetric": (GG, 6, ((0, 1), (0,))),
 }
-
-
-def lattice_spacing(kernel, density: float) -> float:
-    return (1.0 / density) / kernel.norm_sq_ke ** (1.0 / kernel.space_dim)
 
 
 class TestReflectionSplit:
@@ -458,6 +522,44 @@ class TestReflectionSplit:
             assert a.dtype == np.float64
             # eigvalsh reads one triangle; the Gram is exactly Hermitian, so the block is exactly symmetric
             assert np.array_equal(a, a.T)
+
+
+class TestReflectedEigh:
+    @pytest.mark.parametrize(
+        "case, maps",
+        [
+            ("gabor", "PR"),
+            ("gabor2", "PR"),
+            ("pw-symmetric-1d", "P"),
+            ("pw-symmetric-2d", "P"),
+            ("pw-asymmetric-1d", "R"),
+            ("pw-asymmetric-2d", "R"),
+        ],
+    )
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_eigenpairs_of_centred_anchor_grams(self, case, maps, data):
+        kernel, _ = SAMPLING_KERNELS[case]
+        dim = kernel.space_dim
+        reach = {1: 60.0, 2: 8.0, 4: 2.5}[dim]  # at most a few hundred anchors
+        box = []
+        for k in range(dim):
+            lo = data.draw(st.floats(-reach, reach), label=f"lo{k}")
+            box.append((lo, lo + data.draw(st.floats(0.3, reach), label=f"width{k}")))
+        density = data.draw(st.floats(0.2, 2.0), label="density")
+        grid, _ = framekit._anchor_grid(kernel, box, max(1, round(density * framekit.box_volume(box))))
+        p_map, r_map = _reflections(kernel, grid)
+        assert (p_map is not None, r_map is not None) == ("P" in maps, "R" in maps)
+        M = kernel_matrix(kernel, grid, grid)
+        s, V = framekit._projected_eigh(M, (p_map, r_map))
+        a, eps, norm = len(M), np.finfo(float).eps, np.linalg.norm(M, 2)
+        assert np.linalg.norm(V.conj().T @ V - np.eye(len(s)), 2) <= 10 * a * eps
+        assert np.linalg.norm(M @ V - V * s, 2) <= 10 * a * eps * norm
+        # every eigenvalue above the rank cut is found
+        full = np.linalg.eigvalsh(M)
+        full = full[full > framekit.RANK_TOL * full[-1]]
+        assert len(s) == len(full)
+        assert np.abs(np.sort(s) - full).max() <= 10 * a * eps * norm
 
 
 class TestCanonicalParseval:
@@ -606,7 +708,7 @@ class TestFrameTrend:
         monkeypatch.setattr(framekit, "gram_from_entries", keep_ref(framekit.gram_from_entries))
         monkeypatch.setattr(framekit, "sampling_bounds", checked_sampling_bounds)
         report = frame_trend_report(PW, pw_patch(0.5, 160.0), [40, 80, 160])
-        assert len(refs) == 4  # the top Gram, recorded twice, and two principal submatrices
+        assert len(refs) == 2  # the top Gram, recorded twice; the smaller stages are gathered from it
         assert len(report.sampling_lower) == 3
 
     def test_two_truncations_are_inconclusive(self):
