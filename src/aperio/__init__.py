@@ -21,15 +21,7 @@ from .density import (
     covolume_bounds_from_density,
     weil_check,
 )
-from .rkhs import KernelSpec, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener, wiener_amalgam_norm
-from .framekit import (
-    FrameReport,
-    GramMatrix,
-    VerdictReport,
-    build_gram,
-    frame_trend_report,
-    sampling_bounds,
-    verdict,
-)
+from .rkhs import KernelSpec, gabor_gaussian, kernel_matrix, paley_wiener, wiener_amalgam_norm
+from .framekit import FrameReport, VerdictReport, frame_trend_report, sampling_bounds, verdict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

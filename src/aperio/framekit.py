@@ -15,24 +15,27 @@ axis and ``R`` the time axes.  A Gram over a patch that either maps onto
 itself has its eigenvalues taken from smaller blocks: the point reflection
 splits it into an even and an odd block (Cantoni & Butler 1976), and the
 conjugating one makes each of them real symmetric (A. Lee 1980).
-``build_gram`` and every truncation of ``frame_trend_report`` do so.
 Lattices and model sets with symmetric windows, truncated to centred boxes,
-are such patches.  ``sampling_bounds`` solves its anchor Gram the same way,
-eigenvectors included: its anchor grid is centred at 0, where both
-reflections map it onto itself, and the patch is moved by minus the centre
-of its interior box, which the kernels' translation covariance allows.
+are such patches.  The blocks read only the rows of orbit representatives
+(about n / 4 of n points under both reflections), so only those are built
+and checked (``_gram_spectra``); without a reflection every point is one.
+``sampling_bounds`` solves its anchor Gram so too, eigenvectors included:
+its grid is centred at 0, where both reflections map it onto itself, and
+the patch is moved by minus the centre of its interior box, which the
+kernels' translation covariance allows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import ArgumentError, CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, _row_blocks, box_volume, points_in_box, restrict, shrink_box
+from .pointset import PointPatch, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box
 from .rkhs import KernelSpec, _floor_underflow, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -45,35 +48,6 @@ STABILITY_FLOOR = 0.05
 STABLE_RATIO = 0.6
 DECAY_RATIO = 0.55
 COLLAPSE = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Hermitian kernel Gram over a patch with its (ascending) eigenvalues.
-
-    ``entries[i][j] = kernel_value(points[j], points[i])``.
-    """
-
-    entries: np.ndarray
-    eigenvalues: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1]) if self.n else 0.0
-
-    @property
-    def lambda_min(self) -> float:
-        """Smallest raw eigenvalue (may sit in the numerical null space)."""
-        return float(self.eigenvalues[0]) if self.n else 0.0
-
-    @property
-    def nonzero_min(self) -> float:
-        """Smallest eigenvalue of the nonzero spectrum (above the rank tolerance)."""
-        return _nonzero_min(self.eigenvalues)
 
 
 def _nonzero_min(eigs: np.ndarray) -> float:
@@ -112,46 +86,101 @@ def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:
     return None if maps[0] is None and maps[1] is None else maps
 
 
-def _gather(entries: np.ndarray, index: np.ndarray, rows: np.ndarray, cols: np.ndarray, p_map, p: int) -> np.ndarray:
-    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, in one new array.
+class _Orbits(NamedTuple):
+    pairing: tuple  # (P, R), either None
+    group: list  # per element of the group: its index map, its number of P and its number of R
+    reps: np.ndarray  # one representative per orbit
+    bounds: np.ndarray  # where each rank of representatives starts in reps, and its end
+    weight: np.ndarray  # per representative: 1 / sqrt(the number of maps fixing it)
+    home: np.ndarray  # per index: the place in reps of its orbit's representative
+    which: np.ndarray  # per index: the element of group that carries its representative to it
+    col: np.ndarray  # per index: its place in reps, or -1
 
-    ``G`` is ``entries[index, index]``; only the gathered entries are read.
+
+def _orbits(pairing: tuple | None, n: int) -> _Orbits:
+    """The orbits on ``range(n)`` of the group of the commuting involutions ``pairing = (P, R)`` (``_reflections``).
+
+    Each orbit is represented by its smallest index.  ``P`` fixes no index
+    but the origin's (it negates every axis), so with the representatives
+    ranked as the origin, those fixed by ``R`` alone, those fixed by nothing
+    and those fixed by ``PR`` alone, each half of ``_reflected_blocks`` is a
+    slice of them.  Without a map every index is its own orbit.
     """
-    out = entries[np.ix_(index[rows], index[cols])]
+    p_map, r_map = pairing or (None, None)
+    idx = np.arange(n)
+    group = [(idx, 0, 0)] + [(m, n_p, 1 - n_p) for m, n_p in ((p_map, 1), (r_map, 0)) if m is not None]
+    if len(group) == 3:
+        group.append((p_map[r_map], 1, 1))
+    maps = [m for m, _, _ in group[1:]]
+    reps = idx[np.array([idx <= m for m in maps]).reshape(len(maps), n).all(axis=0)]
+    fixed = np.array([m[reps] == reps for m in maps]).reshape(len(maps), len(reps))
+    rank = np.full(len(reps), 2)
+    if len(maps) == 3:
+        rank[fixed[1]] = 1  # fixed by R
+        rank[fixed[2]] = 3  # fixed by PR
+    rank[fixed.all(axis=0)] = 0  # the origin, fixed by every map
+    order = np.argsort(rank, kind="stable")
+    reps, rank = reps[order], rank[order]
+    weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
+    home, which, col = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.full(n, -1)
+    for g in reversed(range(len(group))):
+        home[group[g][0][reps]], which[group[g][0][reps]] = np.arange(len(reps)), g
+    col[reps] = np.arange(len(reps))
+    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight, home, which, col)
+
+
+def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
+    """The rows of the Gram ``G[i, j] = k(x_j, x_i)`` at the representatives of the kernel's orbits on ``points``.
+
+    Returns them as every reader of a store takes them, ``store[j, a] =
+    k(x_j, x_reps[a]) = G[reps[a], j]`` (``n r`` entries, ``r`` about ``n /
+    4`` under both reflections and ``n`` under none), and the orbits.
+    """
+    orbits = _orbits(_reflections(kernel, points), len(points))
+    return kernel_matrix(kernel, points, points[orbits.reps]), orbits
+
+
+def _gather(store: np.ndarray, col: np.ndarray, index: np.ndarray, rows, cols, p_map, p: int) -> np.ndarray:
+    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, as a transposed view of one new array.
+
+    ``G[i, j]`` is ``store[index[j], col[index[i]]]``: each column of
+    ``store`` is a row of ``G``, and only stored rows are asked for.
+    """
+    c = col[index[rows]]
+    out = store[np.ix_(index[cols], c)]
     if p_map is not None:
-        (np.add if p > 0 else np.subtract)(out, entries[np.ix_(index[rows], index[p_map[cols]])], out=out)
-    return out
+        (np.add if p > 0 else np.subtract)(out, store[np.ix_(index[p_map[cols]], c)], out=out)
+    return out.T
 
 
-def _reflected_blocks(entries: np.ndarray, pairing: tuple, index: np.ndarray):
+def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orbits: _Orbits):
     """Yield the blocks of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
 
-    ``G`` is the principal submatrix ``entries[index, index]``, never built
-    whole.  ``pairing`` is ``(P, R)``, commuting involutions of
-    ``range(len(index))``, either of them ``None``.  Each orbit of
-    ``{1, P, R, PR}`` is represented by its smallest index.  Over
-    representatives ``a`` and ``b`` let ``X1 .. X4 = G[a, b], G[a, Pb],
-    G[a, Rb], G[a, PRb]``, a term of a missing map left out, and for each
-    ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4`` and ``Z- = X1 + p X2
-    - X3 - p X4``.  Without ``R`` the block of parity ``p`` is ``X1 + p X2``,
-    complex as ``G`` is (Cantoni & Butler 1976).  With ``R`` it is the real
-    symmetric ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]``: a Hermitian matrix with
-    a conjugating symmetry is unitarily similar to a real one (A. Lee 1980).
-    A representative's row and column count in a half only where its orbit
-    vector is nonzero, and are scaled by ``1 / sqrt s`` for a stabiliser of
-    ``s`` maps: ``sqrt 1/2`` on an axis or at the origin of one reflection,
-    ``1/2`` at the origin of both.  ``P`` fixes no index but the origin's (it
-    negates every axis), so with the representatives ordered as the origin,
-    those fixed by ``R`` alone, those fixed by nothing and those fixed by
-    ``PR`` alone, every half is a slice.
+    ``orbits`` (from ``_orbits``) holds the maps ``(P, R)`` on ``G``'s
+    indices, either of them ``None``.  ``G[i, j]`` is ``store[index[j],
+    col[index[i]]]`` (see ``_gather``); only the rows of representatives
+    are read, and ``G`` is never built.  Over representatives ``a`` and
+    ``b`` let ``X1 .. X4 = G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term
+    of a missing map left out, and for each ``P``-parity ``p`` let ``Z+ = X1
+    + p X2 + X3 + p X4`` and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R``
+    the block of parity ``p`` is ``X1 + p X2``, complex as ``G`` is (Cantoni
+    & Butler 1976).  With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-],
+    [Im Z+, Re Z-]]``: a Hermitian matrix with a conjugating symmetry is
+    unitarily similar to a real one (A. Lee 1980).  A representative's row
+    and column count in a half only where its orbit vector is nonzero, and
+    are scaled by ``1 / sqrt s`` for a stabiliser of ``s`` maps: ``sqrt
+    1/2`` on an axis or at the origin of one reflection, ``1/2`` at the
+    origin of both.
 
-    Each parity gathers its own ``X`` from ``entries``, adds the ``P`` terms
+    Each parity gathers its own ``X`` from ``store``, adds the ``P`` terms
     at once, and builds its block; the block's entries below the floor are
     set to 0, as the Gaussian kernel's are.  The generator drops the block
     before it gathers the next parity, so a caller that also drops it keeps
     one parity's gathered arrays and block, or the block and the solver's
-    copy of it, alive besides ``entries``.  Without ``R`` the blocks are
-    those of the point reflection's even and odd split, bit for bit.
+    copy of it, alive besides ``store``.  A ``G`` without a reflection whose
+    rows are the whole store is its transposed view.  Without ``R`` the
+    blocks are those of the point reflection's even and odd split, bit for
+    bit.
 
     With each block comes its ``basis`` for ``_expand``: the block's row of
     a representative ``a`` stands for the unit orbit vector whose entry at
@@ -161,51 +190,31 @@ def _reflected_blocks(entries: np.ndarray, pairing: tuple, index: np.ndarray):
     So each index of ``G`` takes its entry of a vector from at most one row
     of each half: ``basis`` holds that row and its coefficient per index.
     """
-    p_map, r_map = pairing
-    idx = np.arange(len(index))
-    # the group {1, P, R, PR} as index maps, each with its numbers of P and of R
-    group = [(idx, 0, 0)]
-    if p_map is not None:
-        group.append((p_map, 1, 0))
-    if r_map is not None:
-        group.append((r_map, 0, 1))
-    if len(group) == 3:
-        group.append((p_map[r_map], 1, 1))
-    maps = [m for m, _, _ in group[1:]]
-    reps = idx[np.logical_and.reduce([idx <= m for m in maps])]
-    fixed = np.array([m[reps] == reps for m in maps])
-    rank = np.full(len(reps), 2)
-    if len(maps) == 3:
-        rank[fixed[1]] = 1  # fixed by R
-        rank[fixed[2]] = 3  # fixed by PR
-    rank[fixed.all(axis=0)] = 0  # the origin, fixed by every map
-    order = np.argsort(rank, kind="stable")
-    reps, rank = reps[order], rank[order]
-    weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
-    b = np.searchsorted(rank, range(5))
+    (p_map, r_map), reps, weight, home, b = orbits.pairing, orbits.reps, orbits.weight, orbits.home, orbits.bounds
     # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
     halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
-    # each index's representative (its place in reps) and the numbers of P and R in a map carrying it there
-    home, p_count, r_count = (np.empty(len(idx), dtype=np.intp) for _ in range(3))
-    for m, n_p, n_r in reversed(group):
-        home[m[reps]], p_count[m[reps]], r_count[m[reps]] = np.arange(len(reps)), n_p, n_r
+    # the numbers of P and of R in the map carrying each index's representative to it
+    p_count, r_count = np.array([g[1:] for g in orbits.group]).T[:, orbits.which]
     # 1 / sqrt(orbit size), with the orbit size |group| / s for a stabiliser of s = 1 / weight^2 maps
-    modulus = 1.0 / (weight[home] * math.sqrt(len(group)))
+    modulus = 1.0 / (weight[home] * math.sqrt(len(orbits.group)))
     for p in (1, -1) if p_map is not None else (1,):
         plus, minus = halves[p]
         span = plus if r_map is None else slice(plus.start, max(plus.stop, minus.stop))
         rows = reps[span]
         if not len(rows):
             continue
-        y = _gather(entries, index, rows, rows, p_map, p)
         chi = modulus * float(p) ** p_count
         k = plus.stop - plus.start
         in_u = (home >= plus.start) & (home < plus.stop)
         basis = (np.where(in_u, home - plus.start, 0), np.where(in_u, chi, 0.0), None, None)
+        if len(orbits.group) == 1 and store.shape == (len(index),) * 2:
+            yield store.T, basis  # the whole store in order, with no sums to floor: G itself, not copied
+            return
+        y = _gather(store, col, index, rows, rows, p_map, p)
         if r_map is None:
             block, wts = y, weight[plus]
         else:
-            w = _gather(entries, index, rows, r_map[rows], p_map, p)
+            w = _gather(store, col, index, rows, r_map[rows], p_map, p)
             u = slice(plus.start - span.start, plus.stop - span.start)
             v = slice(minus.start - span.start, minus.stop - span.start)
             block = np.empty((k + v.stop - v.start,) * 2)
@@ -214,10 +223,11 @@ def _reflected_blocks(entries: np.ndarray, pairing: tuple, index: np.ndarray):
             np.add(y.imag[v, u], w.imag[v, u], out=block[k:, :k])
             np.subtract(y.real[v, v], w.real[v, v], out=block[k:, k:])
             wts = np.concatenate([weight[plus], weight[minus]])
-            del y, w
+            del w
             in_v = (home >= minus.start) & (home < minus.stop)
             v_coef = np.where(in_v, chi * (-1.0) ** r_count, 0.0)
             basis = basis[:2] + (np.where(in_v, k + home - minus.start, 0), v_coef)
+        del y
         scaled = np.flatnonzero(wts != 1.0)
         block[scaled] *= wts[scaled, None]
         block[:, scaled] *= wts[scaled]
@@ -242,82 +252,81 @@ def _expand(basis: tuple, x: np.ndarray, out: np.ndarray) -> None:
         np.multiply(x[v_row], v_coef[:, None], out=out.imag)
 
 
-def _reflected_eigvalsh(entries: np.ndarray, pairing: tuple, index: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian ``G = entries[index, index]`` with the reflections ``pairing``.
-
-    The sorted union of the spectra of ``_reflected_blocks``, each block
-    released before the next is gathered.
-    """
+def _reflected_eigvalsh(store: np.ndarray, col: np.ndarray, index: np.ndarray, orbits: _Orbits) -> np.ndarray:
+    """Ascending eigenvalues of the ``G`` of ``_reflected_blocks``: the sorted union of its blocks' spectra."""
     spectra = [np.empty(0)]  # an empty G has no blocks
-    for block, _ in _reflected_blocks(entries, pairing, index):
+    for block, _ in _reflected_blocks(store, col, index, orbits):
         spectra.append(np.linalg.eigvalsh(block))
         del block
     return np.sort(np.concatenate(spectra))
 
 
-def gram_from_entries(entries: np.ndarray, pairing: tuple | None = None) -> GramMatrix:
-    """Wrap a square Hermitian matrix with its ascending eigenvalues.
+def _check_hermitian(store: np.ndarray, orbits: _Orbits) -> None:
+    """Refuse the representative rows ``store[j, a] = G[reps[a], j]`` of a ``G`` that is not Hermitian.
 
-    The Hermitian defect ``|e[i, j] - conj(e[j, i])|`` is checked one row
-    block of ``pointset.BLOCK_ELEMENTS / 4`` entries at a time, so its three
-    temporaries (the conjugate, the difference and its modulus) stay under
-    ``BLOCK_ELEMENTS`` complex numbers; the first block whose defect is not
-    ``<= 1e-10`` (NaN and inf included) is refused.
-
-    ``pairing`` (from ``_reflections``) is a pair ``(P, R)`` of index maps,
-    either ``None``: the entries are unchanged by ``P`` on rows and columns
-    and conjugated by ``R``.  Then the eigenvalues are the sorted union of
-    those of smaller blocks (``_reflected_eigvalsh``): with ``P`` alone an
-    even and an odd block of half the size, about a quarter of the full
-    solve's work; with ``R`` as well, two real symmetric blocks of half the
-    size, which take about a quarter of that again; with ``R`` alone one real
-    symmetric matrix of the full size.  Any eigenvalue moves from the full
-    solve's by rounding only, within the solver's resolution.  Without it,
-    one ``eigvalsh`` of the whole matrix.  ``entries`` stays the full matrix
-    either way.
+    Every entry of ``G`` is a stored one or the conjugate of one, so each
+    stored entry is compared with its partner ``conj G[j, reps[a]]``: with
+    ``j = g reps[b]`` (``b = home[j]``, ``g = which[j]``) that is the stored
+    ``store[g reps[a], b]``, conjugated unless ``g`` holds ``R``.  One group
+    element and one row block of ``pointset.BLOCK_ELEMENTS / 4`` entries at a
+    time, so the three temporaries stay under ``BLOCK_ELEMENTS`` complex
+    numbers; the first defect not ``<= 1e-10`` (NaN and inf included) is
+    refused.
     """
-    entries = np.asarray(entries)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"Gram entries must form a square matrix, got shape {entries.shape}")
-    for blk in _row_blocks(len(entries), 4 * len(entries)):
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
-            herm_defect = np.abs(entries[blk] - entries[:, blk].conj().T).max()
-        if not herm_defect <= 1e-10:
-            raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
-    if not entries.size:
-        eigs = np.empty(0)
-    elif pairing is None:
-        eigs = np.linalg.eigvalsh(entries)
-    else:
-        eigs = _reflected_eigvalsh(entries, pairing, np.arange(len(entries)))
-    return GramMatrix(entries=entries, eigenvalues=eigs)
+    reps, home = orbits.reps, orbits.home
+    for g, (m, _, n_r) in enumerate(orbits.group):
+        js = np.flatnonzero(orbits.which == g)
+        for blk in _row_blocks(len(js), 4 * len(reps)):
+            diff = store[js[blk]]
+            partner = store[np.ix_(m[reps], home[js[blk]])].T
+            if not n_r:
+                np.conjugate(partner, out=partner)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
+                np.subtract(diff, partner, out=diff)
+                herm_defect = np.abs(diff).max()
+            if not herm_defect <= 1e-10:
+                raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
 
 
-def build_gram(kernel: KernelSpec, patch: PointPatch) -> GramMatrix:
-    """Assemble the Hermitian Gram of the kernel family over the patch points.
+def _gram_spectra(kernel: KernelSpec, points: np.ndarray, stages) -> list[np.ndarray]:
+    """Ascending eigenvalues of the Gram ``G[i, j] = k(x_j, x_i)`` of ``points[keep]`` for each ``keep`` in ``stages``.
 
-    A patch symmetric under the kernel's reflections (``_reflections``) has
-    its eigenvalues from the smaller blocks of ``gram_from_entries``.
+    The rows of the whole set's ``G`` at its orbit representatives
+    (``_rep_rows``) are built and checked once (``_check_hermitian``), and
+    each stage (an increasing index array) is solved as the blocks of its
+    own reflections gathered from them.  A centred box of a set its group maps onto itself
+    holds whole orbits, in order, under at least that group, so its
+    representatives are stored; any other stage builds its own rows.  Too
+    many points, or points of another dimension, are refused first.
     """
-    if patch.n_points > MAX_GRAM_POINTS:
-        raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
-    km = kernel_matrix(kernel, patch.points, patch.points)
-    return gram_from_entries(km.T, _reflections(kernel, patch.points))
+    if len(points) > MAX_GRAM_POINTS:
+        raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
+    points = as_rows(points, kernel.space_dim)
+    store, top = _rep_rows(kernel, points)
+    _check_hermitian(store, top)
+    spectra = []
+    for keep in stages:
+        orbits = _orbits(_reflections(kernel, points[keep]), len(keep))
+        if (top.col[keep[orbits.reps]] < 0).any():
+            spectra += _gram_spectra(kernel, points[keep], [np.arange(len(keep))])
+        else:
+            spectra.append(_reflected_eigvalsh(store, top.col, keep, orbits))
+    return spectra
 
 
-def _projected_eigh(entries: np.ndarray, pairing: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian PSD matrix with the reflections ``pairing``, restricted to its nonzero spectrum.
+def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a Hermitian PSD ``G`` with the reflections of ``orbits``, restricted to its nonzero spectrum.
 
-    Each block of ``_reflected_blocks`` is solved by ``eigh`` and released
-    before the next is gathered.  An eigenpair is kept when its eigenvalue
-    exceeds ``RANK_TOL`` times the largest over all blocks; the kept
-    eigenvectors, block by block, are mapped to the matrix's index space by
-    ``_expand`` (complex with ``R``, else of the matrix's type), so they are
-    orthonormal eigenvectors of the whole matrix.  No kept eigenvalue raises
-    ``NotAFrameError``.
+    ``store[j, a] = G[reps[a], j]``.  Each block of ``_reflected_blocks`` is
+    solved by ``eigh``; an eigenpair is kept when its eigenvalue exceeds
+    ``RANK_TOL`` times the largest over all blocks, and the kept
+    eigenvectors are mapped to ``G``'s index space by ``_expand`` (complex
+    with ``R``), orthonormal eigenvectors of ``G``.  No kept eigenvalue
+    raises ``NotAFrameError``.
     """
+    n = len(orbits.col)
     solved = []
-    for block, basis in _reflected_blocks(entries, pairing, np.arange(len(entries))):
+    for block, basis in _reflected_blocks(store, orbits.col, np.arange(n), orbits):
         solved.append((*np.linalg.eigh(block), basis))
         del block
     cut = RANK_TOL * max(max(s[-1] for s, _, _ in solved), 0.0)
@@ -325,7 +334,7 @@ def _projected_eigh(entries: np.ndarray, pairing: tuple) -> tuple[np.ndarray, np
     eigs = np.concatenate([s for s, _, _ in solved])
     if not len(eigs):
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
-    vecs = np.empty((len(entries), len(eigs)), dtype=entries.dtype if pairing[1] is None else np.complex128)
+    vecs = np.empty((n, len(eigs)), dtype=store.dtype if orbits.pairing[1] is None else np.complex128)
     col = 0
     for s, x, basis in solved:
         _expand(basis, x, vecs[:, col : col + len(s)])
@@ -394,27 +403,25 @@ def sampling_bounds(
     unitary similarity, and its eigenvalues move by rounding only; with
     ``c = 0`` (every box centred on 0) no point moves.  The centred grid maps
     onto itself under both of the kernel's reflections, so its anchor Gram
-    ``M`` is solved as the smaller blocks of ``_reflected_blocks`` by
-    ``_projected_eigh``: for the Gaussian kernel two real blocks of half the
-    size where a complex ``eigh`` of the full size ran before.
+    ``M[i, j] = k(g_i, g_j)`` is solved as the blocks of ``_projected_eigh``
+    (for the Gaussian kernel two real ones of half the size) from its rows
+    at the grid's representatives: the conjugate of the Gram rows of
+    ``_rep_rows``, as ``k(y, x) = conj k(x, y)`` bit for bit but for the
+    sign of a zero imaginary part, which the blocks' floor clears.
 
     The anchor Gram ``M`` and the patch-by-anchor kernel block ``K`` come
     from ``kernel_matrix``, whose Gaussian entries below
     ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros, so no product in
-    ``K^H K`` underflows, and each block of ``M`` is floored again after its
-    sums.  The terms the floor drops vanish in the rounding of the quotient
-    matrix and its eigenvalues: in every case checked, the bounds equal those
-    of the unfloored kernel bit for bit.
+    ``K^H K`` underflows; each block of ``M`` is floored again after its
+    sums.  In every case checked, the bounds equal those of the unfloored
+    kernel bit for bit.
 
-    Each matrix is released as soon as the next product has used it.  The
-    anchor Gram ``M`` dies once its blocks are solved; besides it, one
-    block and the solver's copy, then the blocks' half-size eigenvectors,
-    are alive, and the kept eigenvectors are mapped and scaled in place
-    into ``W``.  The kernel block ``K`` dies once ``K^H K`` exists, ``K^H K``
-    once ``W^H K^H K`` exists, and ``W`` once that is multiplied by ``W``;
-    the result is symmetrized in place.  So one anchor-sized product is
-    alive at a time besides its operands.  For a real kernel
-    (``rkhs.kernel_matrix`` of a symmetric band) every matrix is real and
+    Each matrix is released as soon as the next product has used it:
+    ``M``'s rows once its blocks are solved (the kept eigenvectors are
+    mapped and scaled in place into ``W``), ``K`` once ``K^H K`` exists,
+    ``K^H K`` once ``W^H K^H K`` exists and ``W`` once that is multiplied by
+    ``W``.  So one anchor-sized product is alive at a time besides its
+    operands.  For a real kernel (a symmetric band) every matrix is real and
     ``conj()`` returns the matrix itself, so no conjugate copy is made.
     """
     if margin is None:
@@ -431,7 +438,10 @@ def sampling_bounds(
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     grid, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
-    s, W = _projected_eigh(kernel_matrix(kernel, grid, grid), _reflections(kernel, grid))
+    rows, orbits = _rep_rows(kernel, grid)
+    np.conjugate(rows, out=rows)  # M's rows, as M[i, j] = k(g_i, g_j) is the conjugate of the Gram's
+    s, W = _projected_eigh(rows, orbits)
+    del rows
     W *= (1.0 / np.sqrt(s))[None, :]
     K = kernel_matrix(kernel, patch.points - centre, grid)
     KK = K.conj().T @ K
@@ -502,18 +512,12 @@ def frame_trend_report(
     before any Gram work.  At least three stages are required for a
     non-inconclusive verdict.
 
-    The stages run in two phases, so at most one n x n Gram (n the points of
-    the largest stage) is alive at any time.  First the Gram stage of every
-    truncation: the Gram of the largest stage is built and checked once
-    (``build_gram``), every smaller stage's Gram is its principal submatrix,
-    and each gives its Riesz bounds.  A smaller stage whose points are
-    symmetric under the kernel's reflections is solved as smaller blocks
-    gathered straight from the top Gram (``_reflected_eigvalsh`` with the
-    stage's own ``_reflections`` and its indices in the top Gram); only a
-    stage without a reflection copies its submatrix, for one ``eigvalsh``.
-    Tags and brackets keep the full Gram's n.
-    Then the Gram is released and the sampling bounds of every truncation
-    are taken, with no Gram alive.
+    First the Riesz bounds of every truncation (``_gram_spectra``): the
+    largest stage's Gram rows at its orbit representatives, about a quarter
+    of its n x n Gram on a lattice, are built and checked once, and every
+    stage is solved as the blocks of its own reflections gathered from
+    them; tags and brackets keep the full Gram's n.  Then the rows are
+    released and the sampling bounds are taken, with no Gram alive.
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs or not truncs[0] > 0:
@@ -525,22 +529,13 @@ def frame_trend_report(
     r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
     margin = margin_frac * truncs[-1]
     subs = [restrict(patch, [(-t, t)] * patch.dim) for t in truncs]
-    top_patch = subs[-1]
-    top = build_gram(kernel, top_patch)
-    for sub in subs:
-        keep = np.flatnonzero(points_in_box(top_patch.points, sub.box))
-        if len(keep) == top.n:
-            eigs = top.eigenvalues
-        elif (pairing := _reflections(kernel, top_patch.points[keep])) is None:
-            eigs = np.linalg.eigvalsh(top.entries[np.ix_(keep, keep)])
-        else:
-            eigs = _reflected_eigvalsh(top.entries, pairing, keep)
+    top = subs[-1].points
+    for eigs in _gram_spectra(kernel, top, [np.flatnonzero(points_in_box(top, sub.box)) for sub in subs]):
         r_lo.append(_nonzero_min(eigs))
         r_lo_raw.append(float(eigs[0]) if len(eigs) else 0.0)
         r_hi.append(float(eigs[-1]) if len(eigs) else 0.0)
         r_n.append(len(eigs))
     final_eigs = eigs
-    del top  # release the Gram before the sampling stages build their own blocks
     for t, sub in zip(truncs, subs):
         sa, sb, sn = sampling_bounds(kernel, sub, margin=margin_frac * t)
         s_lo.append(sa)

@@ -8,9 +8,10 @@ keys, fixed indentation) so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import json
 import math
+import sys
 import typing
 from typing import Any
 
@@ -111,8 +112,22 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _builtin_sha256():
+    """CPython's private built-in ``sha256`` (``_sha2`` from 3.12, ``_sha256`` before), else ``hashlib``'s.
+
+    ``hashlib`` loads OpenSSL's libcrypto (about 3.4 MB of RSS) for the same digest.
+    """
+    try:
+        return importlib.import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        return importlib.import_module("hashlib").sha256
+
+
+_sha256 = _builtin_sha256()
+
+
 def sha256_bytes(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+    return "sha256:" + _sha256(data).hexdigest()
 
 
 def provenance_block(seed: int | None, inputs: dict[str, str]) -> dict:

@@ -173,7 +173,7 @@ def _floor_underflow(mat: np.ndarray) -> None:
 
 
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
-    """Matrix ``K[i, j] = kernel_value(xs[i], ys[j])`` evaluated in bulk.
+    """Matrix ``K[i, j] = k(xs[i], ys[j])`` of the kernel, one entry per pair of rows.
 
     A Paley-Wiener kernel whose every band is symmetric about 0 is real, and
     its matrix is ``float64``: each entry equals the real part of the complex
@@ -193,21 +193,16 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     A Gaussian time-frequency entry with ``|k| < UNDERFLOW_FLOOR`` (2^-511)
     is an exact 0, bit for bit the floored full ``exp``; ``exp`` is skipped
     where the real exponent alone puts ``|k|`` below the floor.  So Grams,
-    ``sampling_bounds``' anchor blocks, ``kernel_value`` and
-    ``wiener_amalgam_norm`` all see the floored kernel.  An n x n Gram loses
-    at most ``n 2^-511`` in norm, far below an eigensolver's own backward
-    error ``n eps ||G||``; its eigenvalues stay bit for bit on lattices and
-    may move by rounding elsewhere.  Paley-Wiener entries are not floored.
+    ``sampling_bounds``' anchor blocks and ``wiener_amalgam_norm`` all see
+    the floored kernel.  An n x n Gram loses at most ``n 2^-511`` in norm,
+    far below an eigensolver's own backward error ``n eps ||G||``; its
+    eigenvalues stay bit for bit on lattices and may move by rounding
+    elsewhere.  Paley-Wiener entries are not floored.
     """
     X, Y = as_rows(xs, spec.space_dim), as_rows(ys, spec.space_dim)
     if spec.kind == "paley_wiener":
         return _pw_matrix(spec, X, Y)
     return _gabor_matrix(spec, X, Y)
-
-
-def kernel_value(spec: KernelSpec, x, y) -> complex:
-    """Kernel value k(x, y) of one point each; Hermitian and translation-covariant in magnitude."""
-    return complex(kernel_matrix(spec, [x], [y])[0, 0])  # one row each, or refused
 
 
 def _local_max(values: np.ndarray, reach: int) -> np.ndarray:

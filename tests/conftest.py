@@ -20,10 +20,13 @@ from aperio.framekit import (
     RANK_TOL,
     FrameReport,
     _anchor_grid,
+    _check_hermitian,
+    _gram_spectra,
+    _orbits,
     _projected_eigh,
+    _reflected_eigvalsh,
     _reflections,
     frame_trend_report,
-    gram_from_entries,
 )
 from aperio.io_json import fstr
 from aperio.pointset import BOX_TOL, as_box, box_volume, points_in_box, shrink_box
@@ -406,12 +409,14 @@ def sampling_bounds_oracle(
     """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
 
     Forms ``M`` and ``K^H K`` from every kernel entry, however small, and
-    solves ``M`` by the same reflected blocks (one full ``eigh`` for anchors
-    without a reflection), so it checks that the kernel's zeros below the
-    underflow floor change no bit of either bound.
+    solves ``M`` by the same reflected blocks, read from ``M``'s own rows at
+    the representatives (one full ``eigh`` for anchors without a
+    reflection), so it checks that the kernel's zeros below the underflow
+    floor change no bit of either bound, nor does taking those rows as the
+    conjugated columns that ``sampling_bounds`` builds.
     """
     M, K, pairing = anchor_kernel_block(kernel, patch, margin, at_points)
-    s, vecs = projected_inverse_sqrt(M) if pairing is None else _projected_eigh(M, pairing)
+    s, vecs = projected_inverse_sqrt(M) if pairing is None else _projected_eigh(*matrix_rep_rows(M, pairing))
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     B = W.conj().T @ (K.conj().T @ K) @ W
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
@@ -487,16 +492,24 @@ def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameRe
 
 
 def full_solve_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
-    """``frame_trend_report`` with every Gram-stage Gram solved whole by one ``eigvalsh``, never as smaller blocks.
+    """``frame_trend_report`` with every Gram-stage Gram built whole and solved by one ``eigvalsh``.
 
-    The sampling stages are left as they are.
+    Never from representative rows, never as smaller blocks.  The sampling
+    stages are left as they are.
     """
 
-    def solve(entries, pairing, index):
-        return np.linalg.eigvalsh(entries[np.ix_(index, index)])
+    def solve(kernel, points, stages):
+        entries = kernel_matrix(kernel, points, points).T
+        return [np.linalg.eigvalsh(entries[np.ix_(keep, keep)]) for keep in stages]
 
-    with mock.patch.object(framekit, "_reflected_eigvalsh", solve):
+    with mock.patch.object(framekit, "_gram_spectra", solve):
         return frame_trend_report(kernel, patch, truncations)
+
+
+def full_matrix_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
+    """``full_solve_frame_report`` with every sampling stage taken by ``full_eigh_sampling_bounds`` too."""
+    with mock.patch.object(framekit, "sampling_bounds", full_eigh_sampling_bounds):
+        return full_solve_frame_report(kernel, patch, truncations)
 
 
 def split_eigvalsh(entries: np.ndarray, pairing: np.ndarray) -> np.ndarray:
@@ -528,18 +541,22 @@ def split_eigvalsh(entries: np.ndarray, pairing: np.ndarray) -> np.ndarray:
 
 
 def point_split_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
-    """``frame_trend_report`` with every point-symmetric Gram solved by ``split_eigvalsh``.
+    """``frame_trend_report`` with every point-symmetric Gram built whole and solved by ``split_eigvalsh``.
 
     Only for a kernel without a conjugating reflection: each Gram's
     ``(P, R)`` maps must have ``R`` missing.
     """
 
-    def solve(entries, pairing, index):
-        p_map, r_map = pairing
-        assert r_map is None
-        return split_eigvalsh(entries[np.ix_(index, index)], p_map)
+    def solve(kernel, points, stages):
+        entries = kernel_matrix(kernel, points, points).T
+        spectra = []
+        for keep in stages:
+            p_map, r_map = _reflections(kernel, points[keep])
+            assert r_map is None
+            spectra.append(split_eigvalsh(entries[np.ix_(keep, keep)], p_map))
+        return spectra
 
-    with mock.patch.object(framekit, "_reflected_eigvalsh", solve):
+    with mock.patch.object(framekit, "_gram_spectra", solve):
         return frame_trend_report(kernel, patch, truncations)
 
 
@@ -557,15 +574,51 @@ def solver_inputs(fn, *args) -> list[np.ndarray]:
     return seen
 
 
-def canonical_parseval_oracle(gram):
+def canonical_parseval_oracle(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical Parseval form of a Gram system: the projector onto its nonzero spectrum, and the transform.
 
     The transform is the inverse square root of the Gram on that span.  The
     projector is formed directly: ``T G T`` would carry the discarded
     eigenvalues' noise, amplified by up to ``1 / RANK_TOL``.
     """
-    s, vecs = projected_inverse_sqrt(np.asarray(gram.entries))
+    s, vecs = projected_inverse_sqrt(entries)
     transform = (vecs * (1.0 / np.sqrt(s))[None, :]) @ vecs.conj().T
     projector = vecs @ vecs.conj().T
-    projector = (projector + projector.conj().T) / 2.0
-    return gram_from_entries(projector), transform
+    return (projector + projector.conj().T) / 2.0, transform
+
+
+def kernel_value(spec, x, y) -> complex:
+    """Kernel value ``k(x, y)`` of one point each: the one entry of ``kernel_matrix(spec, [x], [y])``."""
+    return complex(kernel_matrix(spec, [x], [y])[0, 0])
+
+
+def gram_entries(kernel, patch: PointPatch) -> np.ndarray:
+    """The whole Gram ``G[i, j] = k(x_j, x_i)`` of a patch, which ``framekit`` builds only at representative rows."""
+    return kernel_matrix(kernel, patch.points, patch.points).T
+
+
+def gram_eigenvalues(kernel, patch: PointPatch) -> np.ndarray:
+    """Ascending Gram eigenvalues of a whole patch, as the Gram stage of ``frame_trend_report`` takes them."""
+    return _gram_spectra(kernel, patch.points, [np.arange(patch.n_points)])[0]
+
+
+def entries_eigenvalues(entries: np.ndarray, pairing: tuple | None = None) -> np.ndarray:
+    """Ascending eigenvalues of a hand-fed Hermitian matrix through ``framekit``'s check and reflected solve.
+
+    Its rows at the representatives of ``pairing`` (maps as ``_reflections``
+    gives them, or ``None``) stand in for the kernel rows ``_gram_spectra``
+    builds; a matrix that is not Hermitian is refused ("not Hermitian").
+    """
+    store, orbits = matrix_rep_rows(entries, pairing)
+    _check_hermitian(store, orbits)
+    return _reflected_eigvalsh(store, orbits.col, np.arange(len(entries)), orbits)
+
+
+def matrix_rep_rows(entries: np.ndarray, pairing: tuple | None) -> tuple[np.ndarray, framekit._Orbits]:
+    """A hand-fed matrix's rows at the representatives of ``pairing``, stored as ``framekit._rep_rows`` stores a Gram's.
+
+    ``store[j, a] = entries[reps[a], j]``, with the orbits of ``pairing``
+    (maps as ``_reflections`` gives them, or ``None``).
+    """
+    orbits = _orbits(pairing, len(entries))
+    return entries[orbits.reps].T, orbits

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import inspect
 import io
 import json
@@ -887,6 +888,29 @@ runs = [aperio.cli.main(["--workspace", sys.argv[1], "run", "--config", c]) for 
 exec(sys.argv[2])
 print(json.dumps({"runs": runs, "values": values}))
 """
+
+
+class TestInputDigest:
+    def test_builtin_sha256_and_hashlib_fallback_agree(self, monkeypatch):
+        # the built-in module spares the process OpenSSL's libcrypto; hashlib stands in where it is missing
+        builtin = io_json._builtin_sha256()
+        assert builtin is not hashlib.sha256
+
+        import_module = io_json.importlib.import_module
+
+        def without_builtin(name):
+            if name.startswith("_sha"):
+                raise ImportError(f"no module named {name!r}")
+            return import_module(name)
+
+        monkeypatch.setattr(io_json.importlib, "import_module", without_builtin)
+        fallback = io_json._builtin_sha256()
+        assert fallback is hashlib.sha256
+        assert builtin(b"abc").hexdigest() == "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        for data in (b"", b"abc", bytes(range(256)) * 4099, (Path(__file__).read_bytes())):
+            assert builtin(data).hexdigest() == fallback(data).hexdigest()
+        monkeypatch.setattr(io_json, "_sha256", fallback)
+        assert io_json.sha256_bytes(b"abc") == "sha256:" + builtin(b"abc").hexdigest()
 
 
 class TestStartup:

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 import weakref
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from aperio import (
     PointPatch,
     beurling_density,
-    build_gram,
     frame_trend_report,
     generate_model_set,
     sampling_bounds,
@@ -22,21 +20,27 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
-from aperio.framekit import MAX_GRAM_POINTS, _reflections, gram_from_entries
+from aperio.framekit import MAX_GRAM_POINTS, _check_hermitian, _gram_spectra, _nonzero_min, _orbits, _reflections
 from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import points_in_box, restrict
-from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, kernel_value, paley_wiener
+from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, paley_wiener
 
 from conftest import (
     anchor_kernel_block,
     canonical_parseval_oracle,
+    entries_eigenvalues,
     full_eigh_frame_report,
     full_eigh_sampling_bounds,
+    full_matrix_frame_report,
     full_solve_frame_report,
+    gram_eigenvalues,
+    gram_entries,
     hermitian_defect_oracle,
+    kernel_value,
     make_fibonacci_scheme,
     make_lattice_patch,
     make_product_fibonacci_scheme,
+    matrix_rep_rows,
     point_split_frame_report,
     sampling_bounds_oracle,
     solver_inputs,
@@ -52,39 +56,37 @@ def pw_patch(spacing, half_width):
     return make_lattice_patch(spacing, half_width)
 
 
-class TestBuildGram:
+class TestGram:
     def test_integer_lattice_gram_is_identity(self):
-        gram = build_gram(PW, pw_patch(1.0, 20.0))
-        assert gram.n == 41
-        assert np.abs(gram.entries - np.eye(41)).max() < 1e-12
+        patch = pw_patch(1.0, 20.0)
+        assert np.abs(gram_entries(PW, patch) - np.eye(41)).max() < 1e-12
+        assert np.abs(gram_eigenvalues(PW, patch) - 1.0).max() < 1e-12
 
     def test_even_lattice_gram_is_identity(self):
-        gram = build_gram(PW, pw_patch(2.0, 20.0))
-        assert gram.n == 21
-        assert np.abs(gram.entries - np.eye(21)).max() < 1e-12
+        patch = pw_patch(2.0, 20.0)
+        assert np.abs(gram_entries(PW, patch) - np.eye(21)).max() < 1e-12
+        assert np.abs(gram_eigenvalues(PW, patch) - 1.0).max() < 1e-12
 
     def test_two_point_gabor_gram(self):
         a = 0.8
         patch = PointPatch(dim=2, box=[(-2, 2), (-2, 2)], points=[[0.0, 0.0], [a, 0.0]])
-        gram = build_gram(GG, patch)
+        entries = gram_entries(GG, patch)
         expected = math.exp(-math.pi * a * a / 2)
-        assert abs(gram.entries[0, 1]) == pytest.approx(expected, abs=1e-12)
-        assert gram.entries[0, 0] == pytest.approx(1.0)
+        assert abs(entries[0, 1]) == pytest.approx(expected, abs=1e-12)
+        assert entries[0, 0] == pytest.approx(1.0)
+        assert gram_eigenvalues(GG, patch) == pytest.approx([1 - expected, 1 + expected], abs=1e-12)
 
     def test_entry_convention(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-2, 2, size=(4, 2))
         patch = PointPatch(dim=2, box=[(-2, 2), (-2, 2)], points=pts)
-        gram = build_gram(GG, patch)
+        entries = gram_entries(GG, patch)
         for i in range(4):
             for j in range(4):
-                assert gram.entries[i, j] == pytest.approx(
-                    kernel_value(GG, patch.points[j], patch.points[i]), abs=1e-14
-                )
+                assert entries[i, j] == pytest.approx(kernel_value(GG, patch.points[j], patch.points[i]), abs=1e-14)
 
-    def test_eigenvalues_cached_ascending(self):
-        gram = build_gram(PW, pw_patch(0.5, 10.0))
-        assert np.all(np.diff(gram.eigenvalues) >= -1e-14)
+    def test_eigenvalues_ascending(self):
+        assert np.all(np.diff(gram_eigenvalues(PW, pw_patch(0.5, 10.0))) >= -1e-14)
 
     def test_patch_past_dense_limit_raises_before_any_kernel_entry(self, monkeypatch):
         patch = pw_patch(1.0, 2000.0)
@@ -95,12 +97,12 @@ class TestBuildGram:
 
         monkeypatch.setattr(framekit, "kernel_matrix", no_kernel_entries)
         with pytest.raises(GramSizeError, match="dense limit is 4000"):
-            build_gram(PW, patch)
+            frame_trend_report(PW, patch, (1000.0, 1500.0, 2000.0))
         with pytest.raises(GramSizeError, match="dense limit is 4000"):
             sampling_bounds(PW, patch)
 
 
-class TestGramFromEntries:
+class TestHermitianCheck:
     @pytest.mark.parametrize(
         "where, value",
         [((0, 1), math.nan), ((2, 0), math.nan), ((1, 2), math.inf), ((1, 1), math.inf), ((0, 0), 1 + 1j)],
@@ -111,12 +113,7 @@ class TestGramFromEntries:
         e = np.eye(3, dtype=complex)
         e[where] = value
         with pytest.raises(ValueError, match="not Hermitian"):
-            gram_from_entries(e)
-
-    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
-    def test_non_square_input_names_its_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"square matrix, got shape {shape}")):
-            gram_from_entries(np.zeros(shape))
+            entries_eigenvalues(e)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -143,58 +140,82 @@ class TestGramFromEntries:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pointset, "BLOCK_ELEMENTS", block_rows * n + spare)
             if hermitian_defect_oracle(e) <= 1e-10:
-                gram = gram_from_entries(e)
-                assert np.array_equal(gram.eigenvalues, np.linalg.eigvalsh(e))
+                assert np.array_equal(entries_eigenvalues(e), np.linalg.eigvalsh(e))
             else:
                 with pytest.raises(ValueError, match="not Hermitian"):
-                    gram_from_entries(e)
+                    entries_eigenvalues(e)
 
     def test_defect_check_allocates_a_fraction_of_the_matrix(self, monkeypatch):
         # a whole-matrix check allocates two n x n complex temporaries (2.05x the matrix)
         monkeypatch.setattr(pointset, "BLOCK_ELEMENTS", 1 << 14)
         a = np.random.default_rng(3).standard_normal((400, 800)).view(complex)
         e = (a + a.conj().T) / 2
+        orbits = _orbits(None, len(e))
         tracemalloc.start()
         try:
-            gram_from_entries(e)
+            _check_hermitian(e.T, orbits)  # without a reflection every row of G is stored, as a column
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * e.nbytes
 
+    @pytest.mark.parametrize(
+        "column, delta",
+        [("representative", 2e-10), ("other", 2e-10 * 1j), ("other", math.nan)],
+        ids=["defect-at-representative-column", "defect-at-other-column", "nan-at-other-column"],
+    )
+    def test_mutated_kernel_refused(self, monkeypatch, column, delta):
+        # only the representatives' rows of G are built; an entry G[reps[3], j] of a column j that
+        # represents no orbit has its Hermitian partner G[j, reps[3]] in another orbit's row
+        patch = make_lattice_patch(1.0, 6.0, dim=2)
+        orbits = _orbits(_reflections(GG, patch.points), patch.n_points)
+        assert len(orbits.reps) == 49  # 169 points under both reflections
+        j = orbits.reps[5] if column == "representative" else np.flatnonzero(orbits.col < 0)[7]
+        assert orbits.home[j] != 3  # the partner is another stored entry
+        kernel_matrix_shapes = []
+
+        def mutated(*args):
+            out = kernel_matrix(*args)
+            if not kernel_matrix_shapes:
+                out[j, 3] += delta
+            kernel_matrix_shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(framekit, "kernel_matrix", mutated)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            frame_trend_report(GG, patch, (2.0, 4.0, 6.0))
+        assert kernel_matrix_shapes == [(169, 49)]
+
 
 class TestRieszBounds:
     def test_identity_gram(self):
-        gram = build_gram(PW, pw_patch(1.0, 20.0))
-        a, b = gram.nonzero_min, gram.lambda_max
-        assert a == pytest.approx(1.0, abs=1e-12)
-        assert b == pytest.approx(1.0, abs=1e-12)
+        eigs = gram_eigenvalues(PW, pw_patch(1.0, 20.0))
+        assert _nonzero_min(eigs) == pytest.approx(1.0, abs=1e-12)
+        assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_by_two_with_off_diagonal(self):
         for r in (0.2, 0.5, 0.9):
-            gram = gram_from_entries(np.array([[1.0, r], [r, 1.0]]))
-            a, b = gram.nonzero_min, gram.lambda_max
-            assert a == pytest.approx(1 - r, abs=1e-12)
-            assert b == pytest.approx(1 + r, abs=1e-12)
+            eigs = entries_eigenvalues(np.array([[1.0, r], [r, 1.0]]))
+            assert _nonzero_min(eigs) == pytest.approx(1 - r, abs=1e-12)
+            assert eigs[-1] == pytest.approx(1 + r, abs=1e-12)
 
     def test_near_degenerate_added_half_integer(self):
         pts = np.sort(np.concatenate([np.arange(-20.0, 21), [0.5]]))[:, None]
         patch = PointPatch(dim=1, box=[(-20, 20)], points=pts)
-        gram = build_gram(PW, patch)
         # 0.5 lies in the closed span of the integer samples
-        assert gram.lambda_min < 0.05
+        assert gram_eigenvalues(PW, patch)[0] < 0.05
 
     def test_removing_a_point_interlaces(self):
         rng = np.random.default_rng(7)
         pts = np.sort(rng.uniform(-10, 10, size=24))[:, None]
         patch = PointPatch(dim=1, box=[(-10, 10)], points=pts)
-        full = build_gram(PW, patch)
+        full = gram_eigenvalues(PW, patch)
         for drop in rng.choice(24, size=6, replace=False):
             keep = np.delete(np.arange(24), drop)
             sub = PointPatch(dim=1, box=[(-10, 10)], points=pts[keep])
-            gram = build_gram(PW, sub)
-            assert gram.lambda_max <= full.lambda_max + 1e-10
-            assert gram.lambda_min >= full.lambda_min - 1e-10
+            eigs = gram_eigenvalues(PW, sub)
+            assert eigs[-1] <= full[-1] + 1e-10
+            assert eigs[0] >= full[0] - 1e-10
 
     def test_bessel_bound_grows_with_clustering(self):
         # ell grows by duplicating the lattice at shrinking offsets; the upper
@@ -204,7 +225,7 @@ class TestRieszBounds:
             offsets = np.arange(copies) / (copies * 10.0)
             pts = np.sort((np.arange(-12.0, 13)[:, None] + offsets[None, :]).ravel())
             patch = PointPatch(dim=1, box=[(-12, 12.5)], points=pts[:, None])
-            b = build_gram(PW, patch).lambda_max
+            b = gram_eigenvalues(PW, patch)[-1]
             if previous is not None:
                 assert b > previous
             previous = b
@@ -247,8 +268,8 @@ class TestSamplingBounds:
         # exactly the Riesz spectrum of an orthonormal basis
         patch = pw_patch(1.0, 40.0)
         a, b = sampling_bounds_oracle(PW, patch, margin=10, at_points=True)
-        gram = build_gram(PW, patch)
-        ra, rb = gram.nonzero_min, gram.lambda_max
+        eigs = gram_eigenvalues(PW, patch)
+        ra, rb = _nonzero_min(eigs), eigs[-1]
         assert a == pytest.approx(1.0, abs=1e-6)
         assert b == pytest.approx(1.0, abs=1e-6)
         assert ra == pytest.approx(1.0, abs=1e-6)
@@ -336,7 +357,7 @@ def floor_cases(*ids):
 
 
 def gram_spectra(kernel, patch):
-    """``build_gram``'s eigenvalues and those of the unfloored oracle Gram, after checking the floor bites.
+    """The Gram stage's eigenvalues and those of the unfloored oracle Gram, after checking the floor bites.
 
     The oracle Gram goes through the same solve: the smaller blocks of the
     patch's reflections, one ``eigvalsh`` for a patch without them.
@@ -345,8 +366,7 @@ def gram_spectra(kernel, patch):
     if kernel.kind == "gabor_gaussian":
         mag = np.abs(entries)
         assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
-    oracle = gram_from_entries(entries, _reflections(kernel, patch.points))
-    return build_gram(kernel, patch).eigenvalues, oracle.eigenvalues
+    return gram_eigenvalues(kernel, patch), entries_eigenvalues(entries, _reflections(kernel, patch.points))
 
 
 class TestUnderflowFloor:
@@ -471,8 +491,8 @@ class TestReflectionSplit:
         assert (p_map is None) == ("asymmetric" in case)
         if case != "gabor":  # a jittered point-symmetric patch is time-symmetric only without jitter
             assert (r_map is None) == case.startswith("pw-symmetric")
-        full = np.linalg.eigvalsh(kernel_matrix(kernel, patch.points, patch.points).T)
-        got = build_gram(kernel, patch).eigenvalues
+        full = np.linalg.eigvalsh(gram_entries(kernel, patch))
+        got = gram_eigenvalues(kernel, patch)
         assert np.abs(got - full).max() <= len(full) * np.finfo(float).eps * np.abs(full).max()
         edge = patch.box[0][1]
         truncations = (edge / 3, 2 * edge / 3, edge)
@@ -484,8 +504,8 @@ class TestReflectionSplit:
         keep[off_axes[drop % len(off_axes)]] = False
         lopsided = PointPatch(dim=dim, box=patch.box, points=patch.points[keep])
         assert _reflections(kernel, lopsided.points) is None
-        want = np.linalg.eigvalsh(kernel_matrix(kernel, lopsided.points, lopsided.points).T)
-        assert np.array_equal(build_gram(kernel, lopsided).eigenvalues, want)
+        want = np.linalg.eigvalsh(gram_entries(kernel, lopsided))
+        assert np.array_equal(gram_eigenvalues(kernel, lopsided), want)
 
     @pytest.mark.parametrize("case", ["pw-symmetric-1d", "pw-symmetric-2d"])
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -515,13 +535,75 @@ class TestReflectionSplit:
         truncations = (6.0, 9.0, 12.0)
         assert frame_trend_report(GG, patch, truncations).riesz_n == (169, 361, 625)  # the full Gram's n
         blocks = solver_inputs(frame_trend_report, GG, patch, truncations)[:6]
-        # the top Gram (its even block holds the origin), then the two smaller truncations; the
-        # lattice is time-symmetric too, so each block is real
-        assert [len(a) for a in blocks] == [313, 312, 85, 84, 181, 180]
+        # the truncations in turn (each even block holds the origin), all gathered from the top Gram's
+        # representative rows; the lattice is time-symmetric too, so each block is real
+        assert [len(a) for a in blocks] == [85, 84, 181, 180, 313, 312]
         for a in blocks:
             assert a.dtype == np.float64
             # eigvalsh reads one triangle; the Gram is exactly Hermitian, so the block is exactly symmetric
             assert np.array_equal(a, a.T)
+
+
+class TestRepresentativeRows:
+    @pytest.mark.parametrize("case", list(SAMPLING_KERNELS))
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(density=st.floats(0.6, 1.6), shift=st.just(0.0) | st.floats(0.15, 0.4))
+    def test_reports_equal_full_matrix_oracles(self, case, density, shift):
+        # a lattice in a box cut off-centre by shift: the top truncation maps onto itself under no reflection, so
+        # its store holds every row and its one block is the whole Gram, while the smallest truncation is centred
+        # and has every reflection of the kernel, gathered from that store; shift 0 gives a symmetric top
+        kernel, cells = SAMPLING_KERNELS[case]
+        spacing = lattice_spacing(kernel, density)
+        patch = offset_patch(kernel, spacing, 0.0, cells, shift, 0)
+        top = (cells + 0.5) * spacing
+        truncations = (0.15 * top, 0.5 * top, top)
+        inner = restrict(patch, [(-truncations[0], truncations[0])] * patch.dim).points
+        assert _reflections(kernel, inner) is not None
+        assert (_reflections(kernel, patch.points) is None) == (shift > 0)
+        report = frame_trend_report(kernel, patch, truncations)
+        oracle = full_matrix_frame_report(kernel, patch, truncations)
+        assert frame_report_to_jsonable(report) == frame_report_to_jsonable(oracle)
+        got, want = report.final_eigenvalues, oracle.final_eigenvalues
+        if shift > 0:
+            assert np.array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= len(want) * np.finfo(float).eps * want[-1]
+
+    def test_stage_without_stored_rows_builds_its_own(self, monkeypatch):
+        # a box off the centre of a symmetric lattice holds no whole orbits: most of its points represent none
+        # of the lattice's orbits, so the stage builds its own rows (all of them, as it has no reflection)
+        patch = make_lattice_patch(1.0, 6.0, dim=2)
+        corner = np.flatnonzero(points_in_box(patch.points, [(-6.0, 2.0), (-6.0, 2.0)]))
+        shapes = []
+
+        def recorded(*args):
+            out = kernel_matrix(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(framekit, "kernel_matrix", recorded)
+        got = _gram_spectra(GG, patch.points, [corner, np.arange(patch.n_points)])
+        assert shapes == [(169, 49), (81, 81)]
+        sub = PointPatch(dim=2, box=[(-6.0, 2.0)] * 2, points=patch.points[corner])
+        assert np.array_equal(got[0], np.linalg.eigvalsh(gram_entries(GG, sub)))
+        assert np.array_equal(got[1], gram_eigenvalues(GG, patch))
+
+    def test_gram_stage_holds_the_stored_rows_and_less_than_half_a_gram(self):
+        # 625 points, 169 representatives: the stored rows take 27% of the 6.25 MB complex Gram that used to be
+        # built whole; besides them one parity's gathered arrays and block are alive (3.7 MB in all).  A margin
+        # of 3/4 of the truncation keeps the sampling stages' patch-by-anchor kernel blocks, 625 x 36 at the top,
+        # below that
+        patch = make_lattice_patch(1.0, 12.0, dim=2)
+        assert patch.n_points == 625
+        gram_bytes = patch.n_points**2 * 16
+        stored_bytes = patch.n_points * 169 * 16
+        tracemalloc.start()
+        try:
+            frame_trend_report(GG, patch, (6.0, 9.0, 12.0), margin_frac=0.75)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stored_bytes + 0.5 * gram_bytes < gram_bytes
 
 
 class TestReflectedEigh:
@@ -551,7 +633,7 @@ class TestReflectedEigh:
         p_map, r_map = _reflections(kernel, grid)
         assert (p_map is not None, r_map is not None) == ("P" in maps, "R" in maps)
         M = kernel_matrix(kernel, grid, grid)
-        s, V = framekit._projected_eigh(M, (p_map, r_map))
+        s, V = framekit._projected_eigh(*matrix_rep_rows(M, (p_map, r_map)))
         a, eps, norm = len(M), np.finfo(float).eps, np.linalg.norm(M, 2)
         assert np.linalg.norm(V.conj().T @ V - np.eye(len(s)), 2) <= 10 * a * eps
         assert np.linalg.norm(M @ V - V * s, 2) <= 10 * a * eps * norm
@@ -564,60 +646,55 @@ class TestReflectedEigh:
 
 class TestCanonicalParseval:
     def test_identity_is_fixed_point(self):
-        gram = build_gram(PW, pw_patch(1.0, 15.0))
-        out, transform = canonical_parseval_oracle(gram)
-        assert np.abs(out.entries - np.eye(gram.n)).max() < 1e-10
-        assert np.abs(transform - np.eye(gram.n)).max() < 1e-10
+        entries = gram_entries(PW, pw_patch(1.0, 15.0))
+        out, transform = canonical_parseval_oracle(entries)
+        assert np.abs(out - np.eye(len(entries))).max() < 1e-10
+        assert np.abs(transform - np.eye(len(entries))).max() < 1e-10
 
     def test_two_point_system_becomes_orthonormal(self):
-        gram = gram_from_entries(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        out, _ = canonical_parseval_oracle(gram)
-        assert np.allclose(out.eigenvalues, [1.0, 1.0], atol=1e-12)
+        out, _ = canonical_parseval_oracle(np.array([[1.0, 0.5], [0.5, 1.0]]))
+        assert np.allclose(entries_eigenvalues(out), [1.0, 1.0], atol=1e-12)
 
     def test_rank_deficient_three_point_system(self):
         # three nearly collinear kernel directions: rank 2 after tolerance
         v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1e-14]])
-        gram = gram_from_entries(v @ v.T)
-        out, _ = canonical_parseval_oracle(gram)
-        eigs = np.sort(out.eigenvalues)
-        assert np.allclose(eigs, [0.0, 1.0, 1.0], atol=1e-8)
+        out, _ = canonical_parseval_oracle(v @ v.T)
+        assert np.allclose(entries_eigenvalues(out), [0.0, 1.0, 1.0], atol=1e-8)
 
     def test_output_is_projection(self):
         rng = np.random.default_rng(3)
         pts = np.sort(rng.uniform(-15, 15, size=60))[:, None]
         patch = PointPatch(dim=1, box=[(-15, 15)], points=pts)
-        gram = build_gram(PW, patch)
-        out, _ = canonical_parseval_oracle(gram)
-        P = out.entries
+        P, _ = canonical_parseval_oracle(gram_entries(PW, patch))
         assert np.linalg.norm(P @ P - P, 2) < 1e-8
-        assert np.abs(out.eigenvalues - np.round(out.eigenvalues)).max() < 1e-8
+        eigs = entries_eigenvalues(P)
+        assert np.abs(eigs - np.round(eigs)).max() < 1e-8
 
     def test_zero_gram_rejected(self):
-        gram = gram_from_entries(np.zeros((3, 3)))
         with pytest.raises(NotAFrameError, match="not a frame"):
-            canonical_parseval_oracle(gram)
+            canonical_parseval_oracle(np.zeros((3, 3)))
 
 
 class TestSpectrumInvariance:
     def test_zero_shift_is_exact(self):
         patch = pw_patch(1.0, 10.0)
-        assert np.array_equal(build_gram(PW, translate(patch, [0.0])).eigenvalues, build_gram(PW, patch).eigenvalues)
+        assert np.array_equal(gram_eigenvalues(PW, translate(patch, [0.0])), gram_eigenvalues(PW, patch))
 
     def test_pw_shifts(self):
         rng = np.random.default_rng(9)
         pts = np.sort(rng.uniform(-8, 8, size=30))[:, None]
         patch = PointPatch(dim=1, box=[(-8, 8)], points=pts)
-        base = build_gram(PW, patch).eigenvalues
+        base = gram_eigenvalues(PW, patch)
         for s in ([0.3], [1.7]):
-            assert np.abs(build_gram(PW, translate(patch, s)).eigenvalues - base).max() < 1e-10
+            assert np.abs(gram_eigenvalues(PW, translate(patch, s)) - base).max() < 1e-10
 
     def test_gabor_shifts(self):
         rng = np.random.default_rng(10)
         pts = rng.uniform(-3, 3, size=(25, 2))
         patch = PointPatch(dim=2, box=[(-3, 3), (-3, 3)], points=pts)
-        base = build_gram(GG, patch).eigenvalues
+        base = gram_eigenvalues(GG, patch)
         for s in rng.uniform(-2, 2, size=(5, 2)):
-            assert np.abs(build_gram(GG, translate(patch, s)).eigenvalues - base).max() < 1e-8
+            assert np.abs(gram_eigenvalues(GG, translate(patch, s)) - base).max() < 1e-8
 
     def test_phase_convention_change_preserves_spectra(self):
         # multiply by the diagonal unitary that converts to the symmetric
@@ -625,21 +702,19 @@ class TestSpectrumInvariance:
         rng = np.random.default_rng(12)
         pts = rng.uniform(-2, 2, size=(12, 2))
         patch = PointPatch(dim=2, box=[(-2, 2), (-2, 2)], points=pts)
-        gram = build_gram(GG, patch)
         phases = np.exp(1j * np.pi * pts[:, 0] * pts[:, 1])
-        alt = phases[:, None] * gram.entries * np.conj(phases)[None, :]
+        alt = phases[:, None] * gram_entries(GG, patch) * np.conj(phases)[None, :]
         alt_eigs = np.linalg.eigvalsh((alt + alt.conj().T) / 2)
-        assert np.abs(alt_eigs - gram.eigenvalues).max() < 1e-8
+        assert np.abs(alt_eigs - gram_eigenvalues(GG, patch)).max() < 1e-8
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(13)
         pts = rng.uniform(-3, 3, size=(10, 2))
         patch = PointPatch(dim=2, box=[(-3, 3), (-3, 3)], points=pts)
-        gram = build_gram(GG, patch)
         perm = rng.permutation(10)
-        permuted = gram.entries[np.ix_(perm, perm)]
+        permuted = gram_entries(GG, patch)[np.ix_(perm, perm)]
         eigs = np.linalg.eigvalsh((permuted + permuted.conj().T) / 2)
-        assert np.abs(eigs - gram.eigenvalues).max() < 1e-10
+        assert np.abs(eigs - gram_eigenvalues(GG, patch)).max() < 1e-10
 
 
 class TestFrameTrend:
@@ -671,11 +746,11 @@ class TestFrameTrend:
         r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
         for t in truncations:
             sub = restrict(patch, tuple((-t, t) for _ in range(patch.dim)))
-            gram = build_gram(kernel, sub)
-            r_lo.append(gram.nonzero_min)
-            r_lo_raw.append(gram.lambda_min)
-            r_hi.append(gram.lambda_max)
-            r_n.append(gram.n)
+            eigs = gram_eigenvalues(kernel, sub)
+            r_lo.append(_nonzero_min(eigs))
+            r_lo_raw.append(eigs[0])
+            r_hi.append(eigs[-1])
+            r_n.append(len(eigs))
             sa, sb, sn = sampling_bounds(kernel, sub, margin=0.25 * t)
             s_lo.append(sa)
             s_hi.append(sb)
@@ -687,28 +762,26 @@ class TestFrameTrend:
         assert report.sampling_lower == tuple(s_lo)
         assert report.sampling_upper == tuple(s_hi)
         assert report.sampling_n == tuple(s_n)
-        assert np.array_equal(report.final_eigenvalues, gram.eigenvalues)
+        assert np.array_equal(report.final_eigenvalues, eigs)
 
     def test_top_gram_released_before_sampling(self, monkeypatch):
         refs = []
 
-        def keep_ref(fn):
-            def wrapped(*args, **kwargs):
-                gram = fn(*args, **kwargs)
-                refs.append(weakref.ref(gram.entries))
-                return gram
-
-            return wrapped
+        def keep_ref(*args):
+            rows = kernel_matrix(*args)
+            refs.append(weakref.ref(rows))
+            return rows
 
         def checked_sampling_bounds(*args, **kwargs):
+            gram_calls.append(len(refs))
             assert all(r() is None for r in refs), "a Gram is alive during a sampling stage"
             return sampling_bounds(*args, **kwargs)
 
-        monkeypatch.setattr(framekit, "build_gram", keep_ref(framekit.build_gram))
-        monkeypatch.setattr(framekit, "gram_from_entries", keep_ref(framekit.gram_from_entries))
+        gram_calls = []
+        monkeypatch.setattr(framekit, "kernel_matrix", keep_ref)
         monkeypatch.setattr(framekit, "sampling_bounds", checked_sampling_bounds)
         report = frame_trend_report(PW, pw_patch(0.5, 160.0), [40, 80, 160])
-        assert len(refs) == 2  # the top Gram, recorded twice; the smaller stages are gathered from it
+        assert gram_calls[0] == 1  # the top Gram's rows; the smaller stages are gathered from them
         assert len(report.sampling_lower) == 3
 
     def test_two_truncations_are_inconclusive(self):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperio import kernel_matrix, kernel_value, wiener_amalgam_norm
+from aperio import kernel_matrix, wiener_amalgam_norm
 from aperio.errors import DimensionMismatchError, GridTooCoarseError
 from aperio.rkhs import UNDERFLOW_FLOOR, _local_max, gabor_gaussian, paley_wiener
 
-from conftest import broadcast_gabor_matrix, broadcast_pw_matrix, heisenberg_phase, local_max_oracle
+from conftest import broadcast_gabor_matrix, broadcast_pw_matrix, heisenberg_phase, kernel_value, local_max_oracle
 
 
 def gaussian_window(t):
