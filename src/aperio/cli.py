@@ -13,8 +13,10 @@ referenced by content hash, and every numeric field is a decimal string.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
+import itertools
 import json
 import os
 import re
@@ -94,7 +96,9 @@ class Context:
 
     def commit(self) -> None:
         """Write every staged file to a temporary sibling, rename them all into place, then
-        write the staged stdout; a file that cannot be written leaves the workspace as it was."""
+        write the staged stdout; a file that cannot be written leaves the workspace as it was.
+        Each sibling is a new file, named for the process and a counter, so a killed run's leftover
+        blocks nothing."""
         out = self.staged.pop(None, "")
         if dirs := [path for path in self.staged if path.is_dir()]:
             raise ConfigError(f"cannot write {dirs[0]}: it is a directory")
@@ -102,15 +106,20 @@ class Context:
         try:
             for path, text in self.staged.items():
                 path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path.with_name(f".{path.name}.aperio-tmp"), "xb") as tmp:
+                for serial in itertools.count():
+                    with contextlib.suppress(FileExistsError):
+                        tmp = open(path.with_name(f".{path.name}.{os.getpid()}-{serial}.aperio-tmp"), "xb")
+                        break
+                with tmp:
                     temps.append((tmp.name, path))
                     tmp.write(text.encode())
             for name, path in temps:
                 os.replace(name, path)
         except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
+        finally:  # on any exception; after the renames no name is left
             for name, _ in temps:
                 Path(name).unlink(missing_ok=True)
-            raise ConfigError(f"cannot write {path}: {exc}") from exc
         sys.stdout.write(out)
 
 

@@ -293,25 +293,23 @@ def _gram_spectra(kernel: KernelSpec, points: np.ndarray, stages) -> list[np.nda
 
     The rows of the whole set's ``G`` at its orbit representatives
     (``_rep_rows``) are built and checked once (``_check_hermitian``), and
-    each stage (an increasing index array) is solved as the blocks of its
-    own reflections gathered from them.  A centred box of a set its group maps onto itself
-    holds whole orbits, in order, under at least that group, so its
-    representatives are stored; any other stage builds its own rows.  Too
-    many points, or points of another dimension, are refused first.
+    each stage is solved as the blocks of its own reflections gathered from
+    them.  Each ``keep`` must be the increasing indices of the points in a
+    box that every negation of axes maps onto itself, such as ``[-t, t]^d``:
+    then the whole set's reflections map the stage onto itself, each orbit
+    of the stage is a union of the whole set's, and its smallest index is
+    the whole set's representative of one of them, a stored row.  Too many
+    points, or points of another dimension, are refused first.
     """
     if len(points) > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
     points = as_rows(points, kernel.space_dim)
     store, top = _rep_rows(kernel, points)
     _check_hermitian(store, top)
-    spectra = []
-    for keep in stages:
-        orbits = _orbits(_reflections(kernel, points[keep]), len(keep))
-        if (top.col[keep[orbits.reps]] < 0).any():
-            spectra += _gram_spectra(kernel, points[keep], [np.arange(len(keep))])
-        else:
-            spectra.append(_reflected_eigvalsh(store, top.col, keep, orbits))
-    return spectra
+    return [
+        _reflected_eigvalsh(store, top.col, keep, _orbits(_reflections(kernel, points[keep]), len(keep)))
+        for keep in stages
+    ]
 
 
 def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -411,18 +409,14 @@ def sampling_bounds(
 
     The anchor Gram ``M`` and the patch-by-anchor kernel block ``K`` come
     from ``kernel_matrix``, whose Gaussian entries below
-    ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros, so no product in
-    ``K^H K`` underflows; each block of ``M`` is floored again after its
-    sums.  In every case checked, the bounds equal those of the unfloored
-    kernel bit for bit.
+    ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros; each block of ``M`` is
+    floored again after its sums.  In every case checked, the bounds equal
+    those of the unfloored kernel bit for bit.
 
-    Each matrix is released as soon as the next product has used it:
-    ``M``'s rows once its blocks are solved (the kept eigenvectors are
-    mapped and scaled in place into ``W``), ``K`` once ``K^H K`` exists,
-    ``K^H K`` once ``W^H K^H K`` exists and ``W`` once that is multiplied by
-    ``W``.  So one anchor-sized product is alive at a time besides its
-    operands.  For a real kernel (a symmetric band) every matrix is real and
-    ``conj()`` returns the matrix itself, so no conjugate copy is made.
+    The scaled eigenvectors ``W`` are an orthonormal basis of the test
+    functions, so ``K W`` is the sampling operator on that basis and the
+    quotients are the eigenvalues of the one product ``(K W)^H (K W)``
+    (Fuhr, Grochenig, Haimi, Klotz & Romero 2017).
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
@@ -443,16 +437,9 @@ def sampling_bounds(
     s, W = _projected_eigh(rows, orbits)
     del rows
     W *= (1.0 / np.sqrt(s))[None, :]
-    K = kernel_matrix(kernel, patch.points - centre, grid)
-    KK = K.conj().T @ K
-    del K
-    B = W.conj().T @ KK
-    del KK
-    B = B @ W
+    KW = kernel_matrix(kernel, patch.points - centre, grid) @ W
     del W
-    B += B.conj().T
-    B /= 2.0
-    eigs = np.linalg.eigvalsh(B)
+    eigs = np.linalg.eigvalsh(KW.conj().T @ KW)
     return float(eigs[0]), float(eigs[-1]), len(eigs)
 
 
@@ -516,8 +503,9 @@ def frame_trend_report(
     largest stage's Gram rows at its orbit representatives, about a quarter
     of its n x n Gram on a lattice, are built and checked once, and every
     stage is solved as the blocks of its own reflections gathered from
-    them; tags and brackets keep the full Gram's n.  Then the rows are
-    released and the sampling bounds are taken, with no Gram alive.
+    them, as each stage is the largest one's points in ``[-t, t]^d``; tags
+    and brackets keep the full Gram's n.  Then the rows are released and the
+    sampling bounds are taken, with no Gram alive.
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs or not truncs[0] > 0:

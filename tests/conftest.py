@@ -408,18 +408,18 @@ def sampling_bounds_oracle(
 ) -> tuple[float, float]:
     """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
 
-    Forms ``M`` and ``K^H K`` from every kernel entry, however small, and
-    solves ``M`` by the same reflected blocks, read from ``M``'s own rows at
-    the representatives (one full ``eigh`` for anchors without a
-    reflection), so it checks that the kernel's zeros below the underflow
-    floor change no bit of either bound, nor does taking those rows as the
+    Forms ``M`` and ``K`` from every kernel entry, however small, solves
+    ``M`` by the same reflected blocks, read from ``M``'s own rows at the
+    representatives (one full ``eigh`` for anchors without a reflection),
+    and takes the eigenvalues of ``(K W)^H (K W)`` as ``sampling_bounds``
+    does.  So it checks that the kernel's zeros below the underflow floor
+    change no bit of either bound, nor does taking those rows as the
     conjugated columns that ``sampling_bounds`` builds.
     """
     M, K, pairing = anchor_kernel_block(kernel, patch, margin, at_points)
     s, vecs = projected_inverse_sqrt(M) if pairing is None else _projected_eigh(*matrix_rep_rows(M, pairing))
-    W = vecs * (1.0 / np.sqrt(s))[None, :]
-    B = W.conj().T @ (K.conj().T @ K) @ W
-    eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
+    KW = K @ (vecs * (1.0 / np.sqrt(s))[None, :])
+    eigs = np.linalg.eigvalsh(KW.conj().T @ KW)
     return float(eigs[0]), float(eigs[-1])
 
 
@@ -457,8 +457,10 @@ def full_eigh_sampling_bounds(kernel, patch: PointPatch, margin: float | None = 
     Nothing is moved and nothing is reflected: ``M`` and ``K`` are the
     (floored) ``kernel_matrix`` of the grid on the box and of the patch as
     it is, and ``M``'s nonzero spectrum comes from ``projected_inverse_sqrt``.
-    The covariance of the kernel and the reflected solve of
-    ``sampling_bounds`` change its bounds by rounding only.
+    The quotient matrix is the chain ``W^H (K^H K) W``, averaged with its
+    conjugate transpose, not ``sampling_bounds``' one product ``(K W)^H (K
+    W)``.  The covariance of the kernel, the reflected solve and the one
+    product change its bounds by rounding only.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0

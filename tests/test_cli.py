@@ -532,6 +532,26 @@ class TestAllOrNothing:
         assert code == 2 and out == "" and len(err) == 1 and "cannot write" in err[0]
         assert _snapshot(workspace) == before  # no output and no temporary file
 
+    def test_leftover_temporary_file_neither_blocks_nor_is_touched(self, workspace, capsys):
+        # a run killed between opening its temporary sibling and renaming it leaves the file behind
+        leftover = workspace / ".p.json.aperio-tmp"
+        leftover.write_text("left by a killed run")
+        code, out, err, _ = self.run_steps(workspace, capsys, [_GEN_STEP])
+        assert code == 0 and out == "" and err == []
+        assert json.loads((workspace / "p.json").read_bytes())["box"]
+        assert leftover.read_text() == "left by a killed run"
+        assert list(workspace.glob(".*")) == [leftover]
+
+    def test_interrupted_commit_removes_its_temporary_files(self, workspace, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        before = _snapshot(workspace)
+        with pytest.raises(KeyboardInterrupt):
+            run(workspace, "gen", "--scheme", "z.json", "--box", "-5", "5", "--out", "p.json")
+        assert _snapshot(workspace) == before
+
     def test_later_step_reads_staged_output_as_written(self, workspace, capsys):
         (workspace / "sub").mkdir()
         steps = [

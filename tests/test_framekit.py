@@ -20,7 +20,7 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import FolnerSpec
 from aperio import framekit, pointset
 from aperio.errors import CoverageError, GramSizeError, NotAFrameError
-from aperio.framekit import MAX_GRAM_POINTS, _check_hermitian, _gram_spectra, _nonzero_min, _orbits, _reflections
+from aperio.framekit import MAX_GRAM_POINTS, _check_hermitian, _nonzero_min, _orbits, _reflections
 from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import points_in_box, restrict
 from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, paley_wiener
@@ -300,6 +300,21 @@ class TestSamplingBounds:
             tracemalloc.stop()
         assert peak < 4 * k_bytes
 
+    def test_quotient_matrix_is_one_product_of_the_sampling_operator(self):
+        # K W, its conjugate copy and the quotient matrix B set the peak, 7.8 MiB; forming K^H K first,
+        # with a conjugate copy of K beside K, peaks at 9.4 MiB
+        patch = make_lattice_patch(1.0, 12.0, dim=2)
+        n_kept = sampling_bounds(GG, patch)[2]  # warm: numpy and LAPACK set up outside the trace
+        assert (patch.n_points, n_kept) == (625, 324)
+        kw_bytes, b_bytes = 16 * patch.n_points * n_kept, 16 * n_kept**2
+        tracemalloc.start()
+        try:
+            sampling_bounds(GG, patch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * kw_bytes + 1.5 * b_bytes
+
     @pytest.mark.parametrize("case", list(SAMPLING_KERNELS))
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(
@@ -568,25 +583,6 @@ class TestRepresentativeRows:
             assert np.array_equal(got, want)
         else:
             assert np.abs(got - want).max() <= len(want) * np.finfo(float).eps * want[-1]
-
-    def test_stage_without_stored_rows_builds_its_own(self, monkeypatch):
-        # a box off the centre of a symmetric lattice holds no whole orbits: most of its points represent none
-        # of the lattice's orbits, so the stage builds its own rows (all of them, as it has no reflection)
-        patch = make_lattice_patch(1.0, 6.0, dim=2)
-        corner = np.flatnonzero(points_in_box(patch.points, [(-6.0, 2.0), (-6.0, 2.0)]))
-        shapes = []
-
-        def recorded(*args):
-            out = kernel_matrix(*args)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(framekit, "kernel_matrix", recorded)
-        got = _gram_spectra(GG, patch.points, [corner, np.arange(patch.n_points)])
-        assert shapes == [(169, 49), (81, 81)]
-        sub = PointPatch(dim=2, box=[(-6.0, 2.0)] * 2, points=patch.points[corner])
-        assert np.array_equal(got[0], np.linalg.eigvalsh(gram_entries(GG, sub)))
-        assert np.array_equal(got[1], gram_eigenvalues(GG, patch))
 
     def test_gram_stage_holds_the_stored_rows_and_less_than_half_a_gram(self):
         # 625 points, 169 representatives: the stored rows take 27% of the 6.25 MB complex Gram that used to be
