@@ -174,7 +174,8 @@ def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
     t_hi = np.where(free, np.inf, np.maximum(t_a, t_b)).min(axis=1)
     first = np.clip(np.ceil(t_lo) - 1, z_lo[-1], z_hi[-1] + 1)
     last = np.clip(np.floor(t_hi) + 1, z_lo[-1] - 1, z_hi[-1])
-    counts = np.maximum(last - first + 1, 0)
+    with np.errstate(over="ignore"):  # a count past every double is inf, refused below
+        counts = np.maximum(last - first + 1, 0)
     total = counts.sum()
     if not total <= _ENUM_LIMIT:
         raise ArgumentError(f"enumeration of {total:.17g} integer candidates exceeds the limit")

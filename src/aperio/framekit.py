@@ -92,8 +92,6 @@ class _Orbits(NamedTuple):
     reps: np.ndarray  # one representative per orbit
     bounds: np.ndarray  # where each rank of representatives starts in reps, and its end
     weight: np.ndarray  # per representative: 1 / sqrt(the number of maps fixing it)
-    home: np.ndarray  # per index: the place in reps of its orbit's representative
-    which: np.ndarray  # per index: the element of group that carries its representative to it
     col: np.ndarray  # per index: its place in reps, or -1
 
 
@@ -122,11 +120,9 @@ def _orbits(pairing: tuple | None, n: int) -> _Orbits:
     order = np.argsort(rank, kind="stable")
     reps, rank = reps[order], rank[order]
     weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
-    home, which, col = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp), np.full(n, -1)
-    for g in reversed(range(len(group))):
-        home[group[g][0][reps]], which[group[g][0][reps]] = np.arange(len(reps)), g
+    col = np.full(n, -1)
     col[reps] = np.arange(len(reps))
-    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight, home, which, col)
+    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight, col)
 
 
 def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
@@ -182,39 +178,32 @@ def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orb
     blocks are those of the point reflection's even and odd split, bit for
     bit.
 
-    With each block comes its ``basis`` for ``_expand``: the block's row of
-    a representative ``a`` stands for the unit orbit vector whose entry at
+    With each block come its parity ``p`` and the slices ``plus`` and
+    ``minus`` of ``reps`` whose rows are its ``Re Z+`` and ``Re Z-`` halves
+    (``minus`` is ``None`` without ``R``).  The block's row of a
+    representative ``a`` stands for the unit orbit vector whose entry at
     ``g a`` (``g`` in the group) is ``chi(g) / sqrt(orbit size)``, where the
     character ``chi`` is ``p`` per ``P`` in ``g`` for the ``Re Z+`` half and
     ``i`` times that, and ``-1`` per ``R`` in ``g``, for the ``Re Z-`` half.
-    So each index of ``G`` takes its entry of a vector from at most one row
-    of each half: ``basis`` holds that row and its coefficient per index.
     """
-    (p_map, r_map), reps, weight, home, b = orbits.pairing, orbits.reps, orbits.weight, orbits.home, orbits.bounds
+    (p_map, r_map), reps, weight, b = orbits.pairing, orbits.reps, orbits.weight, orbits.bounds
     # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
     halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
-    # the numbers of P and of R in the map carrying each index's representative to it
-    p_count, r_count = np.array([g[1:] for g in orbits.group]).T[:, orbits.which]
-    # 1 / sqrt(orbit size), with the orbit size |group| / s for a stabiliser of s = 1 / weight^2 maps
-    modulus = 1.0 / (weight[home] * math.sqrt(len(orbits.group)))
     for p in (1, -1) if p_map is not None else (1,):
-        plus, minus = halves[p]
-        span = plus if r_map is None else slice(plus.start, max(plus.stop, minus.stop))
+        plus, minus = halves[p][0], halves[p][1] if r_map is not None else None
+        span = plus if minus is None else slice(plus.start, max(plus.stop, minus.stop))
         rows = reps[span]
         if not len(rows):
             continue
-        chi = modulus * float(p) ** p_count
-        k = plus.stop - plus.start
-        in_u = (home >= plus.start) & (home < plus.stop)
-        basis = (np.where(in_u, home - plus.start, 0), np.where(in_u, chi, 0.0), None, None)
         if len(orbits.group) == 1 and store.shape == (len(index),) * 2:
-            yield store.T, basis  # the whole store in order, with no sums to floor: G itself, not copied
+            yield store.T, (p, plus, minus)  # the whole store in order, with no sums to floor: G itself, not copied
             return
         y = _gather(store, col, index, rows, rows, p_map, p)
-        if r_map is None:
+        if minus is None:
             block, wts = y, weight[plus]
         else:
             w = _gather(store, col, index, rows, r_map[rows], p_map, p)
+            k = plus.stop - plus.start
             u = slice(plus.start - span.start, plus.stop - span.start)
             v = slice(minus.start - span.start, minus.stop - span.start)
             block = np.empty((k + v.stop - v.start,) * 2)
@@ -224,32 +213,13 @@ def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orb
             np.subtract(y.real[v, v], w.real[v, v], out=block[k:, k:])
             wts = np.concatenate([weight[plus], weight[minus]])
             del w
-            in_v = (home >= minus.start) & (home < minus.stop)
-            v_coef = np.where(in_v, chi * (-1.0) ** r_count, 0.0)
-            basis = basis[:2] + (np.where(in_v, k + home - minus.start, 0), v_coef)
         del y
         scaled = np.flatnonzero(wts != 1.0)
         block[scaled] *= wts[scaled, None]
         block[:, scaled] *= wts[scaled]
         _floor_underflow(block)  # its temporaries are no larger than the solver's copy of the block
-        yield block, basis
+        yield block, (p, plus, minus)
         del block  # before the next block is gathered
-
-
-def _expand(basis: tuple, x: np.ndarray, out: np.ndarray) -> None:
-    """Write into ``out`` the vectors of ``G``'s index space whose coordinates in a block's basis are ``x``'s columns.
-
-    ``basis`` comes with the block from ``_reflected_blocks``.  Each half
-    is one gather of rows of ``x`` times a coefficient per index; with
-    ``R`` the ``Re Z+`` half gives the real part of ``out`` and the
-    ``Re Z-`` half the imaginary part.  No basis matrix is built.
-    """
-    u_row, u_coef, v_row, v_coef = basis
-    if v_row is None:
-        np.multiply(x[u_row], u_coef[:, None], out=out)
-    else:
-        np.multiply(x[u_row], u_coef[:, None], out=out.real)
-        np.multiply(x[v_row], v_coef[:, None], out=out.imag)
 
 
 def _reflected_eigvalsh(store: np.ndarray, col: np.ndarray, index: np.ndarray, orbits: _Orbits) -> np.ndarray:
@@ -264,21 +234,19 @@ def _reflected_eigvalsh(store: np.ndarray, col: np.ndarray, index: np.ndarray, o
 def _check_hermitian(store: np.ndarray, orbits: _Orbits) -> None:
     """Refuse the representative rows ``store[j, a] = G[reps[a], j]`` of a ``G`` that is not Hermitian.
 
-    Every entry of ``G`` is a stored one or the conjugate of one, so each
-    stored entry is compared with its partner ``conj G[j, reps[a]]``: with
-    ``j = g reps[b]`` (``b = home[j]``, ``g = which[j]``) that is the stored
-    ``store[g reps[a], b]``, conjugated unless ``g`` holds ``R``.  One group
-    element and one row block of ``pointset.BLOCK_ELEMENTS / 4`` entries at a
-    time, so the three temporaries stay under ``BLOCK_ELEMENTS`` complex
-    numbers; the first defect not ``<= 1e-10`` (NaN and inf included) is
-    refused.
+    Every index is ``g reps[b]`` for a group element ``g``, so the rows ``T
+    = store[g reps]`` hold ``T[b, a] = G[reps[a], g reps[b]]``, whose
+    partner ``conj G[g reps[b], reps[a]]`` is ``conj T[a, b]``, or ``T[a,
+    b]`` when ``g`` holds ``R``.  One ``g`` and one row block of ``T`` of
+    ``pointset.BLOCK_ELEMENTS / 4`` entries at a time, so the three
+    temporaries stay under ``BLOCK_ELEMENTS`` complex numbers; the first
+    defect not ``<= 1e-10`` (NaN and inf included) is refused.
     """
-    reps, home = orbits.reps, orbits.home
-    for g, (m, _, n_r) in enumerate(orbits.group):
-        js = np.flatnonzero(orbits.which == g)
-        for blk in _row_blocks(len(js), 4 * len(reps)):
-            diff = store[js[blk]]
-            partner = store[np.ix_(m[reps], home[js[blk]])].T
+    for m, _, n_r in orbits.group:
+        rows = m[orbits.reps]
+        for blk in _row_blocks(len(rows), 4 * len(rows)):
+            diff = store[rows[blk]]
+            partner = store[rows, blk].T
             if not n_r:
                 np.conjugate(partner, out=partner)
             with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
@@ -299,17 +267,21 @@ def _gram_spectra(kernel: KernelSpec, points: np.ndarray, stages) -> list[np.nda
     then the whole set's reflections map the stage onto itself, each orbit
     of the stage is a union of the whole set's, and its smallest index is
     the whole set's representative of one of them, a stored row.  Too many
-    points, or points of another dimension, are refused first.
+    points, or points of another dimension, are refused first, and a stage
+    whose representatives are not all stored rows before it is solved.
     """
     if len(points) > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
     points = as_rows(points, kernel.space_dim)
     store, top = _rep_rows(kernel, points)
     _check_hermitian(store, top)
-    return [
-        _reflected_eigvalsh(store, top.col, keep, _orbits(_reflections(kernel, points[keep]), len(keep)))
-        for keep in stages
-    ]
+    spectra = []
+    for keep in stages:
+        orbits = _orbits(_reflections(kernel, points[keep]), len(keep))
+        if not (top.col[keep[orbits.reps]] >= 0).all():
+            raise ValueError("a stage's orbit representatives are not all stored rows")
+        spectra.append(_reflected_eigvalsh(store, top.col, keep, orbits))
+    return spectra
 
 
 def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -317,26 +289,38 @@ def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.
 
     ``store[j, a] = G[reps[a], j]``.  Each block of ``_reflected_blocks`` is
     solved by ``eigh``; an eigenpair is kept when its eigenvalue exceeds
-    ``RANK_TOL`` times the largest over all blocks, and the kept
-    eigenvectors are mapped to ``G``'s index space by ``_expand`` (complex
-    with ``R``), orthonormal eigenvectors of ``G``.  No kept eigenvalue
-    raises ``NotAFrameError``.
+    ``RANK_TOL`` times the largest over all blocks.  Each kept eigenvector
+    ``x`` of a block is mapped to ``G``'s index space (complex with ``R``)
+    orbit by orbit: for each group element ``g``, its ``Re Z+`` rows times
+    ``chi(g) / sqrt(orbit size)`` go to the real part at ``g reps[plus]``,
+    and with ``R`` its ``Re Z-`` rows to the imaginary part at ``g
+    reps[minus]``.  Every ``g`` that fixes a representative writes the same
+    value there.  These are orthonormal eigenvectors of ``G``.  No kept
+    eigenvalue raises ``NotAFrameError``.
     """
-    n = len(orbits.col)
+    n, reps = len(orbits.col), orbits.reps
     solved = []
-    for block, basis in _reflected_blocks(store, orbits.col, np.arange(n), orbits):
-        solved.append((*np.linalg.eigh(block), basis))
+    for block, half in _reflected_blocks(store, orbits.col, np.arange(n), orbits):
+        solved.append((*np.linalg.eigh(block), half))
         del block
     cut = RANK_TOL * max(max(s[-1] for s, _, _ in solved), 0.0)
-    solved = [(s[s > cut], x[:, s > cut], basis) for s, x, basis in solved]
+    solved = [(s[s > cut], x[:, s > cut], half) for s, x, half in solved]
     eigs = np.concatenate([s for s, _, _ in solved])
     if not len(eigs):
         raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
-    vecs = np.empty((n, len(eigs)), dtype=store.dtype if orbits.pairing[1] is None else np.complex128)
-    col = 0
-    for s, x, basis in solved:
-        _expand(basis, x, vecs[:, col : col + len(s)])
-        col += len(s)
+    vecs = np.zeros((n, len(eigs)), dtype=store.dtype if orbits.pairing[1] is None else np.complex128)
+    modulus = 1.0 / (orbits.weight * math.sqrt(len(orbits.group)))  # 1 / sqrt(orbit size)
+    start = 0
+    for s, x, (p, plus, minus) in solved:
+        cols, k = slice(start, start + len(s)), plus.stop - plus.start
+        start += len(s)
+        for m, n_p, n_r in orbits.group:
+            chi = modulus * float(p) ** n_p
+            if minus is None:
+                vecs[m[reps[plus]], cols] = x * chi[plus, None]
+            else:
+                vecs.real[m[reps[plus]], cols] = x[:k] * chi[plus, None]
+                vecs.imag[m[reps[minus]], cols] = x[k:] * (chi[minus] * (-1.0) ** n_r)[:, None]
     return eigs, vecs
 
 

@@ -480,6 +480,8 @@ def emit_csv(report: dict, columns: list[str]) -> str:
     valid = CSV_COLUMNS.get(kind) if isinstance(kind, str) else None
     if valid is None:
         raise ConfigError(f"report kind {kind!r:.40} has no CSV view")
+    if not columns:
+        raise ConfigError(f"no columns given; valid columns for {kind}: {list(valid)}")
     bad = [c for c in columns if c not in valid]
     if bad:
         raise ConfigError(f"unknown column(s) {bad}; valid columns for {kind}: {list(valid)}")

@@ -268,7 +268,7 @@ def wiener_amalgam_norm(
     dim = spec.space_dim
     half = trunc_radius + q_radius
     span = np.ceil(2 * half / grid_step)  # inf for a tiny step, refused before int() sees it
-    _check_grid_size([span + 1.0] * dim)
+    _check_grid_size([float(span) + 1.0] * dim)  # Python floats overflow to inf without a warning
     count = int(span) + 1
     axis = np.linspace(-half, half, count)
     step = axis[1] - axis[0]

@@ -38,6 +38,7 @@ def workspace(tmp_path):
     (tmp_path / "pw.json").write_text(
         json.dumps({"kind": "paley_wiener", "band": [[-0.5, 0.5]]})
     )
+    (tmp_path / "gg.json").write_text(json.dumps({"kind": "gabor_gaussian", "n": 1}))
     return tmp_path
 
 
@@ -265,6 +266,15 @@ class TestErrorHandling:
         assert run(workspace, "csv", "--report", "d.json", "--columns", "n,bogus") == 2
         err = capsys.readouterr().err
         assert "bogus" in err and "valid columns" in err
+
+    def test_empty_csv_column_list_lists_valid(self, workspace, capsys):
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-50", "50", "--out", "p.json")
+        run(workspace, "density", "--patch", "p.json", "--folner", "5,10", "--out", "d.json")
+        capsys.readouterr()
+        assert run(workspace, "csv", "--report", "d.json", "--columns", " , ", "--out", "o.csv") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "valid columns" in err[0]
+        assert not (workspace / "o.csv").exists()
 
     @pytest.mark.parametrize(
         "report, columns",
@@ -635,6 +645,9 @@ class TestArgumentValues:
             ("verdict", {"kernel": "pw.json", "density": "d.json", "tol": -0.5}, "tol must be >= 0"),
             ("gen", {"scheme": "z.json", "box": [-1e9, 1e9]}, "integer candidates exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e20}, "integer candidates exceeds the limit"),
+            # sizes past every double: one refusal line, with no overflow warning before it
+            ("amalgam", {"kernel": "gg.json", "q": 0.5, "trunc": 1e300, "step": 0.1}, "grid of inf positions exceeds the limit"),
+            ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e308}, "enumeration of inf integer candidates"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 0.6}, "grid too coarse"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 0.4, "step": 0.02}, "trunc_radius must exceed q_radius"),
             # every truncation is valid, but margin_frac * t underflows to 0
@@ -644,7 +657,8 @@ class TestArgumentValues:
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
             "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
             "quadrature-past-every-double", "density-ell-zero", "verdict-ell-zero", "verdict-tol-negative",
-            "gen-enumeration-past-limit", "weil-enumeration-past-int64", "amalgam-step-past-q", "amalgam-trunc-below-q",
+            "gen-enumeration-past-limit", "weil-enumeration-past-int64", "amalgam-grid-past-every-double",
+            "weil-enumeration-past-every-double", "amalgam-step-past-q", "amalgam-trunc-below-q",
             "frame-margin-underflows",
         ],
     )

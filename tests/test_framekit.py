@@ -160,31 +160,39 @@ class TestHermitianCheck:
         assert peak < 0.5 * e.nbytes
 
     @pytest.mark.parametrize(
+        "kernel, patch, n_reps, truncations",
+        [
+            (GG, make_lattice_patch(1.0, 6.0, dim=2), 49, (2.0, 4.0, 6.0)),  # P and R: 169 points
+            (PW, pw_patch(0.5, 10.0), 21, (2.5, 5.0, 10.0)),  # P only, a real kernel: 41 points
+            (paley_wiener([(-0.25, 0.75)]), pw_patch(0.5, 10.0), 21, (2.5, 5.0, 10.0)),  # R only
+        ],
+        ids=["gabor", "pw-symmetric", "pw-asymmetric"],
+    )
+    @pytest.mark.parametrize(
         "column, delta",
         [("representative", 2e-10), ("other", 2e-10 * 1j), ("other", math.nan)],
         ids=["defect-at-representative-column", "defect-at-other-column", "nan-at-other-column"],
     )
-    def test_mutated_kernel_refused(self, monkeypatch, column, delta):
+    def test_mutated_kernel_refused(self, monkeypatch, kernel, patch, n_reps, truncations, column, delta):
         # only the representatives' rows of G are built; an entry G[reps[3], j] of a column j that
         # represents no orbit has its Hermitian partner G[j, reps[3]] in another orbit's row
-        patch = make_lattice_patch(1.0, 6.0, dim=2)
-        orbits = _orbits(_reflections(GG, patch.points), patch.n_points)
-        assert len(orbits.reps) == 49  # 169 points under both reflections
+        orbits = _orbits(_reflections(kernel, patch.points), patch.n_points)
+        assert len(orbits.reps) == n_reps
         j = orbits.reps[5] if column == "representative" else np.flatnonzero(orbits.col < 0)[7]
-        assert orbits.home[j] != 3  # the partner is another stored entry
+        assert all(m[orbits.reps[3]] != j for m, _, _ in orbits.group)  # the partner is another stored entry
         kernel_matrix_shapes = []
 
         def mutated(*args):
             out = kernel_matrix(*args)
             if not kernel_matrix_shapes:
-                out[j, 3] += delta
+                out[j, 3] += delta if np.iscomplexobj(out) else abs(delta)  # a real kernel: real defects only
             kernel_matrix_shapes.append(out.shape)
             return out
 
         monkeypatch.setattr(framekit, "kernel_matrix", mutated)
         with pytest.raises(ValueError, match="not Hermitian"):
-            frame_trend_report(GG, patch, (2.0, 4.0, 6.0))
-        assert kernel_matrix_shapes == [(169, 49)]
+            frame_trend_report(kernel, patch, truncations)
+        assert kernel_matrix_shapes == [(patch.n_points, n_reps)]
 
 
 class TestRieszBounds:
@@ -600,6 +608,15 @@ class TestRepresentativeRows:
         finally:
             tracemalloc.stop()
         assert peak < stored_bytes + 0.5 * gram_bytes < gram_bytes
+
+    def test_stage_without_stored_representatives_refused(self):
+        # [-6, 2]^2 maps onto itself under no negation of axes, so each of its 81 points is its own orbit, and
+        # most are not among the whole set's 49 stored rows; read through col -1, its PSD Gram had eigenvalue -4.36
+        patch = make_lattice_patch(1.0, 6.0, dim=2)
+        keep = np.flatnonzero(points_in_box(patch.points, [(-6.0, 2.0)] * 2))
+        assert len(keep) == 81
+        with pytest.raises(ValueError, match="not all stored rows"):
+            framekit._gram_spectra(GG, patch.points, [keep])
 
 
 class TestReflectedEigh:
