@@ -18,7 +18,7 @@ conjugating one makes each of them real symmetric (A. Lee 1980).
 Lattices and model sets with symmetric windows, truncated to centred boxes,
 are such patches.  The blocks read only the rows of orbit representatives
 (about n / 4 of n points under both reflections), so only those are built
-and checked (``_gram_spectra``); without a reflection every point is one.
+and checked (``_gram_eigvalsh``); without a reflection every point is one.
 ``sampling_bounds`` solves its anchor Gram so too, eigenvectors included:
 its grid is centred at 0, where both reflections map it onto itself, and
 the patch is moved by minus the centre of its interior box, which the
@@ -92,7 +92,6 @@ class _Orbits(NamedTuple):
     reps: np.ndarray  # one representative per orbit
     bounds: np.ndarray  # where each rank of representatives starts in reps, and its end
     weight: np.ndarray  # per representative: 1 / sqrt(the number of maps fixing it)
-    col: np.ndarray  # per index: its place in reps, or -1
 
 
 def _orbits(pairing: tuple | None, n: int) -> _Orbits:
@@ -120,9 +119,7 @@ def _orbits(pairing: tuple | None, n: int) -> _Orbits:
     order = np.argsort(rank, kind="stable")
     reps, rank = reps[order], rank[order]
     weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
-    col = np.full(n, -1)
-    col[reps] = np.arange(len(reps))
-    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight, col)
+    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight)
 
 
 def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
@@ -136,29 +133,30 @@ def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbi
     return kernel_matrix(kernel, points, points[orbits.reps]), orbits
 
 
-def _gather(store: np.ndarray, col: np.ndarray, index: np.ndarray, rows, cols, p_map, p: int) -> np.ndarray:
+def _gather(store: np.ndarray, span: slice, cols, p_map, p: int) -> np.ndarray:
     """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, as a transposed view of one new array.
 
-    ``G[i, j]`` is ``store[index[j], col[index[i]]]``: each column of
-    ``store`` is a row of ``G``, and only stored rows are asked for.
+    ``rows`` are the representatives ``reps[span]``: ``store``'s columns
+    are the rows of ``G`` at the representatives in rank order, so
+    ``G[reps[a], j]`` is ``store[j, a]`` and each term is a row gather of a
+    column slice.
     """
-    c = col[index[rows]]
-    out = store[np.ix_(index[cols], c)]
+    out = store[cols, span]
     if p_map is not None:
-        (np.add if p > 0 else np.subtract)(out, store[np.ix_(index[p_map[cols]], c)], out=out)
+        (np.add if p > 0 else np.subtract)(out, store[p_map[cols], span], out=out)
     return out.T
 
 
-def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orbits: _Orbits):
+def _reflected_blocks(store: np.ndarray, orbits: _Orbits):
     """Yield the blocks of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
 
     ``orbits`` (from ``_orbits``) holds the maps ``(P, R)`` on ``G``'s
-    indices, either of them ``None``.  ``G[i, j]`` is ``store[index[j],
-    col[index[i]]]`` (see ``_gather``); only the rows of representatives
-    are read, and ``G`` is never built.  Over representatives ``a`` and
-    ``b`` let ``X1 .. X4 = G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term
-    of a missing map left out, and for each ``P``-parity ``p`` let ``Z+ = X1
-    + p X2 + X3 + p X4`` and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R``
+    indices, either of them ``None``.  ``store[j, a]`` is ``G[reps[a], j]``
+    (see ``_gather``); only the rows of representatives are read, and ``G``
+    is never built.  Over representatives ``a`` and ``b`` let ``X1 .. X4 =
+    G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term of a missing map left
+    out, and for each ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4``
+    and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R``
     the block of parity ``p`` is ``X1 + p X2``, complex as ``G`` is (Cantoni
     & Butler 1976).  With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-],
     [Im Z+, Re Z-]]``: a Hermitian matrix with a conjugating symmetry is
@@ -173,10 +171,10 @@ def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orb
     set to 0, as the Gaussian kernel's are.  The generator drops the block
     before it gathers the next parity, so a caller that also drops it keeps
     one parity's gathered arrays and block, or the block and the solver's
-    copy of it, alive besides ``store``.  A ``G`` without a reflection whose
-    rows are the whole store is its transposed view.  Without ``R`` the
-    blocks are those of the point reflection's even and odd split, bit for
-    bit.
+    copy of it, alive besides ``store``.  A ``G`` without a reflection, all
+    of whose rows are stored, is ``store``'s transposed view.  Without ``R``
+    the blocks are those of the point reflection's even and odd split, bit
+    for bit.
 
     With each block come its parity ``p`` and the slices ``plus`` and
     ``minus`` of ``reps`` whose rows are its ``Re Z+`` and ``Re Z-`` halves
@@ -195,14 +193,14 @@ def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orb
         rows = reps[span]
         if not len(rows):
             continue
-        if len(orbits.group) == 1 and store.shape == (len(index),) * 2:
+        if len(orbits.group) == 1:
             yield store.T, (p, plus, minus)  # the whole store in order, with no sums to floor: G itself, not copied
             return
-        y = _gather(store, col, index, rows, rows, p_map, p)
+        y = _gather(store, span, rows, p_map, p)
         if minus is None:
             block, wts = y, weight[plus]
         else:
-            w = _gather(store, col, index, rows, r_map[rows], p_map, p)
+            w = _gather(store, span, r_map[rows], p_map, p)
             k = plus.stop - plus.start
             u = slice(plus.start - span.start, plus.stop - span.start)
             v = slice(minus.start - span.start, minus.stop - span.start)
@@ -222,10 +220,10 @@ def _reflected_blocks(store: np.ndarray, col: np.ndarray, index: np.ndarray, orb
         del block  # before the next block is gathered
 
 
-def _reflected_eigvalsh(store: np.ndarray, col: np.ndarray, index: np.ndarray, orbits: _Orbits) -> np.ndarray:
+def _reflected_eigvalsh(store: np.ndarray, orbits: _Orbits) -> np.ndarray:
     """Ascending eigenvalues of the ``G`` of ``_reflected_blocks``: the sorted union of its blocks' spectra."""
     spectra = [np.empty(0)]  # an empty G has no blocks
-    for block, _ in _reflected_blocks(store, col, index, orbits):
+    for block, _ in _reflected_blocks(store, orbits):
         spectra.append(np.linalg.eigvalsh(block))
         del block
     return np.sort(np.concatenate(spectra))
@@ -256,32 +254,20 @@ def _check_hermitian(store: np.ndarray, orbits: _Orbits) -> None:
                 raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
 
 
-def _gram_spectra(kernel: KernelSpec, points: np.ndarray, stages) -> list[np.ndarray]:
-    """Ascending eigenvalues of the Gram ``G[i, j] = k(x_j, x_i)`` of ``points[keep]`` for each ``keep`` in ``stages``.
+def _gram_eigvalsh(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Gram ``G[i, j] = k(x_j, x_i)`` of ``points``.
 
-    The rows of the whole set's ``G`` at its orbit representatives
-    (``_rep_rows``) are built and checked once (``_check_hermitian``), and
-    each stage is solved as the blocks of its own reflections gathered from
-    them.  Each ``keep`` must be the increasing indices of the points in a
-    box that every negation of axes maps onto itself, such as ``[-t, t]^d``:
-    then the whole set's reflections map the stage onto itself, each orbit
-    of the stage is a union of the whole set's, and its smallest index is
-    the whole set's representative of one of them, a stored row.  Too many
-    points, or points of another dimension, are refused first, and a stage
-    whose representatives are not all stored rows before it is solved.
+    Too many points, or points of another dimension, are refused before any
+    kernel entry is built.  Then ``G``'s rows at its orbit representatives
+    (``_rep_rows``) are built, checked (``_check_hermitian``) and solved as
+    the blocks of its reflections (``_reflected_eigvalsh``); they are
+    released on return.
     """
     if len(points) > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
-    points = as_rows(points, kernel.space_dim)
-    store, top = _rep_rows(kernel, points)
-    _check_hermitian(store, top)
-    spectra = []
-    for keep in stages:
-        orbits = _orbits(_reflections(kernel, points[keep]), len(keep))
-        if not (top.col[keep[orbits.reps]] >= 0).all():
-            raise ValueError("a stage's orbit representatives are not all stored rows")
-        spectra.append(_reflected_eigvalsh(store, top.col, keep, orbits))
-    return spectra
+    store, orbits = _rep_rows(kernel, as_rows(points, kernel.space_dim))
+    _check_hermitian(store, orbits)
+    return _reflected_eigvalsh(store, orbits)
 
 
 def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +284,9 @@ def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.
     value there.  These are orthonormal eigenvectors of ``G``.  No kept
     eigenvalue raises ``NotAFrameError``.
     """
-    n, reps = len(orbits.col), orbits.reps
+    n, reps = len(store), orbits.reps
     solved = []
-    for block, half in _reflected_blocks(store, orbits.col, np.arange(n), orbits):
+    for block, half in _reflected_blocks(store, orbits):
         solved.append((*np.linalg.eigh(block), half))
         del block
     cut = RANK_TOL * max(max(s[-1] for s, _, _ in solved), 0.0)
@@ -483,13 +469,12 @@ def frame_trend_report(
     before any Gram work.  At least three stages are required for a
     non-inconclusive verdict.
 
-    First the Riesz bounds of every truncation (``_gram_spectra``): the
-    largest stage's Gram rows at its orbit representatives, about a quarter
-    of its n x n Gram on a lattice, are built and checked once, and every
-    stage is solved as the blocks of its own reflections gathered from
-    them, as each stage is the largest one's points in ``[-t, t]^d``; tags
-    and brackets keep the full Gram's n.  Then the rows are released and the
-    sampling bounds are taken, with no Gram alive.
+    One pass per truncation, the largest first: if it is past the dense
+    limit, it is refused before any kernel entry is built.  Each pass takes
+    the truncation's Riesz bounds from its own Gram (``_gram_eigvalsh``: its
+    rows at its orbit representatives, about a quarter of its n x n Gram on
+    a lattice; tags and brackets keep the full Gram's n), releases the rows
+    and then takes its sampling bounds, with no Gram alive.
     """
     truncs = tuple(float(t) for t in truncations)
     if not truncs or not truncs[0] > 0:
@@ -498,21 +483,14 @@ def frame_trend_report(
         raise ArgumentError(f"truncations must be strictly increasing, got {truncs}")
     if not 0 < margin_frac < 1:
         raise ArgumentError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
-    r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n = [], [], [], [], [], [], []
-    margin = margin_frac * truncs[-1]
-    subs = [restrict(patch, [(-t, t)] * patch.dim) for t in truncs]
-    top = subs[-1].points
-    for eigs in _gram_spectra(kernel, top, [np.flatnonzero(points_in_box(top, sub.box)) for sub in subs]):
-        r_lo.append(_nonzero_min(eigs))
-        r_lo_raw.append(float(eigs[0]) if len(eigs) else 0.0)
-        r_hi.append(float(eigs[-1]) if len(eigs) else 0.0)
-        r_n.append(len(eigs))
-    final_eigs = eigs
-    for t, sub in zip(truncs, subs):
+    stages = []  # per truncation, the largest first: its Riesz bounds, its sampling bounds and its Gram spectrum
+    for t in reversed(truncs):
+        sub = restrict(patch, [(-t, t)] * patch.dim)
+        eigs = _gram_eigvalsh(kernel, sub.points)
+        lo, hi = (float(eigs[0]), float(eigs[-1])) if len(eigs) else (0.0, 0.0)
         sa, sb, sn = sampling_bounds(kernel, sub, margin=margin_frac * t)
-        s_lo.append(sa)
-        s_hi.append(sb)
-        s_n.append(sn)
+        stages.append((_nonzero_min(eigs), lo, hi, len(eigs), sa, sb, sn, eigs))
+    r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n, spectra = (column[::-1] for column in zip(*stages))
     if len(truncs) >= 3:
         frame_status = _trend_status(s_lo)
         riesz_status = _trend_status(r_lo_raw)
@@ -532,18 +510,18 @@ def frame_trend_report(
     )
     return FrameReport(
         truncations=truncs,
-        riesz_lower=tuple(r_lo),
-        riesz_lower_raw=tuple(r_lo_raw),
-        riesz_upper=tuple(r_hi),
-        riesz_n=tuple(r_n),
-        sampling_lower=tuple(s_lo),
-        sampling_upper=tuple(s_hi),
-        sampling_n=tuple(s_n),
-        boundary_margin=margin,
+        riesz_lower=r_lo,
+        riesz_lower_raw=r_lo_raw,
+        riesz_upper=r_hi,
+        riesz_n=r_n,
+        sampling_lower=s_lo,
+        sampling_upper=s_hi,
+        sampling_n=s_n,
+        boundary_margin=margin_frac * truncs[-1],
         frame_status=frame_status,
         riesz_status=riesz_status,
         verdict=overall,
-        final_eigenvalues=final_eigs,
+        final_eigenvalues=spectra[-1],
         notes=notes,
     )
 

@@ -276,8 +276,8 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     )
     if (cb := obj.get("covolume_bounds")) is not None:  # checked as input, though the report stores no bounds
         value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper")
-    if not all(map(math.isfinite, (report.extrapolated_lower, report.extrapolated_upper, report.uncertainty))):
-        raise ConfigError("density report estimates must be finite")
+    if not all(0 <= v < math.inf for v in (report.extrapolated_lower, report.extrapolated_upper, report.uncertainty)):
+        raise ConfigError("density report estimates must be finite and at least 0")
     return report
 
 

@@ -21,7 +21,7 @@ from aperio.framekit import (
     FrameReport,
     _anchor_grid,
     _check_hermitian,
-    _gram_spectra,
+    _gram_eigvalsh,
     _orbits,
     _projected_eigh,
     _reflected_eigvalsh,
@@ -494,17 +494,16 @@ def complex_cast_frame_report(kernel, patch: PointPatch, truncations) -> FrameRe
 
 
 def full_solve_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
-    """``frame_trend_report`` with every Gram-stage Gram built whole and solved by one ``eigvalsh``.
+    """``frame_trend_report`` with every truncation's Gram built whole and solved by one ``eigvalsh``.
 
     Never from representative rows, never as smaller blocks.  The sampling
     stages are left as they are.
     """
 
-    def solve(kernel, points, stages):
-        entries = kernel_matrix(kernel, points, points).T
-        return [np.linalg.eigvalsh(entries[np.ix_(keep, keep)]) for keep in stages]
+    def solve(kernel, points):
+        return np.linalg.eigvalsh(kernel_matrix(kernel, points, points).T)
 
-    with mock.patch.object(framekit, "_gram_spectra", solve):
+    with mock.patch.object(framekit, "_gram_eigvalsh", solve):
         return frame_trend_report(kernel, patch, truncations)
 
 
@@ -549,16 +548,12 @@ def point_split_frame_report(kernel, patch: PointPatch, truncations) -> FrameRep
     ``(P, R)`` maps must have ``R`` missing.
     """
 
-    def solve(kernel, points, stages):
-        entries = kernel_matrix(kernel, points, points).T
-        spectra = []
-        for keep in stages:
-            p_map, r_map = _reflections(kernel, points[keep])
-            assert r_map is None
-            spectra.append(split_eigvalsh(entries[np.ix_(keep, keep)], p_map))
-        return spectra
+    def solve(kernel, points):
+        p_map, r_map = _reflections(kernel, points)
+        assert r_map is None
+        return split_eigvalsh(kernel_matrix(kernel, points, points).T, p_map)
 
-    with mock.patch.object(framekit, "_gram_spectra", solve):
+    with mock.patch.object(framekit, "_gram_eigvalsh", solve):
         return frame_trend_report(kernel, patch, truncations)
 
 
@@ -601,19 +596,19 @@ def gram_entries(kernel, patch: PointPatch) -> np.ndarray:
 
 def gram_eigenvalues(kernel, patch: PointPatch) -> np.ndarray:
     """Ascending Gram eigenvalues of a whole patch, as the Gram stage of ``frame_trend_report`` takes them."""
-    return _gram_spectra(kernel, patch.points, [np.arange(patch.n_points)])[0]
+    return _gram_eigvalsh(kernel, patch.points)
 
 
 def entries_eigenvalues(entries: np.ndarray, pairing: tuple | None = None) -> np.ndarray:
     """Ascending eigenvalues of a hand-fed Hermitian matrix through ``framekit``'s check and reflected solve.
 
     Its rows at the representatives of ``pairing`` (maps as ``_reflections``
-    gives them, or ``None``) stand in for the kernel rows ``_gram_spectra``
+    gives them, or ``None``) stand in for the kernel rows ``_gram_eigvalsh``
     builds; a matrix that is not Hermitian is refused ("not Hermitian").
     """
     store, orbits = matrix_rep_rows(entries, pairing)
     _check_hermitian(store, orbits)
-    return _reflected_eigvalsh(store, orbits.col, np.arange(len(entries)), orbits)
+    return _reflected_eigvalsh(store, orbits)
 
 
 def matrix_rep_rows(entries: np.ndarray, pairing: tuple | None) -> tuple[np.ndarray, framekit._Orbits]:

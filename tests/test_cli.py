@@ -442,6 +442,23 @@ class TestErrorHandling:
         assert len(err) == 1 and "config error" in err[0] and repr(key) in err[0]
         assert not (workspace / "o.json").exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("uncertainty", "-0.5"), ("extrapolated_lower", "-1.0")], ids=["uncertainty", "lower-density"]
+    )
+    def test_negative_density_estimate_is_config_error(self, workspace, capsys, key, value):
+        # Z against the unit band sits at the critical density: a negative uncertainty made the default tol
+        # negative and ruled out both properties, and a negative lower density ruled out sampling
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-100", "100", "--out", "p.json")
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "10,20,40", "--out", "d.json") == 0
+        report = json.loads((workspace / "d.json").read_text())
+        report[key]["value"] = value
+        (workspace / "d.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(workspace, "verdict", "--kernel", "pw.json", "--density", "d.json", "--out", "v.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "finite and at least 0" in err[0]
+        assert not (workspace / "v.json").exists()
+
     def test_negative_hull_limit_is_config_error(self, workspace, capsys):
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
         capsys.readouterr()

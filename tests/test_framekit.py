@@ -178,7 +178,7 @@ class TestHermitianCheck:
         # represents no orbit has its Hermitian partner G[j, reps[3]] in another orbit's row
         orbits = _orbits(_reflections(kernel, patch.points), patch.n_points)
         assert len(orbits.reps) == n_reps
-        j = orbits.reps[5] if column == "representative" else np.flatnonzero(orbits.col < 0)[7]
+        j = orbits.reps[5] if column == "representative" else np.setdiff1d(np.arange(patch.n_points), orbits.reps)[7]
         assert all(m[orbits.reps[3]] != j for m, _, _ in orbits.group)  # the partner is another stored entry
         kernel_matrix_shapes = []
 
@@ -547,7 +547,7 @@ class TestReflectionSplit:
         truncations = (edge / 3, 2 * edge / 3, edge)
         got = solver_inputs(frame_trend_report, kernel, patch, truncations)
         want = solver_inputs(point_split_frame_report, kernel, patch, truncations)
-        assert len(got) == len(want) >= 9  # an even and an odd block per truncation, then the sampling
+        assert len(got) == len(want) >= 9  # per truncation an even and an odd block, then its sampling quotient
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == np.float64
             assert np.array_equal(a, b)
@@ -557,10 +557,13 @@ class TestReflectionSplit:
         assert patch.n_points == 625
         truncations = (6.0, 9.0, 12.0)
         assert frame_trend_report(GG, patch, truncations).riesz_n == (169, 361, 625)  # the full Gram's n
-        blocks = solver_inputs(frame_trend_report, GG, patch, truncations)[:6]
-        # the truncations in turn (each even block holds the origin), all gathered from the top Gram's
-        # representative rows; the lattice is time-symmetric too, so each block is real
-        assert [len(a) for a in blocks] == [85, 84, 181, 180, 313, 312]
+        inputs = solver_inputs(frame_trend_report, GG, patch, truncations)
+        # the truncations in turn, the largest first: its two blocks (the even one holds the origin), each
+        # from its own representative rows, then its sampling quotient; the lattice is time-symmetric too,
+        # so each block is real
+        assert len(inputs) == 9
+        blocks = [a for i, a in enumerate(inputs) if i % 3 < 2]
+        assert [len(a) for a in blocks] == [313, 312, 181, 180, 85, 84]
         for a in blocks:
             assert a.dtype == np.float64
             # eigvalsh reads one triangle; the Gram is exactly Hermitian, so the block is exactly symmetric
@@ -574,7 +577,7 @@ class TestRepresentativeRows:
     def test_reports_equal_full_matrix_oracles(self, case, density, shift):
         # a lattice in a box cut off-centre by shift: the top truncation maps onto itself under no reflection, so
         # its store holds every row and its one block is the whole Gram, while the smallest truncation is centred
-        # and has every reflection of the kernel, gathered from that store; shift 0 gives a symmetric top
+        # and has every reflection of the kernel, solved from its own representative rows; shift 0 gives a symmetric top
         kernel, cells = SAMPLING_KERNELS[case]
         spacing = lattice_spacing(kernel, density)
         patch = offset_patch(kernel, spacing, 0.0, cells, shift, 0)
@@ -608,15 +611,6 @@ class TestRepresentativeRows:
         finally:
             tracemalloc.stop()
         assert peak < stored_bytes + 0.5 * gram_bytes < gram_bytes
-
-    def test_stage_without_stored_representatives_refused(self):
-        # [-6, 2]^2 maps onto itself under no negation of axes, so each of its 81 points is its own orbit, and
-        # most are not among the whole set's 49 stored rows; read through col -1, its PSD Gram had eigenvalue -4.36
-        patch = make_lattice_patch(1.0, 6.0, dim=2)
-        keep = np.flatnonzero(points_in_box(patch.points, [(-6.0, 2.0)] * 2))
-        assert len(keep) == 81
-        with pytest.raises(ValueError, match="not all stored rows"):
-            framekit._gram_spectra(GG, patch.points, [keep])
 
 
 class TestReflectedEigh:
@@ -794,13 +788,37 @@ class TestFrameTrend:
         monkeypatch.setattr(framekit, "kernel_matrix", keep_ref)
         monkeypatch.setattr(framekit, "sampling_bounds", checked_sampling_bounds)
         report = frame_trend_report(PW, pw_patch(0.5, 160.0), [40, 80, 160])
-        assert gram_calls[0] == 1  # the top Gram's rows; the smaller stages are gathered from them
+        assert gram_calls[0] == 1  # the top Gram's rows; each smaller truncation builds its own after this stage
         assert len(report.sampling_lower) == 3
 
     def test_two_truncations_are_inconclusive(self):
         report = frame_trend_report(PW, pw_patch(1.0, 80.0), [40, 80])
         assert report.verdict in ("inconclusive", "frame_evidence")
         assert report.frame_status == "inconclusive"
+
+    @pytest.mark.parametrize(
+        "kernel, edge, truncations, sizes",
+        [(PW, 10.0, (0.4, 5.0, 10.0), [20, 10, 0]), (GG, 6.0, (0.4, 3.0, 6.0), [144, 36, 0])],
+        ids=["pw-1d", "gabor-2d"],
+    )
+    def test_empty_smallest_truncation_fails_at_its_sampling_stage(self, monkeypatch, kernel, edge, truncations, sizes):
+        # the half-integer lattice (Z + 1/2)^d has no point in [-0.4, 0.4]^d: the truncations are solved largest
+        # first, that one's empty Gram too, and then its sampling stage finds no interior point
+        dim = kernel.space_dim
+        axis = np.arange(-edge, edge) + 0.5
+        points = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+        patch = PointPatch(dim=dim, box=[(-edge, edge)] * dim, points=points)
+        solved, gram_eigvalsh = [], framekit._gram_eigvalsh
+
+        def recorded(kernel, points):
+            eigs = gram_eigvalsh(kernel, points)
+            solved.append(len(eigs))
+            return eigs
+
+        monkeypatch.setattr(framekit, "_gram_eigvalsh", recorded)
+        with pytest.raises(CoverageError, match="no interior points"):
+            frame_trend_report(kernel, patch, truncations)
+        assert solved == sizes
 
 
 class TestVerdict:
