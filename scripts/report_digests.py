@@ -48,7 +48,9 @@ GRID_SAMPLES = {
 }
 # the commands and cases the pipelines leave out: density in d = 3 and with extra patches,
 # both weil-check functions, amalgam of the Gabor kernel, a Paley-Wiener frame in d = 2 on a
-# band of unequal widths (181 points of the fib2d scheme), csv of a density and a frame report
+# band of unequal widths (181 points of the fib2d scheme), Paley-Wiener frames on bands not
+# symmetric about 0 in d = 1 and 2 (a complex kernel, with the conjugating reflection alone),
+# csv of a density and a frame report
 COMMANDS = [
     ["gen", "--scheme", "fib-scheme.json", "--box", "-100", "100", "--out", "fib.json"],
     ["gen", "--scheme", "z-scheme.json", "--box", "-100", "100", "--out", "z.json"],
@@ -60,6 +62,8 @@ COMMANDS = [
     ["frame", "--kernel", "pw.json", "--patch", "fib.json", "--truncations", "25,50,100", "--out", "frame.json"],
     ["gen", "--scheme", "fib2d-scheme.json", "--box", "-15", "15", "-15", "15", "--out", "fib2d.json"],
     ["frame", "--kernel", "pw2.json", "--patch", "fib2d.json", "--truncations", "5,10,15", "--out", "frame-pw2.json"],
+    ["frame", "--kernel", "pw-shifted.json", "--patch", "fib.json", "--truncations", "25,50,100", "--out", "frame-shifted.json"],
+    ["frame", "--kernel", "pw2-shifted.json", "--patch", "fib2d.json", "--truncations", "5,10,15", "--out", "frame-pw2-shifted.json"],
     ["csv", "--report", "density-z3.json", "--columns", "n,inf,sup", "--out", "density-z3.csv"],
     ["csv", "--report", "frame.json", "--columns", "truncation,A,B", "--out", "frame.csv"],
 ]
@@ -81,6 +85,8 @@ def command_inputs(workloads) -> dict:
         "gabor.json": workloads.GABOR,
         "fib2d-scheme.json": workloads.FIB2D_SCHEME,
         "pw2.json": {"kind": "paley_wiener", "band": [[-0.5, 0.5], [-0.25, 0.25]]},
+        "pw-shifted.json": {"kind": "paley_wiener", "band": [[-0.25, 0.75]]},
+        "pw2-shifted.json": {"kind": "paley_wiener", "band": [[-0.25, 0.75], [-0.5, 0.25]]},
         "z3.json": z3,
     }
 

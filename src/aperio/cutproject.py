@@ -33,7 +33,7 @@ from .pointset import Box, PointPatch, as_box, as_rows, box_volume, points_in_bo
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
-INJECTIVITY_TOL = 1e-9
+INJECTIVITY_TOL = 1e-9  # relative to the largest physical basis entry
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ class CutProjectScheme:
     The basis columns generate the lattice.  Construction runs a finite
     injectivity check: no nonzero integer combination with coordinates up to
     ``INJECTIVITY_RADIUS`` may have (numerically) vanishing physical part.
-    This is a necessary-condition check, not a proof.
+    This is a necessary-condition check, not a proof.  It and the singularity
+    test are relative to the basis' scale, which ``2^k`` scaling never moves.
     """
 
     d: int
@@ -102,7 +103,7 @@ class CutProjectScheme:
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
         det = np.linalg.det(basis)
-        if not np.isfinite(det) or abs(det) < 1e-12:
+        if not 1e-12 * np.prod(np.linalg.norm(basis, axis=1)) < abs(det) < math.inf:
             raise DegenerateBasisError("lattice basis is singular")
         if self.m == 0:
             if self.window is not None:
@@ -119,11 +120,11 @@ class CutProjectScheme:
         grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d + self.m)
         grid = grid[np.any(grid != 0, axis=1)]
         phys = grid @ self.basis.T[:, : self.d]
-        bad = np.abs(phys).max(axis=1) < INJECTIVITY_TOL
-        if bad.any():
+        scale = np.abs(self.basis[: self.d]).max()
+        if (np.abs(phys).max(axis=1) < INJECTIVITY_TOL * scale).any():
             raise ValueError(
                 "projection to physical space is not injective on the lattice "
-                f"(nonzero vector with |p_G| < {INJECTIVITY_TOL})"
+                f"(nonzero vector with |p_G| < {INJECTIVITY_TOL} times the largest physical basis entry)"
             )
 
     @property

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cutproject import CutProjectScheme, _lattice_points
-from .errors import ArgumentError, DimensionMismatchError
+from .errors import ArgumentError, ConfigError, DimensionMismatchError
 from .pointset import PointPatch, shrink_box, _check_grid_size, _closed_window_extremum, _max_window_size
 from .pointset import _require_nonempty, _require_window_fits
 
@@ -53,6 +53,7 @@ class DensityReport:
     spread between the last two sizes, and the extrapolated values are the
     last-size estimates.  No covolume is stored: a written report's covolume
     block is computed at write time by ``covolume_bounds_from_density``.
+    Its extrapolated values and uncertainty must be finite and at least 0.
     """
 
     lower: tuple[tuple[float, float], ...]
@@ -63,6 +64,10 @@ class DensityReport:
     certified_region_note: str
     extras_used_lower: bool = False
     extras_used_upper: bool = False
+
+    def __post_init__(self):
+        if not all(0 <= v < math.inf for v in (self.extrapolated_lower, self.extrapolated_upper, self.uncertainty)):
+            raise ConfigError("density report estimates must be finite and at least 0")
 
 
 def _patch_extrema(patch: PointPatch, n: float) -> tuple[float, float]:

@@ -7,7 +7,8 @@ A failure that depends on the data is an operation error (another
 ``AperioError``, or a plain ``ValueError`` for a constructor invariant such as
 a degenerate box or duplicate points); the command line exits 1 on it.
 ``ArgumentError`` is also a ``ValueError``, so library callers catch both
-kinds alike.
+kinds alike.  A value is checked where it is made
+(``KernelSpec``, ``DensityReport``), and not again where it is used.
 """
 
 
@@ -45,10 +46,6 @@ class GridTooCoarseError(ArgumentError):
 
 class DimensionMismatchError(ArgumentError):
     """A box, point rows, limit patch or kernel is not of the dimension it meets; the command line exits 2."""
-
-
-class NotAFrameError(AperioError):
-    """A kernel system's spectrum is numerically zero at this truncation."""
 
 
 class GramSizeError(AperioError):

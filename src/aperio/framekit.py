@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
-from .errors import ArgumentError, CoverageError, GramSizeError, NotAFrameError
-from .pointset import PointPatch, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box
+from .errors import ArgumentError, CoverageError, EmptyPatchError, GramSizeError
+from .pointset import PointPatch, _require_nonempty, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box
 from .rkhs import KernelSpec, _floor_underflow, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -51,9 +51,8 @@ COLLAPSE = 1e-6
 
 
 def _nonzero_min(eigs: np.ndarray) -> float:
-    """Smallest of ascending eigenvalues above ``RANK_TOL`` times the largest, or 0 if there is none."""
-    above = eigs[eigs > RANK_TOL * (eigs[-1] if len(eigs) else 0.0)]
-    return float(above[0]) if len(above) else 0.0
+    """Smallest of a Gram's ascending eigenvalues above ``RANK_TOL`` times the largest (``>= norm_sq_ke > 0``)."""
+    return float(eigs[eigs > RANK_TOL * eigs[-1]][0])
 
 
 def _axis_pairing(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray | None:
@@ -222,7 +221,7 @@ def _reflected_blocks(store: np.ndarray, orbits: _Orbits):
 
 def _reflected_eigvalsh(store: np.ndarray, orbits: _Orbits) -> np.ndarray:
     """Ascending eigenvalues of the ``G`` of ``_reflected_blocks``: the sorted union of its blocks' spectra."""
-    spectra = [np.empty(0)]  # an empty G has no blocks
+    spectra = []
     for block, _ in _reflected_blocks(store, orbits):
         spectra.append(np.linalg.eigvalsh(block))
         del block
@@ -281,19 +280,17 @@ def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.
     ``chi(g) / sqrt(orbit size)`` go to the real part at ``g reps[plus]``,
     and with ``R`` its ``Re Z-`` rows to the imaginary part at ``g
     reps[minus]``.  Every ``g`` that fixes a representative writes the same
-    value there.  These are orthonormal eigenvectors of ``G``.  No kept
-    eigenvalue raises ``NotAFrameError``.
+    value there.  These are orthonormal eigenvectors of ``G``.  The largest
+    eigenvalue, at least ``G``'s diagonal ``KernelSpec.norm_sq_ke > 0``, is kept.
     """
     n, reps = len(store), orbits.reps
     solved = []
     for block, half in _reflected_blocks(store, orbits):
         solved.append((*np.linalg.eigh(block), half))
         del block
-    cut = RANK_TOL * max(max(s[-1] for s, _, _ in solved), 0.0)
+    cut = RANK_TOL * max(s[-1] for s, _, _ in solved)
     solved = [(s[s > cut], x[:, s > cut], half) for s, x, half in solved]
     eigs = np.concatenate([s for s, _, _ in solved])
-    if not len(eigs):
-        raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
     vecs = np.zeros((n, len(eigs)), dtype=store.dtype if orbits.pairing[1] is None else np.complex128)
     modulus = 1.0 / (orbits.weight * math.sqrt(len(orbits.group)))  # 1 / sqrt(orbit size)
     start = 0
@@ -392,6 +389,7 @@ def sampling_bounds(
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
     if not margin > 0:
         raise ArgumentError("margin must be positive")
+    _require_nonempty(patch)
     interior_box = shrink_box(patch.box, margin)
     for lo, hi in interior_box:
         if lo >= hi:
@@ -466,8 +464,9 @@ def frame_trend_report(
     ``truncations`` are positive increasing half-widths ``t``; each stage
     restricts the patch to ``[-t, t]^d`` and takes the sampling bounds with
     margin ``margin_frac * t``, ``0 < margin_frac < 1``.  Both are checked
-    before any Gram work.  At least three stages are required for a
-    non-inconclusive verdict.
+    before any Gram work; then the smallest truncation must hold a point
+    (``EmptyPatchError``), and so every one does.  At least three stages are
+    required for a non-inconclusive verdict.
 
     One pass per truncation, the largest first: if it is past the dense
     limit, it is refused before any kernel entry is built.  Each pass takes
@@ -483,13 +482,14 @@ def frame_trend_report(
         raise ArgumentError(f"truncations must be strictly increasing, got {truncs}")
     if not 0 < margin_frac < 1:
         raise ArgumentError(f"margin_frac must lie strictly between 0 and 1, got {margin_frac}")
+    if not points_in_box(patch.points, [(-truncs[0], truncs[0])] * patch.dim).any():
+        raise EmptyPatchError(f"truncation {truncs[0]} holds no point of the patch")
     stages = []  # per truncation, the largest first: its Riesz bounds, its sampling bounds and its Gram spectrum
     for t in reversed(truncs):
         sub = restrict(patch, [(-t, t)] * patch.dim)
         eigs = _gram_eigvalsh(kernel, sub.points)
-        lo, hi = (float(eigs[0]), float(eigs[-1])) if len(eigs) else (0.0, 0.0)
         sa, sb, sn = sampling_bounds(kernel, sub, margin=margin_frac * t)
-        stages.append((_nonzero_min(eigs), lo, hi, len(eigs), sa, sb, sn, eigs))
+        stages.append((_nonzero_min(eigs), float(eigs[0]), float(eigs[-1]), len(eigs), sa, sb, sn, eigs))
     r_lo, r_lo_raw, r_hi, r_n, s_lo, s_hi, s_n, spectra = (column[::-1] for column in zip(*stages))
     if len(truncs) >= 3:
         frame_status = _trend_status(s_lo)
@@ -561,15 +561,17 @@ def verdict(
     """Rule out sampling/interpolation from density estimates where the theory permits.
 
     Sampling demands lower density at least the critical density; interpolation
-    demands upper density at most the critical density.  ``tol`` (at least 0) defaults
-    to twice the report's extrapolation uncertainty; ``ell`` is at least 1.  Inconclusive
-    (both pass) is a valid outcome; necessity can never certify a property, only rule it out.
+    demands upper density at most the critical density.  ``tol`` (at least 0 and finite)
+    defaults to twice the report's extrapolation uncertainty; ``ell`` is at least 1.
+    Inconclusive (both pass) is a valid outcome; necessity can never certify a property,
+    only rule it out.  With ``crit`` positive and finite (``KernelSpec``), an infinite
+    covolume bound fails the sampling form and passes the interpolation form.
     """
     crit = kernel.norm_sq_ke
     if tol is None:
         tol = 2.0 * density.uncertainty
-    elif not tol >= 0:
-        raise ArgumentError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < math.inf:
+        raise ArgumentError(f"tol must be >= 0 and finite, got {tol}")
     d_minus = density.extrapolated_lower
     d_plus = density.extrapolated_upper
     bounds = covolume_bounds_from_density(density, ell, relatively_dense=relatively_dense)
@@ -578,14 +580,8 @@ def verdict(
     # covolume form: crit * covol_+ <= 1 must hold for sampling, checked via
     # covol_+ <= 1/D--; crit * covol_- >= 1 must hold for interpolation,
     # checked via covol_- <= ell/D++.
-    samp_covol = (
-        crit * bounds.covol_plus_hi <= 1.0 + tol if math.isfinite(bounds.covol_plus_hi) else False
-    )
-    interp_covol = (
-        crit * bounds.covol_minus_hi >= 1.0 - tol
-        if math.isfinite(bounds.covol_minus_hi)
-        else True
-    )
+    samp_covol = crit * bounds.covol_plus_hi <= 1.0 + tol
+    interp_covol = crit * bounds.covol_minus_hi >= 1.0 - tol
     ruled = []
     if not sampling_ok:
         ruled.append("sampling (lower density below critical density)")

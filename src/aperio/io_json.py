@@ -264,7 +264,9 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
     for r in rows:
         _key(r["inf"], "provenance", what)  # required of the input, though the report stores no tag
-    report = DensityReport(
+    if (cb := obj.get("covolume_bounds")) is not None:  # checked as input, though the report stores no bounds
+        value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper")
+    return DensityReport(  # which refuses its own out-of-range estimates
         lower=lower,
         upper=upper,
         extrapolated_lower=value(obj, "extrapolated_lower"),
@@ -274,11 +276,6 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
         extras_used_lower=bool(obj.get("extras_used_lower", False)),
         extras_used_upper=bool(obj.get("extras_used_upper", False)),
     )
-    if (cb := obj.get("covolume_bounds")) is not None:  # checked as input, though the report stores no bounds
-        value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper")
-    if not all(0 <= v < math.inf for v in (report.extrapolated_lower, report.extrapolated_upper, report.uncertainty)):
-        raise ConfigError("density report estimates must be finite and at least 0")
-    return report
 
 
 # a spectral bracket's grid is the smallest power of ten at least BRACKET_MARGIN times the

@@ -41,7 +41,8 @@ class KernelSpec:
 
     ``norm_sq_ke`` (the squared norm of the kernel at the identity) is the
     critical density separating sampling from interpolation: the product of
-    ``widths``.
+    ``widths``, and each Gram's diagonal.  A kernel is refused (``ArgumentError``)
+    unless ``0 < c * c < inf`` for ``c = norm_sq_ke``; ``c ** 2`` raises past 1.3e154.
     """
 
     kind: str
@@ -58,6 +59,8 @@ class KernelSpec:
                 raise ValueError("gabor_gaussian kernel needs n >= 1")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not 0 < (c := self.norm_sq_ke) * c < math.inf:
+            raise ArgumentError(f"kernel critical density {c} must be positive and its square finite")
 
     @property
     def widths(self) -> tuple[float, ...]:

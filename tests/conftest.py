@@ -12,7 +12,7 @@ import pytest
 
 from aperio import PointPatch, generate_model_set
 from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
-from aperio.errors import CoverageError, NotAFrameError
+from aperio.errors import CoverageError
 from aperio import framekit
 from aperio.framekit import (
     ANCHOR_DENSITY_BOOST,
@@ -428,7 +428,7 @@ def projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigs, vecs = np.linalg.eigh(mat)
     keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
     if not keep.any():
-        raise NotAFrameError("not a frame at this truncation: spectrum is numerically zero")
+        raise ValueError("spectrum is numerically zero")
     return eigs[keep], vecs[:, keep]
 
 

@@ -705,6 +705,24 @@ class TestArgumentValues:
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], said)
 
     @pytest.mark.parametrize(
+        "band, argv",
+        [
+            ([[-1e-200, 1e-200]] * 2, ["frame", "--kernel", "k.json", "--patch", "z2p.json", "--truncations", "1,2,3"]),
+            ([[-1e200, 1e200]] * 2, ["frame", "--kernel", "k.json", "--patch", "z2p.json", "--truncations", "1,2,3"]),
+            ([[-1e300, 1e300]], ["amalgam", "--kernel", "k.json", "--q", "0.5", "--trunc", "1", "--step", "0.1"]),
+            ([[-1e-200, 1e-200]] * 2, ["verdict", "--kernel", "k.json", "--density", "z2d.json"]),
+        ],
+        ids=["frame-zero", "frame-infinite", "amalgam-square-overflows", "verdict-zero"],
+    )
+    def test_degenerate_kernel_is_config_error(self, workspace, capsys, band, argv):
+        # the kernel's critical density underflows to 0, overflows to inf, or its square does: once a
+        # ZeroDivisionError, a NaN Hermitian defect, an infinite norm, and a verdict against a density of 0
+        run(workspace, "gen", "--scheme", "z2.json", "--box", "-3", "3", "-3", "3", "--out", "z2p.json")
+        run(workspace, "density", "--patch", "z2p.json", "--folner", "1,2", "--out", "z2d.json")
+        (workspace / "k.json").write_text(json.dumps({"kind": "paley_wiener", "band": band}))
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], "must be positive and its square finite")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["density", "--patch", "p.json", "--folner", "5,abc"],
@@ -732,6 +750,16 @@ class TestArgumentValues:
         assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "small.json", "--truncations", "10,20,40", "--out", "o.json") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "no interior region" in err[0]
+        assert _snapshot(workspace) == before
+
+    def test_empty_smallest_truncation_is_operation_error(self, workspace, capsys):
+        # Z + 1/2 has no point in [-0.4, 0.4]: refused before the larger truncations are solved
+        points = [[k + 0.5] for k in range(-10, 10)]
+        (workspace / "half.json").write_text(json.dumps({"dim": 1, "box": [[-10, 10]], "points": points}))
+        before = _snapshot(workspace)
+        assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "half.json", "--truncations", "0.4,5,10", "--out", "o.json") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "truncation 0.4 holds no point" in err[0]
         assert _snapshot(workspace) == before
 
     def test_gen_past_double_resolution_names_the_precision(self, workspace, capsys):

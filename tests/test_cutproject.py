@@ -63,6 +63,36 @@ class TestSchemeInvariants:
         with pytest.raises(ValueError, match="pairwise distinct.*1.78e-15 apart; .* projection is not injective"):
             generate_model_set(scheme, [(-10, 10)])
 
+    @staticmethod
+    def accepted(d, basis) -> bool:
+        m = len(basis) - d
+        try:
+            CutProjectScheme(d=d, m=m, basis=basis, window=Window(m=m, boxes=(((-0.5, 0.5),) * m,)) if m else None)
+        except (DegenerateBasisError, ValueError):
+            return False
+        return True
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(["z2", "fibonacci", "rotated-product", "radius-3-kernel"]),
+        k=st.integers(-60, 60),
+    )
+    def test_acceptance_does_not_depend_on_the_basis_scale(self, case, k):
+        d, basis = {
+            "z2": (2, np.eye(2)),
+            "fibonacci": (1, make_fibonacci_scheme().basis),
+            "rotated-product": (2, make_product_fibonacci_scheme().basis),
+            "radius-3-kernel": (1, np.array([[1.0, 3.0], [1.0, TAU_CONJ]])),  # (3, -1) projects to 0
+        }[case]
+        assert self.accepted(d, basis) == (case != "radius-3-kernel")
+        assert self.accepted(d, basis * 2.0**k) == self.accepted(d, basis)
+
+    def test_small_physical_scale_is_accepted(self):
+        lattice_scheme([[1e-7, 0.0], [0.0, 1e-7]])
+        basis = make_fibonacci_scheme().basis.copy()
+        basis[0] *= 1e-10
+        CutProjectScheme(d=1, m=1, basis=basis, window=Window(m=1, boxes=(((-0.5, 0.5),),)))
+
     def test_m0_takes_no_window(self):
         with pytest.raises(ValueError, match="window"):
             CutProjectScheme(d=1, m=0, basis=[[1.0]], window=Window(m=1, boxes=()))

@@ -17,7 +17,7 @@ from aperio import (
 )
 from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
-from aperio.errors import WindowTooLargeError
+from aperio.errors import ConfigError, WindowTooLargeError
 from aperio.hull import grid_translates, transversal_translates
 from aperio.io_json import density_report_to_jsonable
 from aperio.pointset import as_box, restrict, shrink_box
@@ -248,6 +248,13 @@ class TestCovolumeBounds:
         assert report.extrapolated_lower == 0.0
         bounds = covolume_bounds_from_density(report, ell=1)
         assert math.isinf(bounds.covol_plus_hi)
+
+    @pytest.mark.parametrize("field", ["extrapolated_lower", "extrapolated_upper", "uncertainty"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_report_refuses_estimates_where_it_is_made(self, field, value):
+        fields = dict(extrapolated_lower=1.0, extrapolated_upper=1.0, uncertainty=0.0)
+        with pytest.raises(ConfigError, match="density report estimates must be finite and at least 0"):
+            density_mod.DensityReport(((5.0, 1.0),), ((5.0, 1.0),), **{**fields, field: value}, certified_region_note="")
 
 
 class TestErgodicEstimate:

@@ -82,6 +82,13 @@ def _sites():
     )
     yield pytest.param(lambda: wiener_amalgam_norm(PW, 0.5, 20.0, 0.6), "grid too coarse", id="amalgam-step-past-q")
     yield pytest.param(lambda: as_box([(0.0, 1.0)] * 2, 1), "box has 2 interval(s), expected 1", id="box-dimension")
+    # a critical density that underflows to 0, that overflows to inf, and whose square overflows
+    for band, name in [([(-1e-200, 1e-200)] * 2, "zero"), ([(-1e200, 1e200)] * 2, "infinite"), ([(-1e300, 1e300)], "square")]:
+        yield pytest.param(lambda band=band: paley_wiener(band), "must be positive and its square finite", id=f"kernel-{name}")
+    yield pytest.param(lambda: verdict(PW, REPORT, 1, tol=math.inf), "tol must be >= 0", id="verdict-tol-infinite")
+    # a default tol of twice the uncertainty overflows to inf
+    huge = density_mod.DensityReport(((5.0, 1.0),), ((5.0, 1.0),), 1.0, 1.0, 1e308, "")
+    yield pytest.param(lambda: verdict(PW, huge, 1), "tol must be >= 0", id="verdict-default-tol-infinite")
 
 
 @pytest.mark.parametrize("call, message", list(_sites()))

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from aperio import (
     verdict,
 )
 from aperio.cutproject import lattice_scheme
-from aperio.density import FolnerSpec
+from aperio.density import DensityReport, FolnerSpec
 from aperio import framekit, pointset
-from aperio.errors import CoverageError, GramSizeError, NotAFrameError
+from aperio.errors import CoverageError, EmptyPatchError, GramSizeError
 from aperio.framekit import MAX_GRAM_POINTS, _check_hermitian, _nonzero_min, _orbits, _reflections
 from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import points_in_box, restrict
@@ -265,6 +266,11 @@ def offset_patch(kernel, spacing: float, jitter: float, cells: int, shift: float
 
 
 class TestSamplingBounds:
+    def test_empty_patch_is_refused_as_empty(self):
+        patch = PointPatch(dim=1, box=[(-10.0, 10.0)], points=np.zeros((0, 1)))
+        with pytest.raises(EmptyPatchError, match="empty patch"):
+            sampling_bounds(PW, patch)
+
     def test_oversampled_lattice_near_two(self):
         a, b, n = sampling_bounds(PW, pw_patch(0.5, 40.0), margin=10)
         assert n == 58  # every anchor of [-30, 30] at spacing 1 / 0.95 is kept
@@ -678,7 +684,7 @@ class TestCanonicalParseval:
         assert np.abs(eigs - np.round(eigs)).max() < 1e-8
 
     def test_zero_gram_rejected(self):
-        with pytest.raises(NotAFrameError, match="not a frame"):
+        with pytest.raises(ValueError, match="numerically zero"):
             canonical_parseval_oracle(np.zeros((3, 3)))
 
 
@@ -797,28 +803,55 @@ class TestFrameTrend:
         assert report.frame_status == "inconclusive"
 
     @pytest.mark.parametrize(
-        "kernel, edge, truncations, sizes",
-        [(PW, 10.0, (0.4, 5.0, 10.0), [20, 10, 0]), (GG, 6.0, (0.4, 3.0, 6.0), [144, 36, 0])],
+        "kernel, edge, truncations",
+        [(PW, 10.0, (0.4, 5.0, 10.0)), (GG, 6.0, (0.4, 3.0, 6.0))],
         ids=["pw-1d", "gabor-2d"],
     )
-    def test_empty_smallest_truncation_fails_at_its_sampling_stage(self, monkeypatch, kernel, edge, truncations, sizes):
-        # the half-integer lattice (Z + 1/2)^d has no point in [-0.4, 0.4]^d: the truncations are solved largest
-        # first, that one's empty Gram too, and then its sampling stage finds no interior point
+    def test_empty_smallest_truncation_is_refused_before_any_kernel_entry(self, monkeypatch, kernel, edge, truncations):
+        # the half-integer lattice (Z + 1/2)^d has no point in [-0.4, 0.4]^d, though the larger truncations have
         dim = kernel.space_dim
         axis = np.arange(-edge, edge) + 0.5
         points = np.stack([m.ravel() for m in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
         patch = PointPatch(dim=dim, box=[(-edge, edge)] * dim, points=points)
-        solved, gram_eigvalsh = [], framekit._gram_eigvalsh
-
-        def recorded(kernel, points):
-            eigs = gram_eigvalsh(kernel, points)
-            solved.append(len(eigs))
-            return eigs
-
-        monkeypatch.setattr(framekit, "_gram_eigvalsh", recorded)
-        with pytest.raises(CoverageError, match="no interior points"):
+        calls = []
+        monkeypatch.setattr(framekit, "_gram_eigvalsh", lambda *args: calls.append("gram"))
+        monkeypatch.setattr(framekit, "kernel_matrix", lambda *args: calls.append("kernel_matrix"))
+        with pytest.raises(EmptyPatchError, match=r"truncation 0\.4 holds no point"):
             frame_trend_report(kernel, patch, truncations)
-        assert solved == sizes
+        assert calls == []
+
+
+class TestLargestEigenvalue:
+    """A Gram's largest eigenvalue is at least its diagonal ``norm_sq_ke``, so no spectrum is empty or all zero."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kernel=st.sampled_from([PW, paley_wiener([(-0.25, 0.75)]), GG]),
+        symmetric=st.booleans(),
+        n=st.integers(1, 25),
+        shift=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_at_least_half_the_diagonal(self, kernel, symmetric, n, shift, seed):
+        # distinct points of the quarter grid in [-3, 3]^d, inside every sampling stage's interior box
+        dim = kernel.space_dim
+        cells = np.stack(np.meshgrid(*[np.arange(-12, 13)] * dim, indexing="ij"), axis=-1).reshape(-1, dim) / 4.0
+        pts = cells[np.random.default_rng(seed).choice(len(cells), size=n, replace=False)]
+        if symmetric:
+            pts, shift = np.unique(np.vstack([pts, -pts]), axis=0), 0.0
+        patch = PointPatch(dim=dim, box=[(-5.0 + shift, 5.0 + shift)] * dim, points=pts + shift)
+        crit = kernel.norm_sq_ke
+        assert framekit._gram_eigvalsh(kernel, patch.points)[-1] >= crit / 2
+        largest, projected_eigh = [], framekit._projected_eigh
+
+        def recorded(store, orbits):
+            s, vecs = projected_eigh(store, orbits)
+            largest.append(s.max())
+            return s, vecs
+
+        with mock.patch.object(framekit, "_projected_eigh", recorded):
+            sampling_bounds(kernel, patch)
+        assert largest[0] >= crit / 2
 
 
 class TestVerdict:
@@ -852,6 +885,24 @@ class TestVerdict:
         v = verdict(GG, report, ell=1)
         assert v.necessary_sampling_ok
         assert v.necessary_interpolation_ok
+
+    @pytest.mark.parametrize(
+        "lower, upper, tol, ruled",
+        [
+            (0.0, 1.0, 0.0, "sampling (lower density below critical density)"),
+            (0.0, 1.0, 1.5, "sampling (covolume form)"),  # a tol past the critical density passes the density form
+            (0.0, 0.0, 0.0, "sampling (lower density below critical density)"),
+            (0.0, 0.0, 1.5, "sampling (covolume form)"),
+        ],
+    )
+    def test_zero_density_gives_an_infinite_covolume_bound(self, lower, upper, tol, ruled):
+        # an infinite upper covolume fails the sampling form, and an infinite lower one passes the interpolation form
+        report = DensityReport(((10.0, lower),), ((10.0, upper),), lower, upper, 0.0, "")
+        v = verdict(PW, report, ell=1, tol=tol)
+        assert v.covol_bounds.covol_plus_hi == math.inf
+        assert (v.covol_bounds.covol_minus_hi == math.inf) == (upper == 0.0)
+        assert not v.sampling_covol_ok and v.interpolation_covol_ok
+        assert v.ruled_out == (ruled,)
 
     def test_covolume_form_consistency(self):
         v = verdict(PW, self.density_for(1.25), ell=1)

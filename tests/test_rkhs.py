@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperio import kernel_matrix, wiener_amalgam_norm
-from aperio.errors import DimensionMismatchError, GridTooCoarseError
+from aperio.errors import ArgumentError, DimensionMismatchError, GridTooCoarseError
 from aperio.rkhs import UNDERFLOW_FLOOR, _local_max, gabor_gaussian, paley_wiener
 
 from conftest import broadcast_gabor_matrix, broadcast_pw_matrix, heisenberg_phase, kernel_value, local_max_oracle
@@ -109,6 +109,20 @@ class TestCriticalDensity:
     def test_band_volume(self):
         assert paley_wiener([(-0.5, 0.5)]).norm_sq_ke == 1.0
         assert paley_wiener([(-1.0, 1.0)]).norm_sq_ke == 2.0
+
+    @pytest.mark.parametrize(
+        "half, accepted",
+        [(5e-162, True), (1e-170, False), (5e153, True), (1e154, False)],
+        ids=["square-subnormal", "square-underflows", "square-near-max", "square-overflows"],
+    )
+    def test_kernel_needs_a_positive_finite_square(self, half, accepted):
+        # the square of the critical density is positive and finite, or the kernel is refused where it is made;
+        # past 1.3e154 a float power c ** 2 would raise OverflowError instead
+        if accepted:
+            assert 0 < paley_wiener([(-half, half)]).norm_sq_ke ** 2 < math.inf
+        else:
+            with pytest.raises(ArgumentError, match=r"critical density .* must be positive and its square finite"):
+                paley_wiener([(-half, half)])
 
     def test_gabor_formal_dimension_by_quadrature(self):
         # orthogonality-relation integral of |<eta, pi(z) eta>|^2 over the
