@@ -53,7 +53,8 @@ class DensityReport:
     spread between the last two sizes, and the extrapolated values are the
     last-size estimates.  No covolume is stored: a written report's covolume
     block is computed at write time by ``covolume_bounds_from_density``.
-    Its extrapolated values and uncertainty must be finite and at least 0.
+    Every estimate, per size and extrapolated, and the uncertainty must be
+    finite and at least 0.
     """
 
     lower: tuple[tuple[float, float], ...]
@@ -66,7 +67,8 @@ class DensityReport:
     extras_used_upper: bool = False
 
     def __post_init__(self):
-        if not all(0 <= v < math.inf for v in (self.extrapolated_lower, self.extrapolated_upper, self.uncertainty)):
+        values = [self.extrapolated_lower, self.extrapolated_upper, self.uncertainty]
+        if not all(0 <= v < math.inf for v in values + [v for _, v in (*self.lower, *self.upper)]):
             raise ConfigError("density report estimates must be finite and at least 0")
 
 

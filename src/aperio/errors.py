@@ -7,8 +7,8 @@ A failure that depends on the data is an operation error (another
 ``AperioError``, or a plain ``ValueError`` for a constructor invariant such as
 a degenerate box or duplicate points); the command line exits 1 on it.
 ``ArgumentError`` is also a ``ValueError``, so library callers catch both
-kinds alike.  A value is checked where it is made
-(``KernelSpec``, ``DensityReport``), and not again where it is used.
+kinds alike.  A value is checked where it is made (``KernelSpec``,
+``DensityReport``, ``kernel_matrix``), and not again where it is used.
 """
 
 

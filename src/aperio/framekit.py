@@ -18,7 +18,8 @@ conjugating one makes each of them real symmetric (A. Lee 1980).
 Lattices and model sets with symmetric windows, truncated to centred boxes,
 are such patches.  The blocks read only the rows of orbit representatives
 (about n / 4 of n points under both reflections), so only those are built
-and checked (``_gram_eigvalsh``); without a reflection every point is one.
+(``_gram_eigvalsh``), Hermitian as ``kernel_matrix`` keeps them bit for bit;
+without a reflection every point is one.
 ``sampling_bounds`` solves its anchor Gram so too, eigenvectors included:
 its grid is centred at 0, where both reflections map it onto itself, and
 the patch is moved by minus the centre of its interior box, which the
@@ -35,7 +36,7 @@ import numpy as np
 
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import ArgumentError, CoverageError, EmptyPatchError, GramSizeError
-from .pointset import PointPatch, _require_nonempty, _row_blocks, as_rows, box_volume, points_in_box, restrict, shrink_box
+from .pointset import PointPatch, _require_nonempty, as_rows, box_volume, points_in_box, restrict, shrink_box
 from .rkhs import KernelSpec, _floor_underflow, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
@@ -228,45 +229,17 @@ def _reflected_eigvalsh(store: np.ndarray, orbits: _Orbits) -> np.ndarray:
     return np.sort(np.concatenate(spectra))
 
 
-def _check_hermitian(store: np.ndarray, orbits: _Orbits) -> None:
-    """Refuse the representative rows ``store[j, a] = G[reps[a], j]`` of a ``G`` that is not Hermitian.
-
-    Every index is ``g reps[b]`` for a group element ``g``, so the rows ``T
-    = store[g reps]`` hold ``T[b, a] = G[reps[a], g reps[b]]``, whose
-    partner ``conj G[g reps[b], reps[a]]`` is ``conj T[a, b]``, or ``T[a,
-    b]`` when ``g`` holds ``R``.  One ``g`` and one row block of ``T`` of
-    ``pointset.BLOCK_ELEMENTS / 4`` entries at a time, so the three
-    temporaries stay under ``BLOCK_ELEMENTS`` complex numbers; the first
-    defect not ``<= 1e-10`` (NaN and inf included) is refused.
-    """
-    for m, _, n_r in orbits.group:
-        rows = m[orbits.reps]
-        for blk in _row_blocks(len(rows), 4 * len(rows)):
-            diff = store[rows[blk]]
-            partner = store[rows, blk].T
-            if not n_r:
-                np.conjugate(partner, out=partner)
-            with np.errstate(invalid="ignore"):  # inf - inf is NaN, which is refused
-                np.subtract(diff, partner, out=diff)
-                herm_defect = np.abs(diff).max()
-            if not herm_defect <= 1e-10:
-                raise ValueError(f"Gram entries are not Hermitian (defect {herm_defect:.2e})")
-
-
 def _gram_eigvalsh(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Gram ``G[i, j] = k(x_j, x_i)`` of ``points``.
 
     Too many points, or points of another dimension, are refused before any
     kernel entry is built.  Then ``G``'s rows at its orbit representatives
-    (``_rep_rows``) are built, checked (``_check_hermitian``) and solved as
-    the blocks of its reflections (``_reflected_eigvalsh``); they are
-    released on return.
+    (``_rep_rows``) are built and solved as the blocks of its reflections
+    (``_reflected_eigvalsh``); they are released on return.
     """
     if len(points) > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
-    store, orbits = _rep_rows(kernel, as_rows(points, kernel.space_dim))
-    _check_hermitian(store, orbits)
-    return _reflected_eigvalsh(store, orbits)
+    return _reflected_eigvalsh(*_rep_rows(kernel, as_rows(points, kernel.space_dim)))
 
 
 def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
@@ -321,9 +294,10 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
     """The anchor grid of ``sampling_bounds`` for a box, centred at 0, and the box's centre.
 
     Each axis is ``h (j - (k - 1) / 2)`` for ``j < k``: the ``k`` points of
-    spacing ``h`` that fit the box, centred on it, moved by minus its centre.
-    Its coordinates are exact negatives of each other, so negating any axes
-    maps the grid onto itself bit for bit.
+    spacing ``h`` that fit the box, centred on it, moved by minus its centre
+    (0 alone if ``k = 1``, even where ``h`` overflows).  Its coordinates are
+    exact negatives of each other, so negating any axes maps the grid onto
+    itself bit for bit.
     """
     dim = kernel.space_dim
     crit = kernel.norm_sq_ke
@@ -334,7 +308,7 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
     for (lo, hi), w in zip(interior_box, kernel.widths):
         h = scale / w
         k = max(1, int(math.floor((hi - lo) / h)) + 1)
-        axes.append(h * (np.arange(k) - (k - 1) / 2.0))
+        axes.append(h * (np.arange(k) - (k - 1) / 2.0) if k > 1 else np.zeros(1))
     mesh = np.meshgrid(*axes, indexing="ij")
     centre = np.array([(lo + hi) / 2.0 for lo, hi in interior_box])
     return np.stack([m.ravel() for m in mesh], axis=1), centre

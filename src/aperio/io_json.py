@@ -471,7 +471,8 @@ def emit_csv(report: dict, columns: list[str]) -> str:
 
     A bracketed column ``X`` (``BRACKET_COLUMNS``) gives the two columns
     ``X_lo,X_hi``.  A report that is not shaped as its kind says is a config
-    error, a frame report of the shape before brackets among them.
+    error, a frame report of the shape before brackets among them.  A density
+    report is decoded, and so refused where ``verdict`` refuses it.
     """
     kind = _key(report, "kind", "report")
     valid = CSV_COLUMNS.get(kind) if isinstance(kind, str) else None
@@ -486,6 +487,9 @@ def emit_csv(report: dict, columns: list[str]) -> str:
         if columns != ["eigenvalue"]:
             raise ConfigError("the eigenvalue column cannot be combined with trend columns")
         rows = _eigenvalue_rows(report)
+    elif kind == "density_report":
+        dr = density_report_from_jsonable(report)
+        rows = [[{"n": n, "inf": lo, "sup": hi}[c] for c in columns] for (n, lo), (_, hi) in zip(dr.lower, dr.upper)]
     else:
         rows = []
         for r in _list(_key(report, "rows", kind), f"{kind} 'rows'"):

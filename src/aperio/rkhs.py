@@ -33,6 +33,8 @@ Band = tuple[tuple[float, float], ...]
 UNDERFLOW_FLOOR = 2.0**-511
 # a real exponent below this gives |exp| < UNDERFLOW_FLOOR / e, floored without calling exp
 _EXP_CUTOFF = math.log(UNDERFLOW_FLOOR) - 1.0
+# the largest coordinate times the kernel's scale (kernel_matrix) that keeps every intermediate finite
+COORDINATE_LIMIT = 2.0**500
 
 
 @dataclass(frozen=True)
@@ -201,8 +203,25 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     far below an eigensolver's own backward error ``n eps ||G||``; its
     eigenvalues stay bit for bit on lattices and may move by rounding
     elsewhere.  Paley-Wiener entries are not floored.
+
+    Points are refused (``ValueError``) unless ``M s <= COORDINATE_LIMIT``
+    (2^500), for ``M`` the largest ``|coordinate|`` in ``xs`` and ``ys`` and
+    ``s`` the kernel's scale: ``max(1, E)`` for band edges at most ``E`` in
+    modulus, ``sqrt(2n)`` on R^(2n).  Then every intermediate is finite: a
+    difference ``u`` is at most ``2M``, ``pi (hi - lo) u`` and ``pi (lo +
+    hi) u`` at most ``4 pi E M < 2^504``, ``1 / (pi u)`` below 2^1022
+    (``|u| >= 1e-308``), and the Gaussian phase and squared distance (``n``
+    and ``2n`` terms of at most ``4 M^2``) below 2^1002.  Both formulas are
+    symmetric term by term (the phase ``(x_q - x_p) . (w_p + w_q)`` negates
+    under a swap, the sinc factor is odd over odd), so ``kernel_matrix(X,
+    X)`` equals its conjugate transpose bit for bit, signed zeros aside; no
+    Gram is checked for it.
     """
     X, Y = as_rows(xs, spec.space_dim), as_rows(ys, spec.space_dim)
+    scale = max(1.0, float(np.abs(spec.band).max())) if spec.kind == "paley_wiener" else math.sqrt(spec.space_dim)
+    reach = float(max(np.abs(X).max(initial=0.0), np.abs(Y).max(initial=0.0)))
+    if not reach * scale <= COORDINATE_LIMIT:
+        raise ValueError(f"coordinates reach {reach:.3g}, past the kernel's finite range {COORDINATE_LIMIT / scale:.3g}")
     if spec.kind == "paley_wiener":
         return _pw_matrix(spec, X, Y)
     return _gabor_matrix(spec, X, Y)

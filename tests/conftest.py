@@ -20,7 +20,6 @@ from aperio.framekit import (
     RANK_TOL,
     FrameReport,
     _anchor_grid,
-    _check_hermitian,
     _gram_eigvalsh,
     _orbits,
     _projected_eigh,
@@ -30,7 +29,7 @@ from aperio.framekit import (
 )
 from aperio.io_json import fstr
 from aperio.pointset import BOX_TOL, as_box, box_volume, points_in_box, shrink_box
-from aperio.rkhs import _floor_underflow, gabor_gaussian, kernel_matrix, paley_wiener
+from aperio.rkhs import _floor_underflow, kernel_matrix
 
 TAU = (1 + math.sqrt(5)) / 2
 TAU_CONJ = (1 - math.sqrt(5)) / 2
@@ -87,16 +86,6 @@ def fibonacci_patch(fibonacci_scheme):
 @pytest.fixture(scope="session")
 def satellites_patch():
     return make_satellites_patch(400.0)
-
-
-@pytest.fixture(scope="session")
-def pw_kernel():
-    return paley_wiener([(-0.5, 0.5)])
-
-
-@pytest.fixture(scope="session")
-def gabor_kernel():
-    return gabor_gaussian(1)
 
 
 def brute_force_window_max(points: np.ndarray, width: float, sweep_step: float) -> int:
@@ -309,12 +298,6 @@ def local_max_oracle(values: np.ndarray, reach: int) -> np.ndarray:
     for idx in np.ndindex(values.shape):
         out[idx] = values[tuple(slice(max(0, i - reach), i + reach + 1) for i in idx)].max()
     return out
-
-
-def hermitian_defect_oracle(e: np.ndarray) -> float:
-    """Largest ``|e[i, j] - conj(e[j, i])|`` over the whole matrix at once (NaN if any is NaN)."""
-    with np.errstate(invalid="ignore"):
-        return np.abs(e - e.conj().T).max()
 
 
 def patch_to_jsonable(patch: PointPatch) -> dict:
@@ -600,15 +583,13 @@ def gram_eigenvalues(kernel, patch: PointPatch) -> np.ndarray:
 
 
 def entries_eigenvalues(entries: np.ndarray, pairing: tuple | None = None) -> np.ndarray:
-    """Ascending eigenvalues of a hand-fed Hermitian matrix through ``framekit``'s check and reflected solve.
+    """Ascending eigenvalues of a hand-fed Hermitian matrix through ``framekit``'s reflected solve.
 
     Its rows at the representatives of ``pairing`` (maps as ``_reflections``
     gives them, or ``None``) stand in for the kernel rows ``_gram_eigvalsh``
-    builds; a matrix that is not Hermitian is refused ("not Hermitian").
+    builds; only those rows are read, so the matrix must be Hermitian.
     """
-    store, orbits = matrix_rep_rows(entries, pairing)
-    _check_hermitian(store, orbits)
-    return _reflected_eigvalsh(store, orbits)
+    return _reflected_eigvalsh(*matrix_rep_rows(entries, pairing))
 
 
 def matrix_rep_rows(entries: np.ndarray, pairing: tuple | None) -> tuple[np.ndarray, framekit._Orbits]:

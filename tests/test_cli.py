@@ -724,6 +724,21 @@ class TestArgumentValues:
 
     @pytest.mark.parametrize(
         "argv",
+        [["csv", "--report", "bad.json", "--columns", "n,inf,sup"], ["verdict", "--kernel", "pw.json", "--density", "bad.json"]],
+        ids=["csv", "verdict"],
+    )
+    def test_bad_per_size_density_estimate_is_config_error(self, workspace, capsys, argv):
+        # a NaN inf at the first size and a negative sup at the second: once printed and judged with exit 0
+        run(workspace, "gen", "--scheme", "z.json", "--box", "-20", "20", "--out", "zp.json")
+        run(workspace, "density", "--patch", "zp.json", "--folner", "2,4", "--out", "zd.json")
+        report = json.loads((workspace / "zd.json").read_text())
+        report["rows"][0]["inf"]["value"] = "nan"
+        report["rows"][1]["sup"]["value"] = "-5.0"
+        (workspace / "bad.json").write_text(json.dumps(report))
+        self.refused(workspace, capsys, [*argv, "--out", "o.out"], "density report estimates must be finite and at least 0")
+
+    @pytest.mark.parametrize(
+        "argv",
         [
             ["density", "--patch", "p.json", "--folner", "5,abc"],
             ["frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "1,x"],
@@ -760,6 +775,27 @@ class TestArgumentValues:
         assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "half.json", "--truncations", "0.4,5,10", "--out", "o.json") == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "truncation 0.4 holds no point" in err[0]
+        assert _snapshot(workspace) == before
+
+    @pytest.mark.parametrize(
+        "kernel, points, truncations",
+        [
+            ({"kind": "paley_wiener", "band": [[-0.5, 0.5]]}, [[-1.7e308], [0.0], [1.7e308]], "1,1e308,1.75e308"),
+            ({"kind": "gabor_gaussian", "n": 1}, [[-1.7e308, 1.7e308], [0.0, 0.0], [1.7e308, -1.7e308]], "1,1e308,1.75e308"),
+            ({"kind": "paley_wiener", "band": [[-1e100, 1e100]]}, [[-1e300], [0.0], [1e300]], "1,1e299,1.5e300"),
+        ],
+        ids=["pw-near-max", "gabor-near-max", "wide-band"],
+    )
+    def test_points_past_the_kernel_range_are_operation_error(self, workspace, capsys, kernel, points, truncations):
+        # their kernel entries were NaN: once overflow warnings, then "Gram entries are not Hermitian (defect nan)"
+        dim = len(points[0])
+        (workspace / "k.json").write_text(json.dumps(kernel))
+        (workspace / "far.json").write_text(json.dumps({"dim": dim, "box": [[-_MAX, _MAX]] * dim, "points": points}))
+        before = _snapshot(workspace)
+        assert run(workspace, "frame", "--kernel", "k.json", "--patch", "far.json", "--truncations", truncations, "--out", "o.json") == 1
+        out, err = capsys.readouterr()
+        err = err.strip().splitlines()
+        assert out == "" and len(err) == 1 and "past the kernel's finite range" in err[0]
         assert _snapshot(workspace) == before
 
     def test_gen_past_double_resolution_names_the_precision(self, workspace, capsys):

@@ -249,12 +249,15 @@ class TestCovolumeBounds:
         bounds = covolume_bounds_from_density(report, ell=1)
         assert math.isinf(bounds.covol_plus_hi)
 
-    @pytest.mark.parametrize("field", ["extrapolated_lower", "extrapolated_upper", "uncertainty"])
+    @pytest.mark.parametrize("field", ["extrapolated_lower", "extrapolated_upper", "uncertainty", "lower", "upper"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_report_refuses_estimates_where_it_is_made(self, field, value):
-        fields = dict(extrapolated_lower=1.0, extrapolated_upper=1.0, uncertainty=0.0)
+        # lower and upper hold (n, estimate) per size; a bad one at the first of two sizes
+        fields = dict(lower=((5.0, 1.0), (10.0, 1.0)), upper=((5.0, 1.0), (10.0, 1.0)))
+        fields.update(extrapolated_lower=1.0, extrapolated_upper=1.0, uncertainty=0.0)
+        fields[field] = ((5.0, value), (10.0, 1.0)) if field in ("lower", "upper") else value
         with pytest.raises(ConfigError, match="density report estimates must be finite and at least 0"):
-            density_mod.DensityReport(((5.0, 1.0),), ((5.0, 1.0),), **{**fields, field: value}, certified_region_note="")
+            density_mod.DensityReport(**fields, certified_region_note="")
 
 
 class TestErgodicEstimate:

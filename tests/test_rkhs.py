@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from aperio import kernel_matrix, wiener_amalgam_norm
 from aperio.errors import ArgumentError, DimensionMismatchError, GridTooCoarseError
-from aperio.rkhs import UNDERFLOW_FLOOR, _local_max, gabor_gaussian, paley_wiener
+from aperio.rkhs import COORDINATE_LIMIT, UNDERFLOW_FLOOR, _local_max, gabor_gaussian, paley_wiener
 
 from conftest import broadcast_gabor_matrix, broadcast_pw_matrix, heisenberg_phase, kernel_value, local_max_oracle
 
@@ -145,16 +146,21 @@ class TestCriticalDensity:
 
 
 class TestKernelProperties:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_hermitian_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        gg = gabor_gaussian(1)
-        p, q = rng.uniform(-4, 4, size=(2, 2))
-        assert abs(kernel_value(gg, p, q) - np.conj(kernel_value(gg, q, p))) < 1e-12
-        pw = paley_wiener([(-0.3, 0.8)])
-        x, y = rng.uniform(-4, 4, size=(2, 1))
-        assert abs(kernel_value(pw, x, y) - np.conj(kernel_value(pw, y, x))) < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_hermitian_symmetry(self, data):
+        # k(y, x) = conj k(x, y) bit for bit (signed zeros compare equal): the Gram solver reads only
+        # the rows of orbit representatives and checks no entry against its partner
+        kernel = data.draw(st.sampled_from([PW_SYMMETRIC_1D, *(k for k, _, _ in REFLECTION_AXES.values())]), label="kernel")
+        scale = 10.0 ** data.draw(st.floats(0, 6), label="log10 scale")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        shape = (data.draw(st.integers(1, 16), label="n"), kernel.space_dim)
+        if data.draw(st.booleans(), label="shared"):  # coordinates drawn from four values on a 1/8 grid
+            pts = rng.choice(np.round(rng.uniform(-scale, scale, 4) * 8.0) / 8.0, shape)
+        else:
+            pts = rng.uniform(-scale, scale, shape)
+        gram = kernel_matrix(kernel, pts, pts)
+        assert np.array_equal(gram, gram.conj().T)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -184,6 +190,39 @@ REFLECTION_AXES = {
     "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), (), (0,)),
     "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), (), (0, 1)),
 }
+
+
+PW_SYMMETRIC_1D = paley_wiener([(-0.5, 0.5)])
+
+
+class TestFiniteRange:
+    @pytest.mark.parametrize(
+        "kernel, scale",
+        [
+            (PW_SYMMETRIC_1D, 1.0),
+            (paley_wiener([(-1e100, 3.0)]), 1e100),
+            (paley_wiener([(0.25, 0.75), (-2.0, 2.0)]), 2.0),
+            (gabor_gaussian(1), math.sqrt(2.0)),
+            (gabor_gaussian(2), 2.0),
+        ],
+        ids=["pw-unit", "pw-wide-edge", "pw-2d", "gabor-1", "gabor-2"],
+    )
+    def test_entries_finite_up_to_the_range_and_refused_past_it(self, kernel, scale):
+        # the largest coordinate M with M * scale <= 2**500, on every corner of [-M, M]^d and at 0;
+        # a NaN or overflow inside kernel_matrix would fail the suite as a RuntimeWarning
+        reach = COORDINATE_LIMIT / scale
+        while reach * scale > COORDINATE_LIMIT:
+            reach = np.nextafter(reach, 0.0)
+        while np.nextafter(reach, math.inf) * scale <= COORDINATE_LIMIT:
+            reach = np.nextafter(reach, math.inf)
+        dim = kernel.space_dim
+        corners = np.array([[0.0] * dim, *itertools.product((-reach, reach), repeat=dim)])
+        assert np.isfinite(kernel_matrix(kernel, corners, corners)).all()
+        past = np.zeros((1, dim))
+        past[0, -1] = -np.nextafter(reach, math.inf)
+        for xs, ys in ((past, corners), (corners, past)):
+            with pytest.raises(ValueError, match="past the kernel's finite range"):
+                kernel_matrix(kernel, xs, ys)
 
 
 class TestReflections:
