@@ -20,10 +20,10 @@ are such patches.  The blocks read only the rows of orbit representatives
 (about n / 4 of n points under both reflections), so only those are built
 (``_gram_eigvalsh``), Hermitian as ``kernel_matrix`` keeps them bit for bit;
 without a reflection every point is one.
-``sampling_bounds`` solves its anchor Gram so too, eigenvectors included:
-its grid is centred at 0, where both reflections map it onto itself, and
-the patch is moved by minus the centre of its interior box, which the
-kernels' translation covariance allows.
+``sampling_bounds`` never leaves this orbit basis: its anchor grid, centred
+at 0 where both reflections map it onto itself, is solved as such blocks,
+and each quotient block is formed from the rows of the patch's own
+representatives (one block without a reflection).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class _Orbits(NamedTuple):
     group: list  # per element of the group: its index map, its number of P and its number of R
     reps: np.ndarray  # one representative per orbit
     bounds: np.ndarray  # where each rank of representatives starts in reps, and its end
-    weight: np.ndarray  # per representative: 1 / sqrt(the number of maps fixing it)
+    stab: np.ndarray  # per representative: the number of group elements fixing it
 
 
 def _orbits(pairing: tuple | None, n: int) -> _Orbits:
@@ -118,8 +118,7 @@ def _orbits(pairing: tuple | None, n: int) -> _Orbits:
     rank[fixed.all(axis=0)] = 0  # the origin, fixed by every map
     order = np.argsort(rank, kind="stable")
     reps, rank = reps[order], rank[order]
-    weight = np.sqrt(1.0 / (1 + fixed[:, order].sum(axis=0)))
-    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), weight)
+    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), 1 + fixed[:, order].sum(axis=0))
 
 
 def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
@@ -139,7 +138,8 @@ def _gather(store: np.ndarray, span: slice, cols, p_map, p: int) -> np.ndarray:
     ``rows`` are the representatives ``reps[span]``: ``store``'s columns
     are the rows of ``G`` at the representatives in rank order, so
     ``G[reps[a], j]`` is ``store[j, a]`` and each term is a row gather of a
-    column slice.
+    column slice.  ``store`` may be rectangular: ``sampling_bounds`` sums a
+    patch-by-anchor block over the anchors' orbits so.
     """
     out = store[cols, span]
     if p_map is not None:
@@ -184,7 +184,8 @@ def _reflected_blocks(store: np.ndarray, orbits: _Orbits):
     character ``chi`` is ``p`` per ``P`` in ``g`` for the ``Re Z+`` half and
     ``i`` times that, and ``-1`` per ``R`` in ``g``, for the ``Re Z-`` half.
     """
-    (p_map, r_map), reps, weight, b = orbits.pairing, orbits.reps, orbits.weight, orbits.bounds
+    (p_map, r_map), reps, b = orbits.pairing, orbits.reps, orbits.bounds
+    weight = np.sqrt(1.0 / orbits.stab)
     # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
     halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
     for p in (1, -1) if p_map is not None else (1,):
@@ -242,42 +243,14 @@ def _gram_eigvalsh(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
     return _reflected_eigvalsh(*_rep_rows(kernel, as_rows(points, kernel.space_dim)))
 
 
-def _projected_eigh(store: np.ndarray, orbits: _Orbits) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian PSD ``G`` with the reflections of ``orbits``, restricted to its nonzero spectrum.
-
-    ``store[j, a] = G[reps[a], j]``.  Each block of ``_reflected_blocks`` is
-    solved by ``eigh``; an eigenpair is kept when its eigenvalue exceeds
-    ``RANK_TOL`` times the largest over all blocks.  Each kept eigenvector
-    ``x`` of a block is mapped to ``G``'s index space (complex with ``R``)
-    orbit by orbit: for each group element ``g``, its ``Re Z+`` rows times
-    ``chi(g) / sqrt(orbit size)`` go to the real part at ``g reps[plus]``,
-    and with ``R`` its ``Re Z-`` rows to the imaginary part at ``g
-    reps[minus]``.  Every ``g`` that fixes a representative writes the same
-    value there.  These are orthonormal eigenvectors of ``G``.  The largest
-    eigenvalue, at least ``G``'s diagonal ``KernelSpec.norm_sq_ke > 0``, is kept.
-    """
-    n, reps = len(store), orbits.reps
+def _anchor_eigh(store: np.ndarray, orbits: _Orbits) -> list:
+    """Each block's eigenpairs (``eigh``) above ``RANK_TOL`` times the largest of all blocks, and its half."""
     solved = []
     for block, half in _reflected_blocks(store, orbits):
         solved.append((*np.linalg.eigh(block), half))
         del block
     cut = RANK_TOL * max(s[-1] for s, _, _ in solved)
-    solved = [(s[s > cut], x[:, s > cut], half) for s, x, half in solved]
-    eigs = np.concatenate([s for s, _, _ in solved])
-    vecs = np.zeros((n, len(eigs)), dtype=store.dtype if orbits.pairing[1] is None else np.complex128)
-    modulus = 1.0 / (orbits.weight * math.sqrt(len(orbits.group)))  # 1 / sqrt(orbit size)
-    start = 0
-    for s, x, (p, plus, minus) in solved:
-        cols, k = slice(start, start + len(s)), plus.stop - plus.start
-        start += len(s)
-        for m, n_p, n_r in orbits.group:
-            chi = modulus * float(p) ** n_p
-            if minus is None:
-                vecs[m[reps[plus]], cols] = x * chi[plus, None]
-            else:
-                vecs.real[m[reps[plus]], cols] = x[:k] * chi[plus, None]
-                vecs.imag[m[reps[minus]], cols] = x[k:] * (chi[minus] * (-1.0) ** n_r)[:, None]
-    return eigs, vecs
+    return [(s[s > cut], x[:, s > cut], half) for s, x, half in solved]
 
 
 # anchor grid design for the sampling test class: the grid density is the
@@ -295,7 +268,8 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
 
     Each axis is ``h (j - (k - 1) / 2)`` for ``j < k``: the ``k`` points of
     spacing ``h`` that fit the box, centred on it, moved by minus its centre
-    (0 alone if ``k = 1``, even where ``h`` overflows).  Its coordinates are
+    (0 alone if ``k = 1``, as where ``h`` overflows or the box's volume does,
+    which makes the patch density 0 and ``h`` infinite).  Its coordinates are
     exact negatives of each other, so negating any axes maps the grid onto
     itself bit for bit.
     """
@@ -303,11 +277,11 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
     crit = kernel.norm_sq_ke
     patch_density = n_interior_points / box_volume(interior_box)
     rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * patch_density)
-    scale = (crit / rho) ** (1.0 / dim)
+    scale = (crit / rho) ** (1.0 / dim) if rho > 0 else math.inf
     axes = []
     for (lo, hi), w in zip(interior_box, kernel.widths):
         h = scale / w
-        k = max(1, int(math.floor((hi - lo) / h)) + 1)
+        k = max(1, int(math.floor((hi - lo) / h)) + 1) if h < math.inf else 1
         axes.append(h * (np.arange(k) - (k - 1) / 2.0) if k > 1 else np.zeros(1))
     mesh = np.meshgrid(*axes, indexing="ij")
     centre = np.array([(lo + hi) / 2.0 for lo, hi in interior_box])
@@ -326,38 +300,43 @@ def sampling_bounds(
 
     Test functions are finite combinations of kernel functions (for the
     time-frequency kernel: coherent states) anchored inside the box shrunk by
-    ``margin``; the quotients reduce to generalized eigenvalues of the
-    anchor-vs-full Gram blocks.  The anchors form a uniform grid whose density
-    follows the adaptive rule documented above; this exposes undersampling as
-    a collapsing lower bound while staying numerically well conditioned.
+    ``margin``, by default 25% of its smallest half-width.  The anchors form a
+    uniform grid whose density follows the adaptive rule documented above;
+    this exposes undersampling as a collapsing lower bound while staying
+    numerically well conditioned.
 
-    Default margin is 25% of the smallest box half-width.
-
-    The grid is built centred at 0 (``_anchor_grid``) and the patch is moved
-    by minus the interior box's centre ``c`` instead.  Both kernels are
-    translation covariant: moving every point by ``c`` multiplies a Gaussian
-    entry ``k(x, y)`` by a unimodular factor of ``x`` times the conjugate
-    factor of ``y``, and leaves a Paley-Wiener entry as it is.  So the
+    The grid is built centred at 0 (``_anchor_grid``).  It stays there when
+    the kernel's reflections pair the patch's points about 0 (``_reflections``)
+    and it fits the interior box, so the same points give the same bounds in
+    any box that leaves it room.  Otherwise the patch is moved by minus the
+    interior box's centre: the kernels are translation covariant, so the
     quotient matrix is that of the grid centred on the box up to a diagonal
-    unitary similarity, and its eigenvalues move by rounding only; with
-    ``c = 0`` (every box centred on 0) no point moves.  The centred grid maps
-    onto itself under both of the kernel's reflections, so its anchor Gram
-    ``M[i, j] = k(g_i, g_j)`` is solved as the blocks of ``_projected_eigh``
-    (for the Gaussian kernel two real ones of half the size) from its rows
-    at the grid's representatives: the conjugate of the Gram rows of
-    ``_rep_rows``, as ``k(y, x) = conj k(x, y)`` bit for bit but for the
-    sign of a zero imaginary part, which the blocks' floor clears.
+    unitary similarity.
 
-    The anchor Gram ``M`` and the patch-by-anchor kernel block ``K`` come
-    from ``kernel_matrix``, whose Gaussian entries below
-    ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros; each block of ``M`` is
-    floored again after its sums.  In every case checked, the bounds equal
-    those of the unfloored kernel bit for bit.
+    The grid maps onto itself under both of the kernel's reflections, so its
+    anchor Gram ``M[i, j] = k(g_i, g_j)`` is solved as the blocks of
+    ``_reflected_blocks`` (``_anchor_eigh``) from its rows at the grid's
+    representatives: the conjugate of the Gram rows of ``_rep_rows``, as
+    ``k(y, x) = conj k(x, y)`` bit for bit but for the sign of a zero
+    imaginary part, which the blocks' floor clears.  The kept eigenvectors
+    ``x``, scaled by ``s^-1/2``, are an orthonormal basis of the test
+    functions, and the quotients are the eigenvalues of ``C^H C`` for ``C``
+    their values at the patch's points (Fuhr, Grochenig, Haimi, Klotz &
+    Romero 2017).  A block's row ``a`` stands for the orbit vector with entry
+    ``chi(g) / sqrt(orbit size)`` at ``g a``, so its column of ``C`` before
+    ``x`` is the sum over the group of ``chi(g) K[:, g a]``, for ``K[p, j] =
+    k(x_p, g_j)``, over the stabiliser's size (each anchor counts once) and
+    ``sqrt(orbit size)``: a rectangular ``_gather``.  ``K`` is built at the
+    patch's representatives only, as ``C[Pp] = chi(P) C[p]`` and ``C[Rp] =
+    conj C[p]``: ``C^H C`` is ``C^H diag(orbit sizes) C`` over them, real
+    with ``R`` on the patch, and with ``P`` on it the two parities' blocks
+    are orthogonal, each a quotient matrix of its own.  Without any
+    reflection ``C`` is ``K W``, for ``W`` the scaled eigenvectors of ``M``.
 
-    The scaled eigenvectors ``W`` are an orthonormal basis of the test
-    functions, so ``K W`` is the sampling operator on that basis and the
-    quotients are the eigenvalues of the one product ``(K W)^H (K W)``
-    (Fuhr, Grochenig, Haimi, Klotz & Romero 2017).
+    ``M`` and ``K`` come from ``kernel_matrix``, whose Gaussian entries below
+    ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros; each block of ``M``
+    and each quotient matrix is floored again after its sums.  In every case
+    checked, the bounds equal those of the unfloored kernel bit for bit.
     """
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
@@ -376,13 +355,33 @@ def sampling_bounds(
     grid, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
     rows, orbits = _rep_rows(kernel, grid)
     np.conjugate(rows, out=rows)  # M's rows, as M[i, j] = k(g_i, g_j) is the conjugate of the Gram's
-    s, W = _projected_eigh(rows, orbits)
+    solved = _anchor_eigh(rows, orbits)
     del rows
-    W *= (1.0 / np.sqrt(s))[None, :]
-    KW = kernel_matrix(kernel, patch.points - centre, grid) @ W
-    del W
-    eigs = np.linalg.eigvalsh(KW.conj().T @ KW)
-    return float(eigs[0]), float(eigs[-1]), len(eigs)
+    pairing, (lo, hi) = _reflections(kernel, patch.points), np.array(interior_box).T
+    centred = pairing is not None and bool((np.abs(grid).max(axis=0) <= np.minimum(-lo, hi)).all())
+    p_orbits = _orbits(pairing if centred else None, patch.n_points)
+    points = patch.points if centred else patch.points - centre
+    store = kernel_matrix(kernel, points[p_orbits.reps], grid).T  # store[j, q] = K[reps[q], j]
+    (p_map, r_map), scale = orbits.pairing, np.sqrt(1.0 / (orbits.stab * len(orbits.group)))
+    values, complex_c = [], np.iscomplexobj(store)  # per block C^T, a complex entry as its two parts side by side
+    for s, x, (p, plus, minus) in solved:
+        halves = (plus,) if minus is None else (plus, minus)
+        sums = [_gather(store, slice(None), orbits.reps[half], p_map, p).T for half in halves]
+        if minus is not None:  # the R terms: added in the Re Z+ half, subtracted in the Re Z- half, which is times i
+            r_sums = [_gather(store, slice(None), r_map[orbits.reps[half]], p_map, p).T for half in halves]
+            sums = [sums[0] + r_sums[0], 1j * (sums[1] - r_sums[1])]
+        x = x * (np.concatenate([scale[half] for half in halves])[:, None] / np.sqrt(s))
+        values.append(x.T @ np.vstack(sums).view(np.float64))
+    del store, sums
+    sizes, spectra = len(p_orbits.group) // p_orbits.stab, []
+    for v in [np.vstack(values)] if p_orbits.pairing[0] is None else values:
+        v *= np.sqrt(np.repeat(sizes, v.shape[1] // len(sizes)))  # C's row at a representative, times sqrt(orbit size)
+        c = v.view(np.complex128) if complex_c and p_orbits.pairing[1] is None else v
+        q = c.conj() @ c.T  # C^H diag(orbit sizes) C, or from the real view its real part, with R on the patch
+        _floor_underflow(q)
+        spectra.append(np.linalg.eigvalsh(q))
+    eigs = np.concatenate(spectra)
+    return float(eigs.min()), float(eigs.max()), len(eigs)
 
 
 @dataclass(frozen=True)

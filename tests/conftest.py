@@ -2,6 +2,7 @@
 non-separated integers-with-satellites set used across the suite.
 """
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
@@ -19,10 +20,8 @@ from aperio.framekit import (
     ANCHOR_DENSITY_CAP,
     RANK_TOL,
     FrameReport,
-    _anchor_grid,
     _gram_eigvalsh,
     _orbits,
-    _projected_eigh,
     _reflected_eigvalsh,
     _reflections,
     frame_trend_report,
@@ -365,45 +364,47 @@ def unfloored_kernel_matrix(kernel, xs, ys) -> np.ndarray:
     return kernel_matrix(kernel, xs, ys)
 
 
-def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False):
-    """Anchor Gram ``M``, full patch-by-anchor block ``K`` and the anchors' reflections, as in ``sampling_bounds``.
-
-    The anchors are ``sampling_bounds``' interior grid centred at 0, and the
-    patch is moved by minus the interior box's centre.  Every entry is
-    unfloored (``unfloored_kernel_matrix``).  With ``at_points`` the anchors
-    are the interior patch points themselves, moved the same way; for an
-    orthonormal sampling basis the quotient then reproduces the Riesz bounds
-    exactly.
-    """
+def interior_box_of(patch: PointPatch, margin: float | None) -> list:
+    """A patch's box shrunk by ``margin``, by default 25% of its smallest half-width, as ``sampling_bounds`` does."""
     if margin is None:
         margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
-    interior_box = shrink_box(patch.box, margin)
-    interior_pts = patch.points[points_in_box(patch.points, interior_box)]
-    anchors, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
-    if at_points:
-        anchors = interior_pts - centre
-    M = unfloored_kernel_matrix(kernel, anchors, anchors)
-    return M, unfloored_kernel_matrix(kernel, patch.points - centre, anchors), _reflections(kernel, anchors)
+    return shrink_box(patch.box, margin)
+
+
+def anchor_kernel_block(kernel, patch: PointPatch, margin: float | None = None) -> np.ndarray:
+    """The unfloored patch-by-anchor block ``K[p, j] = k(x_p, g_j)`` on the anchors of ``box_anchor_grid``, whole.
+
+    ``sampling_bounds`` builds only its rows at the patch's orbit
+    representatives, with the same entries up to the kernel's covariance.
+    """
+    anchors = box_anchor_grid(kernel, interior_box_of(patch, margin), patch.points)
+    return unfloored_kernel_matrix(kernel, patch.points, anchors)
 
 
 def sampling_bounds_oracle(
     kernel, patch: PointPatch, margin: float | None = None, at_points: bool = False
 ) -> tuple[float, float]:
-    """``framekit.sampling_bounds`` with the full kernel block (anchors as in ``anchor_kernel_block``).
+    """``framekit.sampling_bounds`` with every kernel entry, however small, and no floor after any sum.
 
-    Forms ``M`` and ``K`` from every kernel entry, however small, solves
-    ``M`` by the same reflected blocks, read from ``M``'s own rows at the
-    representatives (one full ``eigh`` for anchors without a reflection),
-    and takes the eigenvalues of ``(K W)^H (K W)`` as ``sampling_bounds``
-    does.  So it checks that the kernel's zeros below the underflow floor
-    change no bit of either bound, nor does taking those rows as the
-    conjugated columns that ``sampling_bounds`` builds.
+    The same orbit-basis path runs with ``unfloored_kernel_matrix`` in place
+    of ``kernel_matrix`` and with ``_floor_underflow`` doing nothing, so it
+    checks that the kernel's zeros below the underflow floor, and the floors
+    of the anchor blocks and the quotient matrices, change no bit of either
+    bound.  With ``at_points`` the anchors are the interior patch points
+    themselves, in place of the grid, with a centre of 0, so neither they
+    nor the patch move; for an orthonormal sampling basis the quotient then
+    reproduces the Riesz bounds exactly.
     """
-    M, K, pairing = anchor_kernel_block(kernel, patch, margin, at_points)
-    s, vecs = projected_inverse_sqrt(M) if pairing is None else _projected_eigh(*matrix_rep_rows(M, pairing))
-    KW = K @ (vecs * (1.0 / np.sqrt(s))[None, :])
-    eigs = np.linalg.eigvalsh(KW.conj().T @ KW)
-    return float(eigs[0]), float(eigs[-1])
+
+    def points_as_anchors(kernel, interior_box, n_interior_points):
+        return patch.points[points_in_box(patch.points, interior_box)], np.zeros(patch.dim)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(framekit, "kernel_matrix", unfloored_kernel_matrix))
+        stack.enter_context(mock.patch.object(framekit, "_floor_underflow", lambda mat: None))
+        if at_points:
+            stack.enter_context(mock.patch.object(framekit, "_anchor_grid", points_as_anchors))
+        return framekit.sampling_bounds(kernel, patch, margin)[:2]
 
 
 def projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,21 +416,43 @@ def projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs[keep], vecs[:, keep]
 
 
-def box_anchor_grid(kernel, interior_box, n_interior_points: int) -> np.ndarray:
-    """The anchor grid of ``sampling_bounds`` on the interior box itself: ``start + h j`` per axis, centred on it.
+def paired_about_zero(kernel, points: np.ndarray) -> bool:
+    """Whether negating the kernel's fixing axes, or its conjugating axes, maps the points onto themselves exactly."""
+    have = {tuple(p) for p in points.tolist()}
+    for axes in (kernel.fixing_axes, kernel.conjugating_axes):
+        flip = np.ones(points.shape[1])
+        flip[list(axes)] = -1.0
+        if axes and {tuple(p) for p in (points * flip).tolist()} == have:
+            return True
+    return False
 
-    The same points as ``framekit._anchor_grid``'s grid moved by the box's
-    centre, in exact arithmetic; in doubles they differ by rounding.
+
+def box_anchor_grid(kernel, interior_box, points: np.ndarray) -> np.ndarray:
+    """The anchor grid of ``sampling_bounds`` where it lies: ``start + h j`` per axis, centred on 0 or on the box.
+
+    ``h`` and the count ``k`` per axis come from the number of ``points``
+    in the box.  The grid is centred on 0 when the kernel's reflections pair
+    the points about 0 (``paired_about_zero``) and every axis' half-extent
+    ``(k - 1) h / 2`` fits between 0 and both box ends; otherwise on the
+    box's centre.  The same points as ``framekit._anchor_grid``'s grid,
+    moved in the second case by the box's centre, in exact arithmetic; in
+    doubles they differ by rounding.
     """
     crit = kernel.norm_sq_ke
-    rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * n_interior_points / box_volume(interior_box))
+    n_interior = int(points_in_box(points, interior_box).sum())
+    rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * n_interior / box_volume(interior_box))
     scale = (crit / rho) ** (1.0 / kernel.space_dim)
-    axes = []
+    steps = []
     for (lo, hi), w in zip(interior_box, kernel.widths):
         h = scale / w
-        k = max(1, int(math.floor((hi - lo) / h)) + 1)
-        start = lo + ((hi - lo) - (k - 1) * h) / 2.0
-        axes.append(start + h * np.arange(k))
+        steps.append((h, max(1, int(math.floor((hi - lo) / h)) + 1)))
+    at_zero = paired_about_zero(kernel, points) and all(
+        (k - 1) * h / 2.0 <= min(-lo, hi) for (h, k), (lo, hi) in zip(steps, interior_box)
+    )
+    axes = [
+        (0.0 if at_zero else (lo + hi) / 2.0) - (k - 1) * h / 2.0 + h * np.arange(k)
+        for (h, k), (lo, hi) in zip(steps, interior_box)
+    ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -438,18 +461,15 @@ def full_eigh_sampling_bounds(kernel, patch: PointPatch, margin: float | None = 
     """``framekit.sampling_bounds`` on the anchors of ``box_anchor_grid`` with one full ``eigh`` of the anchor Gram.
 
     Nothing is moved and nothing is reflected: ``M`` and ``K`` are the
-    (floored) ``kernel_matrix`` of the grid on the box and of the patch as
-    it is, and ``M``'s nonzero spectrum comes from ``projected_inverse_sqrt``.
-    The quotient matrix is the chain ``W^H (K^H K) W``, averaged with its
-    conjugate transpose, not ``sampling_bounds``' one product ``(K W)^H (K
-    W)``.  The covariance of the kernel, the reflected solve and the one
-    product change its bounds by rounding only.
+    (floored) ``kernel_matrix`` of the grid where it lies and of the whole
+    patch as it is, and ``M``'s nonzero spectrum comes from
+    ``projected_inverse_sqrt``.  The quotient matrix is the chain ``W^H (K^H
+    K) W``, averaged with its conjugate transpose, not ``sampling_bounds``'
+    products in the orbit basis.  The covariance of the kernel, the
+    reflected solves and the order of the products change its bounds by
+    rounding only.
     """
-    if margin is None:
-        margin = 0.25 * min(hi - lo for lo, hi in patch.box) / 2.0
-    interior_box = shrink_box(patch.box, margin)
-    interior_pts = patch.points[points_in_box(patch.points, interior_box)]
-    anchors = box_anchor_grid(kernel, interior_box, len(interior_pts))
+    anchors = box_anchor_grid(kernel, interior_box_of(patch, margin), patch.points)
     s, vecs = projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
     W = vecs * (1.0 / np.sqrt(s))[None, :]
     K = kernel_matrix(kernel, patch.points, anchors)

@@ -798,6 +798,17 @@ class TestArgumentValues:
         assert out == "" and len(err) == 1 and "past the kernel's finite range" in err[0]
         assert _snapshot(workspace) == before
 
+    def test_interior_box_volume_past_the_double_range_gives_one_anchor(self, workspace, capsys):
+        # the top truncation's interior box is 1.5e200 wide per axis, so its area overflows and the patch
+        # density is 0: once a ZeroDivisionError traceback from the anchor grid's spacing
+        points = [[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
+        (workspace / "far.json").write_text(json.dumps({"dim": 2, "box": [[-1e200, 1e200]] * 2, "points": points}))
+        argv = ["frame", "--kernel", "gg.json", "--patch", "far.json", "--truncations", "1.5,2,1e200", "--out", "o.json"]
+        assert run(workspace, *argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((workspace / "o.json").read_text())["rows"]
+        assert all(math.isfinite(float(v)) for row in rows for key in ("A_samp", "B_samp") for v in row[key]["value"])
+
     def test_gen_past_double_resolution_names_the_precision(self, workspace, capsys):
         # adjacent doubles near 1e17 are 16 apart, so the integers in the box round onto each other
         assert run(workspace, "gen", "--scheme", "z.json", "--box", "1e17", "1.000000000000001e17", "--out", "o.json") == 1
