@@ -47,10 +47,11 @@ GRID_SAMPLES = {
     "fib2d": ["--translates", "grid", "--grid-step", "0.7", "--k-box", "-1", "1", "-1", "1", "--limit", "300"],
 }
 # the commands and cases the pipelines leave out: density in d = 3 and with extra patches,
-# both weil-check functions, amalgam of the Gabor kernel, a Paley-Wiener frame in d = 2 on a
-# band of unequal widths (181 points of the fib2d scheme), Paley-Wiener frames on bands not
-# symmetric about 0 in d = 1 and 2 (a complex kernel, with the conjugating reflection alone),
-# csv of a density and a frame report
+# both weil-check functions, amalgam of the Gabor kernel and of Paley-Wiener kernels in d = 2
+# on bands of unequal widths (one factor per axis, each with its own width), a Paley-Wiener
+# frame in d = 2 on such a band (181 points of the fib2d scheme), Paley-Wiener frames on bands
+# not symmetric about 0 in d = 1 and 2 (a complex kernel, with the conjugating reflection
+# alone), csv of a density and a frame report
 COMMANDS = [
     ["gen", "--scheme", "fib-scheme.json", "--box", "-100", "100", "--out", "fib.json"],
     ["gen", "--scheme", "z-scheme.json", "--box", "-100", "100", "--out", "z.json"],
@@ -59,6 +60,8 @@ COMMANDS = [
     ["weil-check", "--scheme", "z-scheme.json", "--out", "weil-triangle.json"],
     ["weil-check", "--scheme", "z-scheme.json", "--function", "gaussian", "--out", "weil-gaussian.json"],
     ["amalgam", "--kernel", "gabor.json", "--q", "0.5", "--trunc", "4", "--step", "0.1", "--out", "amalgam-gabor.json"],
+    ["amalgam", "--kernel", "pw2.json", "--q", "0.5", "--trunc", "4", "--step", "0.1", "--out", "amalgam-pw2.json"],
+    ["amalgam", "--kernel", "pw2-shifted.json", "--q", "0.5", "--trunc", "4", "--step", "0.1", "--out", "amalgam-pw2-shifted.json"],
     ["frame", "--kernel", "pw.json", "--patch", "fib.json", "--truncations", "25,50,100", "--out", "frame.json"],
     ["gen", "--scheme", "fib2d-scheme.json", "--box", "-15", "15", "-15", "15", "--out", "fib2d.json"],
     ["frame", "--kernel", "pw2.json", "--patch", "fib2d.json", "--truncations", "5,10,15", "--out", "frame-pw2.json"],

@@ -31,7 +31,7 @@ Box = tuple[tuple[float, float], ...]
 
 BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
 BOX_TOL = 1e-12  # slack of box containment, for boxes built from rounded sums
-GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid
+GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid (wiener_amalgam_norm: on one axis)
 # the faces _window_extremum takes for the region (-inf, inf) on one axis, written out since inf - inf is nan
 UNBOUNDED_FACES = (-math.inf, -math.inf, -math.inf, math.inf, math.inf)
 

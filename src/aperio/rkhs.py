@@ -228,37 +228,27 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
 
 
 def _local_max(values: np.ndarray, reach: int) -> np.ndarray:
-    """Max over the cells within ``reach`` of each cell on every axis, the array clamped at its ends.
+    """Max over the cells within ``reach`` of each cell of a 1-d array, clamped at its ends.
 
-    A running max per axis, written into one output array with one scratch
-    copy.  A step takes the max of the previous result ``b`` and of ``b``
-    shifted by ``s`` cells either way, its end cells repeated: if ``b`` holds
-    the maxima within ``w`` cells and ``s <= 2 w + 1``, the three windows join
-    into the one within ``w + s`` cells, so the reach roughly triples per
-    step.  A max is exact in any order, so this gives the same doubles as the
-    full box.
+    A running max: a step takes the max of the previous result ``b`` and of
+    ``b`` shifted by ``s`` cells either way, its end cells repeated.  If ``b``
+    holds the maxima within ``w`` cells and ``s <= 2 w + 1``, the three
+    windows join into the one within ``w + s`` cells, so the reach roughly
+    triples per step.  A max is exact in any order, so this gives the same
+    doubles as the full window.
     """
     out = values.copy()
-    scratch = np.empty_like(values)
-    for ax in range(values.ndim):
-        n = values.shape[ax]
-
-        def cut(start, stop):
-            return (slice(None),) * ax + (slice(start, stop),)
-
-        w = 0
-        while w < reach:
-            s = min(2 * w + 1, reach - w)
-            m = min(s, n)  # a shift past the far end reads only the end cell
-            np.copyto(scratch, out)
-            for dst, src in (
-                (cut(m, None), cut(None, n - m)),  # b[i - s]
-                (cut(None, n - m), cut(m, None)),  # b[i + s]
-                (cut(None, m), cut(None, 1)),  # b[0] where i - s < 0
-                (cut(n - m, None), cut(n - 1, None)),  # b[n - 1] where i + s >= n
-            ):
-                np.maximum(out[dst], scratch[src], out=out[dst])
-            w += s
+    n = len(values)
+    w = 0
+    while w < reach:
+        s = min(2 * w + 1, reach - w)
+        m = min(s, n)  # a shift past the far end reads only the end cell
+        b = out.copy()
+        np.maximum(out[m:], b[: n - m], out=out[m:])  # b[i - s]
+        np.maximum(out[: n - m], b[m:], out=out[: n - m])  # b[i + s]
+        np.maximum(out[:m], b[0], out=out[:m])  # b[0] where i - s < 0
+        np.maximum(out[n - m :], b[n - 1], out=out[n - m :])  # b[n - 1] where i + s >= n
+        w += s
     return out
 
 
@@ -273,11 +263,26 @@ def wiener_amalgam_norm(
     The local maximum function takes the sup of ``|k_e|`` over sliding boxes
     of half-width ``q_radius``; a finite value is evidence that the kernel
     satisfies the localization (Wiener-amalgam) assumption.  Evaluation is a
-    grid sup (a running max per axis, clamped at the grid ends) plus a
-    Riemann sum over ``[-trunc_radius, trunc_radius]^dim``.  A grid of more
-    than ``pointset.GRID_LIMIT`` positions is refused before it is built;
-    the kernel magnitudes are filled in row blocks of the flattened grid, so
-    no array of all its points is ever built.
+    grid sup plus a Riemann sum over ``[-trunc_radius, trunc_radius]^dim``,
+    one axis at a time.  Every kernel here is a product over its axes in
+    modulus: ``|k_e(x)| = c prod_i f_i(x_i)`` for ``c = norm_sq_ke`` and
+    ``f_i(t) = |k_e(t e_i)| / c``, which peaks at ``f_i(0) = 1``.  So the sup
+    over a box and the sum over the product grid both factor: the norm is ``c
+    sqrt(prod_i S_i * step^dim)``, with ``S_i`` the sum of squares of
+    ``f_i``'s running max (clamped at the grid ends) over one axis' inner
+    positions.  Each ``S_i`` lies between about 1 and the positions on an
+    axis, so no sum overflows or underflows, whatever the band widths; the
+    squares of ``|k_e|`` itself are subnormal where ``c`` is below 1e-154.
+    A grid of more than ``pointset.GRID_LIMIT`` positions on one axis is
+    refused before it is built.
+
+    A Gaussian entry below ``UNDERFLOW_FLOOR`` (2^-511) is an exact 0 (see
+    ``kernel_matrix``).  A factor below the floor puts the product below it
+    too, so the per-axis form differs from the grid of entries only where
+    every factor lies above the floor and their product below it: there it
+    keeps a squared term below 2^-1022 where the grid has 0.  The terms near
+    the origin are about 1, so even 10^8 such terms stay far below one ulp of
+    the sum.
     """
     if not grid_step > 0:
         raise ArgumentError(f"grid_step must be positive, got {grid_step}")
@@ -290,23 +295,17 @@ def wiener_amalgam_norm(
     dim = spec.space_dim
     half = trunc_radius + q_radius
     span = np.ceil(2 * half / grid_step)  # inf for a tiny step, refused before int() sees it
-    _check_grid_size([float(span) + 1.0] * dim)  # Python floats overflow to inf without a warning
+    _check_grid_size([span + 1.0])
     count = int(span) + 1
     axis = np.linspace(-half, half, count)
     step = axis[1] - axis[0]
-    shape = (count,) * dim
-    origin = np.zeros((1, dim))
-    mag = np.empty(count**dim)
-    # a block's grid indices, coordinates and point rows hold about four values
-    # per coordinate of a position, so a block of BLOCK_ELEMENTS / (4 dim)
-    # positions stays within the budget; kernel_matrix bounds its own temporaries
-    for blk in _row_blocks(len(mag), 4 * dim):
-        pts = np.stack([axis[c] for c in np.unravel_index(np.arange(blk.start, blk.stop), shape)], axis=1)
-        mag[blk] = np.abs(kernel_matrix(spec, pts, origin)[:, 0])
-    del pts
-    mag = mag.reshape(shape)
-    local_max = _local_max(mag, int(round(q_radius / step)))
+    reach = int(round(q_radius / step))
     inner = np.abs(axis) <= trunc_radius + 1e-12
-    sl = tuple(np.ix_(*([np.where(inner)[0]] * dim)))
-    norm_sq = float((local_max[sl] ** 2).sum() * step**dim)
-    return math.sqrt(norm_sq)
+    c = spec.norm_sq_ke
+    sums = []
+    for i in range(dim):
+        pts = np.zeros((count, dim))
+        pts[:, i] = axis
+        f = np.abs(kernel_matrix(spec, pts, np.zeros((1, dim)))[:, 0]) / c
+        sums.append(float((_local_max(f, reach)[inner] ** 2).sum()))
+    return c * math.sqrt(math.prod(sums) * step**dim)

@@ -299,6 +299,25 @@ def local_max_oracle(values: np.ndarray, reach: int) -> np.ndarray:
     return out
 
 
+def amalgam_grid_oracle(spec, q_radius: float, trunc_radius: float, grid_step: float) -> float:
+    """``rkhs.wiener_amalgam_norm`` on the whole grid of ``count^dim`` positions, with no factoring.
+
+    ``|k_e|`` at every grid position by ``kernel_matrix``, its sliding-box max
+    by ``local_max_oracle``, and the Riemann sum of its squares over the inner
+    positions times ``step^dim``.
+    """
+    dim = spec.space_dim
+    half = trunc_radius + q_radius
+    count = int(np.ceil(2 * half / grid_step)) + 1
+    axis = np.linspace(-half, half, count)
+    step = axis[1] - axis[0]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*[axis] * dim, indexing="ij")], axis=1)
+    mag = np.abs(kernel_matrix(spec, pts, np.zeros((1, dim)))[:, 0]).reshape((count,) * dim)
+    local = local_max_oracle(mag, int(round(q_radius / step)))
+    inner = np.abs(axis) <= trunc_radius + 1e-12
+    return math.sqrt(float((local[np.ix_(*[inner] * dim)] ** 2).sum() * step**dim))
+
+
 def patch_to_jsonable(patch: PointPatch) -> dict:
     """A patch as the JSON object ``io_json.patch_dumps`` writes, built with ``fstr`` per cell and box end."""
     return {

@@ -663,7 +663,7 @@ class TestArgumentValues:
             ("gen", {"scheme": "z.json", "box": [-1e9, 1e9]}, "integer candidates exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e20}, "integer candidates exceeds the limit"),
             # sizes past every double: one refusal line, with no overflow warning before it
-            ("amalgam", {"kernel": "gg.json", "q": 0.5, "trunc": 1e300, "step": 0.1}, "grid of inf positions exceeds the limit"),
+            ("amalgam", {"kernel": "gg.json", "q": 0.5, "trunc": 1e308, "step": 0.1}, "grid of inf positions exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": 1e308}, "enumeration of inf integer candidates"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 0.6}, "grid too coarse"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 0.4, "step": 0.02}, "trunc_radius must exceed q_radius"),

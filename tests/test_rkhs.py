@@ -4,14 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aperio import kernel_matrix, wiener_amalgam_norm
 from aperio.errors import ArgumentError, DimensionMismatchError, GridTooCoarseError
 from aperio.rkhs import COORDINATE_LIMIT, UNDERFLOW_FLOOR, _local_max, gabor_gaussian, paley_wiener
 
-from conftest import broadcast_gabor_matrix, broadcast_pw_matrix, heisenberg_phase, kernel_value, local_max_oracle
+from conftest import (
+    amalgam_grid_oracle,
+    broadcast_gabor_matrix,
+    broadcast_pw_matrix,
+    heisenberg_phase,
+    kernel_value,
+    local_max_oracle,
+)
 
 
 def gaussian_window(t):
@@ -268,6 +275,29 @@ class TestCocycle:
         assert np.abs(moved - phases * kernel_matrix(gabor_gaussian(1), p, q)).max() < 1e-12
 
 
+@st.composite
+def amalgam_cases(draw):
+    """A kernel and ``(q_radius, trunc_radius, grid_step)`` whose grid has at most about 6,000 positions.
+
+    The Gaussian kernel on R^2, or a Paley-Wiener band in d = 1 to 3 of widths
+    1e-3 to 1e30 per axis, each axis symmetric about 0 or shifted.
+    """
+    if draw(st.booleans()):
+        kernel = gabor_gaussian(1)
+    else:
+        band = []
+        for _ in range(draw(st.integers(1, 3))):
+            width = 10.0 ** draw(st.floats(-3.0, 30.0))
+            centre = draw(st.sampled_from([0.0, 0.25, -0.5]) | st.floats(-2.0, 2.0)) * width
+            band.append((centre - width / 2, centre + width / 2))
+        kernel = paley_wiener(band)
+    q = draw(st.floats(0.05, 2.0))
+    step = q / draw(st.floats(1.05, 3.0))
+    # about 4 q / step + 2 extra + 1 positions per axis: at most 18 in d = 3
+    extra = draw(st.floats(0.01, {1: 40.0, 2: 12.0, 3: 2.0}[kernel.space_dim]))
+    return kernel, q, q + extra * step, step
+
+
 class TestAmalgamNorm:
     def test_gabor_matches_analytic_oracle(self):
         # |k_e| is a radial Gaussian, so its sliding sup has the closed form
@@ -318,9 +348,8 @@ class TestAmalgamNorm:
         assert (mag < UNDERFLOW_FLOOR).sum() == 6360
         assert wiener_amalgam_norm(gabor_gaussian(1), 0.5, 16.0, 0.25).hex() == "0x1.0000000000000p+1"
 
-    def test_million_position_grid_is_filled_in_blocks(self):
-        # 1,001^2 positions: all point rows at once peaked at 67.6 MB, a padded
-        # copy and a sliding-window max per axis at 32.9 MB
+    def test_million_position_grid_is_summed_per_axis(self):
+        # 1,001^2 positions, evaluated as two axes of 1,001: the peak is 84 kB, where the grid's magnitudes alone take 8 MB
         tracemalloc.start()
         try:
             value = wiener_amalgam_norm(gabor_gaussian(1), q_radius=0.5, trunc_radius=4.5, grid_step=0.01)
@@ -328,18 +357,41 @@ class TestAmalgamNorm:
         finally:
             tracemalloc.stop()
         assert repr(value) == "1.9999999999999574"
-        assert peak < 26e6
+        assert peak < 250e3
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_four_dimensional_norm_is_the_square_of_the_two_dimensional_one(self):
+        # the Gaussian on R^4 is the product of two on R^2; 851^4 grid positions exceed GRID_LIMIT, 851 per axis do not
+        wide = wiener_amalgam_norm(gabor_gaussian(2), 0.5, 8.0, 0.02)
+        square = wiener_amalgam_norm(gabor_gaussian(1), 0.5, 8.0, 0.02) ** 2
+        assert abs(wide - square) <= 4 * np.finfo(float).eps * square
+
+    def test_norm_keeps_its_digits_where_the_squared_kernel_is_subnormal(self):
+        # |k_e| <= c = 1e-160, so the whole grid's squares are subnormal and its sum lost 4e-6 of the
+        # norm.  The first factor is 1e-160 to 15 digits on the grid: the norm is 1e-160 sqrt(41 step)
+        # (41 inner positions) times the 1-d norm.
+        value = wiener_amalgam_norm(paley_wiener([(-5e-161, 5e-161), (-0.5, 0.5)]), 0.5, 2.0, 0.1)
+        step = np.linspace(-2.5, 2.5, 51)[1] + 2.5
+        one_axis = wiener_amalgam_norm(paley_wiener([(-0.5, 0.5)]), 0.5, 2.0, 0.1)
+        assert value == pytest.approx(1e-160 * math.sqrt(41 * step) * one_axis, rel=1e-12, abs=0)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_local_max_matches_looped_filter(self, dim, data):
-        shape = data.draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
-        size = math.prod(shape)
+    def test_local_max_matches_looped_filter(self, data):
+        n = data.draw(st.integers(1, 40))
         cells = st.floats(0.0, 1e3) | st.sampled_from([0.0, 0.5, 1.0])  # ties too
-        values = np.array(data.draw(st.lists(cells, min_size=size, max_size=size))).reshape(shape)
+        values = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)))
         reach = data.draw(st.integers(0, 9))  # windows of 1 to 19 cells, wider than the array too
         assert np.array_equal(_local_max(values, reach), local_max_oracle(values, reach))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=amalgam_cases())
+    @example(case=(paley_wiener([(-1e30, 1e30)] * 3), 0.5, 1.0, 0.25))  # c = 8e90, whose fourth power overflows
+    @example(case=(paley_wiener([(-5e-171, 5e-171), (-5e139, 5e139)]), 0.5, 1.0, 0.25))  # a width whose square underflows
+    def test_norm_matches_the_whole_grid(self, case):
+        kernel, *args = case
+        expected = amalgam_grid_oracle(kernel, *args)
+        got = wiener_amalgam_norm(kernel, *args)
+        assert abs(got - expected) <= 4 * kernel.space_dim * np.finfo(float).eps * expected
 
     def test_grid_too_coarse_rejected(self):
         with pytest.raises(GridTooCoarseError, match="grid too coarse"):
