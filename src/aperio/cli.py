@@ -41,7 +41,7 @@ class Context:
     """One command's paths and provenance.  Outputs wait in ``staged`` (resolved
     path, or ``None`` for stdout) until :meth:`commit`, so a failed command writes nothing.
     ``decoded`` keeps each decoded input by content hash and decoder, so a ``run`` whose
-    steps read one file decodes it once."""
+    steps read one file decodes it once, and a patch that ``gen`` wrote not at all."""
 
     workspace: Path
     seed: int | None = None
@@ -129,7 +129,9 @@ def handle_gen(ctx: Context, scheme: str, box: list[float], out: str | None = No
     """Generate a model-set patch from a scheme."""
     sch = ctx.read_json(scheme, "scheme", io_json.scheme_from_jsonable)
     patch = generate_model_set(sch, as_rows(box, 2))  # lo hi pairs
-    ctx.write_text(out, io_json.patch_dumps(patch))
+    ctx.write_text(out, text := io_json.patch_dumps(patch))
+    if out is not None:  # later steps of a run take the patch as decoding its text would give it, bit for bit
+        ctx.decoded[io_json.sha256_bytes(text.encode()), io_json.patch_from_jsonable] = patch
 
 
 def handle_density(

@@ -37,7 +37,7 @@ import numpy as np
 from .density import CovolumeBounds, DensityReport, covolume_bounds_from_density
 from .errors import ArgumentError, CoverageError, EmptyPatchError, GramSizeError
 from .pointset import PointPatch, _require_nonempty, as_rows, box_volume, points_in_box, restrict, shrink_box
-from .rkhs import KernelSpec, _floor_underflow, kernel_matrix
+from .rkhs import KernelSpec, _floor_underflow, check_reach, kernel_matrix
 
 MAX_GRAM_POINTS = 4000
 RANK_TOL = 1e-10  # eigenvalues below RANK_TOL * lambda_max count as zero
@@ -271,7 +271,8 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
     (0 alone if ``k = 1``, as where ``h`` overflows or the box's volume does,
     which makes the patch density 0 and ``h`` infinite).  Its coordinates are
     exact negatives of each other, so negating any axes maps the grid onto
-    itself bit for bit.
+    itself bit for bit.  A grid past the kernel's finite range
+    (``rkhs.check_reach``) is refused here, naming the box it spans.
     """
     dim = kernel.space_dim
     crit = kernel.norm_sq_ke
@@ -283,6 +284,7 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
         h = scale / w
         k = max(1, int(math.floor((hi - lo) / h)) + 1) if h < math.inf else 1
         axes.append(h * (np.arange(k) - (k - 1) / 2.0) if k > 1 else np.zeros(1))
+    check_reach(kernel, max(axis[-1] for axis in axes), f"the anchor grid of the interior box {list(interior_box)} reaches")
     mesh = np.meshgrid(*axes, indexing="ij")
     centre = np.array([(lo + hi) / 2.0 for lo, hi in interior_box])
     return np.stack([m.ravel() for m in mesh], axis=1), centre

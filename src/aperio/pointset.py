@@ -15,10 +15,14 @@ in every dimension: the patch is cut into slabs along its first axis
 remaining axes, and a 1-d sweep finishes the recursion.  It gives ``ell``
 (windows anywhere, with an open lower face), denseness and the covering
 radius, and ``density`` its exact extrema, in every dimension.
+The covering radius is searched among halved coordinate differences rounded
+up, with a guard for the radii that the shrunk box's rounded faces move off
+them (``_max_gap_radius``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -300,17 +304,58 @@ def is_relatively_dense(patch: PointPatch, k_radius: float) -> bool:
     return _dense(patch, k)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``x``; numpy 2.4's ``np.unique`` lifts a ``fib1d`` pass's peak RSS by 1 MB."""
+    x = np.sort(x)
+    return x[np.append(True, x[1:] != x[:-1])]
+
+
+def _bisect(passes, lo, hi, split):
+    """Shrink ``(lo, hi]``, where ``lo`` fails and ``hi`` passes, at ``split(lo, hi)`` while that lies strictly inside."""
+    while lo < (mid := split(lo, hi)) < hi:
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return lo, hi
+
+
 def _max_gap_radius(patch: PointPatch) -> float:
-    # bisect until the midpoint rounds to an end: hi is the smallest passing double
-    lo, hi = 0.0, _max_window_size(patch)
-    if not _dense(patch, hi):
+    """The smallest double ``r`` on ``(0, edge / 2]`` with ``_dense(patch, r)``, which is monotone, or ``inf``.
+
+    The exact radius is half a coordinate difference on one axis, between two
+    points or a point and a face, so the answer is such a half rounded up.
+    Doubles are bisected while ``(lo, hi]`` admits more pairs than the patch
+    has points, then the candidates in it.  As ``shrink_box`` rounds ``a + r``,
+    a face-bound answer can be no candidate: if the double below the chosen
+    one passes too, the doubles down to the last failing candidate are bisected.
+    """
+    dense, halve = functools.partial(_dense, patch), lambda lo, hi: (lo + hi) / 2.0
+    if not dense(hi := _max_window_size(patch)):
         return math.inf
-    while lo < (mid := (lo + hi) / 2.0) < hi:
-        if _dense(patch, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    axes = [_distinct(np.append(col, face)) for col, face in zip(patch.points.T, patch.box)]
+
+    @functools.lru_cache(maxsize=2)  # the bracket's ends: a bisection step moves one
+    def bound(c, side):  # per axis, where each rounded u_i + 2c falls among the u_j (past them all if it overflows)
+        with np.errstate(over="ignore"):
+            return [u.searchsorted(u + 2 * c, side) for u in axes]
+
+    def spans(lo, hi):  # per axis, each u_i's first and stop j: every u_i + 2 lo < u_j <= u_i + 2 hi, and a few more
+        return zip(axes, bound(lo, "left" if lo else "right"), bound(hi, "right"))  # u_i + 0 is exact
+
+    def split(lo, hi):  # the midpoint while (lo, hi] admits more pairs than the patch has points
+        return halve(lo, hi) if sum(int((s - f).sum()) for _, f, s in spans(lo, hi)) > patch.n_points else lo
+
+    lo, hi = _bisect(dense, 0.0, hi, split)
+    halves = []
+    for u, first, stop in spans(lo, hi):
+        counts = stop - first
+        j = np.arange(counts.sum()) + np.repeat(first + counts - counts.cumsum(), counts)
+        halves.append(-_sum_down(-u[j], np.repeat(u, counts)) / 2)  # u_j - u_i rounded up, halved
+    cands = _distinct(np.concatenate(halves))
+    cands = [lo, *cands[(lo < cands) & (cands < hi)].tolist(), hi]
+    below, above = _bisect(lambda i: dense(cands[i]), 0, len(cands) - 1, lambda i, j: (i + j) // 2)
+    prev, r = cands[below], cands[above]
+    if prev < (under := math.nextafter(r, 0.0)) and dense(under):
+        return _bisect(dense, prev, under, halve)[1]
+    return r
 
 
 def rel_separation(patch: PointPatch, u_radius: float) -> SeparationStats:

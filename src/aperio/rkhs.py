@@ -177,6 +177,13 @@ def _floor_underflow(mat: np.ndarray) -> None:
     np.copyto(mat, 0.0, where=np.abs(mat) < UNDERFLOW_FLOOR)
 
 
+def check_reach(spec: KernelSpec, reach: float, what: str) -> None:
+    """Refuse (``ValueError``, saying ``what`` reach) a largest ``|coordinate|`` past ``kernel_matrix``'s range."""
+    scale = max(1.0, float(np.abs(spec.band).max())) if spec.kind == "paley_wiener" else math.sqrt(spec.space_dim)
+    if not reach * scale <= COORDINATE_LIMIT:
+        raise ValueError(f"{what} {reach:.3g}, past the kernel's finite range {COORDINATE_LIMIT / scale:.3g}")
+
+
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Matrix ``K[i, j] = k(xs[i], ys[j])`` of the kernel, one entry per pair of rows.
 
@@ -218,10 +225,7 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     Gram is checked for it.
     """
     X, Y = as_rows(xs, spec.space_dim), as_rows(ys, spec.space_dim)
-    scale = max(1.0, float(np.abs(spec.band).max())) if spec.kind == "paley_wiener" else math.sqrt(spec.space_dim)
-    reach = float(max(np.abs(X).max(initial=0.0), np.abs(Y).max(initial=0.0)))
-    if not reach * scale <= COORDINATE_LIMIT:
-        raise ValueError(f"coordinates reach {reach:.3g}, past the kernel's finite range {COORDINATE_LIMIT / scale:.3g}")
+    check_reach(spec, float(max(np.abs(X).max(initial=0.0), np.abs(Y).max(initial=0.0))), "coordinates reach")
     if spec.kind == "paley_wiener":
         return _pw_matrix(spec, X, Y)
     return _gabor_matrix(spec, X, Y)

@@ -27,7 +27,7 @@ from aperio.framekit import (
     frame_trend_report,
 )
 from aperio.io_json import fstr
-from aperio.pointset import BOX_TOL, as_box, box_volume, points_in_box, shrink_box
+from aperio.pointset import BOX_TOL, _dense, _max_window_size, as_box, box_volume, points_in_box, shrink_box
 from aperio.rkhs import _floor_underflow, kernel_matrix
 
 TAU = (1 + math.sqrt(5)) / 2
@@ -199,6 +199,23 @@ def orbit_average_covolume(patch: PointPatch, half: float, translates) -> float:
     """``2 half`` over the mean count of the windows ``v - half <= x < v + half`` of a 1-d patch, one per translate."""
     x, v = patch.points[:, 0], np.asarray(translates, dtype=np.float64).reshape(-1)
     return 2 * half / (x.searchsorted(v + half, "left") - x.searchsorted(v - half, "left")).mean()
+
+
+def max_gap_radius_oracle(patch: PointPatch) -> float:
+    """The smallest double ``r`` on ``(0, edge / 2]`` with ``_dense(patch, r)``, or ``inf``, by bisecting every double.
+
+    The midpoint of ``(lo, hi]`` is decided until it rounds to an end, about
+    60 exact decisions whatever the patch; ``hi`` passes throughout.
+    """
+    lo, hi = 0.0, _max_window_size(patch)
+    if not _dense(patch, hi):
+        return math.inf
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        if _dense(patch, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def dense_oracle(pts: np.ndarray, box, k: float) -> bool:

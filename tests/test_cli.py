@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperio import PointPatch, io_json
+from aperio import PointPatch, generate_model_set, io_json
 from aperio.cli import HANDLERS, handle_run, main
+from aperio.cutproject import lattice_scheme
 from aperio.errors import ConfigError
 
 from conftest import TAU, TAU_CONJ, make_lattice_patch, patch_to_jsonable
@@ -99,6 +100,21 @@ class TestJsonRoundTrip:
         patches = [PointPatch(dim=1, box=[(lo, 1.0)], points=[[0.5]]) for lo in (0.0, -0.0, 0.0)]
         assert io_json.patch_dumps(patches) == io_json.canonical_dumps([patch_to_jsonable(p) for p in patches])
         assert io_json.patch_dumps(patches).count('"-0.0"') == 1
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            generate_model_set(lattice_scheme([[0.5]]), [(-0.0, 3.3)]),
+            generate_model_set(lattice_scheme([[0.7, 0.1], [0.0, 0.7]]), [(-2.1, 2.1), (-0.0, 1e-3 + 2)]),
+            PointPatch(dim=2, box=[(-0.0, 1.0), (-1.0, -0.0)], points=[[-0.0, -0.0], [0.1, -0.3], [1.0, -1e-300]]),
+        ],
+        ids=["gen-1d", "gen-2d", "signed-zeros-2d"],
+    )
+    def test_patch_decodes_to_the_patch_written(self, patch):
+        # a run's later steps take gen's patch as this decode of its text would give it
+        back = io_json.patch_from_jsonable(json.loads(io_json.patch_dumps(patch)))
+        assert back.points.tobytes() == patch.points.tobytes()
+        assert repr(back.box) == repr(patch.box) and "-0.0" in repr(patch.box)
 
     def test_scheme_accepts_numbers_and_strings(self):
         obj = {"d": 1, "m": 0, "basis": [["2.0"]]}
@@ -798,6 +814,19 @@ class TestArgumentValues:
         assert out == "" and len(err) == 1 and "past the kernel's finite range" in err[0]
         assert _snapshot(workspace) == before
 
+    def test_anchor_grid_past_the_kernel_range_names_the_interior_box(self, workspace, capsys):
+        # three points within +-1 in a box of +-1e305: the top truncation's anchors reach 7.14e304, which
+        # kernel_matrix refused as "coordinates reach 7.14e+304", numbers the command line never gave
+        (workspace / "wide.json").write_text(json.dumps({"dim": 1, "box": [[-1e305, 1e305]], "points": [[-1.0], [0.0], [1.0]]}))
+        before = _snapshot(workspace)
+        assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "wide.json", "--truncations", "1.5,2,1e305", "--out", "o.json") == 1
+        out, err = capsys.readouterr()
+        err = err.strip().splitlines()
+        assert out == "" and len(err) == 1
+        assert "anchor grid of the interior box [(-7.5e+304, 7.5e+304)] reaches 7.14e+304" in err[0]
+        assert "past the kernel's finite range" in err[0]
+        assert _snapshot(workspace) == before
+
     def test_interior_box_volume_past_the_double_range_gives_one_anchor(self, workspace, capsys):
         # the top truncation's interior box is 1.5e200 wide per axis, so its area overflows and the patch
         # density is 0: once a ZeroDivisionError traceback from the anchor grid's spacing
@@ -946,6 +975,28 @@ class TestDecodeOnce:
         assert run(workspace, "density", "--patch", "p.json", "--folner", "5,10", "--out", "d.json") == 0
         assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "10,20", "--out", "f.json") == 0
         assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--limit", "20", "--out", "s.json") == 0
+        assert {name: (workspace / name).read_bytes() for name in in_run} == in_run
+
+
+    def test_generated_patch_is_not_decoded_and_reports_match_single_commands(self, workspace, monkeypatch):
+        steps = [
+            {"command": "gen", "args": {"scheme": "fib.json", "box": [-60, 60], "out": "p.json"}},
+            {"command": "density", "args": {"patch": "p.json", "folner": [5, 10], "ell": 1, "out": "d.json"}},
+            {"command": "frame", "args": {"kernel": "pw.json", "patch": "p.json", "truncations": [10, 20], "out": "f.json"}},
+        ]
+        decode, calls = io_json.patch_from_jsonable, []
+        monkeypatch.setattr(io_json, "patch_from_jsonable", lambda obj: calls.append(obj) or decode(obj))
+        self.run_config(workspace, steps)
+        assert calls == []
+        in_run = {"p.json": (workspace / "p.json").read_bytes()}
+        for name in ("d.json", "f.json"):
+            obj = json.loads((workspace / name).read_bytes())
+            inputs = obj["provenance"]["inputs"]  # a run's reports also record its config and the gen step's scheme
+            del inputs["config:cfg.json"], inputs["scheme:fib.json"]
+            in_run[name] = io_json.canonical_dumps(obj).encode()
+        assert run(workspace, "gen", "--scheme", "fib.json", "--box", "-60", "60", "--out", "p.json") == 0
+        assert run(workspace, "density", "--patch", "p.json", "--folner", "5,10", "--ell", "1", "--out", "d.json") == 0
+        assert run(workspace, "frame", "--kernel", "pw.json", "--patch", "p.json", "--truncations", "10,20", "--out", "f.json") == 0
         assert {name: (workspace / name).read_bytes() for name in in_run} == in_run
 
 

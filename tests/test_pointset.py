@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aperio import pointset
 from aperio import (
     FolnerSpec,
     PointPatch,
@@ -41,6 +42,7 @@ from conftest import (
     make_lattice_patch,
     make_product_fibonacci_scheme,
     make_satellites_patch,
+    max_gap_radius_oracle,
     max_window_count_oracle,
 )
 
@@ -294,6 +296,70 @@ class TestRelativeDenseness:
         assert small == dense_oracle(patch.points, patch.box, k_small / 8)
         assert large == dense_oracle(patch.points, patch.box, k_large / 8)
         assert large or not small
+
+
+@st.composite
+def covering_patches(draw):
+    """Patches in d = 1 and 2 whose covering radius sits on a rounding.
+
+    A lattice with some points removed and a few coordinates moved by up to
+    3 ulps, in a box whose faces are integers or such as ``-(k + 0.1)``, so
+    that the shrunk box's sums ``a + r`` round; optionally with points on
+    the faces.
+    """
+    dim = draw(st.sampled_from([1, 2]))
+    spacing = draw(st.sampled_from([0.5, 0.7, 1.0, 1.3] if dim == 1 else [0.7, 1.0, 1.3]))
+    frac = st.sampled_from([0.0, 0.1, 0.3, 0.7])
+    box = [(-draw(st.integers(1, 3)) - draw(frac), draw(st.integers(1, 3)) + draw(frac)) for _ in range(dim)]
+    axes = [spacing * np.arange(math.ceil(lo / spacing), math.floor(hi / spacing) + 1.0) for lo, hi in box]
+    if draw(st.booleans()):  # points on the faces
+        axes = [np.concatenate([[lo], axis, [hi]]) for (lo, hi), axis in zip(box, axes)]
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    moved = draw(st.dictionaries(st.integers(0, pts.size - 1), st.integers(-3, 3), max_size=6))
+    flat = pts.ravel()
+    for i, ulps in moved.items():
+        flat[i] += ulps * np.spacing(flat[i])
+    gone = draw(st.sets(st.integers(0, len(pts) - 1), max_size=len(pts) // 2))
+    pts = np.delete(pts, sorted(gone), axis=0)
+    pts = np.unique(pts[points_in_box(pts, box)], axis=0)
+    assume(len(pts) > 0)
+    return PointPatch(dim=dim, box=box, points=pts)
+
+
+class TestCoveringRadiusSearch:
+    """``max_gap_radius`` by candidate search, against the bisection of every double."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(patch=covering_patches())
+    def test_matches_the_bisection_of_every_double(self, patch):
+        assert rel_separation(patch, 0.5).max_gap_radius == max_gap_radius_oracle(patch)
+
+    def test_radius_off_the_candidates(self):
+        # the face gap -1 - (-3.9) gives the candidate 1.45, but c = -3.9 + 1.45 rounds down, so the window
+        # [c - 1.45, c + 1.45] at the shrunk box's lower face misses -1: the radius is the next double
+        patch = PointPatch(dim=1, box=[(-3.9, 1.0)], points=[[-1.0], [0.0]])
+        r = rel_separation(patch, 0.5).max_gap_radius
+        assert is_relatively_dense(patch, 1.45) is False
+        assert r == math.nextafter(1.45, 2.0) == max_gap_radius_oracle(patch)
+
+    @pytest.mark.parametrize(
+        "scheme, box, most",
+        [
+            # the fib1d and fib2d benchmark boxes (perfbench/workloads.py): 8,944 and 718 points at seed 1
+            *((make_fibonacci_scheme(), [(lo, lo + 2.0e4)], 25) for lo in (-9999.764504115252, -9999.864106433206, -9999.63986935278)),
+            (make_product_fibonacci_scheme(), [(-29.930514065136148, 30.069485934863852), (-29.802675764436163, 30.197324235563837)], 22),
+        ],
+        ids=["fib1d-1", "fib1d-2", "fib1d-3", "fib2d-1"],
+    )
+    def test_exact_decisions(self, monkeypatch, scheme, box, most):
+        # the bisection of every double takes 66 decisions on fib1d and 58 on fib2d
+        patch = generate_model_set(scheme, box)
+        want = max_gap_radius_oracle(patch)
+        calls = []
+        dense = pointset._dense
+        monkeypatch.setattr(pointset, "_dense", lambda p, k: calls.append(k) or dense(p, k))
+        assert rel_separation(patch, 0.5).max_gap_radius == want
+        assert len(calls) <= most
 
 
 class TestTranslate:
