@@ -57,20 +57,17 @@ def _nonzero_min(eigs: np.ndarray) -> float:
 
 
 def _axis_pairing(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray | None:
-    """The index of each point's image with ``axes`` negated, or ``None`` if an image is not a point.
+    """The index of each point's image with ``axes`` negated, or ``None`` if the sorted images are not the points.
 
-    Images are compared with the points as exact doubles: one ``lexsort`` of
-    the points and one of their images pair them.
+    ``points`` are distinct and in lexicographic order, as a patch's rows and
+    the anchor grid are (other rows give ``None``, and a whole Gram solve).
+    Images are compared with the points as exact doubles: the ``lexsort`` of
+    the images pairs them.
     """
     images = points.copy()
     images[:, list(axes)] *= -1.0
-    order = np.lexsort(points.T[::-1])
-    image_order = np.lexsort(images.T[::-1])
-    if not np.array_equal(points[order], images[image_order]):
-        return None
-    pairing = np.empty(len(points), dtype=np.intp)
-    pairing[order] = image_order
-    return pairing
+    order = np.lexsort(images.T[::-1])
+    return order if np.array_equal(points, images[order]) else None
 
 
 def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:

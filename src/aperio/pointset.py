@@ -33,7 +33,7 @@ from .errors import ArgumentError, CoverageError, DimensionMismatchError, EmptyP
 
 Box = tuple[tuple[float, float], ...]
 
-BLOCK_ELEMENTS = 1 << 20  # element budget of one block in window counting and kernel assembly
+BLOCK_ELEMENTS = 1 << 20  # element budget of one block in kernel assembly (kernel_matrix, hull.orbit_sample)
 BOX_TOL = 1e-12  # slack of box containment, for boxes built from rounded sums
 GRID_LIMIT = 100_000_000  # hard cap on positions in one evaluation grid (wiener_amalgam_norm: on one axis)
 # the faces _window_extremum takes for the region (-inf, inf) on one axis, written out since inf - inf is nan
@@ -125,7 +125,7 @@ class PointPatch:
 
     @classmethod
     def _of_checked(cls, box: Box, points: np.ndarray) -> "PointPatch":
-        """A patch of rows that :func:`_sorted_checked` returned for ``box``, not checked again."""
+        """A patch of read-only rows, sorted, distinct and in ``box`` (as ``_sorted_checked`` gives them): unchecked."""
         patch = object.__new__(cls)
         object.__setattr__(patch, "dim", len(box))
         object.__setattr__(patch, "box", box)
@@ -322,10 +322,12 @@ def _max_gap_radius(patch: PointPatch) -> float:
 
     The exact radius is half a coordinate difference on one axis, between two
     points or a point and a face, so the answer is such a half rounded up.
-    Doubles are bisected while ``(lo, hi]`` admits more pairs than the patch
-    has points, then the candidates in it.  As ``shrink_box`` rounds ``a + r``,
-    a face-bound answer can be no candidate: if the double below the chosen
-    one passes too, the doubles down to the last failing candidate are bisected.
+    The widest such half between neighbours, a lower bound (the radius in d =
+    1), is tried first.  Then doubles are bisected while ``(lo, hi]`` admits
+    more pairs than the patch has points, then the candidates in it.  As
+    ``shrink_box`` rounds ``a + r``, a face-bound answer can be no candidate:
+    if the double below the chosen one passes too, the doubles down to the
+    last failing candidate are bisected.
     """
     dense, halve = functools.partial(_dense, patch), lambda lo, hi: (lo + hi) / 2.0
     if not dense(hi := _max_window_size(patch)):
@@ -343,7 +345,10 @@ def _max_gap_radius(patch: PointPatch) -> float:
     def split(lo, hi):  # the midpoint while (lo, hi] admits more pairs than the patch has points
         return halve(lo, hi) if sum(int((s - f).sum()) for _, f, s in spans(lo, hi)) > patch.n_points else lo
 
-    lo, hi = _bisect(dense, 0.0, hi, split)
+    lo, widest = 0.0, max(float((-_sum_down(-u[1:], u[:-1])).max()) for u in axes) / 2  # faces included
+    if widest < hi:
+        lo, hi = (lo, widest) if dense(widest) else (widest, hi)
+    lo, hi = _bisect(dense, lo, hi, split)
     halves = []
     for u, first, stop in spans(lo, hi):
         counts = stop - first
@@ -393,5 +398,6 @@ def restrict(patch: PointPatch, box) -> PointPatch:
     for lo, hi in new_box:
         if not lo < hi:
             raise CoverageError("restriction box does not overlap the patch box")
-    mask = points_in_box(patch.points, new_box)
-    return PointPatch(dim=patch.dim, box=new_box, points=patch.points[mask])
+    points = patch.points[points_in_box(patch.points, new_box)]  # sorted, distinct and inside new_box
+    points.setflags(write=False)
+    return PointPatch._of_checked(new_box, points)

@@ -2,9 +2,9 @@
 
 Two concrete kernels are provided:
 
-* ``paley_wiener``: band limitation to a frequency box; the kernel factorizes
-  into modulated sinc factors per coordinate and the critical density equals
-  the band volume.
+* ``paley_wiener``: band limitation to a frequency box; the kernel is a
+  real product of sinc factors, one per coordinate, times one phase for a
+  band off 0, and the critical density equals the band volume.
 * ``gabor_gaussian``: matrix coefficients of time-frequency shifts of the
   L2-normalized Gaussian window on R^(2n).  The shift convention is
   ``pi(x, w) f(t) = exp(2 pi i w t) f(t - x)`` with Heisenberg cocycle
@@ -115,38 +115,34 @@ def gabor_gaussian(n: int) -> KernelSpec:
     return KernelSpec(kind="gabor_gaussian", n=n)
 
 
-def _sinc_factor(u: np.ndarray, lo: float, hi: float, real: bool) -> np.ndarray:
-    """Integral of exp(2 pi i w u) over [lo, hi]; diagonal limit hi - lo.
+def _sinc_factor(u: np.ndarray, width: float) -> np.ndarray:
+    """``sin(pi w u) * (1 / (pi u))`` for ``w = width``, with the limit ``w`` at ``u = 0``, in place in two arrays.
 
-    Complex, ``exp(i pi (lo + hi) u) sin(pi w u) / (pi u)`` with ``w = hi -
-    lo``.  With ``real`` (for a band symmetric about 0) the modulation
-    factor is 1, and the factor is the real ``sin(pi w u) * (1 / (pi u))``,
-    computed in place in two arrays.  That is the real part of the complex
-    form bit for bit, since numpy divides a complex number by a real one as
-    the product with its reciprocal; its imaginary part is exactly 0.
+    The integral of ``exp(2 pi i v u)`` over ``[-w/2, w/2]``: one axis' factor
+    of the kernel of a band centred at 0.  It is odd over odd in ``u``.
     """
-    width = hi - lo
     small = np.abs(u) < 1e-308
     us = np.where(small, 1.0, u)
-    if real:
-        out = np.multiply(np.pi * width, us)
-        np.sin(out, out=out)
-        us *= np.pi
-        np.divide(1.0, us, out=us)
-        out *= us
-    else:
-        out = np.exp(1j * np.pi * (lo + hi) * u) * np.sin(np.pi * width * us) / (np.pi * us)
+    out = np.multiply(np.pi * width, us)
+    np.sin(out, out=out)
+    us *= np.pi
+    np.divide(1.0, us, out=us)
+    out *= us
     out[small] = width
     return out
 
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    real = not spec.conjugating_axes  # every band symmetric about 0: a real kernel
+    shifts = [lo + hi for lo, hi in spec.band]
+    real = not any(shifts)  # every band symmetric about 0: a real kernel
     out = np.ones((len(X), len(Y)), dtype=np.float64 if real else np.complex128)
     for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]
         for k, (lo, hi) in enumerate(spec.band):
-            out[blk] *= _sinc_factor(diff[..., k], lo, hi, real)
+            out[blk] *= _sinc_factor(diff[..., k], hi - lo)
+        if not real:  # a band off 0 modulates once: theta = sum_k (lo_k + hi_k) u_k, a left fold from 0
+            theta = sum(shift * diff[..., k] for k, shift in enumerate(shifts))
+            out[blk] *= np.exp(1j * np.pi * theta)
     return out
 
 
@@ -187,17 +183,16 @@ def check_reach(spec: KernelSpec, reach: float, what: str) -> None:
 def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     """Matrix ``K[i, j] = k(xs[i], ys[j])`` of the kernel, one entry per pair of rows.
 
-    A Paley-Wiener kernel whose every band is symmetric about 0 is real, and
-    its matrix is ``float64``: each entry equals the real part of the complex
-    form bit for bit (see ``_sinc_factor``), and the imaginary part it drops
-    is exactly 0.  So Grams, anchor Grams and quotient matrices of such a
-    kernel run the real LAPACK and BLAS routines.  Every other kernel gives a
-    ``complex128`` matrix.
+    A Paley-Wiener entry is the real product of ``_sinc_factor`` over the
+    axes, times ``exp(i pi theta)``, ``theta = sum_k (lo_k + hi_k) u_k``, if
+    some band has ``lo + hi != 0``.  Without that phase its matrix is
+    ``float64``, so Grams, anchor Grams and quotient matrices run the real
+    LAPACK and BLAS routines.  Every other kernel gives ``complex128``.
 
     Rows are filled in blocks of ``pointset.BLOCK_ELEMENTS / (16 len(ys))``
     rows.  In space dimensions up to 8 an entry holds fewer than 16 doubles
-    of temporaries at once (its coordinate differences and one axis'
-    factor, complex or real), so a block's temporaries stay under
+    of temporaries at once (its coordinate differences, and one axis' factor
+    or ``theta`` and its phase), so a block's temporaries stay under
     ``BLOCK_ELEMENTS`` doubles and the call allocates little beyond its
     output.  Every entry is computed on its own, so the block size moves no
     bit.
@@ -215,14 +210,14 @@ def kernel_matrix(spec: KernelSpec, xs, ys) -> np.ndarray:
     (2^500), for ``M`` the largest ``|coordinate|`` in ``xs`` and ``ys`` and
     ``s`` the kernel's scale: ``max(1, E)`` for band edges at most ``E`` in
     modulus, ``sqrt(2n)`` on R^(2n).  Then every intermediate is finite: a
-    difference ``u`` is at most ``2M``, ``pi (hi - lo) u`` and ``pi (lo +
-    hi) u`` at most ``4 pi E M < 2^504``, ``1 / (pi u)`` below 2^1022
-    (``|u| >= 1e-308``), and the Gaussian phase and squared distance (``n``
-    and ``2n`` terms of at most ``4 M^2``) below 2^1002.  Both formulas are
-    symmetric term by term (the phase ``(x_q - x_p) . (w_p + w_q)`` negates
-    under a swap, the sinc factor is odd over odd), so ``kernel_matrix(X,
-    X)`` equals its conjugate transpose bit for bit, signed zeros aside; no
-    Gram is checked for it.
+    difference ``u`` is at most ``2M``, ``pi (hi - lo) u`` at most ``4 pi E
+    M < 2^504``, ``pi theta`` at most ``d`` times that, ``1 / (pi u)`` below
+    2^1022 (``|u| >= 1e-308``), and the Gaussian phase and squared distance
+    (``n`` and ``2n`` terms of at most ``4 M^2``) below 2^1002.  Both formulas
+    are symmetric term by term (the phases ``theta`` and ``(x_q - x_p) . (w_p
+    + w_q)``, each folded left, negate under a swap, the sinc factor is odd
+    over odd), so ``kernel_matrix(X, X)`` equals its conjugate transpose bit
+    for bit, signed zeros aside; no Gram is checked for it.
     """
     X, Y = as_rows(xs, spec.space_dim), as_rows(ys, spec.space_dim)
     check_reach(spec, float(max(np.abs(X).max(initial=0.0), np.abs(Y).max(initial=0.0))), "coordinates reach")

@@ -376,10 +376,32 @@ def broadcast_gabor_matrix(spec, P, Q):
 
 
 def broadcast_pw_matrix(spec, X, Y):
-    """Paley-Wiener matrix in complex arithmetic from one full-size (n, m, d) difference array.
+    """Paley-Wiener matrix from one full-size (n, m, d) difference array, ``kernel_matrix``'s formula unblocked.
+
+    The real product over the axes of ``sin(pi w u) * (1 / (pi u))``, with
+    the limit ``w`` at ``u = 0``, times ``exp(i pi theta)`` for ``theta =
+    sum_k (lo_k + hi_k) u_k`` (a left fold) if some band is off 0.
+    """
+    diff = X[:, None, :] - Y[None, :, :]
+    out = np.ones(diff.shape[:2])
+    for k, (lo, hi) in enumerate(spec.band):
+        u = diff[..., k]
+        small = np.abs(u) < 1e-308
+        us = np.where(small, 1.0, u)
+        factor = np.sin(np.pi * (hi - lo) * us) * (1.0 / (np.pi * us))
+        factor[small] = hi - lo
+        out = out * factor
+    shifts = [lo + hi for lo, hi in spec.band]
+    if any(shifts):
+        out = out * np.exp(1j * np.pi * sum(s * diff[..., k] for k, s in enumerate(shifts)))
+    return out
+
+
+def per_axis_pw_matrix(spec, X, Y):
+    """Paley-Wiener matrix in complex arithmetic, one modulated factor per axis.
 
     Each axis' factor is ``exp(i pi (lo + hi) u) sin(pi w u) / (pi u)``, with
-    the limit ``w`` at ``u = 0``, also for a band symmetric about 0.
+    the limit ``w`` at ``u = 0``: the band's integral taken axis by axis.
     """
     diff = X[:, None, :] - Y[None, :, :]
     out = np.ones(diff.shape[:2], dtype=np.complex128)

@@ -497,6 +497,22 @@ class TestReflectionSplit:
         want = np.linalg.eigvalsh(gram_entries(kernel, lopsided))
         assert np.array_equal(gram_eigenvalues(kernel, lopsided), want)
 
+    @pytest.mark.parametrize("case", ["pw-symmetric-2d", "pw-asymmetric-2d", "gabor-time-symmetric"])
+    def test_unsorted_rows_are_solved_whole(self, case):
+        # the pairing reads the rows as sorted, as a patch's and the anchor grid's are: the same points in
+        # another order get no reflection, and their Gram is solved whole
+        kernel, cells, reflections = SPLIT_KERNELS[case]
+        spacing = lattice_spacing(kernel, 1.2)
+        if reflections is None:
+            patch = symmetric_patch(kernel.space_dim, spacing, 0.3, cells, True, 5)
+        else:
+            patch = reflected_patch(kernel.space_dim, reflections, spacing, 0.3, cells, True, 5)
+        assert _reflections(kernel, patch.points) is not None
+        rows = patch.points[::-1]
+        assert _reflections(kernel, rows) is None
+        want = np.linalg.eigvalsh(kernel_matrix(kernel, rows, rows).T)
+        assert np.array_equal(framekit._gram_eigvalsh(kernel, rows), want)
+
     @pytest.mark.parametrize("case", ["pw-symmetric-1d", "pw-symmetric-2d"])
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(

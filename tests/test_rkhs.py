@@ -18,6 +18,7 @@ from conftest import (
     heisenberg_phase,
     kernel_value,
     local_max_oracle,
+    per_axis_pw_matrix,
 )
 
 
@@ -451,11 +452,21 @@ class TestBlockedAssembly:
         assert len(X) * Y.size > pointset_mod.BLOCK_ELEMENTS
         got = kernel_matrix(spec, X, Y)
         want = oracle(spec, X, Y)
-        if got.dtype == np.float64:  # a band symmetric about 0: the real part of the complex oracle
-            assert spec.kind == "paley_wiener" and all(lo + hi == 0 for lo, hi in spec.band)
-            assert np.all(want.imag == 0)
-            want = want.real
+        assert got.dtype == want.dtype  # float64 just for a band symmetric about 0
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("band", [[(-0.25, 0.75)], [(-0.25, 0.75), (-0.5, 0.25)]], ids=["1d", "2d"])
+    def test_one_phase_agrees_with_per_axis_modulation(self, band, scale):
+        # exp(i pi theta) once against one modulated factor per axis: they differ by the phase's rounding,
+        # relative to |k| within 8 eps (1 + pi sum_k |(lo_k + hi_k) u_k|)
+        spec = paley_wiener(band)
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-scale, scale, size=(300, len(band)))
+        Y = np.vstack([X[:100], rng.uniform(-scale, scale, size=(200, len(band)))])
+        got, want = kernel_matrix(spec, X, Y), per_axis_pw_matrix(spec, X, Y)
+        phase = np.abs((X[:, None, :] - Y[None, :, :]) * [lo + hi for lo, hi in band]).sum(axis=-1)
+        assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * (1 + np.pi * phase) * np.abs(want))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
@@ -479,9 +490,10 @@ class TestBlockedAssembly:
         "spec, X",
         [
             (paley_wiener([(-0.5, 0.5)]), np.linspace(-300.0, 300.0, 601)),
+            (paley_wiener([(-0.25, 0.75)]), np.linspace(-300.0, 300.0, 601)),
             (gabor_gaussian(1), np.indices((25, 25)).reshape(2, -1).T.astype(float)),
         ],
-        ids=["pw-1d", "gabor-1"],
+        ids=["pw-1d", "pw-1d-shifted", "gabor-1"],
     )
     def test_assembly_allocates_less_than_twice_its_output(self, spec, X):
         # blocks that counted only the coordinate differences peaked at 4.06x (pw-1d) and 3.00x (gabor-1)
