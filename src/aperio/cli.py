@@ -304,15 +304,16 @@ def _check_args(cmd: str, args: dict, where: str = "") -> None:
 # ------------------------------------------------------------------ arg parse
 
 class _Parser(argparse.ArgumentParser):
-    """Reads negative numbers in exponent notation (``--box -1e6 1e6``) as values, not flags.
+    """Reads negative numbers in exponent notation (``--box -1e6 1e6``), ``-inf``, ``-Infinity`` and ``-nan`` as values.
 
-    argparse's own pattern only knows ``-12`` and ``-1.5``; subparsers are
-    built from the same class and inherit the wider pattern.
+    argparse's own pattern knows only ``-12`` and ``-1.5``; the argument
+    check refuses a non-finite value by name.  Subparsers are built from the
+    same class and inherit the wider pattern.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 _HELP = {

@@ -12,14 +12,15 @@ A kernel names two reflections (``KernelSpec.fixing_axes`` and
 ``conjugating_axes``): ``P`` with ``k(Px, Py) = k(x, y)``, and ``R`` with
 ``k(Rx, Ry) = conj k(x, y)``.  For the Gaussian kernel ``P`` negates every
 axis and ``R`` the time axes.  A Gram over a patch that either maps onto
-itself has its eigenvalues taken from smaller blocks: the point reflection
-splits it into an even and an odd block (Cantoni & Butler 1976), and the
-conjugating one makes each of them real symmetric (A. Lee 1980).
-Lattices and model sets with symmetric windows, truncated to centred boxes,
-are such patches.  The blocks read only the rows of orbit representatives
-(about n / 4 of n points under both reflections), so only those are built
-(``_gram_eigvalsh``), Hermitian as ``kernel_matrix`` keeps them bit for bit;
-without a reflection every point is one.
+itself has its eigenvalues taken from smaller blocks, one per character of
+the group the two generate: each parity of ``P`` is a block (Cantoni &
+Butler 1976), and the two signs of ``R`` are its halves, which make it real
+symmetric (A. Lee 1980).  Lattices and model sets with symmetric windows,
+truncated to centred boxes, are such patches.  A block's entries are sums
+over the group of the rows of orbit representatives (about n / 4 of n
+points under both reflections), so only those are built (``_gram_eigvalsh``),
+Hermitian as ``kernel_matrix`` keeps them bit for bit; without a reflection
+every point is one.
 ``sampling_bounds`` never leaves this orbit basis: its anchor grid, centred
 at 0 where both reflections map it onto itself, is solved as such blocks,
 and each quotient block is formed from the rows of the patch's own
@@ -85,37 +86,38 @@ def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:
 
 class _Orbits(NamedTuple):
     pairing: tuple  # (P, R), either None
-    group: list  # per element of the group: its index map, its number of P and its number of R
-    reps: np.ndarray  # one representative per orbit
-    bounds: np.ndarray  # where each rank of representatives starts in reps, and its end
+    group: list  # per element, in the order id, P, R, PR: its index map, its number of P and its number of R
+    reps: np.ndarray  # per orbit its smallest index, by stabiliser size, the largest first
     stab: np.ndarray  # per representative: the number of group elements fixing it
+    blocks: list  # per P-parity p: p, and the indices into reps of its R-sign +1 and -1 halves (None without R)
 
 
 def _orbits(pairing: tuple | None, n: int) -> _Orbits:
     """The orbits on ``range(n)`` of the group of the commuting involutions ``pairing = (P, R)`` (``_reflections``).
 
-    Each orbit is represented by its smallest index.  ``P`` fixes no index
-    but the origin's (it negates every axis), so with the representatives
-    ranked as the origin, those fixed by ``R`` alone, those fixed by nothing
-    and those fixed by ``PR`` alone, each half of ``_reflected_blocks`` is a
-    slice of them.  Without a map every index is its own orbit.
+    Each orbit is represented by its smallest index; without a map every
+    index is its own orbit.  Each half of a block has the character ``chi``
+    that is ``p`` per ``P`` and the half's sign per ``R`` in ``g``, and holds
+    the representatives ``a`` that no ``g`` with ``chi(g) = -1`` fixes: those
+    whose orbit vector ``sum_g chi(g) e_(g a)`` is nonzero.  A block with no
+    representative is dropped.
     """
     p_map, r_map = pairing or (None, None)
     idx = np.arange(n)
     group = [(idx, 0, 0)] + [(m, n_p, 1 - n_p) for m, n_p in ((p_map, 1), (r_map, 0)) if m is not None]
     if len(group) == 3:
         group.append((p_map[r_map], 1, 1))
-    maps = [m for m, _, _ in group[1:]]
-    reps = idx[np.array([idx <= m for m in maps]).reshape(len(maps), n).all(axis=0)]
-    fixed = np.array([m[reps] == reps for m in maps]).reshape(len(maps), len(reps))
-    rank = np.full(len(reps), 2)
-    if len(maps) == 3:
-        rank[fixed[1]] = 1  # fixed by R
-        rank[fixed[2]] = 3  # fixed by PR
-    rank[fixed.all(axis=0)] = 0  # the origin, fixed by every map
-    order = np.argsort(rank, kind="stable")
-    reps, rank = reps[order], rank[order]
-    return _Orbits((p_map, r_map), group, reps, np.searchsorted(rank, range(5)), 1 + fixed[:, order].sum(axis=0))
+    reps = idx[np.array([idx <= m for m, _, _ in group]).all(axis=0)]
+    fixed = np.array([m[reps] == reps for m, _, _ in group])
+    order = np.argsort(-fixed.sum(axis=0), kind="stable")
+    reps, fixed = reps[order], fixed[:, order]
+
+    def half(p: int, s: int) -> np.ndarray:
+        return np.flatnonzero(~fixed[[p**n_p * s**n_r < 0 for _, n_p, n_r in group]].any(axis=0))
+
+    blocks = [(p, half(p, 1), half(p, -1) if r_map is not None else None) for p in (1, -1)[: 1 + (p_map is not None)]]
+    blocks = [(p, plus, minus) for p, plus, minus in blocks if len(plus) or (minus is not None and len(minus))]
+    return _Orbits((p_map, r_map), group, reps, fixed.sum(axis=0), blocks)
 
 
 def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
@@ -129,93 +131,77 @@ def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbi
     return kernel_matrix(kernel, points, points[orbits.reps]), orbits
 
 
-def _gather(store: np.ndarray, span: slice, cols, p_map, p: int) -> np.ndarray:
-    """``G[rows, cols] + p G[rows, P cols]``, or ``G[rows, cols]`` without ``P``, as a transposed view of one new array.
+def _orbit_sums(store: np.ndarray, orbits: _Orbits, p: int, s: int, half: np.ndarray) -> np.ndarray:
+    """``sum_g chi(g) store[g reps[half]]``, for the character ``chi`` that is ``p`` per ``P`` and ``s`` per ``R`` in ``g``.
 
-    ``rows`` are the representatives ``reps[span]``: ``store``'s columns
-    are the rows of ``G`` at the representatives in rank order, so
-    ``G[reps[a], j]`` is ``store[j, a]`` and each term is a row gather of a
-    column slice.  ``store`` may be rectangular: ``sampling_bounds`` sums a
-    patch-by-anchor block over the anchors' orbits so.
+    ``store[j, a]`` is ``G[reps[a], j]`` (``_rep_rows``), so entry ``[b,
+    a]`` is ``Z[reps[a], reps[half[b]]]`` for ``Z[a, b] = sum_g chi(g) G[a,
+    g b]``.  Each term gathers whole rows of ``store``, 64 at a time, into
+    one new array, in the group's order; ``store`` may be rectangular.
     """
-    out = store[cols, span]
-    if p_map is not None:
-        (np.add if p > 0 else np.subtract)(out, store[p_map[cols], span], out=out)
-    return out.T
+    cols = orbits.reps[half]
+    out = store[cols]
+    for m, n_p, n_r in orbits.group[1:]:
+        add = np.add if p**n_p * s**n_r > 0 else np.subtract
+        for i in range(0, len(cols), 64):  # a temporary of 64 rows, not of len(cols)
+            add(out[i : i + 64], store[m[cols[i : i + 64]]], out=out[i : i + 64])
+    return out
 
 
 def _reflected_blocks(store: np.ndarray, orbits: _Orbits):
     """Yield the blocks of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
 
     ``orbits`` (from ``_orbits``) holds the maps ``(P, R)`` on ``G``'s
-    indices, either of them ``None``.  ``store[j, a]`` is ``G[reps[a], j]``
-    (see ``_gather``); only the rows of representatives are read, and ``G``
-    is never built.  Over representatives ``a`` and ``b`` let ``X1 .. X4 =
-    G[a, b], G[a, Pb], G[a, Rb], G[a, PRb]``, a term of a missing map left
-    out, and for each ``P``-parity ``p`` let ``Z+ = X1 + p X2 + X3 + p X4``
-    and ``Z- = X1 + p X2 - X3 - p X4``.  Without ``R``
-    the block of parity ``p`` is ``X1 + p X2``, complex as ``G`` is (Cantoni
-    & Butler 1976).  With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-],
-    [Im Z+, Re Z-]]``: a Hermitian matrix with a conjugating symmetry is
-    unitarily similar to a real one (A. Lee 1980).  A representative's row
-    and column count in a half only where its orbit vector is nonzero, and
-    are scaled by ``1 / sqrt s`` for a stabiliser of ``s`` maps: ``sqrt
-    1/2`` on an axis or at the origin of one reflection, ``1/2`` at the
-    origin of both.
+    indices, either of them ``None``, and ``store[j, a]`` is ``G[reps[a],
+    j]``: only the rows of representatives are read, and ``G`` is never
+    built.  Each block of ``orbits.blocks`` has a ``P``-parity ``p`` and
+    halves ``plus`` and ``minus`` of ``R``-sign ``+1`` and ``-1``, whose
+    characters and orbit sums ``Z+`` and ``Z-`` over representatives are
+    those of ``_orbit_sums``.  Without ``R`` the block is ``Z+``, complex as
+    ``G`` is (Cantoni & Butler 1976).  With ``R`` it is the real symmetric
+    ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]`` over ``plus`` then ``minus``: a
+    Hermitian matrix with a conjugating symmetry is unitarily similar to a
+    real one (A. Lee 1980).  Rows and columns are scaled by ``1 / sqrt s``
+    for a stabiliser of ``s`` maps: ``sqrt 1/2`` on an axis or at the origin
+    of one reflection, ``1/2`` at the origin of both.
 
-    Each parity gathers its own ``X`` from ``store``, adds the ``P`` terms
-    at once, and builds its block; the block's entries below the floor are
-    set to 0, as the Gaussian kernel's are.  The generator drops the block
-    before it gathers the next parity, so a caller that also drops it keeps
-    one parity's gathered arrays and block, or the block and the solver's
-    copy of it, alive besides ``store``.  A ``G`` without a reflection, all
-    of whose rows are stored, is ``store``'s transposed view.  Without ``R``
+    The block is filled one half's columns at a time, from that half's sums,
+    released before the other half's are built; then its entries below the
+    floor are set to 0, as the Gaussian kernel's are.  The generator drops
+    the block before it builds the next, so a caller that also drops it
+    keeps one half's sums and the block, or the block and the solver's copy
+    of it, alive besides ``store``.  A ``G`` without a reflection, all of
+    whose rows are stored, is ``store``'s transposed view.  Without ``R``
     the blocks are those of the point reflection's even and odd split, bit
     for bit.
 
-    With each block come its parity ``p`` and the slices ``plus`` and
-    ``minus`` of ``reps`` whose rows are its ``Re Z+`` and ``Re Z-`` halves
-    (``minus`` is ``None`` without ``R``).  The block's row of a
-    representative ``a`` stands for the unit orbit vector whose entry at
-    ``g a`` (``g`` in the group) is ``chi(g) / sqrt(orbit size)``, where the
-    character ``chi`` is ``p`` per ``P`` in ``g`` for the ``Re Z+`` half and
-    ``i`` times that, and ``-1`` per ``R`` in ``g``, for the ``Re Z-`` half.
+    With each block come ``p``, ``plus`` and ``minus`` (``None`` without
+    ``R``).  The block's row of a representative ``a`` stands for the unit
+    orbit vector whose entry at ``g a`` is ``chi(g) / sqrt(orbit size)``,
+    times ``i`` in the ``minus`` half.
     """
-    (p_map, r_map), reps, b = orbits.pairing, orbits.reps, orbits.bounds
+    if len(orbits.group) == 1:
+        yield store.T, orbits.blocks[0]  # the whole store in order, with no sums to floor: G itself, not copied
+        return
     weight = np.sqrt(1.0 / orbits.stab)
-    # per parity, the representatives whose orbit vector of R-parity +1 and of -1 is nonzero
-    halves = {1: (slice(b[0], b[4]), slice(b[2], b[3])), -1: (slice(b[1], b[3]), slice(b[2], b[4]))}
-    for p in (1, -1) if p_map is not None else (1,):
-        plus, minus = halves[p][0], halves[p][1] if r_map is not None else None
-        span = plus if minus is None else slice(plus.start, max(plus.stop, minus.stop))
-        rows = reps[span]
-        if not len(rows):
-            continue
-        if len(orbits.group) == 1:
-            yield store.T, (p, plus, minus)  # the whole store in order, with no sums to floor: G itself, not copied
-            return
-        y = _gather(store, span, rows, p_map, p)
+    for p, plus, minus in orbits.blocks:
         if minus is None:
-            block, wts = y, weight[plus]
+            block, wts = _orbit_sums(store, orbits, p, 1, plus)[:, plus].T, weight[plus]
         else:
-            w = _gather(store, span, r_map[rows], p_map, p)
-            k = plus.stop - plus.start
-            u = slice(plus.start - span.start, plus.stop - span.start)
-            v = slice(minus.start - span.start, minus.stop - span.start)
-            block = np.empty((k + v.stop - v.start,) * 2)
-            np.add(y.real[u, u], w.real[u, u], out=block[:k, :k])
-            np.subtract(w.imag[u, v], y.imag[u, v], out=block[:k, k:])
-            np.add(y.imag[v, u], w.imag[v, u], out=block[k:, :k])
-            np.subtract(y.real[v, v], w.real[v, v], out=block[k:, k:])
-            wts = np.concatenate([weight[plus], weight[minus]])
-            del w
-        del y
+            k = len(plus)
+            block = np.empty((k + len(minus),) * 2)
+            for s, unit, half, cols in ((1, 1, plus, block[:, :k]), (-1, 1j, minus, block[:, k:])):
+                z = _orbit_sums(store, orbits, p, s, half)
+                z *= unit  # i Z- has the parts -Im Z- and Re Z-
+                cols[:k], cols[k:] = z.real[:, plus].T, z.imag[:, minus].T
+                del z
+            wts = weight[np.concatenate([plus, minus])]
         scaled = np.flatnonzero(wts != 1.0)
         block[scaled] *= wts[scaled, None]
         block[:, scaled] *= wts[scaled]
         _floor_underflow(block)  # its temporaries are no larger than the solver's copy of the block
         yield block, (p, plus, minus)
-        del block  # before the next block is gathered
+        del block  # before the next block is built
 
 
 def _reflected_eigvalsh(store: np.ndarray, orbits: _Orbits) -> np.ndarray:
@@ -325,12 +311,13 @@ def sampling_bounds(
     ``chi(g) / sqrt(orbit size)`` at ``g a``, so its column of ``C`` before
     ``x`` is the sum over the group of ``chi(g) K[:, g a]``, for ``K[p, j] =
     k(x_p, g_j)``, over the stabiliser's size (each anchor counts once) and
-    ``sqrt(orbit size)``: a rectangular ``_gather``.  ``K`` is built at the
-    patch's representatives only, as ``C[Pp] = chi(P) C[p]`` and ``C[Rp] =
-    conj C[p]``: ``C^H C`` is ``C^H diag(orbit sizes) C`` over them, real
-    with ``R`` on the patch, and with ``P`` on it the two parities' blocks
-    are orthogonal, each a quotient matrix of its own.  Without any
-    reflection ``C`` is ``K W``, for ``W`` the scaled eigenvectors of ``M``.
+    ``sqrt(orbit size)``: a rectangular ``_orbit_sums``, times ``i`` in the
+    ``-1`` half.  ``K`` is built at the patch's representatives only, as
+    ``C[Pp] = chi(P) C[p]`` and ``C[Rp] = conj C[p]``: ``C^H C`` is ``C^H
+    diag(orbit sizes) C`` over them, real with ``R`` on the patch, and with
+    ``P`` on it the two parities' blocks are orthogonal, each a quotient
+    matrix of its own.  Without any reflection ``C`` is ``K W``, for ``W``
+    the scaled eigenvectors of ``M``.
 
     ``M`` and ``K`` come from ``kernel_matrix``, whose Gaussian entries below
     ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros; each block of ``M``
@@ -361,16 +348,13 @@ def sampling_bounds(
     p_orbits = _orbits(pairing if centred else None, patch.n_points)
     points = patch.points if centred else patch.points - centre
     store = kernel_matrix(kernel, points[p_orbits.reps], grid).T  # store[j, q] = K[reps[q], j]
-    (p_map, r_map), scale = orbits.pairing, np.sqrt(1.0 / (orbits.stab * len(orbits.group)))
+    scale = np.sqrt(1.0 / (orbits.stab * len(orbits.group)))
     values, complex_c = [], np.iscomplexobj(store)  # per block C^T, a complex entry as its two parts side by side
     for s, x, (p, plus, minus) in solved:
-        halves = (plus,) if minus is None else (plus, minus)
-        sums = [_gather(store, slice(None), orbits.reps[half], p_map, p).T for half in halves]
-        if minus is not None:  # the R terms: added in the Re Z+ half, subtracted in the Re Z- half, which is times i
-            r_sums = [_gather(store, slice(None), r_map[orbits.reps[half]], p_map, p).T for half in halves]
-            sums = [sums[0] + r_sums[0], 1j * (sums[1] - r_sums[1])]
-        x = x * (np.concatenate([scale[half] for half in halves])[:, None] / np.sqrt(s))
-        values.append(x.T @ np.vstack(sums).view(np.float64))
+        halves = [(1, 1, plus), (-1, 1j, minus)][: 1 + (minus is not None)]
+        sums = np.vstack([unit * _orbit_sums(store, orbits, p, sign, half) for sign, unit, half in halves])
+        x = x * (np.concatenate([scale[half] for _, _, half in halves])[:, None] / np.sqrt(s))
+        values.append(x.T @ sums.view(np.float64))
     del store, sums
     sizes, spectra = len(p_orbits.group) // p_orbits.stab, []
     for v in [np.vstack(values)] if p_orbits.pairing[0] is None else values:

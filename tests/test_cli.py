@@ -648,6 +648,19 @@ class TestArgumentValues:
         self.refused(workspace, capsys, ["run", "--config", "cfg.json"], "step 0", key, "finite")
 
     @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["gen", "--scheme", "z.json", "--box", "-inf", "20"], "'box' must be list[float] with finite numbers"),
+            (["gen", "--scheme", "z.json", "--box", "-20", "-INFINITY"], "'box' must be list[float] with finite numbers"),
+            (["verdict", "--kernel", "pw.json", "--density", "d.json", "--tol", "-nan"], "'tol' must be float | None with finite numbers"),
+        ],
+        ids=["box-minus-inf", "box-minus-infinity", "tol-minus-nan"],
+    )
+    def test_minus_inf_and_nan_are_values_not_flags(self, workspace, capsys, argv, key):
+        # argparse's own pattern took them for flags: exit 2 with "expected one argument", before any check
+        self.refused(workspace, capsys, [*argv, "--out", "o.json"], key)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--translates", "grid", "--grid-step", "0"],

@@ -601,7 +601,7 @@ class TestRepresentativeRows:
         assert peak < stored_bytes + 0.5 * gram_bytes < gram_bytes
 
 
-def orbit_vectors(orbits, n: int, p: int, plus: slice, minus: slice | None) -> np.ndarray:
+def orbit_vectors(orbits, n: int, p: int, plus: np.ndarray, minus: np.ndarray | None) -> np.ndarray:
     """The unit orbit vectors that a block's rows stand for (``_reflected_blocks``), as the columns of an n x k matrix.
 
     The row of a representative ``a`` in the ``Re Z+`` half has ``p`` per
@@ -657,6 +657,104 @@ class TestReflectedEigh:
         full = full[full > framekit.RANK_TOL * full[-1]]
         assert len(s) == len(full)
         assert np.abs(np.sort(s) - full).max() <= 10 * a * eps * norm
+
+
+def involution_pair(counts, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Commuting involutions ``P`` and ``R`` on ``range(n)`` with the given numbers of orbits of each type.
+
+    ``counts`` are the numbers of orbits fixed by both maps, by ``R`` alone,
+    by ``PR`` alone, by ``P`` alone, and by neither; the indices are dealt
+    to them in a random order.
+    """
+    sizes = (1, 2, 2, 2, 4)
+    n = sum(c * size for c, size in zip(counts, sizes))
+    labels = iter(rng.permutation(n))
+    p_map, r_map = np.arange(n), np.arange(n)
+    for kind, count in enumerate(counts):
+        for _ in range(count):
+            orbit = [next(labels) for _ in range(sizes[kind])]
+            if kind == 4:  # P swaps a, b and c, d; R swaps a, c and b, d
+                p_map[orbit], r_map[orbit] = orbit[1::-1] + orbit[:1:-1], orbit[2:] + orbit[:2]
+            if kind in (1, 2):  # P swaps the pair; R fixes it, or swaps it as well
+                p_map[orbit] = orbit[::-1]
+            if kind in (2, 3):  # R swaps the pair; P fixes it, or swaps it as well
+                r_map[orbit] = orbit[::-1]
+    return p_map, r_map
+
+
+def invariant_hermitian(p_map: np.ndarray, r_map: np.ndarray, rng) -> np.ndarray:
+    """A random Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]`` exactly.
+
+    Each entry's value is drawn once and written to every image of its index
+    pair under the group and the transpose, conjugated by each ``R`` and by
+    the transpose; a pair that some conjugating image maps onto itself gets
+    a real value.
+    """
+    n = len(p_map)
+    group = [(np.arange(n), False), (p_map, False), (r_map, True), (p_map[r_map], True)]
+    G = np.full((n, n), np.nan, dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            if np.isnan(G[i, j]):
+                images = [(m[i], m[j], conj) for m, conj in group] + [(m[j], m[i], not conj) for m, conj in group]
+                v = complex(*rng.normal(size=2))
+                if any(conj and (a, b) == (i, j) for a, b, conj in images):
+                    v = complex(v.real)
+                for a, b, conj in images:
+                    G[a, b] = v.conjugate() if conj else v
+    return G
+
+
+class TestOrbitLayout:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        counts=st.tuples(*[st.integers(0, 3)] * 4, st.integers(0, 4)).filter(any),  # at most 40 indices
+        maps=st.sampled_from(["PR", "P", "R"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_halves_and_spectra_against_brute_force(self, counts, maps, seed):
+        # every orbit type, the one fixed by P alone included, which no kernel gives today
+        rng = np.random.default_rng(seed)
+        p_map, r_map = involution_pair(counts, rng)
+        G = invariant_hermitian(p_map, r_map, rng)
+        n = len(G)
+        pairing = (p_map if "P" in maps else None, r_map if "R" in maps else None)
+        orbits = framekit._orbits(pairing, n)
+        group = [(np.arange(n), 0, 0)] + [(m, n_p, 1 - n_p) for m, n_p in zip(pairing, (1, 0)) if m is not None]
+        if len(group) == 3:
+            group.append((p_map[r_map], 1, 1))
+        assert sorted(orbits.reps) == sorted({min(int(m[a]) for m, _, _ in group) for a in range(n)})
+        want = []
+        for p in (1, -1) if pairing[0] is not None else (1,):
+            halves = []
+            for s in (1, -1) if pairing[1] is not None else (1,):
+                half = set()
+                for a in orbits.reps:
+                    u = np.zeros(n)
+                    for m, n_p, n_r in group:
+                        u[m[a]] += p**n_p * s**n_r
+                    if u.any():
+                        half.add(int(a))
+                halves.append(half)
+            if any(halves):
+                want.append((p, *halves))
+        got = [(p, *(set(orbits.reps[h].tolist()) for h in halves if h is not None)) for p, *halves in orbits.blocks]
+        assert got == want
+        full = np.linalg.eigvalsh(G)
+        got_eigs = entries_eigenvalues(G, pairing)
+        assert len(got_eigs) == n
+        assert np.abs(got_eigs - full).max() <= 10 * n * np.finfo(float).eps * np.abs(full).max()
+
+    def test_three_points_on_the_time_axis(self):
+        # P and R agree on these points, so PR fixes the pair off the origin: the odd P-parity block has no
+        # R-sign +1 half, only a -1 half, and must still be solved
+        points = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        orbits = framekit._orbits(_reflections(GG, points), len(points))
+        assert [(p, len(plus), len(minus)) for p, plus, minus in orbits.blocks] == [(1, 2, 0), (-1, 0, 1)]
+        full = np.linalg.eigvalsh(kernel_matrix(GG, points, points).T)
+        got = framekit._gram_eigvalsh(GG, points)
+        assert len(got) == 3
+        assert np.abs(got - full).max() <= 10 * 3 * np.finfo(float).eps * full[-1]
 
 
 class TestCanonicalParseval:
