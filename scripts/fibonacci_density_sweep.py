@@ -15,7 +15,7 @@ import math
 import sys
 
 from aperio import FolnerSpec, beurling_density, generate_model_set, model_set_covolume
-from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
+from aperio.cutproject import CutProjectScheme, lattice_scheme
 
 
 def fibonacci_scheme(window_halfwidth: float = 0.5) -> CutProjectScheme:
@@ -24,7 +24,7 @@ def fibonacci_scheme(window_halfwidth: float = 0.5) -> CutProjectScheme:
         d=1,
         m=1,
         basis=[[1.0, tau], [1.0, 1 - tau]],
-        window=Window(m=1, boxes=(((-window_halfwidth, window_halfwidth),),)),
+        window=((-window_halfwidth, window_halfwidth),),
     )
 
 

@@ -10,7 +10,7 @@ for sampling and interpolation.
 __version__ = "0.1.0"
 
 from .pointset import PointPatch, SeparationStats, is_relatively_dense, rel_separation, restrict, translate
-from .cutproject import CutProjectScheme, Window, generate_model_set, model_set_covolume
+from .cutproject import CutProjectScheme, generate_model_set, model_set_covolume
 from .hull import orbit_sample
 from .density import (
     CovolumeBounds,

@@ -6,7 +6,7 @@ whose internal projection falls in the window.  ``m = 0`` is allowed and means
 the set is the (projected) lattice itself, with covolume ``|det basis|``; this
 is the calibration case for every density test downstream.
 
-Windows are finite unions of disjoint half-open boxes ``[lo, hi)``.  Half-open
+A window is one half-open box ``[lo, hi)``, a ``Box`` of ``m`` pairs.  Half-open
 faces make covolumes exact under tilings and dodge boundary double-counting;
 window membership is tested with an exactness epsilon of 0, so users wanting
 robustness against borderline windows should place window faces away from
@@ -28,59 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateBasisError, EmptyWindowError
-from .pointset import Box, PointPatch, as_box, as_rows, box_volume, points_in_box
+from .errors import ArgumentError, DegenerateBasisError
+from .pointset import Box, PointPatch, as_box, box_volume, points_in_box
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
 INJECTIVITY_TOL = 1e-9  # relative to the largest physical basis entry
 
 
-@dataclass(frozen=True)
-class Window:
-    """Finite union of pairwise disjoint half-open boxes in R^m."""
-
-    m: int
-    boxes: tuple[tuple[tuple[float, float], ...], ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("window dimension must be >= 1")
-        boxes = tuple(as_box(b, self.m) for b in self.boxes)
-        for b1, b2 in itertools.combinations(boxes, 2):
-            if all(lo1 < hi2 and lo2 < hi1 for (lo1, hi1), (lo2, hi2) in zip(b1, b2)):
-                raise ValueError("window boxes must be pairwise disjoint")
-        object.__setattr__(self, "boxes", boxes)
-
-    @property
-    def volume(self) -> float:
-        return sum(map(box_volume, self.boxes), 0.0)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.boxes
-
-    def bounding_box(self) -> Box:
-        if self.is_empty:
-            raise EmptyWindowError("empty window")
-        lo = [min(b[k][0] for b in self.boxes) for k in range(self.m)]
-        hi = [max(b[k][1] for b in self.boxes) for k in range(self.m)]
-        return tuple(zip(lo, hi))
-
-    def contains(self, y: np.ndarray) -> np.ndarray:
-        """Half-open membership mask for sample rows ``y`` of shape (n, m)."""
-        y = as_rows(y, self.m)
-        mask = np.zeros(len(y), dtype=bool)
-        for b in self.boxes:
-            lo = np.array([iv[0] for iv in b])
-            hi = np.array([iv[1] for iv in b])
-            mask |= np.all((y >= lo) & (y < hi), axis=1)
-        return mask
-
-
 @dataclass(frozen=True, eq=False)
 class CutProjectScheme:
-    """Lattice basis in R^(d+m) plus an internal window; ``window=None`` iff ``m=0``.
+    """Lattice basis in R^(d+m) plus an internal window box; ``window=None`` iff ``m=0``.
 
     The basis columns generate the lattice.  Construction runs a finite
     injectivity check: no nonzero integer combination with coordinates up to
@@ -92,7 +50,7 @@ class CutProjectScheme:
     d: int
     m: int
     basis: np.ndarray
-    window: Window | None = None
+    window: Box | None = None
 
     def __post_init__(self):
         if self.d < 1 or self.m < 0:
@@ -109,9 +67,11 @@ class CutProjectScheme:
             if self.window is not None:
                 raise ValueError("m = 0 schemes take window=None")
         else:
-            if self.window is None or self.window.m != self.m:
-                raise ValueError("window dimension must equal m")
-        if self.m > 0:
+            if self.window is None:
+                raise ValueError("m > 0 schemes take a window box of m intervals")
+            object.__setattr__(self, "window", as_box(self.window, self.m))
+            if not 0 < (vol := box_volume(self.window)) < math.inf:  # a product of widths can underflow or overflow
+                raise ValueError(f"window {self.window} has volume {vol}, not a positive finite number")
             self._check_injectivity()
 
     def _check_injectivity(self):
@@ -191,17 +151,18 @@ def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
 def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
     """All points ``p_G(gamma)`` with ``p_H(gamma)`` in the window and ``p_G(gamma)`` in ``box``.
 
-    Enumeration is complete: every lattice point in ``box x bbox(window)`` is
-    visited, so no qualifying point is missed.  An empty window yields an
-    empty patch.
+    Enumeration is complete: every lattice point in ``box x window`` is
+    visited, so no qualifying point is missed.  The window is half-open: an
+    internal part ``y`` is kept iff ``lo <= y < hi`` on every axis.
     """
     box = as_box(box, scheme.d)
-    if scheme.m > 0 and scheme.window.is_empty:
-        return PointPatch(dim=scheme.d, box=box, points=np.empty((0, scheme.d)))
-    region = box if scheme.m == 0 else box + scheme.window.bounding_box()
-    gamma = _lattice_points(scheme.basis, region)
-    if scheme.m > 0:
-        gamma = gamma[scheme.window.contains(gamma[:, scheme.d :])]
+    if scheme.m == 0:
+        gamma = _lattice_points(scheme.basis, box)
+    else:
+        gamma = _lattice_points(scheme.basis, box + scheme.window)
+        lo, hi = np.array(scheme.window).T
+        y = gamma[:, scheme.d :]
+        gamma = gamma[np.all((y >= lo) & (y < hi), axis=1)]
     try:
         return PointPatch(dim=scheme.d, box=box, points=gamma[:, : scheme.d])
     except ValueError as exc:  # every point lies in the box, so two distinct lattice points coincide
@@ -220,7 +181,4 @@ def model_set_covolume(scheme: CutProjectScheme) -> float:
     """``|det basis| / vol(window)``; for m = 0 the lattice covolume ``|det basis|``."""
     if scheme.m == 0:
         return scheme.abs_det
-    vol = scheme.window.volume
-    if vol <= 0:
-        raise EmptyWindowError("empty window")
-    return scheme.abs_det / vol
+    return scheme.abs_det / box_volume(scheme.window)

@@ -32,10 +32,6 @@ class DegenerateBasisError(AperioError):
     """Lattice basis matrix is singular (or numerically so)."""
 
 
-class EmptyWindowError(AperioError):
-    """An internal-space window with zero volume where positive volume is required."""
-
-
 class ArgumentError(AperioError, ValueError):
     """An argument is out of its range, or out of relation to another argument; the command line exits 2."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ArgumentError, CoverageError
-from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, _sorted_checked, as_box, as_rows, points_in_box
+from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, _sorted_checked, _sum_down, as_box, as_rows, points_in_box
 
 
 def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
@@ -60,8 +60,8 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
 
 
 def _spans(patch: PointPatch, k_box) -> list:
-    """Per axis, the interval of translates ``x`` with ``x + k_box`` inside the patch box."""
-    return [(plo - klo, phi - khi) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box, patch.dim))]
+    """Per axis, the interval of translates ``x`` with ``x + k_box`` inside the patch box, its ends rounded inward."""
+    return [(-_sum_down(-plo, klo), _sum_down(phi, -khi)) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box, patch.dim))]
 
 
 def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:

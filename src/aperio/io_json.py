@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .cutproject import CutProjectScheme, Window
+from .cutproject import CutProjectScheme
 from .density import CovolumeBounds, DensityReport
 from .errors import ConfigError, DegenerateBasisError
 from .framekit import MAX_GRAM_POINTS, RANK_TOL, FrameReport, VerdictReport
@@ -192,14 +192,13 @@ def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
     basis = _rows(_key(obj, "basis", "scheme"), d + m, "scheme basis")
     if len(basis) != d + m:
         raise ConfigError(f"scheme basis has {len(basis)} row(s), expected d + m = {d + m}")
+    window = obj.get("window")  # an m = 0 scheme with a window is refused by CutProjectScheme
+    if m > 0:
+        boxes = _list(_key(obj, "window", "scheme"), "scheme window")
+        if len(boxes) != 1:
+            raise ConfigError(f"scheme window must be a list of one box, got {len(boxes)}")
+        window = _rows([_key(boxes[0], "lo", "window"), _key(boxes[0], "hi", "window")], m, "window lo/hi").T
     try:
-        window = None
-        if m > 0:
-            boxes = []
-            for b in _list(obj.get("window", []), "scheme window"):
-                lo, hi = _rows([_key(b, "lo", "window"), _key(b, "hi", "window")], m, "window lo/hi")
-                boxes.append(tuple(zip(lo.tolist(), hi.tolist())))
-            window = Window(m=m, boxes=tuple(boxes))
         return CutProjectScheme(d=d, m=m, basis=basis, window=window)
     except (ValueError, DegenerateBasisError) as exc:
         raise ConfigError(f"scheme JSON: {exc}") from exc

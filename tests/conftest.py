@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aperio import PointPatch, generate_model_set
-from aperio.cutproject import CutProjectScheme, Window, lattice_scheme
+from aperio.cutproject import CutProjectScheme, lattice_scheme
 from aperio.errors import CoverageError
 from aperio import framekit
 from aperio.framekit import (
@@ -46,7 +46,7 @@ def make_fibonacci_scheme(window_halfwidth: float = 0.5) -> CutProjectScheme:
         d=1,
         m=1,
         basis=[[1.0, TAU], [1.0, TAU_CONJ]],
-        window=Window(m=1, boxes=(((-window_halfwidth, window_halfwidth),),)),
+        window=((-window_halfwidth, window_halfwidth),),
     )
 
 
@@ -135,8 +135,7 @@ def make_product_fibonacci_scheme(angle: float = 0.5) -> CutProjectScheme:
     phys = np.array([[1.0, TAU, 0.0, 0.0], [0.0, 0.0, 1.0, TAU]])
     rot = np.array([[c, -s], [s, c]]) @ phys
     internal = [[1.0, TAU_CONJ, 0.0, 0.0], [0.0, 0.0, 1.0, TAU_CONJ]]
-    window = Window(m=2, boxes=(((-0.5, 0.5), (-0.5, 0.5)),))
-    return CutProjectScheme(d=2, m=2, basis=np.vstack([rot, internal]), window=window)
+    return CutProjectScheme(d=2, m=2, basis=np.vstack([rot, internal]), window=((-0.5, 0.5), (-0.5, 0.5)))
 
 
 def product_fibonacci_oracle(box, angle: float = 0.5) -> np.ndarray:

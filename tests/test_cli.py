@@ -47,6 +47,7 @@ def run(workspace, *args):
     return main(["--workspace", str(workspace), *args])
 
 
+_FIB_BASIS = {"d": 1, "m": 1, "basis": [[1.0, TAU], [1.0, TAU_CONJ]]}
 _GEN_STEP = {"command": "gen", "args": {"scheme": "z.json", "box": [-50, 50], "out": "p.json"}}
 
 
@@ -732,6 +733,25 @@ class TestArgumentValues:
         # a degenerate interval stays an operation error (exit 1): test_bad_box_in_later_step_writes_nothing
         (workspace / "pw2.json").write_text(json.dumps({"kind": "paley_wiener", "band": [[-0.5, 0.5]] * 2}))
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], said)
+
+    @pytest.mark.parametrize(
+        "scheme, said",
+        [
+            (_FIB_BASIS, "scheme JSON has no 'window' key"),
+            ({**_FIB_BASIS, "window": []}, "scheme window must be a list of one box, got 0"),
+            (
+                {**_FIB_BASIS, "window": [{"lo": [-0.5], "hi": [0.0]}, {"lo": [0.0], "hi": [0.5]}]},
+                "scheme window must be a list of one box, got 2",
+            ),
+            ({"d": 1, "m": 0, "basis": [[1.0]], "window": [{"lo": [-0.5], "hi": [0.5]}]}, "m = 0 schemes take window=None"),
+        ],
+        ids=["missing", "no-box", "two-boxes", "m0-with-window"],
+    )
+    def test_scheme_window_not_one_box_is_config_error(self, workspace, capsys, scheme, said):
+        (workspace / "s.json").write_text(json.dumps(scheme))
+        self.refused(workspace, capsys, ["gen", "--scheme", "s.json", "--box", "-3", "3", "--out", "o.json"], said)
+        (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": "gen", "args": {"scheme": "s.json", "box": [-3, 3]}}]}))
+        self.refused(workspace, capsys, ["run", "--config", "cfg.json"], said)
 
     @pytest.mark.parametrize(
         "band, argv",

@@ -8,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aperio import generate_model_set, model_set_covolume, rel_separation
-from aperio.cutproject import CutProjectScheme, Window, _lattice_points, lattice_scheme
-from aperio.errors import DegenerateBasisError, EmptyWindowError
+from aperio.cutproject import CutProjectScheme, _lattice_points, lattice_scheme
+from aperio.errors import DegenerateBasisError
 from aperio.pointset import restrict
 
 from conftest import (
@@ -23,25 +23,6 @@ from conftest import (
 )
 
 
-class TestWindow:
-    def test_volume_sums_boxes(self):
-        w = Window(m=1, boxes=(((0.0, 0.5),), ((1.0, 1.25),)))
-        assert w.volume == pytest.approx(0.75)
-
-    def test_overlapping_boxes_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            Window(m=1, boxes=(((0.0, 1.0),), ((0.5, 2.0),)))
-
-    def test_touching_boxes_allowed(self):
-        w = Window(m=1, boxes=(((0.0, 1.0),), ((1.0, 2.0),)))
-        assert w.volume == pytest.approx(2.0)
-
-    def test_half_open_membership(self):
-        w = Window(m=1, boxes=(((-0.5, 0.5),),))
-        assert w.contains([[-0.5]]).tolist() == [True]
-        assert w.contains([[0.5]]).tolist() == [False]
-
-
 class TestSchemeInvariants:
     def test_singular_basis_rejected(self):
         with pytest.raises(DegenerateBasisError):
@@ -51,14 +32,13 @@ class TestSchemeInvariants:
         # second generator lies entirely in internal space
         with pytest.raises(ValueError, match="not injective"):
             CutProjectScheme(
-                d=1, m=1, basis=[[1.0, 0.0], [0.0, 1.0]],
-                window=Window(m=1, boxes=(((-0.5, 0.5),),)),
+                d=1, m=1, basis=[[1.0, 0.0], [0.0, 1.0]], window=((-0.5, 0.5),),
             )
 
     def test_kernel_vector_past_the_check_radius_is_named_at_generation(self):
         # (-4, 1) projects to 0, beyond the radius-3 check; a window of width 10 holds both ends
         scheme = CutProjectScheme(
-            d=1, m=1, basis=[[1.0, 4.0], [1.0, TAU_CONJ]], window=Window(m=1, boxes=(((-5.0, 5.0),),))
+            d=1, m=1, basis=[[1.0, 4.0], [1.0, TAU_CONJ]], window=((-5.0, 5.0),)
         )
         with pytest.raises(ValueError, match="pairwise distinct.*1.78e-15 apart; .* projection is not injective"):
             generate_model_set(scheme, [(-10, 10)])
@@ -67,7 +47,7 @@ class TestSchemeInvariants:
     def accepted(d, basis) -> bool:
         m = len(basis) - d
         try:
-            CutProjectScheme(d=d, m=m, basis=basis, window=Window(m=m, boxes=(((-0.5, 0.5),) * m,)) if m else None)
+            CutProjectScheme(d=d, m=m, basis=basis, window=((-0.5, 0.5),) * m if m else None)
         except (DegenerateBasisError, ValueError):
             return False
         return True
@@ -91,11 +71,17 @@ class TestSchemeInvariants:
         lattice_scheme([[1e-7, 0.0], [0.0, 1e-7]])
         basis = make_fibonacci_scheme().basis.copy()
         basis[0] *= 1e-10
-        CutProjectScheme(d=1, m=1, basis=basis, window=Window(m=1, boxes=(((-0.5, 0.5),),)))
+        CutProjectScheme(d=1, m=1, basis=basis, window=((-0.5, 0.5),))
+
+    @pytest.mark.parametrize("side, volume", [((0.0, 1e-200), "0.0"), ((-1e200, 1e200), "inf")], ids=["underflow", "overflow"])
+    def test_window_volume_out_of_range_refused(self, side, volume):
+        # each width is a positive double, but their product is not: the covolume |det B| / vol(W) would be inf or 0
+        with pytest.raises(ValueError, match=f"has volume {volume}, not a positive finite number"):
+            CutProjectScheme(d=2, m=2, basis=make_product_fibonacci_scheme().basis, window=(side, side))
 
     def test_m0_takes_no_window(self):
         with pytest.raises(ValueError, match="window"):
-            CutProjectScheme(d=1, m=0, basis=[[1.0]], window=Window(m=1, boxes=()))
+            CutProjectScheme(d=1, m=0, basis=[[1.0]], window=((-0.5, 0.5),))
 
 
 class TestLatticeGeneration:
@@ -139,14 +125,15 @@ class TestFibonacciModelSet:
         sub = restrict(fibonacci_patch, [(-100, 100)])
         assert rel_separation(sub, 0.3).ell == 1
 
-    def test_empty_window_yields_empty_patch(self):
-        scheme = CutProjectScheme(
-            d=1, m=1, basis=[[1.0, TAU], [1.0, TAU_CONJ]], window=Window(m=1, boxes=())
-        )
+    @pytest.mark.parametrize(
+        "window, has_origin", [(((0.0, 0.5),), True), (((-0.5, 0.0),), False)], ids=["lower-face", "upper-face"]
+    )
+    def test_window_is_half_open(self, window, has_origin):
+        # the origin's internal coordinate is exactly 0.0: on the closed lower face of [0, 0.5), the open upper one of [-0.5, 0)
+        scheme = CutProjectScheme(d=1, m=1, basis=[[1.0, TAU], [1.0, TAU_CONJ]], window=window)
         patch = generate_model_set(scheme, [(-50, 50)])
-        assert patch.is_empty
-        with pytest.raises(EmptyWindowError):
-            model_set_covolume(scheme)
+        assert (0.0 in patch.points[:, 0].tolist()) == has_origin
+        assert patch.n_points > 10
 
 
 class TestGeneratorConsistency:

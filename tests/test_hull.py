@@ -50,6 +50,14 @@ class TestOrbitSample:
         with pytest.raises(CoverageError, match=re.escape("translate [4.0] needs ((-1.0, 9.0),)")):  # the first uncovered one
             orbit_sample(base, [[0.0], [4.0], [-4.0]], K5)
 
+    def test_transversal_translates_are_covered_at_large_coordinates(self):
+        # 131067.05 + 5 rounds down to 131072.05, whose window starts 1.5e-11 below the box: a span
+        # rounded to nearest once admitted that translate, and orbit_sample refused it
+        base = PointPatch(dim=1, box=[(131067.05, 131167.05)], points=[[131072.05], [131092.05]])
+        translates = transversal_translates(base, K5)
+        assert translates.tolist() == [[131092.05]]
+        assert len(orbit_sample(base, translates, K5)) == 1
+
     def test_grid_translates_spacing(self):
         base = make_lattice_patch(1.0, 10.0)
         vecs = grid_translates(base, K5, step=0.5)

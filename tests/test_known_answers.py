@@ -11,7 +11,9 @@
 - Paley-Wiener on ``alpha Z`` with ``alpha < 1`` is a tight frame with bounds
   ``1 / alpha``.  The sampling stage's upper bound finds it; its lower bound
   is a finite-window estimate with a bias that does not shrink with the
-  truncation, pinned here so that a change to the anchor rule shows.
+  truncation, pinned here so that a change to the anchor rule shows.  It
+  grows with the margin instead: about 0.91, 0.94 and 0.96 times ``1 / alpha``
+  at margins of 0.1, 0.25 and 0.5 times the truncation.
 """
 
 import math
@@ -68,7 +70,9 @@ class TestToeplitzInclusion:
 
 @pytest.mark.parametrize(
     "cell_area, verdict",
-    [(0.8, "frame_evidence"), (0.95, "frame_evidence"), (1.05, "riesz_evidence"), (1.25, "riesz_evidence")],
+    [(ab, "frame_evidence") for ab in (0.6, 0.8, 0.9, 0.95, 0.98)]
+    + [(1.0, "inconclusive")]
+    + [(ab, "riesz_evidence") for ab in (1.02, 1.05, 1.1, 1.25, 1.5)],
 )
 def test_gaussian_gabor_lattice_verdict(cell_area, verdict):
     spacing = math.sqrt(cell_area)
@@ -76,11 +80,26 @@ def test_gaussian_gabor_lattice_verdict(cell_area, verdict):
     assert frame_trend_report(gabor_gaussian(1), patch, (8.75, 13.125, 17.5)).verdict == verdict
 
 
+def lattice_line(alpha: float, half_width: float) -> PointPatch:
+    n = int(half_width / alpha)
+    return PointPatch(dim=1, box=[(-half_width, half_width)], points=alpha * np.arange(-n, n + 1)[:, None])
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.8, 0.9])
 def test_paley_wiener_tight_frame_sampling_bounds(alpha):
-    n = int(600 / alpha)
-    patch = PointPatch(dim=1, box=[(-600.0, 600.0)], points=alpha * np.arange(-n, n + 1)[:, None])
+    patch = lattice_line(alpha, 600.0)
     for t in (150.0, 300.0, 600.0):
         lower, upper, _ = sampling_bounds(paley_wiener([(-0.5, 0.5)]), restrict(patch, [(-t, t)]), margin=0.25 * t)
         assert alpha * upper == pytest.approx(1.0, abs=1e-6)
         assert 0.93 <= alpha * lower <= 0.94
+
+
+def test_paley_wiener_sampling_lower_bound_grows_with_the_margin():
+    # the bias of the lower bound is set by the margin's share of the truncation, not by the truncation
+    alpha, patch = 0.8, lattice_line(0.8, 600.0)
+    bands = {0.1: (0.905, 0.92), 0.25: (0.93, 0.94), 0.5: (0.955, 0.97)}
+    for t in (150.0, 300.0, 600.0):
+        truncation = restrict(patch, [(-t, t)])
+        lows = [alpha * sampling_bounds(paley_wiener([(-0.5, 0.5)]), truncation, margin=f * t)[0] for f in bands]
+        assert all(lo <= low <= hi for low, (lo, hi) in zip(lows, bands.values()))
+        assert lows == sorted(lows) and len(set(lows)) == len(lows)
