@@ -2,9 +2,10 @@
 
 A scheme is a lattice basis in R^(d+m) together with a window in the internal
 space R^m.  The generated set is the physical projection of the lattice points
-whose internal projection falls in the window.  ``m = 0`` is allowed and means
-the set is the (projected) lattice itself, with covolume ``|det basis|``; this
-is the calibration case for every density test downstream.
+whose internal projection falls in the window.  ``m = 0`` is allowed: the
+window is then the empty box ``()``, whose volume is the empty product 1, and
+the set is the lattice itself, with covolume ``|det basis|``; this is the
+calibration case for every density test downstream.
 
 A window is one half-open box ``[lo, hi)``, a ``Box`` of ``m`` pairs.  Half-open
 faces make covolumes exact under tilings and dodge boundary double-counting;
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DegenerateBasisError
-from .pointset import Box, PointPatch, as_box, box_volume, points_in_box
+from .pointset import GRID_LIMIT, Box, PointPatch, _row_blocks, as_box, box_volume, points_in_box
 
 _ENUM_LIMIT = 200_000_000  # hard cap on integer prefixes, and on candidates, per enumeration
 INJECTIVITY_RADIUS = 3  # integer coefficients in [-3, 3] are checked for a vanishing projection
@@ -38,19 +39,21 @@ INJECTIVITY_TOL = 1e-9  # relative to the largest physical basis entry
 
 @dataclass(frozen=True, eq=False)
 class CutProjectScheme:
-    """Lattice basis in R^(d+m) plus an internal window box; ``window=None`` iff ``m=0``.
+    """Lattice basis in R^(d+m) plus an internal window box of ``m`` intervals (``()`` when ``m = 0``).
 
-    The basis columns generate the lattice.  Construction runs a finite
-    injectivity check: no nonzero integer combination with coordinates up to
-    ``INJECTIVITY_RADIUS`` may have (numerically) vanishing physical part.
-    This is a necessary-condition check, not a proof.  It and the singularity
-    test are relative to the basis' scale, which ``2^k`` scaling never moves.
+    The basis columns generate the lattice.  For ``m > 0`` construction runs
+    a finite injectivity check: no nonzero integer combination with
+    coordinates up to ``INJECTIVITY_RADIUS`` may have (numerically) vanishing
+    physical part.  This is a necessary-condition check, not a proof; a search
+    of more than ``pointset.GRID_LIMIT`` vectors is refused.  It and the
+    singularity test are relative to the basis' scale, which ``2^k`` scaling
+    never moves.  For ``m = 0`` the projection is the identity, and no check runs.
     """
 
     d: int
     m: int
     basis: np.ndarray
-    window: Box | None = None
+    window: Box = ()
 
     def __post_init__(self):
         if self.d < 1 or self.m < 0:
@@ -63,39 +66,36 @@ class CutProjectScheme:
         det = np.linalg.det(basis)
         if not 1e-12 * np.prod(np.linalg.norm(basis, axis=1)) < abs(det) < math.inf:
             raise DegenerateBasisError("lattice basis is singular")
-        if self.m == 0:
-            if self.window is not None:
-                raise ValueError("m = 0 schemes take window=None")
-        else:
-            if self.window is None:
-                raise ValueError("m > 0 schemes take a window box of m intervals")
-            object.__setattr__(self, "window", as_box(self.window, self.m))
-            if not 0 < (vol := box_volume(self.window)) < math.inf:  # a product of widths can underflow or overflow
-                raise ValueError(f"window {self.window} has volume {vol}, not a positive finite number")
+        object.__setattr__(self, "window", as_box(self.window, self.m))
+        if not 0 < (vol := box_volume(self.window)) < math.inf:  # a product of widths can underflow or overflow
+            raise ValueError(f"window {self.window} has volume {vol}, not a positive finite number")
+        if self.m:
             self._check_injectivity()
 
     def _check_injectivity(self):
-        r = INJECTIVITY_RADIUS
-        axes = [np.arange(-r, r + 1)] * (self.d + self.m)
-        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.d + self.m)
-        grid = grid[np.any(grid != 0, axis=1)]
-        phys = grid @ self.basis.T[:, : self.d]
-        scale = np.abs(self.basis[: self.d]).max()
-        if (np.abs(phys).max(axis=1) < INJECTIVITY_TOL * scale).any():
-            raise ValueError(
-                "projection to physical space is not injective on the lattice "
-                f"(nonzero vector with |p_G| < {INJECTIVITY_TOL} times the largest physical basis entry)"
-            )
-
-    @property
-    def abs_det(self) -> float:
-        return float(abs(np.linalg.det(self.basis)))
+        """Refuse a nonzero vector of ``[-r, r]^(d+m)`` with a vanishing physical part, one block at a time."""
+        n = self.d + self.m
+        side = 2 * INJECTIVITY_RADIUS + 1
+        total = side**n
+        if not total <= GRID_LIMIT:
+            raise ArgumentError(f"injectivity search over {total} integer vectors at d + m = {n} exceeds the limit")
+        phys_basis = self.basis.T[:, : self.d]
+        bound = INJECTIVITY_TOL * np.abs(self.basis[: self.d]).max()
+        for blk in _row_blocks(total, n):
+            flat = np.arange(blk.start, blk.stop)
+            grid = np.stack(np.unravel_index(flat, (side,) * n), axis=1) - INJECTIVITY_RADIUS
+            # the zero vector, every digit r, is the middle flat index
+            if ((np.abs(grid @ phys_basis).max(axis=1) < bound) & (flat != total // 2)).any():
+                raise ValueError(
+                    "projection to physical space is not injective on the lattice "
+                    f"(nonzero vector with |p_G| < {INJECTIVITY_TOL} times the largest physical basis entry)"
+                )
 
 
 def lattice_scheme(basis) -> CutProjectScheme:
     """Scheme with m = 0: the generated set is the lattice spanned by ``basis``."""
     basis = np.asarray(basis, dtype=np.float64)
-    return CutProjectScheme(d=len(basis), m=0, basis=basis, window=None)
+    return CutProjectScheme(d=len(basis), m=0, basis=basis)
 
 
 def _lattice_points(basis: np.ndarray, region: Box) -> np.ndarray:
@@ -153,32 +153,25 @@ def generate_model_set(scheme: CutProjectScheme, box) -> PointPatch:
 
     Enumeration is complete: every lattice point in ``box x window`` is
     visited, so no qualifying point is missed.  The window is half-open: an
-    internal part ``y`` is kept iff ``lo <= y < hi`` on every axis.
+    internal part ``y`` is kept iff ``lo <= y < hi`` on every axis.  For
+    ``m = 0`` the window ``()`` has no axis, and every lattice point is kept.
     """
     box = as_box(box, scheme.d)
-    if scheme.m == 0:
-        gamma = _lattice_points(scheme.basis, box)
-    else:
-        gamma = _lattice_points(scheme.basis, box + scheme.window)
-        lo, hi = np.array(scheme.window).T
-        y = gamma[:, scheme.d :]
-        gamma = gamma[np.all((y >= lo) & (y < hi), axis=1)]
+    gamma = _lattice_points(scheme.basis, box + scheme.window)
+    lo, hi = np.array(scheme.window).reshape(scheme.m, 2).T
+    y = gamma[:, scheme.d :]
+    gamma = gamma[np.all((y >= lo) & (y < hi), axis=1)]
     try:
         return PointPatch(dim=scheme.d, box=box, points=gamma[:, : scheme.d])
     except ValueError as exc:  # every point lies in the box, so two distinct lattice points coincide
         mag = max(abs(v) for side in box for v in side)
-        # for m = 0 only rounding can merge two lattice points; for m > 0 a non-injective projection can too
-        if scheme.m == 0:
-            cause = ", too coarse to resolve the lattice"
-        else:
-            cause = "; if that resolves the lattice, the scheme's projection is not injective"
+        # rounding can merge two lattice points; for m > 0 a non-injective projection can too
         raise ValueError(
-            f"{exc}: at the box's coordinates (magnitude {mag:.3g}) adjacent doubles are {np.spacing(mag):.3g} apart{cause}"
+            f"{exc}: at the box's coordinates (magnitude {mag:.3g}) adjacent doubles are {np.spacing(mag):.3g} apart; "
+            "if that resolves the lattice, the scheme's projection is not injective"
         ) from exc
 
 
 def model_set_covolume(scheme: CutProjectScheme) -> float:
-    """``|det basis| / vol(window)``; for m = 0 the lattice covolume ``|det basis|``."""
-    if scheme.m == 0:
-        return scheme.abs_det
-    return scheme.abs_det / box_volume(scheme.window)
+    """``|det basis| / vol(window)``: the lattice covolume ``|det basis|`` for m = 0, where ``vol(()) = 1``."""
+    return float(abs(np.linalg.det(scheme.basis))) / box_volume(scheme.window)

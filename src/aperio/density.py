@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cutproject import CutProjectScheme, _lattice_points
+from .cutproject import CutProjectScheme, _lattice_points, model_set_covolume
 from .errors import ArgumentError, ConfigError, DimensionMismatchError
 from .pointset import PointPatch, shrink_box, _check_grid_size, _closed_window_extremum, _max_window_size
 from .pointset import _require_nonempty, _require_window_fits
@@ -234,6 +234,6 @@ def weil_check(scheme: CutProjectScheme, f: TestFunction, quadrature_n: int) -> 
     total = np.zeros(len(nodes))
     for g in gammas:
         total += f(nodes + g)
-    rhs = scheme.abs_det * float(total.mean())
+    rhs = model_set_covolume(scheme) * float(total.mean())
     lhs = f.exact_integral(d)
     return abs(lhs - rhs) / abs(lhs)

@@ -192,12 +192,14 @@ def scheme_from_jsonable(obj: dict) -> CutProjectScheme:
     basis = _rows(_key(obj, "basis", "scheme"), d + m, "scheme basis")
     if len(basis) != d + m:
         raise ConfigError(f"scheme basis has {len(basis)} row(s), expected d + m = {d + m}")
-    window = obj.get("window")  # an m = 0 scheme with a window is refused by CutProjectScheme
+    window = ()
     if m > 0:
         boxes = _list(_key(obj, "window", "scheme"), "scheme window")
         if len(boxes) != 1:
             raise ConfigError(f"scheme window must be a list of one box, got {len(boxes)}")
         window = _rows([_key(boxes[0], "lo", "window"), _key(boxes[0], "hi", "window")], m, "window lo/hi").T
+    elif "window" in obj:  # refused here: _rows has no rows of width 0
+        raise ConfigError("an m = 0 scheme takes no window")
     try:
         return CutProjectScheme(d=d, m=m, basis=basis, window=window)
     except (ValueError, DegenerateBasisError) as exc:
@@ -256,13 +258,13 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
     what = "density report"
 
     def value(field: dict, key: str) -> float:
-        return fparse(_key(_key(field, key, what), "value", what))
+        entry = _key(field, key, what)
+        _key(entry, "provenance", what)  # required of the input, though the report stores no tag
+        return fparse(_key(entry, "value", what))
 
     rows = _list(_key(obj, "rows", what), "density report 'rows'")
     lower = tuple((fparse(_key(r, "n", what)), value(r, "inf")) for r in rows)
     upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
-    for r in rows:
-        _key(r["inf"], "provenance", what)  # required of the input, though the report stores no tag
     if (cb := obj.get("covolume_bounds")) is not None:  # checked as input, though the report stores no bounds
         value(cb, "covol_minus_lower"), value(cb, "covol_plus_upper")
     return DensityReport(  # which refuses its own out-of-range estimates

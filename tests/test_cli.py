@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperio import PointPatch, generate_model_set, io_json
+from aperio import PointPatch, generate_model_set, io_json, model_set_covolume
 from aperio.cli import HANDLERS, handle_run, main
 from aperio.cutproject import lattice_scheme
 from aperio.errors import ConfigError
@@ -120,7 +120,7 @@ class TestJsonRoundTrip:
     def test_scheme_accepts_numbers_and_strings(self):
         obj = {"d": 1, "m": 0, "basis": [["2.0"]]}
         scheme = io_json.scheme_from_jsonable(obj)
-        assert scheme.abs_det == 2.0
+        assert model_set_covolume(scheme) == 2.0
 
     def test_density_report_round_trip(self, workspace):
         assert run(workspace, "gen", "--scheme", "z.json", "--box", "-50", "50", "--out", "p.json") == 0
@@ -441,10 +441,12 @@ class TestErrorHandling:
             (
                 "d.json",
                 {
-                    "rows": [{"n": "5.0", "inf": {"value": "0.9", "provenance": "exact"}, "sup": {"value": "1.1"}}],
-                    **{k: {"value": "0.9"} for k in ("extrapolated_lower", "extrapolated_upper", "uncertainty")},
+                    "rows": [
+                        {"n": "5.0", "inf": {"value": "0.9", "provenance": "exact"}, "sup": {"value": "1.1", "provenance": "exact"}}
+                    ],
+                    **{k: {"value": "0.9", "provenance": "trend"} for k in ("extrapolated_lower", "extrapolated_upper", "uncertainty")},
                     "certified_region_note": "",
-                    "covolume_bounds": {"covol_minus_lower": {"value": "5"}},
+                    "covolume_bounds": {"covol_minus_lower": {"value": "5", "provenance": "trend"}},
                 },
                 ["verdict", "--kernel", "pw.json", "--density", "d.json"],
                 "covol_plus_upper",
@@ -457,6 +459,27 @@ class TestErrorHandling:
         assert run(workspace, *argv, "--out", "o.json") == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "config error" in err[0] and repr(key) in err[0]
+        assert not (workspace / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("rows", 0, "sup"), ("extrapolated_lower",), ("uncertainty",), ("covolume_bounds", "covol_plus_upper")],
+        ids=["sup", "extrapolated_lower", "uncertainty", "covol_plus_upper"],
+    )
+    def test_density_field_without_provenance_is_config_error(self, workspace, capsys, path):
+        # every tagged field needs its tag, not only a row's inf
+        report = copy.deepcopy(_VALID["density"])
+        (workspace / "d.json").write_text(json.dumps(report))
+        assert run(workspace, "verdict", "--kernel", "pw.json", "--density", "d.json", "--out", "v.json") == 0
+        field = report
+        for key in path:
+            field = field[key]
+        del field["provenance"]
+        (workspace / "d.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert run(workspace, "verdict", "--kernel", "pw.json", "--density", "d.json", "--out", "o.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and "'provenance'" in err[0]
         assert not (workspace / "o.json").exists()
 
     @pytest.mark.parametrize(
@@ -743,15 +766,24 @@ class TestArgumentValues:
                 {**_FIB_BASIS, "window": [{"lo": [-0.5], "hi": [0.0]}, {"lo": [0.0], "hi": [0.5]}]},
                 "scheme window must be a list of one box, got 2",
             ),
-            ({"d": 1, "m": 0, "basis": [[1.0]], "window": [{"lo": [-0.5], "hi": [0.5]}]}, "m = 0 schemes take window=None"),
+            ({"d": 1, "m": 0, "basis": [[1.0]], "window": [{"lo": [-0.5], "hi": [0.5]}]}, "an m = 0 scheme takes no window"),
+            ({"d": 1, "m": 0, "basis": [[1.0]], "window": [{"lo": [], "hi": []}]}, "an m = 0 scheme takes no window"),
+            ({"d": 1, "m": 0, "basis": [[1.0]], "window": None}, "an m = 0 scheme takes no window"),
         ],
-        ids=["missing", "no-box", "two-boxes", "m0-with-window"],
+        ids=["missing", "no-box", "two-boxes", "m0-with-window", "m0-with-empty-box", "m0-with-null"],
     )
     def test_scheme_window_not_one_box_is_config_error(self, workspace, capsys, scheme, said):
         (workspace / "s.json").write_text(json.dumps(scheme))
         self.refused(workspace, capsys, ["gen", "--scheme", "s.json", "--box", "-3", "3", "--out", "o.json"], said)
         (workspace / "cfg.json").write_text(json.dumps({"steps": [{"command": "gen", "args": {"scheme": "s.json", "box": [-3, 3]}}]}))
         self.refused(workspace, capsys, ["run", "--config", "cfg.json"], said)
+
+    def test_injectivity_search_past_the_limit_is_config_error(self, workspace, capsys):
+        # the 7^10 vectors of [-3, 3]^10, built at once, would take about 50 GB
+        scheme = {"d": 1, "m": 9, "basis": np.eye(10).tolist(), "window": [{"lo": [-0.5] * 9, "hi": [0.5] * 9}]}
+        (workspace / "s.json").write_text(json.dumps(scheme))
+        argv = ["gen", "--scheme", "s.json", "--box", "-3", "3", "--out", "o.json"]
+        self.refused(workspace, capsys, argv, "injectivity search", "d + m = 10")
 
     @pytest.mark.parametrize(
         "band, argv",
@@ -1179,7 +1211,10 @@ _VALID = {
         "extrapolated_upper": {"value": "1.1", "provenance": "trend"},
         "uncertainty": {"value": "0.2", "provenance": "trend"},
         "certified_region_note": "",
-        "covolume_bounds": {"covol_minus_lower": {"value": "0.9"}, "covol_plus_upper": {"value": "1.1"}},
+        "covolume_bounds": {
+            "covol_minus_lower": {"value": "0.9", "provenance": "trend"},
+            "covol_plus_upper": {"value": "1.1", "provenance": "trend"},
+        },
     },
     "frame": {
         "kind": "frame_report",

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from aperio import generate_model_set, model_set_covolume, rel_separation
 from aperio.cutproject import CutProjectScheme, _lattice_points, lattice_scheme
-from aperio.errors import DegenerateBasisError
-from aperio.pointset import restrict
+from aperio.errors import ArgumentError, DegenerateBasisError
+from aperio.pointset import PointPatch, restrict
 
 from conftest import (
     SQRT5,
@@ -47,7 +47,7 @@ class TestSchemeInvariants:
     def accepted(d, basis) -> bool:
         m = len(basis) - d
         try:
-            CutProjectScheme(d=d, m=m, basis=basis, window=((-0.5, 0.5),) * m if m else None)
+            CutProjectScheme(d=d, m=m, basis=basis, window=((-0.5, 0.5),) * m)
         except (DegenerateBasisError, ValueError):
             return False
         return True
@@ -69,6 +69,7 @@ class TestSchemeInvariants:
 
     def test_small_physical_scale_is_accepted(self):
         lattice_scheme([[1e-7, 0.0], [0.0, 1e-7]])
+        lattice_scheme(np.diag([1.0, 1e-10]))  # m = 0 runs no injectivity check, which would refuse this scale
         basis = make_fibonacci_scheme().basis.copy()
         basis[0] *= 1e-10
         CutProjectScheme(d=1, m=1, basis=basis, window=((-0.5, 0.5),))
@@ -80,8 +81,35 @@ class TestSchemeInvariants:
             CutProjectScheme(d=2, m=2, basis=make_product_fibonacci_scheme().basis, window=(side, side))
 
     def test_m0_takes_no_window(self):
-        with pytest.raises(ValueError, match="window"):
+        with pytest.raises(ValueError, match=r"box has 1 interval\(s\), expected 0"):
             CutProjectScheme(d=1, m=0, basis=[[1.0]], window=((-0.5, 0.5),))
+
+    def test_window_defaults_to_the_empty_box(self):
+        assert lattice_scheme([[2.0]]).window == ()
+        with pytest.raises(ValueError, match=r"box has 0 interval\(s\), expected 1"):
+            CutProjectScheme(d=1, m=1, basis=[[1.0, TAU], [1.0, TAU_CONJ]])
+
+    def test_injectivity_search_runs_in_blocks(self):
+        # all 7^7 vectors of [-3, 3]^7 at once took about 100 MB
+        n = 7
+        basis = np.random.default_rng(7).standard_normal((n, n))
+        tracemalloc.start()
+        try:
+            CutProjectScheme(d=1, m=n - 1, basis=basis, window=((-0.5, 0.5),) * (n - 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
+
+    def test_injectivity_search_past_the_grid_limit_is_refused(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ArgumentError, match=r"injectivity search over 282475249 integer vectors at d \+ m = 10"):
+                CutProjectScheme(d=1, m=9, basis=np.eye(10), window=((-0.5, 0.5),) * 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestLatticeGeneration:
@@ -91,6 +119,23 @@ class TestLatticeGeneration:
 
     def test_lattice_covolume(self):
         assert model_set_covolume(lattice_scheme([[2.0]])) == 2.0
+        basis = np.array([[1.0, 0.3, -0.2], [0.1, 1.7, 0.4], [-0.5, 0.2, 0.9]])
+        assert model_set_covolume(lattice_scheme(basis)) == abs(np.linalg.det(basis))  # divided by vol(()) = 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_empty_window_keeps_every_lattice_point(self, n, data):
+        # the one generation path gives for m = 0 the bytes of the lattice enumeration itself
+        entries = st.floats(-0.6, 0.6, allow_nan=False)
+        basis = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+        basis += np.diag(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        assume(np.linalg.svd(basis, compute_uv=False).min() > 0.5)
+        lo = data.draw(st.lists(st.floats(-4, 4), min_size=n, max_size=n))
+        width = data.draw(st.lists(st.floats(0.1, 3), min_size=n, max_size=n))
+        box = tuple((a, a + w) for a, w in zip(lo, width))
+        patch = generate_model_set(lattice_scheme(basis), box)
+        expected = PointPatch(dim=n, box=box, points=_lattice_points(basis, box))
+        assert patch.points.tobytes() == expected.points.tobytes()
 
     def test_2d_product_lattice(self):
         patch = generate_model_set(lattice_scheme(np.diag([1.0, 1.5])), [(-3, 3), (-3, 3)])
