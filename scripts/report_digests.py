@@ -9,11 +9,12 @@ For each workload with separation calls it also prints
 ``sha256  workload-seed/separation``, the hash of
 ``repr((rel_separation(patch, SEPARATION_U), is_relatively_dense(patch, DENSE_K)))``,
 which is the value the benchmark worker hashes.  For each ``fib2d`` seed it
-also prints ``sha256  fib2d-seed/grid-samples.json``, the output of
-``hull-sample`` with the arguments ``GRID_SAMPLES`` on that seed's patch:
-patch lists in d = 2, empty windows among them.  Last, it runs the command
-lines of ``COMMANDS`` in order in one more workspace, on the inputs of
-``command_inputs``, and prints ``sha256  commands/file`` for every file there;
+also prints ``sha256  fib2d-seed/grid-samples.json``, the hash of
+``io_json.patch_dumps(hull.orbit_sample(...))`` (the JSON ``hull-sample``
+writes) for the translates of ``grid_translates`` with the parameters of
+``GRID_SAMPLES`` on that seed's patch: patch lists in d = 2, empty windows
+among them.  Last, it runs the command lines of ``COMMANDS`` in order in one
+more workspace, on the inputs of ``command_inputs``, and prints ``sha256  commands/file`` for every file there;
 with the pipelines they call every command of ``aperio.cli.HANDLERS``.  Then it
 runs the sweeps of the checkout's ``scripts/critical_density_experiment.py``
 (its table suppressed) in one more workspace and prints
@@ -41,10 +42,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SEEDS = (1, 2, 3)
-# hull-sample on a grid of translates, per workload: 300 windows of fib2d seed 1, 89 of them empty
+# orbit samples on a grid of translates, per workload, as (step, k_box, limit): 300 windows of
+# fib2d seed 1, 89 of them empty, which the transversal's own-point windows never are
 GRID_SAMPLES = {
-    "fib2d": ["--translates", "grid", "--grid-step", "0.7", "--k-box", "-1", "1", "-1", "1", "--limit", "300"],
+    "fib2d": (0.7, ((-1.0, 1.0), (-1.0, 1.0)), 300),
 }
 # the commands and cases the pipelines leave out: density in d = 3 and with extra patches,
 # both weil-check functions, amalgam of the Gabor kernel and of Paley-Wiener kernels in d = 2
@@ -94,6 +98,19 @@ def command_inputs(workloads) -> dict:
     }
 
 
+def grid_translates(patch, step: float, k_box, limit: int) -> np.ndarray:
+    """The first ``limit`` translates ``x`` of a grid at ``step`` with ``x + k_box`` inside the patch box, the first axis slowest.
+
+    Per axis the grid starts at the low end of the span of such translates, its ends rounded inward.
+    """
+    from aperio.pointset import _sum_down
+
+    spans = [(-_sum_down(-plo, klo), _sum_down(phi, -khi)) for (plo, phi), (klo, khi) in zip(patch.box, k_box)]
+    shape = [max(1, int(np.floor((hi - lo) / step)) + 1) for lo, hi in spans]
+    index = np.unravel_index(np.arange(min(limit, int(np.prod(shape)))), shape)
+    return np.stack([lo + step * i for (lo, _), i in zip(spans, index)], axis=1)
+
+
 def print_digests(ws: Path) -> None:
     """One line ``sha256  workspace/file`` per file of ``ws``, in name order."""
     for path in sorted(ws.iterdir()):
@@ -108,6 +125,7 @@ def main() -> int:
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
     import aperio.cli
+    import aperio.hull
     import aperio.io_json
     import aperio.pointset
     import env
@@ -131,11 +149,11 @@ def main() -> int:
                     dense = aperio.pointset.is_relatively_dense(patch, DENSE_K)
                     print(f"{hashlib.sha256(repr((stats, dense)).encode()).hexdigest()}  {ws.name}/separation")
                 if name in GRID_SAMPLES:
-                    argv = ["--workspace", str(ws), "hull-sample", "--patch", "patch.json", *GRID_SAMPLES[name]]
-                    if aperio.cli.main([*argv, "--out", "grid-samples.json"]) != 0:
-                        raise SystemExit(f"{name} seed {seed}: hull-sample on a grid failed")
-                    path = ws / "grid-samples.json"
-                    print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {ws.name}/{path.name}")
+                    step, k_box, limit = GRID_SAMPLES[name]
+                    patch = aperio.io_json.patch_from_jsonable(json.loads((ws / "patch.json").read_bytes()))
+                    samples = aperio.hull.orbit_sample(patch, grid_translates(patch, step, k_box, limit), k_box)
+                    text = aperio.io_json.patch_dumps(samples)
+                    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {ws.name}/grid-samples.json")
         ws = Path(tmp) / "commands"
         ws.mkdir()
         for name, obj in command_inputs(workloads).items():

@@ -30,7 +30,7 @@ from . import __version__, io_json
 from .density import FolnerSpec, TestFunction, beurling_density, covolume_bounds_from_density, weil_check
 from .errors import AperioError, ArgumentError, ConfigError
 from .framekit import frame_trend_report, verdict
-from .hull import grid_translates, orbit_sample, transversal_translates
+from .hull import orbit_sample, transversal_translates
 from .cutproject import generate_model_set
 from .pointset import as_box, as_rows
 from .rkhs import wiener_amalgam_norm
@@ -156,23 +156,15 @@ def handle_hull_sample(
     ctx: Context,
     patch: str,
     k_box: list[float],
-    translates: Literal["own", "grid"] = "own",
-    grid_step: float | None = None,
     limit: int | None = None,
     out: str | None = None,
 ) -> None:
-    """Translate-orbit samples on a compact window."""
+    """Translate-orbit samples of the transversal on a compact window."""
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     base = ctx.read_json(patch, "patch", io_json.patch_from_jsonable)
-    kb = as_box(as_rows(k_box, 2), base.dim)  # a degenerate interval is an operation error, before the grid's checks
-    if translates == "grid":
-        if grid_step is None:
-            raise ConfigError("grid translates need --grid-step")
-        vecs = grid_translates(base, kb, grid_step, limit)
-    else:
-        vecs = transversal_translates(base, kb)[:limit]
-    samples = orbit_sample(base, vecs, kb)
+    kb = as_box(as_rows(k_box, 2), base.dim)  # a degenerate interval is an operation error
+    samples = orbit_sample(base, transversal_translates(base, kb)[:limit], kb)
     ctx.write_text(out, io_json.patch_dumps(samples))
 
 

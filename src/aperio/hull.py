@@ -1,24 +1,26 @@
-"""Translate-orbit sampling of the hull, on finite windows.
+"""Translate-orbit sampling of the hull's transversal, on finite windows.
 
 The hull of a point set (a compact space of closed sets) is never
 materialized; everything here works on finite windows, so all hull-level
-conclusions drawn from these helpers are finite-window evidence only.
-Translate-orbit sampling of the transversal is an exact finite computation.
+conclusions drawn from these helpers are finite-window evidence only.  The
+transversal is the set of patterns with a point at the origin; its samples
+are the windows about the patch's own points, an exact finite computation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ArgumentError, CoverageError
-from .pointset import BOX_TOL, PointPatch, _check_grid_size, _row_blocks, _sorted_checked, _sum_down, as_box, as_rows, points_in_box
+from .errors import CoverageError
+from .pointset import BOX_TOL, PointPatch, _row_blocks, _sorted_checked, _sum_down, as_box, as_rows, points_in_box
 
 
 def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     """Windows ``(-x + patch) ^ k_box`` for each translate ``x``.
 
-    With translates equal to the patch's own points this samples the
-    transversal: every returned patch contains the origin.  Each window's
+    With the translates of ``transversal_translates`` this samples the
+    transversal: every returned patch contains the origin.  Other translates
+    give windows that may miss the origin or hold no point.  Each window's
     candidate rows are cut from the sorted patch by a binary search on the
     first coordinate, so the cost follows the samples returned (in d >= 2,
     the first-axis slabs they are cut from), not the patch size.  The
@@ -59,29 +61,7 @@ def orbit_sample(patch: PointPatch, translates, k_box) -> list[PointPatch]:
     return samples
 
 
-def _spans(patch: PointPatch, k_box) -> list:
-    """Per axis, the interval of translates ``x`` with ``x + k_box`` inside the patch box, its ends rounded inward."""
-    return [(-_sum_down(-plo, klo), _sum_down(phi, -khi)) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box, patch.dim))]
-
-
 def transversal_translates(patch: PointPatch, k_box) -> np.ndarray:
-    """The patch's own points usable as orbit translates for the given window."""
-    return patch.points[points_in_box(patch.points, _spans(patch, k_box))]
-
-
-def grid_translates(patch: PointPatch, k_box, step: float, limit: int | None = None) -> np.ndarray:
-    """Uniform grid of admissible translates at the given spacing, the first axis slowest.
-
-    Only the first ``limit`` translates are built, if given; a grid past
-    ``pointset.GRID_LIMIT`` positions is refused before any is built.
-    """
-    if not step > 0:
-        raise ArgumentError(f"grid step must be positive, got {step}")
-    spans = _spans(patch, k_box)
-    if any(lo > hi for lo, hi in spans):
-        return np.empty((0, patch.dim))
-    _check_grid_size([(hi - lo) / step + 1.0 for lo, hi in spans])
-    shape = [max(1, int(np.floor((hi - lo) / step)) + 1) for lo, hi in spans]
-    total = int(np.prod(shape))
-    index = np.unravel_index(np.arange(total if limit is None else min(limit, total)), shape)
-    return np.stack([lo + step * i for (lo, _), i in zip(spans, index)], axis=1)
+    """The patch's own points ``x`` with ``x + k_box`` inside the patch box, the span's ends rounded inward."""
+    spans = [(-_sum_down(-plo, klo), _sum_down(phi, -khi)) for (plo, phi), (klo, khi) in zip(patch.box, as_box(k_box, patch.dim))]
+    return patch.points[points_in_box(patch.points, spans)]

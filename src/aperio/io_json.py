@@ -262,6 +262,12 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
         _key(entry, "provenance", what)  # required of the input, though the report stores no tag
         return fparse(_key(entry, "value", what))
 
+    def typed(key: str, kind: type, default=None):  # a missing key reads as ``default``, if one is given
+        v = _key(obj, key, what) if default is None else obj.get(key, default)
+        if not isinstance(v, kind):
+            raise ConfigError(f"{what} {key!r} must be a {kind.__name__}, got {v!r:.40}")
+        return v
+
     rows = _list(_key(obj, "rows", what), "density report 'rows'")
     lower = tuple((fparse(_key(r, "n", what)), value(r, "inf")) for r in rows)
     upper = tuple((fparse(r["n"]), value(r, "sup")) for r in rows)
@@ -273,9 +279,9 @@ def density_report_from_jsonable(obj: dict) -> DensityReport:
         extrapolated_lower=value(obj, "extrapolated_lower"),
         extrapolated_upper=value(obj, "extrapolated_upper"),
         uncertainty=value(obj, "uncertainty"),
-        certified_region_note=_key(obj, "certified_region_note", what),
-        extras_used_lower=bool(obj.get("extras_used_lower", False)),
-        extras_used_upper=bool(obj.get("extras_used_upper", False)),
+        certified_region_note=typed("certified_region_note", str),
+        extras_used_lower=typed("extras_used_lower", bool, False),
+        extras_used_upper=typed("extras_used_upper", bool, False),
     )
 
 

@@ -44,7 +44,9 @@ class KernelSpec:
     ``norm_sq_ke`` (the squared norm of the kernel at the identity) is the
     critical density separating sampling from interpolation: the product of
     ``widths``, and each Gram's diagonal.  A kernel is refused (``ArgumentError``)
-    unless ``0 < c * c < inf`` for ``c = norm_sq_ke``; ``c ** 2`` raises past 1.3e154.
+    in a space dimension above 8, the bound ``kernel_matrix``'s block budget holds
+    for, before its widths are built, and unless ``0 < c * c < inf`` for
+    ``c = norm_sq_ke``; ``c ** 2`` raises past 1.3e154.
     """
 
     kind: str
@@ -61,6 +63,8 @@ class KernelSpec:
                 raise ValueError("gabor_gaussian kernel needs n >= 1")
         else:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.space_dim > 8:
+            raise ArgumentError(f"kernel space dimension {self.space_dim} exceeds 8")
         if not 0 < (c := self.norm_sq_ke) * c < math.inf:
             raise ArgumentError(f"kernel critical density {c} must be positive and its square finite")
 
@@ -74,7 +78,7 @@ class KernelSpec:
     @property
     def space_dim(self) -> int:
         """Dimension of the space the points live in."""
-        return len(self.widths)
+        return len(self.band) if self.kind == "paley_wiener" else 2 * self.n
 
     @property
     def norm_sq_ke(self) -> float:

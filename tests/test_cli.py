@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -174,8 +175,7 @@ class TestPipeline:
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-80", "80", "--out", "p.json")
         assert run(
             workspace,
-            "hull-sample", "--patch", "p.json", "--k-box", "-5", "5",
-            "--translates", "own", "--limit", "10", "--out", "samples.json",
+            "hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--limit", "10", "--out", "samples.json",
         ) == 0
         obj = json.loads((workspace / "samples.json").read_text())
         assert isinstance(obj, list) and obj
@@ -508,6 +508,26 @@ class TestErrorHandling:
         assert len(err) == 1 and "config error" in err[0] and "limit" in err[0]
         assert not (workspace / "s.json").exists()
 
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [({"translates": "grid"}, ["--translates", "grid"]), ({"grid_step": 1.0}, ["--grid-step", "1"])],
+        ids=["translates", "grid_step"],
+    )
+    def test_grid_translate_arguments_are_refused(self, workspace, capsys, extra, flags):
+        # hull-sample samples the transversal only: refused as a run step's args and as flags
+        step = {"command": "hull-sample", "args": {"patch": "p.json", "k_box": [-5, 5], "out": "s.json", **extra}}
+        (workspace / "cfg.json").write_text(json.dumps({"steps": [_GEN_STEP, step]}))
+        before = _snapshot(workspace)
+        assert run(workspace, "run", "--config", "cfg.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and f"unexpected keyword argument {next(iter(extra))!r}" in err[0]
+        assert _snapshot(workspace) == before
+        with pytest.raises(SystemExit) as exc:
+            run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "-5", "5", *flags, "--out", "s.json")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert _snapshot(workspace) == before
+
     def test_gram_past_dense_limit_is_operation_error(self, workspace, capsys):
         run(workspace, "gen", "--scheme", "z.json", "--box", "-2000", "2000", "--out", "p.json")  # 4,001 points
         capsys.readouterr()
@@ -573,10 +593,9 @@ class TestAllOrNothing:
     @pytest.mark.parametrize(
         "command, args, key",
         [
-            ("hull-sample", {"patch": "p.json", "k_box": [-5, 5], "translates": "bogus"}, "translates"),
             ("weil-check", {"scheme": "z.json", "function": "bogus"}, "function"),
         ],
-        ids=["translates", "function"],
+        ids=["function"],
     )
     def test_value_outside_a_literal_is_refused_up_front(self, workspace, capsys, command, args, key):
         # the message comes from the argument check of step 1, not from the handler
@@ -687,11 +706,9 @@ class TestArgumentValues:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--translates", "grid", "--grid-step", "0"],
-            ["hull-sample", "--patch", "p.json", "--k-box", "-5", "5", "--translates", "grid", "--grid-step", "-1"],
             ["amalgam", "--kernel", "pw.json", "--q", "0.5", "--trunc", "20", "--step", "0"],
         ],
-        ids=["grid-step-zero", "grid-step-negative", "amalgam-step-zero"],
+        ids=["amalgam-step-zero"],
     )
     def test_step_not_positive_is_config_error(self, workspace, capsys, argv):
         self.refused(workspace, capsys, [*argv, "--out", "o.json"], "must be positive")
@@ -706,8 +723,6 @@ class TestArgumentValues:
             ("weil-check", {"scheme": "z.json", "function": "gaussian", "trunc": -1.0}, "trunc"),
             ("amalgam", {"kernel": "pw.json", "q": -1.0, "trunc": 20.0, "step": 0.02}, "q_radius must be positive"),
             ("amalgam", {"kernel": "pw.json", "q": 0.5, "trunc": 20.0, "step": 1e-9}, "exceeds the limit"),
-            # 9e10 translates, refused before any is built, whatever --limit says
-            ("hull-sample", {"patch": "p.json", "k_box": [-5, 5], "translates": "grid", "grid_step": 1e-9, "limit": 1}, "exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "quadrature_n": 10**12}, "exceeds the limit"),
             ("weil-check", {"scheme": "z.json", "quadrature_n": 10**400}, "grid of inf positions exceeds the limit"),
             ("density", {"patch": "p.json", "folner": [5, 10], "ell": 0}, "ell must be >= 1"),
@@ -725,7 +740,7 @@ class TestArgumentValues:
         ],
         ids=[
             "truncation-zero", "margin-negative", "margin-past-one", "quadrature-zero", "trunc-negative",
-            "amalgam-q-negative", "amalgam-grid-past-limit", "hull-grid-past-limit", "quadrature-past-limit",
+            "amalgam-q-negative", "amalgam-grid-past-limit", "quadrature-past-limit",
             "quadrature-past-every-double", "density-ell-zero", "verdict-ell-zero", "verdict-tol-negative",
             "gen-enumeration-past-limit", "weil-enumeration-past-int64", "amalgam-grid-past-every-double",
             "weil-enumeration-past-every-double", "amalgam-step-past-q", "amalgam-trunc-below-q",
@@ -910,11 +925,10 @@ class TestArgumentValues:
         assert len(err) == 1 and "(magnitude 1e+17) adjacent doubles are 16 apart" in err[0]
         assert not (workspace / "o.json").exists()
 
-    @pytest.mark.parametrize("mode", [[], ["--translates", "grid", "--grid-step", "1"]], ids=["own", "grid"])
-    def test_degenerate_k_box_is_operation_error_in_either_mode(self, workspace, mode):
-        # as_box refuses the degenerate box (a plain ValueError, exit 1) before grid_translates checks the step (exit 2)
+    def test_degenerate_k_box_is_operation_error(self, workspace):
+        # as_box refuses the degenerate box: a plain ValueError, exit 1
         run(workspace, "gen", "--scheme", "fib.json", "--box", "-50", "50", "--out", "p.json")
-        assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "5", "-5", *mode, "--out", "s.json") == 1
+        assert run(workspace, "hull-sample", "--patch", "p.json", "--k-box", "5", "-5", "--out", "s.json") == 1
         assert not (workspace / "s.json").exists()
 
 
@@ -1092,6 +1106,40 @@ class TestInputBoundary:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "config error" in err[0] and said in err[0]
         assert set(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["verdict", "csv"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("extras_used_lower", "no"), ("extras_used_upper", [0]), ("certified_region_note", 5)],
+        ids=["extras_used_lower", "extras_used_upper", "certified_region_note"],
+    )
+    def test_malformed_density_flag_is_config_error(self, workspace, capsys, command, key, value):
+        # bool("no") is True: a flag that is not a JSON boolean, or a note that is not a string, is refused
+        (workspace / "d.json").write_text(json.dumps({**_VALID["density"], key: value}))
+        args = {"verdict": ["--kernel", "pw.json", "--density", "d.json"], "csv": ["--report", "d.json", "--columns", "n,inf"]}
+        assert run(workspace, command, *args[command], "--out", "o.json") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config error" in err[0] and repr(key) in err[0]
+        assert not (workspace / "o.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["frame", "--patch", "p.json", "--truncations", "5,10"], ["verdict", "--density", "d.json"]],
+        ids=["frame", "verdict"],
+    )
+    def test_kernel_of_huge_dimension_is_refused_before_allocating(self, workspace, capsys, argv):
+        # a 45-byte kernel file: 2e9 widths, about 15 GB of floats if they were built
+        (workspace / "k.json").write_text(json.dumps({"kind": "gabor_gaussian", "n": 10**9}))
+        tracemalloc.start()
+        try:
+            code = run(workspace, *argv, "--kernel", "k.json", "--out", "o.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2 and len(err) == 1 and "kernel space dimension 2000000000 exceeds 8" in err[0]
+        assert peak < 1 << 20
+        assert not (workspace / "o.json").exists()
 
     @pytest.mark.parametrize(
         "points, said",

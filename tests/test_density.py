@@ -18,7 +18,7 @@ from aperio import (
 from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import ConfigError, WindowTooLargeError
-from aperio.hull import grid_translates, transversal_translates
+from aperio.hull import transversal_translates
 from aperio.io_json import density_report_to_jsonable
 from aperio.pointset import as_box, restrict, shrink_box
 
@@ -268,7 +268,7 @@ class TestErgodicEstimate:
         assert orbit_average_covolume(patch, 10.0, [0.0, 0.3, 1.7, 5.1, -3.3]) == 2.0
 
     def test_fibonacci_estimate_within_two_percent(self, fibonacci_patch):
-        vecs = grid_translates(restrict(fibonacci_patch, [(-480, 480)]), ((-10.0, 10.0),), 0.47)
+        vecs = -470.0 + 0.47 * np.arange(2001)  # windows [v - 10, v + 10) inside the patch box
         assert orbit_average_covolume(fibonacci_patch, 10.0, vecs) == pytest.approx(SQRT5, rel=0.02)
 
     def test_measure_dependence_of_orbit_averages(self, satellites_patch):
@@ -314,18 +314,13 @@ class TestSeparableGridCounts:
         assert all_cells_exact(report)
         assert (report.lower[0][1], report.upper[0][1]) == expected
 
-    @pytest.mark.parametrize("grid", ["translates", "quadrature-nodes"])
-    def test_translate_and_quadrature_grids_refuse_before_allocating(self, grid):
-        # 9e10 translates and 1e12 nodes: 671 GiB and 7.3 TiB of int64 positions if built
-        patch, scheme = make_lattice_patch(1.0, 50.0), lattice_scheme([[1.0]])
-        triangle = density_mod.TestFunction(kind="triangle")
+    def test_quadrature_grid_refuses_before_allocating(self):
+        # 1e12 nodes: 7.3 TiB of int64 positions if built
+        scheme, triangle = lattice_scheme([[1.0]]), density_mod.TestFunction(kind="triangle")
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="exceeds the limit"):
-                if grid == "translates":
-                    grid_translates(patch, ((-5.0, 5.0),), 1e-9)
-                else:
-                    weil_check(scheme, triangle, 10**12)
+                weil_check(scheme, triangle, 10**12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

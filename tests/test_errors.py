@@ -10,6 +10,7 @@ from aperio import (
     beurling_density,
     covolume_bounds_from_density,
     frame_trend_report,
+    gabor_gaussian,
     generate_model_set,
     is_relatively_dense,
     paley_wiener,
@@ -22,7 +23,6 @@ from aperio import (
 from aperio import density as density_mod
 from aperio.cutproject import lattice_scheme
 from aperio.errors import ArgumentError
-from aperio.hull import grid_translates
 from aperio.pointset import _check_grid_size, as_box
 
 from conftest import make_fibonacci_scheme, make_lattice_patch
@@ -44,7 +44,6 @@ def _sites():
         ("grid-size", lambda v: _check_grid_size([v, 1e5]), 1e5, "positions exceeds the limit"),
         ("separation-u-radius", lambda v: rel_separation(PATCH, v), 0.0, "u_radius must be positive"),
         ("dense-k-radius", lambda v: is_relatively_dense(PATCH, v), 0.0, "k_radius must be positive"),
-        ("grid-translates-step", lambda v: grid_translates(PATCH, [(-5.0, 5.0)], v), 0.0, "grid step must be positive"),
         ("truncations-first", lambda v: frame_trend_report(PW, PATCH, (v, 5.0)), 0.0, "non-empty and positive"),
         ("truncations-increasing", lambda v: frame_trend_report(PW, PATCH, (2.0, 3.0, v)), 3.0, "strictly increasing"),
         ("margin-frac", lambda v: frame_trend_report(PW, PATCH, (5.0, 10.0), margin_frac=v), 1.0, "strictly between 0 and 1"),
@@ -85,6 +84,8 @@ def _sites():
     # a critical density that underflows to 0, that overflows to inf, and whose square overflows
     for band, name in [([(-1e-200, 1e-200)] * 2, "zero"), ([(-1e200, 1e200)] * 2, "infinite"), ([(-1e300, 1e300)], "square")]:
         yield pytest.param(lambda band=band: paley_wiener(band), "must be positive and its square finite", id=f"kernel-{name}")
+    yield pytest.param(lambda: gabor_gaussian(5), "kernel space dimension 10 exceeds 8", id="kernel-gabor-dimension")
+    yield pytest.param(lambda: paley_wiener([(-0.5, 0.5)] * 9), "kernel space dimension 9 exceeds 8", id="kernel-band-dimension")
     yield pytest.param(lambda: verdict(PW, REPORT, 1, tol=math.inf), "tol must be >= 0", id="verdict-tol-infinite")
     # a default tol of twice the uncertainty overflows to inf
     huge = density_mod.DensityReport(((5.0, 1.0),), ((5.0, 1.0),), 1.0, 1.0, 1e308, "")

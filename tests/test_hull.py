@@ -1,6 +1,5 @@
 import itertools
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +8,8 @@ from hypothesis import strategies as st
 
 from aperio import PointPatch, orbit_sample
 from aperio.errors import CoverageError
-from aperio.hull import grid_translates, transversal_translates
-from aperio.pointset import restrict
+from aperio.hull import transversal_translates
+from aperio.pointset import _sum_down, restrict
 
 from conftest import make_lattice_patch, make_satellites_patch, orbit_sample_oracle
 
@@ -58,34 +57,6 @@ class TestOrbitSample:
         assert translates.tolist() == [[131092.05]]
         assert len(orbit_sample(base, translates, K5)) == 1
 
-    def test_grid_translates_spacing(self):
-        base = make_lattice_patch(1.0, 10.0)
-        vecs = grid_translates(base, K5, step=0.5)
-        assert vecs.shape[1] == 1
-        diffs = np.diff(np.sort(vecs.ravel()))
-        assert np.allclose(diffs, 0.5)
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_grid_limit_builds_the_first_translates(self, dim):
-        patch, k_box, step = make_lattice_patch(1.0, 10.0, dim), [(-5.0, 5.0)] * dim, 0.7
-        full = grid_translates(patch, k_box, step)
-        axes = [-5.0 + step * np.arange(15)] * dim  # the grid as a meshgrid, the first axis slowest
-        assert full.tobytes() == np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1).tobytes()
-        for n in (0, 1, len(full) - 1, len(full), len(full) + 5):
-            part = grid_translates(patch, k_box, step, limit=n)
-            assert part.shape == full[:n].shape and part.tobytes() == full[:n].tobytes()
-
-    def test_grid_limit_allocates_only_its_translates(self):
-        # a grid of 10^6 translates, 8 MB of coordinates if it were built whole
-        patch = make_lattice_patch(1.0, 50.0)
-        tracemalloc.start()
-        try:
-            vecs = grid_translates(patch, K5, 9e-5, limit=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert vecs.tolist() == [[-45.0]] and peak < 1 << 20
-
 
 def _outcome(sample, patch, translates, k_box):
     try:
@@ -117,8 +88,11 @@ def orbit_cases(draw, dim):
     patch = PointPatch(dim=dim, box=box, points=pts)
     if draw(st.booleans()):
         vecs = transversal_translates(patch, k_box)
-    else:
-        vecs = grid_translates(patch, k_box, draw(st.sampled_from([step, step / 2, 0.3])))
+    else:  # a grid over the span of covered translates: windows that may miss the origin or hold no point
+        spans = [(-_sum_down(-plo, klo), _sum_down(phi, -khi)) for (plo, phi), (klo, khi) in zip(patch.box, k_box)]
+        gap = draw(st.sampled_from([step, step / 2, 0.3]))
+        ticks = [lo + gap * np.arange(np.floor((hi - lo) / gap) + 1) for lo, hi in spans]
+        vecs = np.stack([m.ravel() for m in np.meshgrid(*ticks, indexing="ij")], axis=1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     vecs = np.nextafter(vecs, vecs + rng.integers(-1, 2, vecs.shape))  # each one ulp down, none, or up
     if draw(st.booleans()):  # a translate whose window leaves the box

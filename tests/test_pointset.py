@@ -20,7 +20,7 @@ from aperio import (
     translate,
 )
 from aperio.errors import DimensionMismatchError, EmptyPatchError, WindowTooLargeError
-from aperio.hull import grid_translates, transversal_translates
+from aperio.hull import transversal_translates
 from aperio.pointset import (
     UNBOUNDED_FACES,
     _pairwise_min_gap,
@@ -437,7 +437,6 @@ DIMENSION_MISMATCHES = {
     "sampling-kernel": lambda: sampling_bounds(paley_wiener([(-0.5, 0.5)]), make_lattice_patch(1.0, 6.0, dim=2)),
     "kernel-rows": lambda: kernel_matrix(paley_wiener([(-0.5, 0.5)]), *[make_lattice_patch(1.0, 10.0, dim=2).points] * 2),
     "transversal-k-box": lambda: transversal_translates(make_lattice_patch(1.0, 8.0, dim=2), [(-2, 2)]),
-    "grid-k-box": lambda: grid_translates(make_lattice_patch(1.0, 8.0, dim=2), [(-2, 2)], 1.0),
     "patch-rows": lambda: PointPatch(dim=2, box=[(-5, 5)] * 2, points=[[0], [1], [2], [3]]),
     "orbit-translate": lambda: orbit_sample(make_lattice_patch(1.0, 10.0), [[0.0, 1.0]], [(-2, 2)]),
 }

@@ -133,6 +133,11 @@ class TestCriticalDensity:
             with pytest.raises(ArgumentError, match=r"critical density .* must be positive and its square finite"):
                 paley_wiener([(-half, half)])
 
+    @pytest.mark.parametrize("make", [lambda: gabor_gaussian(4), lambda: paley_wiener([(-0.5, 0.5)] * 8)], ids=["gabor", "band"])
+    def test_space_dimension_eight_is_accepted(self, make):
+        # the bound kernel_matrix's block budget holds for; one axis more is refused (test_errors)
+        assert make().space_dim == 8
+
     def test_gabor_formal_dimension_by_quadrature(self):
         # orthogonality-relation integral of |<eta, pi(z) eta>|^2 over the
         # time-frequency plane equals 1 for the normalized Gaussian
