@@ -8,23 +8,23 @@ iterative methods), real symmetric for a real kernel.  Its rounding depends on
 the BLAS build and thread count, so reports write spectra as brackets at the
 solver's resolution (``io_json.SolverGrid``).
 
-A kernel names two reflections (``KernelSpec.fixing_axes`` and
-``conjugating_axes``): ``P`` with ``k(Px, Py) = k(x, y)``, and ``R`` with
-``k(Rx, Ry) = conj k(x, y)``.  For the Gaussian kernel ``P`` negates every
-axis and ``R`` the time axes.  A Gram over a patch that either maps onto
-itself has its eigenvalues taken from smaller blocks, one per character of
-the group the two generate: each parity of ``P`` is a block (Cantoni &
-Butler 1976), and the two signs of ``R`` are its halves, which make it real
-symmetric (A. Lee 1980).  Lattices and model sets with symmetric windows,
-truncated to centred boxes, are such patches.  A block's entries are sums
-over the group of the rows of orbit representatives (about n / 4 of n
-points under both reflections), so only those are built (``_gram_eigvalsh``),
-Hermitian as ``kernel_matrix`` keeps them bit for bit; without a reflection
+A kernel names its symmetries (``KernelSpec.fixing_axes``,
+``conjugating_axes`` and ``quarter_turn_pairs``): ``P`` with ``k(Px, Py) =
+k(x, y)``, ``R`` with ``k(Rx, Ry) = conj k(x, y)``, and for the Gaussian
+kernel the quarter-turn ``J(x, w) = (-w, x)``, with ``k(Jx, Jy) = d(x) k(x,
+y) conj d(y)``, ``J^2 = P`` and ``R J R = J^-1``.  A Gram over a patch that
+some of them map onto itself has its eigenvalues taken from smaller blocks,
+one per character of the rotations ``J`` or ``P`` generate (Cantoni &
+Butler 1976), each made real symmetric by ``R`` (A. Lee 1980).  Lattices and
+model sets with symmetric windows, truncated to centred boxes, are such
+patches; a square lattice in a centred square box has all three, and four
+real blocks of about n / 4.  A block's entries are sums over the group of
+the rows of orbit representatives (about n / 8 of n points under all
+three), so only those are built (``_gram_eigvalsh``); without a symmetry
 every point is one.
 ``sampling_bounds`` never leaves this orbit basis: its anchor grid, centred
-at 0 where both reflections map it onto itself, is solved as such blocks,
-and each quotient block is formed from the rows of the patch's own
-representatives (one block without a reflection).
+at 0, is solved as such blocks, and each quotient block is formed from the
+rows of the patch's own representatives (one block without a symmetry).
 """
 
 from __future__ import annotations
@@ -57,150 +57,178 @@ def _nonzero_min(eigs: np.ndarray) -> float:
     return float(eigs[eigs > RANK_TOL * eigs[-1]][0])
 
 
-def _axis_pairing(points: np.ndarray, axes: tuple[int, ...]) -> np.ndarray | None:
-    """The index of each point's image with ``axes`` negated, or ``None`` if the sorted images are not the points.
+def _pairing(points: np.ndarray, images: np.ndarray) -> np.ndarray | None:
+    """The index map ``T x_i = x_map[i]`` of a point map ``T``, from the images ``T^-1 x``, or ``None`` if they are no match.
 
     ``points`` are distinct and in lexicographic order, as a patch's rows and
     the anchor grid are (other rows give ``None``, and a whole Gram solve).
-    Images are compared with the points as exact doubles: the ``lexsort`` of
-    the images pairs them.
+    Images are compared with the points as exact doubles: their ``lexsort``
+    pairs them.
     """
-    images = points.copy()
-    images[:, list(axes)] *= -1.0
     order = np.lexsort(images.T[::-1])
     return order if np.array_equal(points, images[order]) else None
 
 
-def _reflections(kernel: KernelSpec, points: np.ndarray) -> tuple | None:
-    """The point maps ``(P, R)`` of the kernel's reflections that hold exactly on the points, or ``None``.
+def _symmetries(kernel: KernelSpec, points: np.ndarray) -> list:
+    """The kernel's symmetries that hold exactly on the points: generators ``(map, (e, m), phase)`` of ``_orbits``.
 
-    ``P`` negates ``kernel.fixing_axes`` and ``R`` negates
-    ``kernel.conjugating_axes``; a reflection with no axes, or whose image of
-    some point is not a point, is ``None``.
+    ``P`` (``(2, 0)``, two quarter-turns) negates ``kernel.fixing_axes``,
+    ``R`` (``(0, 1)``) ``kernel.conjugating_axes``, and ``J`` (``(1, 0)``)
+    turns each of ``kernel.quarter_turn_pairs``, ``(x, w) -> (-w, x)``: a
+    swap and one negation.  A map with no axes, or whose image of some point
+    is no point, is left out.  ``J`` carries the phase ``conj d`` at each
+    point, so the Gram ``G[i, j] = k(x_j, x_i)`` has ``G[Ji, Jj] = conj d_i
+    G[i, j] d_j``.
     """
-    maps = tuple(
-        _axis_pairing(points, axes) if axes else None for axes in (kernel.fixing_axes, kernel.conjugating_axes)
-    )
-    return None if maps[0] is None and maps[1] is None else maps
+    gens = []
+    for axes, key in ((kernel.fixing_axes, (2, 0)), (kernel.conjugating_axes, (0, 1))):
+        images = points.copy()
+        images[:, list(axes)] *= -1.0
+        if axes and (pairing := _pairing(points, images)) is not None:
+            gens.append((pairing, key, None))
+    if pairs := kernel.quarter_turn_pairs:
+        x, w = (list(axes) for axes in zip(*pairs))
+        images = np.empty_like(points)
+        images[:, x], images[:, w] = points[:, w], -points[:, x]  # J^-1 (x, w) = (w, -x)
+        if (pairing := _pairing(points, images)) is not None:
+            gens.append((pairing, (1, 0), np.exp(-2j * np.pi * (points[:, x] * points[:, w]).sum(axis=1))))
+    return gens
 
 
 class _Orbits(NamedTuple):
-    pairing: tuple  # (P, R), either None
-    group: list  # per element, in the order id, P, R, PR: its index map, its number of P and its number of R
+    group: list  # per element J^e R^m, the identity first: its index map, (e, m) and its phase (None for even e)
     reps: np.ndarray  # per orbit its smallest index, by stabiliser size, the largest first
     stab: np.ndarray  # per representative: the number of group elements fixing it
-    blocks: list  # per P-parity p: p, and the indices into reps of its R-sign +1 and -1 halves (None without R)
+    blocks: list  # per character k: k and its halves, each (R-sign s, indices into reps, |orbit vector|^2 of each)
 
 
-def _orbits(pairing: tuple | None, n: int) -> _Orbits:
-    """The orbits on ``range(n)`` of the group of the commuting involutions ``pairing = (P, R)`` (``_reflections``).
+def _character(k: int, s: int, key: tuple) -> complex:
+    """``chi(J^e R^m) = i^(k e) s^m`` for ``key = (e, m)``: ``1`` or ``-1`` for an even ``e``, as ints."""
+    return (1, 1j, -1, -1j)[(k * key[0] + 2 * (s < 0) * key[1]) % 4]
 
-    Each orbit is represented by its smallest index; without a map every
-    index is its own orbit.  Each half of a block has the character ``chi``
-    that is ``p`` per ``P`` and the half's sign per ``R`` in ``g``, and holds
-    the representatives ``a`` that no ``g`` with ``chi(g) = -1`` fixes: those
-    whose orbit vector ``sum_g chi(g) e_(g a)`` is nonzero.  A block with no
-    representative is dropped.
+
+def _orbits(gens: list, n: int) -> _Orbits:
+    """The orbits on ``range(n)`` of the group closed from the generators ``gens`` (``_symmetries``).
+
+    An element ``J^e R^m`` acts as ``T e_j = phi(j) e_(g j)`` for its index
+    map ``g`` and phase ``phi``, antilinearly with ``R``; products follow ``R
+    J = J^-1 R``, and ``T_h T_g`` has the phase ``phi_h(g j) phi_g(j)``,
+    ``phi_g`` conjugated if ``h`` holds ``R``.  An even ``e`` has phase 1
+    (``J^2 = P``).  Without a generator every index is its own orbit.  A
+    block has a character ``i^k`` of the rotations (``chi(P) = (-1)^k``) and
+    a half per sign ``s`` of ``R``.  The orbit vector of ``a`` in a half is
+    ``u = sum_g chi(g) T_g e_a`` (``_character``); its entry at ``a`` is
+    ``sigma``, the sum of ``chi(g) phi_g(a)`` over the ``g`` fixing ``a``, and
+    ``|u|^2 = |sigma|^2 |orbit|``.  A half holds the representatives with
+    ``sigma != 0``, but where an element with ``R`` fixes ``a``, the ``u`` of
+    one half and ``i u`` of the other span one real line: the larger
+    ``|sigma|`` keeps ``a``.  A block with no representative is dropped.
     """
-    p_map, r_map = pairing or (None, None)
     idx = np.arange(n)
-    group = [(idx, 0, 0)] + [(m, n_p, 1 - n_p) for m, n_p in ((p_map, 1), (r_map, 0)) if m is not None]
-    if len(group) == 3:
-        group.append((p_map[r_map], 1, 1))
-    reps = idx[np.array([idx <= m for m, _, _ in group]).all(axis=0)]
-    fixed = np.array([m[reps] == reps for m, _, _ in group])
+    group, todo = {(0, 0): (idx, None)}, [(0, 0)]
+    for e, m in todo:  # grows as elements are found
+        g, phase = group[e, m]
+        for h, (he, hm), h_phase in gens:
+            if (key := ((he - e if hm else he + e) % 4, (hm + m) % 2)) not in group:
+                phi = (1 if h_phase is None else h_phase[g]) * (1 if phase is None else phase.conj() if hm else phase)
+                group[key] = (h[g], phi if key[0] % 2 else None)
+                todo.append(key)
+    group = [(g, key, phase) for key, (g, phase) in group.items()]
+    reps = idx[np.array([idx <= g for g, _, _ in group]).all(axis=0)]
+    fixed = np.array([g[reps] == reps for g, _, _ in group])
     order = np.argsort(-fixed.sum(axis=0), kind="stable")
     reps, fixed = reps[order], fixed[:, order]
-
-    def half(p: int, s: int) -> np.ndarray:
-        return np.flatnonzero(~fixed[[p**n_p * s**n_r < 0 for _, n_p, n_r in group]].any(axis=0))
-
-    blocks = [(p, half(p, 1), half(p, -1) if r_map is not None else None) for p in (1, -1)[: 1 + (p_map is not None)]]
-    blocks = [(p, plus, minus) for p, plus, minus in blocks if len(plus) or (minus is not None and len(minus))]
-    return _Orbits((p_map, r_map), group, reps, fixed.sum(axis=0), blocks)
-
-
-def _rep_rows(kernel: KernelSpec, points: np.ndarray) -> tuple[np.ndarray, _Orbits]:
-    """The rows of the Gram ``G[i, j] = k(x_j, x_i)`` at the representatives of the kernel's orbits on ``points``.
-
-    Returns them as every reader of a store takes them, ``store[j, a] =
-    k(x_j, x_reps[a]) = G[reps[a], j]`` (``n r`` entries, ``r`` about ``n /
-    4`` under both reflections and ``n`` under none), and the orbits.
-    """
-    orbits = _orbits(_reflections(kernel, points), len(points))
-    return kernel_matrix(kernel, points, points[orbits.reps]), orbits
+    stab = fixed.sum(axis=0)
+    at = np.array([np.where(f, 1 if phase is None else phase[reps], 0) for f, (_, _, phase) in zip(fixed, group)])
+    by_r = fixed[[key[1] == 1 for _, key, _ in group]].any(axis=0)
+    signs, blocks = (1, -1)[: 1 + any(key[1] for _, key, _ in group)], []
+    for k in range(sum(1 for _, key, _ in group if not key[1])):
+        sigma = [np.abs(np.array([_character(k, s, key) for _, key, _ in group]) @ at) for s in signs]
+        first = sigma[0] >= sigma[-1]
+        halves = [np.flatnonzero((a > 0) & (~by_r | (first if s > 0 else ~first))) for s, a in zip(signs, sigma)]
+        if any(len(half) for half in halves):
+            blocks.append((k, [(s, h, a[h] ** 2 * (len(group) // stab[h])) for s, h, a in zip(signs, halves, sigma)]))
+    return _Orbits(group, reps, stab, blocks)
 
 
-def _orbit_sums(store: np.ndarray, orbits: _Orbits, p: int, s: int, half: np.ndarray) -> np.ndarray:
-    """``sum_g chi(g) store[g reps[half]]``, for the character ``chi`` that is ``p`` per ``P`` and ``s`` per ``R`` in ``g``.
+def _orbit_sums(store: np.ndarray, orbits: _Orbits, k: int, s: int, half: np.ndarray) -> np.ndarray:
+    """``sum_g chi(g) phi_g(b) store[g b]`` over the representatives ``b`` of ``half``, for the character ``(k, s)``.
 
-    ``store[j, a]`` is ``G[reps[a], j]`` (``_rep_rows``), so entry ``[b,
-    a]`` is ``Z[reps[a], reps[half[b]]]`` for ``Z[a, b] = sum_g chi(g) G[a,
-    g b]``.  Each term gathers whole rows of ``store``, 64 at a time, into
-    one new array, in the group's order; ``store`` may be rectangular.
+    ``store[j, a]`` is ``G[reps[a], j]``, the rows of ``G`` at the
+    representatives (``n r`` entries, ``r`` about ``n / 8`` under ``P``,
+    ``R`` and ``J``), so entry ``[b, a]`` is ``Z[reps[a], reps[half[b]]]``
+    for ``Z = G u``, ``u`` the orbit vector of ``b`` (``_orbits``).  Each term
+    gathers whole rows of ``store``, 64 at a time, into one new array, in
+    the group's order, and adds or subtracts them, or with ``J``'s phase
+    adds them times ``chi(g) phi_g``; ``store`` may be rectangular.
     """
     cols = orbits.reps[half]
     out = store[cols]
-    for m, n_p, n_r in orbits.group[1:]:
-        add = np.add if p**n_p * s**n_r > 0 else np.subtract
+    for g, key, phase in orbits.group[1:]:
+        unit = _character(k, s, key)
         for i in range(0, len(cols), 64):  # a temporary of 64 rows, not of len(cols)
-            add(out[i : i + 64], store[m[cols[i : i + 64]]], out=out[i : i + 64])
+            rows, gathered = out[i : i + 64], store[g[cols[i : i + 64]]]
+            if phase is None:
+                (np.add if unit > 0 else np.subtract)(rows, gathered, out=rows)
+            else:
+                gathered *= (unit * phase[cols[i : i + 64]])[:, None]
+                rows += gathered
     return out
 
 
 def _reflected_blocks(store: np.ndarray, orbits: _Orbits):
-    """Yield the blocks of a Hermitian ``G`` with ``G[Pi, Pj] = G[i, j]`` and ``G[Ri, Rj] = conj G[i, j]``.
+    """Yield the blocks of a Hermitian ``G`` that the group of ``orbits`` keeps, from ``store`` of ``_orbit_sums``.
 
-    ``orbits`` (from ``_orbits``) holds the maps ``(P, R)`` on ``G``'s
-    indices, either of them ``None``, and ``store[j, a]`` is ``G[reps[a],
-    j]``: only the rows of representatives are read, and ``G`` is never
-    built.  Each block of ``orbits.blocks`` has a ``P``-parity ``p`` and
-    halves ``plus`` and ``minus`` of ``R``-sign ``+1`` and ``-1``, whose
-    characters and orbit sums ``Z+`` and ``Z-`` over representatives are
-    those of ``_orbit_sums``.  Without ``R`` the block is ``Z+``, complex as
-    ``G`` is (Cantoni & Butler 1976).  With ``R`` it is the real symmetric
-    ``[[Re Z+, -Im Z-], [Im Z+, Re Z-]]`` over ``plus`` then ``minus``: a
-    Hermitian matrix with a conjugating symmetry is unitarily similar to a
-    real one (A. Lee 1980).  Rows and columns are scaled by ``1 / sqrt s``
-    for a stabiliser of ``s`` maps: ``sqrt 1/2`` on an axis or at the origin
-    of one reflection, ``1/2`` at the origin of both.
+    That is ``G[Pi, Pj] = G[i, j]``, ``G[Ri, Rj] = conj G[i, j]`` and
+    ``G[Ji, Jj] = conj d_i G[i, j] d_j`` (``_symmetries``); only the rows of
+    representatives are read, and ``G`` is never built.  Per block of
+    ``orbits.blocks``, its halves' orbit sums are ``Z+`` and ``Z-``.  Without
+    ``R`` the block is ``Z+``, complex as ``G`` is (Cantoni & Butler 1976).
+    With ``R`` it is the real symmetric ``[[Re Z+, -Im Z-], [Im Z+, Re
+    Z-]]``: ``R J R = J^-1``, so ``R`` keeps the block, and a Hermitian
+    matrix with a conjugating symmetry is unitarily similar to a real one (A.
+    Lee 1980).  Rows and columns are scaled by ``sqrt(|group| / |u|^2)``:
+    ``1 / sqrt s`` for ``s`` maps fixing a representative off the diagonals,
+    ``sqrt 1/2`` on an axis, ``1 / sqrt 8`` at the origin of all eight.
 
     The block is filled one half's columns at a time, from that half's sums,
-    released before the other half's are built; then its entries below the
-    floor are set to 0, as the Gaussian kernel's are.  The generator drops
-    the block before it builds the next, so a caller that also drops it
-    keeps one half's sums and the block, or the block and the solver's copy
-    of it, alive besides ``store``.  A ``G`` without a reflection, all of
-    whose rows are stored, is ``store``'s transposed view.  Without ``R``
-    the blocks are those of the point reflection's even and odd split, bit
-    for bit.
+    released before the other half's are built; then, with ``J`` in the
+    group, it is averaged with its conjugate transpose, as ``J``'s phase
+    holds to rounding only (without it the block is exactly Hermitian), and
+    its entries below the floor are set to 0, as the Gaussian kernel's are.  The generator drops the block before
+    it builds the next, so a caller that also drops it keeps one half's sums
+    and the block, or the block and the solver's copy of it, alive besides
+    ``store``.  A ``G`` without a symmetry, all of whose rows are stored, is
+    ``store``'s transposed view.  Under ``P`` alone the blocks are those of
+    the point reflection's even and odd split, bit for bit.
 
-    With each block come ``p``, ``plus`` and ``minus`` (``None`` without
-    ``R``).  The block's row of a representative ``a`` stands for the unit
-    orbit vector whose entry at ``g a`` is ``chi(g) / sqrt(orbit size)``,
-    times ``i`` in the ``minus`` half.
+    With each block come ``k`` and its halves.  The block's row of a
+    representative stands for its unit orbit vector, times ``i`` in the
+    ``-1`` half.
     """
     if len(orbits.group) == 1:
         yield store.T, orbits.blocks[0]  # the whole store in order, with no sums to floor: G itself, not copied
         return
-    weight = np.sqrt(1.0 / orbits.stab)
-    for p, plus, minus in orbits.blocks:
-        if minus is None:
-            block, wts = _orbit_sums(store, orbits, p, 1, plus)[:, plus].T, weight[plus]
+    for k, halves in orbits.blocks:
+        if len(halves) == 1:
+            block = _orbit_sums(store, orbits, k, 1, halves[0][1])[:, halves[0][1]].T
         else:
-            k = len(plus)
-            block = np.empty((k + len(minus),) * 2)
-            for s, unit, half, cols in ((1, 1, plus, block[:, :k]), (-1, 1j, minus, block[:, k:])):
-                z = _orbit_sums(store, orbits, p, s, half)
+            (_, plus, _), (_, minus, _) = halves
+            block = np.empty((len(plus) + len(minus),) * 2)
+            for (s, half, _), unit, cols in zip(halves, (1, 1j), (block[:, : len(plus)], block[:, len(plus) :])):
+                z = _orbit_sums(store, orbits, k, s, half)
                 z *= unit  # i Z- has the parts -Im Z- and Re Z-
-                cols[:k], cols[k:] = z.real[:, plus].T, z.imag[:, minus].T
+                cols[: len(plus)], cols[len(plus) :] = z.real[:, plus].T, z.imag[:, minus].T
                 del z
-            wts = weight[np.concatenate([plus, minus])]
+        wts = np.sqrt(len(orbits.group) / np.concatenate([norms for _, _, norms in halves]))
         scaled = np.flatnonzero(wts != 1.0)
         block[scaled] *= wts[scaled, None]
         block[:, scaled] *= wts[scaled]
+        if any(phase is not None for _, _, phase in orbits.group):
+            block += block.conj().T
+            block *= 0.5
         _floor_underflow(block)  # its temporaries are no larger than the solver's copy of the block
-        yield block, (p, plus, minus)
+        yield block, (k, halves)
         del block  # before the next block is built
 
 
@@ -217,13 +245,15 @@ def _gram_eigvalsh(kernel: KernelSpec, points: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the Gram ``G[i, j] = k(x_j, x_i)`` of ``points``.
 
     Too many points, or points of another dimension, are refused before any
-    kernel entry is built.  Then ``G``'s rows at its orbit representatives
-    (``_rep_rows``) are built and solved as the blocks of its reflections
-    (``_reflected_eigvalsh``); they are released on return.
+    kernel entry is built.  Then ``G``'s rows at its orbit representatives,
+    ``store[j, a] = k(x_j, x_reps[a])``, are built and solved as the blocks of
+    its symmetries (``_reflected_eigvalsh``); they are released on return.
     """
     if len(points) > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {len(points)} points; dense limit is {MAX_GRAM_POINTS}")
-    return _reflected_eigvalsh(*_rep_rows(kernel, as_rows(points, kernel.space_dim)))
+    points = as_rows(points, kernel.space_dim)
+    orbits = _orbits(_symmetries(kernel, points), len(points))
+    return _reflected_eigvalsh(kernel_matrix(kernel, points, points[orbits.reps]), orbits)
 
 
 def _anchor_eigh(store: np.ndarray, orbits: _Orbits) -> list:
@@ -254,7 +284,8 @@ def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tu
     (0 alone if ``k = 1``, as where ``h`` overflows or the box's volume does,
     which makes the patch density 0 and ``h`` infinite).  Its coordinates are
     exact negatives of each other, so negating any axes maps the grid onto
-    itself bit for bit.  A grid past the kernel's finite range
+    itself bit for bit, and so does a quarter-turn where two axes have the
+    same ``h`` and ``k``.  A grid past the kernel's finite range
     (``rkhs.check_reach``) is refused here, naming the box it spans.
     """
     dim = kernel.space_dim
@@ -291,33 +322,33 @@ def sampling_bounds(
     numerically well conditioned.
 
     The grid is built centred at 0 (``_anchor_grid``).  It stays there when
-    the kernel's reflections pair the patch's points about 0 (``_reflections``)
+    the kernel's symmetries pair the patch's points about 0 (``_symmetries``)
     and it fits the interior box, so the same points give the same bounds in
     any box that leaves it room.  Otherwise the patch is moved by minus the
     interior box's centre: the kernels are translation covariant, so the
     quotient matrix is that of the grid centred on the box up to a diagonal
     unitary similarity.
 
-    The grid maps onto itself under both of the kernel's reflections, so its
-    anchor Gram ``M[i, j] = k(g_i, g_j)`` is solved as the blocks of
-    ``_reflected_blocks`` (``_anchor_eigh``) from its rows at the grid's
-    representatives: the conjugate of the Gram rows of ``_rep_rows``, as
-    ``k(y, x) = conj k(x, y)`` bit for bit but for the sign of a zero
-    imaginary part, which the blocks' floor clears.  The kept eigenvectors
-    ``x``, scaled by ``s^-1/2``, are an orthonormal basis of the test
-    functions, and the quotients are the eigenvalues of ``C^H C`` for ``C``
-    their values at the patch's points (Fuhr, Grochenig, Haimi, Klotz &
-    Romero 2017).  A block's row ``a`` stands for the orbit vector with entry
-    ``chi(g) / sqrt(orbit size)`` at ``g a``, so its column of ``C`` before
-    ``x`` is the sum over the group of ``chi(g) K[:, g a]``, for ``K[p, j] =
-    k(x_p, g_j)``, over the stabiliser's size (each anchor counts once) and
-    ``sqrt(orbit size)``: a rectangular ``_orbit_sums``, times ``i`` in the
-    ``-1`` half.  ``K`` is built at the patch's representatives only, as
-    ``C[Pp] = chi(P) C[p]`` and ``C[Rp] = conj C[p]``: ``C^H C`` is ``C^H
-    diag(orbit sizes) C`` over them, real with ``R`` on the patch, and with
-    ``P`` on it the two parities' blocks are orthogonal, each a quotient
-    matrix of its own.  Without any reflection ``C`` is ``K W``, for ``W``
-    the scaled eigenvectors of ``M``.
+    The grid maps onto itself under ``P`` and ``R``, and under ``J`` where it
+    is square; ``J`` is used only where it maps the patch onto itself too, as
+    otherwise the quotient blocks of its characters would not be orthogonal.
+    The grid's Gram, the conjugate of the anchor Gram ``M[i, j] = k(g_i,
+    g_j)``, is solved as the blocks of ``_reflected_blocks`` (``_anchor_eigh``)
+    from its rows at the grid's representatives.  Its kept eigenvectors
+    ``x``, scaled by ``s^-1/2`` and conjugated, are an orthonormal basis of
+    the test functions, and the quotients are the eigenvalues of ``C^H C``
+    for ``C`` their values at the patch's points (Fuhr, Grochenig, Haimi,
+    Klotz & Romero 2017), or of its conjugate, which is formed.  A block's
+    row ``a`` stands for the unit orbit vector ``u`` of ``a``, so its column
+    of ``conj C`` before ``x`` is ``sum_g chi(g) phi_g(a) conj K[:, g a] /
+    |u|`` for ``K[p, j] = k(x_p, g_j)``: a rectangular ``_orbit_sums`` of
+    ``conj K[p, j] = k(g_j, x_p)``, times ``i`` in the ``-1`` half.  ``K`` is
+    built at the patch's representatives only, as each ``C[g p]`` is ``C[p]``
+    times a unit, conjugated with ``R``: ``C^H C`` is ``C^H diag(orbit sizes)
+    C`` over them, real with ``R`` on the patch, and with ``P`` on it the
+    blocks of different characters are orthogonal, each a quotient matrix of
+    its own.  Without any symmetry ``C`` is ``K W``, for ``W`` the scaled
+    eigenvectors of ``M``.
 
     ``M`` and ``K`` come from ``kernel_matrix``, whose Gaussian entries below
     ``rkhs.UNDERFLOW_FLOOR`` (2^-511) are exact zeros; each block of ``M``
@@ -339,28 +370,27 @@ def sampling_bounds(
     if patch.n_points > MAX_GRAM_POINTS:
         raise GramSizeError(f"patch has {patch.n_points} points; dense limit is {MAX_GRAM_POINTS}")
     grid, centre = _anchor_grid(kernel, interior_box, len(interior_pts))
-    rows, orbits = _rep_rows(kernel, grid)
-    np.conjugate(rows, out=rows)  # M's rows, as M[i, j] = k(g_i, g_j) is the conjugate of the Gram's
-    solved = _anchor_eigh(rows, orbits)
-    del rows
-    pairing, (lo, hi) = _reflections(kernel, patch.points), np.array(interior_box).T
-    centred = pairing is not None and bool((np.abs(grid).max(axis=0) <= np.minimum(-lo, hi)).all())
-    p_orbits = _orbits(pairing if centred else None, patch.n_points)
-    points = patch.points if centred else patch.points - centre
-    store = kernel_matrix(kernel, points[p_orbits.reps], grid).T  # store[j, q] = K[reps[q], j]
-    scale = np.sqrt(1.0 / (orbits.stab * len(orbits.group)))
-    values, complex_c = [], np.iscomplexobj(store)  # per block C^T, a complex entry as its two parts side by side
-    for s, x, (p, plus, minus) in solved:
-        halves = [(1, 1, plus), (-1, 1j, minus)][: 1 + (minus is not None)]
-        sums = np.vstack([unit * _orbit_sums(store, orbits, p, sign, half) for sign, unit, half in halves])
-        x = x * (np.concatenate([scale[half] for _, _, half in halves])[:, None] / np.sqrt(s))
+    a_gens, p_gens, (lo, hi) = _symmetries(kernel, grid), _symmetries(kernel, patch.points), np.array(interior_box).T
+    p_gens = p_gens if (np.abs(grid).max(axis=0) <= np.minimum(-lo, hi)).all() else []  # centred on 0, or moved
+    if not all(any(key == (1, 0) for _, key, _ in gens) for gens in (a_gens, p_gens)):  # J on both sides, or on neither
+        a_gens, p_gens = ([gen for gen in gens if gen[1] != (1, 0)] for gens in (a_gens, p_gens))
+    orbits = _orbits(a_gens, len(grid))
+    solved = _anchor_eigh(kernel_matrix(kernel, grid, grid[orbits.reps]), orbits)  # the grid's Gram, rows at reps
+    p_orbits = _orbits(p_gens, patch.n_points)
+    points = patch.points if p_gens else patch.points - centre  # dropping J leaves P
+    store = kernel_matrix(kernel, grid, points[p_orbits.reps])  # store[j, q] = conj K[reps[q], j]
+    values, complex_c = [], np.iscomplexobj(store)  # per block conj C^T, a complex entry as its two parts side by side
+    for s, x, (k, halves) in solved:
+        sums = np.vstack([unit * _orbit_sums(store, orbits, k, sign, half) for (sign, half, _), unit in zip(halves, (1, 1j))])
+        x = x * (np.sqrt(1.0 / np.concatenate([norms for _, _, norms in halves]))[:, None] / np.sqrt(s))
         values.append(x.T @ sums.view(np.float64))
     del store, sums
     sizes, spectra = len(p_orbits.group) // p_orbits.stab, []
-    for v in [np.vstack(values)] if p_orbits.pairing[0] is None else values:
+    linear, real = (any(key[1] == m for _, key, _ in p_gens) for m in (0, 1))  # P or J, and R, on the patch
+    for v in values if linear else [np.vstack(values)]:
         v *= np.sqrt(np.repeat(sizes, v.shape[1] // len(sizes)))  # C's row at a representative, times sqrt(orbit size)
-        c = v.view(np.complex128) if complex_c and p_orbits.pairing[1] is None else v
-        q = c.conj() @ c.T  # C^H diag(orbit sizes) C, or from the real view its real part, with R on the patch
+        c = v.view(np.complex128) if complex_c and not real else v
+        q = c.conj() @ c.T  # C^H diag(orbit sizes) C, conjugated, or from the real view its real part, with R on the patch
         _floor_underflow(q)
         spectra.append(np.linalg.eigvalsh(q))
     eigs = np.concatenate(spectra)

@@ -108,6 +108,15 @@ class KernelSpec:
             return tuple(range(self.n))
         return () if self.fixing_axes else tuple(range(self.space_dim))
 
+    @property
+    def quarter_turn_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (time, frequency) axis pairs that ``J(x, w) = (-w, x)`` turns at once: ``k(Jx, Jy) = d(x) k(x, y) conj d(y)``.
+
+        For the Gaussian kernel, whose window is its own Fourier transform (metaplectic covariance),
+        with ``d(x, w) = exp(2 pi i x . w)``, to rounding.  Empty for a Paley-Wiener kernel.
+        """
+        return tuple((k, self.n + k) for k in range(self.n)) if self.kind == "gabor_gaussian" else ()
+
 
 def paley_wiener(band) -> KernelSpec:
     """Band-limited kernel; ``band`` is a list of (lo, hi) frequency intervals."""

@@ -23,7 +23,7 @@ from aperio.framekit import (
     _gram_eigvalsh,
     _orbits,
     _reflected_eigvalsh,
-    _reflections,
+    _symmetries,
     frame_trend_report,
 )
 from aperio.io_json import fstr
@@ -515,22 +515,20 @@ def box_anchor_grid(kernel, interior_box, points: np.ndarray) -> np.ndarray:
 
 
 def full_eigh_sampling_bounds(kernel, patch: PointPatch, margin: float | None = None) -> tuple[float, float, int]:
-    """``framekit.sampling_bounds`` on the anchors of ``box_anchor_grid`` with one full ``eigh`` of the anchor Gram.
+    """``framekit.sampling_bounds`` on the anchors of ``box_anchor_grid``, dense, with no orbit code.
 
-    Nothing is moved and nothing is reflected: ``M`` and ``K`` are the
-    (floored) ``kernel_matrix`` of the grid where it lies and of the whole
-    patch as it is, and ``M``'s nonzero spectrum comes from
-    ``projected_inverse_sqrt``.  The quotient matrix is the chain ``W^H (K^H
-    K) W``, averaged with its conjugate transpose, not ``sampling_bounds``'
-    products in the orbit basis.  The covariance of the kernel, the
-    reflected solves and the order of the products change its bounds by
-    rounding only.
+    Nothing is moved and nothing is reflected or turned: ``M`` and ``K`` are
+    the (floored) ``kernel_matrix`` of the grid where it lies and of the
+    whole patch as it is, ``M``'s nonzero spectrum comes from one full
+    ``eigh`` (``projected_inverse_sqrt``), and the quotients are the
+    eigenvalues of ``C^H C`` for the whole ``C = K W``, averaged with its
+    conjugate transpose.  The covariance of the kernel, the symmetric solves
+    and the order of the products change its bounds by rounding only.
     """
     anchors = box_anchor_grid(kernel, interior_box_of(patch, margin), patch.points)
     s, vecs = projected_inverse_sqrt(kernel_matrix(kernel, anchors, anchors))
-    W = vecs * (1.0 / np.sqrt(s))[None, :]
-    K = kernel_matrix(kernel, patch.points, anchors)
-    B = W.conj().T @ (K.conj().T @ K) @ W
+    C = kernel_matrix(kernel, patch.points, anchors) @ (vecs * (1.0 / np.sqrt(s))[None, :])
+    B = C.conj().T @ C
     eigs = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
     return float(eigs[0]), float(eigs[-1]), len(eigs)
 
@@ -604,13 +602,13 @@ def split_eigvalsh(entries: np.ndarray, pairing: np.ndarray) -> np.ndarray:
 def point_split_frame_report(kernel, patch: PointPatch, truncations) -> FrameReport:
     """``frame_trend_report`` with every point-symmetric Gram built whole and solved by ``split_eigvalsh``.
 
-    Only for a kernel without a conjugating reflection: each Gram's
-    ``(P, R)`` maps must have ``R`` missing.
+    Only for a kernel whose one symmetry is the point reflection: each Gram's
+    generators must be ``P`` alone.
     """
 
     def solve(kernel, points):
-        p_map, r_map = _reflections(kernel, points)
-        assert r_map is None
+        (p_map, key, _), = _symmetries(kernel, points)
+        assert key == (2, 0)
         return split_eigvalsh(kernel_matrix(kernel, points, points).T, p_map)
 
     with mock.patch.object(framekit, "_gram_eigvalsh", solve):
@@ -659,21 +657,22 @@ def gram_eigenvalues(kernel, patch: PointPatch) -> np.ndarray:
     return _gram_eigvalsh(kernel, patch.points)
 
 
-def entries_eigenvalues(entries: np.ndarray, pairing: tuple | None = None) -> np.ndarray:
+def entries_eigenvalues(entries: np.ndarray, gens: list = ()) -> np.ndarray:
     """Ascending eigenvalues of a hand-fed Hermitian matrix through ``framekit``'s reflected solve.
 
-    Its rows at the representatives of ``pairing`` (maps as ``_reflections``
-    gives them, or ``None``) stand in for the kernel rows ``_gram_eigvalsh``
-    builds; only those rows are read, so the matrix must be Hermitian.
+    Its rows at the representatives of the group of ``gens`` (generators as
+    ``_symmetries`` gives them) stand in for the kernel rows
+    ``_gram_eigvalsh`` builds; only those rows are read, so the matrix must
+    be Hermitian.
     """
-    return _reflected_eigvalsh(*matrix_rep_rows(entries, pairing))
+    return _reflected_eigvalsh(*matrix_rep_rows(entries, gens))
 
 
-def matrix_rep_rows(entries: np.ndarray, pairing: tuple | None) -> tuple[np.ndarray, framekit._Orbits]:
-    """A hand-fed matrix's rows at the representatives of ``pairing``, stored as ``framekit._rep_rows`` stores a Gram's.
+def matrix_rep_rows(entries: np.ndarray, gens: list) -> tuple[np.ndarray, framekit._Orbits]:
+    """A hand-fed matrix's rows at the representatives of ``gens``, stored as ``framekit._gram_eigvalsh`` stores a Gram's.
 
-    ``store[j, a] = entries[reps[a], j]``, with the orbits of ``pairing``
-    (maps as ``_reflections`` gives them, or ``None``).
+    ``store[j, a] = entries[reps[a], j]``, with the orbits of the group of
+    ``gens`` (generators as ``_symmetries`` gives them).
     """
-    orbits = _orbits(pairing, len(entries))
+    orbits = _orbits(list(gens), len(entries))
     return entries[orbits.reps].T, orbits

@@ -22,7 +22,7 @@ from aperio.cutproject import lattice_scheme
 from aperio.density import DensityReport, FolnerSpec
 from aperio import framekit
 from aperio.errors import CoverageError, EmptyPatchError, GramSizeError
-from aperio.framekit import MAX_GRAM_POINTS, _nonzero_min, _reflections
+from aperio.framekit import MAX_GRAM_POINTS, _character, _nonzero_min, _symmetries
 from aperio.io_json import frame_report_to_jsonable
 from aperio.pointset import points_in_box, restrict
 from aperio.rkhs import UNDERFLOW_FLOOR, gabor_gaussian, kernel_matrix, paley_wiener
@@ -37,6 +37,7 @@ from conftest import (
     full_solve_frame_report,
     gram_eigenvalues,
     gram_entries,
+    interior_box_of,
     kernel_value,
     make_fibonacci_scheme,
     make_lattice_patch,
@@ -283,7 +284,7 @@ class TestSamplingBounds:
         paired = symmetric_patch(kernel.space_dim, spacing, jitter, cells, origin, seed)
         box = [(lo - grow[0] * spacing, hi + grow[1] * spacing) for lo, hi in paired.box]
         patch = PointPatch(dim=paired.dim, box=box, points=paired.points)
-        assert _reflections(kernel, patch.points) is not None
+        assert _symmetries(kernel, patch.points)
         a, b, n = sampling_bounds(kernel, patch)
         want_a, want_b, want_n = full_eigh_sampling_bounds(kernel, patch)
         assert n == want_n
@@ -356,7 +357,7 @@ def gram_spectra(kernel, patch):
     if kernel.kind == "gabor_gaussian":
         mag = np.abs(entries)
         assert ((mag > 0) & (mag < UNDERFLOW_FLOOR)).any()
-    return gram_eigenvalues(kernel, patch), entries_eigenvalues(entries, _reflections(kernel, patch.points))
+    return gram_eigenvalues(kernel, patch), entries_eigenvalues(entries, _symmetries(kernel, patch.points))
 
 
 class TestUnderflowFloor:
@@ -400,10 +401,10 @@ class TestUnderflowFloor:
         patch = make_lattice_patch(1.0, 12.0, dim=2)
         assert patch.n_points == 625
         frame_trend_report(GG, patch, (6.0, 9.0, 12.0))
-        # an even and an odd block per Gram stage, then per sampling stage the anchor Gram's two real
-        # blocks and the two real quotient blocks of the lattice's P-parities
-        assert len(seen) == 18
-        assert seen == [0] * 18
+        # four blocks per Gram stage, one per character of the quarter-turn, then per sampling stage the anchor
+        # Gram's four real blocks and the four real quotient blocks of the lattice's characters
+        assert len(seen) == 36
+        assert seen == [0] * 36
 
 
 def symmetric_patch(dim: int, spacing: float, jitter: float, cells: int, origin: bool, seed: int) -> PointPatch:
@@ -476,11 +477,11 @@ class TestReflectionSplit:
         else:
             patch = reflected_patch(dim, reflections, spacing, jitter, cells, origin, seed)
             assert (patch.points == 0.0).any(axis=1).sum() > origin  # degenerate orbits on the axes
-        p_map, r_map = _reflections(kernel, patch.points)
+        keys = {key for _, key, _ in _symmetries(kernel, patch.points)}
         # an asymmetric band gives k(-x, -y) = conj k(x, y): the point reflection is its conjugating one
-        assert (p_map is None) == ("asymmetric" in case)
+        assert ((2, 0) not in keys) == ("asymmetric" in case)
         if case != "gabor":  # a jittered point-symmetric patch is time-symmetric only without jitter
-            assert (r_map is None) == case.startswith("pw-symmetric")
+            assert ((0, 1) not in keys) == case.startswith("pw-symmetric")
         full = np.linalg.eigvalsh(gram_entries(kernel, patch))
         got = gram_eigenvalues(kernel, patch)
         assert np.abs(got - full).max() <= len(full) * np.finfo(float).eps * np.abs(full).max()
@@ -493,7 +494,7 @@ class TestReflectionSplit:
         keep = np.ones(patch.n_points, dtype=bool)
         keep[off_axes[drop % len(off_axes)]] = False
         lopsided = PointPatch(dim=dim, box=patch.box, points=patch.points[keep])
-        assert _reflections(kernel, lopsided.points) is None
+        assert _symmetries(kernel, lopsided.points) == []
         want = np.linalg.eigvalsh(gram_entries(kernel, lopsided))
         assert np.array_equal(gram_eigenvalues(kernel, lopsided), want)
 
@@ -507,9 +508,9 @@ class TestReflectionSplit:
             patch = symmetric_patch(kernel.space_dim, spacing, 0.3, cells, True, 5)
         else:
             patch = reflected_patch(kernel.space_dim, reflections, spacing, 0.3, cells, True, 5)
-        assert _reflections(kernel, patch.points) is not None
+        assert _symmetries(kernel, patch.points)
         rows = patch.points[::-1]
-        assert _reflections(kernel, rows) is None
+        assert _symmetries(kernel, rows) == []
         want = np.linalg.eigvalsh(kernel_matrix(kernel, rows, rows).T)
         assert np.array_equal(framekit._gram_eigvalsh(kernel, rows), want)
 
@@ -535,27 +536,94 @@ class TestReflectionSplit:
             assert a.dtype == b.dtype == np.float64
             assert np.array_equal(a, b)
 
-    def test_symmetric_truncations_are_solved_as_half_size_blocks(self):
+    def test_symmetric_truncations_are_solved_as_quarter_size_blocks(self):
         patch = make_lattice_patch(1.0, 12.0, dim=2)
         assert patch.n_points == 625
         truncations = (6.0, 9.0, 12.0)
         report = frame_trend_report(GG, patch, truncations)
         assert report.riesz_n == (169, 361, 625)  # the full Gram's n
         inputs = solver_inputs(frame_trend_report, GG, patch, truncations)
-        # the truncations in turn, the largest first: its two blocks (the even one holds the origin), each
-        # from its own representative rows, then its sampling quotient as one block per P-parity of the
-        # anchors; the lattice is time-symmetric too, so each block is real
-        assert len(inputs) == 12
-        blocks = [a for i, a in enumerate(inputs) if i % 4 < 2]
-        assert [len(a) for a in blocks] == [313, 312, 181, 180, 85, 84]
-        quotients = [a for i, a in enumerate(inputs) if i % 4 >= 2]
-        assert [len(a) + len(b) for a, b in zip(quotients[::2], quotients[1::2])] == list(report.sampling_n[::-1])
-        assert all(abs(len(a) - len(b)) <= 1 for a, b in zip(quotients[::2], quotients[1::2]))
+        # the truncations in turn, the largest first: its four blocks, one per character of the quarter-turn (the
+        # first holds the origin), each from its own representative rows, then its sampling quotient as one block
+        # per character of the anchors; the lattice is time-symmetric too, so each block is real
+        assert len(inputs) == 24
+        blocks = [a for i, a in enumerate(inputs) if i % 8 < 4]
+        quotients = [a for i, a in enumerate(inputs) if i % 8 >= 4]
+        for n, n_sampling, gram, quotient in zip((625, 361, 169), report.sampling_n[::-1], *(
+            [arrays[i : i + 4] for i in range(0, 12, 4)] for arrays in (blocks, quotients)
+        )):
+            assert sum(len(a) for a in gram) == n and all(abs(len(a) - n / 4) <= 1 for a in gram)
+            assert sum(len(a) for a in quotient) == n_sampling and all(abs(len(a) - n_sampling / 4) <= 1 for a in quotient)
         for a in blocks + quotients:
             assert a.dtype == np.float64
-            # eigvalsh reads one triangle; the Gram is exactly Hermitian, so a Gram block is exactly symmetric,
-            # and a quotient block is a matrix times its own transpose
+            # eigvalsh reads one triangle; a Gram block is averaged with its transpose, as the quarter-turn's phase
+            # holds to rounding only, and a quotient block is a matrix times its own transpose
             assert np.array_equal(a, a.T)
+
+
+def symmetric_keys(points: np.ndarray, n: int) -> set:
+    """The generators ``_symmetries`` should find for the Gaussian kernel on R^(2n), by comparing point sets."""
+    have, keys = {tuple(p) for p in (points + 0.0).tolist()}, set()
+    for key, images in (
+        ((2, 0), -points),
+        ((0, 1), points * ([-1.0] * n + [1.0] * n)),
+        ((1, 0), np.concatenate([-points[:, n:], points[:, :n]], axis=1)),
+    ):
+        if {tuple(p) for p in (images + 0.0).tolist()} == have:
+            keys.add(key)
+    return keys
+
+
+class TestQuarterTurn:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2]),
+        spacing=st.floats(0.7, 1.3),
+        ratio=st.just(1.0) | st.floats(0.8, 1.25),  # frequency over time spacing: 1 is a square lattice
+        data=st.data(),
+    )
+    def test_block_spectra_within_solver_rounding_of_the_dense_gram(self, n, spacing, ratio, data):
+        # a lattice in a box moved off 0 on each axis: by less than half a spacing it keeps the same symmetric
+        # points, and the quarter-turn on a square lattice; by more it adds a row on one side and breaks every
+        # symmetry.  A rectangular lattice keeps P and R but has no quarter-turn
+        cells = data.draw(st.integers(2, 6) if n == 1 else st.integers(1, 2), label="cells")
+        steps = [spacing] * n + [spacing * ratio] * n
+        box = []
+        for k, a in enumerate(steps):
+            offset = data.draw(st.floats(-0.45, 0.45) | st.floats(0.55, 0.9), label=f"offset{k}")
+            box.append((-(cells + 0.5 - offset) * a, (cells + 0.5 + offset) * a))
+        patch = generate_model_set(lattice_scheme(np.diag(steps)), box)
+        kernel = gabor_gaussian(n)
+        keys = {key for _, key, _ in _symmetries(kernel, patch.points)}
+        assert keys == symmetric_keys(patch.points, n)
+        if ratio != 1.0:
+            assert (1, 0) not in keys
+        G = gram_entries(kernel, patch)
+        full = np.linalg.eigvalsh(G)
+        got = framekit._gram_eigvalsh(kernel, patch.points)
+        assert np.abs(got - full).max() <= len(full) * np.finfo(float).eps * full[-1]
+
+    @pytest.mark.parametrize("rows", [14, 10], ids=["square", "rectangular-truncation"])
+    def test_sampling_bounds_within_1e_12_of_the_dense_oracle(self, rows):
+        # gabor2d's middle truncation, 841 points: its anchor grid and its points map onto themselves under the
+        # quarter-turn, so the anchor Gram and the quotient come in four blocks.  Cut to |w| <= 10 spacings in the
+        # same square box, its 609 points lose the quarter-turn but its grid keeps it; both sides then use P and R
+        spacing = math.sqrt(0.8)
+        lattice = generate_model_set(lattice_scheme(np.diag([spacing] * 2)), [(-13.125, 13.125)] * 2)
+        patch = restrict(lattice, [(-13.125, 13.125), (-(rows + 0.5) * spacing, (rows + 0.5) * spacing)])
+        patch = PointPatch(dim=2, box=lattice.box, points=patch.points)
+        assert patch.n_points == 29 * (2 * rows + 1)
+        interior = interior_box_of(patch, None)
+        grid, _ = framekit._anchor_grid(GG, interior, int(points_in_box(patch.points, interior).sum()))
+        assert (1, 0) in {key for _, key, _ in _symmetries(GG, grid)}
+        square = rows == 14
+        assert ((1, 0) in {key for _, key, _ in _symmetries(GG, patch.points)}) == square
+        a, b, n = sampling_bounds(GG, patch)
+        want_a, want_b, want_n = full_eigh_sampling_bounds(GG, patch)
+        assert n == want_n
+        # relative to the quotient's norm: the truncation, undersampled outside |w| <= 10, has a lower bound of 3.5e-5
+        assert abs(a - want_a) <= 1e-12 * want_b and abs(b - want_b) <= 1e-12 * want_b
+        assert len(solver_inputs(sampling_bounds, GG, patch)) == (4 if square else 2)
 
 
 class TestRepresentativeRows:
@@ -572,8 +640,8 @@ class TestRepresentativeRows:
         top = (cells + 0.5) * spacing
         truncations = (0.15 * top, 0.5 * top, top)
         inner = restrict(patch, [(-truncations[0], truncations[0])] * patch.dim).points
-        assert _reflections(kernel, inner) is not None
-        assert (_reflections(kernel, patch.points) is None) == (shift > 0)
+        assert _symmetries(kernel, inner)
+        assert (not _symmetries(kernel, patch.points)) == (shift > 0)
         report = frame_trend_report(kernel, patch, truncations)
         oracle = full_matrix_frame_report(kernel, patch, truncations)
         assert frame_report_to_jsonable(report) == frame_report_to_jsonable(oracle)
@@ -601,19 +669,21 @@ class TestRepresentativeRows:
         assert peak < stored_bytes + 0.5 * gram_bytes < gram_bytes
 
 
-def orbit_vectors(orbits, n: int, p: int, plus: np.ndarray, minus: np.ndarray | None) -> np.ndarray:
+def orbit_vectors(orbits, n: int, k: int, halves) -> np.ndarray:
     """The unit orbit vectors that a block's rows stand for (``_reflected_blocks``), as the columns of an n x k matrix.
 
-    The row of a representative ``a`` in the ``Re Z+`` half has ``p`` per
-    ``P`` in ``g`` at ``g a``; in the ``Re Z-`` half, ``i`` times that and
-    ``-1`` per ``R`` in ``g``.  Each vector is normalised by its own norm.
+    The row of a representative ``a`` in the half of ``R``-sign ``s`` is
+    ``sum_g chi(g) phi_g(a) e_(g a)`` for the character ``(k, s)``, times
+    ``i`` in the ``-1`` half.  Each vector is normalised by its own norm,
+    whose square must be the one its half records.
     """
     columns = []
-    for half, unit, r_sign in [(plus, 1.0, 1.0)] + ([(minus, 1j, -1.0)] if minus is not None else []):
-        for a in orbits.reps[half]:
+    for (s, half, norms), unit in zip(halves, (1.0, 1j)):
+        for a, norm_sq in zip(orbits.reps[half], norms):
             u = np.zeros(n, dtype=np.complex128)
-            for m, n_p, n_r in orbits.group:
-                u[m[a]] = unit * float(p) ** n_p * r_sign**n_r
+            for g, key, phase in orbits.group:
+                u[g[a]] += unit * _character(k, s, key) * (1.0 if phase is None else phase[a])
+            assert np.linalg.norm(u) ** 2 == pytest.approx(norm_sq, rel=1e-12)
             columns.append(u / np.linalg.norm(u))
     return np.array(columns).reshape(-1, n).T
 
@@ -633,27 +703,32 @@ class TestReflectedEigh:
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_eigenpairs_of_centred_anchor_grams(self, case, maps, data):
+        # the grid's Gram, which sampling_bounds solves: its eigenvectors are those of M = k(g_i, g_j) conjugated
         kernel, _ = SAMPLING_KERNELS[case]
         dim = kernel.space_dim
         reach = {1: 60.0, 2: 8.0, 4: 2.5}[dim]  # at most a few hundred anchors
-        box = []
+        square = data.draw(st.booleans(), label="square")  # as many anchors on every axis: J on a Gabor grid
+        box, width = [], data.draw(st.floats(0.3, reach), label="width")
         for k in range(dim):
             lo = data.draw(st.floats(-reach, reach), label=f"lo{k}")
-            box.append((lo, lo + data.draw(st.floats(0.3, reach), label=f"width{k}")))
+            box.append((lo, lo + (width if square else data.draw(st.floats(0.3, reach), label=f"width{k}"))))
         density = data.draw(st.floats(0.2, 2.0), label="density")
         grid, _ = framekit._anchor_grid(kernel, box, max(1, round(density * framekit.box_volume(box))))
-        p_map, r_map = _reflections(kernel, grid)
-        assert (p_map is not None, r_map is not None) == ("P" in maps, "R" in maps)
-        M = kernel_matrix(kernel, grid, grid)
-        store, orbits = matrix_rep_rows(M, (p_map, r_map))
+        gens = _symmetries(kernel, grid)
+        keys = {key for _, key, _ in gens}
+        assert ((2, 0) in keys, (0, 1) in keys) == ("P" in maps, "R" in maps)
+        if square:
+            assert ((1, 0) in keys) == (kernel.kind == "gabor_gaussian")
+        G = kernel_matrix(kernel, grid, grid).T
+        store, orbits = matrix_rep_rows(G, gens)
         solved = framekit._anchor_eigh(store, orbits)
         s = np.concatenate([s for s, _, _ in solved])
-        V = np.hstack([orbit_vectors(orbits, len(M), *half) @ x for _, x, half in solved])
-        a, eps, norm = len(M), np.finfo(float).eps, np.linalg.norm(M, 2)
+        V = np.hstack([orbit_vectors(orbits, len(G), *half) @ x for _, x, half in solved])
+        a, eps, norm = len(G), np.finfo(float).eps, np.linalg.norm(G, 2)
         assert np.linalg.norm(V.conj().T @ V - np.eye(len(s)), 2) <= 10 * a * eps
-        assert np.linalg.norm(M @ V - V * s, 2) <= 10 * a * eps * norm
+        assert np.linalg.norm(G @ V - V * s, 2) <= 10 * a * eps * norm
         # every eigenvalue above the rank cut is found
-        full = np.linalg.eigvalsh(M)
+        full = np.linalg.eigvalsh(G)
         full = full[full > framekit.RANK_TOL * full[-1]]
         assert len(s) == len(full)
         assert np.abs(np.sort(s) - full).max() <= 10 * a * eps * norm
@@ -705,6 +780,23 @@ def invariant_hermitian(p_map: np.ndarray, r_map: np.ndarray, rng) -> np.ndarray
     return G
 
 
+def quarter_turn_patch(origin: bool, axes: int, diagonals: int, generic: int, rng) -> np.ndarray:
+    """Sorted points of R^2 in whole orbits of the eight maps ``P``, ``R`` and ``J`` generate.
+
+    The origin if ``origin``, and the given numbers of orbits through ``(x,
+    0)``, ``(x, x)`` and ``(x, w)`` for ``0 < w < x``, at random ``x`` and
+    ``w``: on the diagonals ``J``'s phase ``exp(2 pi i x w)`` is no root of
+    unity.
+    """
+    seeds = [(x, 0.0) for x in rng.uniform(0.2, 2.5, axes)] + [(x, x) for x in rng.uniform(0.2, 2.5, diagonals)]
+    seeds += [(x, x * rng.uniform(0.1, 0.9)) for x in rng.uniform(0.2, 2.5, generic)]
+    pts = [(0.0, 0.0)] if origin else []
+    for x, w in seeds:
+        for a, b in ((x, w), (-w, x), (-x, -w), (w, -x)):  # J^k (x, w), and their images under R
+            pts += [(a, b), (-a, b)]
+    return np.unique(np.array(pts) + 0.0, axis=0)  # + 0.0 turns -0.0 into 0.0
+
+
 class TestOrbitLayout:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -719,7 +811,8 @@ class TestOrbitLayout:
         G = invariant_hermitian(p_map, r_map, rng)
         n = len(G)
         pairing = (p_map if "P" in maps else None, r_map if "R" in maps else None)
-        orbits = framekit._orbits(pairing, n)
+        gens = [(m, key, None) for m, key in zip(pairing, ((2, 0), (0, 1))) if m is not None]
+        orbits = framekit._orbits(gens, n)
         group = [(np.arange(n), 0, 0)] + [(m, n_p, 1 - n_p) for m, n_p in zip(pairing, (1, 0)) if m is not None]
         if len(group) == 3:
             group.append((p_map[r_map], 1, 1))
@@ -738,19 +831,76 @@ class TestOrbitLayout:
                 halves.append(half)
             if any(halves):
                 want.append((p, *halves))
-        got = [(p, *(set(orbits.reps[h].tolist()) for h in halves if h is not None)) for p, *halves in orbits.blocks]
+        got = [((1, -1)[k], *(set(orbits.reps[h].tolist()) for _, h, _ in halves)) for k, halves in orbits.blocks]
         assert got == want
         full = np.linalg.eigvalsh(G)
-        got_eigs = entries_eigenvalues(G, pairing)
+        got_eigs = entries_eigenvalues(G, gens)
         assert len(got_eigs) == n
         assert np.abs(got_eigs - full).max() <= 10 * n * np.finfo(float).eps * np.abs(full).max()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        counts=st.tuples(st.booleans(), *[st.integers(0, 3)] * 3).filter(any),  # at most 49 points
+        with_r=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quarter_turn_halves_and_spectra_against_brute_force(self, counts, with_r, seed):
+        # the origin, orbits of 4 on the axes and on the diagonals (fixed by PR or R, and by JR or RJ) and
+        # generic orbits of 8, under the group P, R and J generate, or the rotations J generates alone
+        points = quarter_turn_patch(*counts, np.random.default_rng(seed))
+        n = len(points)
+        gens = _symmetries(GG, points)
+        assert [key for _, key, _ in gens] == [(2, 0), (0, 1), (1, 0)]
+        gens = [gen for gen in gens if with_r or gen[1] != (0, 1)]
+        orbits = framekit._orbits(gens, n)
+        d = np.exp(2j * np.pi * points[:, 0] * points[:, 1])
+        ops = []  # T_g e_j = phi_g(j) e_(g j), the closure checked against the point maps J^e R^m and their phases
+        assert sorted(key for _, key, _ in orbits.group) == [(e, m) for e in range(4) for m in range(1 + with_r)]
+        for g, (e, m), phase in orbits.group:
+            images = points * [1.0 - 2.0 * m, 1.0]
+            for _ in range(e):
+                images = np.stack([-images[:, 1], images[:, 0]], axis=1)
+            assert np.array_equal(points[g], images)
+            assert (phase is None) == (e % 2 == 0)
+            if phase is not None:
+                assert np.abs(phase - (d if m else d.conj())).max() <= 1e-14
+            ops.append((np.zeros((n, n), dtype=np.complex128), (e, m)))
+            ops[-1][0][g, np.arange(n)] = 1.0 if phase is None else phase
+        assert sorted(orbits.reps) == sorted({min(int(g[a]) for g, _, _ in orbits.group) for a in range(n)})
+        signs, blocks = (1, -1)[: 1 + with_r], dict(orbits.blocks)
+        t_r = [t for t, key in ops if key == (0, 1)]
+        for k in range(4):
+            # the character's subspace: the range of the projector onto chi(J) = i^k
+            proj = sum(_character(k, 1, key) * t for t, key in ops if not key[1]) / 4
+            halves = blocks.get(k, [])
+            assert sum(len(h) for _, h, _ in halves) == round(np.trace(proj).real)
+            if halves:
+                V = orbit_vectors(orbits, n, k, halves)
+                assert np.abs(V.conj().T @ V - np.eye(V.shape[1])).max() <= 1e-12
+                assert np.abs(proj @ V - V).max() <= 1e-12
+                for t in t_r:  # with R each row stands for a vector R maps onto itself: the block is real
+                    assert np.abs(t @ V.conj() - V).max() <= 1e-12
+            # the halves hold the representatives whose orbit vector is nonzero; where an element with R fixes one,
+            # its two halves' vectors span one real line, and one half holds it
+            members = {s: set(orbits.reps[h].tolist()) for s, h, _ in halves}
+            for a in orbits.reps:
+                nonzero = {s for s in signs if np.abs(sum(_character(k, s, key) * t[:, a] for t, key in ops)).max() > 1e-9}
+                got = {s for s in signs if a in members.get(s, ())}
+                if any(key[1] and g[a] == a for g, key, _ in orbits.group):
+                    assert got <= nonzero and len(got) == bool(nonzero)
+                else:
+                    assert got == nonzero
+        G = kernel_matrix(GG, points, points).T
+        full = np.linalg.eigvalsh(G)
+        got_eigs = entries_eigenvalues(G, gens)
+        assert np.abs(got_eigs - full).max() <= 10 * n * np.finfo(float).eps * full[-1]
 
     def test_three_points_on_the_time_axis(self):
         # P and R agree on these points, so PR fixes the pair off the origin: the odd P-parity block has no
         # R-sign +1 half, only a -1 half, and must still be solved
         points = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        orbits = framekit._orbits(_reflections(GG, points), len(points))
-        assert [(p, len(plus), len(minus)) for p, plus, minus in orbits.blocks] == [(1, 2, 0), (-1, 0, 1)]
+        orbits = framekit._orbits(_symmetries(GG, points), len(points))
+        assert [(k, [len(h) for _, h, _ in halves]) for k, halves in orbits.blocks] == [(0, [2, 0]), (1, [0, 1])]
         full = np.linalg.eigvalsh(kernel_matrix(GG, points, points).T)
         got = framekit._gram_eigvalsh(GG, points)
         assert len(got) == 3

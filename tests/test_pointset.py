@@ -347,7 +347,7 @@ class TestCoveringRadiusSearch:
         [
             # the fib1d and fib2d benchmark boxes (perfbench/workloads.py): 8,944 and 718 points at seed 1
             *((make_fibonacci_scheme(), [(lo, lo + 2.0e4)], 12) for lo in (-9999.764504115252, -9999.864106433206, -9999.63986935278)),
-            (make_product_fibonacci_scheme(), [(-29.930514065136148, 30.069485934863852), (-29.802675764436163, 30.197324235563837)], 22),
+            (make_product_fibonacci_scheme(), [(-29.930514065136148, 30.069485934863852), (-29.802675764436163, 30.197324235563837)], 17),
         ],
         ids=["fib1d-1", "fib1d-2", "fib1d-3", "fib2d-1"],
     )

@@ -256,6 +256,24 @@ class TestReflections:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("case", list(REFLECTION_AXES))
+    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 20.0))
+    @settings(max_examples=30, deadline=None)
+    def test_declared_quarter_turn_moves_every_entry_by_its_phase(self, case, seed, scale):
+        # J(x, w) = (-w, x) on every declared pair at once: k(Jp, Jq) = d(p) k(p, q) conj d(q) for
+        # d = exp(2 pi i x . w), to the rounding of phases of up to about 4 pi n scale^2
+        kernel = REFLECTION_AXES[case][0]
+        n = kernel.space_dim // 2
+        assert kernel.quarter_turn_pairs == (tuple((k, n + k) for k in range(n)) if kernel.kind == "gabor_gaussian" else ())
+        if not kernel.quarter_turn_pairs:
+            return
+        pts = np.random.default_rng(seed).uniform(-scale, scale, (24, kernel.space_dim))
+        x, w = pts[:, :n], pts[:, n:]
+        d = np.exp(2j * np.pi * (x * w).sum(axis=1))
+        turned = np.concatenate([-w, x], axis=1)
+        want = d[:, None] * kernel_matrix(kernel, pts, pts) * d.conj()
+        assert np.abs(kernel_matrix(kernel, turned, turned) - want).max() <= 16 * np.finfo(float).eps * n * scale**2
+
 
 class TestCocycle:
     def test_identity_on_10k_random_triples(self):
