@@ -27,7 +27,7 @@ def run_band_limited(ws: Path) -> None:
     write(ws / "kernel_pw.json", {"kind": "paley_wiener", "band": [[-0.5, 0.5]]})
     print("\nband [-1/2, 1/2] on R (critical density 1):")
     print(f"{'spacing':>8} {'density':>8} {'ruled out':<42} {'trend verdict':<16}")
-    for spacing in (0.5, 0.8, 1.0, 1.25, 2.0):
+    for spacing in (0.5, 0.8, 1.0, 1.02, 1.25, 2.0):
         tag = str(spacing).replace(".", "_")
         write(ws / f"scheme_{tag}.json", {"d": 1, "m": 0, "basis": [[spacing]]})
         steps = [

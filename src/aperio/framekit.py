@@ -8,11 +8,11 @@ iterative methods), real symmetric for a real kernel.  Its rounding depends on
 the BLAS build and thread count, so reports write spectra as brackets at the
 solver's resolution (``io_json.SolverGrid``).
 
-A kernel names its symmetries (``KernelSpec.fixing_axes``,
-``conjugating_axes`` and ``quarter_turn_pairs``): ``P`` with ``k(Px, Py) =
-k(x, y)``, ``R`` with ``k(Rx, Ry) = conj k(x, y)``, and for the Gaussian
-kernel the quarter-turn ``J(x, w) = (-w, x)``, with ``k(Jx, Jy) = d(x) k(x,
-y) conj d(y)``, ``J^2 = P`` and ``R J R = J^-1``.  A Gram over a patch that
+A kernel names its symmetries once, as generators that permute and negate
+axes (``KernelSpec.symmetries``): ``P`` with ``k(Px, Py) = k(x, y)``, ``R``
+with ``k(Rx, Ry) = conj k(x, y)``, and for the Gaussian kernel the
+quarter-turn ``J(x, w) = (-w, x)``, with ``k(Jx, Jy) = d(x) k(x, y) conj
+d(y)``, ``J^2 = P`` and ``R J R = J^-1``.  A Gram over a patch that
 some of them map onto itself has its eigenvalues taken from smaller blocks,
 one per character of the rotations ``J`` or ``P`` generate (Cantoni &
 Butler 1976), each made real symmetric by ``R`` (A. Lee 1980).  Lattices and
@@ -72,26 +72,16 @@ def _pairing(points: np.ndarray, images: np.ndarray) -> np.ndarray | None:
 def _symmetries(kernel: KernelSpec, points: np.ndarray) -> list:
     """The kernel's symmetries that hold exactly on the points: generators ``(map, (e, m), phase)`` of ``_orbits``.
 
-    ``P`` (``(2, 0)``, two quarter-turns) negates ``kernel.fixing_axes``,
-    ``R`` (``(0, 1)``) ``kernel.conjugating_axes``, and ``J`` (``(1, 0)``)
-    turns each of ``kernel.quarter_turn_pairs``, ``(x, w) -> (-w, x)``: a
-    swap and one negation.  A map with no axes, or whose image of some point
-    is no point, is left out.  ``J`` carries the phase ``conj d`` at each
-    point, so the Gram ``G[i, j] = k(x_j, x_i)`` has ``G[Ji, Jj] = conj d_i
-    G[i, j] d_j``.
+    Each of ``kernel.symmetries``, ``T^-1 x = signs * x[perm]``, is kept
+    where those images are the points themselves, as the index map
+    ``_pairing`` gives.  A generator with an odd ``e`` (``J``) carries the
+    phase ``kernel.turn_phase``, ``conj d`` at each point, so the Gram
+    ``G[i, j] = k(x_j, x_i)`` has ``G[Ji, Jj] = conj d_i G[i, j] d_j``.
     """
     gens = []
-    for axes, key in ((kernel.fixing_axes, (2, 0)), (kernel.conjugating_axes, (0, 1))):
-        images = points.copy()
-        images[:, list(axes)] *= -1.0
-        if axes and (pairing := _pairing(points, images)) is not None:
-            gens.append((pairing, key, None))
-    if pairs := kernel.quarter_turn_pairs:
-        x, w = (list(axes) for axes in zip(*pairs))
-        images = np.empty_like(points)
-        images[:, x], images[:, w] = points[:, w], -points[:, x]  # J^-1 (x, w) = (w, -x)
-        if (pairing := _pairing(points, images)) is not None:
-            gens.append((pairing, (1, 0), np.exp(-2j * np.pi * (points[:, x] * points[:, w]).sum(axis=1))))
+    for perm, signs, key in kernel.symmetries:
+        if (pairing := _pairing(points, points[:, list(perm)] * signs)) is not None:
+            gens.append((pairing, key, kernel.turn_phase(points) if key[0] % 2 else None))
     return gens
 
 
@@ -267,11 +257,14 @@ def _anchor_eigh(store: np.ndarray, orbits: _Orbits) -> list:
 
 
 # anchor grid design for the sampling test class: the grid density is the
-# smaller of (slightly below) the kernel's critical density and (slightly
-# above) the patch's interior density.  Denser grids make the interior Gram
-# numerically singular and the lower bound collapses to eigensolver noise at
-# every truncation; sparser grids cannot express the aliasing combinations
-# that witness undersampling, so the bound would stay flat for any lattice.
+# smaller of (slightly above) the patch's interior density and (slightly
+# below) the kernel's critical density, or the critical density itself for a
+# patch below it where the critical grid is an orthogonal basis, perfectly
+# conditioned (``KernelSpec.critical_basis``: Paley-Wiener).  Denser grids
+# make the interior Gram numerically singular and the lower bound collapses
+# to eigensolver noise at every truncation; sparser grids cannot express the
+# aliasing combinations that witness undersampling, so the bound would stay
+# flat for any lattice, or for a Paley-Wiener set just below the Nyquist one.
 ANCHOR_DENSITY_CAP = 0.95
 ANCHOR_DENSITY_BOOST = 1.05
 
@@ -279,19 +272,21 @@ ANCHOR_DENSITY_BOOST = 1.05
 def _anchor_grid(kernel: KernelSpec, interior_box, n_interior_points: int) -> tuple[np.ndarray, np.ndarray]:
     """The anchor grid of ``sampling_bounds`` for a box, centred at 0, and the box's centre.
 
-    Each axis is ``h (j - (k - 1) / 2)`` for ``j < k``: the ``k`` points of
-    spacing ``h`` that fit the box, centred on it, moved by minus its centre
-    (0 alone if ``k = 1``, as where ``h`` overflows or the box's volume does,
-    which makes the patch density 0 and ``h`` infinite).  Its coordinates are
-    exact negatives of each other, so negating any axes maps the grid onto
-    itself bit for bit, and so does a quarter-turn where two axes have the
-    same ``h`` and ``k``.  A grid past the kernel's finite range
+    Its density follows the rule above ``ANCHOR_DENSITY_CAP``.  Each axis is
+    ``h (j - (k - 1) / 2)`` for ``j < k``: the ``k`` points of spacing ``h``
+    that fit the box, centred on it, moved by minus its centre (0 alone if
+    ``k = 1``, as where ``h`` overflows or the box's volume does, which makes
+    the patch density 0 and ``h`` infinite).  Its coordinates are exact
+    negatives of each other, so negating any axes maps the grid onto itself
+    bit for bit, and so does a quarter-turn where two axes have the same
+    ``h`` and ``k``.  A grid past the kernel's finite range
     (``rkhs.check_reach``) is refused here, naming the box it spans.
     """
     dim = kernel.space_dim
     crit = kernel.norm_sq_ke
     patch_density = n_interior_points / box_volume(interior_box)
-    rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * patch_density)
+    cap = 1.0 if kernel.critical_basis and patch_density < crit else ANCHOR_DENSITY_CAP
+    rho = min(cap * crit, ANCHOR_DENSITY_BOOST * patch_density)
     scale = (crit / rho) ** (1.0 / dim) if rho > 0 else math.inf
     axes = []
     for (lo, hi), w in zip(interior_box, kernel.widths):

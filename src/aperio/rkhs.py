@@ -85,37 +85,39 @@ class KernelSpec:
         return math.prod(self.widths)
 
     @property
-    def fixing_axes(self) -> tuple[int, ...]:
-        """The axes of a reflection ``P`` with ``k(Px, Py) == k(x, y)`` bit for bit: every axis, or none.
-
-        Negating every axis keeps ``x - y`` up to sign, the Gaussian kernel's phase and distance,
-        and each factor of a band symmetric about 0.  A band with ``lo + hi != 0`` has
-        ``k(-x, -y) = conj k(x, y)``, so its kernel gets no such reflection (``()``).
-        """
-        if self.kind == "paley_wiener" and any(lo + hi != 0 for lo, hi in self.band):
-            return ()
-        return tuple(range(self.space_dim))
+    def real(self) -> bool:
+        """Whether every entry is real: a Paley-Wiener band symmetric about 0 (``lo + hi == 0``) on every axis."""
+        return self.kind == "paley_wiener" and not any(lo + hi for lo, hi in self.band)
 
     @property
-    def conjugating_axes(self) -> tuple[int, ...]:
-        """The axes of a reflection ``R`` with ``k(Rx, Ry) == conj k(x, y)`` bit for bit.
-
-        For the Gaussian kernel the n time axes: the phase ``(x_q - x_p) . (w_p + w_q)`` changes
-        sign and ``|p - q|`` does not.  For a Paley-Wiener kernel with a band not symmetric about 0,
-        every axis.  Empty for a band symmetric about 0 on every axis, whose kernel is real.
-        """
-        if self.kind == "gabor_gaussian":
-            return tuple(range(self.n))
-        return () if self.fixing_axes else tuple(range(self.space_dim))
+    def critical_basis(self) -> bool:
+        """Whether the kernel functions at spacing ``1 / widths[i]`` are an orthogonal basis: Paley-Wiener (Shannon)."""
+        return self.kind == "paley_wiener"
 
     @property
-    def quarter_turn_pairs(self) -> tuple[tuple[int, int], ...]:
-        """The (time, frequency) axis pairs that ``J(x, w) = (-w, x)`` turns at once: ``k(Jx, Jy) = d(x) k(x, y) conj d(y)``.
+    def symmetries(self) -> tuple[tuple[tuple[int, ...], tuple[float, ...], tuple[int, int]], ...]:
+        """Generators ``(perm, signs, key)`` of the kernel's symmetries ``T``, each ``T^-1 x = signs * x[perm]``.
 
-        For the Gaussian kernel, whose window is its own Fourier transform (metaplectic covariance),
-        with ``d(x, w) = exp(2 pi i x . w)``, to rounding.  Empty for a Paley-Wiener kernel.
+        ``P`` (key ``(2, 0)``) negates every axis, with ``k(Px, Py) == k(x, y)`` bit for bit: it keeps
+        ``x - y`` up to sign, the Gaussian kernel's phase and distance, and each factor of a band
+        symmetric about 0.  ``R`` (``(0, 1)``), with ``k(Rx, Ry) == conj k(x, y)`` bit for bit, negates
+        every axis of a band off 0, or the Gaussian kernel's time axes, which negates its phase
+        ``(x_q - x_p) . (w_p + w_q)``; a real kernel has none.  ``J`` (``(1, 0)``) is the Gaussian
+        kernel's quarter-turn ``J(x, w) = (-w, x)`` of every pair (metaplectic covariance), with
+        ``k(Jx, Jy) = d(x) k(x, y) conj d(y)`` to rounding, for ``conj d = turn_phase``.
         """
-        return tuple((k, self.n + k) for k in range(self.n)) if self.kind == "gabor_gaussian" else ()
+        dim = self.space_dim
+        every = (tuple(range(dim)), (-1.0,) * dim)
+        if self.kind == "paley_wiener":
+            return ((*every, (2, 0) if self.real else (0, 1)),)
+        n = self.n
+        turn = (tuple(range(n, dim)) + tuple(range(n)), (1.0,) * n + (-1.0,) * n, (1, 0))  # (x, w) -> (w, -x)
+        return ((*every, (2, 0)), (tuple(range(dim)), (-1.0,) * n + (1.0,) * n, (0, 1)), turn)
+
+    def turn_phase(self, points: np.ndarray) -> np.ndarray:
+        """``exp(-2 pi i x . w)`` at each point ``(x, w)``: ``conj d``, the phase of the quarter-turn ``J`` (``symmetries``)."""
+        n = self.space_dim // 2
+        return np.exp(-2j * np.pi * (points[:, :n] * points[:, n:]).sum(axis=1))
 
 
 def paley_wiener(band) -> KernelSpec:
@@ -147,13 +149,12 @@ def _sinc_factor(u: np.ndarray, width: float) -> np.ndarray:
 
 def _pw_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     shifts = [lo + hi for lo, hi in spec.band]
-    real = not any(shifts)  # every band symmetric about 0: a real kernel
-    out = np.ones((len(X), len(Y)), dtype=np.float64 if real else np.complex128)
+    out = np.ones((len(X), len(Y)), dtype=np.float64 if spec.real else np.complex128)
     for blk in _row_blocks(len(X), 16 * len(Y)):
         diff = X[blk, None, :] - Y[None, :, :]
         for k, (lo, hi) in enumerate(spec.band):
             out[blk] *= _sinc_factor(diff[..., k], hi - lo)
-        if not real:  # a band off 0 modulates once: theta = sum_k (lo_k + hi_k) u_k, a left fold from 0
+        if not spec.real:  # a band off 0 modulates once: theta = sum_k (lo_k + hi_k) u_k, a left fold from 0
             theta = sum(shift * diff[..., k] for k, shift in enumerate(shifts))
             out[blk] *= np.exp(1j * np.pi * theta)
     return out

@@ -474,30 +474,29 @@ def projected_inverse_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def paired_about_zero(kernel, points: np.ndarray) -> bool:
-    """Whether negating the kernel's fixing axes, or its conjugating axes, maps the points onto themselves exactly."""
+    """Whether one of the kernel's generators ``T^-1 x = signs * x[perm]`` maps the points onto themselves exactly."""
     have = {tuple(p) for p in points.tolist()}
-    for axes in (kernel.fixing_axes, kernel.conjugating_axes):
-        flip = np.ones(points.shape[1])
-        flip[list(axes)] = -1.0
-        if axes and {tuple(p) for p in (points * flip).tolist()} == have:
-            return True
-    return False
+    return any({tuple(p) for p in (points[:, list(perm)] * signs).tolist()} == have for perm, signs, _ in kernel.symmetries)
 
 
 def box_anchor_grid(kernel, interior_box, points: np.ndarray) -> np.ndarray:
     """The anchor grid of ``sampling_bounds`` where it lies: ``start + h j`` per axis, centred on 0 or on the box.
 
     ``h`` and the count ``k`` per axis come from the number of ``points``
-    in the box.  The grid is centred on 0 when the kernel's reflections pair
-    the points about 0 (``paired_about_zero``) and every axis' half-extent
-    ``(k - 1) h / 2`` fits between 0 and both box ends; otherwise on the
-    box's centre.  The same points as ``framekit._anchor_grid``'s grid,
-    moved in the second case by the box's centre, in exact arithmetic; in
-    doubles they differ by rounding.
+    in the box, at a grid density capped at the critical one for a
+    Paley-Wiener patch below it and at 0.95 of it otherwise.  The grid is
+    centred on 0 when the kernel's symmetries pair the points about 0
+    (``paired_about_zero``) and every axis' half-extent ``(k - 1) h / 2``
+    fits between 0 and both box ends; otherwise on the box's centre.  The
+    same points as ``framekit._anchor_grid``'s grid, moved in the second
+    case by the box's centre, in exact arithmetic; in doubles they differ by
+    rounding.
     """
     crit = kernel.norm_sq_ke
     n_interior = int(points_in_box(points, interior_box).sum())
-    rho = min(ANCHOR_DENSITY_CAP * crit, ANCHOR_DENSITY_BOOST * n_interior / box_volume(interior_box))
+    density = n_interior / box_volume(interior_box)
+    cap = 1.0 if kernel.kind == "paley_wiener" and density < crit else ANCHOR_DENSITY_CAP  # the Shannon grid
+    rho = min(cap * crit, ANCHOR_DENSITY_BOOST * density)
     scale = (crit / rho) ** (1.0 / kernel.space_dim)
     steps = []
     for (lo, hi), w in zip(interior_box, kernel.widths):

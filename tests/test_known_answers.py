@@ -14,6 +14,16 @@
   truncation, pinned here so that a change to the anchor rule shows.  It
   grows with the margin instead: about 0.91, 0.94 and 0.96 times ``1 / alpha``
   at margins of 0.1, 0.25 and 0.5 times the truncation.
+- A sampling set for the band ``[-1/2, 1/2]`` has ``D- >= 1`` (Landau 1967),
+  and a uniformly discrete set with ``D+ < 1`` is interpolating for it
+  (Beurling; Kahane 1957).  So ``alpha Z`` with ``alpha > 1``, and the
+  Fibonacci model set below density 1, get no frame evidence, even within a
+  few percent of the Nyquist density.
+- The Gaussian kernel on R^2 (the Fock space) gives a frame exactly when
+  ``D- > 1`` and a Riesz sequence exactly when ``D+ < 1`` on any uniformly
+  discrete set (Seip 1992; Seip & Wallsten 1992): here the rotated product
+  Fibonacci model set, whose uniform density is ``1 / covolume``.  Within 5%
+  of the critical density ``inconclusive`` is the finite-window answer.
 """
 
 import math
@@ -24,10 +34,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aperio import PointPatch, frame_trend_report, generate_model_set, sampling_bounds
-from aperio.cutproject import lattice_scheme
+from aperio.cutproject import CutProjectScheme, lattice_scheme, model_set_covolume
 from aperio.framekit import _gram_eigvalsh
 from aperio.pointset import restrict
 from aperio.rkhs import gabor_gaussian, paley_wiener
+
+from conftest import make_fibonacci_scheme, make_product_fibonacci_scheme
 
 BANDS = [(-0.5, 0.5), (-0.25, 0.75)]  # each of length 1, so the kernel's diagonal is 1
 
@@ -103,3 +115,35 @@ def test_paley_wiener_sampling_lower_bound_grows_with_the_margin():
         lows = [alpha * sampling_bounds(paley_wiener([(-0.5, 0.5)]), truncation, margin=f * t)[0] for f in bands]
         assert all(lo <= low <= hi for low, (lo, hi) in zip(lows, bands.values()))
         assert lows == sorted(lows) and len(set(lows)) == len(lows)
+
+
+def at_density(scheme: CutProjectScheme, density: float) -> CutProjectScheme:
+    """``scheme`` with its physical rows scaled so that its model set has ``density`` points per unit volume."""
+    basis = scheme.basis.copy()
+    basis[: scheme.d] *= (density * model_set_covolume(scheme)) ** (-1.0 / scheme.d)
+    return CutProjectScheme(scheme.d, scheme.m, basis, scheme.window)
+
+
+PW_NEAR_NYQUIST = (paley_wiener([(-0.5, 0.5)]), (150.0, 300.0, 600.0))
+NO_FRAME = ("riesz_evidence", "inconclusive")  # within 5% below the Nyquist density
+
+
+@pytest.mark.parametrize("alpha, verdicts", [(a, NO_FRAME) for a in (1.01, 1.02, 1.03, 1.04)] + [(0.97, ("frame_evidence",))])
+def test_paley_wiener_line_near_nyquist_verdict(alpha, verdicts):
+    kernel, truncations = PW_NEAR_NYQUIST
+    assert frame_trend_report(kernel, lattice_line(alpha, 600.0), truncations).verdict in verdicts
+
+
+def test_paley_wiener_fibonacci_set_just_below_nyquist_gives_no_frame_evidence():
+    kernel, truncations = PW_NEAR_NYQUIST
+    patch = generate_model_set(at_density(make_fibonacci_scheme(), 0.97), [(-600.0, 600.0)])
+    assert frame_trend_report(kernel, patch, truncations).verdict in NO_FRAME
+
+
+@pytest.mark.parametrize(
+    "density, n_points, verdict", [(0.6, 729, "riesz_evidence"), (0.97, 1193, "inconclusive"), (1.6, 1957, "frame_evidence")]
+)
+def test_gaussian_fibonacci_model_set_verdict(density, n_points, verdict):
+    patch = generate_model_set(at_density(make_product_fibonacci_scheme(), density), [(-17.5, 17.5)] * 2)
+    assert patch.n_points == n_points
+    assert frame_trend_report(gabor_gaussian(1), patch, (8.75, 13.125, 17.5)).verdict == verdict

@@ -164,7 +164,7 @@ class TestKernelProperties:
     def test_hermitian_symmetry(self, data):
         # k(y, x) = conj k(x, y) bit for bit (signed zeros compare equal): the Gram solver reads only
         # the rows of orbit representatives and checks no entry against its partner
-        kernel = data.draw(st.sampled_from([PW_SYMMETRIC_1D, *(k for k, _, _ in REFLECTION_AXES.values())]), label="kernel")
+        kernel = data.draw(st.sampled_from([k for k, _ in SYMMETRY_KEYS.values()]), label="kernel")
         scale = 10.0 ** data.draw(st.floats(0, 6), label="log10 scale")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         shape = (data.draw(st.integers(1, 16), label="n"), kernel.space_dim)
@@ -196,23 +196,21 @@ class TestKernelProperties:
 
 
 # each kernel with the axes its two reflections negate: P fixes every entry, R conjugates every entry
-REFLECTION_AXES = {
-    "gabor-1": (gabor_gaussian(1), (0, 1), (0,)),
-    "gabor-2": (gabor_gaussian(2), (0, 1, 2, 3), (0, 1)),
-    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), (0, 1), ()),
-    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), (), (0,)),
-    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), (), (0, 1)),
+SYMMETRY_KEYS = {
+    "gabor-1": (gabor_gaussian(1), ((2, 0), (0, 1), (1, 0))),
+    "gabor-2": (gabor_gaussian(2), ((2, 0), (0, 1), (1, 0))),
+    "pw-symmetric-1d": (paley_wiener([(-0.5, 0.5)]), ((2, 0),)),
+    "pw-symmetric-2d": (paley_wiener([(-0.5, 0.5), (-0.75, 0.75)]), ((2, 0),)),
+    "pw-asymmetric-1d": (paley_wiener([(-0.25, 0.75)]), ((0, 1),)),
+    "pw-asymmetric-2d": (paley_wiener([(-0.5, 0.5), (0.0, 0.5)]), ((0, 1),)),
 }
-
-
-PW_SYMMETRIC_1D = paley_wiener([(-0.5, 0.5)])
 
 
 class TestFiniteRange:
     @pytest.mark.parametrize(
         "kernel, scale",
         [
-            (PW_SYMMETRIC_1D, 1.0),
+            (paley_wiener([(-0.5, 0.5)]), 1.0),
             (paley_wiener([(-1e100, 3.0)]), 1e100),
             (paley_wiener([(0.25, 0.75), (-2.0, 2.0)]), 2.0),
             (gabor_gaussian(1), math.sqrt(2.0)),
@@ -238,41 +236,30 @@ class TestFiniteRange:
                 kernel_matrix(kernel, xs, ys)
 
 
-class TestReflections:
-    @pytest.mark.parametrize("case", list(REFLECTION_AXES))
+class TestSymmetries:
+    @pytest.mark.parametrize("case", list(SYMMETRY_KEYS))
     @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 20.0))
     @settings(max_examples=30, deadline=None)
-    def test_declared_axes_fix_or_conjugate_every_entry(self, case, seed, scale):
-        # the Gram solver's real blocks rest on these identities holding exactly, which needs the
-        # build's exp, sin and cos to be odd or even to the bit
-        kernel, fixing, conjugating = REFLECTION_AXES[case]
-        assert (kernel.fixing_axes, kernel.conjugating_axes) == (fixing, conjugating)
+    def test_each_generator_fixes_conjugates_or_turns_every_entry(self, case, seed, scale):
+        # the Gram solver's real blocks rest on P and R holding exactly, which needs the build's exp, sin and
+        # cos to be odd or even to the bit; J holds to the rounding of phases of up to about 4 pi n scale^2
+        kernel, keys = SYMMETRY_KEYS[case]
+        assert tuple(key for _, _, key in kernel.symmetries) == keys
         pts = np.random.default_rng(seed).uniform(-scale, scale, (24, kernel.space_dim))
         gram = kernel_matrix(kernel, pts, pts)
-        for axes, want in ((fixing, gram), (conjugating, gram.conj())):
-            images = pts.copy()
-            images[:, list(axes)] *= -1.0
+        for perm, signs, key in kernel.symmetries:
+            images = pts[:, list(perm)] * signs  # T^-1 x
+            assert not np.array_equal(images, pts)  # no identity passes for a symmetry
             got = kernel_matrix(kernel, images, images)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("case", list(REFLECTION_AXES))
-    @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.5, 20.0))
-    @settings(max_examples=30, deadline=None)
-    def test_declared_quarter_turn_moves_every_entry_by_its_phase(self, case, seed, scale):
-        # J(x, w) = (-w, x) on every declared pair at once: k(Jp, Jq) = d(p) k(p, q) conj d(q) for
-        # d = exp(2 pi i x . w), to the rounding of phases of up to about 4 pi n scale^2
-        kernel = REFLECTION_AXES[case][0]
-        n = kernel.space_dim // 2
-        assert kernel.quarter_turn_pairs == (tuple((k, n + k) for k in range(n)) if kernel.kind == "gabor_gaussian" else ())
-        if not kernel.quarter_turn_pairs:
-            return
-        pts = np.random.default_rng(seed).uniform(-scale, scale, (24, kernel.space_dim))
-        x, w = pts[:, :n], pts[:, n:]
-        d = np.exp(2j * np.pi * (x * w).sum(axis=1))
-        turned = np.concatenate([-w, x], axis=1)
-        want = d[:, None] * kernel_matrix(kernel, pts, pts) * d.conj()
-        assert np.abs(kernel_matrix(kernel, turned, turned) - want).max() <= 16 * np.finfo(float).eps * n * scale**2
+            assert got.dtype == gram.dtype
+            if key == (2, 0):
+                assert np.array_equal(got, gram)
+            elif key == (0, 1):
+                assert np.array_equal(got, gram.conj())
+            else:  # k(T^-1 p, T^-1 q) = d(p) k(p, q) conj d(q), as for J itself, with conj d = turn_phase
+                d = kernel.turn_phase(pts).conj()
+                n = kernel.space_dim // 2
+                assert np.abs(got - d[:, None] * gram * d.conj()).max() <= 16 * np.finfo(float).eps * n * scale**2
 
 
 class TestCocycle:
